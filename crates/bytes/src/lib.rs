@@ -5,12 +5,33 @@
 //! * [`Bytes`] — an immutable, cheaply clonable, sliceable view of a byte
 //!   string, passed between protocol layers as an opaque payload.
 //! * [`BytesMut`] — an append-only build buffer that freezes into a
-//!   [`Bytes`] without copying.
+//!   [`Bytes`].
 //!
 //! Both are implemented here on top of `Arc<[u8]>` (plus a zero-alloc
 //! `&'static [u8]` representation) so the workspace builds with **zero
 //! external dependencies**. The API is the subset of the `bytes` crate the
 //! repo actually uses; it is not a drop-in replacement for the full crate.
+//!
+//! # Headroom
+//!
+//! A frame is one buffer from the application's send to the last deliver.
+//! Every buffer this crate builds ([`BytesMut::freeze`], and the copy
+//! [`Bytes::prepend`] falls back to) starts with [`HEADROOM`] spare bytes
+//! in front of the content. [`Bytes::prepend`] writes a header into that
+//! reserve **in place** when the handle is the buffer's only owner, so
+//! pushing a header costs O(header), not O(payload); popping one is
+//! [`Bytes::slice`]. The contract:
+//!
+//! * Only the unique owner of a buffer ever writes its reserve (checked
+//!   with `Arc::get_mut`, no `unsafe`). A clone or slice taken earlier
+//!   therefore never sees its content change.
+//! * A prepend onto a shared, static or reserve-exhausted handle makes
+//!   exactly one copy into a fresh buffer with a fresh reserve.
+//! * A slice keeps its whole buffer alive — reserve, popped headers and
+//!   all. Holders of many long-lived small slices of large frames should
+//!   [`Bytes::copy_from_slice`] instead.
+//! * The reserve is invisible: length, equality, ordering and hashing see
+//!   only the content.
 //!
 //! # Examples
 //!
@@ -30,6 +51,16 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
+
+/// Spare bytes in front of every buffer this crate builds, for headers
+/// prepended on the way down a protocol stack.
+///
+/// Sized for the deepest stack the workspace ships (four layers, the
+/// switch's channel tag and the UDP envelope come to under 30 bytes with
+/// realistic sequence numbers, 50 at the varint worst case); a deeper
+/// stack still works — a prepend that does not fit copies once and gets a
+/// fresh reserve.
+pub const HEADROOM: usize = 64;
 
 /// Immutable, cheaply clonable byte string.
 ///
@@ -82,6 +113,33 @@ impl Bytes {
     fn from_arc(arc: Arc<[u8]>) -> Self {
         let end = arc.len();
         Bytes { repr: Repr::Shared(arc), start: 0, end }
+    }
+
+    /// Returns `header ++ self` (see the [crate docs](crate#headroom)).
+    ///
+    /// Writes `header` into the reserve in front of the content when this
+    /// handle is the buffer's only owner and the reserve is large enough:
+    /// no allocation, no payload copy. Otherwise copies header and content
+    /// once into a fresh buffer with [`HEADROOM`] bytes of new reserve.
+    pub fn prepend(mut self, header: &[u8]) -> Self {
+        if let Repr::Shared(arc) = &mut self.repr {
+            if let (Some(start), Some(buf)) =
+                (self.start.checked_sub(header.len()), Arc::get_mut(arc))
+            {
+                buf[start..self.start].copy_from_slice(header);
+                self.start = start;
+                return self;
+            }
+        }
+        let start = HEADROOM;
+        let mid = start + header.len();
+        let end = mid + self.len();
+        // One allocation, zero-filled (the fill compiles to a memset).
+        let mut arc: Arc<[u8]> = std::iter::repeat_n(0u8, end).collect();
+        let buf = Arc::get_mut(&mut arc).expect("freshly built buffer is unique");
+        buf[start..mid].copy_from_slice(header);
+        buf[mid..].copy_from_slice(self.as_slice());
+        Bytes { repr: Repr::Shared(arc), start, end }
     }
 
     /// Number of bytes in the view.
@@ -308,10 +366,9 @@ impl Iterator for IntoIter {
     }
 }
 
-/// Append-only byte buffer that freezes into a shared [`Bytes`].
-///
-/// All integer appends are explicitly little-endian (`put_u16_le` etc.),
-/// matching the wire format used throughout the workspace.
+/// Append-only byte buffer that freezes into a shared [`Bytes`] with
+/// [`HEADROOM`] bytes of reserve in front of the content. (Integers are
+/// laid out by `ps_wire::Encoder`, which builds on this.)
 ///
 /// # Examples
 ///
@@ -320,65 +377,43 @@ impl Iterator for IntoIter {
 ///
 /// let mut buf = BytesMut::with_capacity(16);
 /// buf.put_u8(1);
-/// buf.put_u32_le(0xdead_beef);
 /// buf.put_slice(b"tail");
 /// let frozen = buf.freeze();
-/// assert_eq!(frozen.len(), 9);
+/// assert_eq!(&frozen[..], b"\x01tail");
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BytesMut {
+    /// `buf[..HEADROOM]` is the reserve, the content follows — already
+    /// laid out the way [`BytesMut::freeze`] hands it to [`Bytes`].
     buf: Vec<u8>,
 }
 
 impl BytesMut {
     /// Creates an empty buffer.
-    pub const fn new() -> Self {
-        BytesMut { buf: Vec::new() }
+    pub fn new() -> Self {
+        Self::with_capacity(HEADROOM)
     }
 
-    /// Creates an empty buffer with `cap` bytes of pre-allocated capacity.
+    /// Creates an empty buffer with room for `cap` bytes of content.
     pub fn with_capacity(cap: usize) -> Self {
-        BytesMut { buf: Vec::with_capacity(cap) }
+        let mut buf = Vec::with_capacity(HEADROOM + cap);
+        buf.resize(HEADROOM, 0);
+        BytesMut { buf }
     }
 
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - HEADROOM
     }
 
     /// Returns `true` if nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn put_u16_le(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn put_i64_le(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian IEEE-754 `f64`.
-    pub fn put_f64_le(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a byte slice.
@@ -387,37 +422,33 @@ impl BytesMut {
     }
 
     /// Converts the buffer into an immutable [`Bytes`] (single move of the
-    /// backing storage into a shared allocation, no extra copy of content).
+    /// backing storage into a shared allocation, reserve included).
     pub fn freeze(self) -> Bytes {
-        if self.buf.is_empty() {
-            Bytes::new()
-        } else {
-            Bytes::from(self.buf)
+        if self.is_empty() {
+            return Bytes::new();
         }
+        let arc: Arc<[u8]> = Arc::from(self.buf);
+        let end = arc.len();
+        Bytes { repr: Repr::Shared(arc), start: HEADROOM, end }
     }
+}
 
-    /// Consumes the buffer and returns the raw `Vec<u8>`.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf
+impl Default for BytesMut {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf
+        &self.buf[HEADROOM..]
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(buf: Vec<u8>) -> Self {
-        BytesMut { buf }
+        self
     }
 }
 
@@ -468,7 +499,7 @@ mod tests {
     #[test]
     fn freeze_roundtrip() {
         let mut m = BytesMut::new();
-        m.put_u16_le(0x0102);
+        m.put_slice(&[2, 1]);
         m.put_u8(9);
         let b = m.freeze();
         assert_eq!(&b[..], &[2, 1, 9]);
@@ -478,6 +509,69 @@ mod tests {
     fn empty_freeze_is_static_empty() {
         assert_eq!(BytesMut::new().freeze(), Bytes::new());
         assert!(BytesMut::new().freeze().is_empty());
+    }
+
+    fn frozen(content: &[u8]) -> Bytes {
+        let mut m = BytesMut::with_capacity(content.len());
+        m.put_slice(content);
+        m.freeze()
+    }
+
+    #[test]
+    fn prepend_writes_in_place_when_unique() {
+        let b = frozen(b"payload");
+        let at = b.as_ptr();
+        let framed = b.prepend(b"hdr:");
+        assert_eq!(&framed[..], b"hdr:payload");
+        assert!(std::ptr::eq(framed[4..].as_ptr(), at), "payload must not have moved");
+        // Popping is a slice of the same buffer.
+        assert!(std::ptr::eq(framed.slice(4..).as_ptr(), at));
+    }
+
+    #[test]
+    fn prepend_copies_once_when_shared_and_leaves_the_clone_alone() {
+        let b = frozen(b"payload");
+        let keep = b.clone();
+        let framed = b.prepend(b"hdr:");
+        assert_eq!(&framed[..], b"hdr:payload");
+        assert_eq!(&keep[..], b"payload");
+        assert!(!std::ptr::eq(framed[4..].as_ptr(), keep.as_ptr()));
+        // The copy has a reserve of its own: the next push is in place.
+        let at = framed.as_ptr();
+        let framed = framed.prepend(b"outer:");
+        assert!(std::ptr::eq(framed[6..].as_ptr(), at));
+    }
+
+    #[test]
+    fn prepend_copies_when_the_reserve_is_exhausted() {
+        let mut b = frozen(b"x");
+        let big = [7u8; HEADROOM];
+        b = b.prepend(&big); // uses the whole reserve, in place
+        let at = b.as_ptr();
+        b = b.prepend(b"!");
+        assert!(!std::ptr::eq(b[1..].as_ptr(), at));
+        assert_eq!(b.len(), HEADROOM + 2);
+        assert_eq!((b[0], b[1], b[HEADROOM + 1]), (b'!', 7, b'x'));
+    }
+
+    #[test]
+    fn prepend_onto_static_and_empty() {
+        assert_eq!(Bytes::from_static(b"tail").prepend(b"head "), *b"head tail");
+        assert_eq!(Bytes::new().prepend(b"only"), *b"only");
+        assert!(Bytes::new().prepend(b"").is_empty());
+    }
+
+    #[test]
+    fn popped_header_space_is_reusable_reserve() {
+        // A relay pops a header and pushes another: once the popped frame
+        // handle is gone, the new header goes where the old one was.
+        let frame = Bytes::from(b"OLDpayload".to_vec());
+        let payload = frame.slice(3..);
+        drop(frame);
+        let at = payload.as_ptr();
+        let relayed = payload.prepend(b"NEW");
+        assert_eq!(&relayed[..], b"NEWpayload");
+        assert!(std::ptr::eq(relayed[3..].as_ptr(), at));
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub struct SwitchLayer {
     /// this era.
     delivered_from: BTreeMap<ProcessId, u64>,
     /// Deliveries from the non-current protocol, held back.
-    buffer: Vec<(ProcessId, Message)>,
+    buffer: Vec<Delivered>,
     /// The SWITCH vector, once known.
     expected: Option<CountVector>,
     switch_started: SimTime,
@@ -220,6 +220,11 @@ fn chan(idx: usize) -> ChannelId {
     }
 }
 
+/// A sub-stack delivery: the source the sub-stack attributes it to, the
+/// decoded message, and the encoded bytes it was decoded from — which are
+/// what travels on up, so the switch never re-encodes a message.
+type Delivered = (ProcessId, Message, Bytes);
+
 /// Environment handed to a sub-stack: transmissions come out channel-
 /// tagged through the outer context, deliveries are captured for the
 /// switch logic, timers pass straight through (layer ids are globally
@@ -227,7 +232,7 @@ fn chan(idx: usize) -> ChannelId {
 struct SubEnv<'a, 'b> {
     ctx: &'a mut LayerCtx<'b>,
     channel: ChannelId,
-    sink: &'a mut Vec<(ProcessId, Message)>,
+    sink: &'a mut Vec<Delivered>,
 }
 
 impl StackEnv for SubEnv<'_, '_> {
@@ -247,7 +252,11 @@ impl StackEnv for SubEnv<'_, '_> {
         self.ctx.send_down(Frame::new(frame.dest, channel::mux(self.channel, frame.bytes)));
     }
     fn deliver(&mut self, src: ProcessId, msg: Message) {
-        self.sink.push((src, msg));
+        let bytes = msg.to_bytes();
+        self.deliver_encoded(src, msg, bytes);
+    }
+    fn deliver_encoded(&mut self, src: ProcessId, msg: Message, bytes: Bytes) {
+        self.sink.push((src, msg, bytes));
     }
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
         self.ctx.set_timer_for(id, delay, token);
@@ -367,7 +376,7 @@ impl SwitchLayer {
         idx: usize,
         ctx: &mut LayerCtx<'_>,
         f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
-    ) -> (R, Vec<(ProcessId, Message)>) {
+    ) -> (R, Vec<Delivered>) {
         let mut sink = Vec::new();
         let r = {
             let mut env = SubEnv { ctx, channel: chan(idx), sink: &mut sink };
@@ -376,19 +385,14 @@ impl SwitchLayer {
         (r, sink)
     }
 
-    fn process_deliveries(
-        &mut self,
-        idx: usize,
-        sink: Vec<(ProcessId, Message)>,
-        ctx: &mut LayerCtx<'_>,
-    ) {
-        for (src, msg) in sink {
+    fn process_deliveries(&mut self, idx: usize, sink: Vec<Delivered>, ctx: &mut LayerCtx<'_>) {
+        for d in sink {
             if idx == self.current {
-                self.deliver_current(src, msg, ctx);
+                self.deliver_current(d, ctx);
             } else if self.absorb_other {
-                self.deliver_foreign(src, msg, ctx);
+                self.deliver_foreign(d, ctx);
             } else {
-                self.buffer.push((src, msg));
+                self.buffer.push(d);
                 let depth = self.buffer.len();
                 self.handle.update(|s| s.buffered_peak = s.buffered_peak.max(depth));
             }
@@ -398,11 +402,11 @@ impl SwitchLayer {
 
     /// Delivers a current-protocol message to the application, with era
     /// bookkeeping and load observation.
-    fn deliver_current(&mut self, src: ProcessId, msg: Message, ctx: &mut LayerCtx<'_>) {
+    fn deliver_current(&mut self, (src, msg, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
         *self.delivered_from.entry(msg.id.sender).or_insert(0) += 1;
         self.recent.push_back((ctx.now(), msg.id.sender));
         self.handle.update(|s| s.delivered += 1);
-        ctx.deliver_up(src, msg.to_bytes());
+        ctx.deliver_up(src, bytes);
     }
 
     /// Delivers a message that arrived on the *non-current* protocol after
@@ -410,10 +414,10 @@ impl SwitchLayer {
     /// for `delivered_from`: the era's drain accounting covers only
     /// current-protocol traffic, and the sender likewise zeroed its
     /// `sent_next` when its own attempt aborted.
-    fn deliver_foreign(&mut self, src: ProcessId, msg: Message, ctx: &mut LayerCtx<'_>) {
+    fn deliver_foreign(&mut self, (src, msg, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
         self.recent.push_back((ctx.now(), msg.id.sender));
         self.handle.update(|s| s.delivered += 1);
-        ctx.deliver_up(src, msg.to_bytes());
+        ctx.deliver_up(src, bytes);
     }
 
     fn enter_switching(&mut self, ctx: &mut LayerCtx<'_>) {
@@ -456,8 +460,8 @@ impl SwitchLayer {
         self.token_gen += 1;
         self.absorb_other = true;
         let buffered = std::mem::take(&mut self.buffer);
-        for (src, msg) in buffered {
-            self.deliver_foreign(src, msg, ctx);
+        for d in buffered {
+            self.deliver_foreign(d, ctx);
         }
         self.handle.update(|s| {
             s.switching = false;
@@ -560,14 +564,15 @@ impl SwitchLayer {
             // the era boundary as a view yields a virtually synchronous
             // application trace. The announcement is fabricated
             // identically at every member (same id, same body).
-            let group = ctx.group();
-            let vm = Message::view_change(group[0], CTL_SEQ_BASE + self.era, self.era, group);
+            let group = ctx.group_slice();
+            let vm =
+                Message::view_change(group[0], CTL_SEQ_BASE + self.era, self.era, group.to_vec());
             ctx.deliver_up(vm.id.sender, vm.to_bytes());
         }
         // Release the buffer — these are new-era deliveries.
         let buffered = std::mem::take(&mut self.buffer);
-        for (src, msg) in buffered {
-            self.deliver_current(src, msg, ctx);
+        for d in buffered {
+            self.deliver_current(d, ctx);
         }
         record_phase(ctx, SpPhase::BufferRelease, from, self.current);
         // Token variant: a FLUSH held for our drain can move on now.
@@ -625,8 +630,8 @@ impl SwitchLayer {
                     return;
                 }
                 self.manager_oks.insert(member, count);
-                let group = ctx.group();
-                if !self.switch_sent && group.iter().all(|m| self.manager_oks.contains_key(m)) {
+                let all_ok = ctx.group_slice().iter().all(|m| self.manager_oks.contains_key(m));
+                if !self.switch_sent && all_ok {
                     let vector: CountVector =
                         self.manager_oks.iter().map(|(&p, &c)| (p, c)).collect();
                     let sw = Control::Switch { era, round, vector };
@@ -648,7 +653,7 @@ impl SwitchLayer {
     // ---- token variant -----------------------------------------------------
 
     fn ring_next(ctx: &LayerCtx<'_>) -> ProcessId {
-        let group = ctx.group();
+        let group = ctx.group_slice();
         let me = ctx.me();
         let idx = group.iter().position(|&p| p == me).expect("member of own group");
         group[(idx + 1) % group.len()]
@@ -828,7 +833,7 @@ impl Layer for SwitchLayer {
         }
         ctx.set_timer(self.cfg.observe_interval, OBSERVE);
         if let SwitchVariant::TokenRing { .. } = self.cfg.variant {
-            if ctx.me() == ctx.group()[0] {
+            if ctx.me() == ctx.group_slice()[0] {
                 self.handle_token(RingToken::normal(0), ctx);
                 if self.cfg.token_regen > SimTime::ZERO {
                     ctx.set_timer(self.cfg.token_regen, REGEN_FLAG);
@@ -851,7 +856,7 @@ impl Layer for SwitchLayer {
                 let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
                 self.control.restart(&mut env);
             }
-            for (_, envelope) in sink {
+            for (_, envelope, _) in sink {
                 self.dispatch_control(envelope, ctx);
             }
         }
@@ -881,7 +886,7 @@ impl Layer for SwitchLayer {
             }
         }
         if let SwitchVariant::TokenRing { .. } = self.cfg.variant {
-            if ctx.me() == ctx.group()[0] && self.cfg.token_regen > SimTime::ZERO {
+            if ctx.me() == ctx.group_slice()[0] && self.cfg.token_regen > SimTime::ZERO {
                 ctx.set_timer(self.cfg.token_regen, REGEN_FLAG);
             }
         }
@@ -901,6 +906,10 @@ impl Layer for SwitchLayer {
 
     fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
         let Ok((ch, payload)) = channel::demux(&bytes) else { return };
+        // `payload` must be the frame's only handle while the sub-stack
+        // runs, so a layer that relays it (the sequencer) can push its
+        // header in place.
+        drop(bytes);
         match ch {
             ChannelId::CONTROL => {
                 let mut sink = Vec::new();
@@ -908,7 +917,7 @@ impl Layer for SwitchLayer {
                     let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
                     self.control.receive(src, payload, &mut env);
                 }
-                for (_, envelope) in sink {
+                for (_, envelope, _) in sink {
                     self.dispatch_control(envelope, ctx);
                 }
             }
@@ -966,7 +975,7 @@ impl Layer for SwitchLayer {
             let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
             self.control.timer(id, token, &mut env)
         };
-        for (_, envelope) in sink {
+        for (_, envelope, _) in sink {
             self.dispatch_control(envelope, ctx);
         }
         handled

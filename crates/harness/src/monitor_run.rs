@@ -178,7 +178,7 @@ impl Default for SwapFaultLayer {
 
 /// The sender of an *application* message, if `bytes` is one.
 fn app_sender(bytes: &Bytes) -> Option<ProcessId> {
-    let msg = Message::from_bytes(bytes).ok()?;
+    let msg = Message::from_frame(bytes).ok()?;
     (msg.id.seq < CTL_SEQ_BASE).then_some(msg.id.sender)
 }
 

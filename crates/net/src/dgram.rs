@@ -30,14 +30,17 @@ pub const MAGIC: u8 = 0xA7;
 /// Wire-format version; bump on any incompatible change.
 pub const VERSION: u8 = 1;
 
-/// Wraps one frame payload from `src` into a datagram.
+/// Wraps one frame payload from `src` into a datagram: the envelope is
+/// prepended to the frame like any layer's header
+/// ([`Bytes::prepend`]). The caller keeps its handle on `payload`, so
+/// this is the one copy a frame makes on its way to the socket.
 pub fn encode(src: ProcessId, payload: &Bytes) -> Bytes {
-    let mut e = Encoder::with_capacity(payload.len() + 8);
+    let mut e = Encoder::new();
     e.put_u8(MAGIC);
     e.put_u8(VERSION);
     e.put_varint(u64::from(src.0));
-    e.put_bytes(payload);
-    e.finish()
+    e.put_varint(payload.len() as u64);
+    payload.clone().prepend(e.as_slice())
 }
 
 /// Unwraps a received datagram into `(src, payload)`.
@@ -59,7 +62,7 @@ pub fn decode(datagram: &[u8]) -> Result<(ProcessId, Bytes), WireError> {
     if src > u64::from(u16::MAX) {
         return Err(WireError::InvalidTag { tag: src, ty: "dgram src process id" });
     }
-    let payload = Bytes::copy_from_slice(d.get_bytes()?);
+    let payload = d.take_bytes()?;
     d.finish()?;
     Ok((ProcessId(src as u16), payload))
 }

@@ -31,8 +31,11 @@ pub struct NetConfig {
     /// Upper bound on one receive wait — the granularity at which idle
     /// node threads re-check timers and the stop flag.
     pub max_wait: Duration,
-    /// Largest acceptable datagram; oversized frames panic the sender
-    /// thread rather than silently truncating on the wire.
+    /// Largest acceptable datagram. Sending a larger frame panics the
+    /// sender thread rather than silently truncating on the wire; the
+    /// receive buffer is this size too, so a larger datagram from
+    /// anywhere else arrives truncated, fails to decode and is counted
+    /// as malformed.
     pub max_datagram: usize,
 }
 
@@ -223,16 +226,18 @@ impl NodeThread {
                 wire.len(),
                 self.cfg.max_datagram
             );
-            let dests: Vec<ProcessId> = match frame.dest {
-                Cast::All => self.group.clone(),
-                Cast::Others => self.group.iter().copied().filter(|&p| p != self.me).collect(),
-                Cast::To(p) => vec![p],
-            };
             self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-            for d in dests {
-                // A peer that already shut its socket is fine to ignore —
-                // same stance as the in-memory runtime on disappeared peers.
-                let _ = self.socket.send_to(&wire, self.peers[d.index()]);
+            for &d in &self.group {
+                let hears = match frame.dest {
+                    Cast::All => true,
+                    Cast::Others => d != self.me,
+                    Cast::To(p) => d == p,
+                };
+                if hears {
+                    // A peer that already shut its socket is fine to ignore —
+                    // same stance as the in-memory runtime on disappeared peers.
+                    let _ = self.socket.send_to(&wire, self.peers[d.index()]);
+                }
             }
         }
     }
@@ -242,20 +247,17 @@ impl NodeThread {
         cause: ps_obs::CauseId,
         f: impl FnOnce(&mut Stack, &mut NetEnv<'_>) -> R,
     ) -> R {
-        let group = self.group.clone();
-        let log = self.log.clone();
-        let rec = self.rec.clone();
         let (r, outbox, timers) = {
             let mut env = NetEnv {
                 me: self.me,
-                group: &group,
+                group: &self.group,
                 epoch: self.epoch,
                 rng: &mut self.rng,
                 outbox: Vec::new(),
                 new_timers: Vec::new(),
-                log: &log,
+                log: &self.log,
                 delivered: &mut self.delivered,
-                rec: &rec,
+                rec: &self.rec,
                 rec_on: self.rec_on,
                 cause,
             };
@@ -327,7 +329,7 @@ impl NodeThread {
     fn run(mut self) -> (usize, usize) {
         // First scheduled sends were pushed before spawn; launch the stack.
         self.with_env(ps_obs::CauseId::NONE, |stack, env| stack.launch(env));
-        let mut buf = vec![0u8; 65_535];
+        let mut buf = vec![0u8; self.cfg.max_datagram];
         while !self.stop.load(Ordering::Relaxed) {
             self.fire_due();
             let wait = self
@@ -378,6 +380,7 @@ impl NodeThread {
 /// known divergences from the simulated driver.
 pub struct UdpGroup {
     group: Vec<ProcessId>,
+    addrs: Vec<SocketAddr>,
     epoch: Instant,
     log: SharedLog,
     rec: ps_obs::Recorder,
@@ -499,7 +502,13 @@ impl UdpGroup {
                 .expect("spawn sampler thread")
         });
 
-        Self { group, epoch, log, rec, stop, threads, sampler_thread }
+        Self { group, addrs: peers, epoch, log, rec, stop, threads, sampler_thread }
+    }
+
+    /// Where each process's socket is bound, by process index — for tests
+    /// and tools that aim datagrams of their own at a node.
+    pub fn socket_addrs(&self) -> &[SocketAddr] {
+        &self.addrs
     }
 
     /// Stops every node thread (and the sampler), joins them, and returns

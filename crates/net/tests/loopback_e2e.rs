@@ -87,3 +87,37 @@ fn hybrid_switch_over_loopback_keeps_total_order_and_monitors_clean() {
         );
     }
 }
+
+#[test]
+fn oversize_datagram_is_counted_malformed_and_traffic_continues() {
+    use ps_stack::Stack;
+    use std::net::UdpSocket;
+
+    // A small limit so the oversize datagram stays far below the
+    // loopback MTU: the kernel truncates it into the node's receive
+    // buffer, the length prefix then promises more than arrived, and
+    // `dgram::decode` rejects it.
+    let cfg = NetConfig { max_datagram: 512, ..NetConfig::default() };
+    let mut spec = GroupSpec::new(2).seed(5).stack_factory(|_, _, _| Stack::new(vec![]));
+    for i in 0..6u64 {
+        spec = spec.send_at(SimTime::from_millis(10 + 30 * i), ProcessId((i % 2) as u16), "ok");
+    }
+    let mut group = UdpGroup::launch(spec, cfg);
+
+    // Well-formed envelope, 2000-byte payload: only its size is wrong.
+    let big = ps_net::dgram::encode(ProcessId(1), &ps_bytes::Bytes::from(vec![0x42u8; 2000]));
+    let intruder = UdpSocket::bind("127.0.0.1:0").expect("bind intruder socket");
+    group.run_until(SimTime::from_millis(50));
+    intruder.send_to(&big, group.socket_addrs()[0]).expect("send oversize datagram");
+
+    group.run_until(SimTime::from_millis(400));
+    let trace = group.app_trace();
+    let report = group.shutdown(); // joins the node threads: surfaces a panic
+
+    assert_eq!(report.malformed_per_process, vec![1, 0], "counted where it landed, once");
+    assert_eq!(trace.sent_ids().len(), 6);
+    assert!(
+        Reliability::new([ProcessId(0), ProcessId(1)]).holds(&trace),
+        "messages sent before and after the oversize datagram all arrive:\n{trace}"
+    );
+}

@@ -148,7 +148,8 @@ impl CreditControlLayer {
         let seq = self.next_seq;
         self.next_seq += 1;
         // Await a credit from everyone but ourselves.
-        let waiting: BTreeSet<ProcessId> = ctx.group().into_iter().filter(|&p| p != me).collect();
+        let waiting: BTreeSet<ProcessId> =
+            ctx.group_slice().iter().copied().filter(|&p| p != me).collect();
         self.outstanding.insert(seq, waiting);
         let hdr = CreditHeader::Data { sender: me, seq };
         ctx.send_down(Frame::all(ps_wire::push_header(&hdr, frame.bytes)));

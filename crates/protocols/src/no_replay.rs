@@ -43,7 +43,7 @@ impl Layer for NoReplayLayer {
         // At a protocol-top boundary the bytes decode as a Message; the
         // property is about *bodies*, so hash only the body there. Fall
         // back to hashing the whole frame elsewhere in a stack.
-        let h = match ps_trace::Message::from_bytes(&bytes) {
+        let h = match ps_trace::Message::from_frame(&bytes) {
             Ok(msg) => keyed_hash(0, LABEL, &msg.body),
             Err(_) => keyed_hash(1, LABEL, &bytes),
         };

@@ -44,7 +44,9 @@ pub struct ReliableLayer {
 
 #[derive(Debug)]
 struct Outbound {
-    payload: Bytes,
+    /// The frame as first sent, header included: a retransmission resends
+    /// these bytes, it does not re-encode them.
+    wrapped: Bytes,
     expect: BTreeSet<ProcessId>,
     acked: BTreeSet<ProcessId>,
 }
@@ -159,11 +161,12 @@ impl Layer for ReliableLayer {
         let me = ctx.me();
         let seq = self.next_seq;
         self.next_seq += 1;
-        let hdr = RelHeader::Data { sender: me, seq };
-        let wrapped = ps_wire::push_header(&hdr, frame.bytes.clone());
-        let expect = Self::expected_receivers(frame.dest, me, &ctx.group());
+        // Push before retaining: the frame is still uniquely owned here, so
+        // the header goes into its reserve without a copy.
+        let wrapped = ps_wire::push_header(&RelHeader::Data { sender: me, seq }, frame.bytes);
+        let expect = Self::expected_receivers(frame.dest, me, ctx.group_slice());
         self.outbound
-            .insert(seq, Outbound { payload: frame.bytes, expect, acked: BTreeSet::new() });
+            .insert(seq, Outbound { wrapped: wrapped.clone(), expect, acked: BTreeSet::new() });
         ctx.send_down(Frame::new(frame.dest, wrapped));
         self.arm(ctx);
     }
@@ -202,13 +205,10 @@ impl Layer for ReliableLayer {
         if self.outbound.is_empty() {
             return;
         }
-        let me = ctx.me();
-        for (&seq, out) in &self.outbound {
-            let hdr = RelHeader::Data { sender: me, seq };
-            let wrapped = ps_wire::push_header(&hdr, out.payload.clone());
+        for out in self.outbound.values() {
             for &missing in out.expect.difference(&out.acked) {
                 self.retransmissions += 1;
-                ctx.send_down(Frame::to(missing, wrapped.clone()));
+                ctx.send_down(Frame::to(missing, out.wrapped.clone()));
             }
         }
         self.arm(ctx);

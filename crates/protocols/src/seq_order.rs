@@ -90,6 +90,9 @@ impl Layer for SeqOrderLayer {
         let Ok((hdr, payload)) = ps_wire::pop_header::<SeqHeader>(&bytes) else {
             return;
         };
+        // The relay below pushes onto `payload`; that is in place only
+        // if `payload` is the frame's last handle.
+        drop(bytes);
         match hdr {
             SeqHeader::Forward { orig } => {
                 if ctx.me() == self.sequencer {

@@ -85,7 +85,7 @@ impl TokenOrderLayer {
     }
 
     fn ring_next(ctx: &LayerCtx<'_>) -> ProcessId {
-        let group = ctx.group();
+        let group = ctx.group_slice();
         let me = ctx.me();
         let idx = group.iter().position(|&p| p == me).expect("member of own group");
         group[(idx + 1) % group.len()]
@@ -136,7 +136,7 @@ impl Layer for TokenOrderLayer {
 
     fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
         // Process 0 materializes the token.
-        if ctx.me() == ctx.group()[0] {
+        if ctx.me() == ctx.group_slice()[0] {
             self.handle_token(0, ctx);
         }
     }

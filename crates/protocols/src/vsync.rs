@@ -284,7 +284,7 @@ impl Layer for VsyncLayer {
     }
 
     fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
-        self.members = self.cfg.initial.clone().unwrap_or_else(|| ctx.group());
+        self.members = self.cfg.initial.clone().unwrap_or_else(|| ctx.group_slice().to_vec());
         if ctx.me() == self.cfg.coordinator {
             for (i, (at, _)) in self.cfg.changes.iter().enumerate() {
                 ctx.set_timer(*at, CHANGE_TIMER_BASE + i as u32);

@@ -35,12 +35,13 @@ pub fn mux(channel: ChannelId, payload: Bytes) -> Bytes {
     ps_wire::push_header(&channel, payload)
 }
 
-/// Splits a tagged frame back into channel id and payload.
+/// Splits a tagged frame back into channel id and payload (a slice of
+/// `frame`, not a copy).
 ///
 /// # Errors
 ///
 /// Returns [`WireError::UnexpectedEof`] on an empty frame.
-pub fn demux(frame: &[u8]) -> Result<(ChannelId, Bytes), WireError> {
+pub fn demux(frame: &Bytes) -> Result<(ChannelId, Bytes), WireError> {
     ps_wire::pop_header(frame)
 }
 
@@ -64,6 +65,6 @@ mod tests {
 
     #[test]
     fn demux_empty_frame_errors() {
-        assert!(demux(&[]).is_err());
+        assert!(demux(&Bytes::new()).is_err());
     }
 }

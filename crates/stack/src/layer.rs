@@ -180,15 +180,7 @@ impl<'a> LayerCtx<'a> {
         self.env.me()
     }
 
-    /// The group membership (static for the lifetime of the run), cloned.
-    ///
-    /// Prefer [`LayerCtx::group_slice`] or [`LayerCtx::group_len`] where a
-    /// borrow suffices.
-    pub fn group(&self) -> Vec<ProcessId> {
-        self.env.group().to_vec()
-    }
-
-    /// The group membership, borrowed.
+    /// The group membership (static for the lifetime of the run), borrowed.
     pub fn group_slice(&self) -> &[ProcessId] {
         self.env.group()
     }

@@ -28,6 +28,15 @@ pub trait StackEnv {
     fn transmit(&mut self, frame: Frame);
     /// A message leaving the top of the stack, bound for the application.
     fn deliver(&mut self, src: ProcessId, msg: Message);
+    /// [`StackEnv::deliver`] together with the encoded bytes `msg` was
+    /// decoded from (its body is a slice of them). This is what the stack
+    /// calls; the default drops the bytes. An environment that passes the
+    /// message on in encoded form — a composite layer hosting this stack —
+    /// overrides it and forwards `bytes` instead of re-encoding `msg`.
+    fn deliver_encoded(&mut self, src: ProcessId, msg: Message, bytes: Bytes) {
+        let _ = bytes;
+        self.deliver(src, msg);
+    }
     /// Arm a one-shot timer for layer `id`.
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32);
     /// The live event recorder, or `None` when observability is off.
@@ -147,6 +156,13 @@ impl Stack {
     /// Builds a stack from `layers` (top first) drawing ids from `ids`.
     pub fn with_ids(layers: Vec<Box<dyn Layer>>, ids: &mut crate::IdGen) -> Self {
         Self { slots: layers.into_iter().map(|layer| Slot { id: ids.next_id(), layer }).collect() }
+    }
+
+    /// Adds `layer` below the current bottom layer (the network side),
+    /// drawing its id from `ids` — how a tap or a transport layer goes
+    /// under a stack some constructor already assembled.
+    pub fn push_bottom(&mut self, layer: Box<dyn Layer>, ids: &mut crate::IdGen) {
+        self.slots.push(Slot { id: ids.next_id(), layer });
     }
 
     /// Number of layers.
@@ -278,10 +294,10 @@ impl Stack {
                 }
                 Work::Up { next, src, bytes, cause } => {
                     let Some(idx) = next else {
-                        match Message::from_bytes(&bytes) {
+                        match Message::from_frame(&bytes) {
                             Ok(msg) => {
                                 let prev = env.set_cause(cause);
-                                env.deliver(src, msg);
+                                env.deliver_encoded(src, msg, bytes);
                                 env.set_cause(prev);
                             }
                             Err(_) => {

@@ -74,14 +74,14 @@ impl Layer for TapLayer {
     }
 
     fn on_down(&mut self, frame: Frame, ctx: &mut LayerCtx<'_>) {
-        if let Ok(msg) = Message::from_bytes(&frame.bytes) {
+        if let Ok(msg) = Message::from_frame(&frame.bytes) {
             self.log.record(ctx.now(), ctx.me(), Event::send(msg));
         }
         ctx.send_down(frame);
     }
 
     fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        if let Ok(msg) = Message::from_bytes(&bytes) {
+        if let Ok(msg) = Message::from_frame(&bytes) {
             self.log.record(ctx.now(), ctx.me(), Event::deliver(ctx.me(), msg));
         }
         ctx.deliver_up(src, bytes);

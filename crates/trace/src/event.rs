@@ -152,7 +152,16 @@ impl Wire for Message {
         enc.put_bytes(&self.body);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(Message { id: MsgId::decode(dec)?, body: Bytes::copy_from_slice(dec.get_bytes()?) })
+        Ok(Message { id: MsgId::decode(dec)?, body: dec.take_bytes()? })
+    }
+    /// Same bytes as the default, built as a header prepended to the
+    /// body: one copy of the body (the message keeps its own handle), not
+    /// the encoder's two.
+    fn to_bytes(&self) -> Bytes {
+        let mut enc = Encoder::new();
+        self.id.encode(&mut enc);
+        enc.put_varint(self.body.len() as u64);
+        self.body.clone().prepend(enc.as_slice())
     }
 }
 
@@ -275,6 +284,17 @@ mod tests {
         assert_eq!(Event::deliver(ProcessId(0), m).to_string(), "D(p0:p1#2)");
         let vm = Message::view_change(ProcessId(0), 1, 3, vec![ProcessId(0), ProcessId(1)]);
         assert!(vm.to_string().contains("view3"));
+    }
+
+    #[test]
+    fn to_bytes_shortcut_matches_encode() {
+        for len in [0usize, 1, 32, 127, 128, 1400] {
+            let m = Message::new(ProcessId(300), 1 << 40, Bytes::from(vec![0xA5; len]));
+            let mut enc = Encoder::new();
+            m.encode(&mut enc);
+            assert_eq!(m.to_bytes(), enc.finish(), "body of {len} bytes");
+            assert_eq!(Message::from_frame(&m.to_bytes()).unwrap(), m);
+        }
     }
 
     #[test]

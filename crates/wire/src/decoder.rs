@@ -6,6 +6,11 @@ use ps_bytes::Bytes;
 /// Mirrors [`crate::Encoder`]: every `put_*` has a matching `get_*`. All
 /// methods return [`WireError`] on malformed input instead of panicking.
 ///
+/// Built [`over`](Decoder::over) a [`Bytes`], the decoder hands out byte
+/// strings ([`Decoder::take_bytes`], [`Decoder::rest`]) as O(1) slices of
+/// that frame; built with [`new`](Decoder::new) over plain memory (a
+/// socket's receive buffer) the same calls copy.
+///
 /// # Examples
 ///
 /// ```
@@ -28,12 +33,28 @@ use ps_bytes::Bytes;
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The frame `buf` borrows from, when there is one to slice.
+    frame: Option<&'a Bytes>,
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { buf, pos: 0, frame: None }
+    }
+
+    /// Creates a decoder positioned at the start of `frame` whose owned
+    /// outputs share the frame's buffer instead of copying out of it.
+    pub fn over(frame: &'a Bytes) -> Self {
+        Self { buf: frame, pos: 0, frame: Some(frame) }
+    }
+
+    /// `buf[from..self.pos]` as an owned [`Bytes`].
+    fn owned(&self, from: usize) -> Bytes {
+        match self.frame {
+            Some(frame) => frame.slice(from..self.pos),
+            None => Bytes::copy_from_slice(&self.buf[from..self.pos]),
+        }
     }
 
     /// Number of bytes not yet consumed.
@@ -183,6 +204,16 @@ impl<'a> Decoder<'a> {
         self.take(len as usize)
     }
 
+    /// Reads a varint-length-prefixed byte string as an owned [`Bytes`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Decoder::get_bytes`].
+    pub fn take_bytes(&mut self) -> Result<Bytes, WireError> {
+        let len = self.get_bytes()?.len();
+        Ok(self.owned(self.pos - len))
+    }
+
     /// Reads a varint-length-prefixed UTF-8 string.
     ///
     /// # Errors
@@ -199,9 +230,9 @@ impl<'a> Decoder<'a> {
     /// Used to pop a header and hand the untouched payload to the layer
     /// above or below.
     pub fn rest(&mut self) -> Bytes {
-        let b = Bytes::copy_from_slice(&self.buf[self.pos..]);
+        let from = self.pos;
         self.pos = self.buf.len();
-        b
+        self.owned(from)
     }
 
     /// Asserts the entire input has been consumed.

@@ -22,22 +22,27 @@ use ps_bytes::Bytes;
 /// # Ok(())
 /// # }
 /// ```
+///
+/// The header is encoded on the stack and written into the reserve in
+/// front of `payload` ([`Bytes::prepend`]): no allocation and no payload
+/// copy when `payload` is uniquely owned, one copy otherwise.
 pub fn push_header<H: Wire>(header: &H, payload: Bytes) -> Bytes {
-    let mut enc = Encoder::with_capacity(16 + payload.len());
+    let mut enc = Encoder::new();
     header.encode(&mut enc);
-    let mut buf = enc.into_bytes_mut();
-    buf.put_slice(&payload);
-    buf.freeze()
+    payload.prepend(enc.as_slice())
 }
 
 /// Splits a frame produced by [`push_header`] back into header and payload.
+///
+/// The payload is an O(1) slice of `frame` (it keeps the frame's buffer
+/// alive, and shares it with every other slice of the same frame).
 ///
 /// # Errors
 ///
 /// Returns any [`WireError`] produced while decoding the header; the payload
 /// itself is never inspected.
-pub fn pop_header<H: Wire>(frame: &[u8]) -> Result<(H, Bytes), WireError> {
-    let mut dec = Decoder::new(frame);
+pub fn pop_header<H: Wire>(frame: &Bytes) -> Result<(H, Bytes), WireError> {
+    let mut dec = Decoder::over(frame);
     let header = H::decode(&mut dec)?;
     let payload = dec.rest();
     Ok((header, payload))
@@ -70,7 +75,7 @@ mod tests {
 
     #[test]
     fn corrupt_header_reported() {
-        let err = pop_header::<u64>(&[1, 2]).unwrap_err();
+        let err = pop_header::<u64>(&Bytes::from_static(&[1, 2])).unwrap_err();
         assert!(matches!(err, WireError::UnexpectedEof { .. }));
     }
 }

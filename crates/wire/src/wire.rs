@@ -57,11 +57,24 @@ pub trait Wire: Sized {
     /// Returns a decode error, or [`WireError::TrailingBytes`] if `buf`
     /// contains more than one encoded value.
     fn from_bytes(buf: &[u8]) -> Result<Self, WireError> {
-        let mut dec = Decoder::new(buf);
-        let v = Self::decode(&mut dec)?;
-        dec.finish()?;
-        Ok(v)
+        decode_all(Decoder::new(buf))
     }
+
+    /// [`Wire::from_bytes`] over a [`Bytes`]: byte strings inside the
+    /// value come out as slices of `frame` instead of copies.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wire::from_bytes`].
+    fn from_frame(frame: &Bytes) -> Result<Self, WireError> {
+        decode_all(Decoder::over(frame))
+    }
+}
+
+fn decode_all<T: Wire>(mut dec: Decoder<'_>) -> Result<T, WireError> {
+    let v = T::decode(&mut dec)?;
+    dec.finish()?;
+    Ok(v)
 }
 
 impl Wire for u8 {
@@ -132,7 +145,7 @@ impl Wire for Bytes {
         enc.put_bytes(self);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(Bytes::copy_from_slice(dec.get_bytes()?))
+        dec.take_bytes()
     }
 }
 

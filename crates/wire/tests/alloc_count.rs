@@ -1,0 +1,86 @@
+//! The point of headroom, counted: pushing headers onto a uniquely owned
+//! frame and popping them again allocates nothing the size of the
+//! payload; pushing onto a shared frame allocates exactly one copy.
+//!
+//! One `#[test]` only — the counter is process-wide, and a second test
+//! running on another thread would be counted too.
+
+use ps_bytes::Bytes;
+use ps_wire::{pop_header, push_header, Encoder};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+const PAYLOAD: usize = 1400;
+
+/// Allocator calls asking for at least half a payload.
+static PAYLOAD_SIZED: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: defers to `System` unchanged; only counts.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() >= PAYLOAD / 2 {
+            PAYLOAD_SIZED.fetch_add(1, Relaxed);
+        }
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size >= PAYLOAD / 2 {
+            PAYLOAD_SIZED.fetch_add(1, Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn push4(frame: Bytes) -> Bytes {
+    let frame = push_header(&0xAAu8, frame);
+    let frame = push_header(&(7u16, 1u64 << 40), frame);
+    let frame = push_header(&String::from("layer three"), frame);
+    push_header(&u64::MAX, frame)
+}
+
+fn pop4(frame: &Bytes) -> Bytes {
+    let (_, rest) = pop_header::<u64>(frame).unwrap();
+    let (_, rest) = pop_header::<String>(&rest).unwrap();
+    let (_, rest) = pop_header::<(u16, u64)>(&rest).unwrap();
+    let (tag, rest) = pop_header::<u8>(&rest).unwrap();
+    assert_eq!(tag, 0xAA);
+    rest
+}
+
+#[test]
+fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared() {
+    let body = vec![0x5Au8; PAYLOAD];
+    let fresh = || {
+        let mut enc = Encoder::with_capacity(PAYLOAD);
+        enc.put_raw(&body);
+        enc.finish()
+    };
+
+    let frame = fresh();
+    let before = PAYLOAD_SIZED.load(Relaxed);
+    let framed = push4(frame);
+    let popped = pop4(&framed);
+    assert_eq!(PAYLOAD_SIZED.load(Relaxed) - before, 0, "unique frame: headers go in the reserve");
+    assert_eq!(popped, body);
+
+    let frame = fresh();
+    let retained = frame.clone();
+    let before = PAYLOAD_SIZED.load(Relaxed);
+    let framed = push4(frame);
+    let popped = pop4(&framed);
+    assert_eq!(
+        PAYLOAD_SIZED.load(Relaxed) - before,
+        1,
+        "shared frame: the first push copies once, the rest land in the copy's reserve"
+    );
+    assert_eq!(popped, body);
+    assert_eq!(retained, body);
+}

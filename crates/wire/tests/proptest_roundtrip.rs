@@ -4,6 +4,31 @@ use ps_bytes::Bytes;
 use ps_check::prelude::*;
 use ps_wire::{pop_header, push_header, Decoder, Encoder, Wire};
 
+/// A handle viewing exactly `payload`, in one of the ownership states a
+/// frame can reach a layer in: uniquely owned with `reserve` spare bytes
+/// in front, shared with a clone, a sub-slice of a live larger frame, or
+/// static memory. The second value keeps it shared while it lives.
+fn handle(kind: u8, reserve: usize, payload: &[u8]) -> (Bytes, Option<Bytes>) {
+    let mut v = vec![0xEE; reserve];
+    v.extend_from_slice(payload);
+    v.extend_from_slice(b"tail");
+    let parent = Bytes::from(v);
+    let b = parent.slice(reserve..reserve + payload.len());
+    match kind % 4 {
+        0 => (b, None),
+        1 => (b.clone(), Some(b)),
+        2 => (b, Some(parent)),
+        // Leaked on purpose: a few hundred bytes per case, test-only.
+        _ => (Bytes::from_static(Box::leak(payload.to_vec().into_boxed_slice())), None),
+    }
+}
+
+/// `inner` lies inside `outer`'s memory.
+fn within(inner: &[u8], outer: &[u8]) -> bool {
+    let (o, i) = (outer.as_ptr_range(), inner.as_ptr_range());
+    inner.is_empty() || (o.start <= i.start && i.end <= o.end)
+}
+
 props! {
     fn varint_roundtrip(v in arb::<u64>()) {
         let mut enc = Encoder::new();
@@ -45,6 +70,84 @@ props! {
         let (got_h, got_p) = pop_header::<u64>(&framed).unwrap();
         assert_eq!(got_h, h);
         assert_eq!(&got_p[..], &payload[..]);
+    }
+
+    fn push_pop_is_identity_in_every_ownership_state(
+        h in (arb::<u64>(), strings(0..24), arb::<bool>()),
+        kind in arb::<u8>(),
+        reserve in 0usize..100,
+        payload in vec_of(arb::<u8>(), 0..512),
+    ) {
+        let (b, _keep) = handle(kind, reserve, &payload);
+        let framed = push_header(&h, b);
+        // The frame is header ++ payload, byte for byte.
+        let hdr = h.to_bytes();
+        assert_eq!(&framed[..hdr.len()], &hdr[..]);
+        assert_eq!(&framed[hdr.len()..], &payload[..]);
+        let (got_h, got_p) = pop_header::<(u64, String, bool)>(&framed).unwrap();
+        assert_eq!(got_h, h);
+        assert_eq!(got_p, payload);
+        assert!(within(&got_p, &framed), "a popped payload is a slice of its frame");
+    }
+
+    fn nested_headers_survive_sharing_midway(
+        hs in vec_of(arb::<u64>(), 1..6),
+        share_at in 0usize..6,
+        payload in vec_of(arb::<u8>(), 0..256),
+    ) {
+        // A stack of layers pushing in turn; one of them (a retaining
+        // layer) keeps a clone of what it sent down.
+        let mut frame = Encoder::new();
+        frame.put_raw(&payload);
+        let mut frame = frame.finish();
+        let mut retained = None;
+        for (i, h) in hs.iter().enumerate() {
+            frame = push_header(h, frame);
+            if i == share_at {
+                retained = Some((frame.clone(), frame.to_vec()));
+            }
+        }
+        if let Some((kept, was)) = &retained {
+            assert_eq!(&kept[..], &was[..], "a retained frame changed under later pushes");
+        }
+        for h in hs.iter().rev() {
+            let (got, rest) = pop_header::<u64>(&frame).unwrap();
+            assert_eq!(got, *h);
+            frame = rest;
+        }
+        assert_eq!(frame, payload);
+    }
+
+    fn decoding_arbitrary_frames_never_panics_and_slices_stay_inside(
+        data in vec_of(arb::<u8>(), 0..256),
+        kind in arb::<u8>(),
+    ) {
+        let (frame, _keep) = handle(kind, 3, &data);
+        if let Ok((_, rest)) = pop_header::<u64>(&frame) {
+            assert!(within(&rest, &frame));
+        }
+        if let Ok((_, rest)) = pop_header::<(u8, String)>(&frame) {
+            assert!(within(&rest, &frame));
+        }
+        if let Ok((v, rest)) = pop_header::<Vec<Bytes>>(&frame) {
+            assert!(within(&rest, &frame));
+            assert!(v.iter().all(|b| within(b, &frame)));
+        }
+        if let Ok(Some(b)) = Option::<Bytes>::from_frame(&frame) {
+            assert!(within(&b, &frame));
+        }
+        let mut dec = Decoder::over(&frame);
+        while let Ok(b) = dec.take_bytes() {
+            assert!(within(&b, &frame));
+            if dec.is_empty() {
+                break;
+            }
+        }
+        let rest = dec.rest();
+        assert!(within(&rest, &frame));
+        assert!(dec.is_empty());
+        // The copying decoder agrees with the slicing one.
+        assert_eq!(Vec::<Bytes>::from_bytes(&data).ok(), Vec::<Bytes>::from_frame(&frame).ok());
     }
 
     fn decoder_never_panics_on_garbage(data in vec_of(arb::<u8>(), 0..256)) {

@@ -32,6 +32,11 @@ rm -f target/BENCH_engine.json
 PS_BENCH_ITERS=1 PS_BENCH_WARMUP=1 PS_BENCH_OUT="$(pwd)/target/BENCH_engine.json" \
     cargo bench --bench engine_throughput
 test -s target/BENCH_engine.json
+# One wire-path row rides along: a header pushed onto and popped off a
+# 1 KB frame — the primitive every layer runs once per direction.
+PS_BENCH_ITERS=1 PS_BENCH_WARMUP=1 PS_BENCH_OUT="$(pwd)/target/BENCH_engine.json" \
+    cargo bench --bench engine_micro -- header_push_pop
+grep -q '"bench":"header_push_pop"' target/BENCH_engine.json
 
 echo "==> engine_scale smoke run (1k/10k only, sharded engine included, offline)"
 # Exercises the sharded event loop end to end (ShardedSim vs the plain
@@ -229,6 +234,16 @@ diff target/ci-real/a.det target/ci-real/b.det
 cargo run --release -q --bin trace_lint -- \
     target/ci-real/sim-a.jsonl target/ci-real/real-a.jsonl
 diff target/ci-real/sim-a.jsonl target/ci-real/sim-b.jsonl
+
+echo "==> end-to-end benchmark smoke: builds against the current API, every rep correct (offline)"
+# The benchmark package sits outside the workspace (its own Cargo.lock,
+# path dependencies on crates/*), so nothing above compiles it. Two short
+# reps of each workload — run.sh exits non-zero if any rep's output is
+# incorrect — and the package's own tests, which include the proofs that
+# `failed` notices a broken layer. Catches a frame-path change that
+# breaks the benchmark's build or its correctness checks before merge.
+benchmark/run.sh --quick > target/benchmark-quick.txt
+(cd benchmark && cargo test -q --offline --target-dir ../target/benchmark)
 
 echo "==> cargo doc --no-deps with warnings denied (offline)"
 # ps-obs and ps-core carry #![deny(missing_docs)]; this gate extends the
