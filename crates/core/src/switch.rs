@@ -131,6 +131,10 @@ pub struct SwitchLayer {
     delivered_from: BTreeMap<ProcessId, u64>,
     /// Deliveries from the non-current protocol, held back.
     buffer: Vec<Delivered>,
+    /// Where a hosted stack's deliveries land while it runs: lent to the
+    /// stack's environment, drained, and taken back with its capacity.
+    /// Empty between calls.
+    sink: Vec<Delivered>,
     /// The SWITCH vector, once known.
     expected: Option<CountVector>,
     switch_started: SimTime,
@@ -317,6 +321,7 @@ impl SwitchLayer {
             sent_next: 0,
             delivered_from: BTreeMap::new(),
             buffer: Vec::new(),
+            sink: Vec::new(),
             expected: None,
             switch_started: SimTime::ZERO,
             am_manager: false,
@@ -355,12 +360,7 @@ impl SwitchLayer {
     fn send_control(&mut self, dest: ps_stack::Cast, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
         self.ctl_seq += 1;
         let envelope = Message::new(ctx.me(), CTL_SEQ_BASE + self.ctl_seq, bytes);
-        let mut sink = Vec::new();
-        {
-            let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
-            self.control.send_bytes(dest, envelope.to_bytes(), &mut env);
-        }
-        debug_assert!(sink.is_empty(), "control stack delivered during send");
+        self.run_control(ctx, |stack, env| stack.send_bytes(dest, envelope.to_bytes(), env));
     }
 
     /// Index of the protocol new sends go to right now.
@@ -371,22 +371,41 @@ impl SwitchLayer {
         }
     }
 
+    /// Runs `f` on protocol `idx` with the sink lent to its environment.
+    /// The sink comes back holding what the protocol delivered; the caller
+    /// returns it through [`Self::process_deliveries`].
     fn run_sub<R>(
         &mut self,
         idx: usize,
         ctx: &mut LayerCtx<'_>,
         f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
     ) -> (R, Vec<Delivered>) {
-        let mut sink = Vec::new();
-        let r = {
-            let mut env = SubEnv { ctx, channel: chan(idx), sink: &mut sink };
-            f(&mut self.protos[idx], &mut env)
-        };
+        let mut sink = std::mem::take(&mut self.sink);
+        let mut env = SubEnv { ctx, channel: chan(idx), sink: &mut sink };
+        let r = f(&mut self.protos[idx], &mut env);
         (r, sink)
     }
 
-    fn process_deliveries(&mut self, idx: usize, sink: Vec<Delivered>, ctx: &mut LayerCtx<'_>) {
-        for d in sink {
+    /// Runs `f` on the control transport, then handles every envelope it
+    /// delivered. A handler that sends control traffic comes back in here
+    /// while the sink is out; it then works on a fresh, empty one.
+    fn run_control<R>(
+        &mut self,
+        ctx: &mut LayerCtx<'_>,
+        f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
+    ) -> R {
+        let mut sink = std::mem::take(&mut self.sink);
+        let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
+        let r = f(&mut self.control, &mut env);
+        for (_, envelope, _) in sink.drain(..) {
+            self.dispatch_control(envelope, ctx);
+        }
+        self.sink = sink;
+        r
+    }
+
+    fn process_deliveries(&mut self, idx: usize, mut sink: Vec<Delivered>, ctx: &mut LayerCtx<'_>) {
+        for d in sink.drain(..) {
             if idx == self.current {
                 self.deliver_current(d, ctx);
             } else if self.absorb_other {
@@ -397,6 +416,7 @@ impl SwitchLayer {
                 self.handle.update(|s| s.buffered_peak = s.buffered_peak.max(depth));
             }
         }
+        self.sink = sink;
         self.try_flip(ctx);
     }
 
@@ -780,13 +800,17 @@ impl SwitchLayer {
         while self.recent.front().is_some_and(|&(t, _)| t < cutoff) {
             self.recent.pop_front();
         }
-        let mut senders: Vec<ProcessId> = self.recent.iter().map(|&(_, s)| s).collect();
-        senders.sort_unstable();
-        senders.dedup();
+        // Every sender is a group member, so the distinct senders in the
+        // window are the members that occur in it.
+        let active_senders = ctx
+            .group_slice()
+            .iter()
+            .filter(|&&member| self.recent.iter().any(|&(_, sender)| sender == member))
+            .count();
         let obs = SwitchObs {
             now,
             current: self.current,
-            active_senders: senders.len(),
+            active_senders,
             recent_deliveries: self.recent.len() as u64,
             switching: self.mode == Mode::Switching,
             last_switch: self.handle.update(|s| s.records.last().map(|r| r.completed_at)),
@@ -825,12 +849,7 @@ impl Layer for SwitchLayer {
             let ((), sink) = self.run_sub(idx, ctx, |stack, env| stack.launch(env));
             self.process_deliveries(idx, sink, ctx);
         }
-        {
-            let mut sink = Vec::new();
-            let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
-            self.control.launch(&mut env);
-            debug_assert!(sink.is_empty());
-        }
+        self.run_control(ctx, |stack, env| stack.launch(env));
         ctx.set_timer(self.cfg.observe_interval, OBSERVE);
         if let SwitchVariant::TokenRing { .. } = self.cfg.variant {
             if ctx.me() == ctx.group_slice()[0] {
@@ -850,16 +869,7 @@ impl Layer for SwitchLayer {
             let ((), sink) = self.run_sub(idx, ctx, |stack, env| stack.restart(env));
             self.process_deliveries(idx, sink, ctx);
         }
-        {
-            let mut sink = Vec::new();
-            {
-                let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
-                self.control.restart(&mut env);
-            }
-            for (_, envelope, _) in sink {
-                self.dispatch_control(envelope, ctx);
-            }
-        }
+        self.run_control(ctx, |stack, env| stack.restart(env));
         // Every timer below died with the crashed incarnation.
         ctx.set_timer(self.cfg.observe_interval, OBSERVE);
         if self.mode == Mode::Switching {
@@ -912,14 +922,7 @@ impl Layer for SwitchLayer {
         drop(bytes);
         match ch {
             ChannelId::CONTROL => {
-                let mut sink = Vec::new();
-                {
-                    let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
-                    self.control.receive(src, payload, &mut env);
-                }
-                for (_, envelope, _) in sink {
-                    self.dispatch_control(envelope, ctx);
-                }
+                self.run_control(ctx, |stack, env| stack.receive(src, payload, env));
             }
             ChannelId::PROTO_A | ChannelId::PROTO_B => {
                 let idx = usize::from(ch.0 - 1);
@@ -962,22 +965,17 @@ impl Layer for SwitchLayer {
 
     fn route_timer(&mut self, id: LayerId, token: u32, ctx: &mut LayerCtx<'_>) -> bool {
         for idx in 0..2 {
-            let (handled, sink) = self.run_sub(idx, ctx, |stack, env| stack.timer(id, token, env));
+            let (handled, mut sink) =
+                self.run_sub(idx, ctx, |stack, env| stack.timer(id, token, env));
             if handled {
                 self.process_deliveries(idx, sink, ctx);
                 return true;
             }
             debug_assert!(sink.is_empty(), "unhandled timer produced deliveries");
+            sink.clear();
+            self.sink = sink;
         }
         // Control-transport timers (e.g. a reliable layer's retransmits).
-        let mut sink = Vec::new();
-        let handled = {
-            let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
-            self.control.timer(id, token, &mut env)
-        };
-        for (_, envelope, _) in sink {
-            self.dispatch_control(envelope, ctx);
-        }
-        handled
+        self.run_control(ctx, |stack, env| stack.timer(id, token, env))
     }
 }

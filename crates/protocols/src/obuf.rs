@@ -12,18 +12,29 @@ pub(crate) struct OrderedBuf {
 }
 
 impl OrderedBuf {
-    /// Offers a stamped message; returns everything now deliverable, in
-    /// order.
-    pub fn offer(&mut self, gseq: u64, orig: ProcessId, payload: Bytes) -> Vec<(ProcessId, Bytes)> {
-        if gseq >= self.next {
+    /// Offers a stamped message and hands everything now deliverable to
+    /// `release`, in order. The common case — the message is the next one
+    /// and nothing is held — touches no container.
+    pub fn offer(
+        &mut self,
+        gseq: u64,
+        orig: ProcessId,
+        payload: Bytes,
+        mut release: impl FnMut(ProcessId, Bytes),
+    ) {
+        if gseq > self.next {
+            // Behind a gap: nothing becomes deliverable (`held` never
+            // contains `next`).
             self.held.insert(gseq, (orig, payload));
-        }
-        let mut out = Vec::new();
-        while let Some(entry) = self.held.remove(&self.next) {
+        } else if gseq == self.next {
             self.next += 1;
-            out.push(entry);
+            release(orig, payload);
+            while let Some((orig, payload)) = self.held.remove(&self.next) {
+                self.next += 1;
+                release(orig, payload);
+            }
         }
-        out
+        // Below `next`: a stale duplicate, ignored.
     }
 
     /// Number of messages waiting for a gap to fill.
@@ -47,33 +58,55 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// Offers one message and returns what the callback was handed.
+    fn offer(buf: &mut OrderedBuf, gseq: u64, orig: u16, payload: &str) -> Vec<(ProcessId, Bytes)> {
+        let mut out = Vec::new();
+        buf.offer(gseq, ProcessId(orig), b(payload), |o, p| out.push((o, p)));
+        out
+    }
+
+    #[test]
+    fn in_order_arrival_is_released_at_once() {
+        let mut buf = OrderedBuf::default();
+        for g in 0..3 {
+            assert_eq!(offer(&mut buf, g, 2, "m"), [(ProcessId(2), b("m"))]);
+            assert_eq!(buf.pending(), 0);
+        }
+        assert_eq!(buf.next_expected(), 3);
+    }
+
     #[test]
     fn releases_in_gseq_order() {
         let mut buf = OrderedBuf::default();
-        assert!(buf.offer(1, ProcessId(0), b("one")).is_empty());
+        assert!(offer(&mut buf, 1, 0, "one").is_empty());
         assert_eq!(buf.pending(), 1);
-        let out = buf.offer(0, ProcessId(1), b("zero"));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].1, b("zero"));
-        assert_eq!(out[1].1, b("one"));
+        let out = offer(&mut buf, 0, 1, "zero");
+        assert_eq!(out, [(ProcessId(1), b("zero")), (ProcessId(0), b("one"))]);
         assert_eq!(buf.next_expected(), 2);
     }
 
     #[test]
     fn stale_duplicates_ignored() {
         let mut buf = OrderedBuf::default();
-        let _ = buf.offer(0, ProcessId(0), b("x"));
-        assert!(buf.offer(0, ProcessId(0), b("x")).is_empty());
+        assert_eq!(offer(&mut buf, 0, 0, "x").len(), 1);
+        assert!(offer(&mut buf, 0, 0, "x").is_empty());
         assert_eq!(buf.pending(), 0);
+        // A duplicate of a held message replaces it, it is not released twice.
+        assert!(offer(&mut buf, 2, 0, "z").is_empty());
+        assert!(offer(&mut buf, 2, 0, "z").is_empty());
+        assert_eq!(buf.pending(), 1);
+        assert_eq!(offer(&mut buf, 1, 0, "y").len(), 2);
+        assert!(offer(&mut buf, 2, 0, "z").is_empty());
+        assert_eq!(buf.next_expected(), 3);
     }
 
     #[test]
     fn long_gap_then_fill() {
         let mut buf = OrderedBuf::default();
         for g in (1..6).rev() {
-            assert!(buf.offer(g, ProcessId(0), b("m")).is_empty());
+            assert!(offer(&mut buf, g, 0, "m").is_empty());
         }
-        let out = buf.offer(0, ProcessId(0), b("m"));
-        assert_eq!(out.len(), 6);
+        assert_eq!(offer(&mut buf, 0, 0, "m").len(), 6);
+        assert_eq!(buf.pending(), 0);
     }
 }

@@ -47,8 +47,9 @@ struct Outbound {
     /// The frame as first sent, header included: a retransmission resends
     /// these bytes, it does not re-encode them.
     wrapped: Bytes,
-    expect: BTreeSet<ProcessId>,
-    acked: BTreeSet<ProcessId>,
+    /// Receivers that have not acknowledged yet, ascending (the order the
+    /// sweep retransmits in). The frame is done when this is empty.
+    missing: Vec<ProcessId>,
 }
 
 /// Compact received-set: a low watermark plus a sparse tail.
@@ -61,6 +62,11 @@ struct Seen {
 
 impl Seen {
     fn insert(&mut self, seq: u64) -> bool {
+        if seq == self.low && self.tail.is_empty() {
+            // In-order arrival: the watermark moves, the tail is untouched.
+            self.low += 1;
+            return true;
+        }
         if seq < self.low || !self.tail.insert(seq) {
             return false;
         }
@@ -127,12 +133,15 @@ impl ReliableLayer {
         }
     }
 
-    fn expected_receivers(dest: Cast, me: ProcessId, group: &[ProcessId]) -> BTreeSet<ProcessId> {
-        match dest {
-            Cast::All => group.iter().copied().collect(),
+    /// The members `dest` addresses, ascending.
+    fn expected_receivers(dest: Cast, me: ProcessId, group: &[ProcessId]) -> Vec<ProcessId> {
+        let mut receivers = match dest {
+            Cast::All => group.to_vec(),
             Cast::Others => group.iter().copied().filter(|&p| p != me).collect(),
-            Cast::To(p) => [p].into_iter().collect(),
-        }
+            Cast::To(p) => vec![p],
+        };
+        receivers.sort_unstable();
+        receivers
     }
 }
 
@@ -164,9 +173,8 @@ impl Layer for ReliableLayer {
         // Push before retaining: the frame is still uniquely owned here, so
         // the header goes into its reserve without a copy.
         let wrapped = ps_wire::push_header(&RelHeader::Data { sender: me, seq }, frame.bytes);
-        let expect = Self::expected_receivers(frame.dest, me, ctx.group_slice());
-        self.outbound
-            .insert(seq, Outbound { wrapped: wrapped.clone(), expect, acked: BTreeSet::new() });
+        let missing = Self::expected_receivers(frame.dest, me, ctx.group_slice());
+        self.outbound.insert(seq, Outbound { wrapped: wrapped.clone(), missing });
         ctx.send_down(Frame::new(frame.dest, wrapped));
         self.arm(ctx);
     }
@@ -186,13 +194,11 @@ impl Layer for ReliableLayer {
                 }
             }
             RelHeader::Ack { seq } => {
-                let done = if let Some(out) = self.outbound.get_mut(&seq) {
-                    out.acked.insert(src);
-                    out.acked.is_superset(&out.expect)
-                } else {
-                    false
-                };
-                if done {
+                let Some(out) = self.outbound.get_mut(&seq) else { return };
+                if let Ok(at) = out.missing.binary_search(&src) {
+                    out.missing.remove(at);
+                }
+                if out.missing.is_empty() {
                     self.outbound.remove(&seq);
                 }
             }
@@ -206,7 +212,7 @@ impl Layer for ReliableLayer {
             return;
         }
         for out in self.outbound.values() {
-            for &missing in out.expect.difference(&out.acked) {
+            for &missing in &out.missing {
                 self.retransmissions += 1;
                 ctx.send_down(Frame::to(missing, out.wrapped.clone()));
             }

@@ -102,9 +102,7 @@ impl Layer for SeqOrderLayer {
                 // routing); they will be retransmitted by layers below.
             }
             SeqHeader::Ordered { gseq, orig } => {
-                for (o, p) in self.buf.offer(gseq, orig, payload) {
-                    ctx.deliver_up(o, p);
-                }
+                self.buf.offer(gseq, orig, payload, |o, p| ctx.deliver_up(o, p));
             }
         }
     }

@@ -165,9 +165,7 @@ impl Layer for TokenOrderLayer {
         match hdr {
             TokHeader::Token { next_gseq } => self.handle_token(next_gseq, ctx),
             TokHeader::Ordered { gseq, orig } => {
-                for (o, p) in self.buf.offer(gseq, orig, payload) {
-                    ctx.deliver_up(o, p);
-                }
+                self.buf.offer(gseq, orig, payload, |o, p| ctx.deliver_up(o, p));
             }
         }
     }

@@ -1,7 +1,9 @@
-use crate::stack::StackEnv;
+use crate::stack::{StackEnv, Step, Work};
 use ps_bytes::Bytes;
+use ps_obs::CauseId;
 use ps_simnet::{DetRng, SimTime};
 use ps_trace::ProcessId;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Addressing of a frame traveling down a stack (process-id space; the
@@ -144,35 +146,35 @@ impl fmt::Debug for dyn Layer + '_ {
     }
 }
 
-/// What a layer asked for during one callback; drained by the stack.
-#[derive(Debug)]
-pub(crate) enum LayerOut {
-    Down(Frame),
-    Up(ProcessId, Bytes),
-}
-
 /// The layer's handle to its surroundings during a callback.
 ///
-/// Emissions are queued and processed after the callback returns, so layer
-/// code never re-enters.
+/// Emissions go onto the work queue of the stack the layer sits in and are
+/// processed after the callback returns, so layer code never re-enters.
 pub struct LayerCtx<'a> {
-    pub(crate) env: &'a mut dyn StackEnv,
-    pub(crate) self_id: LayerId,
-    pub(crate) outs: Vec<LayerOut>,
+    env: &'a mut dyn StackEnv,
+    self_id: LayerId,
+    /// The layer's position in its stack: emissions go to `idx ± 1`.
+    idx: usize,
+    queue: &'a mut VecDeque<Work>,
 }
 
 impl fmt::Debug for LayerCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LayerCtx")
             .field("self_id", &self.self_id)
-            .field("pending_outs", &self.outs.len())
+            .field("queued", &self.queue.len())
             .finish()
     }
 }
 
 impl<'a> LayerCtx<'a> {
-    pub(crate) fn new(env: &'a mut dyn StackEnv, self_id: LayerId) -> Self {
-        Self { env, self_id, outs: Vec::new() }
+    pub(crate) fn new(
+        env: &'a mut dyn StackEnv,
+        self_id: LayerId,
+        idx: usize,
+        queue: &'a mut VecDeque<Work>,
+    ) -> Self {
+        Self { env, self_id, idx, queue }
     }
 
     /// This process's id.
@@ -231,12 +233,18 @@ impl<'a> LayerCtx<'a> {
 
     /// Emits a frame to the layer below (or the network, at the bottom).
     pub fn send_down(&mut self, frame: Frame) {
-        self.outs.push(LayerOut::Down(frame));
+        self.push(Step::Down { next: self.idx + 1, frame });
     }
 
     /// Emits bytes to the layer above (or the application, at the top).
     pub fn deliver_up(&mut self, src: ProcessId, bytes: Bytes) {
-        self.outs.push(LayerOut::Up(src, bytes));
+        self.push(Step::Up { next: self.idx.checked_sub(1), src, bytes });
+    }
+
+    /// Queues an emission; the stack fills in its cause once the handler
+    /// has returned.
+    fn push(&mut self, step: Step) {
+        self.queue.push_back(Work { cause: CauseId::NONE, step });
     }
 
     /// Arms a one-shot timer for this layer.

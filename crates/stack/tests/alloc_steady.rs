@@ -1,0 +1,181 @@
+//! The steady-state handler path, counted: once its containers have
+//! their capacity, a message travelling down a stack and back up costs the
+//! allocator nothing beyond the frame `Message::to_bytes` builds — through
+//! plain layers and through the switching layer in normal mode alike.
+//!
+//! The counter is per thread, so the tests here can run side by side.
+
+use ps_bytes::Bytes;
+use ps_core::{hybrid_total_order, NeverOracle, SwitchConfig};
+use ps_simnet::{DetRng, SimTime};
+use ps_stack::{Cast, Frame, IdGen, Layer, LayerId, Stack, StackEnv};
+use ps_trace::{Message, ProcessId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator still runs while a thread's locals are
+    // being torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
+struct Counting;
+
+// SAFETY: defers to `System` unchanged; the counting touches one
+// const-initialised thread-local cell and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// One process's surroundings, itself allocation-free once warm: the last
+/// broadcast is kept for the test to loop back, deliveries are counted,
+/// timers wait in a vector that keeps its capacity.
+struct Env {
+    group: [ProcessId; 2],
+    rng: DetRng,
+    now: SimTime,
+    broadcast: Option<Bytes>,
+    delivered: u64,
+    timers: Vec<(SimTime, LayerId, u32)>,
+}
+
+impl Env {
+    fn new() -> Self {
+        Self {
+            group: [ProcessId(0), ProcessId(1)],
+            rng: DetRng::new(1),
+            now: SimTime::ZERO,
+            broadcast: None,
+            delivered: 0,
+            timers: Vec::new(),
+        }
+    }
+}
+
+impl StackEnv for Env {
+    fn me(&self) -> ProcessId {
+        self.group[0]
+    }
+    fn group(&self) -> &[ProcessId] {
+        &self.group
+    }
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn rng(&mut self) -> &mut DetRng {
+        &mut self.rng
+    }
+    fn transmit(&mut self, frame: Frame) {
+        // Unicasts (tokens bound for the other member) leave and are gone.
+        if frame.dest == Cast::All {
+            self.broadcast = Some(frame.bytes);
+        }
+    }
+    fn deliver(&mut self, _src: ProcessId, _msg: Message) {
+        self.delivered += 1;
+    }
+    fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
+        self.timers.push((self.now + delay, id, token));
+    }
+}
+
+/// Advances the clock by a millisecond, fires what came due, then sends
+/// `msg` and loops the resulting broadcast back in. Returns the allocator
+/// calls made by the receive alone.
+fn round_trip(stack: &mut Stack, env: &mut Env, msg: &Message) -> u64 {
+    env.now += SimTime::from_millis(1);
+    while let Some(due) = env.timers.iter().position(|&(at, _, _)| at <= env.now) {
+        let (_, id, token) = env.timers.swap_remove(due);
+        assert!(stack.timer(id, token, env), "timer of an unknown layer");
+    }
+    stack.send(msg, env);
+    let wire = env.broadcast.take().expect("the send broadcast a frame");
+    let before = calls();
+    stack.receive(ProcessId(0), wire, env);
+    calls() - before
+}
+
+/// A layer that keeps every default: frames pass through untouched.
+struct PassThrough;
+impl Layer for PassThrough {
+    fn name(&self) -> &'static str {
+        "pass"
+    }
+}
+
+#[test]
+fn pass_through_stack_allocates_only_the_frame() {
+    let mut env = Env::new();
+    let mut stack = Stack::new(vec![
+        Box::new(PassThrough),
+        Box::new(PassThrough),
+        Box::new(PassThrough),
+        Box::new(PassThrough),
+    ]);
+    let msg = Message::with_tag(ProcessId(0), 1, 9);
+    round_trip(&mut stack, &mut env, &msg); // the work queue gets its capacity
+
+    let before = calls();
+    let mut in_receive = 0;
+    for _ in 0..1000 {
+        in_receive += round_trip(&mut stack, &mut env, &msg);
+    }
+    assert_eq!(calls() - before, 1000, "one frame per send and nothing else");
+    assert_eq!(in_receive, 0, "the way up allocates nothing");
+    assert_eq!(env.delivered, 1001);
+}
+
+#[test]
+fn hybrid_in_normal_mode_allocates_only_the_frame() {
+    let mut env = Env::new();
+    let cfg = SwitchConfig::default();
+    // The switch remembers who delivered during its observe window; that
+    // memory stops growing once the window has passed.
+    let warm_up = 2 * cfg.observe_window.as_micros() / 1000;
+    let (mut stack, handle) =
+        hybrid_total_order(&mut IdGen::new(), cfg, ProcessId(0), Box::new(NeverOracle));
+    stack.launch(&mut env);
+    // Process 0 is the sequencer: its sends are ordered on the spot and
+    // come back in order, so no reorder buffer ever holds anything.
+    let msg = Message::with_tag(ProcessId(0), 1, 9);
+    for _ in 0..warm_up {
+        round_trip(&mut stack, &mut env, &msg);
+    }
+
+    let before = calls();
+    let mut in_receive = 0;
+    for _ in 0..1000 {
+        in_receive += round_trip(&mut stack, &mut env, &msg);
+    }
+    // A simulated second went by: ten observe ticks fired in there too.
+    assert_eq!(calls() - before, 1000, "one frame per send and nothing else");
+    assert_eq!(in_receive, 0, "the way up allocates nothing");
+    assert_eq!(env.delivered, warm_up + 1000);
+    assert_eq!(handle.current(), 0);
+}

@@ -245,6 +245,25 @@ echo "==> end-to-end benchmark smoke: builds against the current API, every rep 
 benchmark/run.sh --quick > target/benchmark-quick.txt
 (cd benchmark && cargo test -q --offline --target-dir ../target/benchmark)
 
+echo "==> allocation ceiling: the handler path stays off the allocator (offline)"
+# The one performance number that can gate: allocator calls per multicast
+# are exact for a seed, so the --quick run above reads the same on every
+# host. The ceilings sit between what the owned work queue costs (19 and
+# 52) and what per-call containers cost (119 and 282); a container
+# built per handler call, per frame or per delivery lands above them.
+alloc_ceiling() {
+    awk -v workload="$1" -v ceiling="$2" '
+        $1 == "==" { current = $2 }
+        current == workload && $1 == "allocs_per_msg" {
+            printf "   %s allocs_per_msg %s (ceiling %s)\n", workload, $2, ceiling
+            found = 1
+            over = ($2 + 0 > ceiling + 0)
+        }
+        END { exit (found && !over) ? 0 : 1 }' target/benchmark-quick.txt
+}
+alloc_ceiling steady_small 30
+alloc_ceiling steady_large 80
+
 echo "==> cargo doc --no-deps with warnings denied (offline)"
 # ps-obs and ps-core carry #![deny(missing_docs)]; this gate extends the
 # no-warning bar to every rustdoc lint across the workspace.
