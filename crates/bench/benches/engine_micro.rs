@@ -88,19 +88,15 @@ fn bus_model(bench: &mut Bench) {
     let mut rng = DetRng::new(1);
     let dests: Vec<NodeId> = (0..10).map(NodeId).collect();
     let mut t = SimTime::ZERO;
+    let mut plan = ps_simnet::TxPlan::default();
     g.bench("shared_bus_transmit_plan", || {
         t += SimTime::from_micros(100);
-        black_box(bus.transmit(NodeId(0), &dests, 1024, t, &mut rng).deliveries.len())
+        bus.transmit_into(NodeId(0), &dests, 1024, t, &mut rng, &mut plan);
+        black_box(plan.deliveries.len())
     });
-    // A/B pair for the broadcast fan-out shape (1000 destinations): the
-    // allocating `transmit` against the scratch-plan `transmit_into` the
-    // simulator hot path uses. The gap is pure allocator churn.
+    // The broadcast fan-out shape (1000 destinations) into the scratch plan
+    // the simulator hot path uses.
     let wide: Vec<NodeId> = (0..1000).map(NodeId).collect();
-    g.bench("bus_transmit_1000_alloc", || {
-        t += SimTime::from_micros(100);
-        black_box(bus.transmit(NodeId(0), &wide, 256, t, &mut rng).deliveries.len())
-    });
-    let mut plan = ps_simnet::TxPlan::default();
     g.bench("bus_transmit_1000_scratch", || {
         t += SimTime::from_micros(100);
         bus.transmit_into(NodeId(0), &wide, 256, t, &mut rng, &mut plan);

@@ -1,8 +1,8 @@
 //! Raw simulator engine throughput: events/sec on the bare [`ps_simnet::Sim`]
 //! loop (no protocol stack), at 10/100/1000 nodes, under a broadcast-heavy
 //! workload (fan-out packets hammer the queue and the per-node busy/pending
-//! machinery) and a timer-heavy one (self-re-arming timers with spread-out
-//! delays walk every level of the timing wheel).
+//! machinery) and a timer-heavy one (self-re-arming timers with delays
+//! spread from 10 µs to 50 ms).
 //!
 //! Each case processes a fixed, deterministic number of events, so the
 //! per-iteration wall time is directly comparable across engine changes;
@@ -95,8 +95,8 @@ fn broadcast_run(
 }
 
 /// Every node keeps four self-timers alive, re-arming each with a
-/// pseudo-random delay from its node stream — spreading entries across
-/// all wheel levels — until its round budget runs out.
+/// pseudo-random delay from its node stream (10 µs to 50 ms) until its
+/// round budget runs out.
 struct TimerChurn {
     rounds_left: u32,
 }

@@ -58,7 +58,7 @@
 //!
 //! `repro profile` runs the monitored crossover scenario under the
 //! in-engine host-time profiler and prints the per-component cost
-//! table (engine dispatch/wheel/transmit/sampling, each protocol
+//! table (engine dispatch/queue/transmit/sampling, each protocol
 //! layer, observability record + per-sink fan-out). The `component`
 //! and `enters` columns are deterministic; the nanosecond columns are
 //! host measurements. `--flame PATH` writes a collapsed-stack

@@ -2,7 +2,7 @@
 //! run.
 //!
 //! Runs the same scenario as `repro monitor` with an enabled
-//! [`ps_prof::Profiler`] attached: the engine (dispatch, timing wheel,
+//! [`ps_prof::Profiler`] attached: the engine (dispatch, event queue,
 //! medium transmit, load sampling), every protocol layer, and the
 //! observability dispatch (recording, per-sink fan-out) attribute their
 //! wall-clock cost into fixed-path spans. The per-component table and

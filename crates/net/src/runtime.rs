@@ -94,8 +94,8 @@ struct NetEnv<'a> {
     group: &'a [ProcessId],
     epoch: Instant,
     rng: &'a mut DetRng,
-    outbox: Vec<(Frame, ps_obs::CauseId)>,
-    new_timers: Vec<(Duration, LayerId, u32)>,
+    outbox: &'a mut Vec<(Frame, ps_obs::CauseId)>,
+    new_timers: &'a mut Vec<(Duration, LayerId, u32)>,
     log: &'a SharedLog,
     delivered: &'a mut usize,
     rec: &'a ps_obs::Recorder,
@@ -200,6 +200,10 @@ struct NodeThread {
     malformed: usize,
     heap: BinaryHeap<Due>,
     heap_seq: u64,
+    /// Frames and timers a stack call staged; `apply` drains both, so they
+    /// keep their capacity from one call to the next.
+    outbox: Vec<(Frame, ps_obs::CauseId)>,
+    new_timers: Vec<(Duration, LayerId, u32)>,
 }
 
 impl NodeThread {
@@ -209,16 +213,15 @@ impl NodeThread {
     }
 
     /// Applies staged effects: arm timers, put frames on the wire.
-    fn apply(
-        &mut self,
-        outbox: Vec<(Frame, ps_obs::CauseId)>,
-        timers: Vec<(Duration, LayerId, u32)>,
-    ) {
+    fn apply(&mut self) {
         let now = Instant::now();
-        for (delay, id, token) in timers {
+        let mut timers = std::mem::take(&mut self.new_timers);
+        for (delay, id, token) in timers.drain(..) {
             self.push_due(now + delay, Pending::Timer(id, token));
         }
-        for (frame, _cause) in outbox {
+        self.new_timers = timers;
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (frame, _cause) in outbox.drain(..) {
             let wire = dgram::encode(self.me, &frame.bytes);
             assert!(
                 wire.len() <= self.cfg.max_datagram,
@@ -240,6 +243,7 @@ impl NodeThread {
                 }
             }
         }
+        self.outbox = outbox;
     }
 
     fn with_env<R>(
@@ -247,26 +251,21 @@ impl NodeThread {
         cause: ps_obs::CauseId,
         f: impl FnOnce(&mut Stack, &mut NetEnv<'_>) -> R,
     ) -> R {
-        let (r, outbox, timers) = {
-            let mut env = NetEnv {
-                me: self.me,
-                group: &self.group,
-                epoch: self.epoch,
-                rng: &mut self.rng,
-                outbox: Vec::new(),
-                new_timers: Vec::new(),
-                log: &self.log,
-                delivered: &mut self.delivered,
-                rec: &self.rec,
-                rec_on: self.rec_on,
-                cause,
-            };
-            let r = f(&mut self.stack, &mut env);
-            let outbox = std::mem::take(&mut env.outbox);
-            let timers = std::mem::take(&mut env.new_timers);
-            (r, outbox, timers)
+        let mut env = NetEnv {
+            me: self.me,
+            group: &self.group,
+            epoch: self.epoch,
+            rng: &mut self.rng,
+            outbox: &mut self.outbox,
+            new_timers: &mut self.new_timers,
+            log: &self.log,
+            delivered: &mut self.delivered,
+            rec: &self.rec,
+            rec_on: self.rec_on,
+            cause,
         };
-        self.apply(outbox, timers);
+        let r = f(&mut self.stack, &mut env);
+        self.apply();
         r
     }
 
@@ -461,6 +460,8 @@ impl UdpGroup {
                 malformed: 0,
                 heap: BinaryHeap::new(),
                 heap_seq: 0,
+                outbox: Vec::new(),
+                new_timers: Vec::new(),
             };
             for (idx, (at, _)) in per_node[i].iter().enumerate() {
                 node.push_due(epoch + Duration::from_micros(at.as_micros()), Pending::App(idx));

@@ -2,7 +2,7 @@
 //!
 //! An in-engine host-time profiler for the protocol-switching workspace:
 //! a sampling-free span-stack [`Profiler`] that attributes host
-//! wall-clock time to named engine components (timing-wheel ops, medium
+//! wall-clock time to named engine components (event-queue ops, medium
 //! transmit, per-layer handler execution, recorder and sink dispatch,
 //! ShardedSim epoch machinery) via RAII [`Span`] guards.
 //!

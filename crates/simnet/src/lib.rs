@@ -62,14 +62,13 @@ mod sim;
 mod stats;
 mod time;
 mod topology;
-mod wheel;
 
 pub use agent::{Agent, SimApi, TimerToken};
 pub use medium::{
     EthernetConfig, Lossy, Medium, PartitionSchedule, Partitioned, PointToPoint, SegmentedBus,
     SharedBus, TimedPartition, TxPlan,
 };
-pub use queue::{EventQueue, HeapEventQueue};
+pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use shard::ShardedSim;
 pub use sim::{NodeConfig, Sim, SimConfig};

@@ -24,24 +24,12 @@ pub struct TxPlan {
 /// medium frees up, which is what produces contention under load.
 pub trait Medium: Send {
     /// Plans the transmission of a single frame of `size_bytes` from `src`
-    /// to each node in `dests`, starting no earlier than `now`.
-    fn transmit(
-        &mut self,
-        src: NodeId,
-        dests: &[NodeId],
-        size_bytes: usize,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> TxPlan;
-
-    /// Allocation-free variant of [`Medium::transmit`]: writes the plan
-    /// into `plan`, reusing its `deliveries` buffer.
+    /// to each node in `dests`, starting no earlier than `now`, into `plan`
+    /// — overwriting whatever it held and reusing its `deliveries` buffer.
     ///
-    /// The simulator's hot path calls this with a scratch plan it owns, so
-    /// media that implement it natively (the bus models do) plan every
-    /// frame without touching the allocator. The default falls back to
-    /// [`Medium::transmit`] and moves the result, so wrappers and custom
-    /// media stay correct without extra work.
+    /// The simulator calls this with a scratch plan it owns, so planning a
+    /// frame never touches the allocator. A wrapper medium lets its inner
+    /// medium fill `plan`, then filters `plan.deliveries` in place.
     fn transmit_into(
         &mut self,
         src: NodeId,
@@ -50,9 +38,7 @@ pub trait Medium: Send {
         now: SimTime,
         rng: &mut DetRng,
         plan: &mut TxPlan,
-    ) {
-        *plan = self.transmit(src, dests, size_bytes, now, rng);
-    }
+    );
 
     /// Human-readable model name for experiment logs.
     fn name(&self) -> &'static str;
@@ -64,6 +50,14 @@ impl TxPlan {
         self.deliveries.clear();
         self.dropped = 0;
         self.busy_us = 0;
+    }
+
+    /// Keeps the copies whose destination satisfies `keep` and counts the
+    /// rest as dropped — how a partition wrapper edits its inner plan.
+    fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        let planned = self.deliveries.len();
+        self.deliveries.retain(|&(d, _)| keep(d));
+        self.dropped += (planned - self.deliveries.len()) as u32;
     }
 }
 
@@ -91,19 +85,6 @@ impl PointToPoint {
 }
 
 impl Medium for PointToPoint {
-    fn transmit(
-        &mut self,
-        src: NodeId,
-        dests: &[NodeId],
-        size_bytes: usize,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> TxPlan {
-        let mut plan = TxPlan::default();
-        self.transmit_into(src, dests, size_bytes, now, rng, &mut plan);
-        plan
-    }
-
     fn transmit_into(
         &mut self,
         _src: NodeId,
@@ -190,19 +171,6 @@ impl SharedBus {
 }
 
 impl Medium for SharedBus {
-    fn transmit(
-        &mut self,
-        src: NodeId,
-        dests: &[NodeId],
-        size_bytes: usize,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> TxPlan {
-        let mut plan = TxPlan::default();
-        self.transmit_into(src, dests, size_bytes, now, rng, &mut plan);
-        plan
-    }
-
     fn transmit_into(
         &mut self,
         _src: NodeId,
@@ -287,19 +255,6 @@ impl SegmentedBus {
 }
 
 impl Medium for SegmentedBus {
-    fn transmit(
-        &mut self,
-        src: NodeId,
-        dests: &[NodeId],
-        size_bytes: usize,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> TxPlan {
-        let mut plan = TxPlan::default();
-        self.transmit_into(src, dests, size_bytes, now, rng, &mut plan);
-        plan
-    }
-
     fn transmit_into(
         &mut self,
         src: NodeId,
@@ -380,31 +335,42 @@ impl Lossy {
 }
 
 impl Medium for Lossy {
-    fn transmit(
+    fn transmit_into(
         &mut self,
         src: NodeId,
         dests: &[NodeId],
         size_bytes: usize,
         now: SimTime,
         rng: &mut DetRng,
-    ) -> TxPlan {
-        let base = self.inner.transmit(src, dests, size_bytes, now, rng);
-        let mut plan = TxPlan {
-            deliveries: Vec::with_capacity(base.deliveries.len()),
-            dropped: base.dropped,
-            busy_us: base.busy_us,
-        };
-        for (d, at) in base.deliveries {
+        plan: &mut TxPlan,
+    ) {
+        self.inner.transmit_into(src, dests, size_bytes, now, rng, plan);
+        // Compact in place: `d[..w]` is output, `d[r..]` unread input. A
+        // drop opens a hole (`w < r`); a duplicate fills one if there is
+        // one and otherwise shifts the unread tail up by a slot.
+        let d = &mut plan.deliveries;
+        let (mut r, mut w) = (0, 0);
+        while r < d.len() {
+            let (to, at) = d[r];
+            r += 1;
             if rng.chance(self.drop_prob) {
                 plan.dropped += 1;
                 continue;
             }
-            plan.deliveries.push((d, at));
+            d[w] = (to, at);
+            w += 1;
             if rng.chance(self.dup_prob) {
-                plan.deliveries.push((d, at + SimTime::from_millis(1)));
+                let dup = (to, at + SimTime::from_millis(1));
+                if w == r {
+                    d.insert(w, dup);
+                    r += 1;
+                } else {
+                    d[w] = dup;
+                }
+                w += 1;
             }
         }
-        plan
+        d.truncate(w);
     }
 
     fn name(&self) -> &'static str {
@@ -451,25 +417,17 @@ impl Partitioned {
 }
 
 impl Medium for Partitioned {
-    fn transmit(
+    fn transmit_into(
         &mut self,
         src: NodeId,
         dests: &[NodeId],
         size_bytes: usize,
         now: SimTime,
         rng: &mut DetRng,
-    ) -> TxPlan {
-        let base = self.inner.transmit(src, dests, size_bytes, now, rng);
-        let mut plan =
-            TxPlan { deliveries: Vec::new(), dropped: base.dropped, busy_us: base.busy_us };
-        for (d, at) in base.deliveries {
-            if self.blocked.contains(&(src, d)) {
-                plan.dropped += 1;
-            } else {
-                plan.deliveries.push((d, at));
-            }
-        }
-        plan
+        plan: &mut TxPlan,
+    ) {
+        self.inner.transmit_into(src, dests, size_bytes, now, rng, plan);
+        plan.retain(|d| !self.blocked.contains(&(src, d)));
     }
 
     fn name(&self) -> &'static str {
@@ -525,28 +483,19 @@ impl TimedPartition {
 }
 
 impl Medium for TimedPartition {
-    fn transmit(
+    fn transmit_into(
         &mut self,
         src: NodeId,
         dests: &[NodeId],
         size_bytes: usize,
         now: SimTime,
         rng: &mut DetRng,
-    ) -> TxPlan {
-        let base = self.inner.transmit(src, dests, size_bytes, now, rng);
-        if now < self.from || now >= self.until {
-            return base;
+        plan: &mut TxPlan,
+    ) {
+        self.inner.transmit_into(src, dests, size_bytes, now, rng, plan);
+        if self.from <= now && now < self.until {
+            plan.retain(|d| !self.blocked.contains(&(src, d)));
         }
-        let mut plan =
-            TxPlan { deliveries: Vec::new(), dropped: base.dropped, busy_us: base.busy_us };
-        for (d, at) in base.deliveries {
-            if self.blocked.contains(&(src, d)) {
-                plan.dropped += 1;
-            } else {
-                plan.deliveries.push((d, at));
-            }
-        }
-        plan
     }
 
     fn name(&self) -> &'static str {
@@ -617,26 +566,19 @@ impl PartitionSchedule {
 }
 
 impl Medium for PartitionSchedule {
-    fn transmit(
+    fn transmit_into(
         &mut self,
         src: NodeId,
         dests: &[NodeId],
         size_bytes: usize,
         now: SimTime,
         rng: &mut DetRng,
-    ) -> TxPlan {
-        let base = self.inner.transmit(src, dests, size_bytes, now, rng);
-        let Some(groups) = self.active(now) else { return base };
-        let mut plan =
-            TxPlan { deliveries: Vec::new(), dropped: base.dropped, busy_us: base.busy_us };
-        for (d, at) in base.deliveries {
-            if Self::connected(groups, src, d) {
-                plan.deliveries.push((d, at));
-            } else {
-                plan.dropped += 1;
-            }
+        plan: &mut TxPlan,
+    ) {
+        self.inner.transmit_into(src, dests, size_bytes, now, rng, plan);
+        if let Some(groups) = self.active(now) {
+            plan.retain(|d| Self::connected(groups, src, d));
         }
-        plan
     }
 
     fn name(&self) -> &'static str {
@@ -652,6 +594,20 @@ mod tests {
         (0..n).map(NodeId).collect()
     }
 
+    /// One frame's plan in a fresh buffer.
+    fn tx(
+        m: &mut dyn Medium,
+        src: NodeId,
+        dests: &[NodeId],
+        size_bytes: usize,
+        now: SimTime,
+        rng: &mut DetRng,
+    ) -> TxPlan {
+        let mut plan = TxPlan::default();
+        m.transmit_into(src, dests, size_bytes, now, rng, &mut plan);
+        plan
+    }
+
     fn two_segment_topo() -> Arc<Topology> {
         // Nodes 0..3 on segment 0, 3..6 on segment 1; no jitter so arrival
         // times are exact.
@@ -664,7 +620,7 @@ mod tests {
     fn point_to_point_fixed_latency() {
         let mut m = PointToPoint::new(SimTime::from_micros(500));
         let mut rng = DetRng::new(1);
-        let plan = m.transmit(NodeId(0), &dests(3), 100, SimTime::from_micros(10), &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(3), 100, SimTime::from_micros(10), &mut rng);
         assert_eq!(plan.dropped, 0);
         for (_, at) in &plan.deliveries {
             assert_eq!(*at, SimTime::from_micros(510));
@@ -688,8 +644,8 @@ mod tests {
         let mut bus = SharedBus::new(cfg);
         let mut rng = DetRng::new(1);
         let t0 = SimTime::ZERO;
-        let p1 = bus.transmit(NodeId(0), &dests(1), 1024, t0, &mut rng);
-        let p2 = bus.transmit(NodeId(1), &dests(1), 1024, t0, &mut rng);
+        let p1 = tx(&mut bus, NodeId(0), &dests(1), 1024, t0, &mut rng);
+        let p2 = tx(&mut bus, NodeId(1), &dests(1), 1024, t0, &mut rng);
         let a1 = p1.deliveries[0].1;
         let a2 = p2.deliveries[0].1;
         // Second frame waits for the first to clear the wire.
@@ -702,7 +658,7 @@ mod tests {
         cfg.jitter = SimTime::ZERO;
         let mut bus = SharedBus::new(cfg);
         let mut rng = DetRng::new(1);
-        let plan = bus.transmit(NodeId(0), &dests(10), 1024, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut bus, NodeId(0), &dests(10), 1024, SimTime::ZERO, &mut rng);
         assert_eq!(plan.deliveries.len(), 10);
         let first = plan.deliveries[0].1;
         assert!(plan.deliveries.iter().all(|&(_, at)| at == first));
@@ -714,13 +670,13 @@ mod tests {
     fn busy_us_reports_serialization_only_on_the_bus() {
         let mut rng = DetRng::new(1);
         let mut p2p = PointToPoint::new(SimTime::from_micros(500));
-        let plan = p2p.transmit(NodeId(0), &dests(2), 1024, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut p2p, NodeId(0), &dests(2), 1024, SimTime::ZERO, &mut rng);
         assert_eq!(plan.busy_us, 0, "point-to-point never occupies a shared medium");
 
         let mut cfg = EthernetConfig::default();
         cfg.jitter = SimTime::ZERO;
         let mut bus = SharedBus::new(cfg);
-        let plan = bus.transmit(NodeId(0), &dests(10), 1024, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut bus, NodeId(0), &dests(10), 1024, SimTime::ZERO, &mut rng);
         // One broadcast frame occupies the wire for its serialization time,
         // regardless of the destination count.
         assert_eq!(plan.busy_us, 852);
@@ -729,7 +685,7 @@ mod tests {
         let mut cfg = EthernetConfig::default();
         cfg.jitter = SimTime::ZERO;
         let mut lossy = Lossy::new(Box::new(SharedBus::new(cfg)), 1.0);
-        let plan = lossy.transmit(NodeId(0), &dests(3), 1024, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut lossy, NodeId(0), &dests(3), 1024, SimTime::ZERO, &mut rng);
         assert_eq!(plan.deliveries.len(), 0);
         assert_eq!(plan.busy_us, 852, "dropped copies still burned wire time");
     }
@@ -742,7 +698,7 @@ mod tests {
         let mut delivered = 0usize;
         let mut dropped = 0u32;
         for _ in 0..4000 {
-            let plan = m.transmit(NodeId(0), &dests(1), 10, SimTime::ZERO, &mut rng);
+            let plan = tx(&mut m, NodeId(0), &dests(1), 10, SimTime::ZERO, &mut rng);
             delivered += plan.deliveries.len();
             dropped += plan.dropped;
         }
@@ -756,7 +712,7 @@ mod tests {
         let inner = Box::new(PointToPoint::new(SimTime::from_micros(1)));
         let mut m = Lossy::new(inner, 0.0).with_duplication(1.0);
         let mut rng = DetRng::new(3);
-        let plan = m.transmit(NodeId(0), &dests(1), 10, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(1), 10, SimTime::ZERO, &mut rng);
         assert_eq!(plan.deliveries.len(), 2);
         assert!(plan.deliveries[1].1 > plan.deliveries[0].1);
     }
@@ -775,14 +731,14 @@ mod tests {
             .block_pair(NodeId(0), NodeId(1));
         let mut rng = DetRng::new(7);
         // Before the window: everything flows.
-        let plan = m.transmit(NodeId(0), &dests(2), 10, SimTime::from_millis(5), &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(2), 10, SimTime::from_millis(5), &mut rng);
         assert_eq!(plan.deliveries.len(), 2);
         // Inside: the pair is severed.
-        let plan = m.transmit(NodeId(0), &dests(2), 10, SimTime::from_millis(15), &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(2), 10, SimTime::from_millis(15), &mut rng);
         assert_eq!(plan.deliveries.len(), 1);
         assert_eq!(plan.dropped, 1);
         // After: healed.
-        let plan = m.transmit(NodeId(0), &dests(2), 10, SimTime::from_millis(20), &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(2), 10, SimTime::from_millis(20), &mut rng);
         assert_eq!(plan.deliveries.len(), 2);
     }
 
@@ -792,10 +748,10 @@ mod tests {
         let mut m =
             TimedPartition::new(inner, SimTime::ZERO, SimTime::from_secs(1)).isolate(NodeId(2), 4);
         let mut rng = DetRng::new(8);
-        let plan = m.transmit(NodeId(2), &dests(4), 10, SimTime::from_millis(1), &mut rng);
+        let plan = tx(&mut m, NodeId(2), &dests(4), 10, SimTime::from_millis(1), &mut rng);
         // Only the self-copy survives.
         assert_eq!(plan.deliveries.iter().map(|&(d, _)| d).collect::<Vec<_>>(), vec![NodeId(2)]);
-        let plan = m.transmit(NodeId(0), &dests(4), 10, SimTime::from_millis(1), &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(4), 10, SimTime::from_millis(1), &mut rng);
         assert!(plan.deliveries.iter().all(|&(d, _)| d != NodeId(2)));
     }
 
@@ -812,7 +768,7 @@ mod tests {
             .partition_at(SimTime::from_millis(30), vec![vec![NodeId(1), NodeId(2), NodeId(3)]]);
         let mut rng = DetRng::new(5);
         let reached = |m: &mut PartitionSchedule, rng: &mut DetRng, at_ms: u64| {
-            m.transmit(NodeId(0), &dests(4), 10, SimTime::from_millis(at_ms), rng)
+            tx(m, NodeId(0), &dests(4), 10, SimTime::from_millis(at_ms), rng)
                 .deliveries
                 .iter()
                 .map(|&(d, _)| d)
@@ -836,9 +792,9 @@ mod tests {
             .heal_at(SimTime::from_millis(20))
             .partition_at(SimTime::from_millis(10), vec![vec![NodeId(0)], vec![NodeId(1)]]);
         let mut rng = DetRng::new(6);
-        let plan = m.transmit(NodeId(0), &dests(2), 10, SimTime::from_millis(15), &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(2), 10, SimTime::from_millis(15), &mut rng);
         assert_eq!(plan.deliveries.len(), 1);
-        let plan = m.transmit(NodeId(0), &dests(2), 10, SimTime::from_millis(20), &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(2), 10, SimTime::from_millis(20), &mut rng);
         assert_eq!(plan.deliveries.len(), 2);
     }
 
@@ -848,27 +804,75 @@ mod tests {
         let mut m = Partitioned::new(inner);
         m.block_pair(NodeId(0), NodeId(1));
         let mut rng = DetRng::new(4);
-        let plan = m.transmit(NodeId(0), &dests(3), 10, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(3), 10, SimTime::ZERO, &mut rng);
         let reached: Vec<NodeId> = plan.deliveries.iter().map(|&(d, _)| d).collect();
         assert_eq!(reached, vec![NodeId(0), NodeId(2)]);
         assert_eq!(plan.dropped, 1);
 
         m.heal();
-        let plan = m.transmit(NodeId(0), &dests(3), 10, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(3), 10, SimTime::ZERO, &mut rng);
         assert_eq!(plan.deliveries.len(), 3);
     }
 
     #[test]
-    fn transmit_into_reuses_the_buffer_and_matches_transmit() {
-        let mut a = SharedBus::new(EthernetConfig::default());
-        let mut b = a.clone();
+    fn transmit_into_overwrites_the_plan_and_keeps_its_buffer() {
+        let make = || {
+            let inner = Box::new(SharedBus::new(EthernetConfig::default()));
+            Lossy::new(inner, 0.3).with_duplication(0.3)
+        };
+        let (mut reusing, mut fresh) = (make(), make());
         let mut rng_a = DetRng::new(11);
         let mut rng_b = DetRng::new(11);
-        let mut plan = TxPlan::default();
-        for i in 0..5u64 {
+        // A wide first frame sizes the buffer and leaves stale entries behind.
+        let mut reused = TxPlan::default();
+        reusing.transmit_into(NodeId(0), &dests(64), 200, SimTime::ZERO, &mut rng_a, &mut reused);
+        let _ = tx(&mut fresh, NodeId(0), &dests(64), 200, SimTime::ZERO, &mut rng_b);
+        let buf = reused.deliveries.as_ptr();
+        for i in 1..50u64 {
             let now = SimTime::from_micros(i * 10);
-            b.transmit_into(NodeId(0), &dests(4), 200, now, &mut rng_b, &mut plan);
-            assert_eq!(a.transmit(NodeId(0), &dests(4), 200, now, &mut rng_a), plan);
+            reusing.transmit_into(NodeId(0), &dests(4), 200, now, &mut rng_a, &mut reused);
+            assert_eq!(reused, tx(&mut fresh, NodeId(0), &dests(4), 200, now, &mut rng_b));
+        }
+        assert_eq!(reused.deliveries.as_ptr(), buf, "the buffer is reused, not replaced");
+    }
+
+    #[test]
+    fn lossy_in_place_matches_the_copying_formulation() {
+        // The wrapper used to build a second plan; this is that loop, kept
+        // as the oracle for the in-place compaction's output *and* its RNG
+        // draw order (one drop draw per copy, one dup draw per survivor).
+        fn copying(base: &TxPlan, drop: f64, dup: f64, rng: &mut DetRng) -> TxPlan {
+            let mut out = TxPlan { deliveries: Vec::new(), ..base.clone() };
+            for &(d, at) in &base.deliveries {
+                if rng.chance(drop) {
+                    out.dropped += 1;
+                    continue;
+                }
+                out.deliveries.push((d, at));
+                if rng.chance(dup) {
+                    out.deliveries.push((d, at + SimTime::from_millis(1)));
+                }
+            }
+            out
+        }
+        let mut seeds = DetRng::new(99);
+        for case in 0..200u64 {
+            let (drop, dup) = match case % 4 {
+                0 => (0.0, 1.0), // every dup needs a shift
+                1 => (0.5, 0.9),
+                2 => (seeds.unit(), 0.0),
+                _ => (seeds.unit(), seeds.unit()),
+            };
+            let n = seeds.range(0, 12) as u32;
+            let mut rng_base = DetRng::new(case);
+            let mut rng_a = rng_base.clone();
+            let mut p2p = PointToPoint::new(SimTime::from_micros(7));
+            let base = tx(&mut p2p, NodeId(0), &dests(n), 10, SimTime::ZERO, &mut rng_base);
+            let want = copying(&base, drop, dup, &mut rng_base);
+            let mut m = Lossy::new(Box::new(p2p), drop).with_duplication(dup);
+            let got = tx(&mut m, NodeId(0), &dests(n), 10, SimTime::ZERO, &mut rng_a);
+            assert_eq!(got, want, "case {case}: drop {drop} dup {dup} n {n}");
+            assert_eq!(rng_a.next_u64(), rng_base.next_u64(), "case {case}: draw count");
         }
     }
 
@@ -878,11 +882,11 @@ mod tests {
         let mut rng = DetRng::new(1);
         // Back-to-back local broadcasts on *different* segments at t=0: no
         // queueing across segments, both serialize immediately.
-        let p0 = bus.transmit(NodeId(0), &[NodeId(1)], 1024, SimTime::ZERO, &mut rng);
-        let p1 = bus.transmit(NodeId(3), &[NodeId(4)], 1024, SimTime::ZERO, &mut rng);
+        let p0 = tx(&mut bus, NodeId(0), &[NodeId(1)], 1024, SimTime::ZERO, &mut rng);
+        let p1 = tx(&mut bus, NodeId(3), &[NodeId(4)], 1024, SimTime::ZERO, &mut rng);
         assert_eq!(p0.deliveries[0].1, p1.deliveries[0].1);
         // A second frame on segment 0 queues behind the first.
-        let p0b = bus.transmit(NodeId(1), &[NodeId(0)], 1024, SimTime::ZERO, &mut rng);
+        let p0b = tx(&mut bus, NodeId(1), &[NodeId(0)], 1024, SimTime::ZERO, &mut rng);
         assert_eq!(p0b.deliveries[0].1, p0.deliveries[0].1 + SimTime::from_micros(852));
         assert_eq!(bus.busy_until(0), SimTime::from_micros(1704));
         assert_eq!(bus.busy_until(1), SimTime::from_micros(852));
@@ -892,7 +896,7 @@ mod tests {
     fn segmented_bus_cross_segment_pays_the_bridge() {
         let mut bus = SegmentedBus::new(two_segment_topo(), 9);
         let mut rng = DetRng::new(1);
-        let plan = bus.transmit(NodeId(0), &[NodeId(1), NodeId(4)], 1024, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut bus, NodeId(0), &[NodeId(1), NodeId(4)], 1024, SimTime::ZERO, &mut rng);
         let local = plan.deliveries[0].1;
         let cross = plan.deliveries[1].1;
         assert_eq!(cross, local + SimTime::from_micros(100), "bridge latency on top");
@@ -916,8 +920,8 @@ mod tests {
         for i in 0..20u64 {
             let now = SimTime::from_micros(i * 37);
             let src = NodeId((i % 6) as u32);
-            let pa = a.transmit(src, &dests(6), 100, now, &mut rng_a);
-            let pb = b.transmit(src, &dests(6), 100, now, &mut rng_b);
+            let pa = tx(&mut a, src, &dests(6), 100, now, &mut rng_a);
+            let pb = tx(&mut b, src, &dests(6), 100, now, &mut rng_b);
             assert_eq!(pa, pb, "frame {i}");
         }
     }

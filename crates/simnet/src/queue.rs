@@ -1,4 +1,3 @@
-use crate::wheel::TimingWheel;
 use crate::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -9,9 +8,14 @@ use std::collections::BinaryHeap;
 /// instant are popped in insertion order (FIFO), which keeps simulations
 /// deterministic without relying on heap tie-breaking accidents.
 ///
-/// Backed by a hierarchical timing wheel (see `crate::wheel`) so the
-/// simulator hot path pushes in O(1); [`HeapEventQueue`] is the obviously
-/// correct binary-heap reference that the wheel is property-tested against.
+/// Two containers share one sequence counter. Every push made before the
+/// first pop — a driver's whole pre-scheduled workload, scheduled faults,
+/// `on_start` timers — goes to the *lane*, a plain `Vec` that the first pop
+/// sorts once and later pops consume from the tail; the lane hands its
+/// capacity back as it drains. Pushes after the first pop — the few dozen
+/// frames and timers in flight at any instant — go to a binary heap that
+/// therefore stays shallow however long the schedule is. `pop` takes
+/// whichever of lane tail and heap top has the smaller `(time, seq)`.
 ///
 /// # Examples
 ///
@@ -29,14 +33,24 @@ use std::collections::BinaryHeap;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    wheel: TimingWheel<E>,
+    /// Pushes made before the first pop. Unordered until that pop sorts it
+    /// latest-first; from then on only ever popped from the tail.
+    lane: Vec<Entry<E>>,
+    /// Earliest time in `lane` while it is still unsorted (`peek_time`
+    /// takes `&self`, so it cannot sort).
+    lane_min: SimTime,
+    /// Set by the first pop: the lane is sorted and takes no more pushes.
+    popped: bool,
+    /// Pushes made after the first pop.
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
 }
 
 #[derive(Debug)]
-pub(crate) struct Entry<E> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
+struct Entry<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -53,7 +67,8 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: invert so earliest time (then lowest
-        // sequence number) surfaces first.
+        // sequence number) is the greatest entry. The lane sorts ascending
+        // by the same order, which puts its earliest entry at the tail.
         other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -61,93 +76,82 @@ impl<E> Ord for Entry<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self { wheel: TimingWheel::new() }
+        Self {
+            lane: Vec::new(),
+            lane_min: SimTime::MAX,
+            popped: false,
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
     }
 
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        self.wheel.push(at, event);
+        let e = Entry { at, seq: self.next_seq, event };
+        self.next_seq += 1;
+        if self.popped {
+            self.heap.push(e);
+        } else {
+            self.lane_min = self.lane_min.min(at);
+            self.lane.push(e);
+        }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.wheel.pop()
+        if !self.popped {
+            self.popped = true;
+            // `(time, seq)` keys are unique, so unstable is exact.
+            self.lane.sort_unstable();
+        }
+        let from_lane = match (self.lane.last(), self.heap.peek()) {
+            (Some(l), Some(h)) => l > h,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        let e = if from_lane {
+            let e = self.lane.pop()?;
+            // Give the schedule's memory back while the run's logs grow:
+            // halve at quarter occupancy, free outright when drained.
+            if self.lane.len() <= self.lane.capacity() / 4 {
+                self.lane.shrink_to(self.lane.len() * 2);
+            }
+            e
+        } else {
+            self.heap.pop()?
+        };
+        Some((e.at, e.event))
     }
 
     /// Time of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek_time()
+        if !self.popped {
+            return (!self.lane.is_empty()).then_some(self.lane_min);
+        }
+        match (self.lane.last(), self.heap.peek()) {
+            (Some(l), Some(h)) => Some(l.at.min(h.at)),
+            (l, h) => l.or(h).map(|e| e.at),
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 
     /// Rough resident size of the queue's buffers in bytes.
     pub(crate) fn approx_mem_bytes(&self) -> usize {
-        self.wheel.approx_mem_bytes()
+        use std::mem::size_of;
+        (self.lane.capacity() + self.heap.capacity()) * size_of::<Entry<E>>() + size_of::<Self>()
     }
 }
 
 impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Binary-heap event queue with the same `(time, FIFO)` pop order as
-/// [`EventQueue`].
-///
-/// This is the original queue implementation, kept as the obviously correct
-/// reference: `tests/proptest_queue.rs` drives both queues with identical
-/// operation sequences and asserts the pops agree exactly.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
-    }
-
-    /// Time of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for HeapEventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -209,17 +213,21 @@ mod tests {
     }
 
     #[test]
-    fn heap_reference_matches_on_a_fixed_script() {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let times = [7u64, 7, 0, 65, 4096, 1 << 20, 7, u64::MAX / 2, 3];
-        for (i, t) in times.iter().enumerate() {
-            wheel.push(SimTime::from_micros(*t), i);
-            heap.push(SimTime::from_micros(*t), i);
+    fn a_drained_lane_holds_no_capacity() {
+        let mut q = EventQueue::new();
+        for i in 0..1000u64 {
+            q.push(SimTime::from_micros(i), i);
         }
-        for _ in 0..times.len() {
-            assert_eq!(wheel.pop(), heap.pop());
+        let full = q.lane.capacity();
+        for i in 0..1000u64 {
+            assert_eq!(q.pop(), Some((SimTime::from_micros(i), i)));
+            if i == 800 {
+                assert!(q.lane.capacity() <= full / 2, "capacity returns while draining");
+            }
         }
-        assert!(wheel.is_empty() && heap.is_empty());
+        assert_eq!(q.lane.capacity(), 0);
+        // Later pushes go to the heap; the lane stays gone.
+        q.push(SimTime::from_micros(1), 1);
+        assert_eq!((q.lane.capacity(), q.len()), (0, 1));
     }
 }

@@ -1,7 +1,7 @@
 //! Sharded deterministic-parallel simulation.
 //!
 //! [`ShardedSim`] runs a multi-segment [`Topology`] as `k` independent
-//! [`Sim`] shards — one timing wheel, one RNG domain, one slice of the
+//! [`Sim`] shards — one event queue, one RNG domain, one slice of the
 //! global node range each — synchronized at **epoch barriers** sized by the
 //! topology's minimum cross-segment latency (a conservative-window
 //! lookahead, the classic PDES recipe). The same seed produces the same
@@ -29,7 +29,7 @@
 //!   deliver an event into a shard's past.
 //! * **Total ingress order.** Cross-shard frames are injected in
 //!   `(arrival, sending shard, send order)` order — a total order both
-//!   drivers compute identically, so the per-shard wheels receive identical
+//!   drivers compute identically, so the per-shard queues receive identical
 //!   insertion sequences.
 //!
 //! Epochs adapt to the workload: `min` is the actual earliest pending

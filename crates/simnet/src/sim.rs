@@ -1037,7 +1037,7 @@ impl<A: Agent> Sim<A> {
     pub(crate) fn inject_frame(&mut self, at: SimTime, to: NodeId, pkt: Packet, cause: CauseId) {
         debug_assert!(self.is_local(to), "injected frame for non-local node {to}");
         // Same span a standalone sim's delivery push gets (each delivery is
-        // exactly one wheel push either way), so the structural span counts
+        // exactly one queue push either way), so the structural span counts
         // match across plain and sharded drivers.
         let prof = self.prof();
         let _sp = prof.as_ref().map(|p| p.span(&["engine", "wheel", "push"]));

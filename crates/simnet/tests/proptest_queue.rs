@@ -1,84 +1,132 @@
-//! Property tests pitting the timing-wheel [`EventQueue`] against the
-//! binary-heap [`HeapEventQueue`] reference: identical operation sequences
-//! must produce identical pops (time *and* payload, so same-instant FIFO
-//! ties are checked exactly), identical peeks, and identical lengths.
+//! Property tests for [`EventQueue`] against a trivially correct model: a
+//! `Vec` of `(time, push index)` in push order, stable-sorted by time on
+//! every pop. Identical operation sequences must produce identical pops
+//! (time *and* payload, so same-instant FIFO ties are checked exactly),
+//! identical peeks, and identical lengths — whichever of the queue's two
+//! containers (the pre-scheduled lane, the in-flight heap) an entry is in.
 
 use ps_check::prelude::*;
-use ps_simnet::{EventQueue, HeapEventQueue, SimTime};
+use ps_simnet::{EventQueue, SimTime};
 
-/// Maps raw 64-bit draws onto timestamps that exercise every wheel tier:
-/// level-0 ties, each hierarchical level, the far heap, and (after pops
-/// advance the cursor) the past heap.
-fn shape_time(raw: u64) -> SimTime {
-    let mask = match raw >> 61 {
-        0 => 0x7,           // heavy same-instant ties
-        1 => 0x3F,          // level 0
-        2 => 0xFFF,         // level 1
-        3 => 0x3_FFFF,      // level 2
-        4 => 0xFF_FFFF,     // level 3
-        5 => 0xF_FFFF_FFFF, // far heap
-        6 => u64::MAX >> 1, // far heap, huge spans
-        _ => 0x1_0041,      // straddles level boundaries / carry cases
-    };
-    SimTime::from_micros(raw & mask)
+/// Pending `(time, push index)` pairs in push order.
+#[derive(Default)]
+struct Model {
+    pending: Vec<(SimTime, usize)>,
 }
 
-/// Pushes every time into both queues, then drains both, comparing each
-/// pop exactly.
-fn check_drain(times: &[SimTime]) {
-    let mut wheel = EventQueue::new();
-    let mut heap = HeapEventQueue::new();
-    for (i, &t) in times.iter().enumerate() {
-        wheel.push(t, i);
-        heap.push(t, i);
+impl Model {
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        // Stable: same-instant entries keep their push order.
+        self.pending.sort_by_key(|&(t, _)| t);
+        (!self.pending.is_empty()).then(|| self.pending.remove(0))
     }
-    loop {
-        assert_eq!(wheel.peek_time(), heap.peek_time());
-        assert_eq!(wheel.len(), heap.len());
-        let (w, h) = (wheel.pop(), heap.pop());
-        assert_eq!(w, h);
-        if w.is_none() {
-            break;
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending.iter().map(|&(t, _)| t).min()
+    }
+}
+
+/// Queue and model driven in lockstep; every step compares everything
+/// observable.
+#[derive(Default)]
+struct Pair {
+    queue: EventQueue<usize>,
+    model: Model,
+    pushed: usize,
+    last_popped: SimTime,
+}
+
+impl Pair {
+    fn push(&mut self, at: SimTime) {
+        self.queue.push(at, self.pushed);
+        self.model.pending.push((at, self.pushed));
+        self.pushed += 1;
+        self.check();
+    }
+
+    fn pop(&mut self) -> bool {
+        let got = self.queue.pop();
+        assert_eq!(got, self.model.pop());
+        self.check();
+        if let Some((at, _)) = got {
+            self.last_popped = at;
         }
+        got.is_some()
+    }
+
+    fn check(&self) {
+        assert_eq!(self.queue.peek_time(), self.model.peek_time());
+        assert_eq!(self.queue.len(), self.model.pending.len());
+        assert_eq!(self.queue.is_empty(), self.model.pending.is_empty());
+    }
+
+    /// Maps a raw 64-bit draw onto a timestamp: heavy same-instant ties
+    /// (which straddle lane and heap once a pop has happened), every
+    /// magnitude, the top of the range, and instants at or before the last
+    /// popped time.
+    fn shape_time(&self, raw: u64) -> SimTime {
+        let last = self.last_popped.as_micros();
+        SimTime::from_micros(match raw >> 61 {
+            0 => raw & 0x7,
+            1 => raw & 0xFFF,
+            2 => raw & 0xFF_FFFF,
+            3 => raw & (u64::MAX >> 1),
+            4 => u64::MAX - (raw & 0x3),
+            5 => last.saturating_sub(raw & 0xFF),
+            6 => last,
+            _ => last.saturating_add(raw & 0x3F),
+        })
+    }
+
+    fn drain(&mut self) {
+        while self.pop() {}
+        assert!(self.queue.pop().is_none());
     }
 }
 
 props! {
     #![config(cases = 64)]
 
-    /// Bulk push then full drain agrees at every scale mix.
-    fn wheel_matches_heap_bulk(raws in vec_of(arb::<u64>(), 0..300)) {
-        check_drain(&raws.iter().map(|&r| shape_time(r)).collect::<Vec<_>>());
+    /// Everything pushed before the first pop (the lane alone), then a
+    /// full drain — `peek_time` and `len` are checked before that pop too.
+    fn bulk_push_then_drain(raws in vec_of(arb::<u64>(), 0..300)) {
+        let mut p = Pair::default();
+        for raw in raws {
+            p.push(p.shape_time(raw));
+        }
+        p.drain();
     }
 
     /// All-ties workloads pop in exact insertion order.
-    fn wheel_matches_heap_all_ties(raws in vec_of(arb::<u64>(), 0..100)) {
-        check_drain(&raws.iter().map(|&r| SimTime::from_micros(r & 1)).collect::<Vec<_>>());
+    fn all_ties_are_fifo(raws in vec_of(arb::<u64>(), 0..100)) {
+        let mut p = Pair::default();
+        for (i, raw) in raws.into_iter().enumerate() {
+            if i == 30 {
+                p.pop(); // the rest of the ties go to the heap
+            }
+            p.push(SimTime::from_micros(raw & 1));
+        }
+        p.drain();
     }
 
-    /// Interleaved pushes and pops agree step for step. Pops advance the
-    /// wheel cursor, so later small-time pushes land in its past heap —
-    /// the heap reference has no such notion, which is the point.
-    fn wheel_matches_heap_interleaved(raws in vec_of(arb::<u64>(), 0..300)) {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        for (i, &raw) in raws.iter().enumerate() {
+    /// A pre-scheduled batch, then pushes and pops interleaved at random:
+    /// entries from both containers are pending together, pushed in the
+    /// past, at the last popped instant and at `SimTime::MAX`.
+    fn prefill_then_interleave(
+        prefill in vec_of(arb::<u64>(), 0..100),
+        ops in vec_of(arb::<u64>(), 0..300),
+    ) {
+        let mut p = Pair::default();
+        for raw in prefill {
+            p.push(p.shape_time(raw));
+        }
+        for raw in ops {
             if raw & 0b11 == 0 {
-                assert_eq!(wheel.pop(), heap.pop());
+                p.pop();
             } else {
-                let t = shape_time(raw.rotate_left(7));
-                wheel.push(t, i);
-                heap.push(t, i);
-            }
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-            assert_eq!(wheel.len(), heap.len());
-        }
-        loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            assert_eq!(w, h);
-            if w.is_none() {
-                break;
+                p.push(p.shape_time(raw.rotate_left(7)));
             }
         }
+        p.drain();
     }
 }
