@@ -20,7 +20,8 @@
 //! in front of the content. [`Bytes::prepend`] writes a header into that
 //! reserve **in place** when the handle is the buffer's only owner, so
 //! pushing a header costs O(header), not O(payload); popping one is
-//! [`Bytes::slice`]. The contract:
+//! [`Bytes::advance`] — the same handle, moved past the header — or
+//! [`Bytes::slice`] when the caller keeps the frame. The contract:
 //!
 //! * Only the unique owner of a buffer ever writes its reserve (checked
 //!   with `Arc::get_mut`, no `unsafe`). A clone or slice taken earlier
@@ -181,6 +182,20 @@ impl Bytes {
         assert!(lo <= hi, "slice range inverted: {lo} > {hi}");
         assert!(hi <= len, "slice range {hi} out of bounds for length {len}");
         Bytes { repr: self.repr.clone(), start: self.start + lo, end: self.start + hi }
+    }
+
+    /// Drops the first `n` bytes from this view, in place: `b.advance(n)`
+    /// leaves what `b.slice(n..)` would return, without creating a second
+    /// handle — so a unique handle stays unique and the bytes passed over
+    /// become reserve a later [`Bytes::prepend`] can write into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the length, matching slice indexing semantics.
+    pub fn advance(&mut self, n: usize) {
+        let len = self.len();
+        assert!(n <= len, "advance by {n} out of bounds for length {len}");
+        self.start += n;
     }
 }
 
@@ -563,15 +578,37 @@ mod tests {
 
     #[test]
     fn popped_header_space_is_reusable_reserve() {
-        // A relay pops a header and pushes another: once the popped frame
-        // handle is gone, the new header goes where the old one was.
+        // A relay pops a header and pushes another: the new header goes
+        // where the old one was. Advancing never made a second handle;
+        // slicing did, and it has to go first.
+        let mut advanced = Bytes::from(b"OLDpayload".to_vec());
+        advanced.advance(3);
         let frame = Bytes::from(b"OLDpayload".to_vec());
-        let payload = frame.slice(3..);
+        let sliced = frame.slice(3..);
         drop(frame);
-        let at = payload.as_ptr();
-        let relayed = payload.prepend(b"NEW");
-        assert_eq!(&relayed[..], b"NEWpayload");
-        assert!(std::ptr::eq(relayed[3..].as_ptr(), at));
+        for payload in [advanced, sliced] {
+            let at = payload.as_ptr();
+            let relayed = payload.prepend(b"NEW");
+            assert_eq!(&relayed[..], b"NEWpayload");
+            assert!(std::ptr::eq(relayed[3..].as_ptr(), at));
+        }
+    }
+
+    #[test]
+    fn advance_is_slice_from_without_a_second_handle() {
+        let mut b = Bytes::from_static(b"abcdef").slice(1..5);
+        let expect = b.slice(2..);
+        b.advance(2);
+        assert_eq!(b, expect);
+        assert_eq!(b.len(), 2);
+        b.advance(2);
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn advance_past_the_end_panics() {
+        Bytes::from_static(b"ab").slice(..1).advance(2);
     }
 
     #[test]

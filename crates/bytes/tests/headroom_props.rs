@@ -1,7 +1,8 @@
 //! Properties of the headroom contract (ps-check): `prepend` is plain
 //! concatenation whatever the handle's ownership state and reserve, it is
-//! undone by `slice`, it never changes what an earlier clone or slice
-//! sees, and the reserve is invisible to `Eq` / `Ord` / `Hash`.
+//! undone by `slice` or `advance`, it never changes what an earlier clone
+//! or slice sees, the reserve is invisible to `Eq` / `Ord` / `Hash`, and
+//! what a unique handle advanced past is reserve again.
 
 use ps_bytes::{Bytes, BytesMut, HEADROOM};
 use ps_check::prelude::*;
@@ -107,6 +108,55 @@ props! {
         drop(keep);
         let expect: Vec<u8> = headers.iter().rev().flatten().copied().collect();
         assert_eq!(&b[..expect.len()], &expect[..]);
+    }
+
+    fn advance_is_slice_from_without_a_second_handle(
+        kind in arb::<u8>(),
+        reserve in 0usize..2 * HEADROOM,
+        payload in vec_of(arb::<u8>(), 0..300),
+        cut in arb::<usize>(),
+    ) {
+        let (mut b, _keep) = handle(kind, reserve, &payload);
+        let n = cut % (b.len() + 1);
+        let expect = b.slice(n..);
+        b.advance(n);
+        assert_eq!(b, expect);
+        assert!(std::ptr::eq(b.as_slice(), expect.as_slice()), "the view moved, not the bytes");
+    }
+
+    fn advance_then_prepend_on_a_unique_handle_is_in_place(
+        built in arb::<bool>(),
+        reserve in 0usize..2 * HEADROOM,
+        payload in vec_of(arb::<u8>(), 1..300),
+        cut in arb::<usize>(),
+        back in vec_of(arb::<u8>(), 0..300),
+    ) {
+        // Kinds 0 and 1: the two uniquely owned states.
+        let (mut b, _none) = handle(u8::from(built), reserve, &payload);
+        let n = cut % (b.len() + 1);
+        b.advance(n);
+        // A header no longer than what was advanced past fits where it was.
+        let header = &back[..back.len().min(n)];
+        let (at, tail) = (b.as_ptr(), b.to_vec());
+        let pushed = b.prepend(header);
+        assert!(std::ptr::eq(pushed[header.len()..].as_ptr(), at), "the tail must not have moved");
+        assert_eq!(&pushed[..header.len()], header);
+        assert_eq!(&pushed[header.len()..], &tail[..]);
+    }
+
+    fn a_clone_taken_before_advance_and_prepend_never_changes(
+        kind in arb::<u8>(),
+        reserve in 0usize..2 * HEADROOM,
+        payload in vec_of(arb::<u8>(), 1..300),
+        cut in arb::<usize>(),
+        header in vec_of(arb::<u8>(), 0..40),
+    ) {
+        let (mut b, _keep) = handle(kind, reserve, &payload);
+        let (seen, was) = (b.clone(), b.to_vec());
+        b.advance(cut % (b.len() + 1));
+        let pushed = b.prepend(&header);
+        assert_eq!(&seen[..], &was[..]);
+        assert_eq!(&pushed[..header.len()], &header[..]);
     }
 
     fn eq_ord_hash_ignore_the_reserve(

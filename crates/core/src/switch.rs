@@ -5,7 +5,7 @@ use ps_bytes::Bytes;
 use ps_obs::{ObsEvent, SpPhase};
 use ps_simnet::{DetRng, SimTime};
 use ps_stack::{channel, ChannelId, Frame, Layer, LayerCtx, LayerId, Stack, StackEnv};
-use ps_trace::{Message, ProcessId};
+use ps_trace::{Message, MsgId, ProcessId};
 use ps_wire::Wire;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -116,7 +116,6 @@ pub struct SwitchLayer {
     control: Stack,
     ctl_seq: u64,
     oracle: Box<dyn Oracle>,
-    handle: SwitchHandle,
     me: Option<ProcessId>,
 
     current: usize,
@@ -126,14 +125,14 @@ pub struct SwitchLayer {
     sent_current: u64,
     /// Messages I sent over the next protocol while switching.
     sent_next: u64,
-    /// Per-sender count of messages delivered via the current protocol
-    /// this era.
-    delivered_from: BTreeMap<ProcessId, u64>,
+    /// What has been delivered this era; the current protocol's
+    /// environment writes it as the protocol delivers.
+    book: EraBook,
     /// Deliveries from the non-current protocol, held back.
     buffer: Vec<Delivered>,
-    /// Where a hosted stack's deliveries land while it runs: lent to the
-    /// stack's environment, drained, and taken back with its capacity.
-    /// Empty between calls.
+    /// Where the deliveries of a hosted stack that is *not* the current
+    /// protocol land while it runs: lent to the stack's environment,
+    /// drained, and taken back with its capacity. Empty between calls.
     sink: Vec<Delivered>,
     /// The SWITCH vector, once known.
     expected: Option<CountVector>,
@@ -183,9 +182,6 @@ pub struct SwitchLayer {
     /// from the node's stream so backoff randomness never perturbs
     /// application or protocol behaviour.
     rng: DetRng,
-
-    // Oracle observation.
-    recent: VecDeque<(SimTime, ProcessId)>,
 }
 
 impl std::fmt::Debug for SwitchLayer {
@@ -213,9 +209,6 @@ const ABORT_FLAG: u32 = 0x4000_0000;
 const RETRANS_FLAG: u32 = 0x2000_0000;
 /// Lost-token regeneration watchdog at the ring head (token variant).
 const REGEN_FLAG: u32 = 0x1000_0000;
-/// Sequence-number base for control-message envelopes (never collides with
-/// application messages).
-const CTL_SEQ_BASE: u64 = 1 << 48;
 
 fn chan(idx: usize) -> ChannelId {
     match idx {
@@ -224,18 +217,53 @@ fn chan(idx: usize) -> ChannelId {
     }
 }
 
-/// A sub-stack delivery: the source the sub-stack attributes it to, the
-/// decoded message, and the encoded bytes it was decoded from — which are
-/// what travels on up, so the switch never re-encodes a message.
-type Delivered = (ProcessId, Message, Bytes);
+/// A sub-stack delivery that was not passed straight up: the source the
+/// sub-stack attributes it to, the message's sender, and the encoded
+/// message — which is what travels on, so the switch never decodes a body.
+type Delivered = (ProcessId, ProcessId, Bytes);
+
+/// The delivery side of the era bookkeeping, apart from the rest of the
+/// layer so that the current protocol's [`SubEnv`] can hold it while the
+/// protocol itself is borrowed to run.
+struct EraBook {
+    handle: SwitchHandle,
+    /// Per-sender count of messages delivered via the current protocol
+    /// this era (what the SWITCH vector is compared against).
+    delivered_from: BTreeMap<ProcessId, u64>,
+    /// Recent deliveries, for the oracle's load observation.
+    recent: VecDeque<(SimTime, ProcessId)>,
+}
+
+impl EraBook {
+    /// Delivers a current-protocol message to the application: counted
+    /// towards the era's drain, then observed and passed up.
+    fn deliver_current(&mut self, delivered: Delivered, ctx: &mut LayerCtx<'_>) {
+        *self.delivered_from.entry(delivered.1).or_insert(0) += 1;
+        self.deliver_foreign(delivered, ctx);
+    }
+
+    /// Delivers a message that arrived on the *non-current* protocol after
+    /// an abort. It counts for load observation and delivery stats but not
+    /// for `delivered_from`: the era's drain accounting covers only
+    /// current-protocol traffic, and the sender likewise zeroed its
+    /// `sent_next` when its own attempt aborted.
+    fn deliver_foreign(&mut self, (src, sender, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
+        self.recent.push_back((ctx.now(), sender));
+        self.handle.update(|s| s.delivered += 1);
+        ctx.deliver_up(src, bytes);
+    }
+}
 
 /// Environment handed to a sub-stack: transmissions come out channel-
-/// tagged through the outer context, deliveries are captured for the
-/// switch logic, timers pass straight through (layer ids are globally
-/// unique per process).
+/// tagged through the outer context, timers pass straight through (layer
+/// ids are globally unique per process), and deliveries go straight up
+/// when the sub-stack is the current protocol — otherwise into `sink`,
+/// for the switch logic to buffer, absorb or (control traffic) decode.
 struct SubEnv<'a, 'b> {
     ctx: &'a mut LayerCtx<'b>,
     channel: ChannelId,
+    /// The era book, when this sub-stack is the current protocol.
+    direct: Option<&'a mut EraBook>,
     sink: &'a mut Vec<Delivered>,
 }
 
@@ -256,11 +284,17 @@ impl StackEnv for SubEnv<'_, '_> {
         self.ctx.send_down(Frame::new(frame.dest, channel::mux(self.channel, frame.bytes)));
     }
     fn deliver(&mut self, src: ProcessId, msg: Message) {
-        let bytes = msg.to_bytes();
-        self.deliver_encoded(src, msg, bytes);
+        self.deliver_bytes(src, msg.to_bytes());
     }
-    fn deliver_encoded(&mut self, src: ProcessId, msg: Message, bytes: Bytes) {
-        self.sink.push((src, msg, bytes));
+    fn deliver_bytes(&mut self, src: ProcessId, bytes: Bytes) {
+        // Whatever is not exactly one message stops here, as it would at
+        // any application boundary; of a message only the sender is read.
+        let Ok(id) = Message::peek_id(&bytes) else { return };
+        let delivered = (src, id.sender, bytes);
+        match &mut self.direct {
+            Some(book) => book.deliver_current(delivered, self.ctx),
+            None => self.sink.push(delivered),
+        }
     }
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
         self.ctx.set_timer_for(id, delay, token);
@@ -312,14 +346,17 @@ impl SwitchLayer {
             control: Stack::new(vec![]),
             ctl_seq: 0,
             oracle,
-            handle: handle.clone(),
             me: None,
             current: 0,
             era: 0,
             mode: Mode::Normal,
             sent_current: 0,
             sent_next: 0,
-            delivered_from: BTreeMap::new(),
+            book: EraBook {
+                handle: handle.clone(),
+                delivered_from: BTreeMap::new(),
+                recent: VecDeque::new(),
+            },
             buffer: Vec::new(),
             sink: Vec::new(),
             expected: None,
@@ -341,7 +378,6 @@ impl SwitchLayer {
             retrans_delay: SimTime::ZERO,
             absorb_other: false,
             rng: DetRng::new(0),
-            recent: VecDeque::new(),
         };
         (layer, handle)
     }
@@ -359,7 +395,7 @@ impl SwitchLayer {
     /// wrapped in a message envelope so ordinary layers can transport it.
     fn send_control(&mut self, dest: ps_stack::Cast, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
         self.ctl_seq += 1;
-        let envelope = Message::new(ctx.me(), CTL_SEQ_BASE + self.ctl_seq, bytes);
+        let envelope = Message::new(ctx.me(), MsgId::CONTROL_SEQ_BASE + self.ctl_seq, bytes);
         self.run_control(ctx, |stack, env| stack.send_bytes(dest, envelope.to_bytes(), env));
     }
 
@@ -371,19 +407,33 @@ impl SwitchLayer {
         }
     }
 
-    /// Runs `f` on protocol `idx` with the sink lent to its environment.
-    /// The sink comes back holding what the protocol delivered; the caller
-    /// returns it through [`Self::process_deliveries`].
+    /// Runs `f` on protocol `idx`, then applies the switch logic to what
+    /// it delivered. The current protocol's deliveries have gone up as they
+    /// were made; another protocol's are in the sink, to be buffered until
+    /// the flip — or, after an abort, absorbed. `current` cannot change
+    /// while the protocol runs: nothing of this layer does.
     fn run_sub<R>(
         &mut self,
         idx: usize,
         ctx: &mut LayerCtx<'_>,
         f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
-    ) -> (R, Vec<Delivered>) {
+    ) -> R {
         let mut sink = std::mem::take(&mut self.sink);
-        let mut env = SubEnv { ctx, channel: chan(idx), sink: &mut sink };
+        let direct = (idx == self.current).then_some(&mut self.book);
+        let mut env = SubEnv { ctx, channel: chan(idx), direct, sink: &mut sink };
         let r = f(&mut self.protos[idx], &mut env);
-        (r, sink)
+        for d in sink.drain(..) {
+            if self.absorb_other {
+                self.book.deliver_foreign(d, ctx);
+            } else {
+                self.buffer.push(d);
+                let depth = self.buffer.len();
+                self.book.handle.update(|s| s.buffered_peak = s.buffered_peak.max(depth));
+            }
+        }
+        self.sink = sink;
+        self.try_flip(ctx);
+        r
     }
 
     /// Runs `f` on the control transport, then handles every envelope it
@@ -395,49 +445,14 @@ impl SwitchLayer {
         f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
     ) -> R {
         let mut sink = std::mem::take(&mut self.sink);
-        let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, sink: &mut sink };
+        let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, direct: None, sink: &mut sink };
         let r = f(&mut self.control, &mut env);
-        for (_, envelope, _) in sink.drain(..) {
+        for (_, _, bytes) in sink.drain(..) {
+            let envelope = Message::from_owned(bytes).expect("validated when it was delivered");
             self.dispatch_control(envelope, ctx);
         }
         self.sink = sink;
         r
-    }
-
-    fn process_deliveries(&mut self, idx: usize, mut sink: Vec<Delivered>, ctx: &mut LayerCtx<'_>) {
-        for d in sink.drain(..) {
-            if idx == self.current {
-                self.deliver_current(d, ctx);
-            } else if self.absorb_other {
-                self.deliver_foreign(d, ctx);
-            } else {
-                self.buffer.push(d);
-                let depth = self.buffer.len();
-                self.handle.update(|s| s.buffered_peak = s.buffered_peak.max(depth));
-            }
-        }
-        self.sink = sink;
-        self.try_flip(ctx);
-    }
-
-    /// Delivers a current-protocol message to the application, with era
-    /// bookkeeping and load observation.
-    fn deliver_current(&mut self, (src, msg, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
-        *self.delivered_from.entry(msg.id.sender).or_insert(0) += 1;
-        self.recent.push_back((ctx.now(), msg.id.sender));
-        self.handle.update(|s| s.delivered += 1);
-        ctx.deliver_up(src, bytes);
-    }
-
-    /// Delivers a message that arrived on the *non-current* protocol after
-    /// an abort. It counts for load observation and delivery stats but not
-    /// for `delivered_from`: the era's drain accounting covers only
-    /// current-protocol traffic, and the sender likewise zeroed its
-    /// `sent_next` when its own attempt aborted.
-    fn deliver_foreign(&mut self, (src, msg, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
-        self.recent.push_back((ctx.now(), msg.id.sender));
-        self.handle.update(|s| s.delivered += 1);
-        ctx.deliver_up(src, bytes);
     }
 
     fn enter_switching(&mut self, ctx: &mut LayerCtx<'_>) {
@@ -446,7 +461,7 @@ impl SwitchLayer {
             self.switch_started = ctx.now();
             self.expected = None;
             self.absorb_other = false;
-            self.handle.update(|s| s.switching = true);
+            self.book.handle.update(|s| s.switching = true);
             record_phase(ctx, SpPhase::PrepareSeen, self.current, 1 - self.current);
             if self.cfg.phase_timeout > SimTime::ZERO {
                 self.abort_gen = self.abort_gen.wrapping_add(1) & GEN_MASK;
@@ -481,9 +496,9 @@ impl SwitchLayer {
         self.absorb_other = true;
         let buffered = std::mem::take(&mut self.buffer);
         for d in buffered {
-            self.deliver_foreign(d, ctx);
+            self.book.deliver_foreign(d, ctx);
         }
-        self.handle.update(|s| {
+        self.book.handle.update(|s| {
             s.switching = false;
             s.aborted += 1;
         });
@@ -546,7 +561,7 @@ impl SwitchLayer {
         }
         let Some(vector) = &self.expected else { return };
         let drained =
-            vector.iter().all(|(q, c)| self.delivered_from.get(q).copied().unwrap_or(0) >= *c);
+            vector.iter().all(|(q, c)| self.book.delivered_from.get(q).copied().unwrap_or(0) >= *c);
         if !drained {
             return;
         }
@@ -558,7 +573,7 @@ impl SwitchLayer {
         self.mode = Mode::Normal;
         self.sent_current = self.sent_next;
         self.sent_next = 0;
-        self.delivered_from.clear();
+        self.book.delivered_from.clear();
         self.expected = None;
         self.am_manager = false;
         self.manager_oks.clear();
@@ -572,7 +587,7 @@ impl SwitchLayer {
             started_at: self.switch_started,
             completed_at: ctx.now(),
         };
-        self.handle.update(|s| {
+        self.book.handle.update(|s| {
             s.records.push(record);
             s.switching = false;
             s.current = 1 - from;
@@ -585,14 +600,18 @@ impl SwitchLayer {
             // application trace. The announcement is fabricated
             // identically at every member (same id, same body).
             let group = ctx.group_slice();
-            let vm =
-                Message::view_change(group[0], CTL_SEQ_BASE + self.era, self.era, group.to_vec());
+            let vm = Message::view_change(
+                group[0],
+                MsgId::CONTROL_SEQ_BASE + self.era,
+                self.era,
+                group.to_vec(),
+            );
             ctx.deliver_up(vm.id.sender, vm.to_bytes());
         }
         // Release the buffer — these are new-era deliveries.
         let buffered = std::mem::take(&mut self.buffer);
         for d in buffered {
-            self.deliver_current(d, ctx);
+            self.book.deliver_current(d, ctx);
         }
         record_phase(ctx, SpPhase::BufferRelease, from, self.current);
         // Token variant: a FLUSH held for our drain can move on now.
@@ -607,7 +626,7 @@ impl SwitchLayer {
         self.joined_round = self.done_round + 1;
         self.enter_switching(ctx);
         self.am_manager = true;
-        self.handle.update(|s| s.initiated += 1);
+        self.book.handle.update(|s| s.initiated += 1);
         let msg = Control::Prepare { era: self.era + 1, round: self.joined_round };
         self.send_ctl_broadcast(msg.to_bytes(), ctx);
     }
@@ -672,15 +691,8 @@ impl SwitchLayer {
 
     // ---- token variant -----------------------------------------------------
 
-    fn ring_next(ctx: &LayerCtx<'_>) -> ProcessId {
-        let group = ctx.group_slice();
-        let me = ctx.me();
-        let idx = group.iter().position(|&p| p == me).expect("member of own group");
-        group[(idx + 1) % group.len()]
-    }
-
     fn forward_token(&mut self, token: RingToken, ctx: &mut LayerCtx<'_>) {
-        let next = Self::ring_next(ctx);
+        let next = ctx.ring_next();
         self.send_control(ps_stack::Cast::To(next), token.to_bytes(), ctx);
     }
 
@@ -706,7 +718,7 @@ impl SwitchLayer {
                 let wanted = self.want_target.take().filter(|&t| t != self.current);
                 if wanted.is_some() && self.mode == Mode::Normal {
                     self.enter_switching(ctx);
-                    self.handle.update(|s| s.initiated += 1);
+                    self.book.handle.update(|s| s.initiated += 1);
                     token.mode = TokenMode::Prepare;
                     token.era = self.era + 1;
                     token.initiator = me;
@@ -797,23 +809,23 @@ impl SwitchLayer {
     fn observe(&mut self, ctx: &mut LayerCtx<'_>) {
         let now = ctx.now();
         let cutoff = now.saturating_sub(self.cfg.observe_window);
-        while self.recent.front().is_some_and(|&(t, _)| t < cutoff) {
-            self.recent.pop_front();
+        while self.book.recent.front().is_some_and(|&(t, _)| t < cutoff) {
+            self.book.recent.pop_front();
         }
         // Every sender is a group member, so the distinct senders in the
         // window are the members that occur in it.
         let active_senders = ctx
             .group_slice()
             .iter()
-            .filter(|&&member| self.recent.iter().any(|&(_, sender)| sender == member))
+            .filter(|&&member| self.book.recent.iter().any(|&(_, sender)| sender == member))
             .count();
         let obs = SwitchObs {
             now,
             current: self.current,
             active_senders,
-            recent_deliveries: self.recent.len() as u64,
+            recent_deliveries: self.book.recent.len() as u64,
             switching: self.mode == Mode::Switching,
-            last_switch: self.handle.update(|s| s.records.last().map(|r| r.completed_at)),
+            last_switch: self.book.handle.update(|s| s.records.last().map(|r| r.completed_at)),
         };
         if let Some(target) = self.oracle.decide(&obs) {
             if target != self.current && self.mode == Mode::Normal {
@@ -846,8 +858,7 @@ impl Layer for SwitchLayer {
         // tokens rotate, its timers fire — exactly as in Horus) and the
         // control transport.
         for idx in 0..2 {
-            let ((), sink) = self.run_sub(idx, ctx, |stack, env| stack.launch(env));
-            self.process_deliveries(idx, sink, ctx);
+            self.run_sub(idx, ctx, |stack, env| stack.launch(env));
         }
         self.run_control(ctx, |stack, env| stack.launch(env));
         ctx.set_timer(self.cfg.observe_interval, OBSERVE);
@@ -866,8 +877,7 @@ impl Layer for SwitchLayer {
         // transport so they re-arm their own timers (retransmission
         // sweeps, ordering-token holds, …).
         for idx in 0..2 {
-            let ((), sink) = self.run_sub(idx, ctx, |stack, env| stack.restart(env));
-            self.process_deliveries(idx, sink, ctx);
+            self.run_sub(idx, ctx, |stack, env| stack.restart(env));
         }
         self.run_control(ctx, |stack, env| stack.restart(env));
         // Every timer below died with the crashed incarnation.
@@ -909,26 +919,18 @@ impl Layer for SwitchLayer {
         } else {
             self.sent_next += 1;
         }
-        let ((), sink) =
-            self.run_sub(target, ctx, |stack, env| stack.send_bytes(frame.dest, frame.bytes, env));
-        self.process_deliveries(target, sink, ctx);
+        self.run_sub(target, ctx, |stack, env| stack.send_bytes(frame.dest, frame.bytes, env));
     }
 
     fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((ch, payload)) = channel::demux(&bytes) else { return };
-        // `payload` must be the frame's only handle while the sub-stack
-        // runs, so a layer that relays it (the sequencer) can push its
-        // header in place.
-        drop(bytes);
+        let Ok((ch, payload)) = channel::demux(bytes) else { return };
         match ch {
             ChannelId::CONTROL => {
                 self.run_control(ctx, |stack, env| stack.receive(src, payload, env));
             }
             ChannelId::PROTO_A | ChannelId::PROTO_B => {
                 let idx = usize::from(ch.0 - 1);
-                let ((), sink) =
-                    self.run_sub(idx, ctx, |stack, env| stack.receive(src, payload, env));
-                self.process_deliveries(idx, sink, ctx);
+                self.run_sub(idx, ctx, |stack, env| stack.receive(src, payload, env));
             }
             _ => {}
         }
@@ -965,17 +967,250 @@ impl Layer for SwitchLayer {
 
     fn route_timer(&mut self, id: LayerId, token: u32, ctx: &mut LayerCtx<'_>) -> bool {
         for idx in 0..2 {
-            let (handled, mut sink) =
-                self.run_sub(idx, ctx, |stack, env| stack.timer(id, token, env));
-            if handled {
-                self.process_deliveries(idx, sink, ctx);
+            if self.run_sub(idx, ctx, |stack, env| stack.timer(id, token, env)) {
                 return true;
             }
-            debug_assert!(sink.is_empty(), "unhandled timer produced deliveries");
-            sink.clear();
-            self.sink = sink;
         }
         // Control-transport timers (e.g. a reliable layer's retransmits).
         self.run_control(ctx, |stack, env| stack.timer(id, token, env))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::oracle::NeverOracle;
+    use std::sync::{Arc, Mutex};
+
+    const P0: ProcessId = ProcessId(0);
+    const P1: ProcessId = ProcessId(1);
+
+    /// Process 1 of a two-member group: what its stack handed the
+    /// application and the network, and the timers it armed.
+    struct Node {
+        rng: DetRng,
+        delivered: Vec<Message>,
+        sent: Vec<Frame>,
+        timers: Vec<(LayerId, u32)>,
+    }
+
+    impl StackEnv for Node {
+        fn me(&self) -> ProcessId {
+            P1
+        }
+        fn group(&self) -> &[ProcessId] {
+            &[P0, P1]
+        }
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn rng(&mut self) -> &mut DetRng {
+            &mut self.rng
+        }
+        fn transmit(&mut self, frame: Frame) {
+            self.sent.push(frame);
+        }
+        fn deliver(&mut self, _src: ProcessId, msg: Message) {
+            self.delivered.push(msg);
+        }
+        fn set_timer(&mut self, _delay: SimTime, id: LayerId, token: u32) {
+            self.timers.push((id, token));
+        }
+    }
+
+    /// The layer in a stack, with a second handle for the test to read its
+    /// private state between calls.
+    struct Shared(Arc<Mutex<SwitchLayer>>);
+
+    impl Layer for Shared {
+        fn name(&self) -> &'static str {
+            "switch"
+        }
+        fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
+            self.0.lock().unwrap().on_launch(ctx)
+        }
+        fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
+            self.0.lock().unwrap().on_up(src, bytes, ctx)
+        }
+        fn on_timer(&mut self, token: u32, ctx: &mut LayerCtx<'_>) {
+            self.0.lock().unwrap().on_timer(token, ctx)
+        }
+    }
+
+    /// A switch at process 1 over two empty protocols: what arrives on a
+    /// protocol's channel is at that protocol's application boundary.
+    struct Rig {
+        stack: Stack,
+        layer: Arc<Mutex<SwitchLayer>>,
+        handle: SwitchHandle,
+        node: Node,
+        variant: SwitchVariant,
+    }
+
+    const VARIANTS: [SwitchVariant; 2] =
+        [SwitchVariant::Broadcast, SwitchVariant::TokenRing { idle_hold: SimTime::ZERO }];
+
+    impl Rig {
+        fn new(variant: SwitchVariant) -> Self {
+            let cfg = SwitchConfig { variant, ..SwitchConfig::default() };
+            let (layer, handle) = SwitchLayer::new(
+                cfg,
+                Stack::new(vec![]),
+                Stack::new(vec![]),
+                Box::new(NeverOracle),
+            );
+            let layer = Arc::new(Mutex::new(layer));
+            let mut stack = Stack::new(vec![Box::new(Shared(layer.clone()))]);
+            let mut node =
+                Node { rng: DetRng::new(1), delivered: vec![], sent: vec![], timers: vec![] };
+            stack.launch(&mut node);
+            Self { stack, layer, handle, node, variant }
+        }
+
+        fn receive(&mut self, channel: ChannelId, bytes: Bytes) {
+            self.stack.receive(P0, channel::mux(channel, bytes), &mut self.node);
+        }
+
+        /// Application message `seq` of process 0 arrives on protocol `idx`.
+        fn data(&mut self, idx: usize, seq: u64) {
+            self.receive(chan(idx), Message::with_tag(P0, seq, 0).to_bytes());
+        }
+
+        fn control(&mut self, body: Bytes) {
+            let envelope = Message::new(P0, MsgId::CONTROL_SEQ_BASE + 1, body);
+            self.receive(ChannelId::CONTROL, envelope.to_bytes());
+        }
+
+        /// PREPARE for era 1 arrives from process 0.
+        fn prepare(&mut self) {
+            match self.variant {
+                SwitchVariant::Broadcast => {
+                    self.control(Control::Prepare { era: 1, round: 1 }.to_bytes())
+                }
+                SwitchVariant::TokenRing { .. } => self.control(self.token(TokenMode::Prepare, 0)),
+            }
+        }
+
+        /// SWITCH for era 1 arrives: process 0 sent `count` old-protocol
+        /// messages, this process none.
+        fn switch(&mut self, count: u64) {
+            match self.variant {
+                SwitchVariant::Broadcast => {
+                    let vector = vec![(P0, count), (P1, 0)];
+                    self.control(Control::Switch { era: 1, round: 1, vector }.to_bytes())
+                }
+                SwitchVariant::TokenRing { .. } => {
+                    self.control(self.token(TokenMode::Switch, count))
+                }
+            }
+        }
+
+        fn token(&self, mode: TokenMode, count: u64) -> Bytes {
+            let counts = vec![(P0, count), (P1, 0)];
+            RingToken { mode, era: 1, initiator: P0, counts, gen: 0 }.to_bytes()
+        }
+
+        /// Sequence numbers the application has seen, in order.
+        fn seen(&self) -> Vec<u64> {
+            self.node.delivered.iter().map(|m| m.id.seq).collect()
+        }
+
+        fn counted_from_p0(&self) -> u64 {
+            self.layer.lock().unwrap().book.delivered_from.get(&P0).copied().unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn corrupt_bytes_at_the_current_protocols_boundary_are_dropped_and_uncounted() {
+        let mut rig = Rig::new(SwitchVariant::Broadcast);
+        let good = Message::with_tag(P0, 1, 0).to_bytes();
+        // Cut short, extended, and plain noise: none is exactly one message.
+        rig.receive(chan(0), good.slice(..good.len() - 1));
+        rig.receive(chan(0), [&good[..], &[0]].concat().into());
+        rig.receive(chan(0), Bytes::from_static(&[0xff, 0x01]));
+        rig.receive(chan(0), Bytes::new());
+        assert!(rig.node.delivered.is_empty());
+        assert_eq!(rig.counted_from_p0(), 0);
+        assert_eq!(rig.handle.snapshot().delivered, 0);
+        assert!(rig.layer.lock().unwrap().book.recent.is_empty());
+        // The same on the other protocol's channel: nothing is buffered.
+        rig.receive(chan(1), good.slice(..good.len() - 1));
+        assert!(rig.layer.lock().unwrap().buffer.is_empty());
+        // And the real thing still counts.
+        rig.receive(chan(0), good);
+        assert_eq!((rig.seen(), rig.counted_from_p0()), (vec![1], 1));
+        assert_eq!(rig.handle.snapshot().delivered, 1);
+    }
+
+    #[test]
+    fn while_switching_the_old_protocol_passes_at_once_and_the_new_one_waits_for_the_flip() {
+        for variant in VARIANTS {
+            let mut rig = Rig::new(variant);
+            rig.data(0, 1);
+            assert_eq!(rig.seen(), [1], "{variant:?}: normal mode delivers at once");
+            rig.prepare();
+            assert!(rig.handle.switching(), "{variant:?}");
+
+            rig.data(1, 11);
+            assert_eq!(rig.seen(), [1], "{variant:?}: the new protocol is held back");
+            rig.data(0, 2);
+            assert_eq!(rig.seen(), [1, 2], "{variant:?}: the old protocol is not");
+            rig.data(1, 12);
+            assert_eq!(rig.handle.snapshot().buffered_peak, 2, "{variant:?}");
+            assert_eq!(rig.counted_from_p0(), 2, "{variant:?}: buffered messages are not counted");
+
+            // Process 0 sent three over the old protocol; one is missing.
+            rig.switch(3);
+            assert!(rig.handle.switching(), "{variant:?}: not drained yet");
+            assert_eq!(rig.seen(), [1, 2], "{variant:?}");
+
+            // The last old-protocol message goes up, *then* the flip
+            // releases the buffer in arrival order.
+            rig.data(0, 3);
+            assert_eq!(rig.seen(), [1, 2, 3, 11, 12], "{variant:?}");
+            assert!(!rig.handle.switching(), "{variant:?}");
+            assert_eq!(rig.handle.current(), 1, "{variant:?}");
+            // The released messages are the new era's first two.
+            assert_eq!(rig.counted_from_p0(), 2, "{variant:?}");
+            assert_eq!(rig.handle.snapshot().delivered, 5, "{variant:?}");
+
+            // Protocol 1 is current now: straight through.
+            rig.data(1, 13);
+            assert_eq!(rig.seen(), [1, 2, 3, 11, 12, 13], "{variant:?}");
+            assert!(rig.layer.lock().unwrap().buffer.is_empty(), "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn after_an_abort_the_other_protocol_is_absorbed_not_buffered_and_not_counted() {
+        for variant in VARIANTS {
+            let mut rig = Rig::new(variant);
+            rig.prepare();
+            rig.data(1, 11);
+            assert!(rig.seen().is_empty(), "{variant:?}: buffered while switching");
+
+            // The attempt's deadline passes.
+            let (id, token) = *rig
+                .node
+                .timers
+                .iter()
+                .find(|(_, token)| token & FLAG_MASK == ABORT_FLAG)
+                .expect("entering switching arms the abort timer");
+            assert!(rig.stack.timer(id, token, &mut rig.node));
+            assert_eq!(rig.handle.aborted(), 1, "{variant:?}");
+            assert_eq!(rig.seen(), [11], "{variant:?}: the abort releases the buffer");
+
+            rig.data(1, 12);
+            assert_eq!(rig.seen(), [11, 12], "{variant:?}: absorbed at once");
+            assert!(rig.layer.lock().unwrap().buffer.is_empty(), "{variant:?}");
+            assert_eq!(rig.handle.snapshot().buffered_peak, 1, "{variant:?}");
+            // Delivered, observed as load, but outside the era's accounting.
+            assert_eq!(rig.counted_from_p0(), 0, "{variant:?}");
+            assert_eq!(rig.handle.snapshot().delivered, 2, "{variant:?}");
+            assert_eq!(rig.handle.current(), 0, "{variant:?}");
+
+            rig.data(0, 1);
+            assert_eq!((rig.seen(), rig.counted_from_p0()), (vec![11, 12, 1], 1), "{variant:?}");
+        }
     }
 }

@@ -41,7 +41,6 @@ use ps_protocols::{SeqOrderLayer, TokenOrderLayer};
 use ps_simnet::{EthernetConfig, SharedBus, SimTime, Topology};
 use ps_stack::{GroupSimBuilder, Layer, LayerCtx, Stack};
 use ps_trace::{Message, ProcessId};
-use ps_wire::Wire;
 use ps_workload::{Profile, TrafficSpec};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -50,10 +49,6 @@ use std::sync::Arc;
 /// Node that gets the broken ordering layer when
 /// [`MonitorRunConfig::inject_fault`] is set.
 pub const FAULT_NODE: u16 = 2;
-
-/// Sequence numbers at or above this are switch-control envelopes, not
-/// application messages (mirrors the runtime's recording filter).
-const CTL_SEQ_BASE: u64 = 1 << 48;
 
 /// Configuration of the monitored crossover run.
 #[derive(Debug, Clone)]
@@ -178,8 +173,8 @@ impl Default for SwapFaultLayer {
 
 /// The sender of an *application* message, if `bytes` is one.
 fn app_sender(bytes: &Bytes) -> Option<ProcessId> {
-    let msg = Message::from_frame(bytes).ok()?;
-    (msg.id.seq < CTL_SEQ_BASE).then_some(msg.id.sender)
+    let id = Message::peek_id(bytes).ok()?;
+    (!id.is_control()).then_some(id.sender)
 }
 
 impl Layer for SwapFaultLayer {

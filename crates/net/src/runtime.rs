@@ -147,7 +147,7 @@ impl StackEnv for NetEnv<'_> {
     fn deliver(&mut self, _src: ProcessId, msg: Message) {
         *self.delivered += 1;
         let at = self.now();
-        if self.rec_on && msg.id.seq < (1 << 48) {
+        if self.rec_on && !msg.id.is_control() {
             // Same filter as the simulated runtime: control envelopes
             // (reserved seq space) are not application traffic.
             self.rec.record_caused(

@@ -74,7 +74,7 @@ impl Layer for AmoebaLayer {
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<AmoebaHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<AmoebaHeader>(bytes) else {
             return;
         };
         ctx.deliver_up(hdr.sender, payload);

@@ -112,9 +112,12 @@ impl Layer for CausalOrderLayer {
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<CausalHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<CausalHeader>(bytes) else {
             return;
         };
+        if hdr.sender.index() >= hdr.vc.len() {
+            return; // a sender outside its own clock: no process builds that
+        }
         self.ensure_size(hdr.vc.len().max(ctx.group_len()));
         self.held.push((hdr, payload));
         self.drain(ctx);

@@ -71,7 +71,7 @@ impl Layer for ConfidentialityLayer {
     }
 
     fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, sealed)) = ps_wire::pop_header::<ConfHeader>(&bytes) else {
+        let Ok((hdr, sealed)) = ps_wire::take_header::<ConfHeader>(bytes) else {
             self.undecryptable += 1;
             return;
         };

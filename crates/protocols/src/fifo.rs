@@ -61,12 +61,18 @@ impl Layer for FifoLayer {
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<FifoHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<FifoHeader>(bytes) else {
             return; // malformed: drop
         };
         let inbound = self.inbound.entry(hdr.sender).or_default();
         if hdr.seq < inbound.next {
             return; // stale duplicate
+        }
+        if hdr.seq == inbound.next && inbound.held.is_empty() {
+            // In order with nothing held back: no container is touched.
+            inbound.next += 1;
+            ctx.deliver_up(hdr.sender, payload);
+            return;
         }
         inbound.held.insert(hdr.seq, payload);
         while let Some(payload) = inbound.held.remove(&inbound.next) {
@@ -114,43 +120,78 @@ mod tests {
         assert_eq!(tr.iter().filter(|e| e.is_deliver()).count(), 12 * 3);
     }
 
+    /// Captures what reaches the application; everything else is inert.
+    struct Env {
+        delivered: Vec<(ProcessId, Bytes)>,
+        rng: ps_simnet::DetRng,
+    }
+    impl ps_stack::StackEnv for Env {
+        fn me(&self) -> ProcessId {
+            ProcessId(1)
+        }
+        fn group(&self) -> &[ProcessId] {
+            &[ProcessId(0), ProcessId(1)]
+        }
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn rng(&mut self) -> &mut ps_simnet::DetRng {
+            &mut self.rng
+        }
+        fn transmit(&mut self, _: Frame) {}
+        fn deliver(&mut self, src: ProcessId, msg: ps_trace::Message) {
+            self.delivered.push((src, msg.body));
+        }
+        fn set_timer(&mut self, _: SimTime, _: ps_stack::LayerId, _: u32) {}
+    }
+
+    /// Sender `sender`'s frame number `seq`, carrying a one-byte body.
+    fn framed(sender: u16, seq: u64, tag: u8) -> Bytes {
+        let msg = ps_trace::Message::with_tag(ProcessId(sender), seq, tag);
+        ps_wire::push_header(&FifoHeader { sender: ProcessId(sender), seq }, msg.to_bytes())
+    }
+
     #[test]
     fn duplicate_frames_are_suppressed() {
         // A layer-level unit test: feed the same frame up twice.
-        struct Env {
-            delivered: Vec<(ProcessId, Bytes)>,
-            rng: ps_simnet::DetRng,
-        }
-        impl ps_stack::StackEnv for Env {
-            fn me(&self) -> ProcessId {
-                ProcessId(1)
-            }
-            fn group(&self) -> &[ProcessId] {
-                &[ProcessId(0), ProcessId(1)]
-            }
-            fn now(&self) -> SimTime {
-                SimTime::ZERO
-            }
-            fn rng(&mut self) -> &mut ps_simnet::DetRng {
-                &mut self.rng
-            }
-            fn transmit(&mut self, _: Frame) {}
-            fn deliver(&mut self, src: ProcessId, msg: ps_trace::Message) {
-                self.delivered.push((src, msg.body));
-            }
-            fn set_timer(&mut self, _: SimTime, _: ps_stack::LayerId, _: u32) {}
-        }
-
         let mut env = Env { delivered: Vec::new(), rng: ps_simnet::DetRng::new(0) };
         let mut stack = Stack::new(vec![Box::new(FifoLayer::new())]);
-        let msg = ps_trace::Message::with_tag(ProcessId(0), 1, 5);
-        let framed = ps_wire::push_header(
-            &FifoHeader { sender: ProcessId(0), seq: 0 },
-            ps_wire::Wire::to_bytes(&msg),
-        );
-        stack.receive(ProcessId(0), framed.clone(), &mut env);
-        stack.receive(ProcessId(0), framed, &mut env);
+        stack.receive(ProcessId(0), framed(0, 0, 5), &mut env);
+        stack.receive(ProcessId(0), framed(0, 0, 5), &mut env);
         assert_eq!(env.delivered.len(), 1);
+    }
+
+    #[test]
+    fn in_order_fast_path_and_hold_back_path_deliver_the_same_stream() {
+        let mut env = Env { delivered: Vec::new(), rng: ps_simnet::DetRng::new(0) };
+        let mut stack = Stack::new(vec![Box::new(FifoLayer::new())]);
+        let tags = |env: &Env| env.delivered.iter().map(|(_, b)| b[0]).collect::<Vec<u8>>();
+        let mut feed = |seq: u64, env: &mut Env| {
+            stack.receive(ProcessId(0), framed(0, seq, seq as u8), env);
+        };
+        // In order: straight through, nothing held.
+        feed(0, &mut env);
+        feed(1, &mut env);
+        assert_eq!(tags(&env), [0, 1]);
+        // A gap: 3 and 4 wait (4 twice — the copy changes nothing), and a
+        // stale 1 is dropped without disturbing them.
+        feed(3, &mut env);
+        feed(4, &mut env);
+        feed(4, &mut env);
+        feed(1, &mut env);
+        assert_eq!(tags(&env), [0, 1]);
+        // 2 is in order but must not overtake the hold-back queue's turn:
+        // it goes first, then 3 and 4 follow it out.
+        feed(2, &mut env);
+        assert_eq!(tags(&env), [0, 1, 2, 3, 4]);
+        // The queue is empty again: back on the fast path, and a duplicate
+        // of what it released is stale.
+        feed(5, &mut env);
+        feed(3, &mut env);
+        assert_eq!(tags(&env), [0, 1, 2, 3, 4, 5]);
+        // Another sender's stream is independent.
+        stack.receive(ProcessId(1), framed(1, 0, 9), &mut env);
+        assert_eq!(env.delivered.last().unwrap().0, ProcessId(1));
     }
 
     #[test]

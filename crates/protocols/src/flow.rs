@@ -175,7 +175,7 @@ impl Layer for CreditControlLayer {
     }
 
     fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<CreditHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<CreditHeader>(bytes) else {
             return;
         };
         match hdr {

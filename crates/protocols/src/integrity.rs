@@ -80,7 +80,7 @@ impl Layer for IntegrityLayer {
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<IntHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<IntHeader>(bytes) else {
             self.rejected += 1;
             return;
         };

@@ -75,7 +75,7 @@ impl Layer for PriorityLayer {
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<PrioHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<PrioHeader>(bytes) else {
             return;
         };
         let me = ctx.me();

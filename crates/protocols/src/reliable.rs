@@ -180,7 +180,7 @@ impl Layer for ReliableLayer {
     }
 
     fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<RelHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<RelHeader>(bytes) else {
             return;
         };
         match hdr {

@@ -87,12 +87,9 @@ impl Layer for SeqOrderLayer {
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<SeqHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<SeqHeader>(bytes) else {
             return;
         };
-        // The relay below pushes onto `payload`; that is in place only
-        // if `payload` is the frame's last handle.
-        drop(bytes);
         match hdr {
             SeqHeader::Forward { orig } => {
                 if ctx.me() == self.sequencer {

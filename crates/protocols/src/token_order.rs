@@ -84,13 +84,6 @@ impl TokenOrderLayer {
         }
     }
 
-    fn ring_next(ctx: &LayerCtx<'_>) -> ProcessId {
-        let group = ctx.group_slice();
-        let me = ctx.me();
-        let idx = group.iter().position(|&p| p == me).expect("member of own group");
-        group[(idx + 1) % group.len()]
-    }
-
     /// Stamps and broadcasts everything pending, returning the advanced
     /// gseq.
     fn flush_pending(&mut self, mut gseq: u64, ctx: &mut LayerCtx<'_>) -> u64 {
@@ -105,7 +98,7 @@ impl TokenOrderLayer {
 
     fn forward_token(&mut self, gseq: u64, ctx: &mut LayerCtx<'_>) {
         self.token_passes += 1;
-        let next = Self::ring_next(ctx);
+        let next = ctx.ring_next();
         let hdr = TokHeader::Token { next_gseq: gseq };
         ctx.send_down(Frame::to(next, ps_wire::push_header(&hdr, Bytes::new())));
     }
@@ -159,7 +152,7 @@ impl Layer for TokenOrderLayer {
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<TokHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<TokHeader>(bytes) else {
             return;
         };
         match hdr {

@@ -315,7 +315,7 @@ impl Layer for VsyncLayer {
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok((hdr, payload)) = ps_wire::pop_header::<VsHeader>(&bytes) else {
+        let Ok((hdr, payload)) = ps_wire::take_header::<VsHeader>(bytes) else {
             return;
         };
         match hdr {

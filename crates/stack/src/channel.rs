@@ -35,14 +35,14 @@ pub fn mux(channel: ChannelId, payload: Bytes) -> Bytes {
     ps_wire::push_header(&channel, payload)
 }
 
-/// Splits a tagged frame back into channel id and payload (a slice of
-/// `frame`, not a copy).
+/// Splits a tagged frame back into channel id and payload (the frame's
+/// own handle, moved past the tag).
 ///
 /// # Errors
 ///
 /// Returns [`WireError::UnexpectedEof`] on an empty frame.
-pub fn demux(frame: &Bytes) -> Result<(ChannelId, Bytes), WireError> {
-    ps_wire::pop_header(frame)
+pub fn demux(frame: Bytes) -> Result<(ChannelId, Bytes), WireError> {
+    ps_wire::take_header(frame)
 }
 
 #[cfg(test)]
@@ -52,7 +52,7 @@ mod tests {
     #[test]
     fn mux_demux_roundtrip() {
         let framed = mux(ChannelId::PROTO_B, Bytes::from_static(b"payload"));
-        let (ch, payload) = demux(&framed).unwrap();
+        let (ch, payload) = demux(framed).unwrap();
         assert_eq!(ch, ChannelId::PROTO_B);
         assert_eq!(&payload[..], b"payload");
     }
@@ -65,6 +65,6 @@ mod tests {
 
     #[test]
     fn demux_empty_frame_errors() {
-        assert!(demux(&Bytes::new()).is_err());
+        assert!(demux(Bytes::new()).is_err());
     }
 }

@@ -192,6 +192,19 @@ impl<'a> LayerCtx<'a> {
         self.env.group().len()
     }
 
+    /// The member after this process on the logical ring the group forms
+    /// in membership order (wrapping) — where a rotating token goes next.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this process is not in its own group.
+    pub fn ring_next(&self) -> ProcessId {
+        let group = self.env.group();
+        let me = self.env.me();
+        let idx = group.iter().position(|&p| p == me).expect("member of own group");
+        group[(idx + 1) % group.len()]
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.env.now()

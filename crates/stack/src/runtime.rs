@@ -83,9 +83,9 @@ impl StackEnv for EnvAdapter<'_, '_> {
         let me = self.cell.me;
         if let Some(o) = self.api.obs() {
             // Control envelopes (view changes etc.) use the reserved seq
-            // space at 1 << 48 and are not application traffic — streaming
-            // monitors would misread them as reordered deliveries.
-            if msg.id.seq < (1 << 48) {
+            // space and are not application traffic — streaming monitors
+            // would misread them as reordered deliveries.
+            if !msg.id.is_control() {
                 o.record_caused(
                     self.api.now().as_micros(),
                     u32::from(me.0),

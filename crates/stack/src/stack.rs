@@ -28,14 +28,17 @@ pub trait StackEnv {
     fn transmit(&mut self, frame: Frame);
     /// A message leaving the top of the stack, bound for the application.
     fn deliver(&mut self, src: ProcessId, msg: Message);
-    /// [`StackEnv::deliver`] together with the encoded bytes `msg` was
-    /// decoded from (its body is a slice of them). This is what the stack
-    /// calls; the default drops the bytes. An environment that passes the
-    /// message on in encoded form — a composite layer hosting this stack —
-    /// overrides it and forwards `bytes` instead of re-encoding `msg`.
-    fn deliver_encoded(&mut self, src: ProcessId, msg: Message, bytes: Bytes) {
-        let _ = bytes;
-        self.deliver(src, msg);
+    /// Bytes leaving the top of the stack: one encoded [`Message`], or
+    /// garbage. This is what the stack calls. The default decodes once,
+    /// consuming `bytes` (the message's body is that same handle), and
+    /// calls [`StackEnv::deliver`]; bytes that are not exactly one message
+    /// are dropped, per robustness convention. An environment that passes
+    /// the message on in encoded form — a composite layer hosting this
+    /// stack — overrides it and never builds the `Message`.
+    fn deliver_bytes(&mut self, src: ProcessId, bytes: Bytes) {
+        if let Ok(msg) = Message::from_owned(bytes) {
+            self.deliver(src, msg);
+        }
     }
     /// Arm a one-shot timer for layer `id`.
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32);
@@ -70,9 +73,27 @@ pub trait StackEnv {
     }
 }
 
+/// Which instruments are attached, read from the environment once per
+/// stack entry: a sub-stack's environment answers three composite layers
+/// deep, and between two entries the answer cannot change. With neither
+/// attached a handler call asks the environment nothing.
+#[derive(Clone, Copy)]
+struct Instruments {
+    /// A recorder: handler calls get spans, work items carry causes.
+    obs: bool,
+    /// A profiler: handler calls get `stack/<layer>` spans.
+    prof: bool,
+}
+
+impl Instruments {
+    fn of(env: &dyn StackEnv) -> Self {
+        Self { obs: env.obs().is_some(), prof: env.prof().is_some() }
+    }
+}
+
 /// Opens a `stack/<layer>` profiler span around a handler call. The
 /// guard owns its handle (it must not borrow `env`, which the handler
-/// needs mutably); profiling off means a free no-op guard.
+/// needs mutably).
 fn prof_span(env: &dyn StackEnv, name: &'static str) -> Option<ps_prof::OwnedSpan> {
     env.prof().map(|p| p.owned_span(&["stack", name]))
 }
@@ -203,12 +224,13 @@ impl Stack {
     /// Launches every layer, top to bottom (starts tokens rotating, arms
     /// initial timers, …).
     pub fn launch(&mut self, env: &mut dyn StackEnv) {
+        let on = Instruments::of(env);
         for i in 0..self.slots.len() {
-            self.call(i, LayerDir::Launch, env, |layer, ctx| {
+            self.call(i, LayerDir::Launch, env, on, |layer, ctx| {
                 layer.on_launch(ctx);
                 layer.launch_nested(ctx);
             });
-            self.run(env);
+            self.run(env, on);
         }
     }
 
@@ -216,9 +238,10 @@ impl Stack {
     /// recovers from a crash (see [`Layer::on_restart`]): state survived,
     /// timers did not — each layer re-arms what it needs.
     pub fn restart(&mut self, env: &mut dyn StackEnv) {
+        let on = Instruments::of(env);
         for i in 0..self.slots.len() {
-            self.call(i, LayerDir::Restart, env, |layer, ctx| layer.on_restart(ctx));
-            self.run(env);
+            self.call(i, LayerDir::Restart, env, on, |layer, ctx| layer.on_restart(ctx));
+            self.run(env, on);
         }
     }
 
@@ -243,10 +266,11 @@ impl Stack {
     /// Delivers a timer firing to the owning layer (searching nested
     /// stacks). Returns `false` if no layer claims `id`.
     pub fn timer(&mut self, id: LayerId, token: u32, env: &mut dyn StackEnv) -> bool {
+        let on = Instruments::of(env);
         for i in 0..self.slots.len() {
             if self.slots[i].id == id {
-                self.call(i, LayerDir::Timer, env, |layer, ctx| layer.on_timer(token, ctx));
-                self.run(env);
+                self.call(i, LayerDir::Timer, env, on, |layer, ctx| layer.on_timer(token, ctx));
+                self.run(env, on);
                 return true;
             }
             // Search nested stacks (composite layers).
@@ -254,8 +278,10 @@ impl Stack {
             let slot = &mut self.slots[i];
             let mut ctx = LayerCtx::new(env, slot.id, i, &mut self.queue);
             if slot.layer.route_timer(id, token, &mut ctx) {
-                stamp(&mut self.queue, mark, env.cause());
-                self.run(env);
+                if on.obs {
+                    stamp(&mut self.queue, mark, env.cause());
+                }
+                self.run(env, on);
                 return true;
             }
             // The queue outlives this call: an emission left here would
@@ -271,33 +297,38 @@ impl Stack {
         // A layer cannot reach the stack it sits in, so nothing calls in
         // while `run` is draining: whatever is queued here was left behind.
         debug_assert!(self.queue.is_empty(), "an earlier call left work queued");
-        self.queue.push_back(Work { cause: env.cause(), step });
-        self.run(env);
+        let on = Instruments::of(env);
+        let cause = if on.obs { env.cause() } else { CauseId::NONE };
+        self.queue.push_back(Work { cause, step });
+        self.run(env, on);
     }
 
-    /// Calls one handler of layer `idx` inside its observability and
-    /// profiler spans, then stamps what it emitted with the causal context
-    /// it left behind.
+    /// Calls one handler of layer `idx` inside the spans of whichever
+    /// instruments are `on`, then stamps what it emitted with the causal
+    /// context it left behind.
     fn call(
         &mut self,
         idx: usize,
         dir: LayerDir,
         env: &mut dyn StackEnv,
+        on: Instruments,
         handler: impl FnOnce(&mut dyn Layer, &mut LayerCtx<'_>),
     ) {
         let slot = &mut self.slots[idx];
-        let name = slot.layer.name();
-        let span = span_open(env, name, dir);
-        let psp = prof_span(env, name);
+        let name = if on.obs || on.prof { slot.layer.name() } else { "" };
+        let span = if on.obs { span_open(env, name, dir) } else { CauseId::NONE };
+        let psp = if on.prof { prof_span(env, name) } else { None };
         let mark = self.queue.len();
         handler(slot.layer.as_mut(), &mut LayerCtx::new(env, slot.id, idx, &mut self.queue));
         drop(psp);
-        span_close(env, name, dir, span);
-        stamp(&mut self.queue, mark, env.cause());
+        if on.obs {
+            span_close(env, name, dir, span);
+            stamp(&mut self.queue, mark, env.cause());
+        }
     }
 
     /// Hands queued work on until none is left.
-    fn run(&mut self, env: &mut dyn StackEnv) {
+    fn run(&mut self, env: &mut dyn StackEnv, on: Instruments) {
         let n = self.slots.len();
         while let Some(Work { cause, step }) = self.queue.pop_front() {
             // Each arm sets and restores the cause itself: one pair hoisted
@@ -305,31 +336,29 @@ impl Stack {
             // (OPTIMIZATION_LOG round 6).
             match step {
                 Step::Down { next, frame } => {
-                    let prev = env.set_cause(cause);
+                    let prev = if on.obs { env.set_cause(cause) } else { CauseId::NONE };
                     if next == n {
                         env.transmit(frame);
                     } else {
-                        self.call(next, LayerDir::Down, env, |layer, ctx| {
+                        self.call(next, LayerDir::Down, env, on, |layer, ctx| {
                             layer.on_down(frame, ctx)
                         });
                     }
-                    env.set_cause(prev);
+                    if on.obs {
+                        env.set_cause(prev);
+                    }
                 }
                 Step::Up { next, src, bytes } => {
-                    let prev = env.set_cause(cause);
+                    let prev = if on.obs { env.set_cause(cause) } else { CauseId::NONE };
                     match next {
-                        Some(idx) => self.call(idx, LayerDir::Up, env, |layer, ctx| {
+                        Some(idx) => self.call(idx, LayerDir::Up, env, on, |layer, ctx| {
                             layer.on_up(src, bytes, ctx)
                         }),
-                        // A corrupt frame reaching the app boundary is
-                        // dropped, per robustness convention.
-                        None => {
-                            if let Ok(msg) = Message::from_frame(&bytes) {
-                                env.deliver_encoded(src, msg, bytes);
-                            }
-                        }
+                        None => env.deliver_bytes(src, bytes),
                     }
-                    env.set_cause(prev);
+                    if on.obs {
+                        env.set_cause(prev);
+                    }
                 }
             }
         }
@@ -429,7 +458,7 @@ mod tests {
         }
         fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
             self.ups += 1;
-            let (tag, rest) = ps_wire::pop_header::<u8>(&bytes).expect("tag header");
+            let (tag, rest) = ps_wire::take_header::<u8>(bytes).expect("tag header");
             assert_eq!(tag, self.tag, "headers must pop in reverse push order");
             ctx.deliver_up(src, rest);
         }

@@ -52,9 +52,20 @@ pub struct MsgId {
 }
 
 impl MsgId {
+    /// First sequence number of the reserved space: the switching
+    /// protocol numbers its control envelopes and view announcements from
+    /// here up, application messages stay below.
+    pub const CONTROL_SEQ_BASE: u64 = 1 << 48;
+
     /// Creates an id.
     pub fn new(sender: ProcessId, seq: u64) -> Self {
         Self { sender, seq }
+    }
+
+    /// Returns `true` for an id in the reserved sequence space — not
+    /// application traffic, so recorders and monitors skip it.
+    pub fn is_control(&self) -> bool {
+        self.seq >= Self::CONTROL_SEQ_BASE
     }
 }
 
@@ -143,6 +154,40 @@ impl Message {
     /// Returns `true` if this is a view-change message.
     pub fn is_view_change(&self) -> bool {
         self.as_view_change().is_some()
+    }
+
+    /// [`Wire::from_frame`], consuming the frame: the body is the frame's
+    /// own handle moved past the id and length, so no reference count
+    /// moves. What the application boundary of a stack calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wire::from_frame`]: `frame` must be exactly one message.
+    pub fn from_owned(mut frame: Bytes) -> Result<Self, WireError> {
+        let (id, body_at) = Self::split(&frame)?;
+        frame.advance(body_at);
+        Ok(Message { id, body: frame })
+    }
+
+    /// Checks that `frame` is exactly one encoded message — accepting and
+    /// rejecting what [`Message::from_owned`] does — and returns its id
+    /// without building the message.
+    ///
+    /// # Errors
+    ///
+    /// As [`Message::from_owned`].
+    pub fn peek_id(frame: &[u8]) -> Result<MsgId, WireError> {
+        Self::split(frame).map(|(id, _)| id)
+    }
+
+    /// Decodes the id and the body's length prefix, requires the body to
+    /// run to the end of `frame`, and returns the id and the body's offset.
+    fn split(frame: &[u8]) -> Result<(MsgId, usize), WireError> {
+        let mut dec = Decoder::new(frame);
+        let id = MsgId::decode(&mut dec)?;
+        let body_len = dec.get_bytes()?.len();
+        dec.finish()?;
+        Ok((id, frame.len() - body_len))
     }
 }
 
@@ -295,6 +340,35 @@ mod tests {
             assert_eq!(m.to_bytes(), enc.finish(), "body of {len} bytes");
             assert_eq!(Message::from_frame(&m.to_bytes()).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn consuming_decode_and_peek_agree_with_the_borrowing_decode() {
+        let good = Message::new(ProcessId(9), 77, Bytes::from(vec![3; 40])).to_bytes();
+        let mut frames = vec![good.clone(), Bytes::new(), Bytes::from_static(&[0xff, 0x01])];
+        // Every truncation, and trailing garbage.
+        frames.extend((0..good.len()).map(|n| good.slice(..n)));
+        frames.push([&good[..], &[0]].concat().into());
+        for frame in frames {
+            let expect = Message::from_frame(&frame);
+            assert_eq!(Message::from_owned(frame.clone()), expect);
+            assert_eq!(Message::peek_id(&frame), expect.map(|m| m.id));
+        }
+    }
+
+    #[test]
+    fn consuming_decode_keeps_a_unique_frame_unique() {
+        let body = Bytes::copy_from_slice(&[5; 16]);
+        let m = Message::from_owned(Message::new(ProcessId(1), 2, body).to_bytes()).unwrap();
+        let at = m.body.as_ptr();
+        // In place: the body is still its buffer's only handle.
+        assert!(std::ptr::eq(m.body.prepend(b"hdr")[3..].as_ptr(), at));
+    }
+
+    #[test]
+    fn control_ids_start_at_the_reserved_base() {
+        assert!(!MsgId::new(ProcessId(0), MsgId::CONTROL_SEQ_BASE - 1).is_control());
+        assert!(MsgId::new(ProcessId(0), MsgId::CONTROL_SEQ_BASE).is_control());
     }
 
     #[test]

@@ -32,20 +32,36 @@ pub fn push_header<H: Wire>(header: &H, payload: Bytes) -> Bytes {
     payload.prepend(enc.as_slice())
 }
 
-/// Splits a frame produced by [`push_header`] back into header and payload.
+/// Splits a frame produced by [`push_header`] back into header and
+/// payload, consuming the frame: the payload *is* the frame's handle, moved
+/// past the header ([`Bytes::advance`]).
 ///
-/// The payload is an O(1) slice of `frame` (it keeps the frame's buffer
-/// alive, and shares it with every other slice of the same frame).
+/// No reference count moves, and a frame that was its buffer's only handle
+/// comes back as a payload that still is — so a layer that relays the
+/// payload pushes its own header in place, into the bytes the popped one
+/// occupied. This is what a layer's `on_up`, which owns its bytes, calls.
 ///
 /// # Errors
 ///
 /// Returns any [`WireError`] produced while decoding the header; the payload
 /// itself is never inspected.
-pub fn pop_header<H: Wire>(frame: &Bytes) -> Result<(H, Bytes), WireError> {
-    let mut dec = Decoder::over(frame);
+pub fn take_header<H: Wire>(mut frame: Bytes) -> Result<(H, Bytes), WireError> {
+    let mut dec = Decoder::over(&frame);
     let header = H::decode(&mut dec)?;
-    let payload = dec.rest();
-    Ok((header, payload))
+    let at = dec.position();
+    frame.advance(at);
+    Ok((header, frame))
+}
+
+/// [`take_header`] for a caller that keeps the frame: the payload is a
+/// second handle onto the frame's buffer (an O(1) slice that keeps it
+/// alive and shares it with every other slice of the same frame).
+///
+/// # Errors
+///
+/// As [`take_header`].
+pub fn pop_header<H: Wire>(frame: &Bytes) -> Result<(H, Bytes), WireError> {
+    take_header(frame.clone())
 }
 
 #[cfg(test)]
@@ -74,7 +90,20 @@ mod tests {
     }
 
     #[test]
+    fn taking_keeps_a_unique_frame_unique() {
+        let framed = push_header(&7u64, Bytes::copy_from_slice(b"payload"));
+        let at = framed[8..].as_ptr();
+        let (h, payload) = take_header::<u64>(framed).unwrap();
+        assert_eq!((h, &payload[..]), (7, &b"payload"[..]));
+        // The relay's header lands where the popped one was.
+        let relayed = push_header(&9u64, payload);
+        assert!(std::ptr::eq(relayed[8..].as_ptr(), at));
+    }
+
+    #[test]
     fn corrupt_header_reported() {
+        let err = take_header::<u64>(Bytes::from_static(&[1, 2])).unwrap_err();
+        assert!(matches!(err, WireError::UnexpectedEof { .. }));
         let err = pop_header::<u64>(&Bytes::from_static(&[1, 2])).unwrap_err();
         assert!(matches!(err, WireError::UnexpectedEof { .. }));
     }

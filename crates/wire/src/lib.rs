@@ -4,7 +4,7 @@
 //! binary format: little-endian fixed-width integers, LEB128 varints,
 //! length-prefixed byte strings, and tagged enums. Layers compose by
 //! *prepending* headers to an opaque payload on the way down the stack and
-//! popping them on the way up — see [`push_header`] and [`pop_header`].
+//! popping them on the way up — see [`push_header`] and [`take_header`].
 //!
 //! The codec is deliberately dependency-free (besides the in-repo `bytes` crate) so it can be
 //! audited in one sitting, and deliberately panic-free on the decode path:
@@ -45,5 +45,5 @@ mod wire;
 pub use decoder::Decoder;
 pub use encoder::Encoder;
 pub use error::WireError;
-pub use header::{pop_header, push_header};
+pub use header::{pop_header, push_header, take_header};
 pub use wire::Wire;

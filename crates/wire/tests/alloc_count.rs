@@ -1,12 +1,14 @@
 //! The point of headroom, counted: pushing headers onto a uniquely owned
 //! frame and popping them again allocates nothing the size of the
-//! payload; pushing onto a shared frame allocates exactly one copy.
+//! payload; pushing onto a shared frame allocates exactly one copy; and a
+//! relay — take four headers off a unique frame, push four back — never
+//! calls the allocator at all.
 //!
 //! One `#[test]` only — the counter is process-wide, and a second test
 //! running on another thread would be counted too.
 
 use ps_bytes::Bytes;
-use ps_wire::{pop_header, push_header, Encoder};
+use ps_wire::{pop_header, push_header, take_header, Encoder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -14,12 +16,15 @@ const PAYLOAD: usize = 1400;
 
 /// Allocator calls asking for at least half a payload.
 static PAYLOAD_SIZED: AtomicUsize = AtomicUsize::new(0);
+/// Allocator calls of any size.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
 // SAFETY: defers to `System` unchanged; only counts.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
         if layout.size() >= PAYLOAD / 2 {
             PAYLOAD_SIZED.fetch_add(1, Relaxed);
         }
@@ -29,6 +34,7 @@ unsafe impl GlobalAlloc for Counting {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
         if new_size >= PAYLOAD / 2 {
             PAYLOAD_SIZED.fetch_add(1, Relaxed);
         }
@@ -53,6 +59,21 @@ fn pop4(frame: &Bytes) -> Bytes {
     let (tag, rest) = pop_header::<u8>(&rest).unwrap();
     assert_eq!(tag, 0xAA);
     rest
+}
+
+/// What a relaying layer does, four layers deep: every header taken off,
+/// then four put back. The payload is never dropped, cloned or sliced on
+/// the way — a taken payload is the frame's own handle.
+fn relay4(frame: Bytes) -> Bytes {
+    let (_, rest) = take_header::<u64>(frame).unwrap();
+    let (_, rest) = take_header::<(u16, u64)>(rest).unwrap();
+    let (_, rest) = take_header::<u32>(rest).unwrap();
+    let (tag, rest) = take_header::<u8>(rest).unwrap();
+    assert_eq!(tag, 0xAA);
+    let frame = push_header(&0xBBu8, rest);
+    let frame = push_header(&9u32, frame);
+    let frame = push_header(&(8u16, 2u64 << 40), frame);
+    push_header(&(u64::MAX - 1), frame)
 }
 
 #[test]
@@ -83,4 +104,15 @@ fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared
     );
     assert_eq!(popped, body);
     assert_eq!(retained, body);
+
+    let frame = push_header(&0xAAu8, fresh());
+    let frame = push_header(&7u32, frame);
+    let frame = push_header(&(7u16, 1u64 << 40), frame);
+    let frame = push_header(&u64::MAX, frame);
+    let at = frame[frame.len() - PAYLOAD..].as_ptr();
+    let before = CALLS.load(Relaxed);
+    let relayed = relay4(frame);
+    assert_eq!(CALLS.load(Relaxed) - before, 0, "a relay of a unique frame never allocates");
+    assert!(std::ptr::eq(relayed[relayed.len() - PAYLOAD..].as_ptr(), at), "nor moves the payload");
+    assert_eq!(relayed[relayed.len() - PAYLOAD..], body[..]);
 }

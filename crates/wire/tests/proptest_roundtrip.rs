@@ -2,7 +2,7 @@
 
 use ps_bytes::Bytes;
 use ps_check::prelude::*;
-use ps_wire::{pop_header, push_header, Decoder, Encoder, Wire};
+use ps_wire::{pop_header, push_header, take_header, Decoder, Encoder, Wire, WireError};
 
 /// A handle viewing exactly `payload`, in one of the ownership states a
 /// frame can reach a layer in: uniquely owned with `reserve` spare bytes
@@ -148,6 +148,35 @@ props! {
         assert!(dec.is_empty());
         // The copying decoder agrees with the slicing one.
         assert_eq!(Vec::<Bytes>::from_bytes(&data).ok(), Vec::<Bytes>::from_frame(&frame).ok());
+    }
+
+    fn taking_a_header_is_popping_it_in_every_ownership_state(
+        data in vec_of(arb::<u8>(), 0..256),
+        kind in arb::<u8>(),
+        reserve in 0usize..100,
+    ) {
+        /// Pops `H` both ways off a frame over `data` and compares: the
+        /// same header, the same payload bytes at the same address, or
+        /// the same error.
+        fn agree<H: Wire + PartialEq + std::fmt::Debug>(kind: u8, reserve: usize, data: &[u8]) {
+            let (frame, _keep) = handle(kind, reserve, data);
+            let popped: Result<(H, Bytes), WireError> = pop_header(&frame);
+            let at = frame.as_ptr_range();
+            match (take_header::<H>(frame), popped) {
+                (Ok((h, rest)), Ok((ph, prest))) => {
+                    assert_eq!(h, ph);
+                    assert_eq!(rest, prest);
+                    assert!(std::ptr::eq(rest.as_slice(), prest.as_slice()));
+                    assert_eq!(rest.as_ptr_range().end, at.end, "the payload runs to the frame's end");
+                }
+                (Err(e), Err(pe)) => assert_eq!(e, pe),
+                (took, popped) => panic!("take {took:?} but pop {popped:?}"),
+            }
+        }
+        agree::<u64>(kind, reserve, &data);
+        agree::<(u8, String)>(kind, reserve, &data);
+        agree::<Vec<Bytes>>(kind, reserve, &data);
+        agree::<Option<(u16, bool)>>(kind, reserve, &data);
     }
 
     fn decoder_never_panics_on_garbage(data in vec_of(arb::<u8>(), 0..256)) {

@@ -267,6 +267,34 @@ alloc_ceiling steady_small 10
 alloc_ceiling steady_large 48
 alloc_ceiling lossy_ft 40
 
+echo "==> model outputs: simulated delivery latency is what it was (offline)"
+# What the simulated group *does* is a function of the seed alone, and the
+# --quick run prints it "exact for a seed": a change to how fast the host
+# gets through a run must leave these ten readings where they are. The
+# values are the --quick run (seed 1) of the build before consuming pops
+# (PR 16's parent). A PR that changes protocol behaviour on purpose —
+# another frame on the wire, a different timer, a different order —
+# updates the pins in the same commit and says why.
+exact_pin() {
+    awk -v workload="$1" -v metric="$2" -v pinned="$3" '
+        $1 == "==" { current = $2 }
+        current == workload && $1 == metric {
+            printf "   %s %s %s (pinned %s)\n", workload, metric, $2, pinned
+            same = ($2 == pinned)
+        }
+        END { exit same ? 0 : 1 }' target/benchmark-quick.txt
+}
+exact_pin steady_small deliver_mean_us 171.3109
+exact_pin steady_small deliver_p90_us 182.5894
+exact_pin steady_large deliver_mean_us 416.2292
+exact_pin steady_large deliver_p90_us 456.9750
+exact_pin switch_storm deliver_mean_us 1431.8996
+exact_pin switch_storm deliver_p90_us 4659.9000
+exact_pin observed deliver_mean_us 171.3109
+exact_pin observed deliver_p90_us 182.5894
+exact_pin lossy_ft deliver_mean_us 6694.0050
+exact_pin lossy_ft deliver_p90_us 20195.6000
+
 echo "==> cargo doc --no-deps with warnings denied (offline)"
 # ps-obs and ps-core carry #![deny(missing_docs)]; this gate extends the
 # no-warning bar to every rustdoc lint across the workspace.
