@@ -97,8 +97,8 @@ pub fn hybrid_total_order_ft(
 /// Builds the **fault-tolerant sequencer↔token** hybrid: protocol 0 is
 /// sequencer-based total order (sequenced by `sequencer`) over FIFO over
 /// reliable transport; protocol 1 is token-based total order (with
-/// `idle_hold` as its idle rotation period) directly over reliable
-/// transport, with the switch's control traffic on its own reliable stack.
+/// `idle_hold` as its base idle hold) directly over reliable transport,
+/// with the switch's control traffic on its own reliable stack.
 ///
 /// This is [`hybrid_total_order`]'s protocol pair with
 /// [`hybrid_total_order_ft`]'s transports: the §7 crossover hybrid, but

@@ -3,6 +3,8 @@
 //! parallel sweep runner reads handles from worker threads, and `Layer`
 //! itself is `Send` so stacks can run on real threads (`ps-rt`). Reads are
 //! poison-proof — the stats are plain counters, valid after any panic.
+//! The one counter that moves per message, `delivered`, sits beside the
+//! mutex in an atomic and is folded in when a snapshot is taken.
 //!
 //! The same switch phases also flow into the `ps-obs` event recorder when
 //! one is attached; [`SwitchRecord::from_events`] rebuilds these records
@@ -11,7 +13,8 @@
 
 use ps_simnet::SimTime;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One completed switch as seen by one process.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,12 +80,20 @@ pub struct SwitchStats {
 /// Clonable, thread-safe view onto a switch layer's [`SwitchStats`].
 #[derive(Clone, Default)]
 pub struct SwitchHandle {
-    inner: Arc<Mutex<SwitchStats>>,
+    inner: Arc<Shared>,
+}
+
+#[derive(Default)]
+struct Shared {
+    /// Everything but `delivered`, which stays zero in here.
+    stats: Mutex<SwitchStats>,
+    /// A statistic, publishing nothing else: relaxed.
+    delivered: AtomicU64,
 }
 
 impl fmt::Debug for SwitchHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let s = self.lock();
         write!(
             f,
             "SwitchHandle(current={}, switches={}, switching={})",
@@ -101,7 +112,12 @@ impl SwitchHandle {
 
     /// Snapshot of the stats.
     pub fn snapshot(&self) -> SwitchStats {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        let delivered = self.inner.delivered.load(Ordering::Relaxed);
+        SwitchStats { delivered, ..self.lock().clone() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, SwitchStats> {
+        self.inner.stats.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Number of completed switches at this process.
@@ -125,7 +141,12 @@ impl SwitchHandle {
     }
 
     pub(crate) fn update<R>(&self, f: impl FnOnce(&mut SwitchStats) -> R) -> R {
-        f(&mut self.inner.lock().unwrap_or_else(|e| e.into_inner()))
+        f(&mut self.lock())
+    }
+
+    /// One more message reached the application.
+    pub(crate) fn count_delivery(&self) {
+        self.inner.delivered.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -177,7 +198,10 @@ mod tests {
         let h = SwitchHandle::new();
         let h2 = h.clone();
         h.update(|s| s.initiated += 1);
+        h.count_delivery();
+        h.count_delivery();
         assert_eq!(h2.snapshot().initiated, 1);
+        assert_eq!(h2.snapshot().delivered, 2);
         assert_eq!(h2.switches_completed(), 0);
     }
 }

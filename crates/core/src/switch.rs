@@ -3,6 +3,7 @@ use crate::oracle::{Oracle, SwitchObs};
 use crate::stats::{SwitchHandle, SwitchRecord};
 use ps_bytes::Bytes;
 use ps_obs::{ObsEvent, SpPhase};
+use ps_protocols::IdleBackoff;
 use ps_simnet::{DetRng, SimTime};
 use ps_stack::{channel, ChannelId, Frame, Layer, LayerCtx, LayerId, Stack, StackEnv};
 use ps_trace::{Message, MsgId, ProcessId};
@@ -18,9 +19,12 @@ pub enum SwitchVariant {
     /// implementation the paper actually deploys, which "avoids congestion
     /// on the network … \[and\] complicating issues with multiple members
     /// trying to switch protocols concurrently". An idle NORMAL token is
-    /// held `idle_hold` at each member before being passed on.
+    /// held `idle_hold` at each member before being passed on, and for
+    /// longer once the ring has seen no switch for a while
+    /// ([`IdleBackoff`]); a member whose oracle then wants a switch wakes
+    /// the ring.
     TokenRing {
-        /// Idle-token hold time (zero = circulate continuously).
+        /// Base idle-token hold time (zero = circulate continuously).
         idle_hold: SimTime,
     },
 }
@@ -151,6 +155,10 @@ pub struct SwitchLayer {
     holding_flush: Option<RingToken>,
     held_token: Option<RingToken>,
     hold_gen: u32,
+    /// How long an idle NORMAL token is held here. Switch activity (a
+    /// wish, a token in any other mode, a wake) is this ring's traffic;
+    /// application messages are not.
+    idle: IdleBackoff,
     /// Highest token generation seen; older tokens are stale and dropped.
     token_gen: u64,
     /// When this process last accepted a token (regeneration watchdog).
@@ -249,7 +257,7 @@ impl EraBook {
     /// `sent_next` when its own attempt aborted.
     fn deliver_foreign(&mut self, (src, sender, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
         self.recent.push_back((ctx.now(), sender));
-        self.handle.update(|s| s.delivered += 1);
+        self.handle.count_delivery();
         ctx.deliver_up(src, bytes);
     }
 }
@@ -340,6 +348,10 @@ impl SwitchLayer {
         oracle: Box<dyn Oracle>,
     ) -> (Self, SwitchHandle) {
         let handle = SwitchHandle::new();
+        let idle_hold = match cfg.variant {
+            SwitchVariant::TokenRing { idle_hold } => idle_hold,
+            SwitchVariant::Broadcast => SimTime::ZERO,
+        };
         let layer = Self {
             cfg,
             protos: [proto_a, proto_b],
@@ -367,6 +379,7 @@ impl SwitchLayer {
             holding_flush: None,
             held_token: None,
             hold_gen: 0,
+            idle: IdleBackoff::new(idle_hold),
             token_gen: 0,
             last_token_at: SimTime::ZERO,
             joined_round: 0,
@@ -704,7 +717,26 @@ impl SwitchLayer {
         self.mode == Mode::Switching && token.era == self.era + 1
     }
 
+    /// Lets go of a held idle token: seized if a wish is pending, passed
+    /// on otherwise.
+    fn release_held(&mut self, ctx: &mut LayerCtx<'_>) {
+        if let Some(token) = self.held_token.take() {
+            if self.want_target.is_some() {
+                self.handle_token(token, ctx);
+            } else {
+                self.forward_token(token, ctx);
+            }
+        }
+    }
+
     fn handle_token(&mut self, mut token: RingToken, ctx: &mut LayerCtx<'_>) {
+        if token.mode == TokenMode::Wake {
+            // Not a token: some member has a wish and the ring may be
+            // asleep. Whoever sits on the NORMAL token passes it on now.
+            self.idle.traffic(ctx.now());
+            self.release_held(ctx);
+            return;
+        }
         // Generation fencing: a regenerated token obsoletes any older one
         // still circulating (or any token from an attempt we aborted).
         if token.gen < self.token_gen {
@@ -712,8 +744,12 @@ impl SwitchLayer {
         }
         self.token_gen = token.gen;
         self.last_token_at = ctx.now();
+        if token.mode != TokenMode::Normal {
+            self.idle.traffic(ctx.now());
+        }
         let me = ctx.me();
         match token.mode {
+            TokenMode::Wake => {} // handled above, ahead of the fence
             TokenMode::Normal => {
                 let wanted = self.want_target.take().filter(|&t| t != self.current);
                 if wanted.is_some() && self.mode == Mode::Normal {
@@ -726,14 +762,11 @@ impl SwitchLayer {
                     self.forward_token(token, ctx);
                     return;
                 }
-                let idle_hold = match self.cfg.variant {
-                    SwitchVariant::TokenRing { idle_hold } => idle_hold,
-                    SwitchVariant::Broadcast => SimTime::ZERO,
-                };
-                if idle_hold > SimTime::ZERO {
+                let hold = self.idle.idle_visit();
+                if hold > SimTime::ZERO {
                     self.held_token = Some(token);
                     self.hold_gen = self.hold_gen.wrapping_add(1) & GEN_MASK;
-                    ctx.set_timer(idle_hold, HOLD_FLAG | self.hold_gen);
+                    ctx.set_timer(hold, HOLD_FLAG | self.hold_gen);
                 } else {
                     self.forward_token(token, ctx);
                 }
@@ -832,11 +865,17 @@ impl SwitchLayer {
                 match self.cfg.variant {
                     SwitchVariant::Broadcast => self.initiate_broadcast(ctx),
                     SwitchVariant::TokenRing { .. } => {
-                        self.want_target = Some(target);
-                        // If we are sitting on an idle token, use it now.
-                        if let Some(token) = self.held_token.take() {
-                            self.handle_token(token, ctx);
+                        // An oracle may repeat its wish at every tick;
+                        // only the first asks the ring to wake.
+                        let first = self.want_target.replace(target).is_none();
+                        if self.held_token.is_some() {
+                            // Sitting on the idle token: use it now.
+                            self.release_held(ctx);
+                        } else if first && self.idle.may_sleep(now, ctx.group_len()) {
+                            let wake = RingToken::wake().to_bytes();
+                            self.send_control(ps_stack::Cast::Others, wake, ctx);
                         }
+                        self.idle.traffic(now);
                     }
                 }
             }
@@ -863,6 +902,11 @@ impl Layer for SwitchLayer {
         self.run_control(ctx, |stack, env| stack.launch(env));
         ctx.set_timer(self.cfg.observe_interval, OBSERVE);
         if let SwitchVariant::TokenRing { .. } = self.cfg.variant {
+            if self.cfg.token_regen > SimTime::ZERO {
+                // A sleeping rotation must not look like a lost token.
+                let limit = SimTime::from_micros(self.cfg.token_regen.as_micros() / 2);
+                self.idle.cap_rotation(ctx.group_len(), limit);
+            }
             if ctx.me() == ctx.group_slice()[0] {
                 self.handle_token(RingToken::normal(0), ctx);
                 if self.cfg.token_regen > SimTime::ZERO {
@@ -898,12 +942,9 @@ impl Layer for SwitchLayer {
         }
         if self.held_token.is_some() {
             // We crashed while sitting on the idle token; without this the
-            // ring would stall until regeneration.
-            if let SwitchVariant::TokenRing { idle_hold } = self.cfg.variant {
-                if idle_hold > SimTime::ZERO {
-                    ctx.set_timer(idle_hold, HOLD_FLAG | self.hold_gen);
-                }
-            }
+            // ring would stall until regeneration. A token is only ever
+            // held for a non-zero hold: re-arm the one that was in force.
+            ctx.set_timer(self.idle.hold(), HOLD_FLAG | self.hold_gen);
         }
         if let SwitchVariant::TokenRing { .. } = self.cfg.variant {
             if ctx.me() == ctx.group_slice()[0] && self.cfg.token_regen > SimTime::ZERO {
@@ -943,15 +984,7 @@ impl Layer for SwitchLayer {
             return;
         }
         match token & FLAG_MASK {
-            HOLD_FLAG if token & GEN_MASK == self.hold_gen => {
-                if let Some(t) = self.held_token.take() {
-                    if self.want_target.is_some() {
-                        self.handle_token(t, ctx);
-                    } else {
-                        self.forward_token(t, ctx);
-                    }
-                }
-            }
+            HOLD_FLAG if token & GEN_MASK == self.hold_gen => self.release_held(ctx),
             ABORT_FLAG if token & GEN_MASK == self.abort_gen => {
                 if self.mode == Mode::Switching {
                     self.abort(ctx);

@@ -139,8 +139,8 @@ pub fn run_with(cfg: &AblationConfig, runner: &SweepRunner) -> Vec<AblationPoint
         .collect();
     let points = runner.run(grid, |_, (n, (name, variant))| {
         // Per-variant baseline without a switch, so the frame
-        // subtraction isolates the switch itself (the token variant's
-        // idle circulation is present in both runs).
+        // subtraction isolates the switch and what it switches to (the
+        // idle rings sleep in both runs).
         let (base_frames, _) = run_one(cfg, n, variant, false);
         let (frames, handles) = run_one(cfg, n, variant, true);
         let recs: Vec<_> =
@@ -175,6 +175,6 @@ pub fn render(points: &[AblationPoint]) -> Table {
         ]);
     }
     t.note("broadcast: 2 broadcast rounds + n unicasts; token: 3 ring rotations (duration grows with n)");
-    t.note("Δ frames is usually NEGATIVE: the switch lands on the token data protocol (1 frame/msg vs the sequencer's 2), and the saved data frames dwarf the switch's own control traffic — the switch pays for itself");
+    t.note("Δ frames is POSITIVE: both rings sleep through the run that never switches; the switch lands on the token data protocol, which saves a frame per message (1 vs the sequencer's 2) but whose token then rotates at the base hold for as long as there is load — the token protocol's own price, paid only while it is the current protocol");
     t
 }

@@ -25,6 +25,7 @@ mod causal_order;
 mod confidentiality;
 mod fifo;
 mod flow;
+mod idle;
 mod integrity;
 pub mod mac;
 mod no_replay;
@@ -40,6 +41,7 @@ pub use causal_order::CausalOrderLayer;
 pub use confidentiality::ConfidentialityLayer;
 pub use fifo::FifoLayer;
 pub use flow::{CreditControlLayer, RateControlLayer};
+pub use idle::IdleBackoff;
 pub use integrity::IntegrityLayer;
 pub use no_replay::NoReplayLayer;
 pub use priority::PriorityLayer;

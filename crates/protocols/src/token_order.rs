@@ -1,7 +1,8 @@
+use crate::idle::IdleBackoff;
 use crate::obuf::OrderedBuf;
 use ps_bytes::Bytes;
 use ps_simnet::SimTime;
-use ps_stack::{Frame, Layer, LayerCtx};
+use ps_stack::{Cast, Frame, Layer, LayerCtx};
 use ps_trace::ProcessId;
 use ps_wire::{Decoder, Encoder, Wire, WireError};
 use std::collections::VecDeque;
@@ -16,9 +17,15 @@ use std::collections::VecDeque;
 /// — on average half a ring rotation. Figure 2's flat right-hand series
 /// belongs to this layer.
 ///
+/// An idle ring goes quiet ([`IdleBackoff`]): the hold doubles while the
+/// token circulates empty, and a member that gets a message to send while
+/// the ring may be asleep broadcasts a one-byte wake, on which the holder
+/// forwards at once. Under load the ring runs at the base hold throughout.
+///
 /// The token is assumed not to be lost (run over [`crate::ReliableLayer`]
 /// or a loss-free control channel otherwise); process 0 injects it at
-/// launch.
+/// launch. A lost wake only delays: the token still arrives, at the
+/// backed-off rate.
 #[derive(Debug)]
 pub struct TokenOrderLayer {
     /// Frames queued while awaiting the token.
@@ -27,9 +34,8 @@ pub struct TokenOrderLayer {
     /// Holding the token (with the gseq it carries) during an idle-hold.
     holding: Option<u64>,
     hold_gen: u32,
-    /// How long to keep an idle token before passing it on. Zero keeps the
-    /// token circulating continuously.
-    idle_hold: SimTime,
+    /// How long to keep an idle token before passing it on.
+    idle: IdleBackoff,
     /// Times this process has forwarded the token (observable).
     pub token_passes: u64,
 }
@@ -40,6 +46,9 @@ enum TokHeader {
     Token { next_gseq: u64 },
     /// A globally ordered message.
     Ordered { gseq: u64, orig: ProcessId },
+    /// A member has work and the ring may be asleep: whoever holds the
+    /// token forwards it now.
+    Wake,
 }
 
 impl Wire for TokHeader {
@@ -54,12 +63,14 @@ impl Wire for TokHeader {
                 enc.put_varint(*gseq);
                 orig.encode(enc);
             }
+            TokHeader::Wake => enc.put_u8(2),
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         match dec.get_u8()? {
             0 => Ok(TokHeader::Token { next_gseq: dec.get_varint()? }),
             1 => Ok(TokHeader::Ordered { gseq: dec.get_varint()?, orig: ProcessId::decode(dec)? }),
+            2 => Ok(TokHeader::Wake),
             tag => Err(WireError::InvalidTag { tag: tag.into(), ty: "TokHeader" }),
         }
     }
@@ -72,14 +83,16 @@ impl TokenOrderLayer {
     }
 
     /// Creates the layer; an idle token is held `idle_hold` before being
-    /// forwarded (reduces idle control traffic at the cost of latency).
+    /// forwarded (reduces idle control traffic at the cost of latency),
+    /// and for up to 64 times as long once the ring has gone quiet. Zero
+    /// keeps the token circulating continuously.
     pub fn with_idle_hold(idle_hold: SimTime) -> Self {
         Self {
             pending: VecDeque::new(),
             buf: OrderedBuf::default(),
             holding: None,
             hold_gen: 0,
-            idle_hold,
+            idle: IdleBackoff::new(idle_hold),
             token_passes: 0,
         }
     }
@@ -106,10 +119,11 @@ impl TokenOrderLayer {
     fn handle_token(&mut self, gseq: u64, ctx: &mut LayerCtx<'_>) {
         let had_work = !self.pending.is_empty();
         let gseq = self.flush_pending(gseq, ctx);
-        if !had_work && self.idle_hold > SimTime::ZERO {
+        let hold = if had_work { SimTime::ZERO } else { self.idle.idle_visit() };
+        if hold > SimTime::ZERO {
             self.holding = Some(gseq);
             self.hold_gen = self.hold_gen.wrapping_add(1);
-            ctx.set_timer(self.idle_hold, self.hold_gen);
+            ctx.set_timer(hold, self.hold_gen);
         } else {
             self.forward_token(gseq, ctx);
         }
@@ -136,9 +150,10 @@ impl Layer for TokenOrderLayer {
 
     fn on_restart(&mut self, ctx: &mut LayerCtx<'_>) {
         // If we crashed while sitting on the idle token, the hold timer
-        // died with us and the ring would stall forever; re-arm it.
+        // died with us and the ring would stall forever; re-arm it, with
+        // the hold that was in force.
         if self.holding.is_some() {
-            ctx.set_timer(self.idle_hold, self.hold_gen);
+            ctx.set_timer(self.idle.hold(), self.hold_gen);
         }
     }
 
@@ -148,7 +163,13 @@ impl Layer for TokenOrderLayer {
             // We were sitting on an idle token: use it right away.
             let gseq = self.flush_pending(gseq, ctx);
             self.forward_token(gseq, ctx);
+        } else if self.pending.len() == 1 && self.idle.may_sleep(ctx.now(), ctx.group_len()) {
+            // One wake per wait, from its first message: when the network
+            // is what keeps the token away, more wakes are more load.
+            let wake = ps_wire::push_header(&TokHeader::Wake, Bytes::new());
+            ctx.send_down(Frame::new(Cast::Others, wake));
         }
+        self.idle.traffic(ctx.now());
     }
 
     fn on_up(&mut self, _src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
@@ -158,7 +179,14 @@ impl Layer for TokenOrderLayer {
         match hdr {
             TokHeader::Token { next_gseq } => self.handle_token(next_gseq, ctx),
             TokHeader::Ordered { gseq, orig } => {
+                self.idle.traffic(ctx.now());
                 self.buf.offer(gseq, orig, payload, |o, p| ctx.deliver_up(o, p));
+            }
+            TokHeader::Wake => {
+                self.idle.traffic(ctx.now());
+                if let Some(gseq) = self.holding.take() {
+                    self.forward_token(gseq, ctx);
+                }
             }
         }
     }
@@ -186,11 +214,15 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        for h in
-            [TokHeader::Token { next_gseq: 42 }, TokHeader::Ordered { gseq: 7, orig: ProcessId(2) }]
-        {
+        for h in [
+            TokHeader::Token { next_gseq: 42 },
+            TokHeader::Ordered { gseq: 7, orig: ProcessId(2) },
+            TokHeader::Wake,
+        ] {
             assert_eq!(TokHeader::from_bytes(&h.to_bytes()).unwrap(), h);
         }
+        assert_eq!(&TokHeader::Wake.to_bytes()[..], [2], "a wake is its tag and nothing else");
+        assert!(TokHeader::from_bytes(&[3]).is_err());
     }
 
     #[test]

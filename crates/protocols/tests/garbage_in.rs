@@ -11,7 +11,8 @@
 use ps_bytes::Bytes;
 use ps_check::prelude::*;
 use ps_core::{
-    hybrid_seq_token_ft, hybrid_total_order, hybrid_total_order_ft, NeverOracle, SwitchConfig,
+    hybrid_seq_token_ft, hybrid_total_order, hybrid_total_order_ft, NeverOracle, RingToken,
+    SwitchConfig,
 };
 use ps_protocols::{
     AmoebaLayer, CausalOrderLayer, ConfidentialityLayer, CreditControlLayer, FifoLayer,
@@ -19,8 +20,8 @@ use ps_protocols::{
     TokenOrderLayer, VsyncConfig, VsyncLayer,
 };
 use ps_simnet::{DetRng, SimTime};
-use ps_stack::{Frame, IdGen, Layer, LayerId, Stack, StackEnv};
-use ps_trace::{Message, ProcessId};
+use ps_stack::{channel, ChannelId, Frame, IdGen, Layer, LayerId, Stack, StackEnv};
+use ps_trace::{Message, MsgId, ProcessId};
 use ps_wire::Wire;
 
 const GROUP: [ProcessId; 3] = [ProcessId(0), ProcessId(1), ProcessId(2)];
@@ -180,6 +181,41 @@ fn the_same_frames_whole_are_the_real_thing() {
         } else {
             assert_eq!(bodies, [&BODY[..]], "{name}");
         }
+    }
+}
+
+/// The two wake tags, whole. A wake is an instruction, not a payload: it
+/// makes a member that sits on an idle token pass that token on — once,
+/// header-only — and does nothing at a member that holds none; it never
+/// reaches the application either way.
+#[test]
+fn a_wake_moves_a_held_token_once_and_is_never_delivered() {
+    let ring_wake = Bytes::from_static(&[2]);
+    let envelope =
+        Message::new(GROUP[1], MsgId::CONTROL_SEQ_BASE + 1, RingToken::wake().to_bytes());
+    let cases: [(&str, Bytes); 3] = [
+        ("token-order", ring_wake.clone()),
+        // The hybrid hosts token-order as protocol B, bare.
+        ("hybrid", channel::mux(ChannelId::PROTO_B, ring_wake)),
+        ("hybrid", channel::mux(ChannelId::CONTROL, envelope.to_bytes())),
+    ];
+    for (name, wake) in cases {
+        let build = RIGS.iter().find(|(n, _)| *n == name).unwrap().1;
+        // Process 0 injects the tokens at launch and sits on them.
+        let (mut stack, mut holder) = (build(), Node::new(GROUP[0]));
+        stack.launch(&mut holder);
+        holder.sent.clear();
+        stack.receive(GROUP[1], wake.clone(), &mut holder);
+        assert_eq!(holder.sent.len(), 1, "{name}: the held token moves on");
+        assert_eq!(holder.sent[0].dest, ps_stack::Cast::To(GROUP[1]), "{name}");
+        stack.receive(GROUP[1], wake.clone(), &mut holder);
+        assert_eq!(holder.sent.len(), 1, "{name}: there was one token to pass");
+        assert_nothing_out(name, &holder, "a wake");
+
+        let (mut stack, mut node) = receiver(build);
+        stack.receive(GROUP[0], wake, &mut node);
+        assert!(node.sent.is_empty(), "{name}: a member holding no token sent {:?}", node.sent);
+        assert_nothing_out(name, &node, "a wake");
     }
 }
 

@@ -248,11 +248,12 @@ benchmark/run.sh --quick > target/benchmark-quick.txt
 echo "==> allocation ceilings: handler path and event loop stay off the allocator (offline)"
 # The one performance number that can gate: allocator calls per multicast
 # are exact for a seed, so the --quick run above reads the same on every
-# host. Each ceiling is about 1.5x what the run reads now (6.6, 32.0 and
-# 26.7) and below what it read before the event queue stopped allocating
-# per cascade and the medium wrappers stopped building two plans per frame
-# (18.8, 52.2 and 79.3): a container built per event, per handler call,
-# per frame or per delivery lands above them.
+# host. Each ceiling is about 1.5x what the run reads now (1.37, 15.2 and
+# 18.5) and below what it read while the two idle rings still rotated at
+# full rate through a group with nothing to say to them (6.6, 32.0 and
+# 26.7): a container built per event, per handler call, per frame or per
+# delivery lands above them, and so does an idle token that stops backing
+# off.
 alloc_ceiling() {
     awk -v workload="$1" -v ceiling="$2" '
         $1 == "==" { current = $2 }
@@ -263,18 +264,24 @@ alloc_ceiling() {
         }
         END { exit (found && !over) ? 0 : 1 }' target/benchmark-quick.txt
 }
-alloc_ceiling steady_small 10
-alloc_ceiling steady_large 48
-alloc_ceiling lossy_ft 40
+alloc_ceiling steady_small 2.1
+alloc_ceiling steady_large 23
+alloc_ceiling lossy_ft 28
 
 echo "==> model outputs: simulated delivery latency is what it was (offline)"
 # What the simulated group *does* is a function of the seed alone, and the
 # --quick run prints it "exact for a seed": a change to how fast the host
-# gets through a run must leave these ten readings where they are. The
-# values are the --quick run (seed 1) of the build before consuming pops
-# (PR 16's parent). A PR that changes protocol behaviour on purpose —
-# another frame on the wire, a different timer, a different order —
-# updates the pins in the same commit and says why.
+# gets through a run must leave these ten readings where they are. A PR
+# that changes protocol behaviour on purpose — another frame on the wire,
+# a different timer, a different order — updates the pins in the same
+# commit and says why. The values are the --quick run (seed 1) of the
+# build in which the idle rings back off (PR 17): the idle tokens that no
+# longer cross the bus no longer sit in front of a data frame now and
+# then, which moved every reading by a fraction of a percent (steady_*
+# and observed -0.3..+0.2 %, switch_storm mean +1.7 % / p90 -0.2 %, and
+# lossy_ft, whose loss draws shift with the frame count, mean -1.9 % /
+# p90 -0.1 %) from the previous pins, 171.3109 / 182.5894, 416.2292 /
+# 456.9750, 1431.8996 / 4659.9000 and 6694.0050 / 20195.6000.
 exact_pin() {
     awk -v workload="$1" -v metric="$2" -v pinned="$3" '
         $1 == "==" { current = $2 }
@@ -284,16 +291,16 @@ exact_pin() {
         }
         END { exit same ? 0 : 1 }' target/benchmark-quick.txt
 }
-exact_pin steady_small deliver_mean_us 171.3109
-exact_pin steady_small deliver_p90_us 182.5894
-exact_pin steady_large deliver_mean_us 416.2292
-exact_pin steady_large deliver_p90_us 456.9750
-exact_pin switch_storm deliver_mean_us 1431.8996
-exact_pin switch_storm deliver_p90_us 4659.9000
-exact_pin observed deliver_mean_us 171.3109
-exact_pin observed deliver_p90_us 182.5894
-exact_pin lossy_ft deliver_mean_us 6694.0050
-exact_pin lossy_ft deliver_p90_us 20195.6000
+exact_pin steady_small deliver_mean_us 171.5780
+exact_pin steady_small deliver_p90_us 182.5159
+exact_pin steady_large deliver_mean_us 415.1238
+exact_pin steady_large deliver_p90_us 455.0800
+exact_pin switch_storm deliver_mean_us 1456.2463
+exact_pin switch_storm deliver_p90_us 4652.7667
+exact_pin observed deliver_mean_us 171.5780
+exact_pin observed deliver_p90_us 182.5159
+exact_pin lossy_ft deliver_mean_us 6568.8085
+exact_pin lossy_ft deliver_p90_us 20180.3000
 
 echo "==> cargo doc --no-deps with warnings denied (offline)"
 # ps-obs and ps-core carry #![deny(missing_docs)]; this gate extends the

@@ -4,10 +4,17 @@
 //! events; none freezes the frames themselves. This one does: a digest
 //! layer under the hybrid stack folds every transmitted frame — sender,
 //! destination, length and bytes, in transmit order — into one FNV-1a
-//! value, for a short seeded run with one scripted switch. The golden
-//! values were computed on the commit *before* frames became zero-copy;
-//! any change to how a header is encoded, in which order frames leave, or
-//! to a single payload byte moves them.
+//! value, for a short seeded run with one scripted switch. Any change to
+//! how a header is encoded, in which order frames leave, or to a single
+//! payload byte moves them.
+//!
+//! The golden values were first computed on the commit *before* frames
+//! became zero-copy and held through every host-side change since. They
+//! were regenerated once, on purpose, when the idle rings learned to back
+//! off: the frames that went are idle tokens (1101 → 294 and 2434 → 843
+//! frames in these runs), and a member that finds its ring asleep now
+//! sends a one-byte wake first. That is a protocol change, which is what
+//! this pin is there to make deliberate.
 
 use protocol_switching::prelude::*;
 use protocol_switching::switch::hybrid_seq_token_ft;
@@ -99,7 +106,7 @@ fn run(hybrid: Hybrid) -> (u64, u64) {
 #[test]
 fn hybrid_total_order_wire_bytes_are_pinned() {
     let (fnv, frames) = run(|ids, cfg, oracle| hybrid_total_order(ids, cfg, ProcessId(0), oracle));
-    assert_eq!((fnv, frames), (0x566c_bc52_7f45_ea99, 1101), "got ({fnv:#018x}, {frames})");
+    assert_eq!((fnv, frames), (0x63cd_1a61_185e_9efd, 294), "got ({fnv:#018x}, {frames})");
 }
 
 #[test]
@@ -107,5 +114,5 @@ fn hybrid_seq_token_ft_wire_bytes_are_pinned() {
     let (fnv, frames) = run(|ids, cfg, oracle| {
         hybrid_seq_token_ft(ids, cfg, ProcessId(0), SimTime::from_millis(1), oracle)
     });
-    assert_eq!((fnv, frames), (0x0134_5138_f2e1_b876, 2434), "got ({fnv:#018x}, {frames})");
+    assert_eq!((fnv, frames), (0x9469_fe70_1bd4_ef51, 843), "got ({fnv:#018x}, {frames})");
 }
