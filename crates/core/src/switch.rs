@@ -240,9 +240,48 @@ struct EraBook {
     delivered_from: BTreeMap<ProcessId, u64>,
     /// Recent deliveries, for the oracle's load observation.
     recent: VecDeque<(SimTime, ProcessId)>,
+    /// How many entries of `recent` each member sent, by the member's
+    /// position in the group: a member is an active sender while its count
+    /// is above zero. Sized at launch; a sender that is no member has no
+    /// slot and is not counted.
+    in_window: Vec<u32>,
 }
 
 impl EraBook {
+    /// The `in_window` count of `sender`, if it is a group member. The
+    /// sender is a field of a received message: it is looked up in the
+    /// group, never used as an index.
+    fn window_count(&mut self, sender: ProcessId, group: &[ProcessId]) -> Option<&mut u32> {
+        let slot = group.iter().position(|&member| member == sender)?;
+        self.in_window.get_mut(slot)
+    }
+
+    /// Drops the deliveries older than `cutoff` from the window.
+    fn prune(&mut self, cutoff: SimTime, group: &[ProcessId]) {
+        while let Some(&(at, sender)) = self.recent.front() {
+            if at >= cutoff {
+                break;
+            }
+            self.recent.pop_front();
+            if let Some(count) = self.window_count(sender, group) {
+                *count -= 1;
+            }
+        }
+    }
+
+    /// Distinct group members among the senders in the window.
+    fn active_senders(&self) -> usize {
+        self.in_window.iter().filter(|&&count| count > 0).count()
+    }
+
+    /// What `in_window` replaced and must agree with: every member looked
+    /// for in the whole window.
+    #[cfg(test)]
+    fn active_senders_by_scan(&self, group: &[ProcessId]) -> usize {
+        let sent = |member| self.recent.iter().any(|&(_, sender)| sender == member);
+        group.iter().filter(|&&member| sent(member)).count()
+    }
+
     /// Delivers a current-protocol message to the application: counted
     /// towards the era's drain, then observed and passed up.
     fn deliver_current(&mut self, delivered: Delivered, ctx: &mut LayerCtx<'_>) {
@@ -257,6 +296,9 @@ impl EraBook {
     /// `sent_next` when its own attempt aborted.
     fn deliver_foreign(&mut self, (src, sender, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
         self.recent.push_back((ctx.now(), sender));
+        if let Some(count) = self.window_count(sender, ctx.group_slice()) {
+            *count += 1;
+        }
         self.handle.count_delivery();
         ctx.deliver_up(src, bytes);
     }
@@ -368,6 +410,7 @@ impl SwitchLayer {
                 handle: handle.clone(),
                 delivered_from: BTreeMap::new(),
                 recent: VecDeque::new(),
+                in_window: Vec::new(),
             },
             buffer: Vec::new(),
             sink: Vec::new(),
@@ -841,21 +884,11 @@ impl SwitchLayer {
 
     fn observe(&mut self, ctx: &mut LayerCtx<'_>) {
         let now = ctx.now();
-        let cutoff = now.saturating_sub(self.cfg.observe_window);
-        while self.book.recent.front().is_some_and(|&(t, _)| t < cutoff) {
-            self.book.recent.pop_front();
-        }
-        // Every sender is a group member, so the distinct senders in the
-        // window are the members that occur in it.
-        let active_senders = ctx
-            .group_slice()
-            .iter()
-            .filter(|&&member| self.book.recent.iter().any(|&(_, sender)| sender == member))
-            .count();
+        self.book.prune(now.saturating_sub(self.cfg.observe_window), ctx.group_slice());
         let obs = SwitchObs {
             now,
             current: self.current,
-            active_senders,
+            active_senders: self.book.active_senders(),
             recent_deliveries: self.book.recent.len() as u64,
             switching: self.mode == Mode::Switching,
             last_switch: self.book.handle.update(|s| s.records.last().map(|r| r.completed_at)),
@@ -890,6 +923,8 @@ impl Layer for SwitchLayer {
 
     fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.me());
+        // Before anything can be delivered: one window count per member.
+        self.book.in_window = vec![0; ctx.group_len()];
         // Private jitter stream, seeded from identity only: deterministic
         // per process, independent of the node's main RNG stream.
         self.rng = DetRng::new(0x5317_C81A_F00D_u64 ^ u64::from(ctx.me().0));
@@ -1012,15 +1047,17 @@ impl Layer for SwitchLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::NeverOracle;
+    use ps_check::prelude::*;
     use std::sync::{Arc, Mutex};
 
     const P0: ProcessId = ProcessId(0);
     const P1: ProcessId = ProcessId(1);
+    const GROUP: [ProcessId; 2] = [P0, P1];
 
     /// Process 1 of a two-member group: what its stack handed the
     /// application and the network, and the timers it armed.
     struct Node {
+        now: SimTime,
         rng: DetRng,
         delivered: Vec<Message>,
         sent: Vec<Frame>,
@@ -1032,10 +1069,10 @@ mod tests {
             P1
         }
         fn group(&self) -> &[ProcessId] {
-            &[P0, P1]
+            &GROUP
         }
         fn now(&self) -> SimTime {
-            SimTime::ZERO
+            self.now
         }
         fn rng(&mut self) -> &mut DetRng {
             &mut self.rng
@@ -1051,6 +1088,16 @@ mod tests {
         }
     }
 
+    /// Never asks for a switch; keeps what it was shown.
+    struct Watch(Arc<Mutex<Vec<SwitchObs>>>);
+
+    impl Oracle for Watch {
+        fn decide(&mut self, obs: &SwitchObs) -> Option<usize> {
+            self.0.lock().unwrap().push(*obs);
+            None
+        }
+    }
+
     /// The layer in a stack, with a second handle for the test to read its
     /// private state between calls.
     struct Shared(Arc<Mutex<SwitchLayer>>);
@@ -1061,6 +1108,9 @@ mod tests {
         }
         fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
             self.0.lock().unwrap().on_launch(ctx)
+        }
+        fn on_restart(&mut self, ctx: &mut LayerCtx<'_>) {
+            self.0.lock().unwrap().on_restart(ctx)
         }
         fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
             self.0.lock().unwrap().on_up(src, bytes, ctx)
@@ -1078,6 +1128,8 @@ mod tests {
         handle: SwitchHandle,
         node: Node,
         variant: SwitchVariant,
+        /// Every observation the layer has shown its oracle.
+        observed: Arc<Mutex<Vec<SwitchObs>>>,
     }
 
     const VARIANTS: [SwitchVariant; 2] =
@@ -1086,18 +1138,24 @@ mod tests {
     impl Rig {
         fn new(variant: SwitchVariant) -> Self {
             let cfg = SwitchConfig { variant, ..SwitchConfig::default() };
+            let observed = Arc::new(Mutex::new(Vec::new()));
             let (layer, handle) = SwitchLayer::new(
                 cfg,
                 Stack::new(vec![]),
                 Stack::new(vec![]),
-                Box::new(NeverOracle),
+                Box::new(Watch(observed.clone())),
             );
             let layer = Arc::new(Mutex::new(layer));
             let mut stack = Stack::new(vec![Box::new(Shared(layer.clone()))]);
-            let mut node =
-                Node { rng: DetRng::new(1), delivered: vec![], sent: vec![], timers: vec![] };
+            let mut node = Node {
+                now: SimTime::ZERO,
+                rng: DetRng::new(1),
+                delivered: vec![],
+                sent: vec![],
+                timers: vec![],
+            };
             stack.launch(&mut node);
-            Self { stack, layer, handle, node, variant }
+            Self { stack, layer, handle, node, variant, observed }
         }
 
         fn receive(&mut self, channel: ChannelId, bytes: Bytes) {
@@ -1106,7 +1164,12 @@ mod tests {
 
         /// Application message `seq` of process 0 arrives on protocol `idx`.
         fn data(&mut self, idx: usize, seq: u64) {
-            self.receive(chan(idx), Message::with_tag(P0, seq, 0).to_bytes());
+            self.data_from(idx, P0, seq);
+        }
+
+        /// The same with any sender in the message, member or not.
+        fn data_from(&mut self, idx: usize, sender: ProcessId, seq: u64) {
+            self.receive(chan(idx), Message::with_tag(sender, seq, 0).to_bytes());
         }
 
         fn control(&mut self, body: Bytes) {
@@ -1114,23 +1177,33 @@ mod tests {
             self.receive(ChannelId::CONTROL, envelope.to_bytes());
         }
 
-        /// PREPARE for era 1 arrives from process 0.
+        /// The era and round process 0's next attempt carries, and the
+        /// token generation this process accepts.
+        fn next_attempt(&self) -> (u64, u64, u64) {
+            let layer = self.layer.lock().unwrap();
+            (layer.era + 1, layer.done_round + 1, layer.token_gen)
+        }
+
+        /// PREPARE for the next era arrives from process 0.
         fn prepare(&mut self) {
+            let (era, round, _) = self.next_attempt();
             match self.variant {
                 SwitchVariant::Broadcast => {
-                    self.control(Control::Prepare { era: 1, round: 1 }.to_bytes())
+                    self.control(Control::Prepare { era, round }.to_bytes())
                 }
                 SwitchVariant::TokenRing { .. } => self.control(self.token(TokenMode::Prepare, 0)),
             }
         }
 
-        /// SWITCH for era 1 arrives: process 0 sent `count` old-protocol
-        /// messages, this process none.
+        /// SWITCH for the attempt under way arrives: process 0 sent `count`
+        /// old-protocol messages, this process none.
         fn switch(&mut self, count: u64) {
             match self.variant {
                 SwitchVariant::Broadcast => {
+                    // Until the attempt ends, its round is still the next.
+                    let (era, round, _) = self.next_attempt();
                     let vector = vec![(P0, count), (P1, 0)];
-                    self.control(Control::Switch { era: 1, round: 1, vector }.to_bytes())
+                    self.control(Control::Switch { era, round, vector }.to_bytes())
                 }
                 SwitchVariant::TokenRing { .. } => {
                     self.control(self.token(TokenMode::Switch, count))
@@ -1139,8 +1212,28 @@ mod tests {
         }
 
         fn token(&self, mode: TokenMode, count: u64) -> Bytes {
+            let (era, _, gen) = self.next_attempt();
             let counts = vec![(P0, count), (P1, 0)];
-            RingToken { mode, era: 1, initiator: P0, counts, gen: 0 }.to_bytes()
+            RingToken { mode, era, initiator: P0, counts, gen }.to_bytes()
+        }
+
+        /// Fires the timer of `kind` that was armed last (an earlier one
+        /// of a kind that carries a generation is stale).
+        fn fire(&mut self, kind: impl Fn(u32) -> bool) {
+            let &(id, token) =
+                self.node.timers.iter().rfind(|(_, token)| kind(*token)).expect("armed");
+            assert!(self.stack.timer(id, token, &mut self.node));
+        }
+
+        /// The attempt's deadline passes.
+        fn abort_deadline(&mut self) {
+            self.fire(|token| token & FLAG_MASK == ABORT_FLAG);
+        }
+
+        /// The observation tick comes round; what the oracle was shown.
+        fn tick(&mut self) -> SwitchObs {
+            self.fire(|token| token == OBSERVE);
+            *self.observed.lock().unwrap().last().expect("a tick consults the oracle")
         }
 
         /// Sequence numbers the application has seen, in order.
@@ -1222,14 +1315,7 @@ mod tests {
             rig.data(1, 11);
             assert!(rig.seen().is_empty(), "{variant:?}: buffered while switching");
 
-            // The attempt's deadline passes.
-            let (id, token) = *rig
-                .node
-                .timers
-                .iter()
-                .find(|(_, token)| token & FLAG_MASK == ABORT_FLAG)
-                .expect("entering switching arms the abort timer");
-            assert!(rig.stack.timer(id, token, &mut rig.node));
+            rig.abort_deadline();
             assert_eq!(rig.handle.aborted(), 1, "{variant:?}");
             assert_eq!(rig.seen(), [11], "{variant:?}: the abort releases the buffer");
 
@@ -1244,6 +1330,79 @@ mod tests {
 
             rig.data(0, 1);
             assert_eq!((rig.seen(), rig.counted_from_p0()), (vec![11, 12, 1], 1), "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn a_sender_outside_the_group_is_delivered_and_observed_as_load_but_is_no_active_sender() {
+        let mut rig = Rig::new(SwitchVariant::Broadcast);
+        // One past the table, and as far past it as an id goes.
+        rig.data_from(0, ProcessId(2), 1);
+        rig.data_from(0, ProcessId(u16::MAX), 2);
+        assert_eq!(rig.seen(), [1, 2]);
+        let obs = rig.tick();
+        assert_eq!((obs.active_senders, obs.recent_deliveries), (0, 2));
+        rig.data_from(0, P1, 3);
+        let obs = rig.tick();
+        assert_eq!((obs.active_senders, obs.recent_deliveries), (1, 3));
+
+        // All three leave the window; only the member had a count to drop.
+        rig.node.now = SimTime::from_secs_f64(1.0);
+        let obs = rig.tick();
+        assert_eq!((obs.active_senders, obs.recent_deliveries), (0, 0));
+        assert_eq!(rig.layer.lock().unwrap().book.in_window, [0, 0]);
+    }
+
+    /// Two members, the nearest outsider and the farthest.
+    const SENDERS: [ProcessId; 4] = [P0, P1, ProcessId(2), ProcessId(u16::MAX)];
+
+    props! {
+        /// The per-member counts against the scan they replaced, along
+        /// schedules in which the window (500 ms) fills, slides and
+        /// empties, and in which the switch does everything that touches
+        /// the book: a flip clears `delivered_from` and releases the
+        /// buffer, an abort releases it through `deliver_foreign` and
+        /// absorbs from then on, a restart keeps the book as it is.
+        fn the_counted_active_senders_are_the_scanned_ones_on_any_schedule(
+            steps in vec_of((0u8..10, 0usize..4, 0u64..200), 0..120),
+            variant in 0usize..2,
+        ) {
+            let mut rig = Rig::new(VARIANTS[variant]);
+            for (seq, (kind, who, dt)) in (1u64..).zip(steps) {
+                rig.node.now += SimTime::from_millis(dt);
+                let current = rig.handle.current();
+                match kind {
+                    0..=3 => rig.data_from(current, SENDERS[who], seq),
+                    // Buffered until the next flip or abort, absorbed
+                    // after an abort.
+                    4 => rig.data_from(1 - current, SENDERS[who], seq),
+                    5 | 6 => {
+                        let obs = rig.tick();
+                        let layer = rig.layer.lock().unwrap();
+                        assert_eq!(obs.active_senders, layer.book.active_senders_by_scan(&GROUP));
+                        assert_eq!(obs.recent_deliveries, layer.book.recent.len() as u64);
+                    }
+                    7 => {
+                        rig.prepare();
+                        rig.switch(rig.counted_from_p0());
+                        assert_eq!(rig.handle.current(), 1 - current, "flipped");
+                    }
+                    8 => {
+                        rig.prepare();
+                        rig.data_from(1 - current, SENDERS[who], seq);
+                        rig.abort_deadline();
+                        assert_eq!(rig.handle.current(), current, "aborted");
+                    }
+                    _ => rig.stack.restart(&mut rig.node),
+                }
+                // At every step, not only at a tick: each count is the
+                // member's entries in the window.
+                let layer = rig.layer.lock().unwrap();
+                for (member, &count) in GROUP.iter().zip(&layer.book.in_window) {
+                    let entries = layer.book.recent.iter().filter(|(_, s)| s == member).count();
+                    assert_eq!(count as usize, entries, "{member:?}");
+                }
+            }
         }
     }
 }

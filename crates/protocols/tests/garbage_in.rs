@@ -37,6 +37,7 @@ const HEADER_ONLY_MAX: usize = 48;
 /// and which timers it armed.
 struct Node {
     me: ProcessId,
+    now: SimTime,
     rng: DetRng,
     sent: Vec<Frame>,
     delivered: Vec<Message>,
@@ -47,6 +48,7 @@ impl Node {
     fn new(me: ProcessId) -> Self {
         Self {
             me,
+            now: SimTime::ZERO,
             rng: DetRng::new(7),
             sent: Vec::new(),
             delivered: Vec::new(),
@@ -63,7 +65,7 @@ impl StackEnv for Node {
         &GROUP
     }
     fn now(&self) -> SimTime {
-        SimTime::ZERO
+        self.now
     }
     fn rng(&mut self) -> &mut DetRng {
         &mut self.rng
@@ -127,9 +129,15 @@ fn receiver(build: fn() -> Stack) -> (Stack, Node) {
 /// launch, send, then fire every timer once (a token-based protocol sends
 /// when its token hold expires).
 fn real_frames(build: fn() -> Stack) -> Vec<Bytes> {
+    real_frames_signed(build, GROUP[0])
+}
+
+/// The same, with `sender` written into the message: the stacks carry a
+/// message's id, they do not check it against the process that sent it.
+fn real_frames_signed(build: fn() -> Stack, sender: ProcessId) -> Vec<Bytes> {
     let (mut stack, mut node) = (build(), Node::new(GROUP[0]));
     stack.launch(&mut node);
-    stack.send(&Message::new(GROUP[0], 1, Bytes::from_static(&BODY)), &mut node);
+    stack.send(&Message::new(sender, 1, Bytes::from_static(&BODY)), &mut node);
     for (id, token) in std::mem::take(&mut node.timers) {
         stack.timer(id, token, &mut node);
     }
@@ -180,6 +188,34 @@ fn the_same_frames_whole_are_the_real_thing() {
             assert!(bodies.is_empty(), "{name}: delivered before the master's release");
         } else {
             assert_eq!(bodies, [&BODY[..]], "{name}");
+        }
+    }
+}
+
+/// A well-formed message that names a sender no member has. The id is the
+/// application's business, so the message is delivered like any other —
+/// and the hybrids, which count active senders per member, take it into
+/// their observation window and out again without a slot to count it in.
+#[test]
+fn a_sender_outside_the_group_is_delivered_and_survives_the_observation_window() {
+    for outsider in [ProcessId(GROUP.len() as u16), ProcessId(u16::MAX)] {
+        for (name, build) in RIGS.iter().filter(|(name, _)| name.starts_with("hybrid")) {
+            let (mut stack, mut node) = receiver(*build);
+            for frame in real_frames_signed(*build, outsider) {
+                stack.receive(GROUP[0], frame, &mut node);
+            }
+            let senders: Vec<ProcessId> = node.delivered.iter().map(|m| m.id.sender).collect();
+            assert_eq!(senders, [outsider], "{name}");
+            // Every timer armed so far, the switch's observation tick among
+            // them: once with the message in the window, once — re-armed by
+            // the first round — after the window has moved past it.
+            for now in [SimTime::ZERO, SimTime::from_secs_f64(60.0)] {
+                node.now = now;
+                for (id, token) in std::mem::take(&mut node.timers) {
+                    stack.timer(id, token, &mut node);
+                }
+            }
+            assert_eq!(node.delivered.len(), 1, "{name}");
         }
     }
 }

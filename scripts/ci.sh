@@ -16,6 +16,31 @@ cargo fmt --check
 echo "==> cargo build --release (offline)"
 cargo build --release
 
+echo "==> release profile: both workspace roots build with fat LTO and one codegen unit (offline)"
+# .cargo/config.toml at the repository root is the one file both
+# workspace roots read: benchmark/ carries its own [workspace], so a
+# [profile] in the root manifest would never reach it. Nothing fails when
+# that file is moved, renamed or shadowed by another config — a release
+# build merely loses a fifth of its speed — so prove it: relink one final
+# binary per root and read the flags off its rustc line.
+profile_reaches() {
+    local source="$1"
+    shift
+    touch "$source"
+    "$@" -v 2>&1 | awk '
+        /Running/ && /--crate-type bin/ && /-C lto=fat/ && /-C codegen-units=1/ { ok = 1 }
+        END { exit ok ? 0 : 1 }' || {
+        echo "   $source was not built with lto=fat and codegen-units=1: is .cargo/config.toml where cargo finds it?"
+        exit 1
+    }
+    echo "   $source: lto=fat, codegen-units=1"
+}
+profile_reaches crates/bench/src/bin/bench_check.rs \
+    cargo build --release -p ps-bench --bin bench_check
+# As benchmark/run.sh builds it, so that the run further down finds it fresh.
+profile_reaches benchmark/src/main.rs \
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+
 echo "==> cargo test (offline)"
 cargo test -q
 
@@ -248,12 +273,14 @@ benchmark/run.sh --quick > target/benchmark-quick.txt
 echo "==> allocation ceilings: handler path and event loop stay off the allocator (offline)"
 # The one performance number that can gate: allocator calls per multicast
 # are exact for a seed, so the --quick run above reads the same on every
-# host. Each ceiling is about 1.5x what the run reads now (1.37, 15.2 and
-# 18.5) and below what it read while the two idle rings still rotated at
-# full rate through a group with nothing to say to them (6.6, 32.0 and
-# 26.7): a container built per event, per handler call, per frame or per
-# delivery lands above them, and so does an idle token that stops backing
-# off.
+# host and under every build profile — whole-program optimisation moved
+# host time by a fifth and these not at all. Each ceiling is about 1.5x
+# what the run reads now (1.37, 15.2 and 18.5 — the switch's per-member
+# window counts, eight allocations at launch, add 0.007 to each) and
+# below what it read while the two idle rings still rotated at full rate
+# through a group with nothing to say to them (6.6, 32.0 and 26.7): a
+# container built per event, per handler call, per frame or per delivery
+# lands above them, and so does an idle token that stops backing off.
 alloc_ceiling() {
     awk -v workload="$1" -v ceiling="$2" '
         $1 == "==" { current = $2 }
