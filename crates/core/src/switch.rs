@@ -349,7 +349,7 @@ impl StackEnv for SubEnv<'_, '_> {
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
         self.ctx.set_timer_for(id, delay, token);
     }
-    fn obs(&self) -> Option<&ps_obs::Recorder> {
+    fn obs(&self) -> Option<&ps_obs::Writer<'_>> {
         self.ctx.obs()
     }
     fn cause(&self) -> ps_obs::CauseId {

@@ -98,8 +98,9 @@ struct NetEnv<'a> {
     new_timers: &'a mut Vec<(Duration, LayerId, u32)>,
     log: &'a SharedLog,
     delivered: &'a mut usize,
-    rec: &'a ps_obs::Recorder,
-    rec_on: bool,
+    /// The recording session of the node-loop event being processed,
+    /// `None` when the recorder is off.
+    obs: Option<&'a ps_obs::Writer<'a>>,
     cause: ps_obs::CauseId,
 }
 
@@ -125,13 +126,13 @@ impl StackEnv for NetEnv<'_> {
     fn transmit(&mut self, frame: Frame) {
         // Record the send intent here (where the causal context lives);
         // the socket write happens when effects are applied.
-        if self.rec_on {
+        if let Some(o) = self.obs {
             let copies = match frame.dest {
                 Cast::All => self.group.len(),
                 Cast::Others => self.group.len() - 1,
                 Cast::To(_) => 1,
             };
-            self.rec.record_caused(
+            o.record_caused(
                 self.at_us(),
                 u32::from(self.me.0),
                 self.cause,
@@ -147,10 +148,10 @@ impl StackEnv for NetEnv<'_> {
     fn deliver(&mut self, _src: ProcessId, msg: Message) {
         *self.delivered += 1;
         let at = self.now();
-        if self.rec_on && !msg.id.is_control() {
+        if let Some(o) = self.obs.filter(|_| !msg.id.is_control()) {
             // Same filter as the simulated runtime: control envelopes
             // (reserved seq space) are not application traffic.
-            self.rec.record_caused(
+            o.record_caused(
                 at.as_micros(),
                 u32::from(self.me.0),
                 self.cause,
@@ -169,8 +170,8 @@ impl StackEnv for NetEnv<'_> {
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
         self.new_timers.push((Duration::from_micros(delay.as_micros()), id, token));
     }
-    fn obs(&self) -> Option<&ps_obs::Recorder> {
-        self.rec_on.then_some(self.rec)
+    fn obs(&self) -> Option<&ps_obs::Writer<'_>> {
+        self.obs
     }
     fn cause(&self) -> ps_obs::CauseId {
         self.cause
@@ -246,11 +247,20 @@ impl NodeThread {
         self.outbox = outbox;
     }
 
+    /// Runs one stack call, then applies what it staged. With the
+    /// recorder on, `head` (what triggered the call; a causal root) and
+    /// everything the stack records go through one hold of the shared
+    /// ring, released before any socket write.
     fn with_env<R>(
         &mut self,
-        cause: ps_obs::CauseId,
+        head: Option<ps_obs::ObsEvent>,
         f: impl FnOnce(&mut Stack, &mut NetEnv<'_>) -> R,
     ) -> R {
+        let session = if self.rec_on { self.rec.writer() } else { None };
+        let cause = match (&session, head) {
+            (Some(w), Some(ev)) => w.record(self.at_us(), u32::from(self.me.0), ev),
+            _ => ps_obs::CauseId::NONE,
+        };
         let mut env = NetEnv {
             me: self.me,
             group: &self.group,
@@ -260,11 +270,11 @@ impl NodeThread {
             new_timers: &mut self.new_timers,
             log: &self.log,
             delivered: &mut self.delivered,
-            rec: &self.rec,
-            rec_on: self.rec_on,
+            obs: session.as_ref(),
             cause,
         };
         let r = f(&mut self.stack, &mut env);
+        drop(session);
         self.apply();
         r
     }
@@ -285,39 +295,25 @@ impl NodeThread {
                     let body = self.scheduled[idx].clone();
                     let msg = Message::new(self.me, self.next_seq, body);
                     self.next_seq += 1;
-                    let mut cause = ps_obs::CauseId::NONE;
-                    if self.rec_on {
-                        // The send is a causal root here: the simulator
-                        // parents it on the engine's timer event, but a
-                        // real schedule has no recorded trigger.
-                        cause = self.rec.record(
-                            self.at_us(),
-                            u32::from(self.me.0),
-                            ps_obs::ObsEvent::AppSend {
-                                sender: u32::from(msg.id.sender.0),
-                                seq: msg.id.seq,
-                            },
-                        );
-                    }
+                    // The send is a causal root here: the simulator
+                    // parents it on the engine's timer event, but a
+                    // real schedule has no recorded trigger.
+                    let head = self.rec_on.then_some(ps_obs::ObsEvent::AppSend {
+                        sender: u32::from(msg.id.sender.0),
+                        seq: msg.id.seq,
+                    });
                     self.log.lock().expect("net log poisoned").push((
                         SimTime::from_micros(self.at_us()),
                         self.me.0,
                         Event::send(msg.clone()),
                     ));
-                    self.with_env(cause, |stack, env| stack.send(&msg, env));
+                    self.with_env(head, |stack, env| stack.send(&msg, env));
                 }
                 Pending::Timer(id, token) => {
-                    let mut cause = ps_obs::CauseId::NONE;
-                    if self.rec_on {
-                        cause = self.rec.record(
-                            self.at_us(),
-                            u32::from(self.me.0),
-                            ps_obs::ObsEvent::TimerFire {
-                                token: (u64::from(id.0) << 32) | u64::from(token),
-                            },
-                        );
-                    }
-                    self.with_env(cause, |stack, env| {
+                    let head = self.rec_on.then_some(ps_obs::ObsEvent::TimerFire {
+                        token: (u64::from(id.0) << 32) | u64::from(token),
+                    });
+                    self.with_env(head, |stack, env| {
                         stack.timer(id, token, env);
                     });
                 }
@@ -327,7 +323,7 @@ impl NodeThread {
 
     fn run(mut self) -> (usize, usize) {
         // First scheduled sends were pushed before spawn; launch the stack.
-        self.with_env(ps_obs::CauseId::NONE, |stack, env| stack.launch(env));
+        self.with_env(None, |stack, env| stack.launch(env));
         let mut buf = vec![0u8; self.cfg.max_datagram];
         while !self.stop.load(Ordering::Relaxed) {
             self.fire_due();
@@ -342,22 +338,15 @@ impl NodeThread {
                 Ok((n, _addr)) => match dgram::decode(&buf[..n]) {
                     Ok((src, payload)) => {
                         self.counters.copies_delivered.fetch_add(1, Ordering::Relaxed);
-                        let mut cause = ps_obs::CauseId::NONE;
-                        if self.rec_on {
-                            // Causal root: the sender's FrameSend lives on
-                            // another host's timeline and its CauseId is
-                            // not ferried across the wire (a documented
-                            // sim-vs-real divergence; docs/transport.md).
-                            cause = self.rec.record(
-                                self.at_us(),
-                                u32::from(self.me.0),
-                                ps_obs::ObsEvent::FrameDeliver {
-                                    src: u32::from(src.0),
-                                    bytes: payload.len() as u32,
-                                },
-                            );
-                        }
-                        self.with_env(cause, |stack, env| stack.receive(src, payload, env));
+                        // Causal root: the sender's FrameSend lives on
+                        // another host's timeline and its CauseId is
+                        // not ferried across the wire (a documented
+                        // sim-vs-real divergence; docs/transport.md).
+                        let head = self.rec_on.then_some(ps_obs::ObsEvent::FrameDeliver {
+                            src: u32::from(src.0),
+                            bytes: payload.len() as u32,
+                        });
+                        self.with_env(head, |stack, env| stack.receive(src, payload, env));
                     }
                     Err(_) => self.malformed += 1,
                 },

@@ -63,6 +63,6 @@ pub use monitor::{
     ViolationKind,
 };
 pub use postmortem::{PostmortemBundle, DEFAULT_K_HOPS};
-pub use recorder::{EventSink, Recorder};
+pub use recorder::{EventSink, Recorder, Writer};
 pub use sample::{LoadSample, MetricsSampler, SeriesSummary};
 pub use timeline::{check_well_nested, switch_timeline, SwitchInterval};

@@ -24,7 +24,7 @@
 
 use crate::event::{EventMask, ObsEvent, SpPhase, TimedEvent};
 use crate::recorder::{EventSink, Recorder};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which property a [`Violation`] breaks.
@@ -84,6 +84,41 @@ fn lock<T>(m: &Arc<Mutex<T>>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Ids below this index a dense table; anything larger spills to a map.
+const DENSE_IDS: usize = 1024;
+
+/// Per-id state keyed by a node or sender id. Ids are small and dense in
+/// every run a stack produces (group positions), so the hot path is one
+/// bounds-checked index; an id a stream is not expected to carry (the
+/// monitors are fed whatever was recorded) costs a map entry, never a
+/// table sized by its value.
+struct IdTable<T> {
+    dense: Vec<Option<T>>,
+    spill: BTreeMap<u32, Option<T>>,
+}
+
+impl<T> Default for IdTable<T> {
+    fn default() -> Self {
+        Self { dense: Vec::new(), spill: BTreeMap::new() }
+    }
+}
+
+impl<T> IdTable<T> {
+    /// The slot of `id`, created empty on first use.
+    #[inline]
+    fn slot(&mut self, id: u32) -> &mut Option<T> {
+        let i = id as usize;
+        if i < DENSE_IDS {
+            if i >= self.dense.len() {
+                self.dense.resize_with(i + 1, || None);
+            }
+            &mut self.dense[i]
+        } else {
+            self.spill.entry(id).or_insert(None)
+        }
+    }
+}
+
 // ---- total order -----------------------------------------------------------
 
 #[derive(Default)]
@@ -94,7 +129,7 @@ struct TotalOrderState {
     /// The event that defined each canonical position (violation context).
     canonical_ev: Vec<TimedEvent>,
     /// Next delivery position per node.
-    cursor: BTreeMap<u32, usize>,
+    cursor: IdTable<usize>,
     /// Nodes already reported (one violation per diverging node).
     diverged: Vec<u32>,
     violations: Vec<Violation>,
@@ -124,7 +159,10 @@ impl TotalOrderMonitor {
         if s.diverged.contains(&ev.node) {
             return;
         }
-        let k = *s.cursor.entry(ev.node).or_insert(0);
+        let s = &mut *s;
+        let cursor = s.cursor.slot(ev.node).get_or_insert(0);
+        let k = *cursor;
+        *cursor += 1;
         if k == s.canonical.len() {
             s.canonical.push((sender, seq));
             s.canonical_ev.push(*ev);
@@ -145,7 +183,6 @@ impl TotalOrderMonitor {
             s.violations.push(v);
             s.diverged.push(ev.node);
         }
-        *s.cursor.get_mut(&ev.node).expect("cursor inserted above") += 1;
     }
 
     /// Violations detected so far.
@@ -170,8 +207,8 @@ impl EventSink for TotalOrderMonitor {
 
 #[derive(Default)]
 struct FifoState {
-    /// Highest delivered seq and its event, per (node, sender).
-    last: BTreeMap<(u32, u32), (u64, TimedEvent)>,
+    /// Highest delivered seq and its event, per node, per sender.
+    last: IdTable<IdTable<(u64, TimedEvent)>>,
     violations: Vec<Violation>,
 }
 
@@ -194,8 +231,10 @@ impl FifoMonitor {
     pub fn observe(&self, ev: &TimedEvent) {
         let ObsEvent::AppDeliver { sender, seq } = ev.ev else { return };
         let mut s = lock(&self.inner);
-        match s.last.get(&(ev.node, sender)) {
-            Some(&(prev_seq, prev_ev)) if seq <= prev_seq => {
+        let s = &mut *s;
+        let last = s.last.slot(ev.node).get_or_insert_with(IdTable::default).slot(sender);
+        match *last {
+            Some((prev_seq, prev_ev)) if seq <= prev_seq => {
                 let what = if seq == prev_seq { "duplicate" } else { "reordered" };
                 let v = Violation {
                     kind: ViolationKind::Fifo,
@@ -208,9 +247,7 @@ impl FifoMonitor {
                 };
                 s.violations.push(v);
             }
-            _ => {
-                s.last.insert((ev.node, sender), (seq, *ev));
-            }
+            _ => *last = Some((seq, *ev)),
         }
     }
 
@@ -234,17 +271,96 @@ impl EventSink for FifoMonitor {
 
 // ---- delivery accounting ---------------------------------------------------
 
+/// The message ids of one sender that are *settled*: sent, and delivered
+/// at every expected node, so nothing recorded later can change their
+/// verdict. A contiguous run `[base, low)` plus a sparse tail, the shape
+/// of `ps-protocols`' reliable-layer received-set: senders' messages
+/// settle in sequence order on every ordered stack, so the tail stays
+/// empty and a message costs one compare here. `base` is the first id to
+/// settle, whatever number the sender started counting at.
+#[derive(Default)]
+struct Settled {
+    base: u64,
+    low: u64,
+    tail: BTreeSet<u64>,
+}
+
+impl Settled {
+    fn contains(&self, seq: u64) -> bool {
+        (self.base <= seq && seq < self.low) || self.tail.contains(&seq)
+    }
+
+    fn insert(&mut self, seq: u64) {
+        // `low` is exclusive, so the run can never take in `u64::MAX`.
+        match seq.checked_add(1) {
+            Some(next) if self.base == self.low => (self.base, self.low) = (seq, next),
+            Some(next) if seq == self.low => self.low = next,
+            _ => {
+                self.tail.insert(seq);
+                return;
+            }
+        }
+        while self.low < u64::MAX && self.tail.remove(&self.low) {
+            self.low += 1;
+        }
+    }
+}
+
+/// What is known of a message that is not settled yet.
+struct Unsettled {
+    /// Its first `AppSend`, once seen (a delivery can be recorded first:
+    /// a sharded run replays shard by shard within an epoch).
+    send: Option<TimedEvent>,
+    /// The distinct nodes that delivered it, in arrival order.
+    nodes: Vec<u32>,
+}
+
 #[derive(Default)]
 struct DeliveryState {
-    /// Send event per message id, in send order.
-    sent: BTreeMap<(u32, u64), TimedEvent>,
-    /// Nodes that delivered each message id.
-    delivered: BTreeMap<(u32, u64), Vec<u32>>,
+    /// Messages sent or delivered that may still change verdict, by id.
+    /// Bounded by what is in flight plus what was lost for good.
+    open: BTreeMap<(u32, u64), Unsettled>,
+    /// Settled ids, per sender.
+    settled: IdTable<Settled>,
+    /// Distinct message ids sent so far, settled ones included.
+    sent: usize,
+    /// Node lists of settled messages, emptied, for the next message.
+    spare: Vec<Vec<u32>>,
+}
+
+impl DeliveryState {
+    /// The open entry of `(sender, seq)`, or `None` if it is settled.
+    fn unsettled(&mut self, sender: u32, seq: u64) -> Option<&mut Unsettled> {
+        if self.settled.slot(sender).as_ref().is_some_and(|s| s.contains(seq)) {
+            return None;
+        }
+        let spare = &mut self.spare;
+        Some(
+            self.open.entry((sender, seq)).or_insert_with(|| Unsettled {
+                send: None,
+                nodes: spare.pop().unwrap_or_default(),
+            }),
+        )
+    }
+
+    /// Forgets the open entry of `(sender, seq)`, now settled, keeping
+    /// its id recognisable and its node list for reuse.
+    fn retire(&mut self, sender: u32, seq: u64) {
+        let mut nodes = self.open.remove(&(sender, seq)).expect("settled from its entry").nodes;
+        nodes.clear();
+        self.spare.push(nodes);
+        self.settled.slot(sender).get_or_insert_with(Settled::default).insert(seq);
+    }
 }
 
 /// Accounts deliveries against sends: at [`DeliveryMonitor::finish`],
 /// every sent message must have been delivered at all `nodes` group
 /// members (total-order stacks self-deliver, so the sender counts too).
+///
+/// State is held for what is unsettled, not for the run: a message that
+/// has been sent and delivered at `nodes` distinct nodes is forgotten,
+/// except that its id stays recognisable — a late duplicate send or
+/// delivery of it changes nothing, as it never did.
 #[derive(Clone)]
 pub struct DeliveryMonitor {
     nodes: u32,
@@ -259,32 +375,49 @@ impl DeliveryMonitor {
 
     /// Feeds one event.
     pub fn observe(&self, ev: &TimedEvent) {
-        match ev.ev {
-            ObsEvent::AppSend { sender, seq } => {
-                lock(&self.inner).sent.entry((sender, seq)).or_insert(*ev);
+        let (sender, seq, is_send) = match ev.ev {
+            ObsEvent::AppSend { sender, seq } => (sender, seq, true),
+            ObsEvent::AppDeliver { sender, seq } => (sender, seq, false),
+            _ => return,
+        };
+        let mut s = lock(&self.inner);
+        let Some(m) = s.unsettled(sender, seq) else { return };
+        if is_send {
+            if m.send.is_some() {
+                return;
             }
-            ObsEvent::AppDeliver { sender, seq } => {
-                let mut s = lock(&self.inner);
-                let nodes = s.delivered.entry((sender, seq)).or_default();
-                if !nodes.contains(&ev.node) {
-                    nodes.push(ev.node);
-                }
+            m.send = Some(*ev);
+        } else {
+            if m.nodes.contains(&ev.node) {
+                return;
             }
-            _ => {}
+            m.nodes.push(ev.node);
+        }
+        let settled = m.send.is_some() && m.nodes.len() >= self.nodes as usize;
+        s.sent += usize::from(is_send);
+        if settled {
+            s.retire(sender, seq);
         }
     }
 
     /// Messages sent so far.
     pub fn sent_count(&self) -> usize {
-        lock(&self.inner).sent.len()
+        lock(&self.inner).sent
+    }
+
+    /// Messages sent or delivered whose verdict is still open — what the
+    /// monitor holds state for.
+    pub fn unsettled_count(&self) -> usize {
+        lock(&self.inner).open.len()
     }
 
     /// End-of-run check: one violation per message missing a delivery.
     pub fn finish(&self) -> Vec<Violation> {
         let s = lock(&self.inner);
         let mut out = Vec::new();
-        for (&(sender, seq), send_ev) in &s.sent {
-            let have = s.delivered.get(&(sender, seq)).map_or(0, Vec::len);
+        for (&(sender, seq), m) in &s.open {
+            let Some(send_ev) = &m.send else { continue };
+            let have = m.nodes.len();
             if have < self.nodes as usize {
                 out.push(Violation {
                     kind: ViolationKind::DeliveryLoss,
@@ -605,6 +738,112 @@ mod tests {
         assert_eq!(vs[0].kind, ViolationKind::DeliveryLoss);
         assert!(vs[0].detail.contains("(1,1) delivered at 1/3"));
         assert_eq!(vs[0].context, vec![send(2, 1, 1)]);
+    }
+
+    /// Sends (1, 1) and delivers it at nodes `0..nodes`: settled.
+    fn settle(m: &DeliveryMonitor, at_us: u64, nodes: u32) {
+        m.observe(&send(at_us, 1, 1));
+        for n in 0..nodes {
+            m.observe(&deliver(at_us + 1, n, 1, 1));
+        }
+        assert_eq!(m.unsettled_count(), 0, "sent and delivered everywhere: forgotten");
+    }
+
+    #[test]
+    fn delivery_recorded_before_its_send_still_counts() {
+        // Sharded replay order: within an epoch a receiver's shard can be
+        // replayed before the sender's.
+        let m = DeliveryMonitor::new(2);
+        m.observe(&deliver(5, 0, 1, 1));
+        m.observe(&deliver(6, 1, 1, 1));
+        assert!(m.finish().is_empty(), "never sent: nothing to account for");
+        assert_eq!(m.sent_count(), 0);
+        m.observe(&send(7, 1, 1));
+        assert_eq!(m.sent_count(), 1);
+        assert!(m.finish().is_empty(), "both deliveries were kept for the send");
+        assert_eq!(m.unsettled_count(), 0);
+        // One delivery short, the send last: still a loss, with the count.
+        m.observe(&deliver(8, 0, 1, 2));
+        m.observe(&send(9, 1, 2));
+        let vs = m.finish();
+        assert_eq!(vs.len(), 1);
+        assert!(vs[0].detail.contains("(1,2) delivered at 1/2"));
+    }
+
+    #[test]
+    fn duplicate_send_of_a_settled_message_is_not_a_new_message() {
+        let m = DeliveryMonitor::new(3);
+        settle(&m, 10, 3);
+        m.observe(&send(99, 1, 1));
+        assert!(m.finish().is_empty(), "a forgotten id re-sent must not read as 0/3");
+        assert_eq!(m.sent_count(), 1);
+        assert_eq!(m.unsettled_count(), 0);
+    }
+
+    #[test]
+    fn duplicate_delivery_after_settling_opens_nothing() {
+        let m = DeliveryMonitor::new(3);
+        settle(&m, 10, 3);
+        m.observe(&deliver(50, 2, 1, 1));
+        m.observe(&deliver(51, 7, 1, 1));
+        assert_eq!(m.unsettled_count(), 0, "late copies of a settled id hold no state");
+        assert!(m.finish().is_empty());
+        assert_eq!(m.sent_count(), 1);
+    }
+
+    #[test]
+    fn a_node_outside_the_group_counts_as_a_distinct_node() {
+        // `nodes` is how many distinct nodes must deliver, not an id bound.
+        let m = DeliveryMonitor::new(3);
+        m.observe(&send(1, 1, 1));
+        m.observe(&deliver(2, 0, 1, 1));
+        m.observe(&deliver(3, 9, 1, 1));
+        m.observe(&deliver(4, u32::MAX, 1, 1));
+        assert!(m.finish().is_empty());
+        assert_eq!(m.unsettled_count(), 0);
+        // A sender outside the group (and the dense table) is a sender.
+        m.observe(&send(5, u32::MAX, u64::MAX));
+        assert_eq!(m.finish().len(), 1);
+        for n in 0..3 {
+            m.observe(&deliver(6, n, u32::MAX, u64::MAX));
+        }
+        m.observe(&send(7, u32::MAX, u64::MAX));
+        assert!(m.finish().is_empty());
+        assert_eq!(m.sent_count(), 2);
+    }
+
+    #[test]
+    fn sent_count_is_distinct_sends_settled_or_not() {
+        let m = DeliveryMonitor::new(2);
+        for seq in 1..=5u64 {
+            m.observe(&send(seq, 0, seq));
+            m.observe(&send(seq, 0, seq)); // duplicate while open
+        }
+        for seq in [1u64, 2, 4] {
+            m.observe(&deliver(10, 0, 0, seq));
+            m.observe(&deliver(10, 1, 0, seq));
+            m.observe(&send(11, 0, seq)); // duplicate once settled
+        }
+        assert_eq!(m.sent_count(), 5);
+        assert_eq!(m.unsettled_count(), 2);
+        let lost: Vec<_> = m.finish().iter().map(|v| v.detail.clone()).collect();
+        assert_eq!(
+            lost,
+            ["message (0,3) delivered at 0/2 nodes", "message (0,5) delivered at 0/2 nodes"]
+        );
+    }
+
+    #[test]
+    fn settled_ids_out_of_order_and_at_the_top_of_the_range() {
+        let mut s = Settled::default();
+        for seq in [7u64, 9, 8, 3, u64::MAX, u64::MAX - 1] {
+            assert!(!s.contains(seq));
+            s.insert(seq);
+            assert!(s.contains(seq));
+        }
+        assert_eq!((s.base, s.low), (7, 10), "9 joined the run once 8 arrived");
+        assert!(!s.contains(6) && !s.contains(10) && !s.contains(0));
+        assert_eq!(s.tail.len(), 3);
     }
 
     #[test]

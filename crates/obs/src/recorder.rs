@@ -12,14 +12,22 @@
 //! - **Compile-time off switch.** With the `tap` cargo feature disabled,
 //!   `record` compiles to an empty inline function and every recorder is
 //!   permanently disabled.
+//! - **One record path, held per burst.** [`Recorder::writer`] locks the
+//!   ring and returns a [`Writer`] session; every record goes through a
+//!   session, and `Recorder::record*` is a session of one. A host whose
+//!   unit of work records a burst (an engine event: head record, layer
+//!   spans, deliveries, frame sends) opens one session for it and lends
+//!   that down the stack — see [`Recorder::writer`] for what must not be
+//!   called meanwhile.
 //! - **Deterministic.** Event order is the host's call order; timestamps
 //!   are the host's virtual clock. Nothing here reads wall-clock time, so
 //!   same-seed runs snapshot byte-identical event sequences.
 
 use crate::event::{CauseId, EventMask, ObsEvent, TimedEvent};
 use ps_prof::Profiler;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// A streaming consumer of recorded events.
 ///
@@ -100,6 +108,7 @@ impl Ring {
     /// Feeds sinks and places `e` in the ring (the record-order critical
     /// section; callers hold the lock via `&mut self`). `prof` is the
     /// caller's clone of `self.prof` (cloned outside the field borrow).
+    #[inline]
     fn push(&mut self, e: TimedEvent, prof: Option<&Profiler>) {
         // Sinks first: they must see the event even if the ring write
         // below evicts older history (streaming beats the ring). The
@@ -122,13 +131,20 @@ impl Ring {
             self.buf[i] = e;
             self.overwritten += 1;
         }
-        self.next = (self.next + 1) % self.cap;
+        // `next < cap` always, so the wrap is a compare, not a division.
+        self.next += 1;
+        if self.next == self.cap {
+            self.next = 0;
+        }
     }
 }
 
 struct Shared {
     enabled: AtomicBool,
-    ring: Mutex<Ring>,
+    /// The `RefCell` lets a [`Writer`] — one hold of the mutex — record
+    /// through a shared reference; whoever holds the mutex is alone with
+    /// it, so every other access goes through `get_mut`.
+    ring: Mutex<RefCell<Ring>>,
 }
 
 /// A clonable handle to one shared ring of [`TimedEvent`]s.
@@ -162,10 +178,17 @@ impl Default for Recorder {
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ring = self.ring();
-        f.debug_struct("Recorder")
-            .field("enabled", &self.is_enabled())
-            .field("capacity", &ring.cap)
+        let mut d = f.debug_struct("Recorder");
+        d.field("enabled", &self.is_enabled());
+        // Never block: `{:?}` may run inside a callback whose engine event
+        // holds this ring through a [`Writer`] on the same thread.
+        let mut ring = match self.shared.ring.try_lock() {
+            Ok(ring) => ring,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return d.field("ring", &"<held>").finish(),
+        };
+        let ring = ring.get_mut();
+        d.field("capacity", &ring.cap)
             .field("len", &ring.buf.len())
             .field("overwritten", &ring.overwritten)
             .finish()
@@ -183,7 +206,7 @@ impl Recorder {
         Self {
             shared: Arc::new(Shared {
                 enabled: AtomicBool::new(on),
-                ring: Mutex::new(Ring {
+                ring: Mutex::new(RefCell::new(Ring {
                     buf: Vec::with_capacity(capacity),
                     cap: capacity,
                     next: 0,
@@ -193,7 +216,7 @@ impl Recorder {
                     prof: None,
                     profile_sinks: false,
                     seqs: Vec::new(),
-                }),
+                })),
             }),
         }
     }
@@ -203,9 +226,15 @@ impl Recorder {
         Self::with_capacity(0)
     }
 
-    fn ring(&self) -> MutexGuard<'_, Ring> {
+    fn lock(&self) -> MutexGuard<'_, RefCell<Ring>> {
         // Poison-proof: the ring holds plain data, valid after any panic.
         self.shared.ring.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `f` on the ring under its lock (blocks while a [`Writer`] of
+    /// this ring is alive).
+    fn with_ring<R>(&self, f: impl FnOnce(&mut Ring) -> R) -> R {
+        f(self.lock().get_mut())
     }
 
     /// Whether `record` currently stores events.
@@ -220,8 +249,27 @@ impl Recorder {
     /// [`Recorder::set_enabled`]). Hosts that cached the flag keep their
     /// cached value — this is a between-runs switch, not a live one.
     pub fn set_enabled(&self, on: bool) {
-        let can = cfg!(feature = "tap") && self.ring().cap > 0;
+        let can = cfg!(feature = "tap") && self.with_ring(|r| r.cap > 0);
         self.shared.enabled.store(on && can, Ordering::Relaxed);
+    }
+
+    /// Opens a recording session: the ring stays locked until the
+    /// returned [`Writer`] is dropped, so a burst of records (everything
+    /// one engine event produces) pays for one lock, not one per record.
+    /// `None` when disabled — the one enabled check of the record path.
+    ///
+    /// While a session is alive, every other use of this ring —
+    /// [`Recorder::record`] and friends, `snapshot`, `len`, `is_empty`,
+    /// `overwritten`, `clear`, `subscribe`, `sink_count`, `set_prof`,
+    /// `set_enabled`, another `writer()` — blocks until it is dropped;
+    /// on the *same* thread that is a self-deadlock. Hosts therefore
+    /// hand the session itself (not the recorder) to the code they call,
+    /// and read the ring only between sessions (after `run_until`).
+    /// Sinks are fed under the lock, as they always were, and must not
+    /// call back into their recorder. (`{:?}` never blocks.)
+    #[inline]
+    pub fn writer(&self) -> Option<Writer<'_>> {
+        self.is_enabled().then(|| Writer { ring: self.lock() })
     }
 
     /// Records one root event (no causal parent) and returns its
@@ -235,98 +283,63 @@ impl Recorder {
 
     /// Records one event with a causal `parent` link and returns the
     /// fresh event's own [`CauseId`] so callers can chain lineage.
-    /// [`CauseId::NONE`] when disabled.
+    /// [`CauseId::NONE`] when disabled. A session of one record: see
+    /// [`Recorder::writer`] for what a burst should use instead.
     #[inline]
     pub fn record_caused(&self, at_us: u64, node: u32, parent: CauseId, ev: ObsEvent) -> CauseId {
-        #[cfg(feature = "tap")]
-        {
-            if !self.shared.enabled.load(Ordering::Relaxed) {
-                return CauseId::NONE;
-            }
-            let mut ring = self.ring();
-            // Clone the (Arc-backed) handle out of the field so the span
-            // guard does not hold a borrow of the ring we mutate below.
-            let prof = ring.prof.clone();
-            let _sp = prof.as_ref().map(|p| p.span(&["obs", "record"]));
-            let seq = ring.next_seq(node);
-            let e = TimedEvent { at_us, node, seq, parent, ev };
-            ring.push(e, prof.as_ref());
-            e.id()
-        }
-        #[cfg(not(feature = "tap"))]
-        {
-            let _ = (at_us, node, parent, ev);
-            CauseId::NONE
+        match self.writer() {
+            Some(w) => w.record_caused(at_us, node, parent, ev),
+            None => CauseId::NONE,
         }
     }
 
-    /// Replays an already-stamped event verbatim — seq and parent are
-    /// kept, not re-minted (the node's counter is advanced past `e.seq`
-    /// so later direct records stay unique). This is the merge path for
-    /// sharded runs: per-shard recorders mint ids, the merged recorder
-    /// replays them in (epoch, shard) order.
+    /// Replays an already-stamped event verbatim (a session of one
+    /// [`Writer::record_timed`]). No-op when disabled.
     pub fn record_timed(&self, e: &TimedEvent) {
-        #[cfg(feature = "tap")]
-        {
-            if !self.shared.enabled.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut ring = self.ring();
-            let i = e.node as usize;
-            if i >= ring.seqs.len() {
-                ring.seqs.resize(i + 1, 0);
-            }
-            ring.seqs[i] = ring.seqs[i].max(e.seq);
-            // No `obs/record` span here: replay is driver machinery (the
-            // sharded driver wraps it in `driver/replay`), but sink
-            // dispatch still spans so monitor cost is attributed whether
-            // events arrive live or replayed.
-            let prof = ring.prof.clone();
-            ring.push(*e, prof.as_ref());
-        }
-        #[cfg(not(feature = "tap"))]
-        {
-            let _ = e;
+        if let Some(w) = self.writer() {
+            w.record_timed(e);
         }
     }
 
     /// The recorded events, oldest first. If the ring wrapped, the oldest
     /// surviving event leads.
     pub fn snapshot(&self) -> Vec<TimedEvent> {
-        let ring = self.ring();
-        if ring.buf.len() < ring.cap || ring.buf.is_empty() {
-            ring.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(ring.buf.len());
-            out.extend_from_slice(&ring.buf[ring.next..]);
-            out.extend_from_slice(&ring.buf[..ring.next]);
-            out
-        }
+        self.with_ring(|ring| {
+            if ring.buf.len() < ring.cap || ring.buf.is_empty() {
+                ring.buf.clone()
+            } else {
+                let mut out = Vec::with_capacity(ring.buf.len());
+                out.extend_from_slice(&ring.buf[ring.next..]);
+                out.extend_from_slice(&ring.buf[..ring.next]);
+                out
+            }
+        })
     }
 
     /// Events recorded and still in the ring.
     pub fn len(&self) -> usize {
-        self.ring().buf.len()
+        self.with_ring(|r| r.buf.len())
     }
 
     /// Whether nothing has been recorded (or everything cleared).
     pub fn is_empty(&self) -> bool {
-        self.ring().buf.is_empty()
+        self.with_ring(|r| r.buf.is_empty())
     }
 
     /// Events lost to ring wrap-around since construction or last clear.
     pub fn overwritten(&self) -> u64 {
-        self.ring().overwritten
+        self.with_ring(|r| r.overwritten)
     }
 
     /// Empties the ring and resets the per-node causal seq counters
     /// (capacity, enabled flag, and subscribers are kept).
     pub fn clear(&self) {
-        let mut ring = self.ring();
-        ring.buf.clear();
-        ring.next = 0;
-        ring.overwritten = 0;
-        ring.seqs.clear();
+        self.with_ring(|ring| {
+            ring.buf.clear();
+            ring.next = 0;
+            ring.overwritten = 0;
+            ring.seqs.clear();
+        });
     }
 
     /// Attaches a streaming [`EventSink`]: from now on it sees every
@@ -338,14 +351,15 @@ impl Recorder {
     pub fn subscribe(&self, sink: Box<dyn EventSink>) {
         let mask = sink.interest();
         let name = sink.name();
-        let mut ring = self.ring();
-        ring.sink_union |= mask;
-        ring.sinks.push(SinkEntry { sink, mask, name });
+        self.with_ring(|ring| {
+            ring.sink_union |= mask;
+            ring.sinks.push(SinkEntry { sink, mask, name });
+        });
     }
 
     /// Number of subscribed sinks.
     pub fn sink_count(&self) -> usize {
-        self.ring().sinks.len()
+        self.with_ring(|r| r.sinks.len())
     }
 
     /// Attaches a host-time profiler: every `record*` call opens an
@@ -354,9 +368,71 @@ impl Recorder {
     /// profiler is ignored — the recording hot path only ever pays for a
     /// profiler that is actually collecting.
     pub fn set_prof(&self, prof: &Profiler, profile_sinks: bool) {
-        let mut ring = self.ring();
-        ring.prof = prof.is_enabled().then(|| prof.clone());
-        ring.profile_sinks = profile_sinks;
+        self.with_ring(|ring| {
+            ring.prof = prof.is_enabled().then(|| prof.clone());
+            ring.profile_sinks = profile_sinks;
+        });
+    }
+}
+
+/// A recording session: the ring of one [`Recorder`], held locked for a
+/// burst of records (see [`Recorder::writer`] for what blocks meanwhile).
+///
+/// Records through a shared reference, so the host can lend the session
+/// down a call chain that also needs the host mutably; it is neither
+/// `Send` nor `Sync`.
+pub struct Writer<'a> {
+    ring: MutexGuard<'a, RefCell<Ring>>,
+}
+
+impl std::fmt::Debug for Writer<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Writer").finish_non_exhaustive()
+    }
+}
+
+impl Writer<'_> {
+    /// Records one root event (no causal parent); see
+    /// [`Recorder::record`].
+    #[inline]
+    pub fn record(&self, at_us: u64, node: u32, ev: ObsEvent) -> CauseId {
+        self.record_caused(at_us, node, CauseId::NONE, ev)
+    }
+
+    /// Records one event with a causal `parent` link and returns the
+    /// fresh event's own [`CauseId`]. This is the one live record path:
+    /// [`Recorder::record_caused`] opens a session and calls it.
+    #[inline]
+    pub fn record_caused(&self, at_us: u64, node: u32, parent: CauseId, ev: ObsEvent) -> CauseId {
+        let mut ring = self.ring.borrow_mut();
+        // Clone the (Arc-backed) handle out of the field so the span
+        // guard does not hold a borrow of the ring we mutate below.
+        let prof = ring.prof.clone();
+        let _sp = prof.as_ref().map(|p| p.span(&["obs", "record"]));
+        let seq = ring.next_seq(node);
+        let e = TimedEvent { at_us, node, seq, parent, ev };
+        ring.push(e, prof.as_ref());
+        e.id()
+    }
+
+    /// Replays an already-stamped event verbatim — seq and parent are
+    /// kept, not re-minted (the node's counter is advanced past `e.seq`
+    /// so later direct records stay unique). This is the merge path for
+    /// sharded runs: per-shard recorders mint ids, the merged recorder
+    /// replays them in (epoch, shard) order.
+    pub fn record_timed(&self, e: &TimedEvent) {
+        let mut ring = self.ring.borrow_mut();
+        let i = e.node as usize;
+        if i >= ring.seqs.len() {
+            ring.seqs.resize(i + 1, 0);
+        }
+        ring.seqs[i] = ring.seqs[i].max(e.seq);
+        // No `obs/record` span here: replay is driver machinery (the
+        // sharded driver wraps it in `driver/replay`), but sink
+        // dispatch still spans so monitor cost is attributed whether
+        // events arrive live or replayed.
+        let prof = ring.prof.clone();
+        ring.push(*e, prof.as_ref());
     }
 }
 
@@ -524,6 +600,74 @@ mod tests {
             r.record(2, 0, ev(2));
             r.clear();
             assert_eq!(r.record(3, 0, ev(3)), CauseId::new(0, 1));
+        }
+
+        /// Sink logging `(node, seq, at_us)` of what it is fed, in order.
+        struct OrderSink(std::sync::Arc<std::sync::Mutex<Vec<(u32, u32, u64)>>>);
+        impl EventSink for OrderSink {
+            fn on_event(&mut self, ev: &TimedEvent) {
+                self.0.lock().unwrap().push((ev.node, ev.seq, ev.at_us));
+            }
+        }
+
+        #[test]
+        fn a_session_records_exactly_what_single_records_would() {
+            // The same 40 calls twice: all through `record*`, and in
+            // bursts through `writer()` with single records in between.
+            // A ring of 16 wraps, so `overwritten` is compared too.
+            let run = |bursts: bool| {
+                let fed = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+                let r = Recorder::with_capacity(16);
+                r.subscribe(Box::new(OrderSink(fed.clone())));
+                let mut ids = Vec::new();
+                let mut parent = CauseId::NONE;
+                for burst in 0..8u64 {
+                    let session = if bursts && burst % 2 == 0 { r.writer() } else { None };
+                    for i in 0..5u64 {
+                        let (at, node) = (burst * 10 + i, (i % 3) as u32);
+                        parent = match (&session, i) {
+                            (Some(w), 0) => w.record(at, node, ev(i)),
+                            (Some(w), _) => w.record_caused(at, node, parent, ev(i)),
+                            (None, 0) => r.record(at, node, ev(i)),
+                            (None, _) => r.record_caused(at, node, parent, ev(i)),
+                        };
+                        ids.push(parent);
+                    }
+                }
+                let replayed = TimedEvent { seq: 90, ..TimedEvent::new(99, 1, ev(9)) };
+                if bursts {
+                    r.writer().expect("enabled").record_timed(&replayed);
+                } else {
+                    r.record_timed(&replayed);
+                }
+                ids.push(r.record(100, 1, ev(0)));
+                let fed = fed.lock().unwrap().clone();
+                (r.snapshot(), ids, fed, r.overwritten())
+            };
+            let (single, session) = (run(false), run(true));
+            assert_eq!(single.0.len(), 16);
+            assert_eq!(single.3, 26);
+            assert_eq!(*single.1.last().unwrap(), CauseId::new(1, 91));
+            assert_eq!(single, session);
+        }
+
+        #[test]
+        fn debug_never_waits_for_a_session() {
+            let r = Recorder::with_capacity(4);
+            r.record(1, 0, ev(1));
+            assert!(format!("{r:?}").contains("len: 1"));
+            let w = r.writer().expect("enabled");
+            assert!(format!("{r:?}").contains("<held>"), "must not block on its own thread");
+            drop(w);
+            assert!(format!("{r:?}").contains("len: 1"));
+        }
+
+        #[test]
+        fn a_disabled_recorder_opens_no_session() {
+            assert!(Recorder::disabled().writer().is_none());
+            let r = Recorder::with_capacity(4);
+            r.set_enabled(false);
+            assert!(r.writer().is_none());
         }
 
         #[test]

@@ -1,6 +1,6 @@
 use crate::{Dest, DetRng, NodeId, Packet, SimTime};
 use ps_bytes::Bytes;
-use ps_obs::{CauseId, Recorder};
+use ps_obs::{CauseId, Writer};
 use ps_prof::Profiler;
 
 /// Opaque timer identifier chosen by the agent.
@@ -62,9 +62,10 @@ pub struct SimApi<'a> {
     num_nodes: usize,
     rng: &'a mut DetRng,
     pub(crate) actions: Vec<Action>,
-    /// Live event recorder, `None` when observability is off (the
-    /// simulator pre-folds the enabled check into this option).
-    obs: Option<&'a Recorder>,
+    /// The recording session of the engine event being processed, `None`
+    /// when observability is off (the simulator pre-folds the enabled
+    /// check into this option).
+    obs: Option<&'a Writer<'a>>,
     /// Live host-time profiler, `None` when profiling is off (same
     /// pre-folded enabled check as `obs`). Stacks open per-layer spans on
     /// it around handler calls.
@@ -85,7 +86,7 @@ impl<'a> SimApi<'a> {
         num_nodes: usize,
         rng: &'a mut DetRng,
         actions: Vec<Action>,
-        obs: Option<&'a Recorder>,
+        obs: Option<&'a Writer<'a>>,
         prof: Option<&'a Profiler>,
         cause: CauseId,
     ) -> Self {
@@ -131,11 +132,14 @@ impl<'a> SimApi<'a> {
         self.rng
     }
 
-    /// The live event recorder, or `None` when observability is off.
+    /// The live recording session, or `None` when observability is off.
     ///
     /// Stacks record layer spans and switch phases through this; a plain
     /// `if let Some(o) = api.obs()` keeps the disabled path branch-cheap.
-    pub fn obs(&self) -> Option<&'a Recorder> {
+    /// The engine holds the recorder's ring for the whole callback (see
+    /// [`ps_obs::Recorder::writer`]): record through this, never through
+    /// a `Recorder` handle of the same ring.
+    pub fn obs(&self) -> Option<&'a Writer<'a>> {
         self.obs
     }
 

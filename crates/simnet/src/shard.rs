@@ -399,7 +399,8 @@ impl<A: Agent> ShardedSim<A> {
     /// outputs are assembled identically.
     fn merge_outputs(&mut self, deadline: SimTime) {
         self.now = self.now.max(deadline);
-        if self.recorder.is_enabled() {
+        // One session for the whole replay (`None`: recorder off).
+        if let Some(w) = self.recorder.writer() {
             let _sp = self.prof.span(&["driver", "replay"]);
             let mut starts = vec![0usize; self.shards.len()];
             let epochs = self.marks.iter().map(Vec::len).max().unwrap_or(0);
@@ -412,7 +413,7 @@ impl<A: Agent> ShardedSim<A> {
                         // parent links built on them) stay valid because
                         // each node records on exactly one shard, so its
                         // (node, seq) stream is unique globally.
-                        self.recorder.record_timed(ev);
+                        w.record_timed(ev);
                     }
                     starts[k] = end;
                 }

@@ -3,7 +3,7 @@ use crate::{
     Agent, Dest, DetRng, EventQueue, Medium, NetStats, NodeId, Packet, SimApi, SimTime, TimerToken,
     Topology, TxPlan,
 };
-use ps_obs::{CauseId, LoadSample, MetricsSampler, ObsEvent, Recorder};
+use ps_obs::{CauseId, LoadSample, MetricsSampler, ObsEvent, Recorder, Writer};
 use ps_prof::Profiler;
 use std::sync::Arc;
 
@@ -407,12 +407,15 @@ impl<A: Agent> Sim<A> {
         &self.config.recorder
     }
 
-    /// `Some(recorder)` when taps are live — what [`SimApi::obs`] hands to
-    /// agents, and the bool-cached guard every tap site branches on.
+    /// `Some(recorder clone)` when taps are live — the handle a run loop
+    /// lends to every engine event it steps through, and the guard every
+    /// tap site branches on. Recording sessions borrow this local handle,
+    /// not `self`, which an engine event goes on to mutate; one clone
+    /// serves the whole loop. With taps off nothing is cloned.
     #[inline]
-    fn obs(&self) -> Option<&Recorder> {
+    fn obs(&self) -> Option<Recorder> {
         if self.obs_on {
-            Some(&self.config.recorder)
+            Some(self.config.recorder.clone())
         } else {
             None
         }
@@ -517,10 +520,12 @@ impl<A: Agent> Sim<A> {
             return;
         }
         self.started = true;
+        let rec = self.obs();
+        let session = rec.as_ref().and_then(Recorder::writer);
+        let obs = session.as_ref();
         for i in 0..self.agents.len() {
             let node = NodeId(self.base + i as u32);
             let scratch = std::mem::take(&mut self.action_scratch);
-            let obs = if self.obs_on { Some(&self.config.recorder) } else { None };
             let prof = if self.prof_on { Some(&self.config.prof) } else { None };
             let mut api = SimApi::new(
                 node,
@@ -534,7 +539,8 @@ impl<A: Agent> Sim<A> {
             );
             self.agents[i].on_start(&mut api);
             let mut actions = api.into_actions();
-            self.apply_actions(node, SimTime::ZERO + self.config.node.service_time, &mut actions);
+            let at = SimTime::ZERO + self.config.node.service_time;
+            self.apply_actions(node, at, &mut actions, obs);
             self.action_scratch = actions;
         }
     }
@@ -569,7 +575,13 @@ impl<A: Agent> Sim<A> {
 
     /// Drains `actions` (leaving its capacity for reuse), turning sends
     /// into scheduled deliveries and timers into queue entries.
-    fn apply_actions(&mut self, node: NodeId, effective_at: SimTime, actions: &mut Vec<Action>) {
+    fn apply_actions(
+        &mut self,
+        node: NodeId,
+        effective_at: SimTime,
+        actions: &mut Vec<Action>,
+        obs: Option<&Writer<'_>>,
+    ) {
         let prof = self.prof();
         let mut dests = std::mem::take(&mut self.dest_scratch);
         let mut plan = std::mem::take(&mut self.plan_scratch);
@@ -599,9 +611,9 @@ impl<A: Agent> Sim<A> {
                     self.stats.copies_dropped += u64::from(plan.dropped);
                     self.stats.medium_busy_us += plan.busy_us;
                     let mut send_id = CauseId::NONE;
-                    if self.obs_on {
+                    if let Some(o) = obs {
                         let at = effective_at.as_micros();
-                        send_id = self.config.recorder.record_caused(
+                        send_id = o.record_caused(
                             at,
                             node.0,
                             cause,
@@ -611,7 +623,7 @@ impl<A: Agent> Sim<A> {
                             },
                         );
                         if plan.dropped > 0 {
-                            self.config.recorder.record_caused(
+                            o.record_caused(
                                 at,
                                 node.0,
                                 send_id,
@@ -658,7 +670,7 @@ impl<A: Agent> Sim<A> {
     /// Runs one agent callback at `start` (the node's CPU is known free),
     /// applies its actions, and re-arms the node's wakeup if more deferred
     /// events are waiting.
-    fn dispatch(&mut self, node: NodeId, start: SimTime, ev: Ev) {
+    fn dispatch(&mut self, node: NodeId, start: SimTime, ev: Ev, rec: Option<&Recorder>) {
         let prof = self.prof();
         let _sp = prof.as_ref().map(|p| p.span(&["engine", "dispatch"]));
         let i = self.idx(node);
@@ -669,9 +681,11 @@ impl<A: Agent> Sim<A> {
         self.cpu_busy_us[i] += self.config.node.service_time.as_micros();
 
         let scratch = std::mem::take(&mut self.action_scratch);
-        // Field-disjoint borrows: the recorder handle rides in the API
-        // while the agent and its RNG are borrowed mutably.
-        let obs = if self.obs_on { Some(&self.config.recorder) } else { None };
+        // One recording session for the engine event: the head record,
+        // everything the callback records and the frames its actions
+        // send all go through one hold of the ring.
+        let session = rec.and_then(Recorder::writer);
+        let obs = session.as_ref();
         // The head event is recorded *before* the callback runs so its id
         // becomes the causal context everything in the callback links to.
         let head_id = match (&ev, obs) {
@@ -711,7 +725,7 @@ impl<A: Agent> Sim<A> {
             }
         }
         let mut actions = api.into_actions();
-        self.apply_actions(node, done, &mut actions);
+        self.apply_actions(node, done, &mut actions, obs);
         self.action_scratch = actions;
 
         if !self.pending[i].is_empty() && !self.wakeup_armed[i] {
@@ -790,7 +804,7 @@ impl<A: Agent> Sim<A> {
     }
 
     /// Applies a scheduled crash or recovery at time `at`.
-    fn apply_fault(&mut self, node: NodeId, up: bool, at: SimTime) {
+    fn apply_fault(&mut self, node: NodeId, up: bool, at: SimTime, rec: Option<&Recorder>) {
         let i = self.idx(node);
         self.now = self.now.max(at);
         if up {
@@ -798,8 +812,10 @@ impl<A: Agent> Sim<A> {
                 return;
             }
             self.alive[i] = true;
+            let session = rec.and_then(Recorder::writer);
+            let obs = session.as_ref();
             let mut recover_id = CauseId::NONE;
-            if let Some(o) = self.obs() {
+            if let Some(o) = obs {
                 recover_id = o.record(
                     at.as_micros(),
                     node.0,
@@ -811,7 +827,6 @@ impl<A: Agent> Sim<A> {
             self.busy_until[i] = done;
             self.cpu_busy_us[i] += self.config.node.service_time.as_micros();
             let scratch = std::mem::take(&mut self.action_scratch);
-            let obs = if self.obs_on { Some(&self.config.recorder) } else { None };
             let prof = if self.prof_on { Some(&self.config.prof) } else { None };
             let mut api = SimApi::new(
                 node,
@@ -825,7 +840,7 @@ impl<A: Agent> Sim<A> {
             );
             self.agents[i].on_restart(&mut api);
             let mut actions = api.into_actions();
-            self.apply_actions(node, done, &mut actions);
+            self.apply_actions(node, done, &mut actions, obs);
             self.action_scratch = actions;
         } else {
             if !self.alive[i] {
@@ -837,7 +852,7 @@ impl<A: Agent> Sim<A> {
             // a stale wakeup marker is harmless (it finds an empty FIFO).
             self.pending[i].clear();
             self.busy_until[i] = at;
-            if let Some(o) = self.obs() {
+            if let Some(o) = rec {
                 o.record(
                     at.as_micros(),
                     node.0,
@@ -850,6 +865,13 @@ impl<A: Agent> Sim<A> {
     /// Processes the next event, if any. Returns `false` when the queue is
     /// exhausted.
     pub fn step(&mut self) -> bool {
+        let rec = self.obs();
+        self.step_with(rec.as_ref())
+    }
+
+    /// [`Sim::step`] with the recorder handle of the loop that drives it
+    /// (`None`: taps off).
+    fn step_with(&mut self, rec: Option<&Recorder>) -> bool {
         self.ensure_started();
         let popped = {
             let prof = self.prof();
@@ -865,7 +887,7 @@ impl<A: Agent> Sim<A> {
             self.in_flight -= 1;
         }
         if let Ev::Fault { node, up } = ev {
-            self.apply_fault(node, up, at);
+            self.apply_fault(node, up, at, rec);
             return true;
         }
         let node = match &ev {
@@ -880,7 +902,7 @@ impl<A: Agent> Sim<A> {
         match &ev {
             Ev::Packet { cause, .. } if !self.alive[i] => {
                 self.stats.copies_dropped += 1;
-                if let Some(o) = self.obs() {
+                if let Some(o) = rec {
                     o.record_caused(
                         at.as_micros(),
                         node.0,
@@ -902,7 +924,7 @@ impl<A: Agent> Sim<A> {
             if self.busy_until[i] <= at {
                 // CPU is free: run the longest-waiting deferred event now.
                 if let Some(mut first) = self.pending[i].pop_front() {
-                    if let Some(o) = self.obs() {
+                    if let Some(o) = rec {
                         let parked = match &first {
                             Ev::Packet { cause, .. } | Ev::Timer { cause, .. } => *cause,
                             _ => CauseId::NONE,
@@ -921,7 +943,7 @@ impl<A: Agent> Sim<A> {
                             _ => {}
                         }
                     }
-                    self.dispatch(node, at, first);
+                    self.dispatch(node, at, first, rec);
                 }
             } else if !self.pending[i].is_empty() {
                 // The node picked up other work at this same instant before
@@ -935,7 +957,7 @@ impl<A: Agent> Sim<A> {
         // node's FIFO (stats untouched — it has not run yet) and make sure
         // one wakeup marker is queued for the instant the CPU frees up.
         if self.busy_until[i] > at {
-            if let Some(o) = self.obs() {
+            if let Some(o) = rec {
                 let parked = match &ev {
                     Ev::Packet { cause, .. } | Ev::Timer { cause, .. } => *cause,
                     _ => CauseId::NONE,
@@ -958,7 +980,7 @@ impl<A: Agent> Sim<A> {
             }
             return true;
         }
-        self.dispatch(node, at, ev);
+        self.dispatch(node, at, ev, rec);
         true
     }
 
@@ -966,11 +988,12 @@ impl<A: Agent> Sim<A> {
     /// are processed) or until no events remain.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
+        let rec = self.obs();
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
                 break;
             }
-            self.step();
+            self.step_with(rec.as_ref());
         }
         // Emit the idle tail of the series: windows between the last event
         // and the deadline still produce (quiet) samples.
@@ -987,7 +1010,8 @@ impl<A: Agent> Sim<A> {
     /// timers); prefer [`Sim::run_until`] for open-ended protocols.
     pub fn run_to_quiescence(&mut self) {
         self.ensure_started();
-        while self.step() {}
+        let rec = self.obs();
+        while self.step_with(rec.as_ref()) {}
     }
 
     // --- Sharded-driver hooks (see `crate::shard`) -------------------------
@@ -1011,11 +1035,12 @@ impl<A: Agent> Sim<A> {
     /// sample tail nor advances `now` — the run is not over.
     pub(crate) fn run_before(&mut self, t: SimTime) {
         self.ensure_started();
+        let rec = self.obs();
         while let Some(at) = self.queue.peek_time() {
             if at >= t {
                 break;
             }
-            self.step();
+            self.step_with(rec.as_ref());
         }
     }
 

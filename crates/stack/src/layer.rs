@@ -215,12 +215,12 @@ impl<'a> LayerCtx<'a> {
         self.env.rng()
     }
 
-    /// The live event recorder, or `None` when observability is off.
+    /// The live recording session, or `None` when observability is off.
     ///
     /// Layers with phase structure worth tracing (the switching protocol)
     /// record through this; plain layers get their spans recorded by the
     /// stack around each handler call.
-    pub fn obs(&self) -> Option<&ps_obs::Recorder> {
+    pub fn obs(&self) -> Option<&ps_obs::Writer<'_>> {
         self.env.obs()
     }
 

@@ -46,6 +46,23 @@ struct NodeCell {
     next_seq: u64,
     scheduled: Vec<Bytes>,
     log: Vec<(SimTime, Event)>,
+    /// Entries a run of the scheduled workload appends to `log`: one per
+    /// send of the group (its delivery here) plus one per send of this
+    /// process.
+    log_room: usize,
+}
+
+impl NodeCell {
+    /// Appends to the application log. The first append sizes the log
+    /// for the scheduled workload — inside the run, so that building a
+    /// group touches no memory the run may never use, and once, instead
+    /// of doubling through re-copied entries.
+    fn log(&mut self, at: SimTime, ev: Event) {
+        if self.log.capacity() == 0 {
+            self.log.reserve_exact(self.log_room);
+        }
+        self.log.push((at, ev));
+    }
 }
 
 struct ProcessAgent {
@@ -97,12 +114,12 @@ impl StackEnv for EnvAdapter<'_, '_> {
                 );
             }
         }
-        self.cell.log.push((self.api.now(), Event::deliver(me, msg)));
+        self.cell.log(self.api.now(), Event::deliver(me, msg));
     }
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
         self.api.set_timer(delay, pack(id, token));
     }
-    fn obs(&self) -> Option<&ps_obs::Recorder> {
+    fn obs(&self) -> Option<&ps_obs::Writer<'_>> {
         self.api.obs()
     }
     fn cause(&self) -> ps_obs::CauseId {
@@ -153,7 +170,7 @@ impl Agent for ProcessAgent {
                 );
                 api.set_cause(send_id);
             }
-            self.cell.log.push((api.now(), Event::send(msg.clone())));
+            self.cell.log(api.now(), Event::send(msg.clone()));
             let mut env = EnvAdapter { cell: &mut self.cell, api };
             self.stack.send(&msg, &mut env);
         } else {
@@ -309,6 +326,7 @@ impl GroupSimBuilder {
 
         // Sort workload per process; token = index into its schedule.
         let mut per_node: Vec<Vec<(SimTime, Bytes)>> = vec![Vec::new(); usize::from(self.n)];
+        let group_sends = self.sends.len();
         for (at, p, body) in self.sends {
             assert!(p.index() < group.len(), "scheduled sender {p} out of range");
             per_node[p.index()].push((at, body));
@@ -330,6 +348,7 @@ impl GroupSimBuilder {
                         next_seq: 1,
                         scheduled: per_node[p.index()].iter().map(|(_, b)| b.clone()).collect(),
                         log: Vec::new(),
+                        log_room: group_sends + per_node[p.index()].len(),
                     },
                 }
             })

@@ -1,6 +1,6 @@
 use crate::layer::{Frame, Layer, LayerCtx, LayerId};
 use ps_bytes::Bytes;
-use ps_obs::{CauseId, LayerDir, ObsEvent, Recorder};
+use ps_obs::{CauseId, LayerDir, ObsEvent, Writer};
 use ps_simnet::{DetRng, SimTime};
 use ps_trace::{Message, ProcessId};
 use ps_wire::Wire;
@@ -42,12 +42,13 @@ pub trait StackEnv {
     }
     /// Arm a one-shot timer for layer `id`.
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32);
-    /// The live event recorder, or `None` when observability is off.
+    /// The live recording session, or `None` when observability is off.
     ///
     /// The default keeps every existing environment (tests, `ps-rt`)
-    /// observability-free; the simulator runtime forwards the recorder the
-    /// sim was configured with, pre-folded with its enabled flag.
-    fn obs(&self) -> Option<&Recorder> {
+    /// observability-free; the simulator runtime forwards the session its
+    /// engine event opened on the recorder the sim was configured with
+    /// (see [`ps_obs::Recorder::writer`] for what that excludes).
+    fn obs(&self) -> Option<&Writer<'_>> {
         None
     }
     /// Causal id of the event this environment is currently processing
@@ -371,7 +372,7 @@ mod tests {
     use crate::layer::Cast;
 
     /// Minimal in-memory environment capturing boundary crossings.
-    struct TestEnv {
+    struct TestEnv<'r> {
         me: ProcessId,
         group: Vec<ProcessId>,
         rng: DetRng,
@@ -380,11 +381,11 @@ mod tests {
         timers: Vec<(SimTime, LayerId, u32)>,
         /// When set, boundary crossings are recorded under `cause`, the
         /// way the simulator runtime records them.
-        obs: Option<Recorder>,
+        obs: Option<Writer<'r>>,
         cause: CauseId,
     }
 
-    impl TestEnv {
+    impl TestEnv<'_> {
         fn new(me: u16, n: u16) -> Self {
             Self {
                 me: ProcessId(me),
@@ -399,7 +400,7 @@ mod tests {
         }
     }
 
-    impl StackEnv for TestEnv {
+    impl StackEnv for TestEnv<'_> {
         fn me(&self) -> ProcessId {
             self.me
         }
@@ -429,7 +430,7 @@ mod tests {
         fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
             self.timers.push((delay, id, token));
         }
-        fn obs(&self) -> Option<&Recorder> {
+        fn obs(&self) -> Option<&Writer<'_>> {
             self.obs.as_ref()
         }
         fn cause(&self) -> CauseId {
@@ -713,8 +714,9 @@ mod tests {
 
     #[test]
     fn recorded_spans_and_frame_causes_match_the_golden_trace() {
+        let rec = ps_obs::Recorder::with_capacity(64);
         let mut env = TestEnv::new(3, 4);
-        env.obs = Some(Recorder::with_capacity(64));
+        env.obs = rec.writer();
         let mut stack =
             Stack::new(vec![Box::new(Duplicator), Box::new(Tagger { tag: 7, downs: 0, ups: 0 })]);
         stack.launch(&mut env);
@@ -722,7 +724,7 @@ mod tests {
         stack.send(&msg(3, 1), &mut env);
         let wire = env.transmitted[0].bytes.clone();
         stack.receive(ProcessId(3), wire, &mut env);
-        let rec = env.obs.take().unwrap();
+        drop(env); // the session ends; the ring can be read
         assert_eq!(ps_obs::export::to_jsonl(&rec.snapshot()), GOLDEN_TRACE);
     }
 

@@ -62,6 +62,11 @@ test -s target/BENCH_engine.json
 PS_BENCH_ITERS=1 PS_BENCH_WARMUP=1 PS_BENCH_OUT="$(pwd)/target/BENCH_engine.json" \
     cargo bench --bench engine_micro -- header_push_pop
 grep -q '"bench":"header_push_pop"' target/BENCH_engine.json
+# And the enabled-mode price: the same 1000-node broadcast with nothing
+# attached and with an enabled recorder plus the standard monitors.
+PS_BENCH_ITERS=1 PS_BENCH_WARMUP=1 PS_BENCH_OUT="$(pwd)/target/BENCH_engine.json" \
+    cargo bench --bench engine_micro -- broadcast_1000
+grep -q '"bench":"broadcast_1000_attached"' target/BENCH_engine.json
 
 echo "==> engine_scale smoke run (1k/10k only, sharded engine included, offline)"
 # Exercises the sharded event loop end to end (ShardedSim vs the plain
@@ -275,25 +280,42 @@ echo "==> allocation ceilings: handler path and event loop stay off the allocato
 # are exact for a seed, so the --quick run above reads the same on every
 # host and under every build profile — whole-program optimisation moved
 # host time by a fifth and these not at all. Each ceiling is about 1.5x
-# what the run reads now (1.37, 15.2 and 18.5 — the switch's per-member
+# what the run reads now (1.31, 15.1 and 18.4 — the switch's per-member
 # window counts, eight allocations at launch, add 0.007 to each) and
 # below what it read while the two idle rings still rotated at full rate
 # through a group with nothing to say to them (6.6, 32.0 and 26.7): a
 # container built per event, per handler call, per frame or per delivery
 # lands above them, and so does an idle token that stops backing off.
-alloc_ceiling() {
-    awk -v workload="$1" -v ceiling="$2" '
+metric_ceiling() {
+    awk -v workload="$1" -v metric="$2" -v ceiling="$3" '
         $1 == "==" { current = $2 }
-        current == workload && $1 == "allocs_per_msg" {
-            printf "   %s allocs_per_msg %s (ceiling %s)\n", workload, $2, ceiling
+        current == workload && $1 == metric {
+            printf "   %s %s %s (ceiling %s)\n", workload, metric, $2, ceiling
             found = 1
             over = ($2 + 0 > ceiling + 0)
         }
         END { exit (found && !over) ? 0 : 1 }' target/benchmark-quick.txt
 }
+alloc_ceiling() { metric_ceiling "$1" allocs_per_msg "$2"; }
+alloc_kb_ceiling() { metric_ceiling "$1" alloc_kb_per_msg "$2"; }
 alloc_ceiling steady_small 2.1
 alloc_ceiling steady_large 23
 alloc_ceiling lossy_ft 28
+# Watching a run must not put the allocator back on the path: `observed`
+# is steady_small with the recorder, the standard monitors and the
+# sampler attached, and reads 1.36 — steady_small's 1.31 plus the
+# monitors' tables reaching their size. It read 3.73 while the delivery
+# monitor kept a map entry and a node list per message for the whole run.
+alloc_ceiling observed 1.5
+# Bytes requested per multicast, the same exact kind of count. What is
+# left in steady_small's 1.00 kB is the per-node application log, 0.65 kB
+# (nine 72-byte entries per multicast), requested once at its first push,
+# and the frames; `observed` adds the total-order monitor's agreed
+# sequence for 1.23. A log (or any per-message list) that grows by
+# doubling again requests each entry about three times over and lands
+# where these read before: 2.32 and 2.80.
+alloc_kb_ceiling steady_small 1.3
+alloc_kb_ceiling observed 1.6
 
 echo "==> model outputs: simulated delivery latency is what it was (offline)"
 # What the simulated group *does* is a function of the seed alone, and the
