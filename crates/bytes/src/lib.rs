@@ -8,9 +8,11 @@
 //!   [`Bytes`].
 //!
 //! Both are implemented here on top of `Arc<[u8]>` (plus a zero-alloc
-//! `&'static [u8]` representation) so the workspace builds with **zero
-//! external dependencies**. The API is the subset of the `bytes` crate the
-//! repo actually uses; it is not a drop-in replacement for the full crate.
+//! `&'static [u8]` representation and one that keeps a [small
+//! frame](crate#small-frames) in the handle itself) so the workspace builds
+//! with **zero external dependencies**. The API is the subset of the
+//! `bytes` crate the repo actually uses; it is not a drop-in replacement
+//! for the full crate.
 //!
 //! # Headroom
 //!
@@ -27,12 +29,37 @@
 //!   with `Arc::get_mut`, no `unsafe`). A clone or slice taken earlier
 //!   therefore never sees its content change.
 //! * A prepend onto a shared, static or reserve-exhausted handle makes
-//!   exactly one copy into a fresh buffer with a fresh reserve.
+//!   exactly one copy into a fresh buffer with a fresh reserve (or into
+//!   the handle, see [Small frames](crate#small-frames)).
 //! * A slice keeps its whole buffer alive — reserve, popped headers and
 //!   all. Holders of many long-lived small slices of large frames should
 //!   [`Bytes::copy_from_slice`] instead.
 //! * The reserve is invisible: length, equality, ordering and hashing see
 //!   only the content.
+//!
+//! # Small frames
+//!
+//! An acknowledgement, a wake, an idle token or a PREPARE is a few bytes
+//! of header on no payload at all. A buffer for it would be a 66-byte
+//! allocation, zero-filled, fanned out and freed a hop later — so there is
+//! none: content of up to 22 bytes lives *inside* the handle, in the 24
+//! bytes the pointer to a buffer would occupy (a [`Bytes`] is 40 bytes
+//! either way, and nothing that moves a frame grows). The rule:
+//!
+//! * Every path that copies into a fresh buffer anyway —
+//!   [`Bytes::copy_from_slice`], and the copy [`Bytes::prepend`] falls back
+//!   to, which is also what `ps_wire::Encoder::finish` builds on — keeps
+//!   the result in the handle when it fits. Content is right-aligned, so
+//!   the bytes in front of it are a reserve a later prepend writes into in
+//!   place, exactly as with a heap buffer.
+//! * A clone or slice of such a handle is an independent 24-byte copy:
+//!   "only the unique owner writes the reserve" holds trivially, and no
+//!   reference count moves.
+//! * A prepend that no longer fits spills **once** into a heap buffer with
+//!   the usual [`HEADROOM`]: no frame costs more allocations than it would
+//!   without this representation, small ones cost none.
+//! * Which representation a handle has is invisible: length, equality,
+//!   ordering, hashing, `Debug` and iteration see only the content.
 //!
 //! # Examples
 //!
@@ -66,8 +93,9 @@ pub const HEADROOM: usize = 64;
 /// Immutable, cheaply clonable byte string.
 ///
 /// Cloning is O(1): the two clones share one allocation (or, for
-/// [`Bytes::from_static`], no allocation at all). [`Bytes::slice`] is also
-/// O(1) and shares storage with its parent.
+/// [`Bytes::from_static`] and a [small frame](crate#small-frames), no
+/// allocation at all). [`Bytes::slice`] is also O(1) and shares storage
+/// with its parent.
 ///
 /// Equality, ordering and hashing are all by content, so a sliced view
 /// compares equal to a freshly allocated buffer with the same bytes.
@@ -78,12 +106,30 @@ pub struct Bytes {
     end: usize,
 }
 
+/// Longest content a handle holds [in itself](crate#small-frames): what is
+/// left of the 24 bytes a fat pointer and the variant tag occupy — less
+/// one. A 23rd byte would fit, at offset 1; but then every move of a
+/// `Bytes` that the optimiser takes apart copies bytes 1 … 8 as two
+/// overlapping four-byte pieces, buffers and static handles included, and
+/// `steady_small` — whose frames are all buffers — measured 6–7 % more
+/// host time per multicast for it (OPTIMIZATION_LOG round 12). From an
+/// even offset the pieces are a `u32` and a `u16`, and the cost is gone;
+/// the benchmark's allocation counts read the same with 22 as with 23.
+const INLINE_CAP: usize = 22;
+
+/// The bytes of a small frame, at an even offset in the handle.
+#[derive(Clone, Copy)]
+#[repr(align(2))]
+struct Small([u8; INLINE_CAP]);
+
 #[derive(Clone)]
 enum Repr {
     /// Borrowed from static memory; never allocates or counts references.
     Static(&'static [u8]),
     /// Shared heap allocation.
     Shared(Arc<[u8]>),
+    /// The bytes themselves; `start..end` index into them as into a buffer.
+    Inline(Small),
 }
 
 impl Repr {
@@ -91,6 +137,7 @@ impl Repr {
         match self {
             Repr::Static(s) => s,
             Repr::Shared(a) => a,
+            Repr::Inline(small) => &small.0,
         }
     }
 }
@@ -106,9 +153,24 @@ impl Bytes {
         Bytes { repr: Repr::Static(bytes), start: 0, end: bytes.len() }
     }
 
-    /// Copies `data` into a new shared allocation.
+    /// Copies `data` into a new shared allocation — or into the handle
+    /// itself, when it is [small enough](crate#small-frames).
     pub fn copy_from_slice(data: &[u8]) -> Self {
+        if data.len() <= INLINE_CAP {
+            return Bytes::inline(&[], data);
+        }
         Bytes::from_arc(Arc::from(data))
+    }
+
+    /// `head ++ tail` held in the handle, right-aligned so that what is in
+    /// front of it is reserve. The caller has checked that it fits.
+    fn inline(head: &[u8], tail: &[u8]) -> Self {
+        let mid = INLINE_CAP - tail.len();
+        let start = mid - head.len();
+        let mut buf = [0u8; INLINE_CAP];
+        buf[start..mid].copy_from_slice(head);
+        buf[mid..].copy_from_slice(tail);
+        Bytes { repr: Repr::Inline(Small(buf)), start, end: INLINE_CAP }
     }
 
     fn from_arc(arc: Arc<[u8]>) -> Self {
@@ -119,18 +181,24 @@ impl Bytes {
     /// Returns `header ++ self` (see the [crate docs](crate#headroom)).
     ///
     /// Writes `header` into the reserve in front of the content when this
-    /// handle is the buffer's only owner and the reserve is large enough:
-    /// no allocation, no payload copy. Otherwise copies header and content
-    /// once into a fresh buffer with [`HEADROOM`] bytes of new reserve.
+    /// handle is the buffer's only owner (a [small
+    /// frame](crate#small-frames) always is) and the reserve is large
+    /// enough: no allocation, no payload copy. Otherwise copies header and
+    /// content once — into the handle when they fit there, else into a
+    /// fresh buffer with [`HEADROOM`] bytes of new reserve.
     pub fn prepend(mut self, header: &[u8]) -> Self {
-        if let Repr::Shared(arc) = &mut self.repr {
-            if let (Some(start), Some(buf)) =
-                (self.start.checked_sub(header.len()), Arc::get_mut(arc))
-            {
-                buf[start..self.start].copy_from_slice(header);
-                self.start = start;
-                return self;
-            }
+        let reserve: Option<&mut [u8]> = match &mut self.repr {
+            Repr::Static(_) => None,
+            Repr::Shared(arc) => Arc::get_mut(arc),
+            Repr::Inline(small) => Some(&mut small.0),
+        };
+        if let (Some(start), Some(buf)) = (self.start.checked_sub(header.len()), reserve) {
+            buf[start..self.start].copy_from_slice(header);
+            self.start = start;
+            return self;
+        }
+        if header.len() + self.len() <= INLINE_CAP {
+            return Bytes::inline(header, self.as_slice());
         }
         let start = HEADROOM;
         let mid = start + header.len();
@@ -545,11 +613,12 @@ mod tests {
 
     #[test]
     fn prepend_copies_once_when_shared_and_leaves_the_clone_alone() {
-        let b = frozen(b"payload");
+        // Longer than a handle holds, so that the copy is a buffer.
+        let b = frozen(b"a payload of thirty-two bytes ...");
         let keep = b.clone();
         let framed = b.prepend(b"hdr:");
-        assert_eq!(&framed[..], b"hdr:payload");
-        assert_eq!(&keep[..], b"payload");
+        assert_eq!(&framed[..], b"hdr:a payload of thirty-two bytes ...");
+        assert_eq!(&keep[..], b"a payload of thirty-two bytes ...");
         assert!(!std::ptr::eq(framed[4..].as_ptr(), keep.as_ptr()));
         // The copy has a reserve of its own: the next push is in place.
         let at = framed.as_ptr();
@@ -574,6 +643,73 @@ mod tests {
         assert_eq!(Bytes::from_static(b"tail").prepend(b"head "), *b"head tail");
         assert_eq!(Bytes::new().prepend(b"only"), *b"only");
         assert!(Bytes::new().prepend(b"").is_empty());
+    }
+
+    #[test]
+    fn the_handle_did_not_grow() {
+        // `Work`, `Ev`, `Action` and the delivery log all move a `Bytes`
+        // by value: the inline bytes live where the buffer pointer did.
+        assert_eq!(std::mem::size_of::<Bytes>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Bytes>>(), 40);
+    }
+
+    fn is_inline(b: &Bytes) -> bool {
+        matches!(b.repr, Repr::Inline(_))
+    }
+
+    #[test]
+    fn small_results_of_a_copy_live_in_the_handle() {
+        assert!(is_inline(&Bytes::copy_from_slice(&[7; INLINE_CAP])));
+        assert!(!is_inline(&Bytes::copy_from_slice(&[7; INLINE_CAP + 1])));
+        assert!(is_inline(&Bytes::new().prepend(b"ack")));
+        assert!(is_inline(&Bytes::from_static(b"tail").prepend(b"head ")));
+        // A small slice of a shared buffer stops pinning it once framed.
+        let big = Bytes::from(vec![1u8; 1400]);
+        assert!(is_inline(&big.slice(10..20).prepend(b"hdr")));
+        // What the builder and `From<Vec<u8>>` hand over is a buffer they
+        // already own: no copy is made, so none is made into the handle.
+        assert!(!is_inline(&frozen(b"abc")));
+        assert!(!is_inline(&Bytes::from(vec![1u8, 2, 3])));
+    }
+
+    #[test]
+    fn an_inline_handle_takes_headers_in_place_and_spills_once() {
+        let mut b = Bytes::new().prepend(&[9; INLINE_CAP - 20]);
+        for i in 0..4u8 {
+            b = b.prepend(&[i; 5]);
+            assert!(is_inline(&b));
+        }
+        assert_eq!((b.len(), b.start), (INLINE_CAP, 0));
+        let keep = b.clone();
+        // One byte too many: a heap buffer with a full reserve behind it.
+        let spilled = b.prepend(b"!");
+        assert!(!is_inline(&spilled));
+        assert_eq!((spilled.start, spilled.len()), (HEADROOM, INLINE_CAP + 1));
+        assert_eq!((spilled[0], &spilled[1..]), (b'!', &keep[..]));
+        let at = spilled.as_ptr();
+        let pushed = spilled.prepend(&[0; HEADROOM]);
+        assert!(std::ptr::eq(pushed[HEADROOM..].as_ptr(), at), "the spill has the usual reserve");
+    }
+
+    #[test]
+    fn a_clone_of_an_inline_handle_is_independent() {
+        let mut b = Bytes::copy_from_slice(b"XXpayload");
+        b.advance(2);
+        let (clone, tail) = (b.clone(), b.slice(3..));
+        // Lands on the two bytes advanced past, which the clone still holds.
+        let pushed = b.prepend(b"NE");
+        assert_eq!(pushed, *b"NEpayload");
+        assert_eq!((clone, tail), (Bytes::from_static(b"payload"), Bytes::from_static(b"load")));
+    }
+
+    #[test]
+    fn an_inline_handle_sliced_short_realigns_when_the_front_is_full() {
+        let full = Bytes::copy_from_slice(&[5; INLINE_CAP]);
+        let head = full.slice(..4);
+        let pushed = head.prepend(b"ab");
+        assert!(is_inline(&pushed));
+        assert_eq!(pushed, *b"ab\x05\x05\x05\x05");
+        assert_eq!(pushed.end, INLINE_CAP);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! concatenation whatever the handle's ownership state and reserve, it is
 //! undone by `slice` or `advance`, it never changes what an earlier clone
 //! or slice sees, the reserve is invisible to `Eq` / `Ord` / `Hash`, and
-//! what a unique handle advanced past is reserve again.
+//! what a unique handle advanced past is reserve again. And of small
+//! frames: whether a value lives in its handle or in a buffer shows in no
+//! operation's result.
 
 use ps_bytes::{Bytes, BytesMut, HEADROOM};
 use ps_check::prelude::*;
@@ -58,6 +60,38 @@ fn handle(kind: u8, reserve: usize, payload: &[u8]) -> (Bytes, Option<Bytes>) {
             (b, Some(parent))
         }
     }
+}
+
+/// Handles viewing exactly `content`, one per way a value can be held:
+/// in the handle (built there, with `pad` bytes of its room advanced past,
+/// or sliced short of its end), in a buffer (unique, built by the builder,
+/// shared, sliced out of a larger one) and in static memory. The second
+/// value keeps a handle shared while it lives. Content longer than a
+/// handle holds makes the first three buffers too — the point is that
+/// nothing below can tell.
+fn every_way_to_hold(content: &[u8], pad: usize) -> Vec<(Bytes, Option<Bytes>)> {
+    let padded: Vec<u8> = std::iter::repeat_n(0xEE, pad).chain(content.iter().copied()).collect();
+    let mut advanced = Bytes::copy_from_slice(&padded);
+    advanced.advance(pad);
+    let tailed: Vec<u8> = content.iter().copied().chain(std::iter::repeat_n(0xDD, pad)).collect();
+    let mut held = vec![
+        (Bytes::new().prepend(content), None),
+        (advanced, None),
+        (Bytes::copy_from_slice(&tailed).slice(..content.len()), None),
+        // Leaked on purpose: at most 64 bytes per case, test-only.
+        (Bytes::from_static(Box::leak(content.to_vec().into_boxed_slice())), None),
+    ];
+    // The buffer-backed states of `handle` (3 is its static one, with
+    // content of its own).
+    held.extend([0, 1, 2, 4].map(|kind| handle(kind, pad, content)));
+    held
+}
+
+/// Everything a caller can learn from a handle without changing it.
+fn observed(b: &Bytes) -> (Vec<u8>, usize, bool, String, u64, Vec<u8>, Vec<u8>) {
+    let by_ref: Vec<u8> = b.into_iter().copied().collect();
+    let owned: Vec<u8> = b.clone().into_iter().collect();
+    (b.to_vec(), b.len(), b.is_empty(), format!("{b:?}"), hash_of(b), by_ref, owned)
 }
 
 fn hash_of(b: &Bytes) -> u64 {
@@ -157,6 +191,64 @@ props! {
         let pushed = b.prepend(&header);
         assert_eq!(&seen[..], &was[..]);
         assert_eq!(&pushed[..header.len()], &header[..]);
+    }
+
+    fn no_operation_can_tell_a_handle_held_value_from_a_buffer(
+        content in vec_of(arb::<u8>(), 0..65),
+        pad in 0usize..24,
+        ops in vec_of((0u8..5, vec_of(arb::<u8>(), 0..40), arb::<usize>(), arb::<usize>()), 0..10),
+        probe in vec_of(arb::<u8>(), 0..32),
+    ) {
+        // The same operations on every representation and on a plain
+        // vector: lengths wander across what a handle holds in both
+        // directions — a header that no longer fits spills, a buffer
+        // sliced short and framed again moves in.
+        let mut model = content.clone();
+        let mut held = every_way_to_hold(&content, pad);
+        let probe = Bytes::from(probe);
+        for (op, header, a, b) in ops {
+            let (lo, hi) = (a % (model.len() + 1), b % (model.len() + 1));
+            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            match op {
+                0 | 1 => model.splice(0..0, header.iter().copied()).for_each(drop),
+                2 => drop(model.drain(..lo)),
+                3 => model = model[lo..hi].to_vec(),
+                _ => {}
+            }
+            for (value, keep) in &mut held {
+                let before = (value.clone(), observed(value));
+                let taken = std::mem::take(value);
+                *value = match op {
+                    0 | 1 => taken.prepend(&header),
+                    2 => {
+                        let mut taken = taken;
+                        taken.advance(lo);
+                        taken
+                    }
+                    3 => taken.slice(lo..hi),
+                    // Through the builder and back.
+                    _ => {
+                        let mut m = BytesMut::with_capacity(taken.len());
+                        m.put_slice(&taken);
+                        *keep = None;
+                        m.freeze()
+                    }
+                };
+                assert_eq!(observed(&before.0), before.1, "a clone taken before changed");
+            }
+            let first = observed(&held[0].0);
+            assert_eq!(first.0, model);
+            assert_eq!((first.1, first.2), (model.len(), model.is_empty()));
+            assert_eq!((&first.5, &first.6), (&model, &model));
+            for (value, _) in &held {
+                assert_eq!(observed(value), first);
+                assert_eq!(*value, held[0].0);
+                assert_eq!(value.cmp(&held[0].0), std::cmp::Ordering::Equal);
+                assert_eq!(value.cmp(&probe), model.as_slice().cmp(&probe[..]));
+                assert_eq!(probe.cmp(value), probe[..].cmp(model.as_slice()));
+                assert_eq!(*value == probe, model == probe[..]);
+            }
+        }
     }
 
     fn eq_ord_hash_ignore_the_reserve(

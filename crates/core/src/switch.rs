@@ -141,6 +141,10 @@ pub struct SwitchLayer {
     /// The SWITCH vector, once known.
     expected: Option<CountVector>,
     switch_started: SimTime,
+    /// When the last switch completed here: the newest record's
+    /// `completed_at`, kept beside the handle so that an oracle tick reads
+    /// it without taking the handle's lock.
+    last_switch: Option<SimTime>,
 
     // Broadcast-variant manager state.
     am_manager: bool,
@@ -416,6 +420,7 @@ impl SwitchLayer {
             sink: Vec::new(),
             expected: None,
             switch_started: SimTime::ZERO,
+            last_switch: None,
             am_manager: false,
             manager_oks: BTreeMap::new(),
             want_target: None,
@@ -643,6 +648,7 @@ impl SwitchLayer {
             started_at: self.switch_started,
             completed_at: ctx.now(),
         };
+        self.last_switch = Some(record.completed_at);
         self.book.handle.update(|s| {
             s.records.push(record);
             s.switching = false;
@@ -891,7 +897,7 @@ impl SwitchLayer {
             active_senders: self.book.active_senders(),
             recent_deliveries: self.book.recent.len() as u64,
             switching: self.mode == Mode::Switching,
-            last_switch: self.book.handle.update(|s| s.records.last().map(|r| r.completed_at)),
+            last_switch: self.last_switch,
         };
         if let Some(target) = self.oracle.decide(&obs) {
             if target != self.current && self.mode == Mode::Normal {
@@ -1381,6 +1387,7 @@ mod tests {
                         let layer = rig.layer.lock().unwrap();
                         assert_eq!(obs.active_senders, layer.book.active_senders_by_scan(&GROUP));
                         assert_eq!(obs.recent_deliveries, layer.book.recent.len() as u64);
+                        assert_eq!(obs.last_switch, layer.last_switch);
                     }
                     7 => {
                         rig.prepare();
@@ -1402,6 +1409,11 @@ mod tests {
                     let entries = layer.book.recent.iter().filter(|(_, s)| s == member).count();
                     assert_eq!(count as usize, entries, "{member:?}");
                 }
+                // And what a tick would show as the last switch is what the
+                // handle recorded: flips move both, aborts and restarts
+                // neither.
+                let recorded = rig.handle.snapshot().records.last().map(|r| r.completed_at);
+                assert_eq!(layer.last_switch, recorded);
             }
         }
     }

@@ -220,6 +220,111 @@ fn a_sender_outside_the_group_is_delivered_and_survives_the_observation_window()
     }
 }
 
+/// A reliable-layer acknowledgement of frame `seq`, as it is on the wire.
+fn rel_ack(seq: u64) -> Bytes {
+    let mut enc = ps_wire::Encoder::new();
+    enc.put_u8(1);
+    enc.put_varint(seq);
+    enc.finish()
+}
+
+/// A reliable-layer data frame: `sender`'s frame `seq`, carrying `payload`.
+fn rel_data(sender: ProcessId, seq: u64, payload: Bytes) -> Bytes {
+    let mut enc = ps_wire::Encoder::new();
+    enc.put_u8(0);
+    sender.encode(&mut enc);
+    enc.put_varint(seq);
+    payload.prepend(enc.as_slice())
+}
+
+/// Whom the reliable layer's sweep (its only timer) retransmits to.
+fn sweep(stack: &mut Stack, node: &mut Node) -> Vec<ps_stack::Cast> {
+    node.sent.clear();
+    stack.timer(LayerId(0), 1, node);
+    node.sent.iter().map(|f| f.dest).collect()
+}
+
+/// Acknowledgements that match nothing the layer is waiting for: of a frame
+/// already retired, of one never sent, a second time, from a process that
+/// is no member, from a member the frame was not addressed to. The layer
+/// keeps its books by position; none of these may panic, be used as a
+/// position, or change who is still owed a retransmission.
+#[test]
+fn acknowledgements_that_match_nothing_change_nothing() {
+    use ps_stack::Cast::To;
+    let (mut stack, mut node) = (one(ReliableLayer::new()), Node::new(GROUP[0]));
+    stack.launch(&mut node);
+    let body = || Bytes::from_static(&BODY);
+    // Frame 0, acknowledged by everyone and retired; then frame 1 to the
+    // whole group and frame 2 to process 2 alone, with 1's ack from 1 in.
+    stack.send_bytes(ps_stack::Cast::All, body(), &mut node);
+    for member in GROUP {
+        stack.receive(member, rel_ack(0), &mut node);
+    }
+    assert!(sweep(&mut stack, &mut node).is_empty(), "frame 0 is done");
+    stack.send_bytes(ps_stack::Cast::All, body(), &mut node);
+    stack.send_bytes(To(GROUP[2]), body(), &mut node);
+    stack.receive(GROUP[1], rel_ack(1), &mut node);
+    let owed = [To(GROUP[0]), To(GROUP[2]), To(GROUP[2])];
+    assert_eq!(sweep(&mut stack, &mut node), owed);
+
+    let outsiders = [ProcessId(GROUP.len() as u16), ProcessId(64), ProcessId(u16::MAX)];
+    let strays = [
+        (GROUP[0], 0, "a retired frame's ack"),
+        (GROUP[1], 1, "a duplicate"),
+        (GROUP[1], 2, "an ack from a member the frame was not addressed to"),
+        (GROUP[2], 3, "an ack of the frame after the newest"),
+        (GROUP[2], 1 << 40, "an ack of a frame far from sent"),
+        (GROUP[2], u64::MAX, "an ack of the last frame there could be"),
+        (outsiders[0], 1, "an outsider's ack"),
+        (outsiders[1], 1, "an outsider's ack"),
+        (outsiders[2], 2, "an outsider's ack"),
+    ];
+    for (src, seq, what) in strays {
+        node.sent.clear();
+        stack.receive(src, rel_ack(seq), &mut node);
+        assert!(node.sent.is_empty() && node.delivered.is_empty(), "{what} had an effect");
+        assert_eq!(sweep(&mut stack, &mut node), owed, "{what} moved the books");
+    }
+    // The real ones still land.
+    stack.receive(GROUP[2], rel_ack(2), &mut node);
+    stack.receive(GROUP[2], rel_ack(1), &mut node);
+    assert_eq!(sweep(&mut stack, &mut node), [To(GROUP[0])]);
+    stack.receive(GROUP[0], rel_ack(1), &mut node);
+    assert!(sweep(&mut stack, &mut node).is_empty());
+
+    // The same strays under every channel tag of the hybrids that host
+    // reliable layers: nothing comes back out, nothing goes up.
+    for (name, build) in RIGS.iter().filter(|(name, _)| name.ends_with("-ft")) {
+        let (mut stack, mut node) = receiver(*build);
+        for (src, seq, what) in strays {
+            for tag in [ChannelId::CONTROL, ChannelId::PROTO_A, ChannelId::PROTO_B] {
+                stack.receive(src, channel::mux(tag, rel_ack(seq)), &mut node);
+            }
+            assert!(node.sent.is_empty() && node.delivered.is_empty(), "{name}: {what}");
+        }
+    }
+}
+
+/// A data frame whose header names a sender outside the group — where a
+/// member's id would be a position in the layer's tables. It is delivered
+/// like any other, once, and acknowledged to the sender it names.
+#[test]
+fn reliable_data_naming_a_sender_outside_the_group_is_delivered_once() {
+    for outsider in [ProcessId(GROUP.len() as u16), ProcessId(64), ProcessId(u16::MAX)] {
+        let (mut stack, mut node) = receiver(|| one(ReliableLayer::new()));
+        for seq in [0, 2, 0, 2, 1, 1] {
+            let payload = Message::new(outsider, seq, Bytes::from_static(&BODY)).to_bytes();
+            stack.receive(GROUP[0], rel_data(outsider, seq, payload), &mut node);
+        }
+        let seqs: Vec<u64> = node.delivered.iter().map(|m| m.id.seq).collect();
+        assert_eq!(seqs, [0, 2, 1]);
+        assert_eq!(node.sent.len(), 6, "every arrival is acknowledged");
+        assert!(node.sent.iter().all(|f| f.dest == ps_stack::Cast::To(outsider)));
+        assert_nothing_out("reliable", &Node { delivered: vec![], ..node }, "an outsider's data");
+    }
+}
+
 /// The two wake tags, whole. A wake is an instruction, not a payload: it
 /// makes a member that sits on an idle token pass that token on — once,
 /// header-only — and does nothing at a member that holds none; it never

@@ -141,6 +141,13 @@ fn round_trip(stack: &mut Stack, env: &mut Env<'_>, msg: &Message) -> u64 {
     calls() - before
 }
 
+/// Process 0's message `seq`, with a body longer than a handle holds: its
+/// frame is a buffer — the one allocation a send is allowed. (A message of
+/// a few bytes would live in its handle and cost none.)
+fn message(seq: u64) -> Message {
+    Message::new(ProcessId(0), seq, Bytes::from_static(&[9; 32]))
+}
+
 /// A layer that keeps every default: frames pass through untouched.
 struct PassThrough;
 impl Layer for PassThrough {
@@ -158,7 +165,7 @@ fn pass_through_stack_allocates_only_the_frame() {
         Box::new(PassThrough),
         Box::new(PassThrough),
     ]);
-    let msg = Message::with_tag(ProcessId(0), 1, 9);
+    let msg = message(1);
     round_trip(&mut stack, &mut env, &msg); // the work queue gets its capacity
 
     let before = calls();
@@ -183,7 +190,7 @@ fn hybrid_in_normal_mode_allocates_only_the_frame() {
     stack.launch(&mut env);
     // Process 0 is the sequencer: its sends are ordered on the spot and
     // come back in order, so no reorder buffer ever holds anything.
-    let msg = Message::with_tag(ProcessId(0), 1, 9);
+    let msg = message(1);
     for _ in 0..warm_up {
         round_trip(&mut stack, &mut env, &msg);
     }
@@ -217,8 +224,7 @@ fn watched_hybrid_still_allocates_only_the_frame() {
     stack.launch(&mut env);
 
     // The monitors tell messages apart by id, so each trip sends its own.
-    let msgs: Vec<Message> =
-        (0..warm_up + 1000).map(|seq| Message::with_tag(ProcessId(0), seq, 9)).collect();
+    let msgs: Vec<Message> = (0..warm_up + 1000).map(message).collect();
     let mut watched_round_trip = |msg: &Message| {
         let session = rec.writer().expect("recorder enabled");
         env.cause = session.record(

@@ -358,7 +358,8 @@ mod tests {
 
     #[test]
     fn consuming_decode_keeps_a_unique_frame_unique() {
-        let body = Bytes::copy_from_slice(&[5; 16]);
+        // A frame longer than a handle holds, so that there is a buffer.
+        let body = Bytes::copy_from_slice(&[5; 32]);
         let m = Message::from_owned(Message::new(ProcessId(1), 2, body).to_bytes()).unwrap();
         let at = m.body.as_ptr();
         // In place: the body is still its buffer's only handle.

@@ -160,7 +160,9 @@ impl Encoder {
     }
 
     /// Consumes the encoder and returns the encoded bytes, with
-    /// [`ps_bytes::HEADROOM`] in front for headers pushed later.
+    /// [`ps_bytes::HEADROOM`] in front for headers pushed later — or, for
+    /// an encoding of a few bytes, in the handle itself with what room is
+    /// left there (see the `ps_bytes` crate docs, "Small frames").
     pub fn finish(self) -> Bytes {
         match self.spill {
             Some(buf) => buf.freeze(),

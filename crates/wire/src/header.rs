@@ -25,7 +25,9 @@ use ps_bytes::Bytes;
 ///
 /// The header is encoded on the stack and written into the reserve in
 /// front of `payload` ([`Bytes::prepend`]): no allocation and no payload
-/// copy when `payload` is uniquely owned, one copy otherwise.
+/// copy when `payload` is uniquely owned, one copy otherwise — and no
+/// allocation either way while the frame is small enough to live in its
+/// handle (an acknowledgement, a token: a header on nothing).
 pub fn push_header<H: Wire>(header: &H, payload: Bytes) -> Bytes {
     let mut enc = Encoder::new();
     header.encode(&mut enc);
@@ -91,10 +93,12 @@ mod tests {
 
     #[test]
     fn taking_keeps_a_unique_frame_unique() {
-        let framed = push_header(&7u64, Bytes::copy_from_slice(b"payload"));
+        // A payload the handle cannot hold itself: the frame is a buffer.
+        const PAYLOAD: &[u8] = b"a payload of thirty-two bytes ...";
+        let framed = push_header(&7u64, Bytes::copy_from_slice(PAYLOAD));
         let at = framed[8..].as_ptr();
         let (h, payload) = take_header::<u64>(framed).unwrap();
-        assert_eq!((h, &payload[..]), (7, &b"payload"[..]));
+        assert_eq!((h, &payload[..]), (7, PAYLOAD));
         // The relay's header lands where the popped one was.
         let relayed = push_header(&9u64, payload);
         assert!(std::ptr::eq(relayed[8..].as_ptr(), at));

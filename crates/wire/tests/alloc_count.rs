@@ -2,12 +2,15 @@
 //! frame and popping them again allocates nothing the size of the
 //! payload; pushing onto a shared frame allocates exactly one copy; and a
 //! relay — take four headers off a unique frame, push four back — never
-//! calls the allocator at all.
+//! calls the allocator at all. And of small frames: a header on nothing
+//! (an acknowledgement) lives in its handle from the push to the last pop
+//! without a call, and a frame that outgrows the handle costs exactly the
+//! one buffer it would have cost anyway.
 //!
 //! One `#[test]` only — the counter is process-wide, and a second test
 //! running on another thread would be counted too.
 
-use ps_bytes::Bytes;
+use ps_bytes::{Bytes, HEADROOM};
 use ps_wire::{pop_header, push_header, take_header, Encoder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -115,4 +118,43 @@ fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared
     assert_eq!(CALLS.load(Relaxed) - before, 0, "a relay of a unique frame never allocates");
     assert!(std::ptr::eq(relayed[relayed.len() - PAYLOAD..].as_ptr(), at), "nor moves the payload");
     assert_eq!(relayed[relayed.len() - PAYLOAD..], body[..]);
+
+    // An acknowledgement's life: a tag and a sequence number pushed on
+    // nothing, a channel tag pushed on that, one copy per group member,
+    // and at each of them the two headers taken off again.
+    let before = CALLS.load(Relaxed);
+    let ack = push_header(&(1u8, 1u64 << 20), Bytes::new());
+    let tagged = push_header(&2u8, ack);
+    let copies: [Bytes; 8] = std::array::from_fn(|_| tagged.clone());
+    for copy in copies {
+        let (channel, rest) = take_header::<u8>(copy).unwrap();
+        let ((kind, seq), rest) = take_header::<(u8, u64)>(rest).unwrap();
+        assert_eq!((channel, kind, seq, rest.len()), (2, 1, 1 << 20, 0));
+    }
+    let mut enc = Encoder::new();
+    enc.put_varint(300);
+    let encoded = enc.finish();
+    assert_eq!(encoded, [0xAC, 0x02]);
+    assert_eq!(CALLS.load(Relaxed) - before, 0, "a small frame never touches the allocator");
+
+    // Headers until the frame no longer fits in its handle: one call, for
+    // a buffer with a full reserve, into which every later header goes.
+    let mut frame = tagged.clone();
+    let before = CALLS.load(Relaxed);
+    while CALLS.load(Relaxed) == before {
+        frame = push_header(&u64::MAX, frame);
+    }
+    let len = frame.len();
+    for _ in 0..HEADROOM / 8 {
+        frame = push_header(&u64::MAX, frame);
+    }
+    assert_eq!(frame.len(), len + HEADROOM);
+    assert_eq!(
+        CALLS.load(Relaxed) - before,
+        1,
+        "outgrowing the handle: one buffer, HEADROOM in front"
+    );
+    frame = push_header(&0u8, frame);
+    assert_eq!(CALLS.load(Relaxed) - before, 2, "and that reserve was exactly HEADROOM");
+    assert_eq!((frame[0], frame[1], &frame[frame.len() - tagged.len()..]), (0, 0xFF, &tagged[..]));
 }

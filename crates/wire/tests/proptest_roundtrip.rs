@@ -87,7 +87,12 @@ props! {
         let (got_h, got_p) = pop_header::<(u64, String, bool)>(&framed).unwrap();
         assert_eq!(got_h, h);
         assert_eq!(got_p, payload);
-        assert!(within(&got_p, &framed), "a popped payload is a slice of its frame");
+        // (A frame of up to 22 bytes may live in its handle, where a slice
+        // is a copy of the handle and there is no buffer to lie inside.)
+        assert!(
+            framed.len() <= 22 || within(&got_p, &framed),
+            "a popped payload is a slice of its frame"
+        );
     }
 
     fn nested_headers_survive_sharing_midway(

@@ -280,11 +280,14 @@ echo "==> allocation ceilings: handler path and event loop stay off the allocato
 # are exact for a seed, so the --quick run above reads the same on every
 # host and under every build profile — whole-program optimisation moved
 # host time by a fifth and these not at all. Each ceiling is about 1.5x
-# what the run reads now (1.31, 15.1 and 18.4 — the switch's per-member
-# window counts, eight allocations at launch, add 0.007 to each) and
-# below what it read while the two idle rings still rotated at full rate
-# through a group with nothing to say to them (6.6, 32.0 and 26.7): a
-# container built per event, per handler call, per frame or per delivery
+# what the run reads now (1.12, 3.34, 6.88 and 5.66): a small frame — an
+# acknowledgement, a wake, an idle token, a PREPARE — lives in its handle
+# and the reliable layer keeps its books by position, so what is left on
+# the fault-tolerant stack is the message's own buffer and the two copies
+# a retained frame forces at the channel tag. They read 1.31, 15.1, 10.9
+# and 18.4 while every acknowledgement was a 66-byte buffer and every data
+# frame bought a receiver list and a map node: a container built per
+# acknowledgement, per frame, per event, per handler call or per delivery
 # lands above them, and so does an idle token that stops backing off.
 metric_ceiling() {
     awk -v workload="$1" -v metric="$2" -v ceiling="$3" '
@@ -298,12 +301,13 @@ metric_ceiling() {
 }
 alloc_ceiling() { metric_ceiling "$1" allocs_per_msg "$2"; }
 alloc_kb_ceiling() { metric_ceiling "$1" alloc_kb_per_msg "$2"; }
-alloc_ceiling steady_small 2.1
-alloc_ceiling steady_large 23
-alloc_ceiling lossy_ft 28
+alloc_ceiling steady_small 1.7
+alloc_ceiling steady_large 5
+alloc_ceiling switch_storm 10.5
+alloc_ceiling lossy_ft 8.5
 # Watching a run must not put the allocator back on the path: `observed`
 # is steady_small with the recorder, the standard monitors and the
-# sampler attached, and reads 1.36 — steady_small's 1.31 plus the
+# sampler attached, and reads 1.17 — steady_small's 1.12 plus the
 # monitors' tables reaching their size. It read 3.73 while the delivery
 # monitor kept a map entry and a node list per message for the whole run.
 alloc_ceiling observed 1.5
@@ -316,6 +320,14 @@ alloc_ceiling observed 1.5
 # where these read before: 2.32 and 2.80.
 alloc_kb_ceiling steady_small 1.3
 alloc_kb_ceiling observed 1.6
+# On the fault-tolerant stack the bytes are the frames: steady_large
+# reads 5.62 kB — the 1400-byte body three times (built once; copied at
+# the channel tag, under the frame the reliable layer retains, on its way
+# to the sequencer and again on its way out) plus the delivery log — and
+# lossy_ft 1.71. They read 6.49 and 2.69 while each of a multicast's nine
+# acknowledgements was a buffer of its own.
+alloc_kb_ceiling steady_large 8.5
+alloc_kb_ceiling lossy_ft 2.6
 
 echo "==> model outputs: simulated delivery latency is what it was (offline)"
 # What the simulated group *does* is a function of the seed alone, and the
