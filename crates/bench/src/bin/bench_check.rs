@@ -6,10 +6,9 @@
 //! ```
 //!
 //! Both files are the `ps-bench` timing harness's JSON-lines output
-//! (e.g. the committed `BENCH_engine.json` / `BENCH_scale.json` vs a
-//! `PS_BENCH_OUT` capture from CI). Every `bench` name present in both
-//! files is compared by `median_ns`; rows only one side has, and
-//! non-timing rows (`engine_scale_host`, `engine_scale_mem` — no
+//! (e.g. the committed `BENCH_engine.json` vs a `PS_BENCH_OUT` capture
+//! from CI). Every `bench` name present in both files is compared by
+//! `median_ns`; rows only one side has, and non-timing rows (no
 //! `median_ns` field), are skipped.
 //!
 //! The check is **informational**: it always exits 0. CI runs benches at
@@ -128,7 +127,7 @@ mod tests {
 
     #[test]
     fn medians_skips_rows_without_timing() {
-        let body = format!("{ROW}\n{{\"group\":\"engine_scale_mem\",\"bench\":\"m\",\"nodes\":5}}");
+        let body = format!("{ROW}\n{{\"group\":\"host\",\"bench\":\"m\",\"nodes\":5}}");
         let m = medians(&body);
         assert_eq!(m.len(), 1);
         assert_eq!(m["b_one"], 1000);

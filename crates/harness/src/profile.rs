@@ -10,10 +10,10 @@
 //!
 //! Two sides, deliberately separated: the span *structure* (which
 //! components ran, how many times, over how much virtual time) is
-//! deterministic — byte-identical across same-seed runs and across
-//! serial/parallel/sharded drivers — while the nanosecond totals are
-//! host noise. The rendered table keeps the deterministic columns first
-//! so scripts can diff them (`cut -d, -f1,2` on the CSV).
+//! deterministic — byte-identical across same-seed runs — while the
+//! nanosecond totals are host noise. The rendered table keeps the
+//! deterministic columns first so scripts can diff them (`cut -d, -f1,2`
+//! on the CSV).
 
 use crate::monitor_run::{self, MonitorRunConfig, MonitorRunResult};
 use crate::report::Table;

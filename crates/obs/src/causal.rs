@@ -4,11 +4,10 @@
 //! Every [`TimedEvent`] carries a [`CauseId`] parent link minted by the
 //! [`Recorder`](crate::Recorder); this module turns a snapshot of those
 //! events into a queryable graph. Events are kept in **canonical order**
-//! — sorted by `(at_us, node, seq)` — which makes every analysis output
-//! byte-identical between a plain serial run and a sharded run of the
-//! same seed: the two engines record the same event *multiset* with the
-//! same ids (per-node order is invariant under the (epoch, shard) merge),
-//! they just interleave nodes differently.
+//! — sorted by `(at_us, node, seq)` — so every analysis output depends
+//! only on the event *multiset*, never on the order the source handed the
+//! events over in: a recorder snapshot, a parsed JSONL file and a
+//! post-mortem slice of the same run all analyze identically.
 //!
 //! The headline analysis is [`CausalGraph::switch_attempts`]: for each
 //! group-wide switch attempt it walks the causal chain behind each phase
@@ -310,8 +309,7 @@ struct AttemptAgg {
 /// A causal view over a recorded event slice.
 ///
 /// Construction sorts events into canonical `(at_us, node, seq)` order —
-/// see the module docs for why that ordering is the one that survives
-/// sharding — and indexes them by [`CauseId`].
+/// see the module docs for why — and indexes them by [`CauseId`].
 pub struct CausalGraph {
     events: Vec<TimedEvent>,
     index: HashMap<u64, usize>,

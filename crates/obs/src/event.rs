@@ -253,12 +253,8 @@ impl ObsEvent {
 ///
 /// Ids are minted by the [`Recorder`](crate::Recorder) as
 /// `(node << 32) | seq` with a per-node `seq` starting at 1, so
-/// [`CauseId::NONE`] (zero) never collides with a real event and ids are
-/// stable under [`ShardedSim`]'s (epoch, shard) merge: each node lives in
-/// exactly one shard and per-node record order is preserved by the merge,
-/// so shard-minted ids replay into the merged trace unchanged.
-///
-/// [`ShardedSim`]: https://docs.rs/ps-simnet
+/// [`CauseId::NONE`] (zero) never collides with a real event and an id
+/// depends only on its node's own record order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CauseId(pub u64);
 

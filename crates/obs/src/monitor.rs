@@ -152,7 +152,8 @@ impl TotalOrderMonitor {
         Self::default()
     }
 
-    /// Feeds one event (sinks call this; drivers can too, for replay).
+    /// Feeds one event (sinks call this; so can a host replaying a
+    /// recorded trace).
     pub fn observe(&self, ev: &TimedEvent) {
         let ObsEvent::AppDeliver { sender, seq } = ev.ev else { return };
         let mut s = lock(&self.inner);
@@ -308,8 +309,10 @@ impl Settled {
 
 /// What is known of a message that is not settled yet.
 struct Unsettled {
-    /// Its first `AppSend`, once seen (a delivery can be recorded first:
-    /// a sharded run replays shard by shard within an epoch).
+    /// Its first `AppSend`, once seen. A delivery can arrive first: the
+    /// monitor does not assume record order, since whoever calls
+    /// `observe` — a replay of a trace file, a merge of several hosts'
+    /// logs — need not hand a send over ahead of its deliveries.
     send: Option<TimedEvent>,
     /// The distinct nodes that delivered it, in arrival order.
     nodes: Vec<u32>,
@@ -751,8 +754,8 @@ mod tests {
 
     #[test]
     fn delivery_recorded_before_its_send_still_counts() {
-        // Sharded replay order: within an epoch a receiver's shard can be
-        // replayed before the sender's.
+        // Robustness to record order: a replayed or merged trace can hand
+        // a receiver's delivery over ahead of the sender's send.
         let m = DeliveryMonitor::new(2);
         m.observe(&deliver(5, 0, 1, 1));
         m.observe(&deliver(6, 1, 1, 1));

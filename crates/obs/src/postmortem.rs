@@ -15,8 +15,8 @@
 //!
 //! Serialization is deterministic: the slice is in canonical
 //! `(at_us, node, seq)` order and every line is fixed-key-order compact
-//! JSON, so the same seed produces a byte-identical bundle from the
-//! serial, threaded, and sharded engines. The bundle does no file IO —
+//! JSON, so the same seed produces a byte-identical bundle whether the
+//! run was swept serially or on worker threads. The bundle does no file IO —
 //! hosts write [`PostmortemBundle::to_jsonl`] and
 //! [`PostmortemBundle::to_chrome`] wherever `--postmortem PATH` pointed.
 

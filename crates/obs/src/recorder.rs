@@ -84,10 +84,6 @@ struct Ring {
     /// Host-time profiler for `obs/record` / `obs/sinks/*` spans; only an
     /// *enabled* profiler is ever stored (see [`Recorder::set_prof`]).
     prof: Option<Profiler>,
-    /// Whether per-sink dispatch spans fire. Off for shard capture
-    /// recorders: their buffer sink is driver plumbing, not a consumer,
-    /// and profiling it would make shard structure diverge from plain.
-    profile_sinks: bool,
     /// Per-node causal sequence counters (`seqs[node]` = last seq issued).
     /// Grows on a node's first event — the one amortized exception to the
     /// no-allocation-when-enabled rule, and only up to the highest node id.
@@ -115,7 +111,6 @@ impl Ring {
         // cached union mask skips the loop when no subscriber cares.
         let kind = e.ev.kind();
         if self.sink_union.intersects(kind) {
-            let prof = if self.profile_sinks { prof } else { None };
             for entry in self.sinks.iter_mut() {
                 if entry.mask.intersects(kind) {
                     let path = ["obs", "sinks", entry.name];
@@ -214,7 +209,6 @@ impl Recorder {
                     sinks: Vec::new(),
                     sink_union: EventMask::NONE,
                     prof: None,
-                    profile_sinks: false,
                     seqs: Vec::new(),
                 })),
             }),
@@ -293,14 +287,6 @@ impl Recorder {
         }
     }
 
-    /// Replays an already-stamped event verbatim (a session of one
-    /// [`Writer::record_timed`]). No-op when disabled.
-    pub fn record_timed(&self, e: &TimedEvent) {
-        if let Some(w) = self.writer() {
-            w.record_timed(e);
-        }
-    }
-
     /// The recorded events, oldest first. If the ring wrapped, the oldest
     /// surviving event leads.
     pub fn snapshot(&self) -> Vec<TimedEvent> {
@@ -363,15 +349,11 @@ impl Recorder {
     }
 
     /// Attaches a host-time profiler: every `record*` call opens an
-    /// `obs/record` span (live records only) and, when `profile_sinks` is
-    /// set, each sink dispatch opens `obs/sinks/<name>`. A disabled
-    /// profiler is ignored — the recording hot path only ever pays for a
-    /// profiler that is actually collecting.
-    pub fn set_prof(&self, prof: &Profiler, profile_sinks: bool) {
-        self.with_ring(|ring| {
-            ring.prof = prof.is_enabled().then(|| prof.clone());
-            ring.profile_sinks = profile_sinks;
-        });
+    /// `obs/record` span and each sink dispatch opens `obs/sinks/<name>`.
+    /// A disabled profiler is ignored — the recording hot path only ever
+    /// pays for a profiler that is actually collecting.
+    pub fn set_prof(&self, prof: &Profiler) {
+        self.with_ring(|ring| ring.prof = prof.is_enabled().then(|| prof.clone()));
     }
 }
 
@@ -413,26 +395,6 @@ impl Writer<'_> {
         let e = TimedEvent { at_us, node, seq, parent, ev };
         ring.push(e, prof.as_ref());
         e.id()
-    }
-
-    /// Replays an already-stamped event verbatim — seq and parent are
-    /// kept, not re-minted (the node's counter is advanced past `e.seq`
-    /// so later direct records stay unique). This is the merge path for
-    /// sharded runs: per-shard recorders mint ids, the merged recorder
-    /// replays them in (epoch, shard) order.
-    pub fn record_timed(&self, e: &TimedEvent) {
-        let mut ring = self.ring.borrow_mut();
-        let i = e.node as usize;
-        if i >= ring.seqs.len() {
-            ring.seqs.resize(i + 1, 0);
-        }
-        ring.seqs[i] = ring.seqs[i].max(e.seq);
-        // No `obs/record` span here: replay is driver machinery (the
-        // sharded driver wraps it in `driver/replay`), but sink
-        // dispatch still spans so monitor cost is attributed whether
-        // events arrive live or replayed.
-        let prof = ring.prof.clone();
-        ring.push(*e, prof.as_ref());
     }
 }
 
@@ -579,21 +541,6 @@ mod tests {
         }
 
         #[test]
-        fn record_timed_replays_verbatim_and_advances_counters() {
-            let src = Recorder::with_capacity(8);
-            src.record(1, 5, ev(1));
-            let id = src.record(2, 5, ev(2));
-            let dst = Recorder::with_capacity(8);
-            for e in src.snapshot() {
-                dst.record_timed(&e);
-            }
-            assert_eq!(dst.snapshot(), src.snapshot());
-            // Fresh records on the same node continue past the replayed seqs.
-            let next = dst.record(3, 5, ev(3));
-            assert_eq!(next, CauseId::new(5, id.seq() + 1));
-        }
-
-        #[test]
         fn clear_resets_causal_counters() {
             let r = Recorder::with_capacity(8);
             r.record(1, 0, ev(1));
@@ -634,20 +581,14 @@ mod tests {
                         ids.push(parent);
                     }
                 }
-                let replayed = TimedEvent { seq: 90, ..TimedEvent::new(99, 1, ev(9)) };
-                if bursts {
-                    r.writer().expect("enabled").record_timed(&replayed);
-                } else {
-                    r.record_timed(&replayed);
-                }
                 ids.push(r.record(100, 1, ev(0)));
                 let fed = fed.lock().unwrap().clone();
                 (r.snapshot(), ids, fed, r.overwritten())
             };
             let (single, session) = (run(false), run(true));
             assert_eq!(single.0.len(), 16);
-            assert_eq!(single.3, 26);
-            assert_eq!(*single.1.last().unwrap(), CauseId::new(1, 91));
+            assert_eq!(single.3, 25);
+            assert_eq!(*single.1.last().unwrap(), CauseId::new(1, 17));
             assert_eq!(single, session);
         }
 

@@ -3,15 +3,14 @@
 //! An in-engine host-time profiler for the protocol-switching workspace:
 //! a sampling-free span-stack [`Profiler`] that attributes host
 //! wall-clock time to named engine components (event-queue ops, medium
-//! transmit, per-layer handler execution, recorder and sink dispatch,
-//! ShardedSim epoch machinery) via RAII [`Span`] guards.
+//! transmit, per-layer handler execution, recorder and sink dispatch)
+//! via RAII [`Span`] guards.
 //!
 //! The design splits every measurement into two halves:
 //!
 //! - a **deterministic structural side** — the span tree shape, enter
 //!   counts, and the virtual time covered — which is golden-testable and
-//!   byte-identical across the serial, parallel, and sharded drivers
-//!   ([`Profiler::structure`]), and
+//!   byte-identical across same-seed runs ([`Profiler::structure`]), and
 //! - **nondeterministic nanosecond totals**, exported as a per-component
 //!   cost table ([`Profiler::rows`]), a collapsed-stack flamegraph
 //!   ([`Profiler::flamegraph`], `inferno`-compatible text), and a
@@ -151,9 +150,8 @@ pub struct Row {
     pub self_ns: u64,
 }
 
-/// A clonable handle to one profiler (one per execution lane — the
-/// sharded driver gives each shard its own and merges with
-/// [`Profiler::absorb`]).
+/// A clonable handle to one profiler. Clones share the span tree and
+/// its one live stack, so a profiler belongs to one thread at a time.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     inner: Arc<Shared>,
@@ -299,72 +297,22 @@ impl Profiler {
     }
 
     /// Records the highest virtual time this profiler's run covered
-    /// (kept as a max, so shard merges and repeated runs compose).
+    /// (kept as a max, so repeated runs compose).
     pub fn note_sim_us(&self, us: u64) {
         let mut core = self.core();
         core.sim_us = core.sim_us.max(us);
     }
 
-    /// Drains `other` into `self`: every node's counts are summed in
-    /// by path, `other`'s counters reset to zero (so repeated
-    /// `run_until` calls never double-count), and the drained top-level
-    /// time is credited to whatever span is currently live on `self` —
-    /// shard work happened *inside* the caller's enclosing span, and
-    /// must not inflate its self-time.
-    pub fn absorb(&self, other: &Profiler) {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
-            return;
-        }
-        let mut dst = self.core();
-        let mut src = other.core();
-        // Exclusive times are disjoint and partition everything `other`
-        // measured, so their sum is exactly the wall time being drained.
-        let drained_ns: u64 = src.nodes.iter().map(|n| n.self_ns).sum();
-        // Copy-merge by path, then zero the source.
-        fn rec(src: &mut Core, at: usize, path: &mut Vec<&'static str>, dst: &mut Core) {
-            if at != 0 {
-                let (enters, total, selfn) = {
-                    let n = &src.nodes[at];
-                    (n.enters, n.total_ns, n.self_ns)
-                };
-                let d = dst.locate(path);
-                dst.nodes[d].enters += enters;
-                dst.nodes[d].total_ns += total;
-                dst.nodes[d].self_ns += selfn;
-                let n = &mut src.nodes[at];
-                n.enters = 0;
-                n.total_ns = 0;
-                n.self_ns = 0;
-            }
-            let children = src.nodes[at].children.clone();
-            for c in children {
-                path.push(src.nodes[c].name);
-                rec(src, c, path, dst);
-                path.pop();
-            }
-        }
-        let mut path = Vec::new();
-        rec(&mut src, 0, &mut path, &mut dst);
-        dst.sim_us = dst.sim_us.max(src.sim_us);
-        if let Some(live) = dst.stack.last_mut() {
-            live.child_ns += drained_ns;
-        }
-    }
-
     /// The deterministic structural side: one `path enters` line per
     /// entered component, lexicographically sorted, plus the covered
-    /// virtual time. Paths under `driver/` are excluded — they describe
-    /// *how* a run was driven (epoch machinery, replay), which the
-    /// cross-driver byte-identity contract deliberately ignores — and so
-    /// is `engine/sample`: load sampling rides the clock cadence, and
-    /// each shard samples its own window, so its enter count scales with
-    /// the shard count rather than the workload. The root's line (if
+    /// virtual time. `engine/sample` is left out: load sampling rides
+    /// the clock cadence rather than the workload. The root's line (if
     /// entered) is `run N`.
     pub fn structure(&self) -> String {
         let core = self.core();
         let mut lines = Vec::new();
         core.walk(&mut |path, node| {
-            if node.enters == 0 || path.starts_with("driver") || path == "engine/sample" {
+            if node.enters == 0 || path == "engine/sample" {
                 return;
             }
             let shown = if path.is_empty() { ROOT } else { path };
@@ -542,60 +490,10 @@ mod tests {
             let _a = p.span(&["engine", "wheel", "pop"]);
         }
         {
-            let _d = p.span(&["driver", "epoch"]);
+            let _s = p.span(&["engine", "sample"]);
         }
         p.note_sim_us(500);
         assert_eq!(p.structure(), "engine/wheel/pop 3\nsim_us 500\n");
-    }
-
-    #[test]
-    fn absorb_sums_counts_resets_source_and_credits_live_span() {
-        let a = Profiler::enabled();
-        let b = Profiler::enabled();
-        {
-            // Model the sharded driver: the shard profiler (`b`)
-            // measures work that happens while the global root span is
-            // live, then gets drained into the global tree.
-            let _root = a.span(&[]);
-            {
-                let _x = b.span(&["engine", "dispatch"]);
-                // Spin long enough that the span's elapsed time is
-                // nonzero even on a coarse monotonic clock.
-                let mut acc = 0u64;
-                for i in 0..50_000u64 {
-                    acc = acc.wrapping_add(std::hint::black_box(i));
-                }
-                std::hint::black_box(acc);
-            }
-            b.note_sim_us(777);
-            a.absorb(&b);
-        }
-        assert!(a.structure().contains("engine/dispatch 1"));
-        assert!(a.structure().contains("sim_us 777"));
-        // Source drained: absorbing again adds nothing.
-        {
-            let _root = a.span(&[]);
-            a.absorb(&b);
-        }
-        assert!(a.structure().contains("engine/dispatch 1"));
-        // The absorbed time was credited to the live root: everything
-        // under the root is attributed, so `other` is only the root's
-        // own bookkeeping.
-        assert!(a.attributed_fraction() > 0.0);
-        let rows = a.rows();
-        let total: u64 = a.total_ns();
-        let self_sum: u64 = rows.iter().map(|r| r.self_ns).sum();
-        assert_eq!(self_sum, total);
-    }
-
-    #[test]
-    fn absorb_self_is_a_no_op() {
-        let p = Profiler::enabled();
-        {
-            let _a = p.span(&["engine", "dispatch"]);
-        }
-        p.absorb(&p.clone());
-        assert!(p.structure().contains("engine/dispatch 1"));
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn nest_and_maybe_panic(prof: &Profiler, depth: usize, panic_at: usize) -> usize
         &["stack", "layer"],
         &["obs", "record"],
         &["obs", "sinks", "monitors"],
-        &["driver", "epoch"],
+        &["engine", "sample"],
     ];
     fn rec(prof: &Profiler, levels: &[&[&'static str]], panic_at: usize, at: usize) {
         let Some((first, rest)) = levels.split_first() else { return };

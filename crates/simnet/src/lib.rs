@@ -57,7 +57,6 @@ mod agent;
 mod medium;
 mod queue;
 mod rng;
-mod shard;
 mod sim;
 mod stats;
 mod time;
@@ -70,7 +69,6 @@ pub use medium::{
 };
 pub use queue::EventQueue;
 pub use rng::DetRng;
-pub use shard::ShardedSim;
 pub use sim::{NodeConfig, Sim, SimConfig};
 pub use stats::NetStats;
 pub use time::SimTime;
@@ -83,8 +81,7 @@ use std::fmt;
 ///
 /// Nodes are numbered densely from zero; `NodeId` doubles as an index into
 /// per-node tables throughout the workspace. Ids are 32-bit so multi-segment
-/// topologies can scale past the 65k-node mark (the sharded engine's 100k
-/// benchmarks address every node globally).
+/// topologies are not capped at 65k nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 

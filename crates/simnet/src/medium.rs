@@ -199,12 +199,12 @@ impl Medium for SharedBus {
 /// multi-segment medium behind a [`Topology`].
 ///
 /// Each segment is an independent [`SharedBus`]: its own busy state, its own
-/// contention, and — crucially for the sharded engine — its own jitter RNG
-/// stream, forked from the bus seed by segment id rather than drawn from the
-/// simulator's global stream. A transmit touches only the *source* segment's
-/// wire and RNG, so the plan for a frame depends on nothing outside its
-/// segment: the property that lets segments be simulated on different
-/// threads without changing a single arrival time.
+/// contention, and its own jitter RNG stream, forked from the bus seed by
+/// segment id rather than drawn from the simulator's global stream. A
+/// transmit touches only the *source* segment's wire and RNG. The
+/// per-segment streams stay because the `--topology segments:N` outputs
+/// are pinned byte for byte (by `parallel_determinism` and the ci smoke):
+/// drawing from one shared stream instead would move every arrival.
 ///
 /// Delivery model per destination of one frame from `src`:
 ///
@@ -212,10 +212,8 @@ impl Medium for SharedBus {
 ///   `busy_until`, serialize, then `propagation + jitter`.
 /// * **Other segment** — the bridge forwards the frame after the same
 ///   serialization, adding [`Topology::bridge_latency`]; the remote wire is
-///   *not* occupied (bridges have a dedicated uplink in this model). The
-///   earliest possible cross-segment arrival is therefore
-///   `now + propagation + bridge_latency`, which [`Topology::min_cross_latency`]
-///   exposes as the sharded engine's lookahead window.
+///   *not* occupied (bridges have a dedicated uplink in this model), so no
+///   cross-segment arrival comes before `now + propagation + bridge_latency`.
 #[derive(Debug, Clone)]
 pub struct SegmentedBus {
     topo: Arc<Topology>,
@@ -902,15 +900,16 @@ mod tests {
         assert_eq!(cross, local + SimTime::from_micros(100), "bridge latency on top");
         // The remote segment's wire was never occupied.
         assert_eq!(bus.busy_until(1), SimTime::ZERO);
-        // Lookahead bound: no cross-segment arrival before now + min_cross_latency.
-        assert!(cross >= bus.topology().min_cross_latency());
+        // No cross-segment arrival before now + bridge latency + propagation.
+        let topo = bus.topology();
+        assert!(cross >= topo.bridge_latency() + topo.ethernet().propagation);
     }
 
     #[test]
     fn segmented_bus_ignores_the_caller_rng() {
         // Identical call sequences with wildly different caller RNG states
         // must produce identical plans — jitter comes from per-segment
-        // streams owned by the bus, so plans are placement-independent.
+        // streams owned by the bus, never from the caller's stream.
         let topo = Arc::new(Topology::uniform(6, 2, SimTime::from_micros(100)));
         let mut a = SegmentedBus::new(Arc::clone(&topo), 42);
         let mut b = SegmentedBus::new(topo, 42);

@@ -143,12 +143,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.lane.is_empty() && self.heap.is_empty()
     }
-
-    /// Rough resident size of the queue's buffers in bytes.
-    pub(crate) fn approx_mem_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.lane.capacity() + self.heap.capacity()) * size_of::<Entry<E>>() + size_of::<Self>()
-    }
 }
 
 impl<E> Default for EventQueue<E> {

@@ -108,74 +108,6 @@ impl SimConfig {
     }
 }
 
-/// One load-sampler window in raw (pre-finalized) form: plain counters
-/// that merge across shards by sum/max, unlike the clamped integer ratios
-/// in [`LoadSample`]. [`RawWindow::finalize`] is the *only* place raw
-/// counters become a `LoadSample`, so serial and sharded runs apply
-/// byte-identical arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RawWindow {
-    pub at_us: u64,
-    pub frames: u64,
-    pub copies: u64,
-    pub busy_us: u64,
-    pub max_cpu_us: u64,
-    pub seq_cpu_us: u64,
-    pub max_q: u32,
-    pub total_q: u32,
-    /// Signed: a shard that receives more cross-shard frames than it sent
-    /// goes negative; the sum across shards is the true global value.
-    pub in_flight: i64,
-}
-
-impl RawWindow {
-    /// Folds another shard's window (same `at_us`) into this one.
-    pub fn merge(&mut self, o: &RawWindow) {
-        debug_assert_eq!(self.at_us, o.at_us, "windows must align");
-        self.frames += o.frames;
-        self.copies += o.copies;
-        self.busy_us += o.busy_us;
-        self.max_cpu_us = self.max_cpu_us.max(o.max_cpu_us);
-        self.seq_cpu_us = self.seq_cpu_us.max(o.seq_cpu_us);
-        self.max_q = self.max_q.max(o.max_q);
-        self.total_q += o.total_q;
-        self.in_flight += o.in_flight;
-    }
-
-    /// Converts the counters into the public sample format.
-    pub fn finalize(&self, window_us: u64) -> LoadSample {
-        // Busy time is attributed at transmit time, so a burst can charge
-        // more busy-µs to one window than the window holds; clamp.
-        let permille =
-            |busy_us: u64| u32::try_from((busy_us * 1000 / window_us).min(1000)).expect("<= 1000");
-        LoadSample {
-            at_us: self.at_us,
-            frames_sent: self.frames,
-            copies_delivered: self.copies,
-            bus_util_permille: permille(self.busy_us),
-            max_cpu_permille: permille(self.max_cpu_us),
-            seq_cpu_permille: permille(self.seq_cpu_us),
-            max_queue_depth: self.max_q,
-            total_queue_depth: self.total_q,
-            in_flight: u32::try_from(self.in_flight.max(0)).unwrap_or(u32::MAX),
-        }
-    }
-}
-
-/// A frame copy addressed to a node outside this shard, parked until the
-/// epoch barrier. `seq` is the shard's send order, part of the total order
-/// cross-shard frames are injected in.
-pub(crate) struct OutFrame {
-    pub at: SimTime,
-    pub to: NodeId,
-    pub pkt: Packet,
-    pub seq: u64,
-    /// Causal id of the `FrameSend` on the transmitting shard — ferried
-    /// across the epoch barrier so the receiving shard's delivery links
-    /// back to it.
-    pub cause: CauseId,
-}
-
 /// Incarnation stamp for timers armed from outside any node (driver
 /// workload via [`Sim::schedule`]): valid in every incarnation, as long as
 /// the node is alive when the timer fires.
@@ -258,29 +190,10 @@ pub struct Sim<A> {
     /// bool-cached guard as `obs_on`, for the profiler span sites.
     prof_on: bool,
     /// Frame copies scheduled for delivery but not yet begun processing.
-    ///
-    /// Signed because a shard decrements for injected cross-shard copies
-    /// it never counted up; a standalone sim never goes negative.
-    in_flight: i64,
-    /// First global node id hosted here (0 for a standalone sim). Agents
-    /// always see global ids; local tables subtract `base`.
-    base: u32,
-    /// Global node count across all shards (`agents.len()` standalone).
-    total_nodes: u32,
-    /// Frame copies addressed outside `base..base+agents.len()`, awaiting
-    /// pickup by the sharded driver. Always empty standalone.
-    outbox: Vec<OutFrame>,
-    /// Send-order stamp for `outbox` entries.
-    outbox_seq: u64,
+    in_flight: u64,
     /// Reused transmit plan — the medium writes into it in place, so the
     /// steady-state send path performs no allocation.
     plan_scratch: TxPlan,
-    /// `Some((interval_us, seq_node))` switches the sampler to raw-window
-    /// mode: windows accumulate in `raw_windows` for cross-shard merging
-    /// instead of being finalized into `config.sampler`.
-    raw_interval: Option<(u64, Option<u32>)>,
-    /// Raw windows accumulated in raw mode, drained by the sharded driver.
-    raw_windows: Vec<RawWindow>,
     /// Per-node cumulative CPU busy time (service time summed per event).
     cpu_busy_us: Vec<u64>,
     /// Per-node `cpu_busy_us` as of the last emitted sample (window base).
@@ -313,40 +226,18 @@ impl<A: Agent> Sim<A> {
     ///
     /// Panics if `agents` is empty or has more than `u32::MAX` nodes.
     pub fn new(config: SimConfig, medium: Box<dyn Medium>, agents: Vec<A>) -> Self {
-        let total = u32::try_from(agents.len()).expect("too many nodes");
-        // A profiled standalone sim attributes recorder work too:
-        // `obs/record` per live record, `obs/sinks/<name>` per dispatch.
-        // (Shards wire this themselves with sink profiling off — see
-        // `ShardedSim::new`.)
-        config.recorder.set_prof(&config.prof, true);
-        Self::new_shard(config, medium, agents, 0, total)
-    }
-
-    /// Creates a shard hosting global nodes `base..base + agents.len()` of
-    /// a `total`-node simulation. Every node's RNG stream is forked by its
-    /// *global* id — identical to what a standalone sim of `total` nodes
-    /// forks — so per-node draws are independent of shard placement.
-    pub(crate) fn new_shard(
-        config: SimConfig,
-        medium: Box<dyn Medium>,
-        agents: Vec<A>,
-        base: u32,
-        total: u32,
-    ) -> Self {
         assert!(!agents.is_empty(), "a simulation needs at least one node");
         let n = agents.len();
-        assert!(
-            u32::try_from(n).ok().and_then(|n| base.checked_add(n)).is_some_and(|end| end <= total),
-            "shard range out of bounds"
-        );
+        assert!(u32::try_from(n).is_ok(), "too many nodes");
+        // A profiled sim attributes recorder work too: `obs/record` per
+        // live record, `obs/sinks/<name>` per dispatch.
+        config.recorder.set_prof(&config.prof);
         let rng = DetRng::new(config.seed);
         // One independent stream per node, forked up front: the fork cost is
-        // paid once, and a node's draws depend only on the seed and its
-        // global id — never on how events interleave with other nodes, and
-        // never on which shard hosts it. (`+` rather than `|`: identical
-        // for ids below 2^16, collision-free above.)
-        let node_rngs =
-            (0..n).map(|i| rng.fork(0x4e4f_4445_0000 + base as u64 + i as u64)).collect();
+        // paid once, and a node's draws depend only on the seed and its id —
+        // never on how events interleave with other nodes. (`+` rather than
+        // `|`: identical for ids below 2^16, collision-free above.)
+        let node_rngs = (0..n).map(|i| rng.fork(0x4e4f_4445_0000 + i as u64)).collect();
         let obs_on = config.recorder.is_enabled();
         let prof_on = config.prof.is_enabled();
         let next_sample_at = config
@@ -373,13 +264,7 @@ impl<A: Agent> Sim<A> {
             obs_on,
             prof_on,
             in_flight: 0,
-            base,
-            total_nodes: total,
-            outbox: Vec::new(),
-            outbox_seq: 0,
             plan_scratch: TxPlan::default(),
-            raw_interval: None,
-            raw_windows: Vec::new(),
             cpu_busy_us: vec![0; n],
             cpu_busy_prev: vec![0; n],
             next_sample_at,
@@ -389,17 +274,10 @@ impl<A: Agent> Sim<A> {
         }
     }
 
-    /// Whether `node` is hosted on this sim/shard.
-    #[inline]
-    fn is_local(&self, node: NodeId) -> bool {
-        node.0.wrapping_sub(self.base) < self.agents.len() as u32
-    }
-
-    /// Local table index of a (global) node id.
-    #[inline]
-    fn idx(&self, node: NodeId) -> usize {
-        debug_assert!(self.is_local(node), "node {node} is not on this shard");
-        node.0.wrapping_sub(self.base) as usize
+    /// Panics with `"{what} {node} out of range"` unless `node` is one of
+    /// this sim's nodes — the call-time check of every `schedule*`.
+    fn assert_in_range(&self, node: NodeId, what: &str) {
+        assert!(node.index() < self.agents.len(), "{what} {node} out of range");
     }
 
     /// The attached event recorder (disabled unless one was configured).
@@ -435,10 +313,9 @@ impl<A: Agent> Sim<A> {
         }
     }
 
-    /// Number of nodes in the whole simulation (across all shards, when
-    /// this sim is one shard of a sharded run).
+    /// Number of nodes in the simulation.
     pub fn num_nodes(&self) -> usize {
-        self.total_nodes as usize
+        self.agents.len()
     }
 
     /// Current virtual time.
@@ -457,7 +334,7 @@ impl<A: Agent> Sim<A> {
     ///
     /// Panics if `id` is out of range.
     pub fn agent(&self, id: NodeId) -> &A {
-        &self.agents[self.idx(id)]
+        &self.agents[id.index()]
     }
 
     /// Mutable access to a node's agent.
@@ -466,8 +343,7 @@ impl<A: Agent> Sim<A> {
     ///
     /// Panics if `id` is out of range.
     pub fn agent_mut(&mut self, id: NodeId) -> &mut A {
-        let i = self.idx(id);
-        &mut self.agents[i]
+        &mut self.agents[id.index()]
     }
 
     /// Iterates over all agents in node order.
@@ -479,7 +355,12 @@ impl<A: Agent> Sim<A> {
     ///
     /// Drivers use this to inject workload or trigger an oracle decision at
     /// a chosen instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
     pub fn schedule(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
+        self.assert_in_range(node, "timer target");
         self.queue.push(
             at.max(self.now),
             Ev::Timer { node, token, inc: EXTERNAL_INC, cause: CauseId::NONE },
@@ -494,7 +375,7 @@ impl<A: Agent> Sim<A> {
     /// *not* reset: the model is a process freeze with stable storage, so
     /// sequence counters and dedup sets survive into the next incarnation.
     pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
-        assert!(self.is_local(node), "crash target {node} out of range");
+        self.assert_in_range(node, "crash target");
         self.queue.push(at.max(self.now), Ev::Fault { node, up: false });
     }
 
@@ -502,7 +383,7 @@ impl<A: Agent> Sim<A> {
     /// back alive and its agent's [`Agent::on_restart`] runs to re-arm
     /// timers and resume in-progress work. No-op if the node is already up.
     pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
-        assert!(self.is_local(node), "recover target {node} out of range");
+        self.assert_in_range(node, "recover target");
         self.queue.push(at.max(self.now), Ev::Fault { node, up: true });
     }
 
@@ -512,7 +393,7 @@ impl<A: Agent> Sim<A> {
     ///
     /// Panics if `node` is out of range.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[self.idx(node)]
+        self.alive[node.index()]
     }
 
     fn ensure_started(&mut self) {
@@ -524,13 +405,13 @@ impl<A: Agent> Sim<A> {
         let session = rec.as_ref().and_then(Recorder::writer);
         let obs = session.as_ref();
         for i in 0..self.agents.len() {
-            let node = NodeId(self.base + i as u32);
+            let node = NodeId(i as u32);
             let scratch = std::mem::take(&mut self.action_scratch);
             let prof = if self.prof_on { Some(&self.config.prof) } else { None };
             let mut api = SimApi::new(
                 node,
                 SimTime::ZERO,
-                self.total_nodes as usize,
+                self.agents.len(),
                 &mut self.node_rngs[i],
                 scratch,
                 obs,
@@ -545,7 +426,7 @@ impl<A: Agent> Sim<A> {
         }
     }
 
-    /// Expands a [`Dest`] into explicit global node ids.
+    /// Expands a [`Dest`] into explicit node ids.
     ///
     /// `Dest::Segment` resolves against `topo`; with no topology the whole
     /// simulation is one segment, so it degenerates to `Dest::Others`.
@@ -589,7 +470,7 @@ impl<A: Agent> Sim<A> {
             match action {
                 Action::Send { dest, payload, cause } => {
                     Self::fill_dests(
-                        self.total_nodes,
+                        self.agents.len() as u32,
                         self.config.topology.as_deref(),
                         node,
                         dest,
@@ -644,20 +525,12 @@ impl<A: Agent> Sim<A> {
                             payload.as_ref().expect("payload present before last").clone()
                         };
                         let pkt = Packet { src: node, payload: copy };
-                        if self.is_local(to) {
-                            let _sp = prof.as_ref().map(|p| p.span(&["engine", "wheel", "push"]));
-                            self.queue.push(at, Ev::Packet { to, pkt, cause: send_id });
-                        } else {
-                            // Another shard hosts `to`: park the copy for the
-                            // epoch barrier. `seq` preserves send order.
-                            let seq = self.outbox_seq;
-                            self.outbox_seq += 1;
-                            self.outbox.push(OutFrame { at, to, pkt, seq, cause: send_id });
-                        }
+                        let _sp = prof.as_ref().map(|p| p.span(&["engine", "wheel", "push"]));
+                        self.queue.push(at, Ev::Packet { to, pkt, cause: send_id });
                     }
                 }
                 Action::Timer { delay, token, cause } => {
-                    let inc = self.incarnation[self.idx(node)];
+                    let inc = self.incarnation[node.index()];
                     let _sp = prof.as_ref().map(|p| p.span(&["engine", "wheel", "push"]));
                     self.queue.push(effective_at + delay, Ev::Timer { node, token, inc, cause });
                 }
@@ -673,7 +546,7 @@ impl<A: Agent> Sim<A> {
     fn dispatch(&mut self, node: NodeId, start: SimTime, ev: Ev, rec: Option<&Recorder>) {
         let prof = self.prof();
         let _sp = prof.as_ref().map(|p| p.span(&["engine", "dispatch"]));
-        let i = self.idx(node);
+        let i = node.index();
         self.now = self.now.max(start);
         let done = start + self.config.node.service_time;
         self.busy_until[i] = done;
@@ -707,7 +580,7 @@ impl<A: Agent> Sim<A> {
         let mut api = SimApi::new(
             node,
             start,
-            self.total_nodes as usize,
+            self.agents.len(),
             &mut self.node_rngs[i],
             scratch,
             obs,
@@ -737,10 +610,10 @@ impl<A: Agent> Sim<A> {
     /// Emits load samples for every whole sampling interval up to `t`.
     ///
     /// Driven purely by virtual time: the sample schedule (and therefore
-    /// the series) is identical for identical runs, serial or parallel.
+    /// the series) is identical for identical runs.
     #[inline]
     fn flush_samples_to(&mut self, t: SimTime) {
-        if self.config.sampler.is_none() && self.raw_interval.is_none() {
+        if self.config.sampler.is_none() {
             return;
         }
         while self.next_sample_at <= t {
@@ -748,19 +621,13 @@ impl<A: Agent> Sim<A> {
         }
     }
 
-    /// Builds the [`RawWindow`] ending at `next_sample_at`, advances the
-    /// window, then either banks it raw (shard mode) or finalizes it into
-    /// the configured sampler.
+    /// Closes the window ending at `next_sample_at` into one
+    /// [`LoadSample`] for the configured sampler, and opens the next.
     fn emit_sample(&mut self) {
         let prof = self.prof();
         let _sp = prof.as_ref().map(|p| p.span(&["engine", "sample"]));
-        let (window_us, seq_node) = match &self.raw_interval {
-            Some((w, s)) => (*w, *s),
-            None => {
-                let s = self.config.sampler.as_ref().expect("caller checked");
-                (s.interval_us(), s.seq_node())
-            }
-        };
+        let sampler = self.config.sampler.as_ref().expect("caller checked");
+        let (window_us, seq_node) = (sampler.interval_us(), sampler.seq_node());
         let mut max_cpu = 0u64;
         let mut seq_cpu = 0u64;
         for (i, (cur, prev)) in
@@ -769,7 +636,7 @@ impl<A: Agent> Sim<A> {
             let delta = cur - *prev;
             *prev = *cur;
             max_cpu = max_cpu.max(delta);
-            if seq_node == Some(self.base + i as u32) {
+            if seq_node == Some(i as u32) {
                 seq_cpu = delta;
             }
         }
@@ -780,32 +647,30 @@ impl<A: Agent> Sim<A> {
             max_q = max_q.max(depth);
             total_q += depth;
         }
-        let raw = RawWindow {
+        // Busy time is attributed at transmit time, so a burst can charge
+        // more busy-µs to one window than the window holds; clamp.
+        let permille =
+            |busy_us: u64| u32::try_from((busy_us * 1000 / window_us).min(1000)).expect("<= 1000");
+        sampler.push(LoadSample {
             at_us: self.next_sample_at.as_micros(),
-            frames: self.stats.frames_sent - self.win_frames,
-            copies: self.stats.copies_delivered - self.win_copies,
-            busy_us: self.stats.medium_busy_us - self.win_medium_busy,
-            max_cpu_us: max_cpu,
-            seq_cpu_us: seq_cpu,
-            max_q,
-            total_q,
-            in_flight: self.in_flight,
-        };
+            frames_sent: self.stats.frames_sent - self.win_frames,
+            copies_delivered: self.stats.copies_delivered - self.win_copies,
+            bus_util_permille: permille(self.stats.medium_busy_us - self.win_medium_busy),
+            max_cpu_permille: permille(max_cpu),
+            seq_cpu_permille: permille(seq_cpu),
+            max_queue_depth: max_q,
+            total_queue_depth: total_q,
+            in_flight: u32::try_from(self.in_flight).unwrap_or(u32::MAX),
+        });
         self.win_frames = self.stats.frames_sent;
         self.win_copies = self.stats.copies_delivered;
         self.win_medium_busy = self.stats.medium_busy_us;
         self.next_sample_at = self.next_sample_at + SimTime::from_micros(window_us);
-        if self.raw_interval.is_some() {
-            self.raw_windows.push(raw);
-        } else {
-            let sampler = self.config.sampler.as_ref().expect("caller checked").clone();
-            sampler.push(raw.finalize(window_us));
-        }
     }
 
     /// Applies a scheduled crash or recovery at time `at`.
     fn apply_fault(&mut self, node: NodeId, up: bool, at: SimTime, rec: Option<&Recorder>) {
-        let i = self.idx(node);
+        let i = node.index();
         self.now = self.now.max(at);
         if up {
             if self.alive[i] {
@@ -831,7 +696,7 @@ impl<A: Agent> Sim<A> {
             let mut api = SimApi::new(
                 node,
                 at,
-                self.total_nodes as usize,
+                self.agents.len(),
                 &mut self.node_rngs[i],
                 scratch,
                 obs,
@@ -895,7 +760,7 @@ impl<A: Agent> Sim<A> {
             Ev::Timer { node, .. } | Ev::Wakeup { node } => *node,
             Ev::Fault { .. } => unreachable!("handled above"),
         };
-        let i = self.idx(node);
+        let i = node.index();
         // Dead-node drop rules: frames addressed to a dead node are lost at
         // its NIC; timers never fire while the node is down, and timers
         // armed in an earlier incarnation died with the crash.
@@ -1012,101 +877,6 @@ impl<A: Agent> Sim<A> {
         self.ensure_started();
         let rec = self.obs();
         while self.step_with(rec.as_ref()) {}
-    }
-
-    // --- Sharded-driver hooks (see `crate::shard`) -------------------------
-    //
-    // A shard is an ordinary `Sim` over a slice of the global node range;
-    // the driver advances it epoch by epoch with `run_before`, ferries its
-    // `outbox` to sibling shards, and injects arrivals with `inject_frame`.
-
-    /// Runs every agent's `on_start` now if it has not run yet.
-    pub(crate) fn start(&mut self) {
-        self.ensure_started();
-    }
-
-    /// Timestamp of the next queued event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Processes every event strictly before `t` (the epoch's exclusive
-    /// upper bound). Unlike [`Sim::run_until`] this neither flushes the
-    /// sample tail nor advances `now` — the run is not over.
-    pub(crate) fn run_before(&mut self, t: SimTime) {
-        self.ensure_started();
-        let rec = self.obs();
-        while let Some(at) = self.queue.peek_time() {
-            if at >= t {
-                break;
-            }
-            self.step_with(rec.as_ref());
-        }
-    }
-
-    /// Closes out a run at `deadline`: emits the idle tail of the sample
-    /// series and clamps the clock, exactly as [`Sim::run_until`] does.
-    pub(crate) fn finish_at(&mut self, deadline: SimTime) {
-        self.ensure_started();
-        self.flush_samples_to(deadline);
-        self.now = self.now.max(deadline);
-        if self.prof_on {
-            self.config.prof.note_sim_us(self.now.as_micros());
-        }
-    }
-
-    /// Schedules a frame copy that was transmitted on another shard.
-    /// `in_flight` was counted by the sender's shard, so it is *not*
-    /// incremented here (the pop on this shard will decrement it — the
-    /// reason the counter is signed).
-    pub(crate) fn inject_frame(&mut self, at: SimTime, to: NodeId, pkt: Packet, cause: CauseId) {
-        debug_assert!(self.is_local(to), "injected frame for non-local node {to}");
-        // Same span a standalone sim's delivery push gets (each delivery is
-        // exactly one queue push either way), so the structural span counts
-        // match across plain and sharded drivers.
-        let prof = self.prof();
-        let _sp = prof.as_ref().map(|p| p.span(&["engine", "wheel", "push"]));
-        self.queue.push(at, Ev::Packet { to, pkt, cause });
-    }
-
-    /// Takes the cross-shard frames parked since the last call.
-    pub(crate) fn take_outbox(&mut self) -> Vec<OutFrame> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Switches load sampling to raw-window mode: windows of `interval_us`
-    /// accumulate in this sim for cross-shard merging instead of being
-    /// finalized into a sampler handle.
-    pub(crate) fn enable_raw_sampling(&mut self, interval_us: u64, seq_node: Option<u32>) {
-        assert!(interval_us > 0, "sampling interval must be positive");
-        self.raw_interval = Some((interval_us, seq_node));
-        self.next_sample_at = SimTime::from_micros(interval_us);
-    }
-
-    /// Takes the raw sample windows accumulated since the last call.
-    pub(crate) fn take_raw_windows(&mut self) -> Vec<RawWindow> {
-        std::mem::take(&mut self.raw_windows)
-    }
-
-    /// Rough resident size of this sim in bytes: per-node tables, deferred
-    /// FIFOs, the event queue, and the agents themselves. Used by the
-    /// scaling bench to report per-node memory; not an exact accounting.
-    pub fn approx_mem_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let n = self.agents.len();
-        let per_node = size_of::<A>()
-            + size_of::<SimTime>()              // busy_until
-            + size_of::<std::collections::VecDeque<Ev>>()
-            + size_of::<bool>()                 // wakeup_armed
-            + size_of::<DetRng>()               // node_rngs
-            + size_of::<bool>()                 // alive
-            + size_of::<u32>()                  // incarnation
-            + 2 * size_of::<u64>(); // cpu_busy_us + cpu_busy_prev
-        n * per_node
-            + self.pending.iter().map(|p| p.capacity() * size_of::<Ev>()).sum::<usize>()
-            + self.queue.approx_mem_bytes()
-            + self.outbox.capacity() * size_of::<OutFrame>()
-            + self.raw_windows.capacity() * size_of::<RawWindow>()
     }
 }
 
@@ -1571,5 +1341,15 @@ mod tests {
             Box::new(PointToPoint::new(SimTime::ZERO)),
             vec![],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "timer target n3 out of range")]
+    fn schedule_rejects_an_out_of_range_node_at_call_time() {
+        // Like `schedule_crash` / `schedule_recover`: the bad id is named
+        // where it was handed in, not found later at pop time.
+        let mut s = sim(3);
+        s.schedule(SimTime::from_millis(1), NodeId(3), TimerToken(1));
+        s.run_until(SimTime::from_millis(2));
     }
 }

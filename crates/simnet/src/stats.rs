@@ -24,17 +24,6 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Adds another run's (or shard's) counters into this one.
-    pub fn merge(&mut self, o: &NetStats) {
-        self.frames_sent += o.frames_sent;
-        self.bytes_sent += o.bytes_sent;
-        self.copies_delivered += o.copies_delivered;
-        self.copies_dropped += o.copies_dropped;
-        self.timers_fired += o.timers_fired;
-        self.events_processed += o.events_processed;
-        self.medium_busy_us += o.medium_busy_us;
-    }
-
     /// Fraction of copies lost, or zero if nothing was transmitted.
     pub fn loss_rate(&self) -> f64 {
         let total = self.copies_delivered + self.copies_dropped;

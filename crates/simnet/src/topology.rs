@@ -11,17 +11,11 @@
 //! and they never occupy the destination segment's wire (the bridge has a
 //! dedicated uplink into each segment in this model).
 //!
-//! Two properties of this layout are load-bearing for the sharded engine
-//! (`crate::shard`):
-//!
-//! * **Segment-local state.** A transmit touches only the *source*
-//!   segment's bus state and RNG stream, so a segment can be simulated by
-//!   any shard without changing a single draw.
-//! * **A latency floor for cross-segment traffic.**
-//!   [`Topology::min_cross_latency`] lower-bounds the time between a
-//!   cross-segment send and its earliest arrival, which is exactly the
-//!   conservative lookahead window a parallel simulation may run without
-//!   seeing a remote frame early.
+//! A transmit touches only the *source* segment's bus state and jitter
+//! stream. Those per-segment streams stay as they are because the
+//! `repro campaign|monitor --topology segments:N` outputs are pinned byte
+//! for byte — by `parallel_determinism` and by the ci smoke — and one
+//! shared stream would draw differently.
 
 use crate::{EthernetConfig, NodeId, SimTime};
 use std::ops::Range;
@@ -147,48 +141,6 @@ impl Topology {
     pub fn same_segment(&self, a: NodeId, b: NodeId) -> bool {
         self.segment_of(a) == self.segment_of(b)
     }
-
-    /// Lower bound on the latency of any cross-segment delivery: bridge
-    /// latency plus propagation (serialization and jitter only add to it).
-    ///
-    /// This is the conservative lookahead window of the sharded engine: no
-    /// frame sent at or after time `t` can arrive on a remote segment
-    /// before `t + min_cross_latency()`.
-    pub fn min_cross_latency(&self) -> SimTime {
-        self.bridge_latency + self.ethernet.propagation
-    }
-
-    /// Partitions the segments into `shards` contiguous, non-empty runs of
-    /// whole segments, balanced by node count: returns each shard's segment
-    /// range. Deterministic — the same topology and shard count always
-    /// yield the same plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or exceeds the segment count.
-    pub fn shard_plan(&self, shards: u32) -> Vec<Range<u32>> {
-        let segs = self.num_segments();
-        assert!(shards > 0, "at least one shard required");
-        assert!(shards <= segs, "more shards ({shards}) than segments ({segs})");
-        let nodes = u64::from(self.num_nodes());
-        let mut plan = Vec::with_capacity(shards as usize);
-        let mut seg = 0u32;
-        for k in 0..shards {
-            let start = seg;
-            // Advance until this shard holds its proportional share of the
-            // nodes, but never eat into the segments the remaining shards
-            // still need (one each).
-            let target = nodes * u64::from(k + 1) / u64::from(shards);
-            let max_end = segs - (shards - k - 1);
-            seg += 1;
-            while seg < max_end && u64::from(self.starts[seg as usize + 1]) <= target {
-                seg += 1;
-            }
-            plan.push(start..seg);
-        }
-        debug_assert_eq!(plan.last().expect("non-empty").end, segs);
-        plan
-    }
 }
 
 #[cfg(test)]
@@ -221,50 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn min_cross_latency_is_bridge_plus_propagation() {
-        let t = Topology::uniform(4, 2, SimTime::from_micros(100));
-        assert_eq!(t.min_cross_latency(), SimTime::from_micros(100) + t.ethernet().propagation);
-    }
-
-    #[test]
-    fn shard_plan_covers_all_segments_contiguously() {
-        let t = Topology::uniform(100, 10, SimTime::from_micros(100));
-        for shards in 1..=10 {
-            let plan = t.shard_plan(shards);
-            assert_eq!(plan.len(), shards as usize);
-            assert_eq!(plan[0].start, 0);
-            assert_eq!(plan.last().unwrap().end, 10);
-            for w in plan.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "contiguous");
-                assert!(!w[0].is_empty() && !w[1].is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn shard_plan_balances_uneven_segments() {
-        // One huge segment and many tiny ones: the huge one gets a shard
-        // to itself (or nearly), the tiny ones pack together.
-        let t = Topology::with_segment_sizes(
-            &[100, 5, 5, 5, 5],
-            EthernetConfig::default(),
-            SimTime::from_micros(50),
-        );
-        let plan = t.shard_plan(2);
-        assert_eq!(plan[0], 0..1, "big segment alone in shard 0");
-        assert_eq!(plan[1], 1..5);
-    }
-
-    #[test]
     #[should_panic(expected = "more segments than nodes")]
     fn uniform_rejects_more_segments_than_nodes() {
         let _ = Topology::uniform(2, 3, SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "more shards")]
-    fn shard_plan_rejects_excess_shards() {
-        let t = Topology::uniform(4, 2, SimTime::from_micros(10));
-        let _ = t.shard_plan(3);
     }
 }
