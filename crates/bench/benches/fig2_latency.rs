@@ -18,8 +18,8 @@ fn main() {
     for series in Series::ALL {
         for k in [2u16, 8] {
             group.bench(format!("{}/{k}", series.name()), || {
-                let (sim, _) = run_point(black_box(&cfg), series, k);
-                black_box(sim.net_stats().frames_sent)
+                let r = run_point(black_box(&cfg), series, k);
+                black_box(r.driver.net_stats().frames_sent)
             });
         }
     }

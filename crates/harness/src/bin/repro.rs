@@ -89,6 +89,7 @@ use ps_harness::experiments::{ablation, fig2, oscillation, overhead, table1, tab
 use ps_harness::ledger::LedgerEntry;
 use ps_harness::{campaign, chaos, explain, monitor_run, profile, real, trace_run, SweepRunner};
 
+#[derive(Default)]
 struct Opts {
     what: String,
     quick: bool,
@@ -110,121 +111,59 @@ struct Opts {
     bench_path: Option<String>,
 }
 
+impl Opts {
+    /// The `--quick` budget, or the full one.
+    fn budget<T>(&self, quick: fn() -> T, full: fn() -> T) -> T {
+        if self.quick {
+            quick()
+        } else {
+            full()
+        }
+    }
+
+    /// The monitored crossover run as the flags ask for it (monitor,
+    /// explain and profile share it).
+    fn monitor_cfg(&self) -> monitor_run::MonitorRunConfig {
+        monitor_run::MonitorRunConfig {
+            inject_fault: self.fault,
+            segments: self.segments,
+            ..self.budget(monitor_run::MonitorRunConfig::quick, Default::default)
+        }
+    }
+}
+
+/// Reports a command-line mistake and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn parse() -> Opts {
-    let mut what = String::from("all");
-    let mut quick = false;
-    let mut csv = false;
-    let mut counterexamples = false;
-    let mut runner = SweepRunner::from_env();
-    let mut trace_path = None;
-    let mut trace_format = trace_run::TraceFormat::default();
-    let mut fault = false;
-    let mut series_path = None;
-    let mut manifests_path = None;
-    let mut postmortem_path = None;
-    let mut segments = 1;
-    let mut flame_path = None;
-    let mut ledger_path = None;
-    let mut compare = false;
-    let mut trace_sim_path = None;
-    let mut trace_real_path = None;
-    let mut bench_path = None;
+    let mut o = Opts { what: "all".to_owned(), segments: 1, ..Opts::default() };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--csv" => csv = true,
-            "--counterexamples" => counterexamples = true,
-            "--serial" => runner = SweepRunner::serial(),
-            "--fault" => fault = true,
-            "--compare" => compare = true,
-            "--trace-sim" => match args.next() {
-                Some(p) => trace_sim_path = Some(p),
-                None => {
-                    eprintln!("--trace-sim needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-real" => match args.next() {
-                Some(p) => trace_real_path = Some(p),
-                None => {
-                    eprintln!("--trace-real needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--bench" => match args.next() {
-                Some(p) => bench_path = Some(p),
-                None => {
-                    eprintln!("--bench needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--series" => match args.next() {
-                Some(p) => series_path = Some(p),
-                None => {
-                    eprintln!("--series needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--manifests" => match args.next() {
-                Some(p) => manifests_path = Some(p),
-                None => {
-                    eprintln!("--manifests needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--postmortem" => match args.next() {
-                Some(p) => postmortem_path = Some(p),
-                None => {
-                    eprintln!("--postmortem needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace" => match args.next() {
-                Some(p) => trace_path = Some(p),
-                None => {
-                    eprintln!("--trace needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--flame" => match args.next() {
-                Some(p) => flame_path = Some(p),
-                None => {
-                    eprintln!("--flame needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--ledger" => match args.next() {
-                Some(p) => ledger_path = Some(p),
-                None => {
-                    eprintln!("--ledger needs a file path");
-                    std::process::exit(2);
-                }
-            },
+            "--quick" => o.quick = true,
+            "--csv" => o.csv = true,
+            "--counterexamples" => o.counterexamples = true,
+            "--serial" => o.runner = SweepRunner::serial(),
+            "--fault" => o.fault = true,
+            "--compare" => o.compare = true,
             "--topology" => {
-                let parsed = args
+                o.segments = args
                     .next()
                     .as_deref()
-                    .and_then(|v| v.strip_prefix("segments:").map(str::to_owned))
+                    .and_then(|v| v.strip_prefix("segments:"))
                     .and_then(|n| n.parse::<u32>().ok())
-                    .filter(|&n| n >= 1);
-                match parsed {
-                    Some(n) => segments = n,
-                    None => {
-                        eprintln!("--topology needs segments:<n> with n >= 1");
-                        std::process::exit(2);
-                    }
-                }
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage_error("--topology needs segments:<n> with n >= 1"));
             }
             "--trace-format" => {
-                let fmt = args.next().as_deref().and_then(trace_run::TraceFormat::parse);
-                match fmt {
-                    Some(f) => trace_format = f,
-                    None => {
-                        eprintln!("--trace-format needs jsonl or chrome");
-                        std::process::exit(2);
-                    }
-                }
+                o.trace_format = args
+                    .next()
+                    .as_deref()
+                    .and_then(trace_run::TraceFormat::parse)
+                    .unwrap_or_else(|| usage_error("--trace-format needs jsonl or chrome"));
             }
             "--help" | "-h" => {
                 println!(
@@ -232,33 +171,29 @@ fn parse() -> Opts {
                 );
                 std::process::exit(0);
             }
-            w if !w.starts_with('-') => what = w.to_owned(),
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
+            w if !w.starts_with('-') => o.what = w.to_owned(),
+            // Every other flag takes a file path, or is unknown.
+            flag => {
+                let slot = match flag {
+                    "--trace" => &mut o.trace_path,
+                    "--trace-sim" => &mut o.trace_sim_path,
+                    "--trace-real" => &mut o.trace_real_path,
+                    "--bench" => &mut o.bench_path,
+                    "--series" => &mut o.series_path,
+                    "--manifests" => &mut o.manifests_path,
+                    "--postmortem" => &mut o.postmortem_path,
+                    "--flame" => &mut o.flame_path,
+                    "--ledger" => &mut o.ledger_path,
+                    other => usage_error(&format!("unknown flag {other}; try --help")),
+                };
+                *slot = args.next();
+                if slot.is_none() {
+                    usage_error(&format!("{flag} needs a file path"));
+                }
             }
         }
     }
-    Opts {
-        what,
-        quick,
-        csv,
-        counterexamples,
-        runner,
-        trace_path,
-        trace_format,
-        fault,
-        series_path,
-        manifests_path,
-        postmortem_path,
-        segments,
-        flame_path,
-        ledger_path,
-        compare,
-        trace_sim_path,
-        trace_real_path,
-        bench_path,
-    }
+    o
 }
 
 /// Appends one ledger row where `--ledger` pointed (no-op otherwise).
@@ -271,15 +206,28 @@ fn append_ledger(opts: &Opts, entry: LedgerEntry) {
     }
 }
 
+/// Prints a one-table experiment and appends its ledger row.
+fn report_table(opts: &Opts, cmd: &str, seed: u64, config: &str, t: &ps_harness::Table) {
+    emit(opts, t);
+    let row = LedgerEntry::new(cmd, seed).config(config).metric("rows", t.len() as u64);
+    append_ledger(opts, row.output(&t.to_string()));
+}
+
+/// Writes `body` to `path`, or says why it could not and exits 1.
+fn write_or_exit(path: &str, what: &str, body: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("cannot write {what} to {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Writes a failure bundle (JSONL + Chrome trace) where `--postmortem`
 /// pointed, or reports that nothing failed.
 fn write_postmortem(path: &str, bundle: Option<&ps_obs::PostmortemBundle>) {
     match bundle {
         Some(b) => {
-            if let Err(e) = explain::write_bundle(path, b) {
-                eprintln!("cannot write post-mortem to {path}: {e}");
-                std::process::exit(1);
-            }
+            write_or_exit(path, "post-mortem", b.to_jsonl());
+            write_or_exit(&format!("{path}.chrome.json"), "post-mortem", b.to_chrome());
             eprintln!(
                 "wrote post-mortem ({}; {} events, {} verdicts) to {path} and {path}.chrome.json",
                 b.reason,
@@ -304,23 +252,10 @@ fn main() {
     let all = opts.what == "all";
 
     if all || opts.what == "table1" {
-        let demos = table1::run();
-        let t = table1::render(&demos);
-        emit(&opts, &t);
-        append_ledger(
-            &opts,
-            LedgerEntry::new("table1", 0)
-                .config("default")
-                .metric("rows", t.len() as u64)
-                .output(&t.to_string()),
-        );
+        report_table(&opts, "table1", 0, "default", &table1::render(&table1::run()));
     }
     if all || opts.what == "table2" {
-        let cfg = if opts.quick {
-            table2::Table2Config::quick()
-        } else {
-            table2::Table2Config::default()
-        };
+        let cfg = opts.budget(table2::Table2Config::quick, Default::default);
         let rows = table2::run_with(&cfg, &opts.runner);
         let t = table2::render(&rows);
         emit(&opts, &t);
@@ -339,84 +274,32 @@ fn main() {
         );
     }
     if all || opts.what == "fig2" {
-        let cfg = if opts.quick { fig2::Fig2Config::quick() } else { fig2::Fig2Config::default() };
-        let r = fig2::run_with(&cfg, &opts.runner);
-        let t = fig2::render(&r);
-        emit(&opts, &t);
-        append_ledger(
-            &opts,
-            LedgerEntry::new("fig2", cfg.seed)
-                .config(&format!("{cfg:?}"))
-                .metric("rows", t.len() as u64)
-                .output(&t.to_string()),
-        );
+        let cfg = opts.budget(fig2::Fig2Config::quick, Default::default);
+        let t = fig2::render(&fig2::run_with(&cfg, &opts.runner));
+        report_table(&opts, "fig2", cfg.seed, &format!("{cfg:?}"), &t);
     }
     if all || opts.what == "overhead" {
-        let cfg = if opts.quick {
-            overhead::OverheadConfig::quick()
-        } else {
-            overhead::OverheadConfig::default()
-        };
-        let r = overhead::run(&cfg);
-        let t = overhead::render(&r);
-        emit(&opts, &t);
-        append_ledger(
-            &opts,
-            LedgerEntry::new("overhead", cfg.seed)
-                .config(&format!("{cfg:?}"))
-                .metric("rows", t.len() as u64)
-                .output(&t.to_string()),
-        );
+        let cfg = opts.budget(overhead::OverheadConfig::quick, Default::default);
+        let t = overhead::render(&overhead::run(&cfg));
+        report_table(&opts, "overhead", overhead::SEED, &format!("{cfg:?}"), &t);
     }
     if all || opts.what == "ablation" {
-        let cfg = if opts.quick {
-            ablation::AblationConfig::quick()
-        } else {
-            ablation::AblationConfig::default()
-        };
-        let r = ablation::run_with(&cfg, &opts.runner);
-        let t = ablation::render(&r);
-        emit(&opts, &t);
-        append_ledger(
-            &opts,
-            LedgerEntry::new("ablation", cfg.seed)
-                .config(&format!("{cfg:?}"))
-                .metric("rows", t.len() as u64)
-                .output(&t.to_string()),
-        );
+        let cfg = opts.budget(ablation::AblationConfig::quick, Default::default);
+        let t = ablation::render(&ablation::run_with(&cfg, &opts.runner));
+        report_table(&opts, "ablation", ablation::SEED, &format!("{cfg:?}"), &t);
     }
     if all || opts.what == "oscillation" {
-        let cfg = if opts.quick {
-            oscillation::OscillationConfig::quick()
-        } else {
-            oscillation::OscillationConfig::default()
-        };
-        let r = oscillation::run(&cfg);
-        let t = oscillation::render(&r);
-        emit(&opts, &t);
-        append_ledger(
-            &opts,
-            LedgerEntry::new("oscillation", cfg.seed)
-                .config(&format!("{cfg:?}"))
-                .metric("rows", t.len() as u64)
-                .output(&t.to_string()),
-        );
+        let cfg = opts.budget(oscillation::OscillationConfig::quick, Default::default);
+        let t = oscillation::render(&oscillation::run(&cfg));
+        report_table(&opts, "oscillation", oscillation::SEED, &format!("{cfg:?}"), &t);
     }
     if all || opts.what == "trace" || opts.trace_path.is_some() {
-        let cfg = if opts.quick {
-            trace_run::TraceRunConfig::quick()
-        } else {
-            trace_run::TraceRunConfig::default()
-        };
+        let cfg = opts.budget(trace_run::TraceRunConfig::quick, Default::default);
         let r = trace_run::run(&cfg);
         let t = trace_run::render_timeline(&r);
         emit(&opts, &t);
         if let Some(path) = &opts.trace_path {
-            let body = trace_run::export(&r, opts.trace_format);
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write trace to {path}: {e}");
-                std::process::exit(1);
-            }
+            write_or_exit(path, "trace", trace_run::export(&r, opts.trace_format));
             eprintln!("wrote {} events to {path}", r.events.len());
         }
         append_ledger(
@@ -428,13 +311,7 @@ fn main() {
         );
     }
     if all || opts.what == "monitor" {
-        let mut cfg = if opts.quick {
-            monitor_run::MonitorRunConfig::quick()
-        } else {
-            monitor_run::MonitorRunConfig::default()
-        };
-        cfg.inject_fault = opts.fault;
-        cfg.segments = opts.segments;
+        let cfg = opts.monitor_cfg();
         let r = monitor_run::run(&cfg);
         emit(&opts, &monitor_run::render_series(&r));
         let switches = monitor_run::render_switches(&r);
@@ -447,28 +324,17 @@ fn main() {
                 .config(&format!("{cfg:?}"))
                 .metric("violations", r.violations.len() as u64)
                 .metric("sent", r.sent as u64)
-                .metric("samples", r.samples.len() as u64)
+                .metric("samples", r.sampler.len() as u64)
                 .metric("switches", switches.len() as u64)
                 .output(&format!("{switches}{report}")),
         );
         if let Some(path) = &opts.series_path {
             let body = if opts.csv { r.sampler.to_csv() } else { r.sampler.to_jsonl() };
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write series to {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {} load samples to {path}", r.samples.len());
+            write_or_exit(path, "series", body);
+            eprintln!("wrote {} load samples to {path}", r.sampler.len());
         }
         if let Some(path) = &opts.postmortem_path {
-            let bundle = (!r.violations.is_empty()).then(|| {
-                explain::capture_failure(
-                    "monitor_violation",
-                    &r.events,
-                    r.overwritten,
-                    &r.violations,
-                    &r.samples,
-                )
-            });
+            let bundle = (!r.violations.is_empty()).then(|| r.postmortem("monitor_violation"));
             write_postmortem(path, bundle.as_ref());
         }
         if !r.violations.is_empty() {
@@ -477,16 +343,7 @@ fn main() {
         }
     }
     if all || opts.what == "explain" {
-        let cfg = if opts.quick {
-            monitor_run::MonitorRunConfig::quick()
-        } else {
-            monitor_run::MonitorRunConfig::default()
-        };
-        let cfg = monitor_run::MonitorRunConfig {
-            inject_fault: opts.fault,
-            segments: opts.segments,
-            ..cfg
-        };
+        let cfg = opts.monitor_cfg();
         let res = explain::run(&cfg);
         let rendered = explain::render(&res);
         print!("{rendered}");
@@ -499,16 +356,13 @@ fn main() {
         );
     }
     if all || opts.what == "campaign" {
-        let mut cfg = if opts.quick {
-            campaign::CampaignConfig::quick()
-        } else {
-            campaign::CampaignConfig::full()
-        };
+        let mut cfg = opts.budget(campaign::CampaignConfig::quick, Default::default);
         if opts.fault {
             cfg = cfg.with_seeded_fault();
         }
         cfg.segments = opts.segments;
         let results = campaign::run_with(&cfg, &opts.runner);
+        let failed = results.iter().filter(|r| !r.pass).count();
         let t = campaign::render(&results);
         emit(&opts, &t);
         append_ledger(
@@ -516,30 +370,26 @@ fn main() {
             LedgerEntry::new("campaign", 0)
                 .config(&format!("{cfg:?}"))
                 .metric("cells", results.len() as u64)
-                .metric("failed", results.iter().filter(|r| !r.pass).count() as u64)
+                .metric("failed", failed as u64)
                 .output(&t.to_string()),
         );
         if let Some(path) = &opts.manifests_path {
-            let body = campaign::manifests_jsonl(&results);
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write manifests to {path}: {e}");
-                std::process::exit(1);
-            }
+            write_or_exit(path, "manifests", campaign::manifests_jsonl(&results));
             eprintln!("wrote {} cell manifests to {path}", results.len());
         }
         if let Some(path) = &opts.postmortem_path {
             let bundle = results.iter().find_map(|r| r.postmortem.as_ref());
             write_postmortem(path, bundle);
         }
-        if !campaign::all_pass(&results) {
-            let failed = results.iter().filter(|r| !r.pass).count();
+        if failed > 0 {
             eprintln!("campaign: {failed} cell(s) failed (wedged switch or property violation)");
             std::process::exit(1);
         }
     }
     if all || opts.what == "chaos" {
-        let cfg = if opts.quick { chaos::ChaosConfig::quick() } else { chaos::ChaosConfig::full() };
+        let cfg = opts.budget(chaos::ChaosConfig::quick, Default::default);
         let results = chaos::run_with(&cfg, &opts.runner);
+        let failed = results.iter().filter(|r| !r.pass).count();
         let t = chaos::render(&results);
         emit(&opts, &t);
         append_ledger(
@@ -547,15 +397,14 @@ fn main() {
             LedgerEntry::new("chaos", 0)
                 .config(&format!("{cfg:?}"))
                 .metric("scenarios", results.len() as u64)
-                .metric("failed", results.iter().filter(|r| !r.pass).count() as u64)
+                .metric("failed", failed as u64)
                 .output(&t.to_string()),
         );
         if let Some(path) = &opts.postmortem_path {
             let bundle = results.iter().find_map(|r| r.postmortem.as_ref());
             write_postmortem(path, bundle);
         }
-        if !chaos::all_pass(&results) {
-            let failed = results.iter().filter(|r| !r.pass).count();
+        if failed > 0 {
             eprintln!("chaos: {failed} scenario(s) failed (wedged switch or property violation)");
             std::process::exit(1);
         }
@@ -563,15 +412,11 @@ fn main() {
     // Not part of `all`: the run takes real wall-clock time and its
     // latency columns are host measurements by design.
     if opts.what == "real" {
-        let cfg =
-            if opts.quick { real::RealRunConfig::quick() } else { real::RealRunConfig::default() };
+        let cfg = opts.budget(real::RealRunConfig::quick, Default::default);
         let write_trace = |path: &Option<String>, which: &str, m: &real::MediumReport| {
             if let Some(path) = path {
                 let body = ps_obs::export::to_jsonl_with(&m.events, m.overwritten);
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("cannot write {which} trace to {path}: {e}");
-                    std::process::exit(1);
-                }
+                write_or_exit(path, &format!("{which} trace"), body);
                 eprintln!("wrote {} {which} events to {path}", m.events.len());
             }
         };
@@ -580,10 +425,7 @@ fn main() {
             let t = real::render_compare(&r);
             emit(&opts, &t);
             if let Some(path) = &opts.bench_path {
-                if let Err(e) = std::fs::write(path, real::bench_jsonl(&cfg, &r)) {
-                    eprintln!("cannot write bench rows to {path}: {e}");
-                    std::process::exit(1);
-                }
+                write_or_exit(path, "bench rows", real::bench_jsonl(&cfg, &r));
                 eprintln!("wrote sim-vs-real bench rows to {path}");
             }
             write_trace(&opts.trace_sim_path, "simnet", &r.sim);
@@ -601,7 +443,7 @@ fn main() {
         };
         append_ledger(
             &opts,
-            LedgerEntry::new("real", cfg.seed)
+            LedgerEntry::new("real", real::SEED)
                 .config(&format!("{cfg:?} compare={}", opts.compare))
                 .metric("violations", violations as u64)
                 .metric("diverged", u64::from(diverged))
@@ -615,21 +457,12 @@ fn main() {
     // Not part of `all`: the ns columns are host measurements, so the
     // output is nondeterministic by design.
     if opts.what == "profile" {
-        let mut cfg = if opts.quick {
-            monitor_run::MonitorRunConfig::quick()
-        } else {
-            monitor_run::MonitorRunConfig::default()
-        };
-        cfg.inject_fault = opts.fault;
-        cfg.segments = opts.segments;
+        let cfg = opts.monitor_cfg();
         let r = profile::run(&cfg);
         let t = profile::render_table(&r.prof);
         emit(&opts, &t);
         if let Some(path) = &opts.flame_path {
-            if let Err(e) = std::fs::write(path, r.prof.flamegraph()) {
-                eprintln!("cannot write flamegraph to {path}: {e}");
-                std::process::exit(1);
-            }
+            write_or_exit(path, "flamegraph", r.prof.flamegraph());
             eprintln!("wrote collapsed-stack flamegraph to {path}");
         }
         append_ledger(

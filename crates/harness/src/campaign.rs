@@ -7,15 +7,16 @@
 //!   hot-sender skew, correlated bursts, sender churn;
 //! * **stacks**: plain sequencer total order, plain token total order
 //!   (both over reliable transport), and the fault-tolerant
-//!   sequencer↔token hybrid ([`hybrid_seq_token_ft`]) driven by a live
-//!   [`LoadOracle`] over the sampled load series;
+//!   sequencer↔token hybrid ([`ps_core::hybrid_seq_token_ft`]'s pair)
+//!   driven by a live [`ps_core::LoadOracle`] over the sampled load
+//!   series;
 //! * **faults**: none, 10% and 40% per-copy frame loss, and a
 //!   crash/recovery of a non-sending member in the middle of the run.
 //!
-//! Every cell streams its event feed through the standard [`MonitorSet`]
-//! (total order, per-sender FIFO, delivery accounting, switch liveness)
-//! and records the [`MetricsSampler`] load series the hybrid's oracle
-//! reads. A cell **passes** iff the monitors saw no violation and — for
+//! Every cell streams its event feed through the standard
+//! [`ps_obs::MonitorSet`] (total order, per-sender FIFO, delivery
+//! accounting, switch liveness) and records the
+//! [`ps_obs::MetricsSampler`] load series the hybrid's oracle reads. A cell **passes** iff the monitors saw no violation and — for
 //! the hybrid — no process is wedged mid-switch or disagreeing about the
 //! current protocol. The rendered grid report (events, switches, latency
 //! percentiles, peak load, verdicts) is deterministic: cell seeds are
@@ -27,22 +28,29 @@
 //! (profile, seed, scale, derived totals); `repro campaign --manifests
 //! PATH` writes them as JSON-lines provenance for the whole grid.
 
-use crate::measure::{latency_stats, LatencyStats, SteadyStateWindow};
-use crate::monitor_run::{SwapFaultLayer, FAULT_NODE};
-use crate::report::Table;
+use crate::measure::{LatencyStats, SteadyStateWindow};
+use crate::report::{self, ms, Table};
+use crate::scenario::{Policy, Proto, Scenario};
 use crate::sweep::SweepRunner;
-use ps_core::{
-    hybrid_seq_token_ft, LoadOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchVariant,
-};
-use ps_obs::{MetricsSampler, MonitorSet, Recorder, SeriesSummary, Violation};
-use ps_protocols::{FifoLayer, ReliableLayer, SeqOrderLayer, TokenOrderLayer};
-use ps_simnet::{EthernetConfig, Lossy, Medium, SegmentedBus, SharedBus, SimTime, Topology};
-use ps_stack::{GroupSimBuilder, Layer, Stack};
-use ps_trace::ProcessId;
+use ps_core::{SwitchConfig, SwitchVariant};
+use ps_obs::{SeriesSummary, Violation};
+use ps_simnet::SimTime;
 use ps_workload::{Manifest, Profile, TrafficSpec};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
+
+/// Message body size.
+const BODY_BYTES: usize = 256;
+/// Workload span start.
+const START: SimTime = SimTime::from_millis(100);
+/// Token protocol idle hold.
+const TOKEN_IDLE_HOLD: SimTime = SimTime::from_millis(5);
+/// Switch-liveness bound for the monitors.
+const LIVENESS_BOUND: SimTime = SimTime::from_secs(2);
+/// Hybrid switch-attempt abort deadline.
+const PHASE_TIMEOUT: SimTime = SimTime::from_millis(600);
+/// Node that fail-stops in [`FaultKind::Crash`] cells. Must not be a
+/// sender: a crashed sender's pending sends vanish silently, which would
+/// make delivery accounting meaningless.
+const CRASH_VICTIM: u16 = 1;
 
 /// The protocol stack a cell runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +59,9 @@ pub enum StackKind {
     Seq,
     /// Token total order over reliable transport.
     Token,
-    /// [`hybrid_seq_token_ft`] with a [`LoadOracle`] at process 0.
+    /// The fault-tolerant sequencer↔token hybrid
+    /// ([`ps_core::hybrid_seq_token_ft`]'s pair) with a
+    /// [`ps_core::LoadOracle`] at process 0.
     Hybrid,
 }
 
@@ -100,8 +110,10 @@ pub struct CampaignCell {
     pub fault: FaultKind,
     /// Workload seed (the sim seed derives from it).
     pub seed: u64,
-    /// Splice the broken ordering layer ([`SwapFaultLayer`]) in at
-    /// [`FAULT_NODE`] — the seeded-failure path `--fault` exercises.
+    /// Splice the broken ordering layer
+    /// ([`crate::monitor_run::SwapFaultLayer`]) in at
+    /// [`crate::monitor_run::FAULT_NODE`] — the seeded-failure path
+    /// `--fault` exercises.
     pub inject_fault: bool,
 }
 
@@ -123,38 +135,12 @@ pub struct CampaignConfig {
     pub senders: u16,
     /// Base per-sender rate (msg/s).
     pub rate: f64,
-    /// Message body size.
-    pub body_bytes: usize,
-    /// Workload scale factor.
-    pub scale: f64,
-    /// Workload span start.
-    pub start: SimTime,
     /// Workload span end.
     pub end: SimTime,
     /// Extra virtual time past the span for retransmission and recovery
     /// to drain.
     pub drain: SimTime,
-    /// Load sampling interval.
-    pub sample_interval: SimTime,
-    /// Hybrid oracle high watermark (permille).
-    pub high_permille: u32,
-    /// Hybrid oracle low watermark (permille).
-    pub low_permille: u32,
-    /// Consecutive qualifying windows the oracle requires.
-    pub min_samples: u32,
-    /// Oracle cooldown after a completed switch.
-    pub cooldown: SimTime,
-    /// Token protocol idle hold.
-    pub token_idle_hold: SimTime,
-    /// Switch-liveness bound for the monitors.
-    pub liveness_bound: SimTime,
-    /// Hybrid switch-attempt abort deadline.
-    pub phase_timeout: SimTime,
-    /// Node that fail-stops in [`FaultKind::Crash`] cells. Must not be a
-    /// sender: a crashed sender's pending sends vanish silently, which
-    /// would make delivery accounting meaningless.
-    pub crash_victim: u16,
-    /// Crash instant.
+    /// Crash instant of [`FaultKind::Crash`] cells.
     pub crash_at: SimTime,
     /// Recovery instant.
     pub crash_back: SimTime,
@@ -163,16 +149,13 @@ pub struct CampaignConfig {
     /// runs on a bridged multi-segment [`ps_simnet::Topology`] instead
     /// (`repro campaign --topology segments:<n>`).
     pub segments: u32,
-    /// Extra one-way bridge latency between segments (multi-segment only).
-    pub bridge_latency: SimTime,
     /// The cells to run.
     pub cells: Vec<CampaignCell>,
 }
 
-fn grid(group: u16, rate: f64, span: (SimTime, SimTime), seed_base: u64) -> Vec<CampaignCell> {
-    let (start, end) = span;
-    let span_us = end.as_micros() - start.as_micros();
-    let at = |permille: u64| SimTime::from_micros(start.as_micros() + span_us * permille / 1000);
+fn grid(group: u16, rate: f64, end: SimTime, seed_base: u64) -> Vec<CampaignCell> {
+    let span_us = end.as_micros() - START.as_micros();
+    let at = |permille: u64| SimTime::from_micros(START.as_micros() + span_us * permille / 1000);
     // The flash burst recruits every member except the sequencer and the
     // crash victim, so the victim stays a pure receiver in every cell.
     let profiles = [
@@ -209,7 +192,7 @@ fn grid(group: u16, rate: f64, span: (SimTime, SimTime), seed_base: u64) -> Vec<
 impl CampaignConfig {
     /// The full grid: 6 profiles × 3 stacks × 4 faults over a 3 s span.
     pub fn full() -> Self {
-        let (start, end) = (SimTime::from_millis(100), SimTime::from_secs(3));
+        let end = SimTime::from_secs(3);
         Self {
             group: 6,
             senders: 3,
@@ -219,34 +202,21 @@ impl CampaignConfig {
             // saturation (a saturated cell can never drain its 40%-loss
             // retransmission backlog, which reads as delivery loss).
             rate: 8.0,
-            body_bytes: 256,
-            scale: 1.0,
-            start,
             end,
             // Generous: a 40%-loss cell's last messages can need many
             // rounds of backed-off retransmission to reach everyone.
             drain: SimTime::from_millis(5000),
-            sample_interval: SimTime::from_millis(50),
-            high_permille: 100,
-            low_permille: 40,
-            min_samples: 2,
-            cooldown: SimTime::from_millis(400),
-            token_idle_hold: SimTime::from_millis(5),
-            liveness_bound: SimTime::from_secs(2),
-            phase_timeout: SimTime::from_millis(600),
-            crash_victim: 1,
             crash_at: SimTime::from_millis(1300),
             crash_back: SimTime::from_millis(1600),
             segments: 1,
-            bridge_latency: SimTime::from_micros(100),
-            cells: grid(6, 8.0, (start, end), 0xCA_4411_00),
+            cells: grid(6, 8.0, end, 0xCA44_1100),
         }
     }
 
     /// The same full cross-product on a smaller, shorter group — the CI
     /// smoke and test configuration.
     pub fn quick() -> Self {
-        let (start, end) = (SimTime::from_millis(100), SimTime::from_millis(1200));
+        let end = SimTime::from_millis(1200);
         Self {
             group: 4,
             senders: 2,
@@ -255,7 +225,7 @@ impl CampaignConfig {
             drain: SimTime::from_millis(2000),
             crash_at: SimTime::from_millis(550),
             crash_back: SimTime::from_millis(750),
-            cells: grid(4, 20.0, (start, end), 0xCA_4411_50),
+            cells: grid(4, 20.0, end, 0xCA44_1150),
             ..Self::full()
         }
     }
@@ -309,142 +279,68 @@ pub struct CellResult {
 
 /// Runs one cell and judges it.
 pub fn run_cell(cfg: &CampaignConfig, cell: &CampaignCell) -> CellResult {
-    let spec = TrafficSpec {
+    let schedule = TrafficSpec {
         profile: cell.profile,
         group: cfg.group,
         senders: cfg.senders,
         rate: cfg.rate,
-        scale: cfg.scale,
-        body_bytes: cfg.body_bytes,
-        start: cfg.start,
+        body_bytes: BODY_BYTES,
+        start: START,
         end: cfg.end,
         seed: cell.seed,
-    };
-    let schedule = spec.generate();
+        ..TrafficSpec::default()
+    }
+    .generate();
     let manifest = schedule.manifest();
 
-    let recorder = Recorder::with_capacity(1 << 18);
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
-    let sampler = MetricsSampler::new(cfg.sample_interval.as_micros()).with_seq_node(0);
-
-    // Above one segment the cell runs on a bridged multi-segment
-    // topology; the builder then knows `Dest::Segment` boundaries too.
-    let topo = (cfg.segments > 1).then(|| {
-        Arc::new(Topology::uniform(u32::from(cfg.group), cfg.segments, cfg.bridge_latency))
-    });
-    let mut medium: Box<dyn Medium> = match &topo {
-        Some(t) => Box::new(SegmentedBus::new(Arc::clone(t), cell.seed ^ 0x7a11)),
-        None => Box::new(SharedBus::new(EthernetConfig::default())),
+    let loss = match cell.fault {
+        FaultKind::Loss { permille } => f64::from(permille) / 1000.0,
+        _ => 0.0,
     };
-    if let FaultKind::Loss { permille } = cell.fault {
-        medium = Box::new(Lossy::new(medium, f64::from(permille) / 1000.0));
-    }
-
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
-    let oracle_sampler = sampler.clone();
-    let (stack_kind, inject) = (cell.stack, cell.inject_fault);
-    let (high, low) = (cfg.high_permille, cfg.low_permille);
-    let (min_samples, cooldown) = (cfg.min_samples, cfg.cooldown);
-    let (idle_hold, phase_timeout) = (cfg.token_idle_hold, cfg.phase_timeout);
-
-    let mut b = GroupSimBuilder::new(cfg.group).seed(cell.seed ^ 0x7a11);
-    if let Some(t) = &topo {
-        // `topology` before `medium`: it resets any default medium, and
-        // the explicit (possibly `Lossy`-wrapped) one must win.
-        b = b.topology(Arc::clone(t));
-    }
-    let b = b
-        .medium(medium)
-        .recorder(recorder.clone())
-        .sampler(sampler.clone())
-        .stack_factory(move |p, _, ids| {
-            let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-            if inject && p == ProcessId(FAULT_NODE) {
-                layers.push(Box::new(SwapFaultLayer::new()));
-            }
-            match stack_kind {
-                StackKind::Seq => {
-                    layers.push(Box::new(SeqOrderLayer::new(ProcessId(0))));
-                    layers.push(Box::new(FifoLayer::new()));
-                    layers.push(Box::new(ReliableLayer::new()));
-                    Stack::with_ids(layers, ids)
-                }
-                StackKind::Token => {
-                    layers.push(Box::new(TokenOrderLayer::with_idle_hold(idle_hold)));
-                    layers.push(Box::new(ReliableLayer::new()));
-                    Stack::with_ids(layers, ids)
-                }
-                StackKind::Hybrid => {
-                    let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                        Box::new(
-                            LoadOracle::new(oracle_sampler.clone(), high, low)
-                                .with_min_samples(min_samples)
-                                .with_cooldown(cooldown),
-                        )
-                    } else {
-                        Box::new(NeverOracle)
-                    };
-                    let sw = SwitchConfig {
-                        variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(10) },
-                        observe_interval: SimTime::from_millis(50),
-                        phase_timeout,
-                        retransmit_base: SimTime::from_millis(40),
-                        retransmit_max: SimTime::from_millis(160),
-                        token_regen: SimTime::from_millis(100),
-                        ..SwitchConfig::default()
-                    };
-                    let (stack, handle) =
-                        hybrid_seq_token_ft(ids, sw, ProcessId(0), idle_hold, oracle);
-                    h2.borrow_mut().push(handle);
-                    stack
-                }
-            }
-        })
-        .sends(schedule.into_sends());
-
-    let mut sim = b.build();
+    let mut s = Scenario::new(cfg.group, cell.seed ^ 0x7a11).segments(cfg.segments).loss(loss);
+    s = match cell.stack {
+        StackKind::Seq => s.stack(Proto::SeqFt(0)),
+        StackKind::Token => s.stack(Proto::TokenFt(TOKEN_IDLE_HOLD)),
+        StackKind::Hybrid => {
+            let switch = SwitchConfig {
+                variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(10) },
+                observe_interval: SimTime::from_millis(50),
+                phase_timeout: PHASE_TIMEOUT,
+                retransmit_base: SimTime::from_millis(40),
+                retransmit_max: SimTime::from_millis(160),
+                token_regen: SimTime::from_millis(100),
+                ..SwitchConfig::default()
+            };
+            s.hybrid(Proto::SeqFt(0), Proto::TokenFt(TOKEN_IDLE_HOLD), switch, Policy::Load)
+        }
+    };
     if cell.fault == FaultKind::Crash {
-        sim.schedule_crash(cfg.crash_at, ProcessId(cfg.crash_victim));
-        sim.schedule_recover(cfg.crash_back, ProcessId(cfg.crash_victim));
+        s = s.crash(CRASH_VICTIM, cfg.crash_at, cfg.crash_back);
     }
-    sim.run_until(cfg.end + cfg.drain);
+    let r = s
+        .swap_fault(cell.inject_fault)
+        .traffic(schedule)
+        .watch(LIVENESS_BOUND)
+        .sample()
+        .run(cfg.end + cfg.drain);
 
-    let handles = handles.borrow();
-    let wedged = !handles.is_empty()
-        && (handles.iter().any(SwitchHandle::switching)
-            || handles.iter().any(|h| h.current() != handles[0].current()));
-    let switches = handles.iter().map(SwitchHandle::switches_completed).sum();
-    let aborts = handles.iter().map(SwitchHandle::aborted).sum();
-    let latency = latency_stats(&sim, SteadyStateWindow::between(cfg.start, cfg.end));
-    let violations = monitors.finish();
-    let pass = violations.is_empty() && !wedged;
+    let wedged = r.wedged();
+    let pass = r.violations.is_empty() && !wedged;
     let postmortem = (!pass).then(|| {
-        let reason = if violations.is_empty() {
-            format!("wedged: {}", cell.name())
-        } else {
-            format!("monitor_violation: {}", cell.name())
-        };
-        crate::explain::capture_failure(
-            &reason,
-            &recorder.snapshot(),
-            recorder.overwritten(),
-            &violations,
-            &sampler.samples(),
-        )
+        let reason = if r.violations.is_empty() { "wedged" } else { "monitor_violation" };
+        r.postmortem(&format!("{reason}: {}", cell.name()))
     });
     CellResult {
         cell: cell.clone(),
         manifest,
-        switches,
-        aborts,
-        latency,
-        load: sampler.summary(),
-        violations,
+        switches: r.handles.iter().map(|h| h.switches_completed()).sum(),
+        aborts: r.handles.iter().map(|h| h.aborted()).sum(),
+        latency: r.latency(SteadyStateWindow::between(START, cfg.end)),
+        load: r.sampler.summary(),
         wedged,
         pass,
         postmortem,
+        violations: r.violations,
     }
 }
 
@@ -452,16 +348,6 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &CampaignCell) -> CellResult {
 /// byte-identical to a serial run regardless of worker count.
 pub fn run_with(cfg: &CampaignConfig, runner: &SweepRunner) -> Vec<CellResult> {
     runner.run(cfg.cells.clone(), |_, cell| run_cell(cfg, &cell))
-}
-
-/// `true` iff every cell passed.
-pub fn all_pass(results: &[CellResult]) -> bool {
-    results.iter().all(|r| r.pass)
-}
-
-fn ms(t: SimTime) -> String {
-    let us = t.as_micros();
-    format!("{}.{:03}", us / 1000, us % 1000)
 }
 
 /// Renders the grid report.
@@ -487,22 +373,15 @@ pub fn render(results: &[CellResult]) -> Table {
             r.manifest.events.to_string(),
             r.switches.to_string(),
             r.aborts.to_string(),
-            ms(r.latency.p50),
-            ms(r.latency.p99),
+            ms(r.latency.p50.as_micros()),
+            ms(r.latency.p99.as_micros()),
             r.latency.incomplete.to_string(),
             r.load.peak_bus_permille.to_string(),
             r.violations.len().to_string(),
             if r.pass { "PASS".to_owned() } else { "FAIL".to_owned() },
         ]);
         for v in &r.violations {
-            t.note(format!(
-                "  {}: {} node {} at {}us: {}",
-                r.cell.name(),
-                v.kind.as_str(),
-                v.node,
-                v.at_us,
-                v.detail
-            ));
+            t.note(format!("  {}: {}", r.cell.name(), report::violation(v)));
         }
         if r.wedged {
             t.note(format!("  {}: WEDGED — a process ended mid-switch", r.cell.name()));
@@ -527,6 +406,7 @@ pub fn manifests_jsonl(results: &[CellResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor_run::FAULT_NODE;
     use ps_obs::ViolationKind;
 
     /// One representative cell per judged dimension, kept small so the
@@ -586,7 +466,7 @@ mod tests {
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].kind, ViolationKind::TotalOrder);
         assert_eq!(r.violations[0].node, u32::from(FAULT_NODE));
-        assert!(!all_pass(&[r]));
+        assert!(!r.pass);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! `repro chaos` — crash/recovery and partition fault injection for the
 //! switching protocol, run as a declarative scenario matrix.
 //!
-//! Each scenario runs the fault-tolerant hybrid stack
-//! ([`hybrid_total_order_ft`]: two sequencer protocols over reliable
-//! transport, reliable switch-control channel) through one scripted
+//! Each scenario runs the fault-tolerant hybrid stack (two sequencer
+//! protocols over reliable transport, reliable switch-control channel —
+//! [`ps_core::hybrid_total_order_ft`]'s pair) through one scripted
 //! switch while a fault fires around it:
 //!
 //! * **crash/recovery** — one node fail-stops before, during, or after
@@ -17,7 +17,7 @@
 //!   with 0–40% probability, alone or on top of a crash.
 //!
 //! Every run streams its event feed through the standard
-//! [`MonitorSet`] (total order, per-sender FIFO, delivery accounting,
+//! [`ps_obs::MonitorSet`] (total order, per-sender FIFO, delivery accounting,
 //! switch liveness), so each row of the report proves its properties
 //! held *while the fault was active*. A scenario passes iff its final
 //! outcome matches the expectation (`completed` or `aborted` — never
@@ -27,20 +27,22 @@
 //! runner merges results in input order, so the rendered report is
 //! byte-identical across runs and worker counts.
 
-use crate::report::Table;
+use crate::report::{self, Table};
+use crate::scenario::{Policy, Proto, Scenario};
 use crate::sweep::SweepRunner;
-use ps_core::{
-    hybrid_total_order_ft, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle,
-    SwitchVariant,
-};
-use ps_obs::{EventSink, MonitorSet, ObsEvent, Recorder, SpPhase, TimedEvent, Violation};
-use ps_simnet::{Lossy, Medium, NodeId, PartitionSchedule, PointToPoint, SimTime};
-use ps_stack::GroupSimBuilder;
+use ps_core::{SwitchConfig, SwitchHandle, SwitchVariant};
+use ps_obs::{ObsEvent, SpPhase, TimedEvent, Violation};
+use ps_simnet::{Medium, NodeId, PartitionSchedule, PointToPoint, SimTime};
 use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+
+/// Group size (process 0 is sequencer of protocol 0 and the decider;
+/// process 1 is sequencer of protocol 1).
+const GROUP: u16 = 4;
+/// Virtual end of every run (faults all resolve well before this).
+const END: SimTime = SimTime::from_secs(3);
+/// Switch-liveness bound for the monitors; must exceed the longest crash
+/// outage a switch is expected to ride out.
+const LIVENESS_BOUND: SimTime = SimTime::from_millis(1500);
 
 /// When the victim fail-stops, relative to the scripted switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,17 +134,9 @@ pub struct ChaosScenario {
     pub expect: Outcome,
 }
 
-/// The scenario matrix plus shared run parameters.
+/// The scenario matrix.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Group size (process 0 is sequencer of protocol 0 and the decider;
-    /// process 1 is sequencer of protocol 1).
-    pub group: u16,
-    /// Virtual end of every run (faults all resolve well before this).
-    pub end: SimTime,
-    /// Switch-liveness bound for the monitors; must exceed the longest
-    /// crash outage a switch is expected to ride out.
-    pub liveness_bound: SimTime,
     /// The scenarios to run.
     pub scenarios: Vec<ChaosScenario>,
 }
@@ -251,18 +245,12 @@ impl ChaosConfig {
             scenarios.push(loss_baseline(variant, 0.4, next()));
         }
         scenarios.push(partition_scenario(next()));
-        Self {
-            group: 4,
-            end: SimTime::from_secs(3),
-            liveness_bound: SimTime::from_millis(1500),
-            scenarios,
-        }
+        Self { scenarios }
     }
 
     /// A reduced matrix for tests and the CI smoke: one crash per victim
     /// role, one lossy crash, and the partition abort.
     pub fn quick() -> Self {
-        let full = Self::full();
         let scenarios = vec![
             crash_scenario(
                 SwitchVariant::Broadcast,
@@ -281,7 +269,7 @@ impl ChaosConfig {
             ),
             partition_scenario(0xC4A0_5104),
         ];
-        Self { scenarios, ..full }
+        Self { scenarios }
     }
 }
 
@@ -316,97 +304,52 @@ pub struct ScenarioResult {
     pub postmortem: Option<ps_obs::PostmortemBundle>,
 }
 
-/// Streaming probe: remembers, per node, the last switching-protocol
-/// phase seen before that node's crash (ring eviction cannot lose it).
-#[derive(Clone, Default)]
-struct CrashPhaseProbe {
-    inner: Arc<Mutex<ProbeState>>,
-}
-
-#[derive(Default)]
-struct ProbeState {
-    last_phase: BTreeMap<u32, SpPhase>,
-    at_crash: BTreeMap<u32, Option<SpPhase>>,
-}
-
-impl CrashPhaseProbe {
-    fn phase_at_crash(&self, node: u32) -> Option<String> {
-        let s = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        s.at_crash
-            .get(&node)
-            .map(|p| p.map_or_else(|| "normal".to_owned(), |p| p.as_str().to_owned()))
-    }
-}
-
-impl EventSink for CrashPhaseProbe {
-    fn on_event(&mut self, ev: &TimedEvent) {
-        let mut s = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match ev.ev {
-            ObsEvent::SwitchPhase { phase, .. } => {
-                // BufferRelease and Aborted both end the switching
-                // interval: afterwards the node is in normal mode again.
-                if matches!(phase, SpPhase::BufferRelease | SpPhase::Aborted) {
-                    s.last_phase.remove(&ev.node);
-                } else {
-                    s.last_phase.insert(ev.node, phase);
-                }
+/// The switching-protocol phase `victim` was in when it first crashed
+/// (`normal` outside a switch; `None` if it never crashed), read off the
+/// recorded events — a chaos run fits the recorder's ring whole.
+fn phase_at_crash(events: &[TimedEvent], victim: u32) -> Option<String> {
+    let mut phase = None;
+    for e in events.iter().filter(|e| e.node == victim) {
+        match e.ev {
+            // BufferRelease and Aborted both end the switching interval:
+            // afterwards the node is in normal mode again.
+            ObsEvent::SwitchPhase { phase: SpPhase::BufferRelease | SpPhase::Aborted, .. } => {
+                phase = None;
             }
+            ObsEvent::SwitchPhase { phase: p, .. } => phase = Some(p),
             ObsEvent::NodeCrash { .. } => {
-                let phase = s.last_phase.get(&ev.node).copied();
-                s.at_crash.entry(ev.node).or_insert(phase);
+                return Some(phase.map_or("normal", SpPhase::as_str).to_owned());
             }
             _ => {}
         }
     }
+    None
 }
 
 /// Runs one scenario and judges it.
-pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
-    let recorder = Recorder::with_capacity(1 << 18);
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
-    let probe = CrashPhaseProbe::default();
-    recorder.subscribe(Box::new(probe.clone()));
-
+pub fn run_scenario(sc: &ChaosScenario) -> ScenarioResult {
     let mut medium: Box<dyn Medium> = Box::new(PointToPoint::new(SimTime::from_micros(300)));
-    if sc.loss > 0.0 {
-        medium = Box::new(Lossy::new(medium, sc.loss));
-    }
     if let Fault::Partition { split, at, back } = sc.fault {
         let near: Vec<NodeId> = (0..u32::from(split)).map(NodeId).collect();
-        let far: Vec<NodeId> = (u32::from(split)..u32::from(cfg.group)).map(NodeId).collect();
+        let far: Vec<NodeId> = (u32::from(split)..u32::from(GROUP)).map(NodeId).collect();
         medium = Box::new(
             PartitionSchedule::new(medium).partition_at(at, vec![near, far]).heal_at(back),
         );
     }
-
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
-    let (variant, switch_at, phase_timeout) = (sc.variant, sc.switch_at, sc.phase_timeout);
-    let mut b = GroupSimBuilder::new(cfg.group)
-        .seed(sc.seed)
+    let switch = SwitchConfig {
+        variant: sc.variant,
+        observe_interval: SimTime::from_millis(10),
+        phase_timeout: sc.phase_timeout,
+        retransmit_base: SimTime::from_millis(40),
+        retransmit_max: SimTime::from_millis(160),
+        token_regen: SimTime::from_millis(100),
+        ..SwitchConfig::default()
+    };
+    let mut s = Scenario::new(GROUP, sc.seed)
         .medium(medium)
-        .recorder(recorder.clone())
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(ManualOracle::new(vec![(switch_at, 1)]))
-            } else {
-                Box::new(NeverOracle)
-            };
-            let sw = SwitchConfig {
-                variant,
-                observe_interval: SimTime::from_millis(10),
-                phase_timeout,
-                retransmit_base: SimTime::from_millis(40),
-                retransmit_max: SimTime::from_millis(160),
-                token_regen: SimTime::from_millis(100),
-                ..SwitchConfig::default()
-            };
-            let (stack, handle) =
-                hybrid_total_order_ft(ids, sw, ProcessId(0), ProcessId(1), oracle);
-            h2.borrow_mut().push(handle);
-            stack
-        });
+        .loss(sc.loss)
+        .hybrid(Proto::SeqFt(0), Proto::SeqFt(1), switch, Policy::Manual(vec![(sc.switch_at, 1)]))
+        .watch(LIVENESS_BOUND);
 
     // Workload: for crash scenarios the victim stays quiet until after its
     // recovery; the partition scenario quiesces entirely before the split
@@ -416,81 +359,66 @@ pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
             let mut t = SimTime::from_millis(2);
             let mut i = 0u64;
             while t + SimTime::from_millis(20) < at {
-                b = b.send_at(t, ProcessId((i % u64::from(cfg.group)) as u16), format!("q{i}"));
-                t = t + SimTime::from_millis(5);
+                s = s.send_at(t, ProcessId((i % u64::from(GROUP)) as u16), format!("q{i}"));
+                t += SimTime::from_millis(5);
                 i += 1;
                 if i >= 12 {
                     break;
                 }
             }
         }
-        Fault::Crash { victim, back, .. } => {
-            let senders: Vec<u16> = (0..cfg.group).filter(|&p| p != victim).collect();
+        Fault::Crash { victim, at, back } => {
+            let senders: Vec<u16> = (0..GROUP).filter(|&p| p != victim).collect();
             for i in 0..30u64 {
                 let p = senders[(i as usize) % senders.len()];
-                b = b.send_at(SimTime::from_millis(2 + 5 * i), ProcessId(p), format!("c{i}"));
+                s = s.send_at(SimTime::from_millis(2 + 5 * i), ProcessId(p), format!("c{i}"));
             }
             for i in 0..3u64 {
-                b = b.send_at(
+                s = s.send_at(
                     back + SimTime::from_millis(50 + 10 * i),
                     ProcessId(victim),
                     format!("v{i}"),
                 );
             }
+            s = s.crash(victim, at, back);
         }
         Fault::None => {
             for i in 0..30u64 {
-                b = b.send_at(
+                s = s.send_at(
                     SimTime::from_millis(2 + 5 * i),
-                    ProcessId((i % u64::from(cfg.group)) as u16),
+                    ProcessId((i % u64::from(GROUP)) as u16),
                     format!("n{i}"),
                 );
             }
         }
     }
 
-    let mut sim = b.build();
-    if let Fault::Crash { victim, at, back } = sc.fault {
-        sim.schedule_crash(at, ProcessId(victim));
-        sim.schedule_recover(back, ProcessId(victim));
-    }
-    sim.run_until(cfg.end);
-
-    let handles = handles.borrow();
-    let completed: Vec<usize> = handles.iter().map(SwitchHandle::switches_completed).collect();
-    let aborted: Vec<u64> = handles.iter().map(SwitchHandle::aborted).collect();
-    let wedged = handles.iter().any(SwitchHandle::switching)
-        || handles.iter().any(|h| h.current() != handles[0].current());
-    let outcome = if wedged {
+    let r = s.run(END);
+    let completed: Vec<usize> = r.handles.iter().map(SwitchHandle::switches_completed).collect();
+    let aborted: Vec<u64> = r.handles.iter().map(SwitchHandle::aborted).collect();
+    let outcome = if r.wedged() {
         Outcome::Wedged
-    } else if handles.iter().all(|h| h.switches_completed() == 1 && h.current() == 1) {
+    } else if r.handles.iter().all(|h| h.switches_completed() == 1 && h.current() == 1) {
         Outcome::Completed
-    } else if handles.iter().all(|h| h.switches_completed() == 0 && h.current() == 0)
+    } else if r.handles.iter().all(|h| h.switches_completed() == 0 && h.current() == 0)
         && aborted.iter().any(|&a| a > 0)
     {
         Outcome::Aborted
     } else {
         Outcome::Wedged
     };
-    let violations = monitors.finish();
     let phase_at_crash = match sc.fault {
-        Fault::Crash { victim, .. } => probe.phase_at_crash(u32::from(victim)),
+        Fault::Crash { victim, .. } => phase_at_crash(&r.events, u32::from(victim)),
         _ => None,
     };
-    let pass = outcome == sc.expect && violations.is_empty();
+    let pass = outcome == sc.expect && r.violations.is_empty();
     let postmortem = (!pass).then(|| {
-        let reason = if violations.is_empty() {
+        let reason = if r.violations.is_empty() {
             format!("{}: {}", outcome.as_str(), sc.name)
         } else {
             format!("monitor_violation: {}", sc.name)
         };
-        crate::explain::capture_failure(
-            &reason,
-            &recorder.snapshot(),
-            recorder.overwritten(),
-            &violations,
-            &[],
-        )
+        r.postmortem(&reason)
     });
     ScenarioResult {
         scenario: sc.clone(),
@@ -498,8 +426,8 @@ pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
         phase_at_crash,
         completed,
         aborted,
-        violations,
-        sent: monitors.delivery().sent_count(),
+        sent: r.sent,
+        violations: r.violations,
         pass,
         postmortem,
     }
@@ -508,12 +436,7 @@ pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
 /// Runs the whole matrix on `runner`; results are in scenario order and
 /// byte-identical to a serial run regardless of worker count.
 pub fn run_with(cfg: &ChaosConfig, runner: &SweepRunner) -> Vec<ScenarioResult> {
-    runner.run(cfg.scenarios.clone(), |_, sc| run_scenario(cfg, &sc))
-}
-
-/// `true` iff every scenario passed.
-pub fn all_pass(results: &[ScenarioResult]) -> bool {
-    results.iter().all(|r| r.pass)
+    runner.run(cfg.scenarios.clone(), |_, sc| run_scenario(&sc))
 }
 
 /// Renders the scenario matrix report.
@@ -546,14 +469,7 @@ pub fn render(results: &[ScenarioResult]) -> Table {
             if r.pass { "PASS".to_owned() } else { "FAIL".to_owned() },
         ]);
         for v in &r.violations {
-            t.note(format!(
-                "  {}: {} node {} at {}us: {}",
-                r.scenario.name,
-                v.kind.as_str(),
-                v.node,
-                v.at_us,
-                v.detail
-            ));
+            t.note(format!("  {}: {}", r.scenario.name, report::violation(v)));
         }
     }
     t.note("switches/aborts are summed over the group; phase@crash is the victim's SP phase when it died");
@@ -583,7 +499,7 @@ mod tests {
     fn partition_scenario_aborts_without_wedging() {
         let cfg = ChaosConfig::quick();
         let sc = cfg.scenarios.iter().find(|s| matches!(s.fault, Fault::Partition { .. })).unwrap();
-        let r = run_scenario(&cfg, sc);
+        let r = run_scenario(sc);
         assert_eq!(r.outcome, Outcome::Aborted, "{r:?}");
         assert_eq!(r.completed.iter().sum::<usize>(), 0);
         assert!(r.aborted.iter().sum::<u64>() > 0);
@@ -599,7 +515,7 @@ mod tests {
         let cfg = ChaosConfig::quick();
         let sc = &cfg.scenarios[0]; // bcast/crash-during/seq
         assert_eq!(sc.name, "bcast/crash-during/seq");
-        let r = run_scenario(&cfg, sc);
+        let r = run_scenario(sc);
         if r.sent == 0 {
             return; // tap feature off: no events stream, nothing observable
         }

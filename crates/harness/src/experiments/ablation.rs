@@ -9,52 +9,40 @@
 //! initiators for free.
 
 use crate::report::Table;
+use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
 use crate::sweep::SweepRunner;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle,
-    SwitchVariant,
-};
-use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::GroupSimBuilder;
-use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use ps_core::{SwitchConfig, SwitchVariant};
+use ps_simnet::SimTime;
+use ps_workload::TrafficSpec;
+
+/// Active senders (fixed moderate load), their rate (msg/s) and body
+/// size.
+const SENDERS: u16 = 3;
+const RATE: f64 = 40.0;
+const BODY_BYTES: usize = 1024;
+/// When the measured switch fires, and the workload end.
+const SWITCH_AT: SimTime = SimTime::from_millis(600);
+const END: SimTime = SimTime::from_millis(1_500);
+/// The experiment's seed.
+pub const SEED: u64 = 0xAB1A;
 
 /// Configuration of the variant ablation.
 #[derive(Debug, Clone)]
 pub struct AblationConfig {
     /// Group sizes to sweep.
     pub group_sizes: Vec<u16>,
-    /// Active senders (fixed moderate load).
-    pub senders: u16,
-    /// Per-sender rate.
-    pub rate: f64,
-    /// When the measured switch fires.
-    pub switch_at: SimTime,
-    /// Run end.
-    pub end: SimTime,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for AblationConfig {
     fn default() -> Self {
-        Self {
-            group_sizes: vec![4, 8, 12, 16],
-            senders: 3,
-            rate: 40.0,
-            switch_at: SimTime::from_millis(600),
-            end: SimTime::from_millis(1_500),
-            seed: 0xAB1A,
-        }
+        Self { group_sizes: vec![4, 8, 12, 16] }
     }
 }
 
 impl AblationConfig {
     /// Reduced sweep for tests.
     pub fn quick() -> Self {
-        Self { group_sizes: vec![4, 10], ..Self::default() }
+        Self { group_sizes: vec![4, 10] }
     }
 }
 
@@ -74,47 +62,26 @@ pub struct AblationPoint {
     pub extra_frames: i64,
 }
 
-fn run_one(
-    cfg: &AblationConfig,
-    n: u16,
-    sw_variant: SwitchVariant,
-    do_switch: bool,
-) -> (u64, Vec<SwitchHandle>) {
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
-    let plan = if do_switch { vec![(cfg.switch_at, 1usize)] } else { vec![] };
-    let spec = WorkloadSpec {
-        rate_per_sender: cfg.rate,
-        body_bytes: 1024,
-        start: SimTime::from_millis(100),
-        end: cfg.end,
-        seed: cfg.seed ^ u64::from(n),
-        ..WorkloadSpec::for_group(n, cfg.senders)
+fn run_one(n: u16, variant: SwitchVariant, do_switch: bool) -> RunOutcome {
+    let traffic = TrafficSpec {
+        group: n,
+        senders: SENDERS,
+        rate: RATE,
+        body_bytes: BODY_BYTES,
+        end: END,
+        seed: SEED ^ u64::from(n),
+        ..TrafficSpec::default()
     };
-    let mut b = GroupSimBuilder::new(n)
-        .seed(cfg.seed ^ (u64::from(n) << 6))
-        .medium(Box::new(SharedBus::new(EthernetConfig::default())))
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(ManualOracle::new(plan.clone()))
-            } else {
-                Box::new(NeverOracle)
-            };
-            let sw_cfg = SwitchConfig {
-                variant: sw_variant,
-                observe_interval: SimTime::from_millis(20),
-                ..SwitchConfig::default()
-            };
-            let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-            h2.borrow_mut().push(handle);
-            stack
-        });
-    b = b.sends(periodic_senders(&spec));
-    let mut sim = b.build();
-    sim.run_until(cfg.end + SimTime::from_secs(1));
-    let frames = sim.net_stats().frames_sent;
-    let handles = handles.borrow().clone();
-    (frames, handles)
+    let switch = SwitchConfig {
+        variant,
+        observe_interval: SimTime::from_millis(20),
+        ..SwitchConfig::default()
+    };
+    let plan = if do_switch { vec![(SWITCH_AT, 1usize)] } else { vec![] };
+    Scenario::new(n, SEED ^ (u64::from(n) << 6))
+        .hybrid(Proto::Seq(0), Proto::Token(SimTime::from_millis(1)), switch, Policy::Manual(plan))
+        .traffic(traffic.generate())
+        .run(END + SimTime::from_secs(1))
 }
 
 /// Runs the ablation serially.
@@ -141,10 +108,10 @@ pub fn run_with(cfg: &AblationConfig, runner: &SweepRunner) -> Vec<AblationPoint
         // Per-variant baseline without a switch, so the frame
         // subtraction isolates the switch and what it switches to (the
         // idle rings sleep in both runs).
-        let (base_frames, _) = run_one(cfg, n, variant, false);
-        let (frames, handles) = run_one(cfg, n, variant, true);
+        let base = run_one(n, variant, false);
+        let r = run_one(n, variant, true);
         let recs: Vec<_> =
-            handles.iter().filter_map(|h| h.snapshot().records.first().cloned()).collect();
+            r.handles.iter().filter_map(|h| h.snapshot().records.first().cloned()).collect();
         if recs.len() < usize::from(n) {
             return None;
         }
@@ -153,7 +120,8 @@ pub fn run_with(cfg: &AblationConfig, runner: &SweepRunner) -> Vec<AblationPoint
             variant: name,
             initiator: recs[0].duration(),
             worst: recs.iter().map(|r| r.duration()).max().unwrap(),
-            extra_frames: frames as i64 - base_frames as i64,
+            extra_frames: r.driver.net_stats().frames_sent as i64
+                - base.driver.net_stats().frames_sent as i64,
         })
     });
     points.into_iter().flatten().collect()

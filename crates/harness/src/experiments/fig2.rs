@@ -9,21 +9,29 @@
 //! the switch with a threshold oracle — which should track the lower
 //! envelope of the two curves.
 
-use crate::measure::{latency_histogram, latency_stats, LatencyStats, SteadyStateWindow};
+use crate::measure::{latency_histogram, LatencyStats, SteadyStateWindow};
 use crate::report::Table;
+use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
 use crate::sweep::SweepRunner;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchVariant,
-    ThresholdOracle,
-};
+use ps_core::{SwitchConfig, SwitchVariant};
 use ps_obs::HistSummary;
-use ps_protocols::{SeqOrderLayer, TokenOrderLayer};
-use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::{GroupSim, GroupSimBuilder, Stack};
-use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use ps_simnet::SimTime;
+use ps_workload::TrafficSpec;
+
+/// Per-sender message rate (paper: 50 msg/s).
+const RATE: f64 = 50.0;
+/// Message body size: 2 KiB puts the sequencer's saturation, and so the
+/// crossover, between 5 and 6 senders on the 10 Mbit bus.
+const BODY_BYTES: usize = 2048;
+/// Token idle hold: the token protocol's latency floor.
+const IDLE_HOLD: SimTime = SimTime::from_millis(1);
+/// Per-node CPU service time per event.
+const SERVICE: SimTime = SimTime::from_micros(150);
+/// The hybrid oracle's threshold (active senders) and hysteresis.
+const THRESHOLD: usize = 5;
+const HYSTERESIS: usize = 0;
+/// Workload start.
+const START: SimTime = SimTime::from_millis(100);
 
 /// Parameters of the Figure-2 sweep; defaults are the calibrated testbed
 /// stand-in (see DESIGN.md §1 and EXPERIMENTS.md).
@@ -33,22 +41,10 @@ pub struct Fig2Config {
     pub group: u16,
     /// Active-sender counts to sweep (paper: 1..=10).
     pub senders: Vec<u16>,
-    /// Per-sender message rate (paper: 50 msg/s).
-    pub rate: f64,
-    /// Message body size in bytes.
-    pub body_bytes: usize,
-    /// Token idle-hold (sets the token protocol's latency floor).
-    pub idle_hold: SimTime,
-    /// Per-node CPU service time per event.
-    pub service: SimTime,
     /// Workload warm-up excluded from measurement.
     pub warmup: SimTime,
     /// Measured workload duration.
     pub measure: SimTime,
-    /// Hybrid oracle threshold (active senders) and hysteresis.
-    pub threshold: usize,
-    /// Hybrid oracle hysteresis.
-    pub hysteresis: usize,
     /// Random seed.
     pub seed: u64,
 }
@@ -58,15 +54,9 @@ impl Default for Fig2Config {
         Self {
             group: 10,
             senders: (1..=10).collect(),
-            rate: 50.0,
-            body_bytes: 2048,
-            idle_hold: SimTime::from_millis(1),
-            service: SimTime::from_micros(150),
             warmup: SimTime::from_millis(800),
             measure: SimTime::from_secs(4),
-            threshold: 5,
-            hysteresis: 0,
-            seed: 0xF16_2,
+            seed: 0xF162,
         }
     }
 }
@@ -80,6 +70,11 @@ impl Fig2Config {
             measure: SimTime::from_millis(1500),
             ..Self::default()
         }
+    }
+
+    /// The measured window: the workload after its warm-up.
+    fn window(&self) -> SteadyStateWindow {
+        SteadyStateWindow::between(START + self.warmup, START + self.warmup + self.measure)
     }
 }
 
@@ -141,118 +136,84 @@ pub struct Fig2Result {
     pub hybrid_overall: HistSummary,
 }
 
-/// Runs one configuration (protocol × sender count) and returns the sim
-/// plus, for the hybrid, its switch handles.
-pub fn run_point(
-    cfg: &Fig2Config,
-    series: Series,
-    k: u16,
-) -> (GroupSim, Option<Vec<SwitchHandle>>) {
-    let spec = WorkloadSpec {
-        rate_per_sender: cfg.rate,
-        body_bytes: cfg.body_bytes,
-        start: SimTime::from_millis(100),
-        end: SimTime::from_millis(100) + cfg.warmup + cfg.measure,
+/// Runs one configuration (protocol × sender count); for the hybrid the
+/// outcome carries its switch handles.
+pub fn run_point(cfg: &Fig2Config, series: Series, k: u16) -> RunOutcome {
+    let end = cfg.window().to;
+    let traffic = TrafficSpec {
+        group: cfg.group,
+        senders: k,
+        rate: RATE,
+        body_bytes: BODY_BYTES,
+        start: START,
+        end,
         seed: cfg.seed ^ u64::from(k),
-        ..WorkloadSpec::for_group(cfg.group, k)
+        ..TrafficSpec::default()
     };
-    let medium = Box::new(SharedBus::new(EthernetConfig::default()));
-    let idle_hold = cfg.idle_hold;
-    let (threshold, hysteresis) = (cfg.threshold, cfg.hysteresis);
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
-    let mut b = GroupSimBuilder::new(cfg.group)
-        .seed(cfg.seed ^ (u64::from(k) << 8))
-        .service_time(cfg.service)
-        .medium(medium);
-    b = match series {
-        Series::Sequencer => {
-            b.stack_factory(|_, _, _| Stack::new(vec![Box::new(SeqOrderLayer::new(ProcessId(0)))]))
-        }
-        Series::Token => b.stack_factory(move |_, _, _| {
-            Stack::new(vec![Box::new(TokenOrderLayer::with_idle_hold(idle_hold))])
-        }),
-        Series::Hybrid => b.stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                // The cooldown stops the post-flip drain stall from being
-                // mistaken for an idle group (a flap back to the congested
-                // protocol would be catastrophic at high load).
-                Box::new(
-                    ThresholdOracle::new(threshold, hysteresis)
-                        .with_cooldown(SimTime::from_secs(1)),
-                )
-            } else {
-                Box::new(NeverOracle)
-            };
+    let scenario = Scenario::new(cfg.group, cfg.seed ^ (u64::from(k) << 8)).service_time(SERVICE);
+    let scenario = match series {
+        Series::Sequencer => scenario.stack(Proto::Seq(0)),
+        Series::Token => scenario.stack(Proto::Token(IDLE_HOLD)),
+        Series::Hybrid => {
             // React quickly: the paper's §7 warning is that waiting too
             // long to leave a congesting protocol makes the flush (and so
             // the switch) expensive.
-            let sw_cfg = SwitchConfig {
+            let switch = SwitchConfig {
                 variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
                 observe_interval: SimTime::from_millis(50),
                 observe_window: SimTime::from_millis(250),
                 ..SwitchConfig::default()
             };
-            let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-            h2.borrow_mut().push(handle);
-            stack
-        }),
+            // The cooldown stops the post-flip drain stall from being
+            // mistaken for an idle group (a flap back to the congested
+            // protocol would be catastrophic at high load).
+            let policy = Policy::Threshold {
+                threshold: THRESHOLD,
+                hysteresis: HYSTERESIS,
+                cooldown: SimTime::from_secs(1),
+            };
+            scenario.hybrid(Proto::Seq(0), Proto::Token(IDLE_HOLD), switch, policy)
+        }
     };
-    let mut sim = b.sends(periodic_senders(&spec)).build();
     // Let in-flight messages drain past the workload end.
-    sim.run_until(spec.end + SimTime::from_secs(2));
-    let handles = if series == Series::Hybrid { Some(handles.borrow().clone()) } else { None };
-    (sim, handles)
+    scenario.traffic(traffic.generate()).run(end + SimTime::from_secs(2))
 }
 
-/// Everything a single (protocol × sender count) run contributes to its
-/// sweep point — plain data, so points can be evaluated on worker threads
-/// and merged in input order.
-struct SeriesEval {
-    latency: LatencyStats,
-    /// For the hybrid: (switches, final protocol, settled latency,
-    /// bucketed latency summary).
-    hybrid: Option<(usize, usize, LatencyStats, HistSummary)>,
-    /// The hybrid point's full histogram, kept for cross-point merging.
-    hist: Option<ps_obs::Histogram>,
-}
+/// What one (protocol × sender count) run contributes to its sweep point
+/// — plain data, so points can be evaluated on worker threads and merged
+/// in input order: its latency and, for the hybrid, the switches, the
+/// protocol it settled on, its settled latency and its full latency
+/// histogram.
+type SeriesEval = (LatencyStats, Option<(usize, usize, LatencyStats, ps_obs::Histogram)>);
 
 /// Builds, runs, and measures one (protocol × sender count) simulation.
 fn eval_series(cfg: &Fig2Config, series: Series, k: u16) -> SeriesEval {
-    let window = SteadyStateWindow::between(
-        SimTime::from_millis(100) + cfg.warmup,
-        SimTime::from_millis(100) + cfg.warmup + cfg.measure,
-    );
-    let workload_end = window.to;
-    let (sim, handles) = run_point(cfg, series, k);
-    let latency = latency_stats(&sim, window);
-    let mut hist_obj = None;
-    let hybrid = handles.map(|hs| {
+    let window = cfg.window();
+    let r = run_point(cfg, series, k);
+    let hybrid = (series == Series::Hybrid).then(|| {
         // Report the state at workload end (afterwards the oracle
         // correctly adapts back down to the idle-optimal protocol).
-        let records = hs[0].snapshot().records;
-        let during: Vec<_> = records.iter().filter(|r| r.completed_at <= workload_end).collect();
+        let records = r.handles[0].snapshot().records;
+        let during: Vec<_> = records.iter().filter(|rec| rec.completed_at <= window.to).collect();
         let switches = during.len();
-        let settled_on = during.last().map_or(0, |r| r.to);
+        let settled_on = during.last().map_or(0, |rec| rec.to);
         // Steady state after the last mid-workload switch (every
         // member must have flipped, hence the global max).
-        let all_flipped = hs
+        let all_flipped = r
+            .handles
             .iter()
             .flat_map(|h| h.snapshot().records)
-            .filter(|r| r.completed_at <= workload_end)
-            .map(|r| r.completed_at)
+            .filter(|rec| rec.completed_at <= window.to)
+            .map(|rec| rec.completed_at)
             .max();
         let settled_from = all_flipped
             .map(|t| t + SimTime::from_millis(200))
             .unwrap_or(window.from)
             .max(window.from);
-        let settled = latency_stats(&sim, SteadyStateWindow::between(settled_from, window.to));
-        let h = latency_histogram(&sim, window);
-        let hist = h.summary();
-        hist_obj = Some(h);
-        (switches, settled_on, settled, hist)
+        let settled = r.latency(SteadyStateWindow::between(settled_from, window.to));
+        (switches, settled_on, settled, latency_histogram(&r.driver, window))
     });
-    SeriesEval { latency, hybrid, hist: hist_obj }
+    (r.latency(window), hybrid)
 }
 
 /// Runs the whole sweep serially.
@@ -268,44 +229,27 @@ pub fn run_with(cfg: &Fig2Config, runner: &SweepRunner) -> Fig2Result {
     let grid: Vec<(u16, Series)> =
         cfg.senders.iter().flat_map(|&k| Series::ALL.into_iter().map(move |s| (k, s))).collect();
     let evals = runner.run(grid, |_, (k, series)| eval_series(cfg, series, k));
+    // Pool the per-point hybrid histograms (each filled on whichever
+    // worker ran its point) into one sweep-wide latency distribution.
+    let pooled = ps_obs::Histogram::new();
     let points = cfg
         .senders
         .iter()
         .zip(evals.chunks_exact(Series::ALL.len()))
         .map(|(&k, chunk)| {
-            let latency = [chunk[0].latency, chunk[1].latency, chunk[2].latency];
-            let (hybrid_switches, hybrid_final, hybrid_settled, hybrid_hist) =
-                chunk.iter().find_map(|e| e.hybrid).unwrap_or((
-                    0,
-                    0,
-                    LatencyStats {
-                        samples: 0,
-                        mean: SimTime::ZERO,
-                        p50: SimTime::ZERO,
-                        p99: SimTime::ZERO,
-                        max: SimTime::ZERO,
-                        incomplete: 0,
-                    },
-                    HistSummary::default(),
-                ));
+            let (switches, settled_on, settled, hist) =
+                chunk[2].1.as_ref().expect("the hybrid is the third series");
+            pooled.merge(hist);
             Fig2Point {
                 senders: k,
-                latency,
-                hybrid_switches,
-                hybrid_final,
-                hybrid_settled,
-                hybrid_hist,
+                latency: [chunk[0].0, chunk[1].0, chunk[2].0],
+                hybrid_switches: *switches,
+                hybrid_final: *settled_on,
+                hybrid_settled: *settled,
+                hybrid_hist: hist.summary(),
             }
         })
         .collect::<Vec<_>>();
-    // Pool the per-point hybrid histograms (each filled on whichever
-    // worker ran its point) into one sweep-wide latency distribution.
-    let pooled = ps_obs::Histogram::new();
-    for e in &evals {
-        if let Some(h) = &e.hist {
-            pooled.merge(h);
-        }
-    }
     let crossover = find_crossover(&points);
     Fig2Result { points, crossover, hybrid_overall: pooled.summary() }
 }

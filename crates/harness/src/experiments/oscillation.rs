@@ -8,53 +8,38 @@
 //! widths. Aggressive policies flap; hysteresis damps the flapping and
 //! improves delivered latency.
 
-use crate::measure::{latency_stats, SteadyStateWindow};
+use crate::measure::SteadyStateWindow;
 use crate::report::Table;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchVariant,
-    ThresholdOracle,
-};
-use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::GroupSimBuilder;
-use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use crate::scenario::{Policy, Proto, Scenario};
+use ps_core::{SwitchConfig, SwitchVariant};
+use ps_simnet::SimTime;
+use ps_workload::TrafficSpec;
+
+/// Group size.
+const GROUP: u16 = 10;
+/// Oracle threshold, at the crossover.
+const THRESHOLD: usize = 5;
+/// Per-sender rate (msg/s) and message body size.
+const RATE: f64 = 50.0;
+const BODY_BYTES: usize = 1024;
+/// The experiment's seed.
+pub const SEED: u64 = 0x05C1;
 
 /// Configuration of the oscillation experiment.
 #[derive(Debug, Clone)]
 pub struct OscillationConfig {
-    /// Group size.
-    pub group: u16,
-    /// Oracle threshold (put it at the crossover).
-    pub threshold: usize,
     /// Hysteresis widths to sweep.
     pub hysteresis: Vec<usize>,
-    /// Load alternates between `threshold - 1` and `threshold + 1` active
-    /// senders every `phase`.
+    /// Load alternates between one sender below and one above the
+    /// threshold every `phase`.
     pub phase: SimTime,
     /// Number of load phases.
     pub phases: usize,
-    /// Per-sender rate.
-    pub rate: f64,
-    /// Message body size.
-    pub body_bytes: usize,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for OscillationConfig {
     fn default() -> Self {
-        Self {
-            group: 10,
-            threshold: 5,
-            hysteresis: vec![0, 1, 2],
-            phase: SimTime::from_millis(400),
-            phases: 10,
-            rate: 50.0,
-            body_bytes: 1024,
-            seed: 0x05C1,
-        }
+        Self { hysteresis: vec![0, 1, 2], phase: SimTime::from_millis(400), phases: 10 }
     }
 }
 
@@ -81,53 +66,40 @@ pub fn run(cfg: &OscillationConfig) -> Vec<OscillationPoint> {
     cfg.hysteresis
         .iter()
         .map(|&h| {
-            let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-            let h2 = handles.clone();
-            let threshold = cfg.threshold;
-            let mut b = GroupSimBuilder::new(cfg.group)
-                .seed(cfg.seed ^ (h as u64) << 4)
-                .medium(Box::new(SharedBus::new(EthernetConfig::default())))
-                .stack_factory(move |p, _, ids| {
-                    let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                        Box::new(ThresholdOracle::new(threshold, h))
-                    } else {
-                        Box::new(NeverOracle)
-                    };
-                    let sw_cfg = SwitchConfig {
-                        variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
-                        observe_interval: SimTime::from_millis(50),
-                        observe_window: SimTime::from_millis(250),
-                        ..SwitchConfig::default()
-                    };
-                    let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-                    h2.borrow_mut().push(handle);
-                    stack
-                });
+            let switch = SwitchConfig {
+                variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
+                observe_interval: SimTime::from_millis(50),
+                observe_window: SimTime::from_millis(250),
+                ..SwitchConfig::default()
+            };
+            let policy =
+                Policy::Threshold { threshold: THRESHOLD, hysteresis: h, cooldown: SimTime::ZERO };
+            let mut scenario = Scenario::new(GROUP, SEED ^ ((h as u64) << 4)).hybrid(
+                Proto::Seq(0),
+                Proto::Token(SimTime::from_millis(1)),
+                switch,
+                policy,
+            );
             // Alternating load phases straddling the threshold.
             let mut t = SimTime::from_millis(100);
             for phase in 0..cfg.phases {
-                let k = if phase % 2 == 0 {
-                    cfg.threshold as u16 - 1
-                } else {
-                    cfg.threshold as u16 + 1
-                };
-                let spec = WorkloadSpec {
-                    rate_per_sender: cfg.rate,
-                    body_bytes: cfg.body_bytes,
+                let k = if phase % 2 == 0 { THRESHOLD - 1 } else { THRESHOLD + 1 };
+                let traffic = TrafficSpec {
+                    group: GROUP,
+                    senders: k as u16,
+                    rate: RATE,
+                    body_bytes: BODY_BYTES,
                     start: t,
                     end: t + cfg.phase,
-                    seed: cfg.seed ^ (phase as u64) << 8,
-                    ..WorkloadSpec::for_group(cfg.group, k)
+                    seed: SEED ^ ((phase as u64) << 8),
+                    ..TrafficSpec::default()
                 };
-                b = b.sends(periodic_senders(&spec));
+                scenario = scenario.traffic(traffic.generate());
                 t += cfg.phase;
             }
-            let mut sim = b.build();
-            sim.run_until(t + SimTime::from_secs(2));
-            let switches =
-                handles.borrow().iter().map(|h| h.switches_completed()).max().unwrap_or(0);
-            let stats =
-                latency_stats(&sim, SteadyStateWindow::between(SimTime::from_millis(100), t));
+            let r = scenario.run(t + SimTime::from_secs(2));
+            let switches = r.handles.iter().map(|h| h.switches_completed()).max().unwrap_or(0);
+            let stats = r.latency(SteadyStateWindow::between(SimTime::from_millis(100), t));
             OscillationPoint { hysteresis: h, switches, mean_latency: stats.mean }
         })
         .collect()

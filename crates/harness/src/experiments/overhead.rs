@@ -13,57 +13,42 @@
 
 use crate::measure::max_delivery_gap;
 use crate::report::Table;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle,
-    SwitchVariant,
-};
-use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::GroupSimBuilder;
+use crate::scenario::{Policy, Proto, Scenario};
+use ps_core::{SwitchConfig, SwitchVariant};
+use ps_simnet::SimTime;
 use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use ps_workload::TrafficSpec;
+
+/// Group size.
+const GROUP: u16 = 10;
+/// Per-sender rate (msg/s) and message body size: Figure 2's load.
+const RATE: f64 = 50.0;
+const BODY_BYTES: usize = 2048;
+/// When the forward (0→1) and the reverse (1→0) switch fire.
+const SWITCH_AT: SimTime = SimTime::from_secs(1);
+const SWITCH_BACK_AT: SimTime = SimTime::from_secs(2);
+/// Workload end.
+const END: SimTime = SimTime::from_secs(3);
+/// The experiment's seed.
+pub const SEED: u64 = 0x0E4D;
 
 /// Configuration of the overhead experiment.
 #[derive(Debug, Clone)]
 pub struct OverheadConfig {
-    /// Group size.
-    pub group: u16,
     /// Active-sender counts to probe (defaults bracket the crossover).
     pub senders: Vec<u16>,
-    /// Per-sender rate.
-    pub rate: f64,
-    /// Message body size.
-    pub body_bytes: usize,
-    /// When the forward (0→1) switch fires.
-    pub switch_at: SimTime,
-    /// When the reverse (1→0) switch fires.
-    pub switch_back_at: SimTime,
-    /// Workload end.
-    pub end: SimTime,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for OverheadConfig {
     fn default() -> Self {
-        Self {
-            group: 10,
-            senders: vec![2, 4, 5, 6],
-            rate: 50.0,
-            body_bytes: 2048,
-            switch_at: SimTime::from_secs(1),
-            switch_back_at: SimTime::from_secs(2),
-            end: SimTime::from_secs(3),
-            seed: 0x0E4D,
-        }
+        Self { senders: vec![2, 4, 5, 6] }
     }
 }
 
 impl OverheadConfig {
     /// Reduced probe for tests.
     pub fn quick() -> Self {
-        Self { senders: vec![2, 5], ..Self::default() }
+        Self { senders: vec![2, 5] }
     }
 }
 
@@ -95,54 +80,45 @@ pub struct OverheadResult {
 pub fn run(cfg: &OverheadConfig) -> OverheadResult {
     let mut costs = Vec::new();
     for &k in &cfg.senders {
-        let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-        let h2 = handles.clone();
-        let plan = vec![(cfg.switch_at, 1), (cfg.switch_back_at, 0)];
-        let spec = WorkloadSpec {
-            rate_per_sender: cfg.rate,
-            body_bytes: cfg.body_bytes,
-            start: SimTime::from_millis(100),
-            end: cfg.end,
-            seed: cfg.seed ^ u64::from(k),
-            ..WorkloadSpec::for_group(cfg.group, k)
+        let traffic = TrafficSpec {
+            group: GROUP,
+            senders: k,
+            rate: RATE,
+            body_bytes: BODY_BYTES,
+            end: END,
+            seed: SEED ^ u64::from(k),
+            ..TrafficSpec::default()
         };
-        let mut b = GroupSimBuilder::new(cfg.group)
-            .seed(cfg.seed ^ (u64::from(k) << 10))
-            .medium(Box::new(SharedBus::new(EthernetConfig::default())))
-            .stack_factory(move |p, _, ids| {
-                let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                    Box::new(ManualOracle::new(plan.clone()))
-                } else {
-                    Box::new(NeverOracle)
-                };
-                let sw_cfg = SwitchConfig {
-                    variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
-                    observe_interval: SimTime::from_millis(20),
-                    ..SwitchConfig::default()
-                };
-                let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-                h2.borrow_mut().push(handle);
-                stack
-            });
-        b = b.sends(periodic_senders(&spec));
-        let mut sim = b.build();
-        sim.run_until(cfg.end + SimTime::from_secs(2));
+        let switch = SwitchConfig {
+            variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
+            observe_interval: SimTime::from_millis(20),
+            ..SwitchConfig::default()
+        };
+        let plan = vec![(SWITCH_AT, 1), (SWITCH_BACK_AT, 0)];
+        let r = Scenario::new(GROUP, SEED ^ (u64::from(k) << 10))
+            .hybrid(
+                Proto::Seq(0),
+                Proto::Token(SimTime::from_millis(1)),
+                switch,
+                Policy::Manual(plan),
+            )
+            .traffic(traffic.generate())
+            .run(END + SimTime::from_secs(2));
 
-        let handles = handles.borrow();
         // The probe member for hiccup measurement: the last process (a
         // plain member, not sequencer or initiator).
-        let probe = ProcessId(cfg.group - 1);
+        let probe = ProcessId(GROUP - 1);
         // Steady-state gap, measured well before the first switch.
         let steady_gap = max_delivery_gap(
-            &sim,
+            &r.driver,
             probe,
             SimTime::from_millis(300),
-            cfg.switch_at.saturating_sub(SimTime::from_millis(100)),
+            SWITCH_AT.saturating_sub(SimTime::from_millis(100)),
         );
         for (i, &(from, to)) in [(0usize, 1usize), (1, 0)].iter().enumerate() {
             let recs: Vec<_> =
-                handles.iter().filter_map(|h| h.snapshot().records.get(i).cloned()).collect();
-            if recs.len() < usize::from(cfg.group) {
+                r.handles.iter().filter_map(|h| h.snapshot().records.get(i).cloned()).collect();
+            if recs.len() < usize::from(GROUP) {
                 continue; // switch did not complete everywhere
             }
             let initiator_duration = recs[0].duration();
@@ -150,7 +126,7 @@ pub fn run(cfg: &OverheadConfig) -> OverheadResult {
             let start = recs.iter().map(|r| r.started_at).min().unwrap();
             let finish = recs.iter().map(|r| r.completed_at).max().unwrap();
             let hiccup = max_delivery_gap(
-                &sim,
+                &r.driver,
                 probe,
                 start.saturating_sub(SimTime::from_millis(50)),
                 finish + SimTime::from_millis(50),

@@ -2,13 +2,13 @@
 //! implemented by its protocol layer, violated by a baseline without it.
 
 use crate::report::Table;
-use ps_bytes::Bytes;
+use crate::scenario::Scenario;
 use ps_protocols::{
     ConfidentialityLayer, IntegrityLayer, NoReplayLayer, PriorityLayer, ReliableLayer,
     SeqOrderLayer, VsyncConfig, VsyncLayer,
 };
 use ps_simnet::{Lossy, Medium, PointToPoint, SimTime};
-use ps_stack::{GroupSimBuilder, Layer, Stack};
+use ps_stack::Layer;
 use ps_trace::props::{
     Amoeba, Confidentiality, Integrity, NoReplay, PrioritizedDelivery, Property, Reliability,
     TotalOrder, VirtualSynchrony,
@@ -41,20 +41,12 @@ fn run_stack<F>(n: u16, seed: u64, medium: Box<dyn Medium>, msgs: usize, factory
 where
     F: Fn(ProcessId) -> Vec<Box<dyn Layer>> + 'static,
 {
-    let mut b = GroupSimBuilder::new(n)
-        .seed(seed)
-        .medium(medium)
-        .stack_factory(move |p, _, ids| Stack::with_ids(factory(p), ids));
+    let mut s = Scenario::new(n, seed).medium(medium).layers(factory);
     for i in 0..msgs {
-        b = b.send_at(
-            SimTime::from_millis(2 + 4 * i as u64),
-            ProcessId((i % n as usize) as u16),
-            Bytes::from(format!("t1-{i}")),
-        );
+        let (at, sender) = (SimTime::from_millis(2 + 4 * i as u64), (i % n as usize) as u16);
+        s = s.send_at(at, ProcessId(sender), format!("t1-{i}"));
     }
-    let mut sim = b.build();
-    sim.run_until(SimTime::from_secs(10));
-    sim.app_trace()
+    s.run(SimTime::from_secs(10)).driver.app_trace()
 }
 
 /// Rebuilds the "release boundary" trace for the Amoeba demo: each send is
@@ -80,162 +72,126 @@ fn release_boundary(tr: &Trace) -> Trace {
     Trace::from_events(out)
 }
 
+/// One row: `prop` judged on the run with its protocol and on the
+/// baseline run without it.
+fn demo(prop: &dyn Property, with: &Trace, base: &Trace, scenario: &'static str) -> Demo {
+    Demo {
+        property: prop.name(),
+        definition: prop.description(),
+        with_protocol: prop.holds(with),
+        baseline: prop.holds(base),
+        scenario,
+    }
+}
+
 /// Runs all eight demonstrations.
 pub fn run() -> Vec<Demo> {
-    let mut demos = Vec::new();
     let group4: Vec<ProcessId> = (0..4).map(ProcessId).collect();
+    // Processes 0–2 hold the group key; process 3 does not.
+    let trusted = [ProcessId(0), ProcessId(1), ProcessId(2)];
 
     // Reliability: 25% loss; the reliable layer retransmits, the bare
     // stack loses messages.
-    {
-        let lossy =
-            || Box::new(Lossy::new(Box::new(PointToPoint::new(SimTime::from_micros(200))), 0.25));
-        let with = run_stack(4, 11, lossy(), 12, |_| vec![Box::new(ReliableLayer::new())]);
-        let base = run_stack(4, 11, lossy(), 12, |_| vec![]);
-        let prop = Reliability::new(group4.clone());
-        demos.push(Demo {
-            property: prop.name(),
-            definition: prop.description(),
-            with_protocol: prop.holds(&with),
-            baseline: prop.holds(&base),
-            scenario: "25% message loss",
-        });
-    }
+    let lossy =
+        || Box::new(Lossy::new(Box::new(PointToPoint::new(SimTime::from_micros(200))), 0.25));
+    let reliability = demo(
+        &Reliability::new(group4),
+        &run_stack(4, 11, lossy(), 12, |_| vec![Box::new(ReliableLayer::new())]),
+        &run_stack(4, 11, lossy(), 12, |_| vec![]),
+        "25% message loss",
+    );
 
     // Total Order: heavy jitter; the sequencer restores a single order.
-    {
-        let with = run_stack(4, 12, jittery(300, 5), 16, |_| {
+    let total_order = demo(
+        &TotalOrder,
+        &run_stack(4, 12, jittery(300, 5), 16, |_| {
             vec![Box::new(SeqOrderLayer::new(ProcessId(0)))]
-        });
-        let base = run_stack(4, 12, jittery(300, 5), 16, |_| vec![]);
-        demos.push(Demo {
-            property: TotalOrder.name(),
-            definition: TotalOrder.description(),
-            with_protocol: TotalOrder.holds(&with),
-            baseline: TotalOrder.holds(&base),
-            scenario: "±5 ms network jitter reorders multicasts",
-        });
-    }
+        }),
+        &run_stack(4, 12, jittery(300, 5), 16, |_| vec![]),
+        "±5 ms network jitter reorders multicasts",
+    );
 
     // Integrity: process 3 has no key; with the layer its traffic is
     // rejected, without it everyone delivers the untrusted sender.
-    {
-        let trusted = [ProcessId(0), ProcessId(1), ProcessId(2)];
-        let with = run_stack(4, 13, jittery(200, 0), 12, move |p| {
+    let integrity = demo(
+        &Integrity::new(trusted),
+        &run_stack(4, 13, jittery(200, 0), 12, move |p| {
             let l: Box<dyn Layer> = if trusted.contains(&p) {
                 Box::new(IntegrityLayer::new(0xAB, trusted))
             } else {
                 Box::new(IntegrityLayer::untrusted(trusted))
             };
             vec![l]
-        });
-        let base = run_stack(4, 13, jittery(200, 0), 12, |_| vec![]);
-        let prop = Integrity::new(trusted);
-        demos.push(Demo {
-            property: prop.name(),
-            definition: prop.description(),
-            with_protocol: prop.holds(&with),
-            baseline: prop.holds(&base),
-            scenario: "process 3 is untrusted (no group key)",
-        });
-    }
+        }),
+        &run_stack(4, 13, jittery(200, 0), 12, |_| vec![]),
+        "process 3 is untrusted (no group key)",
+    );
 
     // Confidentiality: process 3 has no key and must see nothing.
-    {
-        let trusted = [ProcessId(0), ProcessId(1), ProcessId(2)];
-        let with = run_stack(4, 14, jittery(200, 0), 12, move |p| {
+    let confidentiality = demo(
+        &Confidentiality::new(trusted),
+        &run_stack(4, 14, jittery(200, 0), 12, move |p| {
             let l: Box<dyn Layer> = if trusted.contains(&p) {
                 Box::new(ConfidentialityLayer::new(0xCD))
             } else {
                 Box::new(ConfidentialityLayer::keyless())
             };
             vec![l]
-        });
-        let base = run_stack(4, 14, jittery(200, 0), 12, |_| vec![]);
-        let prop = Confidentiality::new(trusted);
-        demos.push(Demo {
-            property: prop.name(),
-            definition: prop.description(),
-            with_protocol: prop.holds(&with),
-            baseline: prop.holds(&base),
-            scenario: "eavesdropper without the group key",
-        });
-    }
+        }),
+        &run_stack(4, 14, jittery(200, 0), 12, |_| vec![]),
+        "eavesdropper without the group key",
+    );
 
     // No Replay: the medium duplicates frames.
-    {
-        let dup = || {
-            Box::new(
-                Lossy::new(Box::new(PointToPoint::new(SimTime::from_micros(200))), 0.0)
-                    .with_duplication(0.6),
-            )
-        };
-        let with = run_stack(3, 15, dup(), 10, |_| vec![Box::new(NoReplayLayer::new())]);
-        let base = run_stack(3, 15, dup(), 10, |_| vec![]);
-        demos.push(Demo {
-            property: NoReplay.name(),
-            definition: NoReplay.description(),
-            with_protocol: NoReplay.holds(&with),
-            baseline: NoReplay.holds(&base),
-            scenario: "network duplicates 60% of frames",
-        });
-    }
+    let dup = || {
+        Box::new(
+            Lossy::new(Box::new(PointToPoint::new(SimTime::from_micros(200))), 0.0)
+                .with_duplication(0.6),
+        )
+    };
+    let no_replay = demo(
+        &NoReplay,
+        &run_stack(3, 15, dup(), 10, |_| vec![Box::new(NoReplayLayer::new())]),
+        &run_stack(3, 15, dup(), 10, |_| vec![]),
+        "network duplicates 60% of frames",
+    );
 
     // Prioritized Delivery: jitter races other members past the master.
-    {
-        let with = run_stack(4, 16, jittery(300, 4), 14, |_| {
+    let priority = demo(
+        &PrioritizedDelivery::new(ProcessId(0)),
+        &run_stack(4, 16, jittery(300, 4), 14, |_| {
             vec![Box::new(PriorityLayer::new(ProcessId(0)))]
-        });
-        let base = run_stack(4, 16, jittery(300, 4), 14, |_| vec![]);
-        let prop = PrioritizedDelivery::new(ProcessId(0));
-        demos.push(Demo {
-            property: prop.name(),
-            definition: prop.description(),
-            with_protocol: prop.holds(&with),
-            baseline: prop.holds(&base),
-            scenario: "jitter delivers to followers before the master",
-        });
-    }
+        }),
+        &run_stack(4, 16, jittery(300, 4), 14, |_| vec![]),
+        "jitter delivers to followers before the master",
+    );
 
     // Amoeba: eager application; the layer serializes releases. The
-    // property is read at the release boundary (see docs).
-    {
-        // One eager sender over a jittery network: without self-clocking,
-        // a later message's fastest copy overtakes the earlier message's
-        // self-delivery, violating the property at the release boundary.
-        let mut b =
-            GroupSimBuilder::new(3).seed(17).medium(jittery(800, 3)).stack_factory(|_, _, ids| {
-                Stack::with_ids(vec![Box::new(ps_protocols::AmoebaLayer::new())], ids)
-            });
-        let mut b2 = GroupSimBuilder::new(3)
-            .seed(17)
-            .medium(jittery(800, 3))
-            .stack_factory(|_, _, _| Stack::new(vec![]));
+    // property is read at the release boundary (see docs). One eager
+    // sender over a jittery network: without self-clocking, a later
+    // message's fastest copy overtakes the earlier message's
+    // self-delivery, violating the property at the release boundary.
+    let amoeba_run = |layers: fn() -> Vec<Box<dyn Layer>>| {
+        let mut s = Scenario::new(3, 17).medium(jittery(800, 3)).layers(move |_| layers());
         for i in 0..12u64 {
-            let at = SimTime::from_micros(100 + 200 * i);
-            b = b.send_at(at, ProcessId(0), format!("amoeba-{i}"));
-            b2 = b2.send_at(at, ProcessId(0), format!("amoeba-{i}"));
+            s = s.send_at(SimTime::from_micros(100 + 200 * i), ProcessId(0), format!("amoeba-{i}"));
         }
-        let (mut sw, mut sb) = (b.build(), b2.build());
-        sw.run_until(SimTime::from_secs(2));
-        sb.run_until(SimTime::from_secs(2));
-        let with = release_boundary(&sw.app_trace());
-        let base = release_boundary(&sb.app_trace());
-        demos.push(Demo {
-            property: Amoeba.name(),
-            definition: Amoeba.description(),
-            with_protocol: Amoeba.holds(&with),
-            baseline: Amoeba.holds(&base),
-            scenario: "eager app bursts; trace read at the release boundary",
-        });
-    }
+        release_boundary(&s.run(SimTime::from_secs(2)).driver.app_trace())
+    };
+    let amoeba = demo(
+        &Amoeba,
+        &amoeba_run(|| vec![Box::new(ps_protocols::AmoebaLayer::new())]),
+        &amoeba_run(Vec::new),
+        "eager app bursts; trace read at the release boundary",
+    );
 
     // Virtual Synchrony: process 3 starts outside the view and joins via a
     // view change; without the machinery its traffic appears out-of-view.
-    {
-        let initial = vec![ProcessId(0), ProcessId(1), ProcessId(2)];
-        let init2 = initial.clone();
-        let with = run_stack(4, 18, jittery(200, 0), 16, move |_| {
+    let initial = vec![ProcessId(0), ProcessId(1), ProcessId(2)];
+    let init2 = initial.clone();
+    let vsync = demo(
+        &VirtualSynchrony::new(initial),
+        &run_stack(4, 18, jittery(200, 0), 16, move |_| {
             vec![Box::new(VsyncLayer::new(VsyncConfig {
                 initial: Some(init2.clone()),
                 changes: vec![(
@@ -244,19 +200,12 @@ pub fn run() -> Vec<Demo> {
                 )],
                 ..VsyncConfig::default()
             }))]
-        });
-        let base = run_stack(4, 18, jittery(200, 0), 16, |_| vec![]);
-        let prop = VirtualSynchrony::new(initial);
-        demos.push(Demo {
-            property: prop.name(),
-            definition: prop.description(),
-            with_protocol: prop.holds(&with),
-            baseline: prop.holds(&base),
-            scenario: "process 3 joins the group mid-run",
-        });
-    }
+        }),
+        &run_stack(4, 18, jittery(200, 0), 16, |_| vec![]),
+        "process 3 joins the group mid-run",
+    );
 
-    demos
+    vec![reliability, total_order, integrity, confidentiality, no_replay, priority, amoeba, vsync]
 }
 
 /// Renders the demonstrations as a table.

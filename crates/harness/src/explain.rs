@@ -1,6 +1,5 @@
 //! `repro explain` — switch critical-path attribution from the causal
-//! trace, plus the post-mortem flight-recorder capture shared by the
-//! `--postmortem` flag of `repro monitor|chaos|campaign`.
+//! trace.
 //!
 //! The explain run is the monitored crossover scenario
 //! ([`crate::monitor_run`]) re-read through `ps-obs`'s [`CausalGraph`]:
@@ -8,68 +7,19 @@
 //! attribution table (network transit / CPU service / queueing wait /
 //! timer slack along the prepare→drain→flip→release critical path). If
 //! any streaming monitor reported a violation, the run also captures a
-//! [`PostmortemBundle`] — the violation witnesses plus their k-hop
-//! causal past and the overlapping load-sampler window — which
-//! `--postmortem PATH` writes to disk as JSON-lines plus a Chrome trace.
+//! [`PostmortemBundle`] ([`RunOutcome::postmortem`]: the violation
+//! witnesses plus their k-hop causal past and the overlapping
+//! load-sampler window), which `--postmortem PATH` writes to disk as
+//! JSON-lines plus a Chrome trace.
 //!
 //! Everything here is deterministic: the same seed renders byte-identical
 //! tables and writes byte-identical bundles, so `explain` output can be
 //! diffed across engines and invocations.
 
 use crate::monitor_run::{self, MonitorRunConfig};
-use ps_obs::{
-    attribution_table, CausalGraph, CriticalPath, LoadSample, ObsEvent, PostmortemBundle,
-    TimedEvent, Violation, DEFAULT_K_HOPS,
-};
-use std::collections::BTreeMap;
+use crate::scenario::RunOutcome;
+use ps_obs::{attribution_table, CausalGraph, CriticalPath, PostmortemBundle};
 use std::fmt::Write as _;
-
-/// Witness events a failure bundle grows from: every violation's context
-/// events, or — when the failure carries no verdicts (a wedged run) —
-/// each node's last recorded switch-phase event, i.e. where every member
-/// got stuck.
-pub fn failure_witnesses(events: &[TimedEvent], violations: &[Violation]) -> Vec<TimedEvent> {
-    let mut witnesses: Vec<TimedEvent> =
-        violations.iter().flat_map(|v| v.context.iter().copied()).collect();
-    if witnesses.is_empty() {
-        let mut last: BTreeMap<u32, TimedEvent> = BTreeMap::new();
-        for e in events {
-            if matches!(e.ev, ObsEvent::SwitchPhase { .. }) {
-                last.insert(e.node, *e);
-            }
-        }
-        witnesses.extend(last.into_values());
-    }
-    witnesses
-}
-
-/// Captures a post-mortem bundle for a failed run: witnesses from
-/// [`failure_witnesses`], sliced at the default hop bound.
-pub fn capture_failure(
-    reason: &str,
-    events: &[TimedEvent],
-    overwritten: u64,
-    violations: &[Violation],
-    samples: &[LoadSample],
-) -> PostmortemBundle {
-    let witnesses = failure_witnesses(events, violations);
-    PostmortemBundle::capture(
-        reason,
-        events,
-        overwritten,
-        &witnesses,
-        DEFAULT_K_HOPS,
-        samples,
-        violations,
-    )
-}
-
-/// Writes `bundle` as JSON-lines at `path` and as a Chrome `trace_event`
-/// document at `path.chrome.json`.
-pub fn write_bundle(path: &str, bundle: &PostmortemBundle) -> std::io::Result<()> {
-    std::fs::write(path, bundle.to_jsonl())?;
-    std::fs::write(format!("{path}.chrome.json"), bundle.to_chrome())
-}
 
 /// Result of `repro explain`.
 pub struct ExplainResult {
@@ -77,12 +27,10 @@ pub struct ExplainResult {
     pub paths: Vec<CriticalPath>,
     /// Causal-graph lint findings (empty on a healthy trace).
     pub lint: Vec<String>,
-    /// Monitor violations from the underlying run.
-    pub violations: Vec<Violation>,
     /// Post-mortem of the failure, when there was one.
     pub bundle: Option<PostmortemBundle>,
     /// The underlying monitored run.
-    pub run: monitor_run::MonitorRunResult,
+    pub run: RunOutcome,
 }
 
 /// Runs the monitored crossover scenario and explains its switches.
@@ -91,10 +39,8 @@ pub fn run(cfg: &MonitorRunConfig) -> ExplainResult {
     let graph = CausalGraph::new(&r.events);
     let lint = graph.lint(r.overwritten, &[]);
     let paths = graph.switch_attempts();
-    let bundle = (!r.violations.is_empty()).then(|| {
-        capture_failure("monitor_violation", &r.events, r.overwritten, &r.violations, &r.samples)
-    });
-    ExplainResult { paths, lint, violations: r.violations.clone(), bundle, run: r }
+    let bundle = (!r.violations.is_empty()).then(|| r.postmortem("monitor_violation"));
+    ExplainResult { paths, lint, bundle, run: r }
 }
 
 /// Renders the per-attempt attribution tables plus the trace verdicts.
@@ -111,19 +57,12 @@ pub fn render(res: &ExplainResult) -> String {
             let _ = writeln!(out, "  {l}");
         }
     }
-    match res.violations.len() {
+    match res.run.violations.len() {
         0 => out.push_str("monitors: no violations\n"),
         n => {
             let _ = writeln!(out, "monitors: {n} violation(s)");
-            for v in &res.violations {
-                let _ = writeln!(
-                    out,
-                    "  {} node {} at {}us: {}",
-                    v.kind.as_str(),
-                    v.node,
-                    v.at_us,
-                    v.detail
-                );
+            for v in &res.run.violations {
+                let _ = writeln!(out, "  {}", crate::report::violation(v));
             }
         }
     }
@@ -133,6 +72,7 @@ pub fn render(res: &ExplainResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps_obs::ObsEvent;
 
     #[test]
     fn clean_quick_run_attributes_both_switches() {
@@ -141,7 +81,7 @@ mod tests {
             return; // tap feature off: no events recorded
         }
         assert!(res.lint.is_empty(), "{:?}", res.lint);
-        assert!(res.violations.is_empty());
+        assert!(res.run.violations.is_empty());
         assert!(res.bundle.is_none(), "clean run must not capture a post-mortem");
         // The quick crossover scenario completes a forward and a reverse
         // switch; both must appear with full phase coverage.

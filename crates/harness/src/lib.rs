@@ -14,6 +14,7 @@
 //! | [`campaign`] | §7 — judged campaign grid: traffic profiles × stacks × faults, monitored | `repro campaign` |
 //! | [`profile`] | host-time attribution of the monitored run (engine/layer/obs components) | `repro profile --flame out.folded` |
 //! | [`real`] | sim-vs-real: the same seeded scenario on simnet and UDP loopback, diffed | `repro real --compare` |
+//! | [`scenario`] | the one run shape every group run above is stated in: group, seed, medium, stack, traffic, watchers, faults → one [`scenario::RunOutcome`] | (library) |
 //!
 //! Every experiment is deterministic given its config (all randomness is
 //! seeded) and returns a typed result that both the CLI and the Criterion
@@ -31,11 +32,12 @@ pub mod monitor_run;
 pub mod profile;
 pub mod real;
 pub mod report;
+pub mod scenario;
 pub mod sweep;
 pub mod trace_run;
-pub mod workload;
 
 pub use measure::{latency_histogram, LatencyStats, SteadyStateWindow};
 pub use report::Table;
 pub use sweep::SweepRunner;
-pub use workload::{periodic_senders, poisson_senders, WorkloadSpec};
+#[cfg(test)]
+mod workload;

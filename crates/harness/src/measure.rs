@@ -7,7 +7,8 @@
 
 use ps_simnet::SimTime;
 use ps_stack::Driver;
-use ps_trace::ProcessId;
+use ps_trace::{MsgId, ProcessId};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which part of a run to measure: drop warm-up and drain phases so the
 /// numbers describe steady state.
@@ -64,22 +65,23 @@ impl LatencyStats {
 /// Computes latency statistics for `sim` over `window`.
 ///
 /// Expects `sim` to have finished running; a message counts as incomplete
-/// if fewer than `sim.group().len()` processes delivered it.
+/// if fewer than `sim.group().len()` distinct processes delivered it (a
+/// duplicate delivery at one process does not stand in for another's).
 pub fn latency_stats(sim: &dyn Driver, window: SteadyStateWindow) -> LatencyStats {
     let sends = sim.send_times();
     let n = sim.group().len();
     let mut lat: Vec<u64> = Vec::new();
-    let mut per_msg: std::collections::BTreeMap<ps_trace::MsgId, usize> = Default::default();
+    let mut receivers: BTreeMap<MsgId, BTreeSet<ProcessId>> = BTreeMap::new();
     for d in sim.deliveries() {
         let Some(&sent) = sends.get(&d.msg) else { continue };
         if !window.contains(sent) {
             continue;
         }
         lat.push(d.at.saturating_sub(sent).as_micros());
-        *per_msg.entry(d.msg).or_insert(0) += 1;
+        receivers.entry(d.msg).or_default().insert(d.process);
     }
     let in_window = sends.values().filter(|&&t| window.contains(t)).count();
-    let complete = per_msg.values().filter(|&&c| c >= n).count();
+    let complete = receivers.values().filter(|r| r.len() >= n).count();
     lat.sort_unstable();
     let pick = |q: f64| -> SimTime {
         if lat.is_empty() {
@@ -186,6 +188,53 @@ mod tests {
         // Deliveries are ~1 ms apart.
         let gap = max_delivery_gap(&sim, ProcessId(1), SimTime::ZERO, SimTime::from_secs(1));
         assert!(gap >= SimTime::from_micros(900) && gap <= SimTime::from_millis(3), "{gap}");
+    }
+
+    /// A finished group of two as its driver reports it: message 1 was
+    /// delivered twice at process 0 and never at process 1; message 2 at
+    /// both.
+    struct DuplicateDelivery {
+        group: Vec<ProcessId>,
+        recorder: ps_obs::Recorder,
+    }
+
+    impl Driver for DuplicateDelivery {
+        fn run_until(&mut self, _: SimTime) {}
+        fn now(&self) -> SimTime {
+            SimTime::from_millis(10)
+        }
+        fn group(&self) -> &[ProcessId] {
+            &self.group
+        }
+        fn app_trace(&self) -> ps_trace::Trace {
+            ps_trace::Trace::new()
+        }
+        fn send_times(&self) -> BTreeMap<MsgId, SimTime> {
+            let id = |seq| MsgId::new(ProcessId(0), seq);
+            [(id(1), SimTime::from_millis(1)), (id(2), SimTime::from_millis(2))].into()
+        }
+        fn deliveries(&self) -> Vec<ps_stack::DeliveryRecord> {
+            let d = |seq, p, ms| ps_stack::DeliveryRecord {
+                msg: MsgId::new(ProcessId(0), seq),
+                process: ProcessId(p),
+                at: SimTime::from_millis(ms),
+            };
+            vec![d(1, 0, 2), d(1, 0, 3), d(2, 0, 3), d(2, 1, 4)]
+        }
+        fn recorder(&self) -> &ps_obs::Recorder {
+            &self.recorder
+        }
+    }
+
+    #[test]
+    fn a_duplicate_delivery_does_not_complete_a_message() {
+        let driver = DuplicateDelivery {
+            group: vec![ProcessId(0), ProcessId(1)],
+            recorder: ps_obs::Recorder::disabled(),
+        };
+        let s = latency_stats(&driver, SteadyStateWindow::all());
+        assert_eq!(s.samples, 4, "every delivery record is a latency sample");
+        assert_eq!(s.incomplete, 1, "process 1 never delivered message 1");
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! One group under a ramping load, with the full live-observability loop
 //! closed:
 //!
-//! * a [`MetricsSampler`] rides the simulator clock and emits a load time
-//!   series (medium utilization, CPU pressure, queue depths, in-flight
-//!   frames) every [`MonitorRunConfig::sample_interval`];
-//! * a [`LoadOracle`] at the sequencer polls that
+//! * a [`ps_obs::MetricsSampler`] rides the simulator clock and emits a
+//!   load time series (medium utilization, CPU pressure, queue depths,
+//!   in-flight frames) every 50 ms;
+//! * a [`ps_core::LoadOracle`] at the sequencer polls that
 //!   series and schedules sequencer↔token switches when measured load
 //!   crosses its watermarks — the paper's §7 crossover policy driven by
 //!   *measured* load instead of a scripted plan;
-//! * a [`MonitorSet`] streams every recorded event through the online
+//! * a [`ps_obs::MonitorSet`] streams every recorded event through the online
 //!   property monitors (total order, per-sender FIFO, delivery
 //!   accounting, switch liveness), so the run proves its own properties
 //!   held *while they were being exercised by the switch*.
@@ -31,62 +31,44 @@
 //! exactly that one violation, with the two disagreeing deliveries as
 //! context.
 
-use crate::report::Table;
+use crate::report::{ms, Table};
+use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
 use ps_bytes::Bytes;
-use ps_core::{
-    LoadOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchLayer, SwitchVariant,
-};
-use ps_obs::{LoadSample, MetricsSampler, MonitorSet, Recorder, Violation};
-use ps_protocols::{SeqOrderLayer, TokenOrderLayer};
-use ps_simnet::{EthernetConfig, SharedBus, SimTime, Topology};
-use ps_stack::{GroupSimBuilder, Layer, LayerCtx, Stack};
+use ps_core::{SwitchConfig, SwitchVariant};
+use ps_simnet::SimTime;
+use ps_stack::{Layer, LayerCtx};
 use ps_trace::{Message, ProcessId};
 use ps_workload::{Profile, TrafficSpec};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// Node that gets the broken ordering layer when
 /// [`MonitorRunConfig::inject_fault`] is set.
 pub const FAULT_NODE: u16 = 2;
+
+/// The one sender active for the whole run, and its rate (msg/s).
+const BASE_SENDERS: u16 = 1;
+const BASE_RATE: f64 = 20.0;
+/// Message body size.
+const BODY_BYTES: usize = 512;
+/// Switch-liveness bound for the monitors.
+const LIVENESS_BOUND: SimTime = SimTime::from_millis(500);
+/// Token protocol idle hold (its latency floor and idle bus cost).
+const TOKEN_IDLE_HOLD: SimTime = SimTime::from_millis(5);
 
 /// Configuration of the monitored crossover run.
 #[derive(Debug, Clone)]
 pub struct MonitorRunConfig {
     /// Group size (process 0 is the sequencer and runs the oracle).
     pub group: u16,
-    /// Senders active for the whole run.
-    pub base_senders: u16,
-    /// Per-sender rate of the base load (msg/s).
-    pub base_rate: f64,
     /// Senders active only during the burst.
     pub burst_senders: u16,
     /// Per-sender rate of the burst load (msg/s).
     pub burst_rate: f64,
-    /// Message body size.
-    pub body_bytes: usize,
     /// Burst start.
     pub burst_from: SimTime,
     /// Burst end.
     pub burst_until: SimTime,
     /// Workload end (the run drains past it).
     pub end: SimTime,
-    /// Load sampling interval.
-    pub sample_interval: SimTime,
-    /// Oracle high watermark (permille of bus/sequencer-CPU busy share).
-    pub high_permille: u32,
-    /// Oracle low watermark.
-    pub low_permille: u32,
-    /// Consecutive qualifying windows the oracle requires.
-    pub min_samples: u32,
-    /// Oracle cooldown after a completed switch.
-    pub cooldown: SimTime,
-    /// Switch-liveness bound for the monitor.
-    pub liveness_bound: SimTime,
-    /// Token protocol idle hold (its latency floor and idle bus cost).
-    pub token_idle_hold: SimTime,
-    /// Recorder ring capacity.
-    pub ring_capacity: usize,
     /// Seed.
     pub seed: u64,
     /// Splice the broken ordering layer in at [`FAULT_NODE`].
@@ -95,38 +77,20 @@ pub struct MonitorRunConfig {
     /// uses a bridged multi-segment [`ps_simnet::Topology`]
     /// (`repro monitor --topology segments:<n>`).
     pub segments: u32,
-    /// Extra one-way bridge latency between segments (multi-segment only).
-    pub bridge_latency: SimTime,
-    /// Host-time profiler the engine attributes into (disabled by
-    /// default; `repro profile` passes an enabled one).
-    pub prof: ps_prof::Profiler,
 }
 
 impl Default for MonitorRunConfig {
     fn default() -> Self {
         Self {
             group: 6,
-            base_senders: 1,
-            base_rate: 20.0,
             burst_senders: 5,
             burst_rate: 40.0,
-            body_bytes: 512,
             burst_from: SimTime::from_millis(1200),
             burst_until: SimTime::from_millis(2400),
             end: SimTime::from_secs(3),
-            sample_interval: SimTime::from_millis(50),
-            high_permille: 100,
-            low_permille: 40,
-            min_samples: 2,
-            cooldown: SimTime::from_millis(400),
-            liveness_bound: SimTime::from_millis(500),
-            token_idle_hold: SimTime::from_millis(5),
-            ring_capacity: 1 << 18,
             seed: 0x40B5,
             inject_fault: false,
             segments: 1,
-            bridge_latency: SimTime::from_micros(100),
-            prof: ps_prof::Profiler::disabled(),
         }
     }
 }
@@ -141,9 +105,13 @@ impl MonitorRunConfig {
             burst_from: SimTime::from_millis(500),
             burst_until: SimTime::from_millis(1100),
             end: SimTime::from_millis(1500),
-            ring_capacity: 1 << 16,
             ..Self::default()
         }
+    }
+
+    /// Instant the run stops: the workload end plus its drain.
+    pub fn horizon(&self) -> SimTime {
+        self.end + SimTime::from_millis(800)
     }
 }
 
@@ -210,48 +178,10 @@ impl Layer for SwapFaultLayer {
     }
 }
 
-/// Result of a monitored run.
-#[derive(Clone)]
-pub struct MonitorRunResult {
-    /// All property violations, sorted by detection time.
-    pub violations: Vec<Violation>,
-    /// The sampled load series (also reachable through `sampler`).
-    pub samples: Vec<LoadSample>,
-    /// The sampler handle, for [`MetricsSampler::to_jsonl`] /
-    /// [`MetricsSampler::to_csv`] exports.
-    pub sampler: MetricsSampler,
-    /// Per-process switch handles, in process order.
-    pub handles: Vec<SwitchHandle>,
-    /// Events evicted from the recorder ring (monitors saw them anyway).
-    pub overwritten: u64,
-    /// Application messages the monitors saw sent.
-    pub sent: usize,
-    /// The recorder's event snapshot, for causal analysis (`repro
-    /// explain`) and post-mortem capture (`--postmortem`).
-    pub events: Vec<ps_obs::TimedEvent>,
-}
-
-/// Runs the monitored crossover scenario.
-pub fn run(cfg: &MonitorRunConfig) -> MonitorRunResult {
-    // Harness-phase spans (free no-ops when profiling is off): the
-    // engine attributes its own components, these cover what happens
-    // around it — workload generation + sim construction, the run loop
-    // between engine spans, and result assembly (ring snapshot).
-    let prof = cfg.prof.clone();
-    let _setup = prof.span(&["harness", "setup"]);
-    let recorder = Recorder::with_capacity(cfg.ring_capacity);
-    let sampler = MetricsSampler::new(cfg.sample_interval.as_micros()).with_seq_node(0);
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
-
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
-    let oracle_sampler = sampler.clone();
-    let (high, low) = (cfg.high_permille, cfg.low_permille);
-    let (min_samples, cooldown) = (cfg.min_samples, cfg.cooldown);
-    let (idle_hold, inject_fault) = (cfg.token_idle_hold, cfg.inject_fault);
-
-    let spec = TrafficSpec {
+/// The monitored crossover scenario, ready to run (`repro profile`
+/// attaches its profiler before running it).
+pub fn scenario(cfg: &MonitorRunConfig) -> Scenario {
+    let traffic = TrafficSpec {
         profile: Profile::FlashCrowd {
             burst_senders: cfg.burst_senders,
             burst_rate: cfg.burst_rate,
@@ -259,83 +189,37 @@ pub fn run(cfg: &MonitorRunConfig) -> MonitorRunResult {
             until: cfg.burst_until,
         },
         group: cfg.group,
-        senders: cfg.base_senders,
-        rate: cfg.base_rate,
-        scale: 1.0,
-        body_bytes: cfg.body_bytes,
-        start: SimTime::from_millis(100),
+        senders: BASE_SENDERS,
+        rate: BASE_RATE,
+        body_bytes: BODY_BYTES,
         end: cfg.end,
         seed: cfg.seed,
+        ..TrafficSpec::default()
     };
+    // A slow idle rotation keeps the switch's own control ring from
+    // dominating the sampled load — the oracle should see the
+    // application traffic, not the instrumentation.
+    let switch = SwitchConfig {
+        variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(10) },
+        observe_interval: SimTime::from_millis(50),
+        ..SwitchConfig::default()
+    };
+    Scenario::new(cfg.group, cfg.seed ^ 0x7a11)
+        .segments(cfg.segments)
+        .hybrid(Proto::Seq(0), Proto::Token(TOKEN_IDLE_HOLD), switch, Policy::Load)
+        .swap_fault(cfg.inject_fault)
+        .traffic(traffic.generate())
+        .watch(LIVENESS_BOUND)
+        .sample()
+}
 
-    let topo = (cfg.segments > 1).then(|| {
-        Arc::new(Topology::uniform(u32::from(cfg.group), cfg.segments, cfg.bridge_latency))
-    });
-    let mut b = GroupSimBuilder::new(cfg.group).seed(cfg.seed ^ 0x7a11);
-    if let Some(t) = &topo {
-        // Installs the segmented default medium alongside the topology.
-        b = b.topology(Arc::clone(t));
-    } else {
-        b = b.medium(Box::new(SharedBus::new(EthernetConfig::default())));
-    }
-    let b = b
-        .recorder(recorder.clone())
-        .sampler(sampler.clone())
-        .prof(cfg.prof.clone())
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(
-                    LoadOracle::new(oracle_sampler.clone(), high, low)
-                        .with_min_samples(min_samples)
-                        .with_cooldown(cooldown),
-                )
-            } else {
-                Box::new(NeverOracle)
-            };
-            // A slow idle rotation keeps the switch's own control ring
-            // from dominating the sampled load — the oracle should see
-            // the application traffic, not the instrumentation.
-            let sw_cfg = SwitchConfig {
-                variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(10) },
-                observe_interval: SimTime::from_millis(50),
-                ..SwitchConfig::default()
-            };
-            let seq = Stack::with_ids(vec![Box::new(SeqOrderLayer::new(ProcessId(0)))], ids);
-            let token =
-                Stack::with_ids(vec![Box::new(TokenOrderLayer::with_idle_hold(idle_hold))], ids);
-            let (layer, handle) = SwitchLayer::new(sw_cfg, seq, token, oracle);
-            h2.borrow_mut().push(handle);
-            let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-            if inject_fault && p == ProcessId(FAULT_NODE) {
-                layers.push(Box::new(SwapFaultLayer::new()));
-            }
-            layers.push(Box::new(layer));
-            Stack::with_ids(layers, ids)
-        })
-        .sends(spec.generate().into_sends());
-
-    let mut sim = b.build();
-    drop(_setup);
-    {
-        let _run = prof.span(&["harness", "run"]);
-        sim.run_until(cfg.end + SimTime::from_millis(800));
-    }
-    let _finish = prof.span(&["harness", "finish"]);
-
-    let handles = handles.borrow().clone();
-    MonitorRunResult {
-        violations: monitors.finish(),
-        samples: sampler.samples(),
-        sampler: sampler.clone(),
-        handles,
-        overwritten: sim.recorder().overwritten(),
-        sent: monitors.delivery().sent_count(),
-        events: sim.recorder().snapshot(),
-    }
+/// Runs the monitored crossover scenario.
+pub fn run(cfg: &MonitorRunConfig) -> RunOutcome {
+    scenario(cfg).run(cfg.horizon())
 }
 
 /// Renders the sampled load time series.
-pub fn render_series(result: &MonitorRunResult) -> Table {
+pub fn render_series(result: &RunOutcome) -> Table {
     let mut t = Table::new(
         "monitor — sampled load time series (one row per window)",
         vec![
@@ -349,9 +233,9 @@ pub fn render_series(result: &MonitorRunResult) -> Table {
             "in flight",
         ],
     );
-    for s in &result.samples {
+    for s in &result.sampler.samples() {
         t.row(vec![
-            format!("{}.{:03}", s.at_us / 1000, s.at_us % 1000),
+            ms(s.at_us),
             s.frames_sent.to_string(),
             s.copies_delivered.to_string(),
             s.bus_util_permille.to_string(),
@@ -367,23 +251,19 @@ pub fn render_series(result: &MonitorRunResult) -> Table {
 
 /// Renders the oracle-driven switch records, one row per completed
 /// switch per process.
-pub fn render_switches(result: &MonitorRunResult) -> Table {
+pub fn render_switches(result: &RunOutcome) -> Table {
     let mut t = Table::new(
         "monitor — load-driven switches",
         vec!["process", "direction", "prepare (ms)", "flip (ms)", "duration (ms)"],
     );
-    let ms = |t: SimTime| {
-        let us = t.as_micros();
-        format!("{}.{:03}", us / 1000, us % 1000)
-    };
     for (node, h) in result.handles.iter().enumerate() {
         for r in h.snapshot().records {
             t.row(vec![
                 node.to_string(),
                 format!("{} \u{2192} {}", r.from, r.to),
-                ms(r.started_at),
-                ms(r.completed_at),
-                ms(r.duration()),
+                ms(r.started_at.as_micros()),
+                ms(r.completed_at.as_micros()),
+                ms(r.duration().as_micros()),
             ]);
         }
     }
@@ -392,18 +272,13 @@ pub fn render_switches(result: &MonitorRunResult) -> Table {
 }
 
 /// Renders the violation report, with each violation's witnessing events.
-pub fn render_report(result: &MonitorRunResult) -> Table {
+pub fn render_report(result: &RunOutcome) -> Table {
     let mut t = Table::new(
         "monitor — streaming property violations",
         vec!["property", "node", "at (ms)", "detail"],
     );
     for v in &result.violations {
-        t.row(vec![
-            v.kind.as_str().to_owned(),
-            v.node.to_string(),
-            format!("{}.{:03}", v.at_us / 1000, v.at_us % 1000),
-            v.detail.clone(),
-        ]);
+        t.row(vec![v.kind.as_str().to_owned(), v.node.to_string(), ms(v.at_us), v.detail.clone()]);
         for ev in &v.context {
             t.note(format!("  witness: {}us node {} {:?}", ev.at_us, ev.node, ev.ev));
         }
@@ -426,6 +301,7 @@ pub fn render_report(result: &MonitorRunResult) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::HIGH_PERMILLE;
     use ps_obs::ViolationKind;
 
     #[test]
@@ -434,7 +310,7 @@ mod tests {
         let r = run(&cfg);
         assert!(r.violations.is_empty(), "clean run must have no violations: {:?}", r.violations);
         assert_eq!(r.overwritten, 0, "quick run must fit in the ring");
-        assert!(!r.samples.is_empty());
+        assert!(!r.sampler.is_empty());
 
         // The oracle saw the burst cross the high watermark and left the
         // sequencer; after the burst it came back.
@@ -458,16 +334,12 @@ mod tests {
     fn sampled_series_shows_the_burst() {
         let cfg = MonitorRunConfig::quick();
         let r = run(&cfg);
+        let samples = r.sampler.samples();
         let util_at = |t: SimTime| {
-            r.samples
-                .iter()
-                .filter(|s| s.at_us <= t.as_micros())
-                .next_back()
-                .map_or(0, |s| s.bus_util_permille)
+            samples.iter().rfind(|s| s.at_us <= t.as_micros()).map_or(0, |s| s.bus_util_permille)
         };
         let quiet = util_at(cfg.burst_from);
-        let busy = r
-            .samples
+        let busy = samples
             .iter()
             .filter(|s| {
                 s.at_us > cfg.burst_from.as_micros() && s.at_us <= cfg.burst_until.as_micros()
@@ -476,7 +348,7 @@ mod tests {
             .max()
             .unwrap_or(0);
         assert!(
-            busy > cfg.high_permille && quiet < cfg.high_permille,
+            busy > HIGH_PERMILLE && quiet < HIGH_PERMILLE,
             "burst must be visible in the series: quiet={quiet} busy={busy}\n{}",
             r.sampler.to_csv()
         );

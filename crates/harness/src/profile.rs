@@ -15,8 +15,9 @@
 //! deterministic columns first so scripts can diff them (`cut -d, -f1,2`
 //! on the CSV).
 
-use crate::monitor_run::{self, MonitorRunConfig, MonitorRunResult};
-use crate::report::Table;
+use crate::monitor_run::{self, MonitorRunConfig};
+use crate::report::{self, Table};
+use crate::scenario::RunOutcome;
 use ps_prof::Profiler;
 
 /// A profiled run: the profiler (query it for tables/flamegraphs) plus
@@ -24,8 +25,8 @@ use ps_prof::Profiler;
 pub struct ProfileResult {
     /// The profiler every component attributed into.
     pub prof: Profiler,
-    /// The scenario's own result, same as a `repro monitor` run.
-    pub run: MonitorRunResult,
+    /// The scenario's own outcome, same as a `repro monitor` run's.
+    pub run: RunOutcome,
 }
 
 /// Runs the monitored crossover scenario under an enabled profiler,
@@ -33,10 +34,9 @@ pub struct ProfileResult {
 /// time surfaces as `other`.
 pub fn run(cfg: &MonitorRunConfig) -> ProfileResult {
     let prof = Profiler::enabled();
-    let cfg = MonitorRunConfig { prof: prof.clone(), ..cfg.clone() };
     let run = {
         let _root = prof.span(&[]);
-        monitor_run::run(&cfg)
+        monitor_run::scenario(cfg).prof(prof.clone()).run(cfg.horizon())
     };
     // Covered virtual time is noted by the engine itself at the end of
     // `run_until`, so nothing to stamp here.
@@ -45,7 +45,7 @@ pub fn run(cfg: &MonitorRunConfig) -> ProfileResult {
 
 /// Nanoseconds as a `ms.micros` string.
 fn ms(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000_000, (ns / 1000) % 1000)
+    report::ms(ns / 1000)
 }
 
 /// Renders the per-component cost table: one row per entered component
@@ -67,10 +67,9 @@ pub fn render_table(prof: &Profiler) -> Table {
     let other = prof.other_ns();
     t.row(vec!["other".into(), "-".into(), ms(other), ms(other), pct(other)]);
     t.note(format!(
-        "total {} ms host time covering {}.{:03} ms virtual time",
+        "total {} ms host time covering {} ms virtual time",
         ms(prof.total_ns()),
-        prof.sim_us() / 1000,
-        prof.sim_us() % 1000
+        report::ms(prof.sim_us())
     ));
     t.note(format!(
         "{:.1}% attributed to named components; `other` is the run outside any span",

@@ -1,12 +1,12 @@
 //! `repro real` — the same seeded scenario on simnet and on a real wire.
 //!
 //! The transport split (`ps_stack::Driver` / `ps_stack::GroupSpec`) makes
-//! this a controlled experiment: **one** scenario description — group
-//! size, seeded `ps-workload` schedule, the hybrid total-order stack with
-//! a scripted mid-run switch — handed to two drivers. The simulated run
-//! goes through `GroupSimBuilder::from_spec`; the real run goes through
-//! `ps_net::UdpGroup` on UDP loopback, one OS thread and one socket per
-//! process. No `Layer` sees which one it is on.
+//! this a controlled experiment: **one** [`Scenario`] — group size,
+//! seeded `ps-workload` schedule, the hybrid total-order stack with a
+//! scripted mid-run switch — played by two drivers. [`Scenario::run`]
+//! plays it on the simulator; [`Scenario::run_udp`] plays the same
+//! `GroupSpec` through `ps_net::UdpGroup` on UDP loopback, one OS thread
+//! and one socket per process. No `Layer` sees which one it is on.
 //!
 //! `--compare` runs both and diffs them along the axes the media *should*
 //! agree on:
@@ -20,69 +20,55 @@
 //!   `(wall)` marker so tooling (and the CI determinism check) can
 //!   filter them before diffing two reports.
 //!
-//! The scripted [`ManualOracle`] — rather than the load-driven oracle the
+//! The scripted [`ps_core::ManualOracle`] — rather than the load-driven oracle the
 //! monitor scenario uses — is deliberate: both media must attempt the
 //! switch at the same scenario time, so that verdict rows compare switch
 //! *execution*, not oracle *timing* under different clocks. See
 //! `docs/transport.md` for the methodology and the known divergences.
 
-use crate::measure::{latency_stats, LatencyStats, SteadyStateWindow};
+use crate::measure::{LatencyStats, SteadyStateWindow};
 use crate::report::Table;
-use ps_core::{hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle};
-use ps_net::{NetConfig, UdpGroup};
-use ps_obs::{MetricsSampler, MonitorSet, Recorder, TimedEvent, Violation, ViolationKind};
-use ps_simnet::SimTime;
-use ps_stack::{Driver, GroupSimBuilder, GroupSpec};
-use ps_trace::ProcessId;
-use ps_workload::{Profile, TrafficSpec};
-use std::sync::{Arc, Mutex};
+use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
+use ps_core::SwitchConfig;
+use ps_obs::{TimedEvent, Violation, ViolationKind};
+use ps_simnet::{PointToPoint, SimTime};
+use ps_stack::Driver;
+use ps_workload::TrafficSpec;
+
+/// Sending subgroup size (the workload generator's convention).
+const SENDERS: u16 = 2;
+/// Message body size.
+const BODY_BYTES: usize = 64;
+/// Switch-liveness bound for the monitors. Generous: it must hold under
+/// OS scheduling jitter, not just simulated rounds.
+const LIVENESS_BOUND: SimTime = SimTime::from_secs(2);
+/// Seed for the workload schedule and both drivers.
+pub const SEED: u64 = 0x5EA1;
 
 /// Configuration shared by both media.
 #[derive(Debug, Clone)]
 pub struct RealRunConfig {
     /// Group size (process 0 is the sequencer and scripts the switch).
     pub group: u16,
-    /// Sending subgroup size (the workload generator's convention).
-    pub senders: u16,
     /// Per-sender rate (msg/s). Kept low: the comparison wants zero
     /// loopback loss, not a throughput stress.
     pub rate: f64,
-    /// Message body size.
-    pub body_bytes: usize,
-    /// Workload start.
-    pub start: SimTime,
     /// Workload end (the run drains past it).
     pub end: SimTime,
     /// Scenario time of the scripted sequencer→token switch.
     pub switch_at: SimTime,
     /// Drain time past the workload end before the run is read out.
     pub drain: SimTime,
-    /// Switch-liveness bound for the monitors. Generous: it must hold
-    /// under OS scheduling jitter, not just simulated rounds.
-    pub liveness_bound: SimTime,
-    /// Load-sampling interval (both media feed a sampler).
-    pub sample_interval: SimTime,
-    /// Recorder ring capacity.
-    pub ring_capacity: usize,
-    /// Seed for the workload schedule and both drivers.
-    pub seed: u64,
 }
 
 impl Default for RealRunConfig {
     fn default() -> Self {
         Self {
             group: 4,
-            senders: 2,
             rate: 25.0,
-            body_bytes: 64,
-            start: SimTime::from_millis(100),
             end: SimTime::from_millis(1600),
             switch_at: SimTime::from_millis(800),
             drain: SimTime::from_millis(600),
-            liveness_bound: SimTime::from_secs(2),
-            sample_interval: SimTime::from_millis(100),
-            ring_capacity: 1 << 16,
-            seed: 0x5EA1,
         }
     }
 }
@@ -96,7 +82,6 @@ impl RealRunConfig {
             end: SimTime::from_millis(700),
             switch_at: SimTime::from_millis(350),
             drain: SimTime::from_millis(400),
-            ..Self::default()
         }
     }
 
@@ -111,8 +96,8 @@ impl RealRunConfig {
 pub struct MediumReport {
     /// `"simnet"` or `"udp-loopback"`.
     pub medium: &'static str,
-    /// Application messages the workload scheduled (equal by
-    /// construction; diffed anyway as a sanity anchor).
+    /// Application messages the run sent (the whole schedule on both
+    /// media; diffed anyway as a sanity anchor).
     pub sent: usize,
     /// Application (message, receiver) deliveries.
     pub deliveries: usize,
@@ -143,114 +128,65 @@ impl MediumReport {
     }
 }
 
-/// The seeded workload schedule both media replay.
-fn workload(cfg: &RealRunConfig) -> TrafficSpec {
-    TrafficSpec {
-        profile: Profile::Steady,
+/// The one scenario both media run: same stacks, same schedule, same
+/// seed. The medium only matters on the simulator, where the clean
+/// 100 µs point-to-point wire is the closest analogue of an idle
+/// loopback.
+fn scenario(cfg: &RealRunConfig) -> Scenario {
+    let traffic = TrafficSpec {
         group: cfg.group,
-        senders: cfg.senders,
+        senders: SENDERS,
         rate: cfg.rate,
-        scale: 1.0,
-        body_bytes: cfg.body_bytes,
-        start: cfg.start,
+        body_bytes: BODY_BYTES,
         end: cfg.end,
-        seed: cfg.seed,
-    }
+        seed: SEED,
+        ..TrafficSpec::default()
+    };
+    let policy = Policy::Manual(vec![(cfg.switch_at, 1)]);
+    Scenario::new(cfg.group, SEED)
+        .medium(Box::new(PointToPoint::new(SimTime::from_micros(100))))
+        .hybrid(
+            Proto::Seq(0),
+            Proto::Token(SimTime::from_millis(1)),
+            SwitchConfig::default(),
+            policy,
+        )
+        .traffic(traffic.generate())
+        .watch(LIVENESS_BOUND)
+        .sample()
 }
 
-/// Builds the scenario spec: same stacks, same schedule, same seed —
-/// the medium is the only thing the caller chooses afterwards.
-fn build_spec(
-    cfg: &RealRunConfig,
-    recorder: Recorder,
-    sampler: MetricsSampler,
-) -> (GroupSpec, Arc<Mutex<Vec<SwitchHandle>>>) {
-    let handles: Arc<Mutex<Vec<SwitchHandle>>> = Arc::new(Mutex::new(Vec::new()));
-    let handles_in = Arc::clone(&handles);
-    let switch_at = cfg.switch_at;
-    let spec = GroupSpec::new(cfg.group)
-        .seed(cfg.seed)
-        .recorder(recorder)
-        .sampler(sampler)
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(ManualOracle::new(vec![(switch_at, 1)]))
-            } else {
-                Box::new(NeverOracle)
-            };
-            let (stack, handle) =
-                hybrid_total_order(ids, SwitchConfig::default(), ProcessId(0), oracle);
-            handles_in.lock().unwrap().push(handle);
-            stack
-        })
-        .sends(workload(cfg).generate().into_sends());
-    (spec, handles)
-}
-
-/// Reads a finished driver out into the common report shape.
-fn read_out(
-    medium: &'static str,
-    driver: &dyn Driver,
-    monitors: &MonitorSet,
-    handles: &[SwitchHandle],
-    sent: usize,
-    wall_ms: u64,
-) -> MediumReport {
-    let latency = latency_stats(driver, SteadyStateWindow::all());
+/// Reads a finished run out into the common report shape.
+fn read_out<D: Driver>(medium: &'static str, r: RunOutcome<D>, wall_ms: u64) -> MediumReport {
+    let latency = r.latency(SteadyStateWindow::all());
     MediumReport {
         medium,
-        sent,
-        deliveries: driver.deliveries().len(),
+        sent: r.driver.send_times().len(),
+        deliveries: r.driver.deliveries().len(),
         incomplete: latency.incomplete,
-        violations: monitors.finish(),
-        switches_min: handles.iter().map(|h| h.switches_completed()).min().unwrap_or(0),
-        aborts: handles.iter().map(|h| h.snapshot().aborted).sum(),
+        switches_min: r.handles.iter().map(|h| h.switches_completed()).min().unwrap_or(0),
+        aborts: r.handles.iter().map(|h| h.aborted()).sum(),
         latency,
-        events: driver.recorder().snapshot(),
-        overwritten: driver.recorder().overwritten(),
+        violations: r.violations,
+        events: r.events,
+        overwritten: r.overwritten,
         wall_ms,
     }
 }
 
-/// Runs the scenario on the simulated medium (the builder's default
-/// point-to-point network — a clean 100 µs wire, the closest simulated
-/// analogue of an idle loopback).
+/// Runs the scenario on the simulated medium.
 pub fn run_sim(cfg: &RealRunConfig) -> MediumReport {
-    let recorder = Recorder::with_capacity(cfg.ring_capacity);
-    let sampler = MetricsSampler::new(cfg.sample_interval.as_micros());
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
-    let (spec, handles) = build_spec(cfg, recorder, sampler);
-    let sent = spec.sends.len();
-
     let started = std::time::Instant::now();
-    let mut sim = GroupSimBuilder::from_spec(spec).build();
-    sim.run_until(cfg.horizon());
-    let wall_ms = started.elapsed().as_millis() as u64;
-
-    let handles = handles.lock().unwrap().clone();
-    read_out("simnet", &sim, &monitors, &handles, sent, wall_ms)
+    let r = scenario(cfg).run(cfg.horizon());
+    read_out("simnet", r, started.elapsed().as_millis() as u64)
 }
 
 /// Runs the *same* scenario over UDP loopback: real sockets, real OS
 /// threads, wall-clock time.
 pub fn run_real(cfg: &RealRunConfig) -> MediumReport {
-    let recorder = Recorder::with_capacity(cfg.ring_capacity);
-    let sampler = MetricsSampler::new(cfg.sample_interval.as_micros());
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
-    let (spec, handles) = build_spec(cfg, recorder, sampler);
-    let sent = spec.sends.len();
-
     let started = std::time::Instant::now();
-    let mut group = UdpGroup::launch(spec, NetConfig::default());
-    group.run_until(cfg.horizon());
-    let wall_ms = started.elapsed().as_millis() as u64;
-
-    let handles = handles.lock().unwrap().clone();
-    let report = read_out("udp-loopback", &group, &monitors, &handles, sent, wall_ms);
-    group.shutdown();
-    report
+    let r = scenario(cfg).run_udp(cfg.horizon());
+    read_out("udp-loopback", r, started.elapsed().as_millis() as u64)
 }
 
 /// Renders one medium's report. Rows whose values are host measurements
@@ -300,36 +236,35 @@ pub struct CompareResult {
 }
 
 impl CompareResult {
+    /// The deterministic fields as `(field, simnet, udp-loopback)`, in
+    /// report order.
+    fn deterministic(&self) -> Vec<(String, String, String)> {
+        let (s, r) = (&self.sim, &self.real);
+        let row = |field: &str, sim: usize, real: usize| {
+            (field.to_owned(), sim.to_string(), real.to_string())
+        };
+        let mut rows = vec![
+            row("messages sent", s.sent, r.sent),
+            row("deliveries (msg × receiver)", s.deliveries, r.deliveries),
+            row("incomplete messages", s.incomplete, r.incomplete),
+        ];
+        rows.extend(MONITOR_KINDS.iter().map(|&kind| {
+            let (sim, real) =
+                (verdict_str(s.violations_of(kind)), verdict_str(r.violations_of(kind)));
+            (format!("monitor: {}", kind.as_str()), sim, real)
+        }));
+        rows.push(row("switches completed", s.switches_min, r.switches_min));
+        rows.push(("switch aborts".to_owned(), s.aborts.to_string(), r.aborts.to_string()));
+        rows
+    }
+
     /// Deterministic-field divergences, one line each (empty = media
     /// agree everywhere they are required to).
     pub fn divergences(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut check = |field: &str, sim: String, real: String| {
-            if sim != real {
-                out.push(format!("{field}: simnet={sim} udp-loopback={real}"));
-            }
-        };
-        check("messages sent", self.sim.sent.to_string(), self.real.sent.to_string());
-        check("deliveries", self.sim.deliveries.to_string(), self.real.deliveries.to_string());
-        check(
-            "incomplete messages",
-            self.sim.incomplete.to_string(),
-            self.real.incomplete.to_string(),
-        );
-        for kind in MONITOR_KINDS {
-            check(
-                &format!("monitor: {}", kind.as_str()),
-                verdict_str(self.sim.violations_of(*kind)),
-                verdict_str(self.real.violations_of(*kind)),
-            );
-        }
-        check(
-            "switches completed",
-            self.sim.switches_min.to_string(),
-            self.real.switches_min.to_string(),
-        );
-        check("switch aborts", self.sim.aborts.to_string(), self.real.aborts.to_string());
-        out
+        let diverged = self.deterministic().into_iter().filter(|(_, sim, real)| sim != real);
+        diverged
+            .map(|(field, sim, real)| format!("{field}: simnet={sim} udp-loopback={real}"))
+            .collect()
     }
 
     /// Whether the media agree on every deterministic field.
@@ -351,22 +286,10 @@ pub fn render_compare(r: &CompareResult) -> Table {
         "real — sim vs udp-loopback (same seeded scenario, same stacks)",
         vec!["field", "simnet", "udp-loopback", "verdict"],
     );
-    let mut det = |field: &str, sim: String, real: String| {
+    for (field, sim, real) in r.deterministic() {
         let verdict = if sim == real { "match" } else { "DIVERGED" };
-        t.row(vec![field.into(), sim, real, verdict.into()]);
-    };
-    det("messages sent", r.sim.sent.to_string(), r.real.sent.to_string());
-    det("deliveries (msg × receiver)", r.sim.deliveries.to_string(), r.real.deliveries.to_string());
-    det("incomplete messages", r.sim.incomplete.to_string(), r.real.incomplete.to_string());
-    for kind in MONITOR_KINDS {
-        det(
-            &format!("monitor: {}", kind.as_str()),
-            verdict_str(r.sim.violations_of(*kind)),
-            verdict_str(r.real.violations_of(*kind)),
-        );
+        t.row(vec![field, sim, real, verdict.into()]);
     }
-    det("switches completed", r.sim.switches_min.to_string(), r.real.switches_min.to_string());
-    det("switch aborts", r.sim.aborts.to_string(), r.real.aborts.to_string());
 
     let ratio = |sim: SimTime, real: SimTime| -> String {
         if sim.as_micros() == 0 {
@@ -413,7 +336,7 @@ pub fn bench_jsonl(cfg: &RealRunConfig, r: &CompareResult) -> String {
         out.push_str(&format!(
             "{{\"group\":\"real_transport\",\"bench\":\"{}\",\"seed\":{},\"sent\":{},\"deliveries\":{},\"violations\":{},\"switches\":{},\"p50_us\":{},\"p99_us\":{},\"mean_us\":{},\"wall_ms\":{}}}\n",
             m.medium,
-            cfg.seed,
+            SEED,
             m.sent,
             m.deliveries,
             m.violations.len(),

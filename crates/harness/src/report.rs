@@ -2,6 +2,17 @@
 
 use std::fmt;
 
+/// One monitor verdict on one line: property, node, instant, detail.
+pub fn violation(v: &ps_obs::Violation) -> String {
+    format!("{} node {} at {}us: {}", v.kind.as_str(), v.node, v.at_us, v.detail)
+}
+
+/// Microseconds as milliseconds with three decimals (`1234` → `1.234`),
+/// the unit every report prints instants and durations in.
+pub fn ms(us: u64) -> String {
+    format!("{}.{:03}", us / 1000, us % 1000)
+}
+
 /// A simple aligned text table with a title, header row and data rows.
 ///
 /// # Examples

@@ -7,24 +7,21 @@
 //!   `trace_event` file (`--trace out.json --trace-format chrome`);
 //! * the per-process switch-phase timeline table — the paper's §7
 //!   switching-overhead measurement, but read back out of the recorder
-//!   instead of the live [`SwitchHandle`] counters (the two must agree;
+//!   instead of the live [`ps_core::SwitchHandle`] counters (the two must agree;
 //!   `tests/obs_props.rs` checks that they do).
 //!
 //! Everything is virtual-time deterministic: two runs with the same seed
 //! export byte-identical files, serial or under the parallel sweep runner.
 
-use crate::report::Table;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle,
-    SwitchVariant,
-};
-use ps_obs::{export, Recorder, SwitchInterval, TimedEvent};
-use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::GroupSimBuilder;
-use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use crate::report::{ms, Table};
+use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
+use ps_core::{SwitchConfig, SwitchVariant};
+use ps_obs::export;
+use ps_simnet::SimTime;
+use ps_workload::TrafficSpec;
+
+/// Message body size.
+const BODY_BYTES: usize = 512;
 
 /// Output format for the exported trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,16 +53,12 @@ pub struct TraceRunConfig {
     pub senders: u16,
     /// Per-sender rate (msg/s).
     pub rate: f64,
-    /// Message body size.
-    pub body_bytes: usize,
     /// When the forward (0→1) switch fires.
     pub switch_at: SimTime,
     /// When the reverse (1→0) switch fires.
     pub switch_back_at: SimTime,
     /// Workload end.
     pub end: SimTime,
-    /// Recorder ring capacity (events kept; oldest evicted beyond this).
-    pub ring_capacity: usize,
     /// Seed.
     pub seed: u64,
 }
@@ -76,11 +69,9 @@ impl Default for TraceRunConfig {
             group: 6,
             senders: 3,
             rate: 40.0,
-            body_bytes: 512,
             switch_at: SimTime::from_millis(600),
             switch_back_at: SimTime::from_millis(1400),
             end: SimTime::from_secs(2),
-            ring_capacity: 1 << 18,
             seed: 0x0B5,
         }
     }
@@ -96,74 +87,39 @@ impl TraceRunConfig {
             switch_at: SimTime::from_millis(300),
             switch_back_at: SimTime::from_millis(700),
             end: SimTime::from_secs(1),
-            ring_capacity: 1 << 16,
             ..Self::default()
         }
     }
 }
 
-/// Result of a traced run: the recorded events plus both views of the
-/// switch phases (recorder timeline and live handles).
-#[derive(Debug)]
-pub struct TraceRunResult {
-    /// Every event that survived in the ring, oldest first.
-    pub events: Vec<TimedEvent>,
-    /// Events evicted because the ring filled (0 = complete trace).
-    pub overwritten: u64,
-    /// Per-process switch intervals reconstructed from the events.
-    pub timeline: Vec<SwitchInterval>,
-    /// The live per-process switch handles, for cross-checking.
-    pub handles: Vec<SwitchHandle>,
-}
-
 /// Runs the instrumented switch scenario.
-pub fn run(cfg: &TraceRunConfig) -> TraceRunResult {
-    let recorder = Recorder::with_capacity(cfg.ring_capacity);
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
-    let plan = vec![(cfg.switch_at, 1), (cfg.switch_back_at, 0)];
-    let spec = WorkloadSpec {
-        rate_per_sender: cfg.rate,
-        body_bytes: cfg.body_bytes,
-        start: SimTime::from_millis(100),
+pub fn run(cfg: &TraceRunConfig) -> RunOutcome {
+    let traffic = TrafficSpec {
+        group: cfg.group,
+        senders: cfg.senders,
+        rate: cfg.rate,
+        body_bytes: BODY_BYTES,
         end: cfg.end,
         seed: cfg.seed,
-        ..WorkloadSpec::for_group(cfg.group, cfg.senders)
+        ..TrafficSpec::default()
     };
-    let mut b = GroupSimBuilder::new(cfg.group)
-        .seed(cfg.seed ^ 0x7ace)
-        .medium(Box::new(SharedBus::new(EthernetConfig::default())))
-        .recorder(recorder.clone())
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(ManualOracle::new(plan.clone()))
-            } else {
-                Box::new(NeverOracle)
-            };
-            let sw_cfg = SwitchConfig {
-                variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
-                observe_interval: SimTime::from_millis(20),
-                ..SwitchConfig::default()
-            };
-            let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-            h2.borrow_mut().push(handle);
-            stack
-        });
-    b = b.sends(periodic_senders(&spec));
-    let mut sim = b.build();
-    sim.run_until(cfg.end + SimTime::from_secs(1));
-
-    let events = sim.recorder().snapshot();
-    let overwritten = sim.recorder().overwritten();
-    let timeline = ps_obs::switch_timeline(&events);
-    let handles = handles.borrow().clone();
-    TraceRunResult { events, overwritten, timeline, handles }
+    let switch = SwitchConfig {
+        variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
+        observe_interval: SimTime::from_millis(20),
+        ..SwitchConfig::default()
+    };
+    let plan = vec![(cfg.switch_at, 1), (cfg.switch_back_at, 0)];
+    Scenario::new(cfg.group, cfg.seed ^ 0x7ace)
+        .hybrid(Proto::Seq(0), Proto::Token(SimTime::from_millis(1)), switch, Policy::Manual(plan))
+        .traffic(traffic.generate())
+        .watch(SimTime::from_millis(500))
+        .run(cfg.end + SimTime::from_secs(1))
 }
 
 /// Exports the recorded events in the requested format. Both formats
 /// carry the ring's eviction count, so downstream tooling (`trace_lint`)
 /// can tell a complete trace from a wrapped one.
-pub fn export(result: &TraceRunResult, format: TraceFormat) -> String {
+pub fn export(result: &RunOutcome, format: TraceFormat) -> String {
     match format {
         TraceFormat::Jsonl => export::to_jsonl_with(&result.events, result.overwritten),
         TraceFormat::Chrome => export::to_chrome_with(&result.events, result.overwritten),
@@ -172,7 +128,7 @@ pub fn export(result: &TraceRunResult, format: TraceFormat) -> String {
 
 /// Renders the per-process switch-phase timeline — §7's overhead
 /// measurement as a view over the recorder.
-pub fn render_timeline(result: &TraceRunResult) -> Table {
+pub fn render_timeline(result: &RunOutcome) -> Table {
     let mut t = Table::new(
         "trace — per-process switch-phase timeline (from the event recorder)",
         vec![
@@ -185,9 +141,8 @@ pub fn render_timeline(result: &TraceRunResult) -> Table {
             "duration (ms)",
         ],
     );
-    let ms = |us: u64| format!("{}.{:03}", us / 1000, us % 1000);
     let opt = |v: Option<u64>| v.map_or_else(|| "-".to_owned(), ms);
-    for iv in &result.timeline {
+    for iv in &ps_obs::switch_timeline(&result.events) {
         t.row(vec![
             iv.node.to_string(),
             format!("{} → {}", iv.from, iv.to),
@@ -201,7 +156,7 @@ pub fn render_timeline(result: &TraceRunResult) -> Table {
     t.note("duration = PREPARE seen → flip, per process; matches SwitchRecord::duration()");
     if result.overwritten > 0 {
         t.note(format!(
-            "ring overflowed: {} oldest events evicted — raise ring_capacity for a full trace",
+            "ring overflowed: {} oldest events evicted — shorten the run for a full trace",
             result.overwritten
         ));
     }
@@ -217,9 +172,11 @@ mod tests {
         let cfg = TraceRunConfig::quick();
         let r = run(&cfg);
         assert_eq!(r.overwritten, 0, "quick run must fit in the ring");
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
         // Every process completed the forward and the reverse switch.
-        let complete = r.timeline.iter().filter(|iv| iv.flip_at_us.is_some()).count();
-        assert_eq!(complete, usize::from(cfg.group) * 2, "{:?}", r.timeline);
+        let timeline = ps_obs::switch_timeline(&r.events);
+        let complete = timeline.iter().filter(|iv| iv.flip_at_us.is_some()).count();
+        assert_eq!(complete, usize::from(cfg.group) * 2, "{timeline:?}");
         ps_obs::check_well_nested(&r.events).expect("switch phases well-nested");
     }
 
@@ -253,6 +210,6 @@ mod tests {
     fn timeline_table_has_a_row_per_completed_switch() {
         let r = run(&TraceRunConfig::quick());
         let t = render_timeline(&r);
-        assert_eq!(t.len(), r.timeline.len());
+        assert_eq!(t.len(), ps_obs::switch_timeline(&r.events).len());
     }
 }

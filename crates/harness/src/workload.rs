@@ -1,149 +1,62 @@
-//! Workload generators — the paper's "subgroup of varying size is sending
-//! 50 messages per second per member".
-
-use ps_bytes::Bytes;
-use ps_simnet::{DetRng, SimTime};
-use ps_trace::ProcessId;
-
-/// A message workload over a group.
-#[derive(Debug, Clone)]
-pub struct WorkloadSpec {
-    /// The processes that send.
-    pub senders: Vec<ProcessId>,
-    /// Per-sender message rate (messages per second).
-    pub rate_per_sender: f64,
-    /// Message body size in bytes.
-    pub body_bytes: usize,
-    /// Workload start time.
-    pub start: SimTime,
-    /// Workload end time.
-    pub end: SimTime,
-    /// Seed for jitter/interarrival draws.
-    pub seed: u64,
-}
-
-impl Default for WorkloadSpec {
-    fn default() -> Self {
-        Self {
-            senders: vec![ProcessId(1)],
-            rate_per_sender: 50.0,
-            body_bytes: 1024,
-            start: SimTime::from_millis(100),
-            end: SimTime::from_secs(5),
-            seed: 1,
-        }
-    }
-}
-
-impl WorkloadSpec {
-    /// The paper's Figure-2 arrangement: `k` active senders out of a group
-    /// of `n`, chosen as the *last* `k` members so the sequencer (process
-    /// 0) only joins the sending subgroup when everyone sends.
-    pub fn for_group(n: u16, k: u16) -> Self {
-        assert!(k <= n, "cannot have more senders than members");
-        Self { senders: (n - k..n).map(ProcessId).collect(), ..Self::default() }
-    }
-}
-
-fn body(spec: &WorkloadSpec, sender: ProcessId, k: u64) -> Bytes {
-    let mut b = vec![0u8; spec.body_bytes.max(8)];
-    b[..2].copy_from_slice(&sender.0.to_le_bytes());
-    b[2..8].copy_from_slice(&k.to_le_bytes()[..6]);
-    Bytes::from(b)
-}
-
-/// Jittered-periodic senders: every sender emits at its configured rate,
-/// each interval jittered ±25% so senders do not phase-lock.
-pub fn periodic_senders(spec: &WorkloadSpec) -> Vec<(SimTime, ProcessId, Bytes)> {
-    let rng = DetRng::new(spec.seed);
-    let mut out = Vec::new();
-    let interval = SimTime::from_secs_f64(1.0 / spec.rate_per_sender);
-    for &sender in &spec.senders {
-        let mut rng = rng.fork(u64::from(sender.0));
-        // Random initial phase avoids synchronized bursts.
-        let mut t = spec.start + rng.jitter(interval);
-        let mut k = 0u64;
-        while t < spec.end {
-            out.push((t, sender, body(spec, sender, k)));
-            k += 1;
-            let jitter_range = interval.as_micros() / 2;
-            let base = interval.as_micros() - jitter_range / 2;
-            t += SimTime::from_micros(base + rng.below(jitter_range.max(1)));
-        }
-    }
-    out.sort_by_key(|&(t, p, _)| (t, p));
-    out
-}
-
-/// Poisson senders: exponential interarrivals at the configured rate.
-pub fn poisson_senders(spec: &WorkloadSpec) -> Vec<(SimTime, ProcessId, Bytes)> {
-    let rng = DetRng::new(spec.seed);
-    let mut out = Vec::new();
-    let mean = SimTime::from_secs_f64(1.0 / spec.rate_per_sender);
-    for &sender in &spec.senders {
-        let mut rng = rng.fork(0x9000 | u64::from(sender.0));
-        let mut t = spec.start + rng.exp_time(mean);
-        let mut k = 0u64;
-        while t < spec.end {
-            out.push((t, sender, body(spec, sender, k)));
-            k += 1;
-            t += rng.exp_time(mean);
-        }
-    }
-    out.sort_by_key(|&(t, p, _)| (t, p));
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! Checks on the steady workload the harness experiments send: the
+    //! paper's "subgroup of varying size is sending 50 messages per second
+    //! per member", drawn from [`ps_workload::TrafficSpec`] with
+    //! [`ps_workload::Profile::Steady`].
 
-    fn spec(active: u16, rate: f64) -> WorkloadSpec {
-        WorkloadSpec {
-            rate_per_sender: rate,
+    use ps_bytes::Bytes;
+    use ps_simnet::SimTime;
+    use ps_trace::ProcessId;
+    use ps_workload::TrafficSpec;
+
+    /// `active` of ten members sending at `rate` from 100 ms to 10 s.
+    fn spec(active: u16, rate: f64) -> TrafficSpec {
+        TrafficSpec {
+            group: 10,
+            senders: active,
+            rate,
+            body_bytes: 1024,
+            start: SimTime::from_millis(100),
             end: SimTime::from_secs(10),
-            ..WorkloadSpec::for_group(10, active)
+            seed: 1,
+            ..TrafficSpec::default()
         }
+    }
+
+    fn sends(spec: &TrafficSpec) -> Vec<(SimTime, ProcessId, Bytes)> {
+        spec.generate().into_sends().collect()
     }
 
     #[test]
     fn periodic_rate_is_close() {
         let s = spec(4, 50.0);
-        let sends = periodic_senders(&s);
+        let sends = sends(&s);
         let expected = 4.0 * 50.0 * 9.9; // ~9.9 s of workload
         let got = sends.len() as f64;
         assert!((got - expected).abs() / expected < 0.05, "got {got}, expected ~{expected}");
     }
 
     #[test]
-    fn poisson_rate_is_close() {
-        let s = spec(6, 50.0);
-        let sends = poisson_senders(&s);
-        let expected = 6.0 * 50.0 * 9.9;
-        let got = sends.len() as f64;
-        assert!((got - expected).abs() / expected < 0.1, "got {got}, expected ~{expected}");
-    }
-
-    #[test]
     fn senders_are_the_last_k_members() {
         let s = spec(3, 10.0);
-        for (_, p, _) in periodic_senders(&s) {
+        for (_, p, _) in sends(&s) {
             assert!((7..10).contains(&p.0));
         }
-        assert_eq!(WorkloadSpec::for_group(10, 10).senders.len(), 10);
+        assert_eq!(spec(10, 10.0).sender_set().len(), 10);
     }
 
     #[test]
     #[should_panic(expected = "more senders")]
     fn oversized_subgroup_rejected() {
-        let _ = WorkloadSpec::for_group(3, 4);
+        let _ = TrafficSpec { group: 3, senders: 4, ..TrafficSpec::default() }.sender_set();
     }
 
     #[test]
     fn output_is_sorted_and_deterministic() {
         let s = spec(5, 20.0);
-        let a = periodic_senders(&s);
-        let b = periodic_senders(&s);
+        let a = sends(&s);
+        let b = sends(&s);
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0].0 <= w[1].0));
     }
@@ -151,7 +64,7 @@ mod tests {
     #[test]
     fn bodies_are_distinct_per_message() {
         let s = spec(2, 30.0);
-        let sends = periodic_senders(&s);
+        let sends = sends(&s);
         let mut bodies: Vec<&Bytes> = sends.iter().map(|(_, _, b)| b).collect();
         bodies.sort();
         let before = bodies.len();

@@ -3,6 +3,7 @@
 //! roughly what factor, and where the crossover falls.
 
 use ps_harness::experiments::{fig2, oscillation, overhead, table1, table2};
+use ps_harness::ledger::fnv1a;
 use ps_simnet::SimTime;
 
 fn small_fig2() -> fig2::Fig2Config {
@@ -77,12 +78,7 @@ fn table1_every_property_demonstrated() {
 
 #[test]
 fn overhead_is_bounded_and_direction_sensitive() {
-    let cfg = overhead::OverheadConfig {
-        senders: vec![4],
-        end: SimTime::from_secs(3),
-        ..overhead::OverheadConfig::default()
-    };
-    let r = overhead::run(&cfg);
+    let r = overhead::run(&overhead::OverheadConfig { senders: vec![4] });
     assert_eq!(r.costs.len(), 2, "both directions must complete");
     for c in &r.costs {
         assert!(c.max_duration > SimTime::ZERO);
@@ -118,6 +114,21 @@ fn oscillation_damped_by_hysteresis() {
         damped.switches
     );
     assert!(aggressive.switches >= 3, "aggressive policy must oscillate");
+    // The quick render, digest recorded before runs went through
+    // `ps_harness::scenario`.
+    let render = oscillation::render(&r).to_string();
+    assert_eq!(
+        fnv1a(render.as_bytes()),
+        0x70807f379579c8f0,
+        "oscillation --quick moved:\n{render}"
+    );
+}
+
+#[test]
+fn overhead_quick_render_is_pinned() {
+    // Digest recorded before runs went through `ps_harness::scenario`.
+    let render = overhead::render(&overhead::run(&overhead::OverheadConfig::quick())).to_string();
+    assert_eq!(fnv1a(render.as_bytes()), 0x5bd80ee9b2f89958, "overhead --quick moved:\n{render}");
 }
 
 #[test]

@@ -18,7 +18,6 @@ fn cfg_from(seed: u64, senders: u16, gap_ms: u64) -> TraceRunConfig {
         switch_back_at: SimTime::from_millis(300 + gap_ms),
         end: SimTime::from_millis(300 + gap_ms + 400),
         seed,
-        ..TraceRunConfig::quick()
     }
 }
 

@@ -177,8 +177,7 @@ impl Segment {
 }
 
 /// Message body: sender id (2 bytes LE) + per-phase counter (6 bytes LE),
-/// zero-padded to `body_bytes` — the same framing the harness workloads
-/// have used since PR 1, so bodies stay distinct and debuggable.
+/// zero-padded to `body_bytes`, so bodies stay distinct and debuggable.
 fn body(body_bytes: usize, sender: ProcessId, k: u64) -> Bytes {
     let mut b = vec![0u8; body_bytes.max(8)];
     b[..2].copy_from_slice(&sender.0.to_le_bytes());
@@ -188,8 +187,9 @@ fn body(body_bytes: usize, sender: ProcessId, k: u64) -> Bytes {
 
 /// Walks one sender's segments with its private RNG stream, emitting
 /// jittered-periodic sends (interval jittered ±25% so senders never
-/// phase-lock; a fresh phase draw at each segment entry). Draw-for-draw
-/// identical to the harness's `periodic_senders` on a single segment.
+/// phase-lock; a fresh phase draw at each segment entry). On a single
+/// segment this is the generator behind every steady harness workload:
+/// Figure 2, the §7 runs, the traced run and the sim-vs-real scenario.
 fn walk(
     out: &mut Vec<SendEvent>,
     rng: &mut DetRng,

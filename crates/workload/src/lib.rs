@@ -17,9 +17,9 @@
 //!   linearly (within jitter tolerance), so one knob sweeps a profile
 //!   from smoke test to stress run.
 //!
-//! The steady shape is draw-for-draw the jittered-periodic generator the
-//! harness has used since PR 1, so schedules compose with (and reproduce)
-//! the existing experiments' traffic.
+//! The steady shape is the jittered-periodic walker every steady harness
+//! experiment runs (Figure 2, the §7 runs, the traced run), so schedules
+//! compose with — and reproduce — the experiments' traffic.
 //!
 //! # Examples
 //!

@@ -7,8 +7,8 @@
 //! cargo run --release --example adaptive_total_order
 //! ```
 
-use protocol_switching::harness::workload::{periodic_senders, WorkloadSpec};
 use protocol_switching::prelude::*;
+use protocol_switching::workload::TrafficSpec;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -41,15 +41,17 @@ fn main() {
     // Load profile: 2 senders → 8 senders → 2 senders, 1.5 s each phase.
     let phases = [(0u64, 2u16), (1_500, 8), (3_000, 2)];
     for (start_ms, k) in phases {
-        let spec = WorkloadSpec {
-            rate_per_sender: 50.0,
+        let spec = TrafficSpec {
+            group: n,
+            senders: k,
+            rate: 50.0,
             body_bytes: 1024,
             start: SimTime::from_millis(100 + start_ms),
             end: SimTime::from_millis(100 + start_ms + 1_500),
             seed: start_ms ^ 0xAD,
-            ..WorkloadSpec::for_group(n, k)
+            ..TrafficSpec::default()
         };
-        builder = builder.sends(periodic_senders(&spec));
+        builder = builder.sends(spec.generate().into_sends());
     }
 
     let mut sim = builder.build();

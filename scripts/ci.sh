@@ -80,6 +80,23 @@ echo "==> size: non-test source lines and pub items per crate (informational)"
 # is printed for the log and never fails the gate.
 scripts/size.sh || true
 
+echo "==> size ceiling: ps-harness stays scenarios plus renderers (offline)"
+# One crate is gated: every harness run goes through one scenario builder
+# (`ps_harness::scenario`), so a module that assembles its runs by hand
+# again, or a config that grows fields every run sets alike, shows up as
+# lines and pub items over these. Lower them when the crate shrinks;
+# raising them needs a reason in the same commit.
+size_ceiling() {
+    scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
+        $1 == crate {
+            printf "   %s %d lines (ceiling %d), %d pub (ceiling %d)\n", crate, $2, lines, $3, pubs
+            found = 1
+            over = ($2 + 0 > lines + 0 || $3 + 0 > pubs + 0)
+        }
+        END { exit (found && !over) ? 0 : 1 }'
+}
+size_ceiling ps-harness 4697 321
+
 echo "==> trace smoke: repro --trace emits valid, reproducible files (offline)"
 # The instrumented repro run must (a) produce traces that parse as JSON in
 # both formats, and (b) be byte-identical across same-seed invocations,

@@ -1,8 +1,8 @@
 //! Seed-replayability regression tests: the whole point of the std-only
 //! RNG swap is that a `(seed, config)` pair still pins down one exact
 //! simulated execution. These tests freeze that contract end to end —
-//! from the Poisson workload generator through the medium jitter to the
-//! delivered application trace.
+//! from the jittered-periodic workload generator through the medium
+//! jitter to the delivered application trace.
 
 use ps_harness::experiments::fig2::{run_point, Fig2Config, Series};
 use ps_simnet::SimTime;
@@ -14,13 +14,12 @@ fn small_cfg(seed: u64) -> Fig2Config {
         warmup: SimTime::from_millis(100),
         measure: SimTime::from_millis(400),
         seed,
-        ..Fig2Config::default()
     }
 }
 
 fn run(series: Series, seed: u64) -> (String, u64, u64) {
     let cfg = small_cfg(seed);
-    let (mut sim, _) = run_point(&cfg, series, 2);
+    let mut sim = run_point(&cfg, series, 2).driver;
     sim.run_until(SimTime::from_secs(2));
     let stats = sim.net_stats();
     (sim.app_trace().to_string(), stats.frames_sent, stats.events_processed)
@@ -38,8 +37,9 @@ fn same_seed_gives_identical_traces_across_all_series() {
 
 #[test]
 fn different_seeds_give_different_executions() {
-    // Weak sanity check on the inverse direction: with Poisson arrivals
-    // and jittered media, two seeds virtually never schedule identically.
+    // Weak sanity check on the inverse direction: with jittered send
+    // intervals and jittered media, two seeds virtually never schedule
+    // identically.
     let a = run(Series::ALL[0], 1);
     let b = run(Series::ALL[0], 2);
     assert_ne!(a, b);
