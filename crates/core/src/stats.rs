@@ -1,7 +1,7 @@
 //! Observable switching-protocol state, shared out of the layer through a
 //! cheap clonable handle. The handle is `Arc<Mutex<..>>`, not `Rc`: the
 //! parallel sweep runner reads handles from worker threads, and `Layer`
-//! itself is `Send` so stacks can run on real threads (`ps-rt`). Reads are
+//! itself is `Send` so stacks can run on real threads (`ps-net`). Reads are
 //! poison-proof — the stats are plain counters, valid after any panic.
 //! The one counter that moves per message, `delivered`, sits beside the
 //! mutex in an atomic and is folded in when a snapshot is taken.

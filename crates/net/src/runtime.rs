@@ -1,9 +1,9 @@
 //! The UDP-loopback group runtime: one OS thread + one socket per process.
 //!
-//! Structure mirrors `ps_rt`'s in-memory runtime — staged environment
-//! effects, a due-heap for timers and scheduled workload, wall-clock time
-//! mapped onto [`SimTime`] microseconds from a shared epoch — but frames
-//! leave the process as real datagrams (`dgram` module) and arrive
+//! Each node thread stages its stack's effects and applies them after the
+//! call, keeps a due-heap for timers and scheduled workload, and maps
+//! wall-clock time onto [`SimTime`] microseconds from a shared epoch.
+//! Frames leave the process as real datagrams (`dgram` module) and arrive
 //! through `recv_from`, and the run records into `ps-obs` exactly like a
 //! simulated run: `AppSend`/`AppDeliver`/`FrameSend`/`FrameDeliver`/
 //! `TimerFire` events with wall-clock `at_us`, monitors and the
@@ -28,9 +28,6 @@ pub struct NetConfig {
     /// Address the per-process sockets bind on (port 0 = OS-assigned).
     /// Loopback by default; the driver never leaves the host.
     pub bind_addr: &'static str,
-    /// Upper bound on one receive wait — the granularity at which idle
-    /// node threads re-check timers and the stop flag.
-    pub max_wait: Duration,
     /// Largest acceptable datagram. Sending a larger frame panics the
     /// sender thread rather than silently truncating on the wire; the
     /// receive buffer is this size too, so a larger datagram from
@@ -41,9 +38,13 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self { bind_addr: "127.0.0.1:0", max_wait: Duration::from_millis(5), max_datagram: 60_000 }
+        Self { bind_addr: "127.0.0.1:0", max_datagram: 60_000 }
     }
 }
+
+/// Upper bound on one receive wait — the granularity at which idle node
+/// threads re-check timers and the stop flag.
+const MAX_WAIT: Duration = Duration::from_millis(5);
 
 /// Everything a finished run produced (beyond the [`Driver`] accessors).
 #[derive(Debug, Clone)]
@@ -88,7 +89,7 @@ impl Ord for Due {
 }
 
 /// The stack's environment inside a node thread. Emissions are staged and
-/// applied after each stack call, mirroring both other runtimes.
+/// applied after each stack call, as in the simulated runtime.
 struct NetEnv<'a> {
     me: ProcessId,
     group: &'a [ProcessId],
@@ -238,8 +239,7 @@ impl NodeThread {
                     Cast::To(p) => d == p,
                 };
                 if hears {
-                    // A peer that already shut its socket is fine to ignore —
-                    // same stance as the in-memory runtime on disappeared peers.
+                    // A peer that already shut its socket is fine to ignore.
                     let _ = self.socket.send_to(&wire, self.peers[d.index()]);
                 }
             }
@@ -331,8 +331,8 @@ impl NodeThread {
                 .heap
                 .peek()
                 .map(|d| d.0 .0.saturating_duration_since(Instant::now()))
-                .unwrap_or(self.cfg.max_wait)
-                .clamp(Duration::from_micros(200), self.cfg.max_wait);
+                .unwrap_or(MAX_WAIT)
+                .clamp(Duration::from_micros(200), MAX_WAIT);
             self.socket.set_read_timeout(Some(wait)).expect("set_read_timeout");
             match self.socket.recv_from(&mut buf) {
                 Ok((n, _addr)) => match dgram::decode(&buf[..n]) {

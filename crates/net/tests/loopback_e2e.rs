@@ -5,7 +5,8 @@
 //! This is the tentpole claim in executable form: no `Layer` knows which
 //! medium it is on. The same `hybrid_total_order` constructor the
 //! simulator runs is handed to `UdpGroup` via a `GroupSpec`, and total
-//! order must hold across the switch on a real wire.
+//! order must hold across the switch on a real wire, for a pair and for a
+//! group of four.
 
 use ps_core::{hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle};
 use ps_net::{NetConfig, UdpGroup};
@@ -18,7 +19,15 @@ use std::sync::{Arc, Mutex};
 
 #[test]
 fn hybrid_switch_over_loopback_keeps_total_order_and_monitors_clean() {
-    let n: u16 = 2;
+    hybrid_switch_over_loopback(2);
+}
+
+#[test]
+fn hybrid_switch_over_loopback_with_four_processes() {
+    hybrid_switch_over_loopback(4);
+}
+
+fn hybrid_switch_over_loopback(n: u16) {
     let rec = Recorder::with_capacity(16 * 1024);
     // Generous liveness bound: wall-clock switch latency includes OS
     // scheduling, not just protocol rounds.
@@ -58,10 +67,9 @@ fn hybrid_switch_over_loopback_keeps_total_order_and_monitors_clean() {
 
     assert_eq!(report.malformed_per_process.iter().sum::<usize>(), 0, "every datagram must decode");
 
-    let members = [ProcessId(0), ProcessId(1)];
     assert_eq!(trace.sent_ids().len(), 12);
     assert!(
-        Reliability::new(members).holds(&trace),
+        Reliability::new((0..n).map(ProcessId)).holds(&trace),
         "all 12 messages delivered everywhere:\n{trace}"
     );
     assert!(
@@ -71,8 +79,11 @@ fn hybrid_switch_over_loopback_keeps_total_order_and_monitors_clean() {
 
     // The switch actually happened on every process (not a trivial pass
     // where the oracle never fired).
-    for handle in handles.lock().unwrap().iter() {
+    let handles = handles.lock().unwrap();
+    assert_eq!(handles.len(), usize::from(n));
+    for handle in handles.iter() {
         let stats = handle.snapshot();
+        assert_eq!(stats.records.len(), 1, "exactly one switch completed");
         assert_eq!(stats.current, 1, "process still on the sequencer protocol");
         assert!(!stats.switching, "switch left dangling");
         assert_eq!(stats.aborted, 0, "switch aborted on loopback");

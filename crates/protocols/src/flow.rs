@@ -207,7 +207,7 @@ impl Layer for CreditControlLayer {
 mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
-    use ps_stack::{GroupSimBuilder, Stack};
+    use ps_stack::{Driver, GroupSimBuilder, Stack};
     use ps_trace::props::{NoReplay, Property, Reliability};
 
     #[test]

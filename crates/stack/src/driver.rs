@@ -10,9 +10,7 @@
 //!   deterministic discrete-event simulator (`ps-simnet`) — build it with
 //!   [`GroupSimBuilder::from_spec`](crate::GroupSimBuilder::from_spec);
 //! * `ps_net::UdpGroup` runs the *identical* spec over real UDP sockets
-//!   between OS threads, one per process;
-//! * `ps_rt::RtGroup` predates the trait and keeps its channel-based API,
-//!   but follows the same contract.
+//!   between OS threads, one per process.
 //!
 //! The point of the split is the paper's own claim: protocol switching
 //! exploits meta-properties of the *stack*, not of the simulator. Because

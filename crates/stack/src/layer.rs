@@ -89,7 +89,7 @@ impl IdGen {
 ///   counter and ignore stale firings.
 ///
 /// Layers must be deterministic given their inputs and [`LayerCtx::rng`],
-/// and `Send` so stacks can run on real threads (`ps-rt`) as well as in
+/// and `Send` so stacks can run on real threads (`ps-net`) as well as in
 /// the simulator.
 pub trait Layer: Send {
     /// Short name for diagnostics ("fifo", "seq-order", …).

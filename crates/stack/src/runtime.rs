@@ -458,25 +458,6 @@ impl GroupSim {
         }
         out
     }
-
-    /// Mean latency from send to delivery, over all (message, receiver)
-    /// pairs that completed; `None` if nothing was delivered.
-    pub fn mean_delivery_latency(&self) -> Option<SimTime> {
-        let sends = self.send_times();
-        let mut total: u64 = 0;
-        let mut count: u64 = 0;
-        for d in self.deliveries() {
-            if let Some(&sent) = sends.get(&d.msg) {
-                total += d.at.saturating_sub(sent).as_micros();
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(SimTime::from_micros(total / count))
-        }
-    }
 }
 
 impl crate::Driver for GroupSim {
@@ -501,14 +482,12 @@ impl crate::Driver for GroupSim {
     fn recorder(&self) -> &ps_obs::Recorder {
         GroupSim::recorder(self)
     }
-    fn mean_delivery_latency(&self) -> Option<SimTime> {
-        GroupSim::mean_delivery_latency(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Driver;
     use ps_trace::props::{Property, Reliability};
 
     fn passthrough(n: u16) -> GroupSimBuilder {

@@ -44,10 +44,10 @@ pub trait StackEnv {
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32);
     /// The live recording session, or `None` when observability is off.
     ///
-    /// The default keeps every existing environment (tests, `ps-rt`)
-    /// observability-free; the simulator runtime forwards the session its
-    /// engine event opened on the recorder the sim was configured with
-    /// (see [`ps_obs::Recorder::writer`] for what that excludes).
+    /// The default keeps test environments observability-free; the
+    /// simulator runtime forwards the session its engine event opened on
+    /// the recorder the sim was configured with (see
+    /// [`ps_obs::Recorder::writer`] for what that excludes).
     fn obs(&self) -> Option<&Writer<'_>> {
         None
     }
@@ -58,8 +58,8 @@ pub trait StackEnv {
         CauseId::NONE
     }
     /// Replaces the causal context, returning the previous one. The
-    /// default is a no-op so observability-free environments (tests,
-    /// `ps-rt`) pay nothing.
+    /// default is a no-op so observability-free test environments pay
+    /// nothing.
     fn set_cause(&mut self, cause: CauseId) -> CauseId {
         let _ = cause;
         CauseId::NONE

@@ -80,12 +80,15 @@ echo "==> size: non-test source lines and pub items per crate (informational)"
 # is printed for the log and never fails the gate.
 scripts/size.sh || true
 
-echo "==> size ceiling: ps-harness stays scenarios plus renderers (offline)"
-# One crate is gated: every harness run goes through one scenario builder
+echo "==> size ceilings: ps-harness, ps-net and the workspace stay as small as they got (offline)"
+# Every harness run goes through one scenario builder
 # (`ps_harness::scenario`), so a module that assembles its runs by hand
 # again, or a config that grows fields every run sets alike, shows up as
-# lines and pub items over these. Lower them when the crate shrinks;
-# raising them needs a reason in the same commit.
+# lines and pub items over the ps-harness row. ps-net is the one node loop
+# that runs a stack on OS threads: a second real-time runtime beside it,
+# or a transport option only a test sets, lands over the ps-net or the
+# total row. Lower them when a crate shrinks; raising them needs a reason
+# in the same commit.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -96,6 +99,8 @@ size_ceiling() {
         END { exit (found && !over) ? 0 : 1 }'
 }
 size_ceiling ps-harness 4697 321
+size_ceiling ps-net 717 16
+size_ceiling total 22567 1401
 
 echo "==> trace smoke: repro --trace emits valid, reproducible files (offline)"
 # The instrumented repro run must (a) produce traces that parse as JSON in
@@ -275,6 +280,12 @@ diff target/ci-real/a.det target/ci-real/b.det
 cargo run --release -q --bin trace_lint -- \
     target/ci-real/sim-a.jsonl target/ci-real/real-a.jsonl
 diff target/ci-real/sim-a.jsonl target/ci-real/sim-b.jsonl
+
+echo "==> real_time example: the hybrid stack switches live on four threads over loopback (offline)"
+# The one example on a real medium. It asserts total order and
+# reliability across the switch and exits non-zero if either breaks;
+# `cargo test` only compiles it.
+cargo run --release -q --example real_time > /dev/null
 
 echo "==> end-to-end benchmark smoke: builds against the current API, every rep correct (offline)"
 # The benchmark package sits outside the workspace (its own Cargo.lock,

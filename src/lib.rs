@@ -17,8 +17,7 @@
 //! | [`trace`] | `ps-trace` | traces, the Table-1 properties, the six meta-properties, the Table-2 checker |
 //! | [`simnet`] | `ps-simnet` | deterministic discrete-event network simulator (shared-Ethernet model, fault injection) |
 //! | [`wire`] | `ps-wire` | binary codec and header framing |
-//! | [`rt`] | `ps-rt` | real-time runtime: the same stacks on OS threads |
-//! | [`net`] | `ps-net` | real transport: the same stacks over UDP loopback sockets, recorded for sim-vs-real diffing |
+//! | [`net`] | `ps-net` | real transport: the same stacks on OS threads over UDP loopback sockets, recorded for sim-vs-real diffing |
 //! | [`obs`] | `ps-obs` | structured tracing: ring-buffer recorder, latency histograms, JSON-lines / Chrome-trace exporters |
 //! | [`prof`] | `ps-prof` | in-engine host-time profiler: RAII span stacks, cost tables, collapsed-stack flamegraphs |
 //! | [`workload`] | `ps-workload` | seeded traffic-profile generator: typed profiles, deterministic schedules, byte-stable manifests |
@@ -62,7 +61,6 @@ pub use ps_net as net;
 pub use ps_obs as obs;
 pub use ps_prof as prof;
 pub use ps_protocols as protocols;
-pub use ps_rt as rt;
 pub use ps_simnet as simnet;
 pub use ps_stack as stack;
 pub use ps_trace as trace;
