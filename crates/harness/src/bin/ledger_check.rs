@@ -13,8 +13,8 @@
 //! `profile` rows carry host timings; their structural metrics still
 //! compare, the embedded nanosecond summary is ignored.
 //!
-//! Like `bench_check`, the default is informational (always exits 0,
-//! prints which rows drifted). `--strict` exits 1 on any mismatch —
+//! By default the diff is informational (always exits 0, prints which
+//! rows drifted). `--strict` exits 1 on any mismatch —
 //! CI uses that for the two-run reproduce-the-ledger smoke.
 
 use std::collections::BTreeMap;

@@ -7,7 +7,7 @@
 //!       [--fault] [--series PATH] [--manifests PATH]
 //!       [--postmortem PATH] [--topology segments:<n>]
 //!       [--flame PATH] [--ledger PATH]
-//!       [--compare] [--trace-sim PATH] [--trace-real PATH] [--bench PATH]
+//!       [--compare] [--trace-sim PATH] [--trace-real PATH]
 //! ```
 //!
 //! Sweeps run on a worker pool by default (`PS_SWEEP_WORKERS` overrides
@@ -73,9 +73,8 @@
 //! medium and prints the sim-vs-real diff: deterministic rows (monitor
 //! verdicts, delivery counts, switch completions) must match, `(wall)`
 //! rows are host measurements. `--trace-sim` / `--trace-real` export
-//! either side's event trace (JSON-lines, `trace_lint`-clean);
-//! `--bench PATH` writes the `BENCH_real.json` rows. Not part of `all`
-//! (its latency columns are wall-clock by design). Exits 1 on any
+//! either side's event trace (JSON-lines, `trace_lint`-clean). Not part
+//! of `all` (its latency columns are wall-clock by design). Exits 1 on any
 //! monitor violation or deterministic-field divergence. See
 //! docs/transport.md.
 //!
@@ -108,7 +107,6 @@ struct Opts {
     compare: bool,
     trace_sim_path: Option<String>,
     trace_real_path: Option<String>,
-    bench_path: Option<String>,
 }
 
 impl Opts {
@@ -167,7 +165,7 @@ fn parse() -> Opts {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [table1|table2|fig2|overhead|oscillation|ablation|trace|monitor|explain|chaos|campaign|profile|real|all] [--quick] [--csv] [--counterexamples] [--serial] [--trace PATH] [--trace-format jsonl|chrome] [--fault] [--series PATH] [--manifests PATH] [--postmortem PATH] [--topology segments:<n>] [--flame PATH] [--ledger PATH] [--compare] [--trace-sim PATH] [--trace-real PATH] [--bench PATH]"
+                    "usage: repro [table1|table2|fig2|overhead|oscillation|ablation|trace|monitor|explain|chaos|campaign|profile|real|all] [--quick] [--csv] [--counterexamples] [--serial] [--trace PATH] [--trace-format jsonl|chrome] [--fault] [--series PATH] [--manifests PATH] [--postmortem PATH] [--topology segments:<n>] [--flame PATH] [--ledger PATH] [--compare] [--trace-sim PATH] [--trace-real PATH]"
                 );
                 std::process::exit(0);
             }
@@ -178,7 +176,6 @@ fn parse() -> Opts {
                     "--trace" => &mut o.trace_path,
                     "--trace-sim" => &mut o.trace_sim_path,
                     "--trace-real" => &mut o.trace_real_path,
-                    "--bench" => &mut o.bench_path,
                     "--series" => &mut o.series_path,
                     "--manifests" => &mut o.manifests_path,
                     "--postmortem" => &mut o.postmortem_path,
@@ -424,10 +421,6 @@ fn main() {
             let r = real::run_compare(&cfg);
             let t = real::render_compare(&r);
             emit(&opts, &t);
-            if let Some(path) = &opts.bench_path {
-                write_or_exit(path, "bench rows", real::bench_jsonl(&cfg, &r));
-                eprintln!("wrote sim-vs-real bench rows to {path}");
-            }
             write_trace(&opts.trace_sim_path, "simnet", &r.sim);
             write_trace(&opts.trace_real_path, "udp-loopback", &r.real);
             for d in r.divergences() {

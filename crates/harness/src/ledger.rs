@@ -17,14 +17,14 @@
 //! summary verbatim. Rows from deterministic subcommands are
 //! reproducible end-to-end: same seed, same config, same `output_fnv`.
 //!
-//! `ledger_check` (see `src/bin/ledger_check.rs`) diffs two rows the
-//! way `bench_check` diffs two bench captures.
+//! `ledger_check` (see `src/bin/ledger_check.rs`) diffs two ledger
+//! files row by row.
 
 use std::io::Write as _;
 use std::path::Path;
 
 /// FNV-1a 64-bit digest — the workspace's hermetic stand-in for a real
-/// content hash (also used by the trace format and the bench harness).
+/// content hash (the harness tests also pin rendered outputs with it).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

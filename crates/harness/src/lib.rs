@@ -17,8 +17,8 @@
 //! | [`scenario`] | the one run shape every group run above is stated in: group, seed, medium, stack, traffic, watchers, faults → one [`scenario::RunOutcome`] | (library) |
 //!
 //! Every experiment is deterministic given its config (all randomness is
-//! seeded) and returns a typed result that both the CLI and the Criterion
-//! benches render. Absolute numbers come from the simulated testbed
+//! seeded) and returns a typed result that the CLI renders and the tests
+//! assert on. Absolute numbers come from the simulated testbed
 //! (DESIGN.md §1), so the *shape* of each result is the claim, not the
 //! milliseconds.
 

@@ -322,34 +322,6 @@ pub fn render_compare(r: &CompareResult) -> Table {
     t
 }
 
-/// The `BENCH_real.json` rows for a compare result: a self-describing
-/// host line, then one line per medium. Wall fields are host
-/// measurements; deterministic fields pin what the run did.
-pub fn bench_jsonl(cfg: &RealRunConfig, r: &CompareResult) -> String {
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut out = format!(
-        "{{\"group\":\"real_transport_host\",\"bench\":\"host\",\"hw_threads\":{hw},\"processes\":{},\"horizon_ms\":{}}}\n",
-        cfg.group,
-        cfg.horizon().as_micros() / 1000,
-    );
-    for m in [&r.sim, &r.real] {
-        out.push_str(&format!(
-            "{{\"group\":\"real_transport\",\"bench\":\"{}\",\"seed\":{},\"sent\":{},\"deliveries\":{},\"violations\":{},\"switches\":{},\"p50_us\":{},\"p99_us\":{},\"mean_us\":{},\"wall_ms\":{}}}\n",
-            m.medium,
-            SEED,
-            m.sent,
-            m.deliveries,
-            m.violations.len(),
-            m.switches_min,
-            m.latency.p50.as_micros(),
-            m.latency.p99.as_micros(),
-            m.latency.mean.as_micros(),
-            m.wall_ms,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,19 +366,5 @@ mod tests {
             core(&render_compare(&b)),
             "compare report must be deterministic modulo (wall) rows"
         );
-    }
-
-    #[test]
-    fn bench_rows_are_self_describing() {
-        let cfg = RealRunConfig::quick();
-        let r = run_compare(&cfg);
-        let body = bench_jsonl(&cfg, &r);
-        assert_eq!(body.lines().count(), 3, "host row + one row per medium");
-        assert!(body.starts_with("{\"group\":\"real_transport_host\""));
-        assert!(body.contains("\"bench\":\"simnet\""));
-        assert!(body.contains("\"bench\":\"udp-loopback\""));
-        for line in body.lines() {
-            assert!(ps_obs::json::validate(line).is_ok(), "invalid JSON row: {line}");
-        }
     }
 }

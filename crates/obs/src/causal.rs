@@ -342,15 +342,6 @@ impl CausalGraph {
         self.index.get(&id.0).map(|&i| &self.events[i])
     }
 
-    /// The recorded cause of `e`, if it is in the graph.
-    pub fn parent_of(&self, e: &TimedEvent) -> Option<&TimedEvent> {
-        if e.parent.is_none() {
-            None
-        } else {
-            self.get(e.parent)
-        }
-    }
-
     /// Whether following parent links can never loop. (True for any trace
     /// a recorder produced — parents are minted before children — but a
     /// property the lint re-verifies on untrusted input.)
@@ -751,7 +742,7 @@ mod tests {
     fn graph_indexes_and_resolves_parents() {
         let g = CausalGraph::new(&chain());
         let deliver = g.events().iter().find(|e| matches!(e.ev, ObsEvent::FrameDeliver { .. }));
-        let p = g.parent_of(deliver.unwrap()).expect("send parent");
+        let p = g.get(deliver.unwrap().parent).expect("send parent");
         assert!(matches!(p.ev, ObsEvent::FrameSend { bytes: 16, .. }));
         assert!(g.is_acyclic());
         for e in g.events() {

@@ -254,8 +254,8 @@ impl Recorder {
     ///
     /// While a session is alive, every other use of this ring —
     /// [`Recorder::record`] and friends, `snapshot`, `len`, `is_empty`,
-    /// `overwritten`, `clear`, `subscribe`, `sink_count`, `set_prof`,
-    /// `set_enabled`, another `writer()` — blocks until it is dropped;
+    /// `overwritten`, `clear`, `subscribe`, `set_prof`, `set_enabled`,
+    /// another `writer()` — blocks until it is dropped;
     /// on the *same* thread that is a self-deadlock. Hosts therefore
     /// hand the session itself (not the recorder) to the code they call,
     /// and read the ring only between sessions (after `run_until`).
@@ -341,11 +341,6 @@ impl Recorder {
             ring.sink_union |= mask;
             ring.sinks.push(SinkEntry { sink, mask, name });
         });
-    }
-
-    /// Number of subscribed sinks.
-    pub fn sink_count(&self) -> usize {
-        self.with_ring(|r| r.sinks.len())
     }
 
     /// Attaches a host-time profiler: every `record*` call opens an
@@ -521,7 +516,6 @@ mod tests {
             r.record(1, 0, ev(1));
             r.clear();
             r.record(2, 0, ev(2));
-            assert_eq!(r.sink_count(), 1);
             assert_eq!(seen.lock().unwrap().len(), 2);
         }
 

@@ -14,7 +14,7 @@
 use ps_bytes::Bytes;
 use ps_check::prelude::*;
 use ps_protocols::TokenOrderLayer;
-use ps_simnet::{Medium, NodeId, PointToPoint, SimTime, TimedPartition};
+use ps_simnet::{Medium, NodeId, PartitionSchedule, PointToPoint, SimTime};
 use ps_stack::{Cast, Frame, GroupSim, GroupSimBuilder, Layer, LayerCtx, Stack};
 use ps_trace::props::{Property, Reliability, TotalOrder};
 use ps_trace::ProcessId;
@@ -256,8 +256,10 @@ props! {
         let hold = sleeping_holds(service)[hold];
         let waker = other_than(hold.holder, waker);
         let at = hold.from + SimTime::from_millis(into_hold_ms);
-        let cut = TimedPartition::new(p2p(), at, at + SimTime::from_millis(1))
-            .isolate(NodeId(u32::from(waker.0)), u32::from(N));
+        let others = (0..N).filter(|&i| i != waker.0).map(|i| NodeId(u32::from(i))).collect();
+        let cut = PartitionSchedule::new(p2p())
+            .partition_at(at, vec![others])
+            .heal_at(at + SimTime::from_millis(1));
         let (mut sim, log) = ring(service, Box::new(cut), &[(at, waker)]);
         sim.run_until(at + SimTime::from_secs(2));
 

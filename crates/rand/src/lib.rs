@@ -146,14 +146,6 @@ impl Xoshiro256pp {
         -u.ln() * mean
     }
 
-    /// In-place Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Derives an independent generator for substream `id`.
     ///
     /// Forking advances `self` by one draw, and mixes `id` so adjacent ids
@@ -251,17 +243,6 @@ mod tests {
         }
         let avg = sum / f64::from(n);
         assert!((avg - 0.5).abs() < 0.01, "avg {avg}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Xoshiro256pp::seed_from_u64(4);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "50 elements should not shuffle to identity");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`Medium`] — pluggable network models: an idealized point-to-point
 //!   network ([`PointToPoint`]), a shared-bus Ethernet with frame
 //!   serialization and contention ([`SharedBus`]), and fault-injection
-//!   wrappers ([`Lossy`], [`Partitioned`]).
+//!   wrappers ([`Lossy`], [`PartitionSchedule`]).
 //! * [`Sim`] — the event loop, generic over an [`Agent`] (the per-node
 //!   behaviour; protocol stacks implement this in `ps-stack`), with a
 //!   per-node CPU service-time model so busy nodes (e.g. a sequencer)
@@ -64,8 +64,7 @@ mod topology;
 
 pub use agent::{Agent, SimApi, TimerToken};
 pub use medium::{
-    EthernetConfig, Lossy, Medium, PartitionSchedule, Partitioned, PointToPoint, SegmentedBus,
-    SharedBus, TimedPartition, TxPlan,
+    EthernetConfig, Lossy, Medium, PartitionSchedule, PointToPoint, SegmentedBus, SharedBus, TxPlan,
 };
 pub use queue::EventQueue;
 pub use rng::DetRng;
@@ -136,11 +135,4 @@ pub struct Packet {
     pub src: NodeId,
     /// Opaque payload (already framed by the protocol stack).
     pub payload: Bytes,
-}
-
-impl Packet {
-    /// Total on-wire size in bytes, including link-layer overhead.
-    pub fn wire_size(&self, overhead: usize) -> usize {
-        self.payload.len() + overhead
-    }
 }

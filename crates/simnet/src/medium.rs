@@ -1,5 +1,4 @@
 use crate::{DetRng, NodeId, SimTime, Topology};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The planned fate of one transmitted frame: per-destination arrival times,
@@ -376,141 +375,16 @@ impl Medium for Lossy {
     }
 }
 
-/// Fault-injection wrapper: severs chosen node pairs entirely.
-pub struct Partitioned {
-    inner: Box<dyn Medium>,
-    blocked: HashSet<(NodeId, NodeId)>,
-}
-
-impl std::fmt::Debug for Partitioned {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Partitioned")
-            .field("inner", &self.inner.name())
-            .field("blocked_pairs", &self.blocked.len())
-            .finish()
-    }
-}
-
-impl Partitioned {
-    /// Wraps `inner` with no pairs blocked.
-    pub fn new(inner: Box<dyn Medium>) -> Self {
-        Self { inner, blocked: HashSet::new() }
-    }
-
-    /// Blocks traffic from `src` to `dst` (one direction).
-    pub fn block(&mut self, src: NodeId, dst: NodeId) {
-        self.blocked.insert((src, dst));
-    }
-
-    /// Blocks traffic in both directions between `a` and `b`.
-    pub fn block_pair(&mut self, a: NodeId, b: NodeId) {
-        self.block(a, b);
-        self.block(b, a);
-    }
-
-    /// Restores all connectivity.
-    pub fn heal(&mut self) {
-        self.blocked.clear();
-    }
-}
-
-impl Medium for Partitioned {
-    fn transmit_into(
-        &mut self,
-        src: NodeId,
-        dests: &[NodeId],
-        size_bytes: usize,
-        now: SimTime,
-        rng: &mut DetRng,
-        plan: &mut TxPlan,
-    ) {
-        self.inner.transmit_into(src, dests, size_bytes, now, rng, plan);
-        plan.retain(|d| !self.blocked.contains(&(src, d)));
-    }
-
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-}
-
-/// Fault-injection wrapper: severs chosen node pairs during a time window,
-/// healing automatically afterwards — a transient network partition.
-pub struct TimedPartition {
-    inner: Box<dyn Medium>,
-    from: SimTime,
-    until: SimTime,
-    blocked: HashSet<(NodeId, NodeId)>,
-}
-
-impl std::fmt::Debug for TimedPartition {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimedPartition")
-            .field("inner", &self.inner.name())
-            .field("from", &self.from)
-            .field("until", &self.until)
-            .field("blocked_pairs", &self.blocked.len())
-            .finish()
-    }
-}
-
-impl TimedPartition {
-    /// Wraps `inner`; traffic between blocked pairs is dropped while
-    /// `from <= now < until`.
-    pub fn new(inner: Box<dyn Medium>, from: SimTime, until: SimTime) -> Self {
-        Self { inner, from, until, blocked: HashSet::new() }
-    }
-
-    /// Blocks both directions between `a` and `b` during the window.
-    pub fn block_pair(mut self, a: NodeId, b: NodeId) -> Self {
-        self.blocked.insert((a, b));
-        self.blocked.insert((b, a));
-        self
-    }
-
-    /// Isolates `node` from everyone during the window.
-    pub fn isolate(mut self, node: NodeId, world: u32) -> Self {
-        for i in 0..world {
-            let other = NodeId(i);
-            if other != node {
-                self.blocked.insert((node, other));
-                self.blocked.insert((other, node));
-            }
-        }
-        self
-    }
-}
-
-impl Medium for TimedPartition {
-    fn transmit_into(
-        &mut self,
-        src: NodeId,
-        dests: &[NodeId],
-        size_bytes: usize,
-        now: SimTime,
-        rng: &mut DetRng,
-        plan: &mut TxPlan,
-    ) {
-        self.inner.transmit_into(src, dests, size_bytes, now, rng, plan);
-        if self.from <= now && now < self.until {
-            plan.retain(|d| !self.blocked.contains(&(src, d)));
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "timed-partition"
-    }
-}
-
 /// Fault-injection wrapper: a scripted sequence of partition configurations
 /// applied over virtual time — `partition_at(t, groups)` severs traffic
 /// between groups from `t` on, `heal_at(t)` restores full connectivity.
 ///
-/// Unlike [`TimedPartition`] (one window, fixed pairs), this models a
-/// *schedule*: any number of reconfigurations, each described as a list of
+/// Any number of reconfigurations, each described as a list of
 /// connectivity groups. A delivery survives only if source and destination
 /// share a group under the configuration active at transmit time; a node
 /// appearing in no group is isolated (it still receives its own
-/// self-copies).
+/// self-copies). One transient cut is `partition_at(from, ..)` followed by
+/// `heal_at(until)`: severed while `from <= now < until`.
 pub struct PartitionSchedule {
     inner: Box<dyn Medium>,
     /// `(from, groups)` sorted by time; `None` = fully connected.
@@ -725,8 +599,9 @@ mod tests {
     #[test]
     fn timed_partition_blocks_only_in_window() {
         let inner = Box::new(PointToPoint::new(SimTime::from_micros(1)));
-        let mut m = TimedPartition::new(inner, SimTime::from_millis(10), SimTime::from_millis(20))
-            .block_pair(NodeId(0), NodeId(1));
+        let mut m = PartitionSchedule::new(inner)
+            .partition_at(SimTime::from_millis(10), vec![vec![NodeId(0)], vec![NodeId(1)]])
+            .heal_at(SimTime::from_millis(20));
         let mut rng = DetRng::new(7);
         // Before the window: everything flows.
         let plan = tx(&mut m, NodeId(0), &dests(2), 10, SimTime::from_millis(5), &mut rng);
@@ -743,8 +618,9 @@ mod tests {
     #[test]
     fn timed_partition_isolate_cuts_all_traffic() {
         let inner = Box::new(PointToPoint::new(SimTime::from_micros(1)));
-        let mut m =
-            TimedPartition::new(inner, SimTime::ZERO, SimTime::from_secs(1)).isolate(NodeId(2), 4);
+        let mut m = PartitionSchedule::new(inner)
+            .partition_at(SimTime::ZERO, vec![vec![NodeId(0), NodeId(1), NodeId(3)]])
+            .heal_at(SimTime::from_secs(1));
         let mut rng = DetRng::new(8);
         let plan = tx(&mut m, NodeId(2), &dests(4), 10, SimTime::from_millis(1), &mut rng);
         // Only the self-copy survives.
@@ -799,16 +675,20 @@ mod tests {
     #[test]
     fn partition_blocks_and_heals() {
         let inner = Box::new(PointToPoint::new(SimTime::from_micros(1)));
-        let mut m = Partitioned::new(inner);
-        m.block_pair(NodeId(0), NodeId(1));
+        // Sever 0 <-> 1 only: both still share a group with 2.
+        let mut m = PartitionSchedule::new(inner)
+            .partition_at(
+                SimTime::ZERO,
+                vec![vec![NodeId(0), NodeId(2)], vec![NodeId(1), NodeId(2)]],
+            )
+            .heal_at(SimTime::from_millis(1));
         let mut rng = DetRng::new(4);
         let plan = tx(&mut m, NodeId(0), &dests(3), 10, SimTime::ZERO, &mut rng);
         let reached: Vec<NodeId> = plan.deliveries.iter().map(|&(d, _)| d).collect();
         assert_eq!(reached, vec![NodeId(0), NodeId(2)]);
         assert_eq!(plan.dropped, 1);
 
-        m.heal();
-        let plan = tx(&mut m, NodeId(0), &dests(3), 10, SimTime::ZERO, &mut rng);
+        let plan = tx(&mut m, NodeId(0), &dests(3), 10, SimTime::from_millis(1), &mut rng);
         assert_eq!(plan.deliveries.len(), 3);
     }
 

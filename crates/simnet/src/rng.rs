@@ -4,8 +4,7 @@ use ps_rand::Xoshiro256pp;
 /// Deterministic random source for a simulation run.
 ///
 /// Thin wrapper over a seeded [`Xoshiro256pp`] exposing only the operations
-/// the simulator needs, plus the exponential draw used for Poisson
-/// workloads.
+/// the simulator needs.
 /// Two `DetRng`s created from the same seed produce identical streams, which
 /// makes every experiment in this workspace replayable.
 ///
@@ -80,14 +79,6 @@ impl DetRng {
     /// Uniform draw in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         self.inner.unit()
-    }
-
-    /// Exponentially distributed interarrival time with the given mean.
-    ///
-    /// Drives Poisson message workloads (the paper's 50 msg/s senders).
-    pub fn exp_time(&mut self, mean: SimTime) -> SimTime {
-        let u: f64 = self.inner.unit().max(1e-12);
-        SimTime::from_secs_f64(-u.ln() * mean.as_secs_f64())
     }
 
     /// Uniform jitter in `[0, max)`; returns zero when `max` is zero.
@@ -180,16 +171,6 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-0.5));
         assert!(r.chance(1.5));
-    }
-
-    #[test]
-    fn exp_time_mean_is_close() {
-        let mut r = DetRng::new(5);
-        let mean = SimTime::from_millis(20);
-        let n = 20_000;
-        let total: f64 = (0..n).map(|_| r.exp_time(mean).as_secs_f64()).sum();
-        let avg = total / f64::from(n);
-        assert!((avg - 0.020).abs() < 0.001, "avg {avg}");
     }
 
     #[test]

@@ -337,15 +337,6 @@ impl<A: Agent> Sim<A> {
         &self.agents[id.index()]
     }
 
-    /// Mutable access to a node's agent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn agent_mut(&mut self, id: NodeId) -> &mut A {
-        &mut self.agents[id.index()]
-    }
-
     /// Iterates over all agents in node order.
     pub fn agents(&self) -> impl Iterator<Item = &A> {
         self.agents.iter()

@@ -88,12 +88,6 @@ impl Topology {
         Self { starts, ethernet, bridge_latency }
     }
 
-    /// Replaces the per-segment Ethernet parameters.
-    pub fn with_ethernet(mut self, ethernet: EthernetConfig) -> Self {
-        self.ethernet = ethernet;
-        self
-    }
-
     /// Total number of nodes.
     pub fn num_nodes(&self) -> u32 {
         *self.starts.last().expect("starts is never empty")

@@ -270,11 +270,6 @@ impl<'a> LayerCtx<'a> {
     pub fn set_timer_for(&mut self, id: LayerId, delay: SimTime, token: u32) {
         self.env.set_timer(delay, id, token);
     }
-
-    /// This layer's id (composites hand sub-environments their own ids).
-    pub fn layer_id(&self) -> LayerId {
-        self.self_id
-    }
 }
 
 #[cfg(test)]

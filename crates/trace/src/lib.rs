@@ -27,8 +27,6 @@
 //!   counterexample traces for every ✗ cell.
 //! * [`exhaustive`] — bounded model checking: every trace over a small
 //!   event universe, every rewrite in the relation's closure.
-//! * [`analysis`] — quantitative summaries (ordering inversions,
-//!   completeness, duplicates) for experiment reports.
 //!
 //! One modelling note: the rewrite relations never move a `Deliver` of a
 //! message before its `Send`. Layering delays can reorder independent
@@ -73,7 +71,6 @@
 mod event;
 mod trace;
 
-pub mod analysis;
 pub mod check;
 pub mod exhaustive;
 pub mod gen;

@@ -1,5 +1,5 @@
 use crate::{Event, Message, MsgId, ProcessId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// An ordered sequence of [`Event`]s — the paper's central object (§3).
@@ -102,14 +102,6 @@ impl Trace {
         self.events.iter().map(|e| e.message().id).collect()
     }
 
-    /// The send event for `id`, if present.
-    pub fn send_of(&self, id: MsgId) -> Option<&Message> {
-        self.events.iter().find_map(|e| match e {
-            Event::Send(m) if m.id == id => Some(m),
-            _ => None,
-        })
-    }
-
     /// All deliveries of message `id`, in trace order.
     pub fn deliveries_of(&self, id: MsgId) -> impl Iterator<Item = ProcessId> + '_ {
         self.events.iter().filter_map(move |e| match e {
@@ -129,12 +121,6 @@ impl Trace {
             .collect()
     }
 
-    /// The subsequence of events belonging to process `p` (its local view
-    /// of the execution).
-    pub fn local_events(&self, p: ProcessId) -> Vec<&Event> {
-        self.events.iter().filter(|e| e.process() == p).collect()
-    }
-
     /// Removes every event pertaining to any message in `ids` (the
     /// Memoryless relation's erasure).
     pub fn erase_messages(&self, ids: &BTreeSet<MsgId>) -> Trace {
@@ -146,18 +132,6 @@ impl Trace {
                 .cloned()
                 .collect(),
         }
-    }
-
-    /// Per-sender count of sends — the vector the switching protocol's
-    /// SWITCH message carries.
-    pub fn send_counts(&self) -> BTreeMap<ProcessId, u64> {
-        let mut counts = BTreeMap::new();
-        for e in &self.events {
-            if e.is_send() {
-                *counts.entry(e.process()).or_insert(0) += 1;
-            }
-        }
-        counts
     }
 
     /// Swaps events `i` and `i + 1`, returning the rewritten trace.
@@ -285,17 +259,6 @@ mod tests {
         let a_id = MsgId::new(p(0), 1);
         assert_eq!(tr.deliveries_of(a_id).collect::<Vec<_>>(), vec![p(0), p(1)]);
         assert_eq!(tr.delivered_by(p(0)).len(), 2);
-        assert!(tr.send_of(a_id).is_some());
-        assert!(tr.send_of(MsgId::new(p(5), 9)).is_none());
-    }
-
-    #[test]
-    fn local_events_project_by_process() {
-        let tr = sample();
-        let local0 = tr.local_events(p(0));
-        // p0: send a, deliver a, deliver b.
-        assert_eq!(local0.len(), 3);
-        assert!(local0.iter().all(|e| e.process() == p(0)));
     }
 
     #[test]
@@ -306,14 +269,6 @@ mod tests {
         let erased = tr.erase_messages(&ids);
         assert_eq!(erased.len(), 3);
         assert!(erased.iter().all(|e| e.message().id != MsgId::new(p(0), 1)));
-    }
-
-    #[test]
-    fn send_counts_per_process() {
-        let tr = sample();
-        let counts = tr.send_counts();
-        assert_eq!(counts[&p(0)], 1);
-        assert_eq!(counts[&p(1)], 1);
     }
 
     #[test]

@@ -130,16 +130,6 @@ impl<'a> Decoder<'a> {
         Ok(i64::from_le_bytes(s.try_into().expect("slice of length 8")))
     }
 
-    /// Reads a little-endian IEEE-754 `f64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::UnexpectedEof`] if fewer than 8 bytes remain.
-    pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        let s = self.take(8)?;
-        Ok(f64::from_le_bytes(s.try_into().expect("slice of length 8")))
-    }
-
     /// Reads a boolean encoded as a `0`/`1` byte.
     ///
     /// Any nonzero byte decodes as `true`, matching liberal senders.
@@ -179,15 +169,6 @@ impl<'a> Decoder<'a> {
             }
         }
         Err(WireError::VarintOverflow)
-    }
-
-    /// Reads exactly `n` raw bytes (no length prefix).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::UnexpectedEof`] if fewer than `n` bytes remain.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
     }
 
     /// Reads a varint-length-prefixed byte string.
@@ -262,7 +243,6 @@ mod tests {
         enc.put_u32(0xdead_beef);
         enc.put_u64(u64::MAX - 3);
         enc.put_i64(-12345);
-        enc.put_f64(1.5);
         enc.put_bool(true);
         enc.put_varint(u64::MAX);
         enc.put_bytes(b"payload");
@@ -275,7 +255,6 @@ mod tests {
         assert_eq!(dec.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(dec.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(dec.get_i64().unwrap(), -12345);
-        assert_eq!(dec.get_f64().unwrap(), 1.5);
         assert!(dec.get_bool().unwrap());
         assert_eq!(dec.get_varint().unwrap(), u64::MAX);
         assert_eq!(dec.get_bytes().unwrap(), b"payload");

@@ -100,11 +100,6 @@ impl Encoder {
         self.put_raw(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian IEEE-754 `f64`.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_raw(&v.to_le_bytes());
-    }
-
     /// Appends a boolean as a single `0`/`1` byte.
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));

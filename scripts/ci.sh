@@ -35,8 +35,8 @@ profile_reaches() {
     }
     echo "   $source: lto=fat, codegen-units=1"
 }
-profile_reaches crates/bench/src/bin/bench_check.rs \
-    cargo build --release -p ps-bench --bin bench_check
+profile_reaches crates/harness/src/bin/trace_lint.rs \
+    cargo build --release -p ps-harness --bin trace_lint
 # As benchmark/run.sh builds it, so that the run further down finds it fresh.
 profile_reaches benchmark/src/main.rs \
     cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
@@ -44,51 +44,29 @@ profile_reaches benchmark/src/main.rs \
 echo "==> cargo test (offline)"
 cargo test -q
 
-echo "==> cargo bench --no-run (offline)"
-cargo bench --workspace --no-run
-
-echo "==> engine_throughput smoke run (1 warmup + 1 iter, offline)"
-# A real (if statistically meaningless) run: catches engine regressions
-# that only show up at bench scale, and proves the BENCH_engine.json
-# emission path works. Written under target/ so the committed baseline
-# stays pristine; refresh that baseline with more iters (see
-# EXPERIMENTS.md) when engine performance changes intentionally.
-rm -f target/BENCH_engine.json
-PS_BENCH_ITERS=1 PS_BENCH_WARMUP=1 PS_BENCH_OUT="$(pwd)/target/BENCH_engine.json" \
-    cargo bench --bench engine_throughput
-test -s target/BENCH_engine.json
-# One wire-path row rides along: a header pushed onto and popped off a
-# 1 KB frame — the primitive every layer runs once per direction.
-PS_BENCH_ITERS=1 PS_BENCH_WARMUP=1 PS_BENCH_OUT="$(pwd)/target/BENCH_engine.json" \
-    cargo bench --bench engine_micro -- header_push_pop
-grep -q '"bench":"header_push_pop"' target/BENCH_engine.json
-# And the enabled-mode price: the same 1000-node broadcast with nothing
-# attached and with an enabled recorder plus the standard monitors.
-PS_BENCH_ITERS=1 PS_BENCH_WARMUP=1 PS_BENCH_OUT="$(pwd)/target/BENCH_engine.json" \
-    cargo bench --bench engine_micro -- broadcast_1000
-grep -q '"bench":"broadcast_1000_attached"' target/BENCH_engine.json
-
-echo "==> bench_check: fresh medians vs committed baselines (informational)"
-# Never fails the gate: 1-iteration CI medians are noisy by construction.
-# The value is the visible per-row delta in the log — a real regression
-# shows up here first, then gets re-measured with proper iteration counts
-# (see OPTIMIZATION_LOG.md) before anyone refreshes a baseline.
-cargo run --release -q --bin bench_check -- BENCH_engine.json target/BENCH_engine.json
+echo "==> disabled instruments: an attached, switched-off recorder or profiler costs the engine < 3% (offline)"
+# Same-process A/B on the bare Sim loop: four loads, each plain, with a
+# disabled Recorder and with a disabled Profiler, fastest of 20 runs per
+# variant. The bench asserts the median of the eight ratios is below 1.03
+# and takes no argument or variable that could skip it.
+cargo bench -q -p ps-simnet --bench instruments_off
 
 echo "==> size: non-test source lines and pub items per crate (informational)"
 # ROADMAP item 1 tracks line count and API surface as a metric; the table
 # is printed for the log and never fails the gate.
 scripts/size.sh || true
 
-echo "==> size ceilings: ps-harness, ps-net and the workspace stay as small as they got (offline)"
+echo "==> size ceilings: ps-harness, ps-net, ps-simnet, ps-trace and the workspace stay as small as they got (offline)"
 # Every harness run goes through one scenario builder
 # (`ps_harness::scenario`), so a module that assembles its runs by hand
 # again, or a config that grows fields every run sets alike, shows up as
 # lines and pub items over the ps-harness row. ps-net is the one node loop
 # that runs a stack on OS threads: a second real-time runtime beside it,
 # or a transport option only a test sets, lands over the ps-net or the
-# total row. Lower them when a crate shrinks; raising them needs a reason
-# in the same commit.
+# total row. ps-simnet has one partition medium (`PartitionSchedule`), and
+# ps-trace states its properties once, in `props`: a second fault wrapper
+# or a parallel trace-summary module lands over their rows. Lower them
+# when a crate shrinks; raising them needs a reason in the same commit.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -98,9 +76,11 @@ size_ceiling() {
         }
         END { exit (found && !over) ? 0 : 1 }'
 }
-size_ceiling ps-harness 4697 321
+size_ceiling ps-harness 4662 320
 size_ceiling ps-net 717 16
-size_ceiling total 22567 1401
+size_ceiling ps-simnet 2208 136
+size_ceiling ps-trace 2520 165
+size_ceiling total 21731 1333
 
 echo "==> trace smoke: repro --trace emits valid, reproducible files (offline)"
 # The instrumented repro run must (a) produce traces that parse as JSON in

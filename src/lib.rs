@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use ps_simnet::{
         Dest, DetRng, EthernetConfig, Lossy, Medium, NodeId, Packet, PartitionSchedule,
-        Partitioned, PointToPoint, SharedBus, SimConfig, SimTime, TimedPartition,
+        PointToPoint, SharedBus, SimConfig, SimTime,
     };
     pub use ps_stack::{
         Cast, ChannelId, Driver, Frame, GroupSim, GroupSimBuilder, GroupSpec, IdGen, Layer,

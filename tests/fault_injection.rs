@@ -39,6 +39,12 @@ fn reliable_hybrid(medium: Box<dyn Medium>, switch_at: SimTime) -> (GroupSimBuil
     (b, handles)
 }
 
+/// The members other than `node`: the one group of a partition that cuts
+/// `node` off from everyone.
+fn all_but(node: u32) -> Vec<NodeId> {
+    (0..4).filter(|&i| i != node).map(NodeId).collect()
+}
+
 fn workload(mut b: GroupSimBuilder) -> GroupSimBuilder {
     for i in 0..24u64 {
         b = b.send_at(SimTime::from_millis(2 + 5 * i), ProcessId((i % 4) as u16), format!("f{i}"));
@@ -52,12 +58,9 @@ fn partition_during_prepare_heals_and_switch_completes() {
     // 150 ms. Retransmission carries the control ring and the data across
     // the heal.
     let medium = Box::new(
-        TimedPartition::new(
-            Box::new(PointToPoint::new(SimTime::from_micros(300))),
-            SimTime::from_millis(50),
-            SimTime::from_millis(200),
-        )
-        .isolate(NodeId(3), 4),
+        PartitionSchedule::new(Box::new(PointToPoint::new(SimTime::from_micros(300))))
+            .partition_at(SimTime::from_millis(50), vec![all_but(3)])
+            .heal_at(SimTime::from_millis(200)),
     );
     let (b, handles) = reliable_hybrid(medium, SimTime::from_millis(60));
     let mut sim = workload(b).build();
@@ -123,12 +126,9 @@ fn partition_of_the_initiator_delays_the_whole_switch() {
     // The initiator (p0) is isolated before it can finish the ring
     // rotations: nobody completes until the heal.
     let medium = Box::new(
-        TimedPartition::new(
-            Box::new(PointToPoint::new(SimTime::from_micros(300))),
-            SimTime::from_millis(55),
-            SimTime::from_millis(400),
-        )
-        .isolate(NodeId(0), 4),
+        PartitionSchedule::new(Box::new(PointToPoint::new(SimTime::from_micros(300))))
+            .partition_at(SimTime::from_millis(55), vec![all_but(0)])
+            .heal_at(SimTime::from_millis(400)),
     );
     let (b, handles) = reliable_hybrid(medium, SimTime::from_millis(60));
     let mut sim = workload(b).build();

@@ -88,9 +88,10 @@ fn switch_completes_with_exactly_once_delivery() {
 #[test]
 fn switch_completes_under_partition_heal() {
     // A partition during PREPARE delays but does not doom the switch,
-    // because the reliable layers retransmit across the heal. We model the
-    // heal by dropping the partition probabilistically: Partitioned has no
-    // time dimension, so instead use heavy loss as an equivalent transient.
+    // because the reliable layers retransmit across the heal. Here 25 %
+    // loss stands in for the cut, a transient every retransmission can
+    // outlast; tests/fault_injection.rs cuts and heals real partitions
+    // (`PartitionSchedule`) across the switch window.
     let (sim, handles) = run_switch_under_loss(true);
     let finish =
         handles.borrow().iter().map(|h| h.snapshot().records[0].completed_at).max().unwrap();
