@@ -203,8 +203,7 @@ impl Bytes {
         let start = HEADROOM;
         let mid = start + header.len();
         let end = mid + self.len();
-        // One allocation, zero-filled (the fill compiles to a memset).
-        let mut arc: Arc<[u8]> = std::iter::repeat_n(0u8, end).collect();
+        let mut arc = zeroed(end);
         let buf = Arc::get_mut(&mut arc).expect("freshly built buffer is unique");
         buf[start..mid].copy_from_slice(header);
         buf[mid..].copy_from_slice(self.as_slice());
@@ -449,9 +448,21 @@ impl Iterator for IntoIter {
     }
 }
 
+/// `len` zero bytes in one fresh, unique buffer (the fill compiles to a
+/// memset).
+fn zeroed(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, len).collect()
+}
+
 /// Append-only byte buffer that freezes into a shared [`Bytes`] with
 /// [`HEADROOM`] bytes of reserve in front of the content. (Integers are
 /// laid out by `ps_wire::Encoder`, which builds on this.)
+///
+/// The buffer it writes is the one the frozen handle shares: a shared
+/// allocation from the start, which nothing else holds until
+/// [`BytesMut::freeze`] hands it over as it is. A build that stays within
+/// its capacity costs one allocation and copies nothing twice; one that
+/// outgrows it copies its content once into a buffer twice the size.
 ///
 /// # Examples
 ///
@@ -464,11 +475,13 @@ impl Iterator for IntoIter {
 /// let frozen = buf.freeze();
 /// assert_eq!(&frozen[..], b"\x01tail");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct BytesMut {
-    /// `buf[..HEADROOM]` is the reserve, the content follows — already
-    /// laid out the way [`BytesMut::freeze`] hands it to [`Bytes`].
-    buf: Vec<u8>,
+    /// `buf[..HEADROOM]` is the reserve, `buf[HEADROOM..end]` the content
+    /// — already laid out the way [`BytesMut::freeze`] hands it to
+    /// [`Bytes`] — and the rest is capacity. Never shared before `freeze`.
+    buf: Arc<[u8]>,
+    end: usize,
 }
 
 impl BytesMut {
@@ -479,14 +492,12 @@ impl BytesMut {
 
     /// Creates an empty buffer with room for `cap` bytes of content.
     pub fn with_capacity(cap: usize) -> Self {
-        let mut buf = Vec::with_capacity(HEADROOM + cap);
-        buf.resize(HEADROOM, 0);
-        BytesMut { buf }
+        BytesMut { buf: zeroed(HEADROOM + cap), end: HEADROOM }
     }
 
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len() - HEADROOM
+        self.end - HEADROOM
     }
 
     /// Returns `true` if nothing has been written yet.
@@ -496,23 +507,31 @@ impl BytesMut {
 
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_slice(&[v]);
     }
 
     /// Appends a byte slice.
     pub fn put_slice(&mut self, s: &[u8]) {
-        self.buf.extend_from_slice(s);
+        let end = self.end + s.len();
+        if end > self.buf.len() {
+            let mut grown = zeroed(end.max(2 * self.buf.len()));
+            Arc::get_mut(&mut grown).expect("freshly built buffer is unique")[..self.end]
+                .copy_from_slice(&self.buf[..self.end]);
+            self.buf = grown;
+        }
+        let buf = Arc::get_mut(&mut self.buf).expect("an unfrozen buffer has no other owner");
+        buf[self.end..end].copy_from_slice(s);
+        self.end = end;
     }
 
-    /// Converts the buffer into an immutable [`Bytes`] (single move of the
-    /// backing storage into a shared allocation, reserve included).
+    /// Converts the buffer into an immutable [`Bytes`]: the handle takes
+    /// over the buffer, reserve and spare capacity included, without a
+    /// copy or an allocation.
     pub fn freeze(self) -> Bytes {
         if self.is_empty() {
             return Bytes::new();
         }
-        let arc: Arc<[u8]> = Arc::from(self.buf);
-        let end = arc.len();
-        Bytes { repr: Repr::Shared(arc), start: HEADROOM, end }
+        Bytes { repr: Repr::Shared(self.buf), start: HEADROOM, end: self.end }
     }
 }
 
@@ -525,7 +544,7 @@ impl Default for BytesMut {
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf[HEADROOM..]
+        &self.buf[HEADROOM..self.end]
     }
 }
 
@@ -586,6 +605,24 @@ mod tests {
         m.put_u8(9);
         let b = m.freeze();
         assert_eq!(&b[..], &[2, 1, 9]);
+    }
+
+    #[test]
+    fn freeze_hands_over_the_buffer_it_wrote() {
+        let mut m = BytesMut::with_capacity(2);
+        m.put_slice(b"ab");
+        let at = m.as_ptr();
+        assert!(std::ptr::eq(m.freeze().as_ptr(), at), "frozen where it was built");
+        // Outgrowing the capacity moves the content once; the reserve moves
+        // with it.
+        let mut m = BytesMut::with_capacity(2);
+        m.put_slice(b"ab");
+        m.put_slice(b"cde");
+        m.put_u8(b'f');
+        let b = m.freeze();
+        assert_eq!((&b[..], b.start), (&b"abcdef"[..], HEADROOM));
+        let at = b.as_ptr();
+        assert!(std::ptr::eq(b.prepend(&[0; HEADROOM])[HEADROOM..].as_ptr(), at));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! parallel sweep runner reads handles from worker threads, and `Layer`
 //! itself is `Send` so stacks can run on real threads (`ps-net`). Reads are
 //! poison-proof — the stats are plain counters, valid after any panic.
-//! The one counter that moves per message, `delivered`, sits beside the
-//! mutex in an atomic and is folded in when a snapshot is taken.
+//! Nothing in here moves per message: the lock is taken when a switch
+//! changes phase or buffers a message, never on a delivery.
 //!
 //! The same switch phases also flow into the `ps-obs` event recorder when
 //! one is attached; [`SwitchRecord::from_events`] rebuilds these records
@@ -13,7 +13,6 @@
 
 use ps_simnet::SimTime;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One completed switch as seen by one process.
@@ -69,8 +68,6 @@ pub struct SwitchStats {
     pub aborted: u64,
     /// Largest number of new-protocol messages buffered at once.
     pub buffered_peak: usize,
-    /// Messages delivered to the application so far.
-    pub delivered: u64,
     /// Index of the currently active protocol.
     pub current: usize,
     /// Whether the process is mid-switch right now.
@@ -80,15 +77,7 @@ pub struct SwitchStats {
 /// Clonable, thread-safe view onto a switch layer's [`SwitchStats`].
 #[derive(Clone, Default)]
 pub struct SwitchHandle {
-    inner: Arc<Shared>,
-}
-
-#[derive(Default)]
-struct Shared {
-    /// Everything but `delivered`, which stays zero in here.
-    stats: Mutex<SwitchStats>,
-    /// A statistic, publishing nothing else: relaxed.
-    delivered: AtomicU64,
+    inner: Arc<Mutex<SwitchStats>>,
 }
 
 impl fmt::Debug for SwitchHandle {
@@ -112,12 +101,11 @@ impl SwitchHandle {
 
     /// Snapshot of the stats.
     pub fn snapshot(&self) -> SwitchStats {
-        let delivered = self.inner.delivered.load(Ordering::Relaxed);
-        SwitchStats { delivered, ..self.lock().clone() }
+        self.lock().clone()
     }
 
     fn lock(&self) -> MutexGuard<'_, SwitchStats> {
-        self.inner.stats.lock().unwrap_or_else(|e| e.into_inner())
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Number of completed switches at this process.
@@ -142,11 +130,6 @@ impl SwitchHandle {
 
     pub(crate) fn update<R>(&self, f: impl FnOnce(&mut SwitchStats) -> R) -> R {
         f(&mut self.lock())
-    }
-
-    /// One more message reached the application.
-    pub(crate) fn count_delivery(&self) {
-        self.inner.delivered.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -198,10 +181,7 @@ mod tests {
         let h = SwitchHandle::new();
         let h2 = h.clone();
         h.update(|s| s.initiated += 1);
-        h.count_delivery();
-        h.count_delivery();
         assert_eq!(h2.snapshot().initiated, 1);
-        assert_eq!(h2.snapshot().delivered, 2);
         assert_eq!(h2.switches_completed(), 0);
     }
 }

@@ -132,14 +132,19 @@ pub struct SwitchLayer {
     /// What has been delivered this era; the current protocol's
     /// environment writes it as the protocol delivers.
     book: EraBook,
-    /// Deliveries from the non-current protocol, held back.
+    /// This process's switch state as [`SwitchHandle`]s show it.
+    handle: SwitchHandle,
+    /// Deliveries from the non-current protocol, held back. Drained in
+    /// place: its capacity outlives the switch.
     buffer: Vec<Delivered>,
     /// Where the deliveries of a hosted stack that is *not* the current
     /// protocol land while it runs: lent to the stack's environment,
     /// drained, and taken back with its capacity. Empty between calls.
     sink: Vec<Delivered>,
-    /// The SWITCH vector, once known.
-    expected: Option<CountVector>,
+    /// The SWITCH vector, once known (`vector_known`). Cleared, never
+    /// dropped: the next switch's vector is copied into its capacity.
+    expected: CountVector,
+    vector_known: bool,
     switch_started: SimTime,
     /// When the last switch completed here: the newest record's
     /// `completed_at`, kept beside the handle so that an oracle tick reads
@@ -158,6 +163,10 @@ pub struct SwitchLayer {
     want_target: Option<usize>,
     holding_flush: Option<RingToken>,
     held_token: Option<RingToken>,
+    /// What the next token off the wire is read into. A token that is
+    /// passed on or dropped gives its count vector back, so a hop reads
+    /// and builds its vector without the allocator.
+    token_counts: CountVector,
     hold_gen: u32,
     /// How long an idle NORMAL token is held here. Switch activity (a
     /// wish, a token in any other mode, a wake) is this ring's traffic;
@@ -234,30 +243,66 @@ fn chan(idx: usize) -> ChannelId {
 /// message — which is what travels on, so the switch never decodes a body.
 type Delivered = (ProcessId, ProcessId, Bytes);
 
+/// One member's line in the era book.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Messages from the member delivered via the current protocol this
+    /// era (what the SWITCH vector is compared against).
+    era: u64,
+    /// Entries of `recent` the member sent: it is an active sender while
+    /// this is above zero.
+    window: u32,
+}
+
+/// `id`'s position in `group`. Every runtime lists a group in id order, so
+/// the id is tried as the position first and the group searched only when
+/// that misses. An id read off the wire — a message's sender, an entry of
+/// a count vector — is looked up this way, never used as an index.
+fn position(group: &[ProcessId], id: ProcessId) -> Option<usize> {
+    if group.get(id.index()) == Some(&id) {
+        return Some(id.index());
+    }
+    group.iter().position(|&member| member == id)
+}
+
 /// The delivery side of the era bookkeeping, apart from the rest of the
 /// layer so that the current protocol's [`SubEnv`] can hold it while the
 /// protocol itself is borrowed to run.
 struct EraBook {
-    handle: SwitchHandle,
-    /// Per-sender count of messages delivered via the current protocol
-    /// this era (what the SWITCH vector is compared against).
-    delivered_from: BTreeMap<ProcessId, u64>,
+    /// One tally per member, at the member's position in the group. Sized
+    /// at launch; a delivery finds its sender's line once.
+    tallies: Vec<Tally>,
+    /// Era counts of senders that are no member. A message names any
+    /// sender it likes, and a count vector off the wire may too, so such a
+    /// sender is counted, and read back, here.
+    strangers: BTreeMap<ProcessId, u64>,
     /// Recent deliveries, for the oracle's load observation.
     recent: VecDeque<(SimTime, ProcessId)>,
-    /// How many entries of `recent` each member sent, by the member's
-    /// position in the group: a member is an active sender while its count
-    /// is above zero. Sized at launch; a sender that is no member has no
-    /// slot and is not counted.
-    in_window: Vec<u32>,
+    /// What the tallies replaced and must agree with: every sender's era
+    /// count in one map, cleared at a flip.
+    #[cfg(test)]
+    delivered_from: BTreeMap<ProcessId, u64>,
 }
 
 impl EraBook {
-    /// The `in_window` count of `sender`, if it is a group member. The
-    /// sender is a field of a received message: it is looked up in the
-    /// group, never used as an index.
-    fn window_count(&mut self, sender: ProcessId, group: &[ProcessId]) -> Option<&mut u32> {
-        let slot = group.iter().position(|&member| member == sender)?;
-        self.in_window.get_mut(slot)
+    fn tally(&mut self, sender: ProcessId, group: &[ProcessId]) -> Option<&mut Tally> {
+        position(group, sender).and_then(|slot| self.tallies.get_mut(slot))
+    }
+
+    /// Messages from `sender` the current protocol delivered this era.
+    fn era_count(&self, sender: ProcessId, group: &[ProcessId]) -> u64 {
+        match position(group, sender).and_then(|slot| self.tallies.get(slot)) {
+            Some(tally) => tally.era,
+            None => self.strangers.get(&sender).copied().unwrap_or(0),
+        }
+    }
+
+    /// A flip: the new era starts with nothing delivered.
+    fn next_era(&mut self) {
+        self.tallies.iter_mut().for_each(|tally| tally.era = 0);
+        self.strangers.clear();
+        #[cfg(test)]
+        self.delivered_from.clear();
     }
 
     /// Drops the deliveries older than `cutoff` from the window.
@@ -267,19 +312,19 @@ impl EraBook {
                 break;
             }
             self.recent.pop_front();
-            if let Some(count) = self.window_count(sender, group) {
-                *count -= 1;
+            if let Some(tally) = self.tally(sender, group) {
+                tally.window -= 1;
             }
         }
     }
 
     /// Distinct group members among the senders in the window.
     fn active_senders(&self) -> usize {
-        self.in_window.iter().filter(|&&count| count > 0).count()
+        self.tallies.iter().filter(|tally| tally.window > 0).count()
     }
 
-    /// What `in_window` replaced and must agree with: every member looked
-    /// for in the whole window.
+    /// What the window counts replaced and must agree with: every member
+    /// looked for in the whole window.
     #[cfg(test)]
     fn active_senders_by_scan(&self, group: &[ProcessId]) -> usize {
         let sent = |member| self.recent.iter().any(|&(_, sender)| sender == member);
@@ -289,21 +334,35 @@ impl EraBook {
     /// Delivers a current-protocol message to the application: counted
     /// towards the era's drain, then observed and passed up.
     fn deliver_current(&mut self, delivered: Delivered, ctx: &mut LayerCtx<'_>) {
-        *self.delivered_from.entry(delivered.1).or_insert(0) += 1;
-        self.deliver_foreign(delivered, ctx);
+        let sender = delivered.1;
+        #[cfg(test)]
+        {
+            *self.delivered_from.entry(sender).or_insert(0) += 1;
+        }
+        match self.tally(sender, ctx.group_slice()) {
+            Some(tally) => {
+                tally.era += 1;
+                tally.window += 1;
+            }
+            None => *self.strangers.entry(sender).or_insert(0) += 1,
+        }
+        self.pass_up(delivered, ctx);
     }
 
     /// Delivers a message that arrived on the *non-current* protocol after
-    /// an abort. It counts for load observation and delivery stats but not
-    /// for `delivered_from`: the era's drain accounting covers only
-    /// current-protocol traffic, and the sender likewise zeroed its
-    /// `sent_next` when its own attempt aborted.
-    fn deliver_foreign(&mut self, (src, sender, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
-        self.recent.push_back((ctx.now(), sender));
-        if let Some(count) = self.window_count(sender, ctx.group_slice()) {
-            *count += 1;
+    /// an abort. It counts for load observation but not for the era: the
+    /// era's drain accounting covers only current-protocol traffic, and
+    /// the sender likewise zeroed its `sent_next` when its own attempt
+    /// aborted.
+    fn deliver_foreign(&mut self, delivered: Delivered, ctx: &mut LayerCtx<'_>) {
+        if let Some(tally) = self.tally(delivered.1, ctx.group_slice()) {
+            tally.window += 1;
         }
-        self.handle.count_delivery();
+        self.pass_up(delivered, ctx);
+    }
+
+    fn pass_up(&mut self, (src, sender, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
+        self.recent.push_back((ctx.now(), sender));
         ctx.deliver_up(src, bytes);
     }
 }
@@ -338,7 +397,7 @@ impl StackEnv for SubEnv<'_, '_> {
         self.ctx.send_down(Frame::new(frame.dest, channel::mux(self.channel, frame.bytes)));
     }
     fn deliver(&mut self, src: ProcessId, msg: Message) {
-        self.deliver_bytes(src, msg.to_bytes());
+        self.deliver_bytes(src, msg.into_bytes());
     }
     fn deliver_bytes(&mut self, src: ProcessId, bytes: Bytes) {
         // Whatever is not exactly one message stops here, as it would at
@@ -411,14 +470,17 @@ impl SwitchLayer {
             sent_current: 0,
             sent_next: 0,
             book: EraBook {
-                handle: handle.clone(),
-                delivered_from: BTreeMap::new(),
+                tallies: Vec::new(),
+                strangers: BTreeMap::new(),
                 recent: VecDeque::new(),
-                in_window: Vec::new(),
+                #[cfg(test)]
+                delivered_from: BTreeMap::new(),
             },
+            handle: handle.clone(),
             buffer: Vec::new(),
             sink: Vec::new(),
-            expected: None,
+            expected: Vec::new(),
+            vector_known: false,
             switch_started: SimTime::ZERO,
             last_switch: None,
             am_manager: false,
@@ -426,6 +488,7 @@ impl SwitchLayer {
             want_target: None,
             holding_flush: None,
             held_token: None,
+            token_counts: Vec::new(),
             hold_gen: 0,
             idle: IdleBackoff::new(idle_hold),
             token_gen: 0,
@@ -454,10 +517,12 @@ impl SwitchLayer {
 
     /// Sends switch-control `bytes` to `dest` through the control stack,
     /// wrapped in a message envelope so ordinary layers can transport it.
+    /// The envelope goes into the reserve in front of `bytes` when they are
+    /// their buffer's only handle, as a freshly encoded token is.
     fn send_control(&mut self, dest: ps_stack::Cast, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
         self.ctl_seq += 1;
         let envelope = Message::new(ctx.me(), MsgId::CONTROL_SEQ_BASE + self.ctl_seq, bytes);
-        self.run_control(ctx, |stack, env| stack.send_bytes(dest, envelope.to_bytes(), env));
+        self.run_control(ctx, |stack, env| stack.send_bytes(dest, envelope.into_bytes(), env));
     }
 
     /// Index of the protocol new sends go to right now.
@@ -489,7 +554,7 @@ impl SwitchLayer {
             } else {
                 self.buffer.push(d);
                 let depth = self.buffer.len();
-                self.book.handle.update(|s| s.buffered_peak = s.buffered_peak.max(depth));
+                self.handle.update(|s| s.buffered_peak = s.buffered_peak.max(depth));
             }
         }
         self.sink = sink;
@@ -520,9 +585,9 @@ impl SwitchLayer {
         if self.mode == Mode::Normal {
             self.mode = Mode::Switching;
             self.switch_started = ctx.now();
-            self.expected = None;
+            self.vector_known = false;
             self.absorb_other = false;
-            self.book.handle.update(|s| s.switching = true);
+            self.handle.update(|s| s.switching = true);
             record_phase(ctx, SpPhase::PrepareSeen, self.current, 1 - self.current);
             if self.cfg.phase_timeout > SimTime::ZERO {
                 self.abort_gen = self.abort_gen.wrapping_add(1) & GEN_MASK;
@@ -540,13 +605,15 @@ impl SwitchLayer {
     fn abort(&mut self, ctx: &mut LayerCtx<'_>) {
         record_phase(ctx, SpPhase::Aborted, self.current, 1 - self.current);
         self.mode = Mode::Normal;
-        self.expected = None;
+        self.vector_known = false;
         self.am_manager = false;
         self.manager_oks.clear();
         self.last_ctl = None;
         self.switch_sent = false;
         self.want_target = None;
-        self.holding_flush = None;
+        if let Some(token) = self.holding_flush.take() {
+            self.recycle(token);
+        }
         self.done_round = self.done_round.max(self.joined_round);
         // Whatever we sent over the next protocol is now outside the era
         // accounting; receivers absorb it the same way (deliver_foreign).
@@ -555,11 +622,10 @@ impl SwitchLayer {
         // circulating; regeneration will mint a successor generation.
         self.token_gen += 1;
         self.absorb_other = true;
-        let buffered = std::mem::take(&mut self.buffer);
-        for d in buffered {
+        for d in self.buffer.drain(..) {
             self.book.deliver_foreign(d, ctx);
         }
-        self.book.handle.update(|s| {
+        self.handle.update(|s| {
             s.switching = false;
             s.aborted += 1;
         });
@@ -615,14 +681,21 @@ impl SwitchLayer {
         }
     }
 
+    /// Takes `vector` as the attempt's SWITCH vector, copied into the
+    /// capacity the last one left.
+    fn expect(&mut self, vector: &[(ProcessId, u64)]) {
+        self.expected.clear();
+        self.expected.extend_from_slice(vector);
+        self.vector_known = true;
+    }
+
     /// Flips to the new protocol if the SWITCH vector is satisfied.
     fn try_flip(&mut self, ctx: &mut LayerCtx<'_>) {
-        if self.mode != Mode::Switching {
+        if self.mode != Mode::Switching || !self.vector_known {
             return;
         }
-        let Some(vector) = &self.expected else { return };
-        let drained =
-            vector.iter().all(|(q, c)| self.book.delivered_from.get(q).copied().unwrap_or(0) >= *c);
+        let group = ctx.group_slice();
+        let drained = self.expected.iter().all(|&(q, c)| self.book.era_count(q, group) >= c);
         if !drained {
             return;
         }
@@ -634,8 +707,8 @@ impl SwitchLayer {
         self.mode = Mode::Normal;
         self.sent_current = self.sent_next;
         self.sent_next = 0;
-        self.book.delivered_from.clear();
-        self.expected = None;
+        self.book.next_era();
+        self.vector_known = false;
         self.am_manager = false;
         self.manager_oks.clear();
         self.last_ctl = None;
@@ -649,7 +722,7 @@ impl SwitchLayer {
             completed_at: ctx.now(),
         };
         self.last_switch = Some(record.completed_at);
-        self.book.handle.update(|s| {
+        self.handle.update(|s| {
             s.records.push(record);
             s.switching = false;
             s.current = 1 - from;
@@ -668,11 +741,10 @@ impl SwitchLayer {
                 self.era,
                 group.to_vec(),
             );
-            ctx.deliver_up(vm.id.sender, vm.to_bytes());
+            ctx.deliver_up(vm.id.sender, vm.into_bytes());
         }
         // Release the buffer — these are new-era deliveries.
-        let buffered = std::mem::take(&mut self.buffer);
-        for d in buffered {
+        for d in self.buffer.drain(..) {
             self.book.deliver_current(d, ctx);
         }
         record_phase(ctx, SpPhase::BufferRelease, from, self.current);
@@ -688,7 +760,7 @@ impl SwitchLayer {
         self.joined_round = self.done_round + 1;
         self.enter_switching(ctx);
         self.am_manager = true;
-        self.book.handle.update(|s| s.initiated += 1);
+        self.handle.update(|s| s.initiated += 1);
         let msg = Control::Prepare { era: self.era + 1, round: self.joined_round };
         self.send_ctl_broadcast(msg.to_bytes(), ctx);
     }
@@ -699,8 +771,12 @@ impl SwitchLayer {
         match self.cfg.variant {
             SwitchVariant::Broadcast => self.on_control(origin, envelope.body, ctx),
             SwitchVariant::TokenRing { .. } => {
-                let Ok(token) = RingToken::from_bytes(&envelope.body) else { return };
-                self.handle_token(token, ctx);
+                let counts = std::mem::take(&mut self.token_counts);
+                let mut token = RingToken { counts, ..RingToken::normal(0) };
+                match token.read_from(&envelope.body) {
+                    Ok(()) => self.handle_token(token, ctx),
+                    Err(_) => self.recycle(token),
+                }
             }
         }
     }
@@ -745,7 +821,7 @@ impl SwitchLayer {
                 {
                     return;
                 }
-                self.expected = Some(vector);
+                self.expect(&vector);
                 self.try_flip(ctx);
             }
         }
@@ -756,6 +832,16 @@ impl SwitchLayer {
     fn forward_token(&mut self, token: RingToken, ctx: &mut LayerCtx<'_>) {
         let next = ctx.ring_next();
         self.send_control(ps_stack::Cast::To(next), token.to_bytes(), ctx);
+        self.recycle(token);
+    }
+
+    /// Takes back the count vector of a token that was passed on or is
+    /// dropped, for the next token off the wire to be read into — or keeps
+    /// the one it has, if that has more room.
+    fn recycle(&mut self, token: RingToken) {
+        if token.counts.capacity() > self.token_counts.capacity() {
+            self.token_counts = token.counts;
+        }
     }
 
     /// Is this in-rotation token (initiated by me) still the attempt I am
@@ -784,12 +870,12 @@ impl SwitchLayer {
             // asleep. Whoever sits on the NORMAL token passes it on now.
             self.idle.traffic(ctx.now());
             self.release_held(ctx);
-            return;
+            return self.recycle(token);
         }
         // Generation fencing: a regenerated token obsoletes any older one
         // still circulating (or any token from an attempt we aborted).
         if token.gen < self.token_gen {
-            return;
+            return self.recycle(token);
         }
         self.token_gen = token.gen;
         self.last_token_at = ctx.now();
@@ -803,11 +889,12 @@ impl SwitchLayer {
                 let wanted = self.want_target.take().filter(|&t| t != self.current);
                 if wanted.is_some() && self.mode == Mode::Normal {
                     self.enter_switching(ctx);
-                    self.book.handle.update(|s| s.initiated += 1);
+                    self.handle.update(|s| s.initiated += 1);
                     token.mode = TokenMode::Prepare;
                     token.era = self.era + 1;
                     token.initiator = me;
-                    token.counts = vec![(me, self.sent_current)];
+                    token.counts.clear();
+                    token.counts.push((me, self.sent_current));
                     self.forward_token(token, ctx);
                     return;
                 }
@@ -823,16 +910,16 @@ impl SwitchLayer {
             TokenMode::Prepare => {
                 if token.initiator == me {
                     if !self.my_live_attempt(&token) {
-                        return; // attempt aborted; let the token die
+                        return self.recycle(token); // attempt aborted; let the token die
                     }
                     // Counts complete: disseminate the vector.
-                    self.expected = Some(token.counts.clone());
+                    self.expect(&token.counts);
                     token.mode = TokenMode::Switch;
                     self.forward_token(token, ctx);
                     self.try_flip(ctx);
                 } else {
                     if token.era != self.era + 1 {
-                        return; // stale
+                        return self.recycle(token); // stale
                     }
                     self.enter_switching(ctx);
                     if !token.counts.iter().any(|&(p, _)| p == me) {
@@ -846,7 +933,7 @@ impl SwitchLayer {
                     // Legitimate either mid-switch or just after our own
                     // flip advanced the era; dead if we aborted.
                     if !self.my_live_attempt(&token) && token.era != self.era {
-                        return;
+                        return self.recycle(token);
                     }
                     // Vector has gone all the way around: flush rotation.
                     token.mode = TokenMode::Flush;
@@ -856,13 +943,11 @@ impl SwitchLayer {
                         self.holding_flush = Some(token);
                     }
                 } else {
-                    if token.era != self.era + 1 {
-                        return;
+                    if token.era != self.era + 1 || self.mode != Mode::Switching {
+                        // Stale, or of an aborted attempt: don't resurrect it.
+                        return self.recycle(token);
                     }
-                    if self.mode != Mode::Switching {
-                        return; // aborted attempt; don't resurrect it
-                    }
-                    self.expected = Some(token.counts.clone());
+                    self.expect(&token.counts);
                     self.forward_token(token, ctx);
                     self.try_flip(ctx);
                 }
@@ -870,12 +955,14 @@ impl SwitchLayer {
             TokenMode::Flush => {
                 if token.initiator == me {
                     if token.era != self.era && !self.my_live_attempt(&token) {
-                        return; // flush of an attempt we aborted
+                        return self.recycle(token); // flush of an attempt we aborted
                     }
                     // Third rotation complete: the switch has finished at
-                    // every member. Back to an idle token.
-                    let mut idle = RingToken::normal(self.era);
-                    idle.gen = token.gen;
+                    // every member. Back to an idle token, which carries
+                    // the vector's room on for the next PREPARE.
+                    let mut counts = token.counts;
+                    counts.clear();
+                    let idle = RingToken { gen: token.gen, counts, ..RingToken::normal(self.era) };
                     self.handle_token(idle, ctx);
                 } else if self.mode == Mode::Normal {
                     self.forward_token(token, ctx);
@@ -929,8 +1016,8 @@ impl Layer for SwitchLayer {
 
     fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.me());
-        // Before anything can be delivered: one window count per member.
-        self.book.in_window = vec![0; ctx.group_len()];
+        // Before anything can be delivered: one tally per member.
+        self.book.tallies = vec![Tally::default(); ctx.group_len()];
         // Private jitter stream, seeded from identity only: deterministic
         // per process, independent of the node's main RNG stream.
         self.rng = DetRng::new(0x5317_C81A_F00D_u64 ^ u64::from(ctx.me().0));
@@ -1248,7 +1335,7 @@ mod tests {
         }
 
         fn counted_from_p0(&self) -> u64 {
-            self.layer.lock().unwrap().book.delivered_from.get(&P0).copied().unwrap_or(0)
+            self.layer.lock().unwrap().book.era_count(P0, &GROUP)
         }
     }
 
@@ -1263,7 +1350,6 @@ mod tests {
         rig.receive(chan(0), Bytes::new());
         assert!(rig.node.delivered.is_empty());
         assert_eq!(rig.counted_from_p0(), 0);
-        assert_eq!(rig.handle.snapshot().delivered, 0);
         assert!(rig.layer.lock().unwrap().book.recent.is_empty());
         // The same on the other protocol's channel: nothing is buffered.
         rig.receive(chan(1), good.slice(..good.len() - 1));
@@ -1271,7 +1357,6 @@ mod tests {
         // And the real thing still counts.
         rig.receive(chan(0), good);
         assert_eq!((rig.seen(), rig.counted_from_p0()), (vec![1], 1));
-        assert_eq!(rig.handle.snapshot().delivered, 1);
     }
 
     #[test]
@@ -1304,7 +1389,6 @@ mod tests {
             assert_eq!(rig.handle.current(), 1, "{variant:?}");
             // The released messages are the new era's first two.
             assert_eq!(rig.counted_from_p0(), 2, "{variant:?}");
-            assert_eq!(rig.handle.snapshot().delivered, 5, "{variant:?}");
 
             // Protocol 1 is current now: straight through.
             rig.data(1, 13);
@@ -1331,7 +1415,7 @@ mod tests {
             assert_eq!(rig.handle.snapshot().buffered_peak, 1, "{variant:?}");
             // Delivered, observed as load, but outside the era's accounting.
             assert_eq!(rig.counted_from_p0(), 0, "{variant:?}");
-            assert_eq!(rig.handle.snapshot().delivered, 2, "{variant:?}");
+            assert_eq!(rig.layer.lock().unwrap().book.recent.len(), 2, "{variant:?}");
             assert_eq!(rig.handle.current(), 0, "{variant:?}");
 
             rig.data(0, 1);
@@ -1356,19 +1440,24 @@ mod tests {
         rig.node.now = SimTime::from_secs_f64(1.0);
         let obs = rig.tick();
         assert_eq!((obs.active_senders, obs.recent_deliveries), (0, 0));
-        assert_eq!(rig.layer.lock().unwrap().book.in_window, [0, 0]);
+        let layer = rig.layer.lock().unwrap();
+        assert!(layer.book.tallies.iter().all(|tally| tally.window == 0));
+        // The era remembers all three, the outsiders off the table.
+        let counted = SENDERS.map(|sender| layer.book.era_count(sender, &GROUP));
+        assert_eq!(counted, [0, 1, 1, 1]);
     }
 
     /// Two members, the nearest outsider and the farthest.
     const SENDERS: [ProcessId; 4] = [P0, P1, ProcessId(2), ProcessId(u16::MAX)];
 
     props! {
-        /// The per-member counts against the scan they replaced, along
-        /// schedules in which the window (500 ms) fills, slides and
-        /// empties, and in which the switch does everything that touches
-        /// the book: a flip clears `delivered_from` and releases the
-        /// buffer, an abort releases it through `deliver_foreign` and
-        /// absorbs from then on, a restart keeps the book as it is.
+        /// The per-member counts against the scan and the map they
+        /// replaced, along schedules in which the window (500 ms) fills,
+        /// slides and empties, in which members and outsiders send, and in
+        /// which the switch does everything that touches the book: a flip
+        /// starts a new era and releases the buffer, an abort releases it
+        /// through `deliver_foreign` and absorbs from then on, a restart
+        /// keeps the book as it is.
         fn the_counted_active_senders_are_the_scanned_ones_on_any_schedule(
             steps in vec_of((0u8..10, 0usize..4, 0u64..200), 0..120),
             variant in 0usize..2,
@@ -1405,9 +1494,15 @@ mod tests {
                 // At every step, not only at a tick: each count is the
                 // member's entries in the window.
                 let layer = rig.layer.lock().unwrap();
-                for (member, &count) in GROUP.iter().zip(&layer.book.in_window) {
+                for (member, tally) in GROUP.iter().zip(&layer.book.tallies) {
                     let entries = layer.book.recent.iter().filter(|(_, s)| s == member).count();
-                    assert_eq!(count as usize, entries, "{member:?}");
+                    assert_eq!(tally.window as usize, entries, "{member:?}");
+                }
+                // Each sender's era count, member or not, is what the map
+                // the table replaced holds.
+                for sender in SENDERS {
+                    let mapped = layer.book.delivered_from.get(&sender).copied().unwrap_or(0);
+                    assert_eq!(layer.book.era_count(sender, &GROUP), mapped, "{sender:?}");
                 }
                 // And what a tick would show as the last switch is what the
                 // handle recorded: flips move both, aborts and restarts

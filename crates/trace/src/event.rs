@@ -156,6 +156,17 @@ impl Message {
         self.as_view_change().is_some()
     }
 
+    /// [`Wire::to_bytes`], consuming the message: the id and the body's
+    /// length go in front of the body's own handle. A body that is its
+    /// buffer's only handle — one built to be sent, not kept — takes them
+    /// in its reserve, and nothing is copied.
+    pub fn into_bytes(self) -> Bytes {
+        let mut enc = Encoder::new();
+        self.id.encode(&mut enc);
+        enc.put_varint(self.body.len() as u64);
+        self.body.prepend(enc.as_slice())
+    }
+
     /// [`Wire::from_frame`], consuming the frame: the body is the frame's
     /// own handle moved past the id and length, so no reference count
     /// moves. What the application boundary of a stack calls.
@@ -200,13 +211,10 @@ impl Wire for Message {
         Ok(Message { id: MsgId::decode(dec)?, body: dec.take_bytes()? })
     }
     /// Same bytes as the default, built as a header prepended to the
-    /// body: one copy of the body (the message keeps its own handle), not
-    /// the encoder's two.
+    /// body ([`Message::into_bytes`] of a clone): one copy of the body (the
+    /// message keeps its own handle), not the encoder's two.
     fn to_bytes(&self) -> Bytes {
-        let mut enc = Encoder::new();
-        self.id.encode(&mut enc);
-        enc.put_varint(self.body.len() as u64);
-        self.body.clone().prepend(enc.as_slice())
+        self.clone().into_bytes()
     }
 }
 
@@ -338,8 +346,19 @@ mod tests {
             let mut enc = Encoder::new();
             m.encode(&mut enc);
             assert_eq!(m.to_bytes(), enc.finish(), "body of {len} bytes");
+            assert_eq!(m.clone().into_bytes(), m.to_bytes(), "body of {len} bytes");
             assert_eq!(Message::from_frame(&m.to_bytes()).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn a_message_given_away_takes_its_header_in_the_bodys_reserve() {
+        let mut enc = Encoder::new();
+        enc.put_raw(&[5; 32]);
+        let body = enc.finish();
+        let at = body.as_ptr();
+        let frame = Message::new(ProcessId(1), MsgId::CONTROL_SEQ_BASE, body).into_bytes();
+        assert!(std::ptr::eq(frame[frame.len() - 32..].as_ptr(), at), "the body did not move");
     }
 
     #[test]

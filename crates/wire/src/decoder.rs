@@ -1,4 +1,4 @@
-use crate::WireError;
+use crate::{Wire, WireError};
 use ps_bytes::Bytes;
 
 /// Cursor-style binary decoder over a borrowed byte slice.
@@ -204,6 +204,28 @@ impl<'a> Decoder<'a> {
     pub fn get_str(&mut self) -> Result<&'a str, WireError> {
         let bytes = self.get_bytes()?;
         std::str::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8)
+    }
+
+    /// Reads a varint-length-prefixed sequence into `out`, replacing what
+    /// it held: what `Vec::<T>::decode` reads, into a vector whose capacity
+    /// is reused — no allocation once it has room for the sequence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::LengthOverflow`] if the declared length exceeds
+    /// the remaining input (every element takes at least a byte), plus any
+    /// error decoding an element. `out` then holds the elements read so far.
+    pub fn get_vec_into<T: Wire>(&mut self, out: &mut Vec<T>) -> Result<(), WireError> {
+        out.clear();
+        let len = self.get_varint()?;
+        if len > self.remaining() as u64 {
+            return Err(WireError::LengthOverflow { declared: len, available: self.remaining() });
+        }
+        out.reserve_exact(len as usize);
+        for _ in 0..len {
+            out.push(T::decode(self)?);
+        }
+        Ok(())
     }
 
     /// Consumes and returns all remaining bytes as an owned [`Bytes`].

@@ -23,7 +23,9 @@ pub struct Encoder {
     /// built here, on the stack, and never touch the allocator.
     inline: [u8; INLINE],
     len: usize,
-    /// Takes over once the encoding outgrows `inline`.
+    /// Takes over once the encoding outgrows `inline`: the buffer
+    /// [`Encoder::finish`] hands over, so a spilled encoding costs one
+    /// allocation (more only if it outgrows that too).
     spill: Option<BytesMut>,
 }
 
@@ -157,7 +159,8 @@ impl Encoder {
     /// Consumes the encoder and returns the encoded bytes, with
     /// [`ps_bytes::HEADROOM`] in front for headers pushed later — or, for
     /// an encoding of a few bytes, in the handle itself with what room is
-    /// left there (see the `ps_bytes` crate docs, "Small frames").
+    /// left there (see the `ps_bytes` crate docs, "Small frames"). A
+    /// spilled encoding comes back in the buffer it was written into.
     pub fn finish(self) -> Bytes {
         match self.spill {
             Some(buf) => buf.freeze(),

@@ -176,15 +176,8 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let len = dec.get_varint()?;
-        // Guard against absurd declared lengths: each element needs >= 1 byte.
-        if len > dec.remaining() as u64 {
-            return Err(WireError::LengthOverflow { declared: len, available: dec.remaining() });
-        }
-        let mut v = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            v.push(T::decode(dec)?);
-        }
+        let mut v = Vec::new();
+        dec.get_vec_into(&mut v)?;
         Ok(v)
     }
 }

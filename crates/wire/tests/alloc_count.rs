@@ -157,4 +157,14 @@ fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared
     frame = push_header(&0u8, frame);
     assert_eq!(CALLS.load(Relaxed) - before, 2, "and that reserve was exactly HEADROOM");
     assert_eq!((frame[0], frame[1], &frame[frame.len() - tagged.len()..]), (0, 0xFF, &tagged[..]));
+
+    // An encoding that outgrows the encoder's stack buffer (a ring token
+    // carrying a vector of send counts): the buffer it spills into is the
+    // one `finish` hands over, reserve and all.
+    let before = CALLS.load(Relaxed);
+    let mut enc = Encoder::new();
+    (0..100u64).for_each(|v| enc.put_varint(v));
+    let spilled = push_header(&u64::MAX, enc.finish());
+    assert_eq!(spilled.len(), 108);
+    assert_eq!(CALLS.load(Relaxed) - before, 1, "a spilled encoding is one buffer");
 }
