@@ -5,8 +5,70 @@ use crate::stats::SwitchHandle;
 use crate::switch::{SwitchConfig, SwitchLayer};
 use ps_protocols::{FifoLayer, ReliableLayer, SeqOrderLayer, TokenOrderLayer};
 use ps_simnet::SimTime;
-use ps_stack::{IdGen, Stack};
+use ps_stack::{IdGen, Layer, Stack};
 use ps_trace::ProcessId;
+
+/// A total-order sub-stack, as one side of a hybrid (or a plain group)
+/// runs it.
+#[derive(Debug, Clone, Copy)]
+pub enum Proto {
+    /// Sequencer total order, sequenced by process `ProcessId(s)`.
+    Seq(u16),
+    /// Token total order with this base idle hold.
+    Token(SimTime),
+    /// Sequencer total order over FIFO over reliable transport: the
+    /// [`FifoLayer`] restores the per-sender order [`ReliableLayer`]'s
+    /// retransmissions lose before the sequencer assigns global order.
+    SeqFt(u16),
+    /// Token total order over reliable transport (its global-sequence
+    /// reorder buffer needs no FIFO restorer).
+    TokenFt(SimTime),
+}
+
+impl Proto {
+    /// The sub-stack's layers, top first.
+    pub fn layers(self) -> Vec<Box<dyn Layer>> {
+        match self {
+            Proto::Seq(s) => vec![Box::new(SeqOrderLayer::new(ProcessId(s)))],
+            Proto::Token(hold) => vec![Box::new(TokenOrderLayer::with_idle_hold(hold))],
+            Proto::SeqFt(s) => vec![
+                Box::new(SeqOrderLayer::new(ProcessId(s))),
+                Box::new(FifoLayer::new()),
+                Box::new(ReliableLayer::new()),
+            ],
+            Proto::TokenFt(hold) => vec![
+                Box::new(TokenOrderLayer::with_idle_hold(hold)),
+                Box::new(ReliableLayer::new()),
+            ],
+        }
+    }
+}
+
+/// Builds one process's [`SwitchLayer`] between `from` (protocol 0) and
+/// `to` (protocol 1), drawing layer ids from `ids` in the order the two
+/// sub-stacks are listed. A reliable pair also carries the switch's
+/// control traffic on a reliable stack of its own, whose ids come next.
+pub fn hybrid_layer(
+    ids: &mut IdGen,
+    cfg: SwitchConfig,
+    from: Proto,
+    to: Proto,
+    oracle: Box<dyn Oracle>,
+) -> (SwitchLayer, SwitchHandle) {
+    let a = Stack::with_ids(from.layers(), ids);
+    let b = Stack::with_ids(to.layers(), ids);
+    let (layer, handle) = SwitchLayer::new(cfg, a, b, oracle);
+    if !matches!(from, Proto::SeqFt(_) | Proto::TokenFt(_)) {
+        return (layer, handle);
+    }
+    let control = Stack::with_ids(vec![Box::new(ReliableLayer::new())], ids);
+    (layer.with_control_stack(control), handle)
+}
+
+/// `layer` as the one layer of a stack.
+fn alone((layer, handle): (SwitchLayer, SwitchHandle), ids: &mut IdGen) -> (Stack, SwitchHandle) {
+    (Stack::with_ids(vec![Box::new(layer)], ids), handle)
+}
 
 /// Builds the §7 hybrid total-order stack for one process: a switch
 /// between sequencer-based (protocol 0) and token-based (protocol 1) total
@@ -38,25 +100,14 @@ pub fn hybrid_total_order(
     sequencer: ProcessId,
     oracle: Box<dyn Oracle>,
 ) -> (Stack, SwitchHandle) {
-    let seq = Stack::with_ids(vec![Box::new(SeqOrderLayer::new(sequencer))], ids);
-    let token = Stack::with_ids(
-        vec![Box::new(TokenOrderLayer::with_idle_hold(SimTime::from_millis(1)))],
-        ids,
-    );
-    let (layer, handle) = SwitchLayer::new(cfg, seq, token, oracle);
-    (Stack::with_ids(vec![Box::new(layer)], ids), handle)
+    let token = Proto::Token(SimTime::from_millis(1));
+    alone(hybrid_layer(ids, cfg, Proto::Seq(sequencer.0), token, oracle), ids)
 }
 
 /// Builds a **fault-tolerant** hybrid total-order stack: two
-/// sequencer-based total-order protocols (protocol 0 sequenced by `seq_a`,
-/// protocol 1 by `seq_b`) each over reliable exactly-once transport, with
-/// the switch's control traffic on its own reliable stack.
-///
-/// [`ReliableLayer`] delivers *unordered* (retransmitted frames overtake
-/// later ones), so a [`FifoLayer`] sits between the sequencer and the
-/// transport: it restores per-sender order before the sequencer assigns
-/// global order, making the composed stack FIFO *and* totally ordered
-/// even under loss — the §4 layering argument in miniature.
+/// sequencer-based total-order protocols ([`Proto::SeqFt`], protocol 0
+/// sequenced by `seq_a`, protocol 1 by `seq_b`), with the switch's control
+/// traffic on its own reliable stack.
 ///
 /// This is the configuration the chaos harness drives: retransmission
 /// below, and the switch's own phase timeout / control retransmission /
@@ -72,40 +123,17 @@ pub fn hybrid_total_order_ft(
     seq_b: ProcessId,
     oracle: Box<dyn Oracle>,
 ) -> (Stack, SwitchHandle) {
-    let a = Stack::with_ids(
-        vec![
-            Box::new(SeqOrderLayer::new(seq_a)),
-            Box::new(FifoLayer::new()),
-            Box::new(ReliableLayer::new()),
-        ],
-        ids,
-    );
-    let b = Stack::with_ids(
-        vec![
-            Box::new(SeqOrderLayer::new(seq_b)),
-            Box::new(FifoLayer::new()),
-            Box::new(ReliableLayer::new()),
-        ],
-        ids,
-    );
-    let control = Stack::with_ids(vec![Box::new(ReliableLayer::new())], ids);
-    let (layer, handle) = SwitchLayer::new(cfg, a, b, oracle);
-    let layer = layer.with_control_stack(control);
-    (Stack::with_ids(vec![Box::new(layer)], ids), handle)
+    alone(hybrid_layer(ids, cfg, Proto::SeqFt(seq_a.0), Proto::SeqFt(seq_b.0), oracle), ids)
 }
 
-/// Builds the **fault-tolerant sequencer↔token** hybrid: protocol 0 is
-/// sequencer-based total order (sequenced by `sequencer`) over FIFO over
-/// reliable transport; protocol 1 is token-based total order (with
-/// `idle_hold` as its base idle hold) directly over reliable transport,
-/// with the switch's control traffic on its own reliable stack.
+/// Builds the **fault-tolerant sequencer↔token** hybrid: [`Proto::SeqFt`]
+/// sequenced by `sequencer` as protocol 0, [`Proto::TokenFt`] with
+/// `idle_hold` as its base idle hold as protocol 1, and the switch's
+/// control traffic on its own reliable stack.
 ///
 /// This is [`hybrid_total_order`]'s protocol pair with
 /// [`hybrid_total_order_ft`]'s transports: the §7 crossover hybrid, but
-/// able to ride out frame loss and crash/recovery. The token protocol
-/// needs no FIFO restorer — it delivers from a global-sequence reorder
-/// buffer, so retransmitted frames overtaking later ones cannot reorder
-/// its output.
+/// able to ride out frame loss and crash/recovery.
 pub fn hybrid_seq_token_ft(
     ids: &mut IdGen,
     cfg: SwitchConfig,
@@ -113,22 +141,8 @@ pub fn hybrid_seq_token_ft(
     idle_hold: SimTime,
     oracle: Box<dyn Oracle>,
 ) -> (Stack, SwitchHandle) {
-    let seq = Stack::with_ids(
-        vec![
-            Box::new(SeqOrderLayer::new(sequencer)),
-            Box::new(FifoLayer::new()),
-            Box::new(ReliableLayer::new()),
-        ],
-        ids,
-    );
-    let token = Stack::with_ids(
-        vec![Box::new(TokenOrderLayer::with_idle_hold(idle_hold)), Box::new(ReliableLayer::new())],
-        ids,
-    );
-    let control = Stack::with_ids(vec![Box::new(ReliableLayer::new())], ids);
-    let (layer, handle) = SwitchLayer::new(cfg, seq, token, oracle);
-    let layer = layer.with_control_stack(control);
-    (Stack::with_ids(vec![Box::new(layer)], ids), handle)
+    let (from, to) = (Proto::SeqFt(sequencer.0), Proto::TokenFt(idle_hold));
+    alone(hybrid_layer(ids, cfg, from, to, oracle), ids)
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@
 //!   two complete protocol stacks ([`SwitchVariant::Broadcast`] and
 //!   [`SwitchVariant::TokenRing`]).
 //! * [`Oracle`]s — scripted, threshold and hysteresis policies (§7).
-//! * [`hybrid_total_order`] — the paper's sequencer/token hybrid.
+//! * [`hybrid_layer`] — a switch between two [`Proto`] sub-stacks, and
+//!   [`hybrid_total_order`] — the paper's sequencer/token hybrid — with
+//!   its two fault-tolerant variants built on it.
 //!
 //! # Examples
 //!
@@ -34,7 +36,7 @@
 //! ```
 //! use ps_core::{hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig};
 //! use ps_simnet::{PointToPoint, SimTime};
-//! use ps_stack::GroupSimBuilder;
+//! use ps_stack::{Driver, GroupSimBuilder};
 //! use ps_trace::props::{Property, TotalOrder};
 //! use ps_trace::ProcessId;
 //!
@@ -70,7 +72,9 @@ mod stats;
 mod switch;
 
 pub use control::{Control, CountVector, RingToken, TokenMode};
-pub use hybrid::{hybrid_seq_token_ft, hybrid_total_order, hybrid_total_order_ft};
+pub use hybrid::{
+    hybrid_layer, hybrid_seq_token_ft, hybrid_total_order, hybrid_total_order_ft, Proto,
+};
 pub use oracle::{LoadOracle, ManualOracle, NeverOracle, Oracle, SwitchObs, ThresholdOracle};
 pub use stats::{SwitchHandle, SwitchRecord, SwitchStats};
 pub use switch::{SwitchConfig, SwitchLayer, SwitchVariant};

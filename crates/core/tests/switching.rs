@@ -7,7 +7,7 @@ use ps_core::{
 };
 use ps_protocols::{FifoLayer, NoReplayLayer, SeqOrderLayer};
 use ps_simnet::{NodeId, PartitionSchedule, PointToPoint, SimTime};
-use ps_stack::{GroupSim, GroupSimBuilder, Stack};
+use ps_stack::{Driver, GroupSim, GroupSimBuilder, Stack};
 use ps_trace::props::{NoReplay, Property, Reliability, TotalOrder};
 use ps_trace::ProcessId;
 use std::cell::RefCell;

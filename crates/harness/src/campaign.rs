@@ -30,9 +30,9 @@
 
 use crate::measure::{LatencyStats, SteadyStateWindow};
 use crate::report::{self, ms, Table};
-use crate::scenario::{Policy, Proto, Scenario};
+use crate::scenario::{Policy, Scenario};
 use crate::sweep::SweepRunner;
-use ps_core::{SwitchConfig, SwitchVariant};
+use ps_core::{Proto, SwitchConfig, SwitchVariant};
 use ps_obs::{SeriesSummary, Violation};
 use ps_simnet::SimTime;
 use ps_workload::{Manifest, Profile, TrafficSpec};

@@ -28,9 +28,9 @@
 //! byte-identical across runs and worker counts.
 
 use crate::report::{self, Table};
-use crate::scenario::{Policy, Proto, Scenario};
+use crate::scenario::{Policy, Scenario};
 use crate::sweep::SweepRunner;
-use ps_core::{SwitchConfig, SwitchHandle, SwitchVariant};
+use ps_core::{Proto, SwitchConfig, SwitchHandle, SwitchVariant};
 use ps_obs::{ObsEvent, SpPhase, TimedEvent, Violation};
 use ps_simnet::{Medium, NodeId, PartitionSchedule, PointToPoint, SimTime};
 use ps_trace::ProcessId;

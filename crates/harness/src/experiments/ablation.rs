@@ -9,9 +9,9 @@
 //! initiators for free.
 
 use crate::report::Table;
-use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
+use crate::scenario::{Policy, RunOutcome, Scenario};
 use crate::sweep::SweepRunner;
-use ps_core::{SwitchConfig, SwitchVariant};
+use ps_core::{Proto, SwitchConfig, SwitchVariant};
 use ps_simnet::SimTime;
 use ps_workload::TrafficSpec;
 

@@ -11,9 +11,9 @@
 
 use crate::measure::{latency_histogram, LatencyStats, SteadyStateWindow};
 use crate::report::Table;
-use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
+use crate::scenario::{Policy, RunOutcome, Scenario};
 use crate::sweep::SweepRunner;
-use ps_core::{SwitchConfig, SwitchVariant};
+use ps_core::{Proto, SwitchConfig, SwitchVariant};
 use ps_obs::HistSummary;
 use ps_simnet::SimTime;
 use ps_workload::TrafficSpec;

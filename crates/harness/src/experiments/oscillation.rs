@@ -10,8 +10,8 @@
 
 use crate::measure::SteadyStateWindow;
 use crate::report::Table;
-use crate::scenario::{Policy, Proto, Scenario};
-use ps_core::{SwitchConfig, SwitchVariant};
+use crate::scenario::{Policy, Scenario};
+use ps_core::{Proto, SwitchConfig, SwitchVariant};
 use ps_simnet::SimTime;
 use ps_workload::TrafficSpec;
 

@@ -13,8 +13,8 @@
 
 use crate::measure::max_delivery_gap;
 use crate::report::Table;
-use crate::scenario::{Policy, Proto, Scenario};
-use ps_core::{SwitchConfig, SwitchVariant};
+use crate::scenario::{Policy, Scenario};
+use ps_core::{Proto, SwitchConfig, SwitchVariant};
 use ps_simnet::SimTime;
 use ps_trace::ProcessId;
 use ps_workload::TrafficSpec;

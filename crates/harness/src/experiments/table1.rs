@@ -8,7 +8,7 @@ use ps_protocols::{
     SeqOrderLayer, VsyncConfig, VsyncLayer,
 };
 use ps_simnet::{Lossy, Medium, PointToPoint, SimTime};
-use ps_stack::Layer;
+use ps_stack::{Driver, Layer};
 use ps_trace::props::{
     Amoeba, Confidentiality, Integrity, NoReplay, PrioritizedDelivery, Property, Reliability,
     TotalOrder, VirtualSynchrony,

@@ -147,6 +147,7 @@ mod tests {
     use super::*;
     use ps_simnet::PointToPoint;
     use ps_stack::{GroupSim, GroupSimBuilder, Stack};
+    use ps_trace::{Event, Message};
 
     fn run() -> GroupSim {
         let mut b = GroupSimBuilder::new(3)
@@ -195,6 +196,7 @@ mod tests {
     /// both.
     struct DuplicateDelivery {
         group: Vec<ProcessId>,
+        logs: Vec<Vec<(SimTime, Event)>>,
         recorder: ps_obs::Recorder,
     }
 
@@ -206,30 +208,31 @@ mod tests {
         fn group(&self) -> &[ProcessId] {
             &self.group
         }
-        fn app_trace(&self) -> ps_trace::Trace {
-            ps_trace::Trace::new()
-        }
-        fn send_times(&self) -> BTreeMap<MsgId, SimTime> {
-            let id = |seq| MsgId::new(ProcessId(0), seq);
-            [(id(1), SimTime::from_millis(1)), (id(2), SimTime::from_millis(2))].into()
-        }
-        fn deliveries(&self) -> Vec<ps_stack::DeliveryRecord> {
-            let d = |seq, p, ms| ps_stack::DeliveryRecord {
-                msg: MsgId::new(ProcessId(0), seq),
-                process: ProcessId(p),
-                at: SimTime::from_millis(ms),
-            };
-            vec![d(1, 0, 2), d(1, 0, 3), d(2, 0, 3), d(2, 1, 4)]
-        }
         fn recorder(&self) -> &ps_obs::Recorder {
             &self.recorder
+        }
+        fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)] {
+            &self.logs[p.index()]
         }
     }
 
     #[test]
     fn a_duplicate_delivery_does_not_complete_a_message() {
+        let msg = |seq| Message::new(ProcessId(0), seq, ps_bytes::Bytes::new());
+        let at = SimTime::from_millis;
+        let deliver = |p, seq, ms| (at(ms), Event::deliver(ProcessId(p), msg(seq)));
         let driver = DuplicateDelivery {
             group: vec![ProcessId(0), ProcessId(1)],
+            logs: vec![
+                vec![
+                    (at(1), Event::send(msg(1))),
+                    (at(2), Event::send(msg(2))),
+                    deliver(0, 1, 2),
+                    deliver(0, 1, 3),
+                    deliver(0, 2, 3),
+                ],
+                vec![deliver(1, 2, 4)],
+            ],
             recorder: ps_obs::Recorder::disabled(),
         };
         let s = latency_stats(&driver, SteadyStateWindow::all());

@@ -32,9 +32,9 @@
 //! context.
 
 use crate::report::{ms, Table};
-use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
+use crate::scenario::{Policy, RunOutcome, Scenario};
 use ps_bytes::Bytes;
-use ps_core::{SwitchConfig, SwitchVariant};
+use ps_core::{Proto, SwitchConfig, SwitchVariant};
 use ps_simnet::SimTime;
 use ps_stack::{Layer, LayerCtx};
 use ps_trace::{Message, ProcessId};

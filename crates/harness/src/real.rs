@@ -28,8 +28,8 @@
 
 use crate::measure::{LatencyStats, SteadyStateWindow};
 use crate::report::Table;
-use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
-use ps_core::SwitchConfig;
+use crate::scenario::{Policy, RunOutcome, Scenario};
+use ps_core::{Proto, SwitchConfig};
 use ps_obs::{TimedEvent, Violation, ViolationKind};
 use ps_simnet::{PointToPoint, SimTime};
 use ps_stack::Driver;

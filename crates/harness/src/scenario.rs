@@ -18,8 +18,8 @@
 //! run ([`RunOutcome::postmortem`]).
 //!
 //! ```
-//! use ps_core::{SwitchConfig, SwitchVariant};
-//! use ps_harness::scenario::{Policy, Proto, Scenario};
+//! use ps_core::{Proto, SwitchConfig, SwitchVariant};
+//! use ps_harness::scenario::{Policy, Scenario};
 //! use ps_simnet::SimTime;
 //! use ps_workload::TrafficSpec;
 //!
@@ -44,7 +44,7 @@ use crate::measure::{latency_stats, LatencyStats, SteadyStateWindow};
 use crate::monitor_run::{SwapFaultLayer, FAULT_NODE};
 use ps_bytes::Bytes;
 use ps_core::{
-    LoadOracle, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchLayer,
+    hybrid_layer, LoadOracle, ManualOracle, NeverOracle, Oracle, Proto, SwitchConfig, SwitchHandle,
     ThresholdOracle,
 };
 use ps_net::{NetConfig, UdpGroup};
@@ -52,7 +52,6 @@ use ps_obs::{
     MetricsSampler, MonitorSet, ObsEvent, PostmortemBundle, Recorder, TimedEvent, Violation,
     DEFAULT_K_HOPS,
 };
-use ps_protocols::{FifoLayer, ReliableLayer, SeqOrderLayer, TokenOrderLayer};
 use ps_simnet::{EthernetConfig, Lossy, Medium, SegmentedBus, SharedBus, SimTime, Topology};
 use ps_stack::{Driver, GroupSim, GroupSimBuilder, GroupSpec, Layer, Stack};
 use ps_trace::ProcessId;
@@ -78,45 +77,6 @@ const LOW_PERMILLE: u32 = 40;
 const MIN_SAMPLES: u32 = 2;
 /// [`Policy::Load`]'s refractory period after a completed switch.
 const LOAD_COOLDOWN: SimTime = SimTime::from_millis(400);
-
-/// A total-order protocol stack, as one process runs it.
-#[derive(Debug, Clone, Copy)]
-pub enum Proto {
-    /// Sequencer total order, sequenced by the given process.
-    Seq(u16),
-    /// Token total order with this base idle hold.
-    Token(SimTime),
-    /// Sequencer total order over FIFO over reliable transport.
-    SeqFt(u16),
-    /// Token total order over reliable transport.
-    TokenFt(SimTime),
-}
-
-impl Proto {
-    fn layers(self) -> Vec<Box<dyn Layer>> {
-        match self {
-            Proto::Seq(s) => vec![Box::new(SeqOrderLayer::new(ProcessId(s)))],
-            Proto::Token(hold) => vec![Box::new(TokenOrderLayer::with_idle_hold(hold))],
-            Proto::SeqFt(s) => vec![
-                Box::new(SeqOrderLayer::new(ProcessId(s))),
-                Box::new(FifoLayer::new()),
-                Box::new(ReliableLayer::new()),
-            ],
-            Proto::TokenFt(hold) => {
-                vec![
-                    Box::new(TokenOrderLayer::with_idle_hold(hold)),
-                    Box::new(ReliableLayer::new()),
-                ]
-            }
-        }
-    }
-
-    /// A reliable pair also carries the switch's control traffic on a
-    /// reliable stack of its own.
-    fn reliable(self) -> bool {
-        matches!(self, Proto::SeqFt(_) | Proto::TokenFt(_))
-    }
-}
 
 /// How process 0 decides to switch; every other process runs
 /// [`NeverOracle`] and follows.
@@ -234,8 +194,9 @@ impl Scenario {
         self
     }
 
-    /// Every process runs a [`SwitchLayer`] between `from` (protocol 0)
-    /// and `to` (protocol 1); process 0 decides by `policy`.
+    /// Every process runs a [`ps_core::SwitchLayer`] between `from`
+    /// (protocol 0) and `to` (protocol 1), built by [`hybrid_layer`];
+    /// process 0 decides by `policy`.
     pub fn hybrid(mut self, from: Proto, to: Proto, switch: SwitchConfig, policy: Policy) -> Self {
         self.stacks = Some(Stacks::Hybrid { from, to, switch, policy });
         self
@@ -368,13 +329,7 @@ impl Scenario {
                         } else {
                             Box::new(NeverOracle)
                         };
-                        let a = Stack::with_ids(from.layers(), ids);
-                        let b = Stack::with_ids(to.layers(), ids);
-                        let (mut layer, handle) = SwitchLayer::new(switch.clone(), a, b, oracle);
-                        if from.reliable() {
-                            let control = vec![Box::new(ReliableLayer::new()) as Box<dyn Layer>];
-                            layer = layer.with_control_stack(Stack::with_ids(control, ids));
-                        }
+                        let (layer, handle) = hybrid_layer(ids, switch.clone(), *from, *to, oracle);
                         captured.borrow_mut().push(handle);
                         top.push(Box::new(layer));
                     }

@@ -14,8 +14,8 @@
 //! export byte-identical files, serial or under the parallel sweep runner.
 
 use crate::report::{ms, Table};
-use crate::scenario::{Policy, Proto, RunOutcome, Scenario};
-use ps_core::{SwitchConfig, SwitchVariant};
+use crate::scenario::{Policy, RunOutcome, Scenario};
+use ps_core::{Proto, SwitchConfig, SwitchVariant};
 use ps_obs::export;
 use ps_simnet::SimTime;
 use ps_workload::TrafficSpec;

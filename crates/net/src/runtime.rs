@@ -1,24 +1,24 @@
 //! The UDP-loopback group runtime: one OS thread + one socket per process.
 //!
-//! Each node thread stages its stack's effects and applies them after the
-//! call, keeps a due-heap for timers and scheduled workload, and maps
-//! wall-clock time onto [`SimTime`] microseconds from a shared epoch.
-//! Frames leave the process as real datagrams (`dgram` module) and arrive
-//! through `recv_from`, and the run records into `ps-obs` exactly like a
-//! simulated run: `AppSend`/`AppDeliver`/`FrameSend`/`FrameDeliver`/
-//! `TimerFire` events with wall-clock `at_us`, monitors and the
-//! `MetricsSampler` fed identically.
+//! Each node thread runs its stack beside the process's
+//! [`AppProcess`] — the transport-independent half the simulated driver
+//! runs too — stages the stack's effects and applies them after the call,
+//! keeps timers and scheduled workload in a [`ps_simnet::EventQueue`]
+//! keyed by microseconds from a shared epoch, and maps wall-clock time
+//! onto [`SimTime`] the same way. Frames leave the process as real
+//! datagrams (`dgram` module) and arrive through `recv_from`, and the run
+//! records into `ps-obs` exactly like a simulated run:
+//! `AppSend`/`AppDeliver`/`FrameSend`/`FrameDeliver`/`TimerFire` events
+//! with wall-clock `at_us`, monitors and the `MetricsSampler` fed
+//! identically.
 
 use crate::dgram;
-use ps_bytes::Bytes;
-use ps_simnet::{DetRng, SimTime};
-use ps_stack::{Cast, Driver, Frame, GroupSpec, LayerId, Stack, StackEnv};
-use ps_trace::{Event, Message, MsgId, ProcessId, Trace};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use ps_simnet::{DetRng, EventQueue, SimTime};
+use ps_stack::{AppProcess, Cast, Driver, Frame, GroupSpec, LayerId, Stack, StackEnv};
+use ps_trace::{Event, Message, ProcessId};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,7 +49,7 @@ const MAX_WAIT: Duration = Duration::from_millis(5);
 /// Everything a finished run produced (beyond the [`Driver`] accessors).
 #[derive(Debug, Clone)]
 pub struct NetReport {
-    /// Application messages delivered per process.
+    /// Messages delivered per process: the `Deliver` entries of its log.
     pub delivered_per_process: Vec<usize>,
     /// Datagrams received that failed [`dgram::decode`], per process.
     pub malformed_per_process: Vec<usize>,
@@ -62,30 +62,20 @@ struct NetCounters {
     copies_delivered: AtomicU64,
 }
 
-type SharedLog = Arc<Mutex<Vec<(SimTime, u16, Event)>>>;
+/// One process's application half, shared between its node thread and
+/// the [`UdpGroup`] that reads its log.
+type SharedApp = Arc<Mutex<AppProcess>>;
 
-/// What a due-heap entry fires.
-#[derive(PartialEq, Eq)]
+fn lock(app: &SharedApp) -> MutexGuard<'_, AppProcess> {
+    app.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What a node's event queue fires.
 enum Pending {
     /// A layer timer: `(layer, token)`.
     Timer(LayerId, u32),
     /// The node's scheduled application send at this index.
     App(usize),
-}
-
-/// Heap entry ordered by due instant, FIFO on ties.
-#[derive(PartialEq, Eq)]
-struct Due(Reverse<Instant>, u64, Pending);
-
-impl PartialOrd for Due {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Due {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0).then(Reverse(self.1).cmp(&Reverse(other.1)))
-    }
 }
 
 /// The stack's environment inside a node thread. Emissions are staged and
@@ -95,20 +85,13 @@ struct NetEnv<'a> {
     group: &'a [ProcessId],
     epoch: Instant,
     rng: &'a mut DetRng,
-    outbox: &'a mut Vec<(Frame, ps_obs::CauseId)>,
-    new_timers: &'a mut Vec<(Duration, LayerId, u32)>,
-    log: &'a SharedLog,
-    delivered: &'a mut usize,
+    outbox: &'a mut Vec<Frame>,
+    new_timers: &'a mut Vec<(SimTime, LayerId, u32)>,
+    app: &'a mut AppProcess,
     /// The recording session of the node-loop event being processed,
     /// `None` when the recorder is off.
     obs: Option<&'a ps_obs::Writer<'a>>,
     cause: ps_obs::CauseId,
-}
-
-impl NetEnv<'_> {
-    fn at_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
 }
 
 impl StackEnv for NetEnv<'_> {
@@ -119,7 +102,7 @@ impl StackEnv for NetEnv<'_> {
         self.group
     }
     fn now(&self) -> SimTime {
-        SimTime::from_micros(self.at_us())
+        since(self.epoch)
     }
     fn rng(&mut self) -> &mut DetRng {
         self.rng
@@ -134,7 +117,7 @@ impl StackEnv for NetEnv<'_> {
                 Cast::To(_) => 1,
             };
             o.record_caused(
-                self.at_us(),
+                self.now().as_micros(),
                 u32::from(self.me.0),
                 self.cause,
                 ps_obs::ObsEvent::FrameSend {
@@ -143,33 +126,13 @@ impl StackEnv for NetEnv<'_> {
                 },
             );
         }
-        let cause = self.cause;
-        self.outbox.push((frame, cause));
+        self.outbox.push(frame);
     }
     fn deliver(&mut self, _src: ProcessId, msg: Message) {
-        *self.delivered += 1;
-        let at = self.now();
-        if let Some(o) = self.obs.filter(|_| !msg.id.is_control()) {
-            // Same filter as the simulated runtime: control envelopes
-            // (reserved seq space) are not application traffic.
-            o.record_caused(
-                at.as_micros(),
-                u32::from(self.me.0),
-                self.cause,
-                ps_obs::ObsEvent::AppDeliver {
-                    sender: u32::from(msg.id.sender.0),
-                    seq: msg.id.seq,
-                },
-            );
-        }
-        self.log.lock().expect("net log poisoned").push((
-            at,
-            self.me.0,
-            Event::deliver(self.me, msg),
-        ));
+        self.app.deliver(self.now(), msg, self.obs, self.cause);
     }
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
-        self.new_timers.push((Duration::from_micros(delay.as_micros()), id, token));
+        self.new_timers.push((delay, id, token));
     }
     fn obs(&self) -> Option<&ps_obs::Writer<'_>> {
         self.obs
@@ -182,48 +145,41 @@ impl StackEnv for NetEnv<'_> {
     }
 }
 
+/// Wall-clock time since `epoch`, on the simulator's microsecond scale.
+fn since(epoch: Instant) -> SimTime {
+    SimTime::from_micros(epoch.elapsed().as_micros() as u64)
+}
+
 struct NodeThread {
     me: ProcessId,
     group: Vec<ProcessId>,
     stack: Stack,
+    app: SharedApp,
     socket: UdpSocket,
     peers: Vec<SocketAddr>,
     epoch: Instant,
     rng: DetRng,
     cfg: NetConfig,
-    next_seq: u64,
-    scheduled: Vec<Bytes>,
-    log: SharedLog,
     rec: ps_obs::Recorder,
     rec_on: bool,
     counters: Arc<NetCounters>,
     stop: Arc<AtomicBool>,
-    delivered: usize,
     malformed: usize,
-    heap: BinaryHeap<Due>,
-    heap_seq: u64,
+    queue: EventQueue<Pending>,
     /// Frames and timers a stack call staged; `apply` drains both, so they
     /// keep their capacity from one call to the next.
-    outbox: Vec<(Frame, ps_obs::CauseId)>,
-    new_timers: Vec<(Duration, LayerId, u32)>,
+    outbox: Vec<Frame>,
+    new_timers: Vec<(SimTime, LayerId, u32)>,
 }
 
 impl NodeThread {
-    fn push_due(&mut self, at: Instant, item: Pending) {
-        self.heap_seq += 1;
-        self.heap.push(Due(Reverse(at), self.heap_seq, item));
-    }
-
     /// Applies staged effects: arm timers, put frames on the wire.
     fn apply(&mut self) {
-        let now = Instant::now();
-        let mut timers = std::mem::take(&mut self.new_timers);
-        for (delay, id, token) in timers.drain(..) {
-            self.push_due(now + delay, Pending::Timer(id, token));
+        let now = since(self.epoch);
+        for (delay, id, token) in self.new_timers.drain(..) {
+            self.queue.push(now + delay, Pending::Timer(id, token));
         }
-        self.new_timers = timers;
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for (frame, _cause) in outbox.drain(..) {
+        for frame in self.outbox.drain(..) {
             let wire = dgram::encode(self.me, &frame.bytes);
             assert!(
                 wire.len() <= self.cfg.max_datagram,
@@ -244,7 +200,6 @@ impl NodeThread {
                 }
             }
         }
-        self.outbox = outbox;
     }
 
     /// Runs one stack call, then applies what it staged. With the
@@ -258,9 +213,12 @@ impl NodeThread {
     ) -> R {
         let session = if self.rec_on { self.rec.writer() } else { None };
         let cause = match (&session, head) {
-            (Some(w), Some(ev)) => w.record(self.at_us(), u32::from(self.me.0), ev),
+            (Some(w), Some(ev)) => {
+                w.record(since(self.epoch).as_micros(), u32::from(self.me.0), ev)
+            }
             _ => ps_obs::CauseId::NONE,
         };
+        let mut app = lock(&self.app);
         let mut env = NetEnv {
             me: self.me,
             group: &self.group,
@@ -268,69 +226,49 @@ impl NodeThread {
             rng: &mut self.rng,
             outbox: &mut self.outbox,
             new_timers: &mut self.new_timers,
-            log: &self.log,
-            delivered: &mut self.delivered,
+            app: &mut app,
             obs: session.as_ref(),
             cause,
         };
         let r = f(&mut self.stack, &mut env);
+        drop(app);
         drop(session);
         self.apply();
         r
     }
 
-    fn at_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
     fn fire_due(&mut self) {
-        loop {
-            let due = self.heap.peek().is_some_and(|d| d.0 .0 <= Instant::now());
-            if !due {
-                break;
-            }
-            let Due(_, _, pending) = self.heap.pop().expect("peeked");
+        while self.queue.peek_time().is_some_and(|at| at <= since(self.epoch)) {
+            let (_, pending) = self.queue.pop().expect("peeked");
             match pending {
-                Pending::App(idx) => {
-                    let body = self.scheduled[idx].clone();
-                    let msg = Message::new(self.me, self.next_seq, body);
-                    self.next_seq += 1;
+                Pending::App(idx) => self.with_env(None, |stack, env| {
                     // The send is a causal root here: the simulator
-                    // parents it on the engine's timer event, but a
-                    // real schedule has no recorded trigger.
-                    let head = self.rec_on.then_some(ps_obs::ObsEvent::AppSend {
-                        sender: u32::from(msg.id.sender.0),
-                        seq: msg.id.seq,
-                    });
-                    self.log.lock().expect("net log poisoned").push((
-                        SimTime::from_micros(self.at_us()),
-                        self.me.0,
-                        Event::send(msg.clone()),
-                    ));
-                    self.with_env(head, |stack, env| stack.send(&msg, env));
-                }
+                    // parents it on the engine's timer event, but a real
+                    // schedule has no recorded trigger.
+                    let (msg, cause) = env.app.send(idx, env.now(), env.obs, ps_obs::CauseId::NONE);
+                    env.cause = cause;
+                    stack.send(&msg, env);
+                }),
                 Pending::Timer(id, token) => {
                     let head = self.rec_on.then_some(ps_obs::ObsEvent::TimerFire {
                         token: (u64::from(id.0) << 32) | u64::from(token),
                     });
-                    self.with_env(head, |stack, env| {
-                        stack.timer(id, token, env);
-                    });
+                    self.with_env(head, |stack, env| stack.timer(id, token, env));
                 }
             }
         }
     }
 
-    fn run(mut self) -> (usize, usize) {
-        // First scheduled sends were pushed before spawn; launch the stack.
+    fn run(mut self) -> usize {
+        // The scheduled sends were queued before spawn; launch the stack.
         self.with_env(None, |stack, env| stack.launch(env));
         let mut buf = vec![0u8; self.cfg.max_datagram];
         while !self.stop.load(Ordering::Relaxed) {
             self.fire_due();
             let wait = self
-                .heap
-                .peek()
-                .map(|d| d.0 .0.saturating_duration_since(Instant::now()))
+                .queue
+                .peek_time()
+                .map(|at| Duration::from_micros(at.saturating_sub(since(self.epoch)).as_micros()))
                 .unwrap_or(MAX_WAIT)
                 .clamp(Duration::from_micros(200), MAX_WAIT);
             self.socket.set_read_timeout(Some(wait)).expect("set_read_timeout");
@@ -356,7 +294,7 @@ impl NodeThread {
                 Err(e) => panic!("recv_from failed on {}: {e}", self.me),
             }
         }
-        (self.delivered, self.malformed)
+        self.malformed
     }
 }
 
@@ -370,10 +308,13 @@ pub struct UdpGroup {
     group: Vec<ProcessId>,
     addrs: Vec<SocketAddr>,
     epoch: Instant,
-    log: SharedLog,
+    apps: Vec<SharedApp>,
+    /// Every process's log as of the first read since the last
+    /// [`Driver::run_until`]; the node threads keep appending to theirs.
+    logs: OnceLock<Vec<Vec<(SimTime, Event)>>>,
     rec: ps_obs::Recorder,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<(usize, usize)>>,
+    threads: Vec<JoinHandle<usize>>,
     sampler_thread: Option<JoinHandle<()>>,
 }
 
@@ -399,65 +340,53 @@ impl UdpGroup {
     pub fn launch(spec: GroupSpec, cfg: NetConfig) -> Self {
         let factory = spec.factory.as_ref().expect("GroupSpec requires a stack_factory");
         let group = spec.group();
-        let n = group.len();
+        let halves = AppProcess::split(spec.n, spec.sends);
 
-        // Sort workload per process; heap ties break FIFO, so same-offset
-        // sends fire in schedule order exactly like the simulated driver.
-        let mut per_node: Vec<Vec<(SimTime, Bytes)>> = vec![Vec::new(); n];
-        for (at, p, body) in &spec.sends {
-            assert!(p.index() < n, "scheduled sender {p} out of range");
-            per_node[p.index()].push((*at, body.clone()));
-        }
-        for sends in &mut per_node {
-            sends.sort_by_key(|(at, _)| *at);
-        }
-
-        let sockets: Vec<UdpSocket> =
-            (0..n).map(|_| UdpSocket::bind(cfg.bind_addr).expect("bind loopback socket")).collect();
+        let sockets: Vec<UdpSocket> = (0..group.len())
+            .map(|_| UdpSocket::bind(cfg.bind_addr).expect("bind loopback socket"))
+            .collect();
         let peers: Vec<SocketAddr> =
             sockets.iter().map(|s| s.local_addr().expect("local_addr")).collect();
 
         let rec = spec.recorder.clone().unwrap_or_default();
         let rec_on = rec.is_enabled();
-        let log: SharedLog = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
         let epoch = Instant::now();
 
+        let mut apps = Vec::new();
         let mut threads = Vec::new();
-        for (i, socket) in sockets.into_iter().enumerate() {
-            let me = ProcessId(i as u16);
+        for ((me, socket), (app, due)) in group.iter().copied().zip(sockets).zip(halves) {
             let mut ids = ps_stack::IdGen::new();
             let stack = factory(me, &group, &mut ids);
-            let mut node = NodeThread {
+            let app = Arc::new(Mutex::new(app));
+            apps.push(Arc::clone(&app));
+            let mut queue = EventQueue::new();
+            for (idx, at) in due.into_iter().enumerate() {
+                queue.push(at, Pending::App(idx));
+            }
+            let node = NodeThread {
                 me,
                 group: group.clone(),
                 stack,
+                app,
                 socket,
                 peers: peers.clone(),
                 epoch,
-                rng: DetRng::new(spec.seed ^ ((i as u64) << 16)),
+                rng: DetRng::new(spec.seed ^ (u64::from(me.0) << 16)),
                 cfg: cfg.clone(),
-                next_seq: 1,
-                scheduled: per_node[i].iter().map(|(_, b)| b.clone()).collect(),
-                log: Arc::clone(&log),
                 rec: rec.clone(),
                 rec_on,
                 counters: Arc::clone(&counters),
                 stop: Arc::clone(&stop),
-                delivered: 0,
                 malformed: 0,
-                heap: BinaryHeap::new(),
-                heap_seq: 0,
+                queue,
                 outbox: Vec::new(),
                 new_timers: Vec::new(),
             };
-            for (idx, (at, _)) in per_node[i].iter().enumerate() {
-                node.push_due(epoch + Duration::from_micros(at.as_micros()), Pending::App(idx));
-            }
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("ps-net-p{i}"))
+                    .name(format!("ps-net-p{}", me.0))
                     .spawn(move || node.run())
                     .expect("spawn node thread"),
             );
@@ -492,7 +421,17 @@ impl UdpGroup {
                 .expect("spawn sampler thread")
         });
 
-        Self { group, addrs: peers, epoch, log, rec, stop, threads, sampler_thread }
+        Self {
+            group,
+            addrs: peers,
+            epoch,
+            apps,
+            logs: OnceLock::new(),
+            rec,
+            stop,
+            threads,
+            sampler_thread,
+        }
     }
 
     /// Where each process's socket is bound, by process index — for tests
@@ -506,16 +445,16 @@ impl UdpGroup {
     /// results surface any node-thread panic.
     pub fn shutdown(mut self) -> NetReport {
         self.stop.store(true, Ordering::Relaxed);
-        let mut delivered_per_process = Vec::new();
-        let mut malformed_per_process = Vec::new();
-        for t in self.threads.drain(..) {
-            let (delivered, malformed) = t.join().expect("node thread panicked");
-            delivered_per_process.push(delivered);
-            malformed_per_process.push(malformed);
-        }
+        let malformed_per_process =
+            self.threads.drain(..).map(|t| t.join().expect("node thread panicked")).collect();
         if let Some(t) = self.sampler_thread.take() {
             t.join().expect("sampler thread panicked");
         }
+        let delivered_per_process = self
+            .apps
+            .iter()
+            .map(|app| lock(app).log().iter().filter(|(_, ev)| ev.is_deliver()).count())
+            .collect();
         NetReport { delivered_per_process, malformed_per_process }
     }
 }
@@ -538,6 +477,7 @@ impl Driver for UdpGroup {
     /// passed. Node threads keep processing in the background; a deadline
     /// already in the past returns immediately.
     fn run_until(&mut self, deadline: SimTime) {
+        self.logs = OnceLock::new();
         let target = self.epoch + Duration::from_micros(deadline.as_micros());
         loop {
             let now = Instant::now();
@@ -549,44 +489,24 @@ impl Driver for UdpGroup {
     }
 
     fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+        since(self.epoch)
     }
 
     fn group(&self) -> &[ProcessId] {
         &self.group
     }
 
-    fn app_trace(&self) -> Trace {
-        let mut evs = self.log.lock().expect("net log poisoned").clone();
-        // Stable sort: same-microsecond events at one node keep their
-        // thread-local order, mirroring the simulated driver's (at, node,
-        // log-index) key.
-        evs.sort_by_key(|&(at, node, _)| (at, node));
-        evs.into_iter().map(|(_, _, e)| e).collect()
-    }
-
-    fn send_times(&self) -> BTreeMap<MsgId, SimTime> {
-        let mut out = BTreeMap::new();
-        for (at, _, ev) in self.log.lock().expect("net log poisoned").iter() {
-            if let Event::Send(m) = ev {
-                out.insert(m.id, *at);
-            }
-        }
-        out
-    }
-
-    fn deliveries(&self) -> Vec<ps_stack::DeliveryRecord> {
-        let mut out = Vec::new();
-        for (at, _, ev) in self.log.lock().expect("net log poisoned").iter() {
-            if let Event::Deliver(p, m) = ev {
-                out.push(ps_stack::DeliveryRecord { msg: m.id, process: *p, at: *at });
-            }
-        }
-        out
-    }
-
     fn recorder(&self) -> &ps_obs::Recorder {
         &self.rec
+    }
+
+    /// Process `p`'s log as of the first log read since the last
+    /// [`Driver::run_until`]: the node threads keep running, so every
+    /// accessor of one read-out sees the same instant.
+    fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)] {
+        let logs =
+            self.logs.get_or_init(|| self.apps.iter().map(|a| lock(a).log().to_vec()).collect());
+        &logs[p.index()]
     }
 }
 

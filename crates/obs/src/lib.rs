@@ -3,8 +3,7 @@
 //! Observability for the protocol-switching stack: a zero-alloc
 //! ring-buffer event [`Recorder`] with a streaming [`EventSink`] API,
 //! online property monitors ([`MonitorSet`]), a virtual-time load sampler
-//! ([`MetricsSampler`]), log-linear latency [`Histogram`]s and monotonic
-//! [`Counter`]s behind a [`Registry`], and exporters for JSON-lines
+//! ([`MetricsSampler`]), log-linear latency [`Histogram`]s, and exporters for JSON-lines
 //! dumps, Chrome `trace_event` files, and per-process switch-phase
 //! timelines.
 //!
@@ -57,7 +56,7 @@ pub use causal::{
     PhaseAttribution,
 };
 pub use event::{CauseId, EventMask, LayerDir, ObsEvent, SpPhase, TimedEvent};
-pub use metrics::{Counter, HistSummary, Histogram, Registry};
+pub use metrics::{HistSummary, Histogram};
 pub use monitor::{
     DeliveryMonitor, FifoMonitor, MonitorSet, SwitchLivenessMonitor, TotalOrderMonitor, Violation,
     ViolationKind,

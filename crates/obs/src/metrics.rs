@@ -1,5 +1,4 @@
-//! Monotonic counters and fixed-bucket log-linear histograms behind a
-//! [`Registry`] keyed by static names.
+//! Fixed-bucket log-linear histograms.
 //!
 //! The histogram uses 8 linear sub-buckets per power of two (HdrHistogram's
 //! scheme at 3 significant bits): bucket boundaries are exact up to 8 and
@@ -7,8 +6,6 @@
 //! covers the full `u64` range. Recording is an index computation plus one
 //! increment — no allocation, no floating point.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Linear sub-buckets per power of two (2^3 = 8).
@@ -37,36 +34,6 @@ fn bucket_floor(idx: usize) -> u64 {
         let group = (idx - SUB) / SUB;
         let sub = (idx - SUB) % SUB;
         ((SUB + sub) as u64) << group
-    }
-}
-
-/// A monotonically increasing counter. Clones share the value.
-#[derive(Clone, Debug, Default)]
-pub struct Counter {
-    value: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// A fresh counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -237,74 +204,6 @@ impl Histogram {
     }
 }
 
-#[derive(Default)]
-struct Maps {
-    counters: BTreeMap<&'static str, Counter>,
-    hists: BTreeMap<&'static str, Histogram>,
-}
-
-/// A registry of named [`Counter`]s and [`Histogram`]s.
-///
-/// Keys are `&'static str` so registration never allocates a string, and
-/// iteration order is the key order (deterministic reports). Clones share
-/// the registry.
-///
-/// # Examples
-///
-/// ```
-/// use ps_obs::Registry;
-///
-/// let reg = Registry::new();
-/// reg.counter("frames.sent").add(3);
-/// reg.histogram("latency_us").record(250);
-/// assert_eq!(reg.counter("frames.sent").get(), 3);
-/// assert_eq!(reg.counters(), vec![("frames.sent", 3)]);
-/// ```
-#[derive(Clone, Default)]
-pub struct Registry {
-    inner: Arc<Mutex<Maps>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("counters", &self.counters().len())
-            .field("histograms", &self.histograms().len())
-            .finish()
-    }
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn with_maps<R>(&self, f: impl FnOnce(&mut Maps) -> R) -> R {
-        f(&mut self.inner.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// The counter named `name`, created at zero on first use.
-    pub fn counter(&self, name: &'static str) -> Counter {
-        self.with_maps(|m| m.counters.entry(name).or_default().clone())
-    }
-
-    /// The histogram named `name`, created empty on first use.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
-        self.with_maps(|m| m.hists.entry(name).or_default().clone())
-    }
-
-    /// All counters as `(name, value)`, sorted by name.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.with_maps(|m| m.counters.iter().map(|(&k, v)| (k, v.get())).collect())
-    }
-
-    /// All histogram summaries as `(name, summary)`, sorted by name.
-    pub fn histograms(&self) -> Vec<(&'static str, HistSummary)> {
-        self.with_maps(|m| m.hists.iter().map(|(&k, v)| (k, v.summary())).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,33 +305,5 @@ mod tests {
         h.merge(&clone_sees); // shared state: must not deadlock
         assert_eq!(h.count(), 2);
         assert_eq!(h.summary().mean, 42);
-    }
-
-    #[test]
-    fn counter_shares_across_clones() {
-        let c = Counter::new();
-        let c2 = c.clone();
-        c.inc();
-        c2.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn registry_returns_same_instrument_for_same_name() {
-        let reg = Registry::new();
-        reg.counter("a").inc();
-        reg.counter("a").inc();
-        assert_eq!(reg.counter("a").get(), 2);
-        reg.histogram("h").record(5);
-        assert_eq!(reg.histogram("h").count(), 1);
-    }
-
-    #[test]
-    fn registry_iterates_sorted_by_name() {
-        let reg = Registry::new();
-        reg.counter("zebra").inc();
-        reg.counter("alpha").add(2);
-        let names: Vec<_> = reg.counters().iter().map(|&(n, _)| n).collect();
-        assert_eq!(names, ["alpha", "zebra"]);
     }
 }

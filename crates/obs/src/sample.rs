@@ -18,7 +18,6 @@
 //! Utilizations are in permille (0–1000) to stay integer-exact: floats
 //! would make "byte-identical across runs" hostage to formatting.
 
-use crate::metrics::Registry;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One sampling window's load measurements. All fields are integers so
@@ -124,15 +123,11 @@ struct SamplerState {
 ///
 /// The simulator owns one clone and pushes into it; the harness keeps
 /// another to read the series afterwards (and an oracle may hold a third,
-/// polling [`MetricsSampler::latest`] mid-run). When built
-/// [`with_registry`](MetricsSampler::with_registry), every push also
-/// feeds `load.bus_util_permille` / `load.max_queue_depth` histograms so
-/// sampled load shows up in the ordinary metrics summary.
+/// polling [`MetricsSampler::latest`] mid-run).
 #[derive(Clone)]
 pub struct MetricsSampler {
     interval_us: u64,
     seq_node: Option<u32>,
-    registry: Option<Registry>,
     inner: Arc<Mutex<SamplerState>>,
 }
 
@@ -151,26 +146,13 @@ impl MetricsSampler {
     /// virtual time. `interval_us` must be non-zero.
     pub fn new(interval_us: u64) -> Self {
         assert!(interval_us > 0, "sampling interval must be non-zero");
-        Self {
-            interval_us,
-            seq_node: None,
-            registry: None,
-            inner: Arc::new(Mutex::new(SamplerState::default())),
-        }
+        Self { interval_us, seq_node: None, inner: Arc::new(Mutex::new(SamplerState::default())) }
     }
 
     /// Designates `node` as the sequencer whose CPU busy share is broken
     /// out into [`LoadSample::seq_cpu_permille`].
     pub fn with_seq_node(mut self, node: u32) -> Self {
         self.seq_node = Some(node);
-        self
-    }
-
-    /// Mirrors each sample into histograms in `registry`
-    /// (`load.bus_util_permille`, `load.max_cpu_permille`,
-    /// `load.max_queue_depth`, `load.in_flight`).
-    pub fn with_registry(mut self, registry: Registry) -> Self {
-        self.registry = Some(registry);
         self
     }
 
@@ -190,12 +172,6 @@ impl MetricsSampler {
 
     /// Appends one sample (the simulator calls this at window ends).
     pub fn push(&self, sample: LoadSample) {
-        if let Some(reg) = &self.registry {
-            reg.histogram("load.bus_util_permille").record(u64::from(sample.bus_util_permille));
-            reg.histogram("load.max_cpu_permille").record(u64::from(sample.max_cpu_permille));
-            reg.histogram("load.max_queue_depth").record(u64::from(sample.max_queue_depth));
-            reg.histogram("load.in_flight").record(u64::from(sample.in_flight));
-        }
         self.lock().samples.push(sample);
     }
 
@@ -373,17 +349,6 @@ mod tests {
         assert_eq!(sum.peak_seq_cpu_permille, 40);
         assert_eq!(sum.peak_queue_depth, 2);
         assert_eq!(sum.peak_in_flight, 7);
-    }
-
-    #[test]
-    fn registry_mirror_records_each_push() {
-        let reg = Registry::new();
-        let s = MetricsSampler::new(100).with_registry(reg.clone());
-        s.push(sample(100, 250));
-        s.push(sample(200, 750));
-        let summary = reg.histogram("load.bus_util_permille").summary();
-        assert_eq!(summary.count, 2);
-        assert_eq!(reg.histogram("load.in_flight").summary().count, 2);
     }
 
     #[test]

@@ -92,7 +92,7 @@ mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
     use ps_simnet::SimTime;
-    use ps_stack::{Stack, TapLayer, TapLog};
+    use ps_stack::{Driver, Stack, TapLayer, TapLog};
     use ps_trace::props::{Amoeba, Property, Reliability};
 
     #[test]

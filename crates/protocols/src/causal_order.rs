@@ -129,7 +129,7 @@ mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
     use ps_simnet::{PointToPoint, SimTime};
-    use ps_stack::Stack;
+    use ps_stack::{Driver, Stack};
     use ps_trace::props::{CausalOrder, Property, Reliability};
 
     fn causal_stack() -> impl Fn(ProcessId, &[ProcessId], &mut ps_stack::IdGen) -> Stack + 'static {

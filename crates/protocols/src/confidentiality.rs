@@ -99,7 +99,7 @@ impl Layer for ConfidentialityLayer {
 mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
-    use ps_stack::Stack;
+    use ps_stack::{Driver, Stack};
     use ps_trace::props::{Confidentiality, Property};
 
     const KEY: u64 = 0xfeed;

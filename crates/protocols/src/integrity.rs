@@ -100,7 +100,7 @@ impl Layer for IntegrityLayer {
 mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
-    use ps_stack::Stack;
+    use ps_stack::{Driver, Stack};
     use ps_trace::props::{Integrity, Property};
 
     const KEY: u64 = 0x5eed;

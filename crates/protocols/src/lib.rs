@@ -54,7 +54,7 @@ pub use vsync::{VsyncConfig, VsyncLayer};
 pub(crate) mod testutil {
     use ps_bytes::Bytes;
     use ps_simnet::{Medium, PointToPoint, SimTime};
-    use ps_stack::{GroupSimBuilder, IdGen, Stack};
+    use ps_stack::{Driver, GroupSimBuilder, IdGen, Stack};
     use ps_trace::ProcessId;
 
     /// Standard test rig: `n` processes, the given stack factory, `msgs`

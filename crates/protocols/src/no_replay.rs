@@ -60,7 +60,7 @@ mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
     use ps_simnet::{Lossy, PointToPoint, SimTime};
-    use ps_stack::Stack;
+    use ps_stack::{Driver, Stack};
     use ps_trace::props::{NoReplay, Property};
 
     #[test]

@@ -348,7 +348,7 @@ mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
     use ps_simnet::{Lossy, PointToPoint};
-    use ps_stack::Stack;
+    use ps_stack::{Driver, Stack};
     use ps_trace::props::{NoReplay, Property, Reliability};
 
     #[test]

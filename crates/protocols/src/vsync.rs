@@ -394,7 +394,7 @@ impl Layer for VsyncLayer {
 mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
-    use ps_stack::Stack;
+    use ps_stack::{Driver, Stack};
     use ps_trace::props::{Property, VirtualSynchrony};
 
     fn pids(ids: &[u16]) -> Vec<ProcessId> {

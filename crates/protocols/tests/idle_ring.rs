@@ -15,7 +15,7 @@ use ps_bytes::Bytes;
 use ps_check::prelude::*;
 use ps_protocols::TokenOrderLayer;
 use ps_simnet::{Medium, NodeId, PartitionSchedule, PointToPoint, SimTime};
-use ps_stack::{Cast, Frame, GroupSim, GroupSimBuilder, Layer, LayerCtx, Stack};
+use ps_stack::{Cast, Driver, Frame, GroupSim, GroupSimBuilder, Layer, LayerCtx, Stack};
 use ps_trace::props::{Property, Reliability, TotalOrder};
 use ps_trace::ProcessId;
 use std::sync::{Arc, Mutex};

@@ -24,19 +24,20 @@
 //! exposes — the application-level trace (property verdicts), delivery
 //! records (counts, latencies), and the recorder stream (monitors).
 
-use crate::runtime::{DeliveryRecord, StackFactory};
+use crate::runtime::StackFactory;
 use crate::{IdGen, Stack};
 use ps_bytes::Bytes;
+use ps_obs::{CauseId, ObsEvent, Writer};
 use ps_simnet::SimTime;
-use ps_trace::{MsgId, ProcessId, Trace};
+use ps_trace::{Event, Message, MsgId, ProcessId, Trace};
 use std::collections::BTreeMap;
 
 /// The transport-independent description of a group run.
 ///
 /// Feed one to [`GroupSimBuilder::from_spec`](crate::GroupSimBuilder::from_spec)
 /// for a simulated run, or to `ps_net::UdpGroup::launch` for a real one.
-/// The builder-style methods mirror [`GroupSimBuilder`](crate::GroupSimBuilder),
-/// minus everything that names a medium.
+/// A [`GroupSimBuilder`](crate::GroupSimBuilder) holds one and adds only
+/// what names the simulated medium.
 pub struct GroupSpec {
     /// Group size; processes are `ProcessId(0..n)`.
     pub n: u16,
@@ -91,15 +92,13 @@ impl GroupSpec {
         self
     }
 
-    /// Attaches an event recorder (see
-    /// [`GroupSimBuilder::recorder`](crate::GroupSimBuilder::recorder)).
+    /// Attaches an event recorder; keep a clone to read it after the run.
     pub fn recorder(mut self, rec: ps_obs::Recorder) -> Self {
         self.recorder = Some(rec);
         self
     }
 
-    /// Attaches a periodic load sampler (see
-    /// [`GroupSimBuilder::sampler`](crate::GroupSimBuilder::sampler)).
+    /// Attaches a periodic load sampler; keep a clone to read the series.
     pub fn sampler(mut self, sampler: ps_obs::MetricsSampler) -> Self {
         self.sampler = Some(sampler);
         self
@@ -123,12 +122,118 @@ impl GroupSpec {
     }
 }
 
+/// One application-level delivery observed during a run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeliveryRecord {
+    /// Which message.
+    pub msg: MsgId,
+    /// Which process delivered it.
+    pub process: ProcessId,
+    /// When.
+    pub at: SimTime,
+}
+
+/// The transport-independent half of one process, which every driver
+/// runs beside the process's stack: its share of the scheduled sends, the
+/// numbering of its messages, and its application log.
+#[derive(Debug)]
+pub struct AppProcess {
+    pub(crate) me: ProcessId,
+    next_seq: u64,
+    /// Bodies of this process's scheduled sends, in due order.
+    schedule: Vec<Bytes>,
+    log: Vec<(SimTime, Event)>,
+    /// Entries a run of the scheduled workload appends to `log`: one per
+    /// send of the group (its delivery here) plus one per own send.
+    log_room: usize,
+}
+
+impl AppProcess {
+    /// One process half per member of a group of `n`, each with the due
+    /// instants of its scheduled sends: [`AppProcess::send`] of `i` is due
+    /// at the `i`-th. Same-instant sends keep their schedule order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scheduled sender is out of range.
+    pub fn split(n: u16, sends: Vec<(SimTime, ProcessId, Bytes)>) -> Vec<(Self, Vec<SimTime>)> {
+        let group_sends = sends.len();
+        let mut per_node: Vec<Vec<(SimTime, Bytes)>> = vec![Vec::new(); usize::from(n)];
+        for (at, p, body) in sends {
+            assert!(p.index() < per_node.len(), "scheduled sender {p} out of range");
+            per_node[p.index()].push((at, body));
+        }
+        (0..n)
+            .zip(per_node)
+            .map(|(me, mut own)| {
+                own.sort_by_key(|(at, _)| *at);
+                let app = AppProcess {
+                    me: ProcessId(me),
+                    next_seq: 1,
+                    schedule: own.iter().map(|(_, body)| body.clone()).collect(),
+                    log: Vec::new(),
+                    log_room: group_sends + own.len(),
+                };
+                (app, own.iter().map(|(at, _)| *at).collect())
+            })
+            .collect()
+    }
+
+    /// Numbers and logs scheduled send `idx` for the caller to multicast.
+    /// With a recorder session, records `AppSend` under `parent` and
+    /// returns its id as the cause of the multicast's frames; else `parent`.
+    pub fn send(
+        &mut self,
+        idx: usize,
+        at: SimTime,
+        obs: Option<&Writer<'_>>,
+        parent: CauseId,
+    ) -> (Message, CauseId) {
+        let msg = Message::new(self.me, self.next_seq, self.schedule[idx].clone());
+        self.next_seq += 1;
+        let node = u32::from(self.me.0);
+        let ev = ObsEvent::AppSend { sender: node, seq: msg.id.seq };
+        let cause = obs.map_or(parent, |o| o.record_caused(at.as_micros(), node, parent, ev));
+        self.append(at, Event::send(msg.clone()));
+        (msg, cause)
+    }
+
+    /// Logs the delivery of `msg`, recording `AppDeliver` unless `msg` is
+    /// a control envelope: the reserved sequence space is not application
+    /// traffic, and streaming monitors would misread it as reordering.
+    pub fn deliver(&mut self, at: SimTime, msg: Message, obs: Option<&Writer<'_>>, cause: CauseId) {
+        if let Some(o) = obs.filter(|_| !msg.id.is_control()) {
+            let ev = ObsEvent::AppDeliver { sender: u32::from(msg.id.sender.0), seq: msg.id.seq };
+            o.record_caused(at.as_micros(), u32::from(self.me.0), cause, ev);
+        }
+        self.append(at, Event::deliver(self.me, msg));
+    }
+
+    /// This process's sends and deliveries with their times, in the order
+    /// it made them.
+    pub fn log(&self) -> &[(SimTime, Event)] {
+        &self.log
+    }
+
+    /// The first append sizes the log for the scheduled workload — inside
+    /// the run, so that building a group touches no memory the run may
+    /// never use, and once, instead of doubling through re-copied entries.
+    fn append(&mut self, at: SimTime, ev: Event) {
+        if self.log.capacity() == 0 {
+            self.log.reserve_exact(self.log_room);
+        }
+        self.log.push((at, ev));
+    }
+}
+
 /// A completed (or running) group over some transport.
 ///
 /// Implementations: [`GroupSim`](crate::GroupSim) over `ps-simnet`,
 /// `ps_net::UdpGroup` over UDP loopback. The accessors expose exactly the
 /// surface the sim-vs-real diff compares; see the module docs for what is
-/// and is not promised across drivers.
+/// and is not promised across drivers. Every accessor but the clock and
+/// the recorder reads the per-process logs, so a driver implements
+/// [`Driver::process_log`] and inherits the rest.
 pub trait Driver {
     /// Runs until `deadline` — virtual time for simulated drivers, offset
     /// from the run's start instant for real ones.
@@ -140,18 +245,51 @@ pub trait Driver {
     /// The group membership.
     fn group(&self) -> &[ProcessId];
 
-    /// The application-level trace of the whole run, merged in time
-    /// order — ready for the `ps-trace` property checkers.
-    fn app_trace(&self) -> Trace;
-
-    /// Send time of every message, by id.
-    fn send_times(&self) -> BTreeMap<MsgId, SimTime>;
-
-    /// Every delivery observed.
-    fn deliveries(&self) -> Vec<DeliveryRecord>;
-
     /// The recorder this driver records into (disabled if none attached).
     fn recorder(&self) -> &ps_obs::Recorder;
+
+    /// Process `p`'s application log ([`AppProcess::log`]).
+    fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)];
+
+    /// The application-level trace of the whole run: every process's
+    /// `Send` and `Deliver` events merged in time order (ties by process,
+    /// then by log order) — ready for the `ps-trace` property checkers.
+    fn app_trace(&self) -> Trace {
+        let mut events: Vec<(SimTime, u16, usize, &Event)> = Vec::new();
+        for &p in self.group() {
+            for (idx, (at, ev)) in self.process_log(p).iter().enumerate() {
+                events.push((*at, p.0, idx, ev));
+            }
+        }
+        events.sort_by_key(|&(at, node, idx, _)| (at, node, idx));
+        events.into_iter().map(|(_, _, _, ev)| ev.clone()).collect()
+    }
+
+    /// Send time of every message, by id.
+    fn send_times(&self) -> BTreeMap<MsgId, SimTime> {
+        let mut out = BTreeMap::new();
+        for &p in self.group() {
+            for (at, ev) in self.process_log(p) {
+                if let Event::Send(m) = ev {
+                    out.insert(m.id, *at);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every delivery observed, process by process in log order.
+    fn deliveries(&self) -> Vec<DeliveryRecord> {
+        let mut out = Vec::new();
+        for &p in self.group() {
+            for (at, ev) in self.process_log(p) {
+                if let Event::Deliver(p, m) = ev {
+                    out.push(DeliveryRecord { msg: m.id, process: *p, at: *at });
+                }
+            }
+        }
+        out
+    }
 
     /// Mean latency from send to delivery over all completed
     /// (message, receiver) pairs; `None` if nothing was delivered.
@@ -212,5 +350,82 @@ mod tests {
     #[should_panic(expected = "at least one process")]
     fn zero_process_spec_rejected() {
         let _ = GroupSpec::new(0);
+    }
+
+    fn body(b: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(b)
+    }
+
+    #[test]
+    fn same_instant_sends_fire_in_schedule_order() {
+        let at = SimTime::from_millis;
+        let sends = vec![
+            (at(5), ProcessId(0), body(b"late")),
+            (at(1), ProcessId(0), body(b"first")),
+            (at(1), ProcessId(1), body(b"elsewhere")),
+            (at(1), ProcessId(0), body(b"second")),
+        ];
+        let mut halves = AppProcess::split(2, sends.clone());
+        let (app, due) = &mut halves[0];
+        assert_eq!(*due, vec![at(1), at(1), at(5)]);
+        let fired: Vec<(u64, Bytes)> = (0..due.len())
+            .map(|i| app.send(i, due[i], None, CauseId::NONE).0)
+            .map(|m| (m.id.seq, m.body))
+            .collect();
+        assert_eq!(fired, vec![(1, body(b"first")), (2, body(b"second")), (3, body(b"late"))]);
+        assert_eq!(halves[1].1, vec![at(1)]);
+
+        // The simulated driver fires them the same way.
+        let mut sim = GroupSimBuilder::from_spec(spec(2).sends(sends)).build();
+        sim.run_until(at(30));
+        let order: Vec<Bytes> = sim
+            .process_log(ProcessId(0))
+            .iter()
+            .filter(|(_, e)| e.is_send())
+            .map(|(_, e)| e.message().body.clone())
+            .collect();
+        assert_eq!(order, vec![body(b"first"), body(b"second"), body(b"late")]);
+    }
+
+    #[test]
+    fn app_send_is_parented_on_the_callers_cause() {
+        let rec = ps_obs::Recorder::with_capacity(16);
+        let Some(w) = rec.writer() else { return }; // `tap` feature off
+        let parent = w.record(7, 0, ObsEvent::TimerFire { token: 1 });
+        let sends = vec![
+            (SimTime::ZERO, ProcessId(0), body(b"a")),
+            (SimTime::ZERO, ProcessId(0), body(b"b")),
+        ];
+        let mut app = AppProcess::split(1, sends).remove(0).0;
+        let (msg, cause) = app.send(0, SimTime::from_micros(7), Some(&w), parent);
+        // Without a session the caller's cause passes straight through.
+        assert_eq!(app.send(1, SimTime::from_micros(8), None, parent).1, parent);
+        drop(w);
+        let events = rec.snapshot();
+        let send = events.iter().find(|e| matches!(e.ev, ObsEvent::AppSend { .. })).unwrap();
+        assert_eq!(send.ev, ObsEvent::AppSend { sender: 0, seq: msg.id.seq });
+        assert_eq!(send.parent, parent);
+        assert_eq!(send.id(), cause);
+        assert_eq!(app.log().len(), 2, "both sends are logged");
+    }
+
+    #[test]
+    fn a_control_delivery_is_logged_but_not_recorded() {
+        let rec = ps_obs::Recorder::with_capacity(16);
+        let Some(w) = rec.writer() else { return }; // `tap` feature off
+        let mut app = AppProcess::split(2, Vec::new()).remove(1).0;
+        let view = Message::view_change(ProcessId(0), MsgId::CONTROL_SEQ_BASE + 1, 1, vec![]);
+        app.deliver(SimTime::from_micros(3), view, Some(&w), CauseId::NONE);
+        app.deliver(
+            SimTime::from_micros(4),
+            Message::new(ProcessId(0), 1, body(b"m")),
+            Some(&w),
+            CauseId::NONE,
+        );
+        drop(w);
+        assert_eq!(app.log().len(), 2);
+        assert!(app.log()[0].1.message().is_view_change());
+        let recorded: Vec<ObsEvent> = rec.snapshot().iter().map(|e| e.ev).collect();
+        assert_eq!(recorded, vec![ObsEvent::AppDeliver { sender: 0, seq: 1 }]);
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use ps_simnet::{PointToPoint, SimTime};
-//! use ps_stack::{GroupSimBuilder, Stack};
+//! use ps_stack::{Driver, GroupSimBuilder, Stack};
 //! use ps_trace::props::{Property, Reliability};
 //! use ps_trace::ProcessId;
 //!
@@ -53,8 +53,8 @@ mod stack;
 mod tap;
 
 pub use channel::ChannelId;
-pub use driver::{Driver, GroupSpec};
+pub use driver::{AppProcess, DeliveryRecord, Driver, GroupSpec};
 pub use layer::{Cast, Frame, IdGen, Layer, LayerCtx, LayerId};
-pub use runtime::{DeliveryRecord, GroupSim, GroupSimBuilder, StackFactory};
+pub use runtime::{GroupSim, GroupSimBuilder, StackFactory};
 pub use stack::{Stack, StackEnv};
 pub use tap::{TapLayer, TapLog};

@@ -1,3 +1,4 @@
+use crate::driver::{AppProcess, Driver, GroupSpec};
 use crate::layer::{Cast, Frame, IdGen, LayerId};
 use crate::stack::{Stack, StackEnv};
 use ps_bytes::Bytes;
@@ -5,8 +6,8 @@ use ps_simnet::{
     Agent, Dest, Medium, NetStats, NodeId, Packet, PointToPoint, Sim, SimApi, SimConfig, SimTime,
     TimerToken,
 };
-use ps_trace::{Event, Message, MsgId, ProcessId, Trace};
-use std::collections::BTreeMap;
+use ps_trace::{Event, Message, ProcessId};
+use std::sync::Arc;
 
 /// Builds one process's protocol stack.
 ///
@@ -27,60 +28,26 @@ fn unpack(t: TimerToken) -> (u32, u32) {
     ((t.0 >> 32) as u32, (t.0 & 0xffff_ffff) as u32)
 }
 
-/// One application-level delivery observed during a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeliveryRecord {
-    /// Which message.
-    pub msg: MsgId,
-    /// Which process delivered it.
-    pub process: ProcessId,
-    /// When.
-    pub at: SimTime,
-}
-
-/// Mutable per-process state shared between the agent and its environment
-/// adapter (split from the stack to satisfy the borrow checker).
-struct NodeCell {
-    me: ProcessId,
-    group: Vec<ProcessId>,
-    next_seq: u64,
-    scheduled: Vec<Bytes>,
-    log: Vec<(SimTime, Event)>,
-    /// Entries a run of the scheduled workload appends to `log`: one per
-    /// send of the group (its delivery here) plus one per send of this
-    /// process.
-    log_room: usize,
-}
-
-impl NodeCell {
-    /// Appends to the application log. The first append sizes the log
-    /// for the scheduled workload — inside the run, so that building a
-    /// group touches no memory the run may never use, and once, instead
-    /// of doubling through re-copied entries.
-    fn log(&mut self, at: SimTime, ev: Event) {
-        if self.log.capacity() == 0 {
-            self.log.reserve_exact(self.log_room);
-        }
-        self.log.push((at, ev));
-    }
-}
-
+/// One process of a simulated group: its stack, and the
+/// transport-independent half beside it.
 struct ProcessAgent {
     stack: Stack,
-    cell: NodeCell,
+    group: Vec<ProcessId>,
+    app: AppProcess,
 }
 
 struct EnvAdapter<'a, 'b> {
-    cell: &'a mut NodeCell,
+    group: &'a [ProcessId],
+    app: &'a mut AppProcess,
     api: &'a mut SimApi<'b>,
 }
 
 impl StackEnv for EnvAdapter<'_, '_> {
     fn me(&self) -> ProcessId {
-        self.cell.me
+        self.app.me
     }
     fn group(&self) -> &[ProcessId] {
-        &self.cell.group
+        self.group
     }
     fn now(&self) -> SimTime {
         self.api.now()
@@ -97,24 +64,7 @@ impl StackEnv for EnvAdapter<'_, '_> {
         self.api.send(dest, frame.bytes);
     }
     fn deliver(&mut self, _src: ProcessId, msg: Message) {
-        let me = self.cell.me;
-        if let Some(o) = self.api.obs() {
-            // Control envelopes (view changes etc.) use the reserved seq
-            // space and are not application traffic — streaming monitors
-            // would misread them as reordered deliveries.
-            if !msg.id.is_control() {
-                o.record_caused(
-                    self.api.now().as_micros(),
-                    u32::from(me.0),
-                    self.api.cause(),
-                    ps_obs::ObsEvent::AppDeliver {
-                        sender: u32::from(msg.id.sender.0),
-                        seq: msg.id.seq,
-                    },
-                );
-            }
-        }
-        self.cell.log(self.api.now(), Event::deliver(me, msg));
+        self.app.deliver(self.api.now(), msg, self.api.obs(), self.api.cause());
     }
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
         self.api.set_timer(delay, pack(id, token));
@@ -135,105 +85,87 @@ impl StackEnv for EnvAdapter<'_, '_> {
 
 impl Agent for ProcessAgent {
     fn on_start(&mut self, api: &mut SimApi<'_>) {
-        let mut env = EnvAdapter { cell: &mut self.cell, api };
+        let mut env = EnvAdapter { group: &self.group, app: &mut self.app, api };
         self.stack.launch(&mut env);
     }
 
     fn on_packet(&mut self, pkt: Packet, api: &mut SimApi<'_>) {
         let src = ProcessId(pkt.src.0 as u16);
-        let mut env = EnvAdapter { cell: &mut self.cell, api };
+        let mut env = EnvAdapter { group: &self.group, app: &mut self.app, api };
         self.stack.receive(src, pkt.payload, &mut env);
     }
 
     fn on_restart(&mut self, api: &mut SimApi<'_>) {
-        let mut env = EnvAdapter { cell: &mut self.cell, api };
+        let mut env = EnvAdapter { group: &self.group, app: &mut self.app, api };
         self.stack.restart(&mut env);
     }
 
     fn on_timer(&mut self, token: TimerToken, api: &mut SimApi<'_>) {
         let (layer, tok) = unpack(token);
         if layer == APP_MARKER {
-            let body = self.cell.scheduled[tok as usize].clone();
-            let msg = Message::new(self.cell.me, self.cell.next_seq, body);
-            self.cell.next_seq += 1;
-            if let Some(o) = api.obs() {
-                // Parent the send to the firing that triggered it, then
-                // make it the causal context for the frames it produces.
-                let send_id = o.record_caused(
-                    api.now().as_micros(),
-                    u32::from(self.cell.me.0),
-                    api.cause(),
-                    ps_obs::ObsEvent::AppSend {
-                        sender: u32::from(msg.id.sender.0),
-                        seq: msg.id.seq,
-                    },
-                );
-                api.set_cause(send_id);
-            }
-            self.cell.log(api.now(), Event::send(msg.clone()));
-            let mut env = EnvAdapter { cell: &mut self.cell, api };
+            // Parent the send to the firing that triggered it, then make
+            // it the causal context for the frames it produces.
+            let (msg, cause) = self.app.send(tok as usize, api.now(), api.obs(), api.cause());
+            api.set_cause(cause);
+            let mut env = EnvAdapter { group: &self.group, app: &mut self.app, api };
             self.stack.send(&msg, &mut env);
         } else {
-            let mut env = EnvAdapter { cell: &mut self.cell, api };
+            let mut env = EnvAdapter { group: &self.group, app: &mut self.app, api };
             self.stack.timer(LayerId(layer), tok, &mut env);
         }
     }
 }
 
-/// Builder for a [`GroupSim`].
+/// Builder for a [`GroupSim`]: a [`GroupSpec`] plus what names the
+/// simulated medium — the medium, the topology, the service time and the
+/// profiler.
 ///
 /// # Examples
 ///
 /// See the crate-level example.
 pub struct GroupSimBuilder {
-    n: u16,
-    config: SimConfig,
+    spec: GroupSpec,
     medium: Option<Box<dyn Medium>>,
-    factory: Option<StackFactory>,
-    sends: Vec<(SimTime, ProcessId, Bytes)>,
+    topology: Option<Arc<ps_simnet::Topology>>,
+    service_time: Option<SimTime>,
+    prof: Option<ps_prof::Profiler>,
 }
 
 impl std::fmt::Debug for GroupSimBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupSimBuilder")
-            .field("n", &self.n)
-            .field("scheduled_sends", &self.sends.len())
-            .finish()
+        f.debug_struct("GroupSimBuilder").field("spec", &self.spec).finish()
     }
 }
 
 impl GroupSimBuilder {
-    /// Starts a builder for a group of `n` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
+    /// Starts a builder for a group of `n` processes ([`GroupSpec::new`]).
     pub fn new(n: u16) -> Self {
-        assert!(n > 0, "a group needs at least one process");
-        Self { n, config: SimConfig::default(), medium: None, factory: None, sends: Vec::new() }
+        Self::from_spec(GroupSpec::new(n))
     }
 
     /// Sets the random seed (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.config = self.config.seed(seed);
+        self.spec = self.spec.seed(seed);
         self
     }
 
     /// Sets every node's per-event CPU service time.
     pub fn service_time(mut self, t: SimTime) -> Self {
-        self.config = self.config.service_time(t);
+        self.service_time = Some(t);
         self
     }
 
-    /// Runs the group over a multi-segment [`ps_simnet::Topology`]: the
-    /// medium becomes a [`ps_simnet::SegmentedBus`] over it (seeded from
-    /// the builder's seed at [`GroupSimBuilder::build`]) and
-    /// `Dest::Segment` resolves against it. The topology must span
-    /// exactly the group's `n` processes. Overrides any previously set
-    /// medium; a later [`GroupSimBuilder::medium`] call wins back.
-    pub fn topology(mut self, topo: std::sync::Arc<ps_simnet::Topology>) -> Self {
-        assert_eq!(topo.num_nodes(), u32::from(self.n), "topology nodes must match group size");
-        self.config = self.config.topology(topo);
+    /// Runs the group over a multi-segment [`ps_simnet::Topology`] that
+    /// spans exactly its `n` processes: `Dest::Segment` resolves against
+    /// it, and the medium becomes a [`ps_simnet::SegmentedBus`] over it,
+    /// seeded from the group's seed, until a later [`Self::medium`] call.
+    pub fn topology(mut self, topo: Arc<ps_simnet::Topology>) -> Self {
+        assert_eq!(
+            topo.num_nodes(),
+            u32::from(self.spec.n),
+            "topology nodes must match group size"
+        );
+        self.topology = Some(topo);
         self.medium = None;
         self
     }
@@ -244,27 +176,23 @@ impl GroupSimBuilder {
         self
     }
 
-    /// Attaches an event recorder: engine, layer, and switch-phase events
-    /// of every process are recorded into it (see [`ps_obs::Recorder`]).
-    /// Keep a clone to snapshot after the run, or use
-    /// [`GroupSim::recorder`].
+    /// Attaches an event recorder ([`GroupSpec::recorder`]): engine,
+    /// layer, and switch-phase events of every process are recorded in it.
     pub fn recorder(mut self, rec: ps_obs::Recorder) -> Self {
-        self.config = self.config.recorder(rec);
+        self.spec = self.spec.recorder(rec);
         self
     }
 
-    /// Attaches a periodic load sampler driven off the sim clock (see
-    /// [`ps_obs::MetricsSampler`]). Keep a clone to read the series.
+    /// Attaches a load sampler driven off the sim clock ([`GroupSpec::sampler`]).
     pub fn sampler(mut self, sampler: ps_obs::MetricsSampler) -> Self {
-        self.config = self.config.sampler(sampler);
+        self.spec = self.spec.sampler(sampler);
         self
     }
 
-    /// Attaches a host-time profiler: engine, per-layer, and
-    /// observability dispatch costs are attributed into it (see
-    /// [`ps_prof::Profiler`]). Keep a clone to read after the run.
+    /// Attaches a host-time profiler ([`ps_prof::Profiler`]): engine,
+    /// per-layer, and observability dispatch costs are attributed into it.
     pub fn prof(mut self, prof: ps_prof::Profiler) -> Self {
-        self.config = self.config.prof(prof);
+        self.prof = Some(prof);
         self
     }
 
@@ -273,38 +201,27 @@ impl GroupSimBuilder {
     where
         F: Fn(ProcessId, &[ProcessId], &mut IdGen) -> Stack + 'static,
     {
-        self.factory = Some(Box::new(f));
+        self.spec = self.spec.stack_factory(f);
         self
     }
 
     /// Schedules `sender` to multicast a message with `body` at time `at`.
     pub fn send_at(mut self, at: SimTime, sender: ProcessId, body: impl AsRef<[u8]>) -> Self {
-        self.sends.push((at, sender, Bytes::copy_from_slice(body.as_ref())));
+        self.spec = self.spec.send_at(at, sender, body);
         self
     }
 
     /// Schedules a batch of sends.
     pub fn sends(mut self, batch: impl IntoIterator<Item = (SimTime, ProcessId, Bytes)>) -> Self {
-        self.sends.extend(batch);
+        self.spec = self.spec.sends(batch);
         self
     }
 
-    /// Lifts a transport-independent [`crate::GroupSpec`] into a simnet
-    /// builder. Medium, topology, service times, and the profiler stay at
-    /// their defaults — chain the usual builder methods to set them.
-    /// This is the simulated half of the [`crate::Driver`] split; the
-    /// real-transport half is `ps_net::UdpGroup::launch` on the same spec.
-    pub fn from_spec(spec: crate::GroupSpec) -> Self {
-        let mut b = Self::new(spec.n).seed(spec.seed);
-        if let Some(rec) = spec.recorder {
-            b = b.recorder(rec);
-        }
-        if let Some(sampler) = spec.sampler {
-            b = b.sampler(sampler);
-        }
-        b.factory = spec.factory;
-        b.sends = spec.sends;
-        b
+    /// Lifts a transport-independent [`GroupSpec`] into a simnet builder
+    /// — the simulated half of the [`Driver`] split; the real-transport
+    /// half is `ps_net::UdpGroup::launch` on the same spec.
+    pub fn from_spec(spec: GroupSpec) -> Self {
+        Self { spec, medium: None, topology: None, service_time: None, prof: None }
     }
 
     /// Builds the simulation.
@@ -314,49 +231,41 @@ impl GroupSimBuilder {
     /// Panics if no stack factory was provided, or a scheduled sender is
     /// out of range.
     pub fn build(self) -> GroupSim {
-        let factory = self.factory.expect("GroupSimBuilder requires a stack_factory");
-        let medium = self.medium.unwrap_or_else(|| match &self.config.topology {
-            Some(topo) => Box::new(ps_simnet::SegmentedBus::new(
-                std::sync::Arc::clone(topo),
-                self.config.seed,
-            )) as Box<dyn Medium>,
+        let spec = self.spec;
+        let factory = spec.factory.expect("GroupSimBuilder requires a stack_factory");
+        let medium = self.medium.unwrap_or_else(|| match &self.topology {
+            Some(topo) => Box::new(ps_simnet::SegmentedBus::new(Arc::clone(topo), spec.seed)),
             None => Box::new(PointToPoint::new(SimTime::from_micros(100))),
         });
-        let group: Vec<ProcessId> = (0..self.n).map(ProcessId).collect();
-
-        // Sort workload per process; token = index into its schedule.
-        let mut per_node: Vec<Vec<(SimTime, Bytes)>> = vec![Vec::new(); usize::from(self.n)];
-        let group_sends = self.sends.len();
-        for (at, p, body) in self.sends {
-            assert!(p.index() < group.len(), "scheduled sender {p} out of range");
-            per_node[p.index()].push((at, body));
+        let mut config = SimConfig {
+            seed: spec.seed,
+            recorder: spec.recorder.unwrap_or_default(),
+            sampler: spec.sampler,
+            topology: self.topology,
+            prof: self.prof.unwrap_or_default(),
+            ..SimConfig::default()
+        };
+        if let Some(t) = self.service_time {
+            config = config.service_time(t);
         }
-        for sends in &mut per_node {
-            sends.sort_by_key(|(at, _)| *at);
-        }
+        let group: Vec<ProcessId> = (0..spec.n).map(ProcessId).collect();
 
-        let agents: Vec<ProcessAgent> = group
-            .iter()
-            .map(|&p| {
+        // A scheduled send fires as an app-marker timer whose token is its
+        // index into the process's schedule.
+        let (apps, dues): (Vec<AppProcess>, Vec<Vec<SimTime>>) =
+            AppProcess::split(spec.n, spec.sends).into_iter().unzip();
+        let agents: Vec<ProcessAgent> = apps
+            .into_iter()
+            .map(|app| {
                 let mut ids = IdGen::new();
-                let stack = factory(p, &group, &mut ids);
-                ProcessAgent {
-                    stack,
-                    cell: NodeCell {
-                        me: p,
-                        group: group.clone(),
-                        next_seq: 1,
-                        scheduled: per_node[p.index()].iter().map(|(_, b)| b.clone()).collect(),
-                        log: Vec::new(),
-                        log_room: group_sends + per_node[p.index()].len(),
-                    },
-                }
+                let stack = factory(app.me, &group, &mut ids);
+                ProcessAgent { stack, group: group.clone(), app }
             })
             .collect();
 
-        let mut sim = Sim::new(self.config, medium, agents);
-        for (p, sends) in per_node.iter().enumerate() {
-            for (idx, (at, _)) in sends.iter().enumerate() {
+        let mut sim = Sim::new(config, medium, agents);
+        for (p, due) in dues.iter().enumerate() {
+            for (idx, at) in due.iter().enumerate() {
                 sim.schedule(*at, NodeId(p as u32), pack(LayerId(APP_MARKER), idx as u32));
             }
         }
@@ -365,7 +274,8 @@ impl GroupSimBuilder {
 }
 
 /// A running group: one identical protocol stack per process over a
-/// simulated network, with application-level trace capture.
+/// simulated network, with application-level trace capture. Run and read
+/// it through [`Driver`].
 pub struct GroupSim {
     sim: Sim<ProcessAgent>,
     group: Vec<ProcessId>,
@@ -381,11 +291,6 @@ impl std::fmt::Debug for GroupSim {
 }
 
 impl GroupSim {
-    /// Runs until virtual time `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.sim.run_until(deadline);
-    }
-
     /// Schedules a fail-stop crash of `p` at time `at` (see
     /// [`ps_simnet::Sim::schedule_crash`]).
     pub fn schedule_crash(&mut self, at: SimTime, p: ProcessId) {
@@ -398,97 +303,35 @@ impl GroupSim {
         self.sim.schedule_recover(at, NodeId::from(p.0));
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// The group membership.
-    pub fn group(&self) -> &[ProcessId] {
-        &self.group
-    }
-
     /// Network counters.
     pub fn net_stats(&self) -> &NetStats {
         self.sim.stats()
     }
-
-    /// The event recorder this group records into (disabled unless one
-    /// was attached via [`GroupSimBuilder::recorder`]).
-    pub fn recorder(&self) -> &ps_obs::Recorder {
-        self.sim.recorder()
-    }
-
-    /// The application-level trace of the whole run: every process's `Send`
-    /// and `Deliver` events merged in time order — ready for the property
-    /// checkers in `ps-trace`.
-    pub fn app_trace(&self) -> Trace {
-        let mut events: Vec<(SimTime, u16, usize, &Event)> = Vec::new();
-        for (node, agent) in self.sim.agents().enumerate() {
-            for (idx, (at, ev)) in agent.cell.log.iter().enumerate() {
-                events.push((*at, node as u16, idx, ev));
-            }
-        }
-        events.sort_by_key(|&(at, node, idx, _)| (at, node, idx));
-        events.into_iter().map(|(_, _, _, ev)| ev.clone()).collect()
-    }
-
-    /// Send time of every message, by id.
-    pub fn send_times(&self) -> BTreeMap<MsgId, SimTime> {
-        let mut out = BTreeMap::new();
-        for agent in self.sim.agents() {
-            for (at, ev) in &agent.cell.log {
-                if let Event::Send(m) = ev {
-                    out.insert(m.id, *at);
-                }
-            }
-        }
-        out
-    }
-
-    /// Every delivery observed, in per-process log order.
-    pub fn deliveries(&self) -> Vec<DeliveryRecord> {
-        let mut out = Vec::new();
-        for agent in self.sim.agents() {
-            for (at, ev) in &agent.cell.log {
-                if let Event::Deliver(p, m) = ev {
-                    out.push(DeliveryRecord { msg: m.id, process: *p, at: *at });
-                }
-            }
-        }
-        out
-    }
 }
 
-impl crate::Driver for GroupSim {
+impl Driver for GroupSim {
     fn run_until(&mut self, deadline: SimTime) {
-        GroupSim::run_until(self, deadline);
+        self.sim.run_until(deadline);
     }
     fn now(&self) -> SimTime {
-        GroupSim::now(self)
+        self.sim.now()
     }
     fn group(&self) -> &[ProcessId] {
-        GroupSim::group(self)
-    }
-    fn app_trace(&self) -> Trace {
-        GroupSim::app_trace(self)
-    }
-    fn send_times(&self) -> BTreeMap<MsgId, SimTime> {
-        GroupSim::send_times(self)
-    }
-    fn deliveries(&self) -> Vec<DeliveryRecord> {
-        GroupSim::deliveries(self)
+        &self.group
     }
     fn recorder(&self) -> &ps_obs::Recorder {
-        GroupSim::recorder(self)
+        self.sim.recorder()
+    }
+    fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)] {
+        self.sim.agent(NodeId::from(p.0)).app.log()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Driver;
     use ps_trace::props::{Property, Reliability};
+    use ps_trace::MsgId;
 
     fn passthrough(n: u16) -> GroupSimBuilder {
         GroupSimBuilder::new(n)

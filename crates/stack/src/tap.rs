@@ -91,7 +91,7 @@ impl Layer for TapLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GroupSimBuilder, Stack};
+    use crate::{Driver, GroupSimBuilder, Stack};
     use ps_simnet::PointToPoint;
 
     #[test]

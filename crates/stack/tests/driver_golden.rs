@@ -11,7 +11,7 @@
 //! a baseline refresh.
 
 use ps_simnet::{PointToPoint, SimTime};
-use ps_stack::{GroupSimBuilder, Stack};
+use ps_stack::{Driver, GroupSimBuilder, Stack};
 use ps_trace::ProcessId;
 
 /// FNV-1a, 64-bit — tiny, stable, and dependency-free.

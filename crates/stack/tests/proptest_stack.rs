@@ -4,7 +4,7 @@
 use ps_bytes::Bytes;
 use ps_check::prelude::*;
 use ps_simnet::{PointToPoint, SimTime};
-use ps_stack::{Frame, GroupSimBuilder, Layer, LayerCtx, Stack};
+use ps_stack::{Driver, Frame, GroupSimBuilder, Layer, LayerCtx, Stack};
 use ps_trace::props::{Property, Reliability};
 use ps_trace::ProcessId;
 

@@ -5,20 +5,28 @@
 # Usage: scripts/size.sh [REPO_ROOT]
 #
 # Lines: every .rs file under a crate's src/, counted up to (not
-# including) its first `#[cfg(test)]` line — the in-file unit tests sit
-# below it by convention. Pub items: lines in that same span that start
-# with `pub ` (items, fields, re-exports); `pub(crate)` / `pub(super)` are
-# not public and are not counted.
+# including) the `#[cfg(test)]` that gates a `mod` — the in-file unit
+# tests sit below it by convention. A `#[cfg(test)]` on anything else (a
+# test-only field, function or impl) is counted like the item it gates.
+# Pub items: lines in that same span that start with `pub ` (items,
+# fields, re-exports); `pub(crate)` / `pub(super)` are not public and are
+# not counted.
 set -euo pipefail
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
 
 count() {
     local dir="$1"
+    # `held` counts a `#[cfg(test)]` and the attributes after it until
+    # the item they gate shows whether the file's test module starts.
     find "$dir" -name '*.rs' -print0 | sort -z | xargs -0 awk '
-        FNR == 1 { body = 1 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { body = 0 }
-        body { lines++; if ($0 ~ /^[[:space:]]*pub[[:space:]]/) pubs++ }
+        FNR == 1 { body = 1; held = 0 }
+        !body { next }
+        held && /^[[:space:]]*#\[/ { held++; next }
+        held && /^[[:space:]]*(pub[^[:space:]]*[[:space:]]+)?mod[[:space:]]/ { body = 0; next }
+        held { lines += held; held = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { held = 1; next }
+        { lines++; if ($0 ~ /^[[:space:]]*pub[[:space:]]/) pubs++ }
         END { printf "%d %d\n", lines, pubs }'
 }
 

@@ -6,6 +6,7 @@
 
 use ps_harness::experiments::fig2::{run_point, Fig2Config, Series};
 use ps_simnet::SimTime;
+use ps_stack::Driver;
 
 fn small_cfg(seed: u64) -> Fig2Config {
     Fig2Config {
