@@ -4,8 +4,10 @@
 //! observability view and the protocol's own bookkeeping tell one story.
 
 use ps_check::prelude::*;
+use ps_harness::monitor_run::{self, MonitorRunConfig};
 use ps_harness::trace_run::{run, TraceRunConfig};
 use ps_simnet::SimTime;
+use std::collections::BTreeMap;
 
 /// Builds a small traced scenario from three drawn knobs.
 fn cfg_from(seed: u64, senders: u16, gap_ms: u64) -> TraceRunConfig {
@@ -74,7 +76,7 @@ props! {
         // Every parent chain terminates at a root, and every root is an
         // origin — a timer fire, a send, a launch span, or work parked
         // from outside any causal context — never an effect such as a
-        // delivery, a dequeue, or a span close.
+        // delivery or a dequeue.
         use ps_obs::ObsEvent as E;
         for e in graph.events() {
             assert!(graph.reaches_root(e), "orphan chain (seed {seed:#x}): {e:?}");
@@ -86,7 +88,7 @@ props! {
                             | E::AppSend { .. }
                             | E::FrameSend { .. }
                             | E::CpuEnqueue { .. }
-                            | E::LayerBegin { .. }
+                            | E::LayerSpan { .. }
                     ),
                     "effect event is a causal root (seed {seed:#x}): {e:?}"
                 );
@@ -149,5 +151,48 @@ props! {
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(h_a.quantile(q), union.quantile(q), "quantile {q}");
         }
+    }
+}
+
+props! {
+    #![config(cases = 4)]
+
+    // One record per handler call, on monitored runs with and without the
+    // seeded fault layer: per layer, the recorder's `LayerSpan` records
+    // equal the profiler's `stack/<layer>` entries — the other instrument
+    // the stack wraps around every handler call. Simulated time stands
+    // still inside a handler, so every span closes with `dur_us` 0.
+    fn every_handler_call_writes_exactly_one_span_record(
+        seed in arb::<u64>(),
+        burst_senders in 1u16..4,
+        swap_fault in arb::<bool>(),
+    ) {
+        let prof = ps_prof::Profiler::enabled();
+        if !prof.is_enabled() {
+            return; // ps-prof's `prof` feature is off: no handler count to compare
+        }
+        let cfg = MonitorRunConfig {
+            seed,
+            burst_senders,
+            inject_fault: swap_fault,
+            ..MonitorRunConfig::quick()
+        };
+        let r = monitor_run::scenario(&cfg).prof(prof.clone()).run(cfg.horizon());
+        assert_eq!(r.overwritten, 0, "ring sized for the whole run");
+        let mut records: BTreeMap<String, u64> = BTreeMap::new();
+        for e in &r.events {
+            if let ps_obs::ObsEvent::LayerSpan { layer, dur_us, .. } = e.ev {
+                assert_eq!(dur_us, 0, "virtual time moved inside a handler: {e:?}");
+                *records.entry(format!("stack/{layer}")).or_default() += 1;
+            }
+        }
+        let calls: BTreeMap<String, u64> = prof
+            .rows()
+            .into_iter()
+            .filter(|row| row.path.starts_with("stack/") && row.enters > 0)
+            .map(|row| (row.path, row.enters))
+            .collect();
+        assert!(calls.len() >= 3, "a switch over two protocols: {calls:?}");
+        assert_eq!(records, calls, "seed {seed:#x}, fault {swap_fault}");
     }
 }

@@ -101,8 +101,10 @@ fn parse_phase(s: &str) -> Option<SpPhase> {
     })
 }
 
-/// Parses one `{"kind":..}` event line back into a [`TimedEvent`].
-fn parse_event_line(full: &str) -> Result<TimedEvent, String> {
+/// Parses one `{"kind":..}` event line back into a [`TimedEvent`]; `None`
+/// for a version-1 `layer_end`, whose span its `layer_begin` already
+/// stands for.
+fn parse_event_line(full: &str) -> Result<Option<TimedEvent>, String> {
     let head = |k: &str| field_u64(full, k).ok_or_else(|| format!("missing \"{k}\": {full}"));
     let at_us = head("at_us")?;
     let node = head("node")? as u32;
@@ -125,20 +127,19 @@ fn parse_event_line(full: &str) -> Result<TimedEvent, String> {
         "cpu_enqueue" => ObsEvent::CpuEnqueue { depth: need("depth")? as u32 },
         "cpu_dequeue" => ObsEvent::CpuDequeue { depth: need("depth")? as u32 },
         "timer_fire" => ObsEvent::TimerFire { token: need("token")? },
-        "layer_begin" | "layer_end" => {
-            let layer = intern(
+        // Version 1 wrote `layer_begin` where version 2 writes `layer`,
+        // with no duration.
+        "layer" | "layer_begin" => ObsEvent::LayerSpan {
+            layer: intern(
                 &field_str(line, "layer").ok_or_else(|| format!("missing \"layer\": {line}"))?,
-            );
-            let dir = parse_dir(
+            ),
+            dir: parse_dir(
                 &field_str(line, "dir").ok_or_else(|| format!("missing \"dir\": {line}"))?,
             )
-            .ok_or_else(|| format!("bad \"dir\": {line}"))?;
-            if kind == "layer_begin" {
-                ObsEvent::LayerBegin { layer, dir }
-            } else {
-                ObsEvent::LayerEnd { layer, dir }
-            }
-        }
+            .ok_or_else(|| format!("bad \"dir\": {line}"))?,
+            dur_us: if kind == "layer" { need("dur_us")? as u32 } else { 0 },
+        },
+        "layer_end" => return Ok(None),
         "switch_phase" => ObsEvent::SwitchPhase {
             phase: parse_phase(
                 &field_str(line, "phase").ok_or_else(|| format!("missing \"phase\": {line}"))?,
@@ -153,13 +154,15 @@ fn parse_event_line(full: &str) -> Result<TimedEvent, String> {
         "node_recover" => ObsEvent::NodeRecover { incarnation: need("incarnation")? as u32 },
         other => return Err(format!("unknown kind \"{other}\": {full}")),
     };
-    Ok(TimedEvent { at_us, node, seq, parent, ev })
+    Ok(Some(TimedEvent { at_us, node, seq, parent, ev }))
 }
 
 /// Parses a JSONL trace produced by [`export::to_jsonl_with`] or a
 /// post-mortem bundle back into events plus metadata. Lines that are not
 /// events (verdicts, load samples) are skipped; malformed *event* lines
-/// are errors.
+/// are errors. Version-1 files read as version 2 would have written them,
+/// except that their spans have no duration and keep the seqs their
+/// `layer_end` lines used up.
 ///
 /// [`export::to_jsonl_with`]: crate::export::to_jsonl_with
 pub fn parse_jsonl(input: &str) -> Result<ParsedTrace, String> {
@@ -187,7 +190,7 @@ pub fn parse_jsonl(input: &str) -> Result<ParsedTrace, String> {
         if !line.contains("\"kind\":") {
             continue; // verdict or sampler line inside a bundle
         }
-        out.events.push(parse_event_line(line)?);
+        out.events.extend(parse_event_line(line)?);
     }
     Ok(out)
 }
@@ -857,7 +860,11 @@ mod tests {
         let tricky = vec![
             TimedEvent {
                 seq: 1,
-                ..TimedEvent::new(5, 2, ObsEvent::LayerBegin { layer: "seq", dir: LayerDir::Down })
+                ..TimedEvent::new(
+                    5,
+                    2,
+                    ObsEvent::LayerSpan { layer: "seq", dir: LayerDir::Down, dur_us: 12 },
+                )
             },
             TimedEvent {
                 seq: 2,

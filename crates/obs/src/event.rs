@@ -99,7 +99,7 @@ impl EventMask {
     pub const CPU: EventMask = EventMask(1 << 1);
     /// Timer firings: `TimerFire`.
     pub const TIMER: EventMask = EventMask(1 << 2);
-    /// Layer handler spans: `LayerBegin`, `LayerEnd`.
+    /// Layer handler spans: `LayerSpan`.
     pub const LAYER: EventMask = EventMask(1 << 3);
     /// Switching-protocol phases: `SwitchPhase`.
     pub const SWITCH: EventMask = EventMask(1 << 4);
@@ -119,23 +119,18 @@ impl EventMask {
     pub const fn contains(self, other: EventMask) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// The union of the two masks (non-operator form of `|`).
-    pub const fn union(self, other: EventMask) -> EventMask {
-        EventMask(self.0 | other.0)
-    }
 }
 
 impl std::ops::BitOr for EventMask {
     type Output = EventMask;
     fn bitor(self, rhs: EventMask) -> EventMask {
-        self.union(rhs)
+        EventMask(self.0 | rhs.0)
     }
 }
 
 impl std::ops::BitOrAssign for EventMask {
     fn bitor_assign(&mut self, rhs: EventMask) {
-        *self = self.union(rhs);
+        self.0 |= rhs.0;
     }
 }
 
@@ -177,19 +172,21 @@ pub enum ObsEvent {
         /// The agent-chosen token.
         token: u64,
     },
-    /// A layer handler started (header push/pop span open).
-    LayerBegin {
+    /// One layer handler call (a header push/pop span).
+    ///
+    /// Written when the handler is entered — its id is the causal context
+    /// of everything the handler emits — and closed in place when it
+    /// returns (see [`Writer::open_span`](crate::Writer::open_span)): the
+    /// close stores the duration into the record. Sinks see the record at
+    /// open, with `dur_us` 0.
+    LayerSpan {
         /// `Layer::name()` of the handler's layer.
         layer: &'static str,
         /// Which handler.
         dir: LayerDir,
-    },
-    /// A layer handler returned (span close).
-    LayerEnd {
-        /// `Layer::name()` of the handler's layer.
-        layer: &'static str,
-        /// Which handler.
-        dir: LayerDir,
+        /// Host clock from entry to return, in µs: 0 on a virtual clock,
+        /// which stands still inside a handler; wall time on a real one.
+        dur_us: u32,
     },
     /// A switching-protocol phase transition at this process.
     SwitchPhase {
@@ -241,7 +238,7 @@ impl ObsEvent {
             | ObsEvent::FrameDrop { .. } => EventMask::FRAME,
             ObsEvent::CpuEnqueue { .. } | ObsEvent::CpuDequeue { .. } => EventMask::CPU,
             ObsEvent::TimerFire { .. } => EventMask::TIMER,
-            ObsEvent::LayerBegin { .. } | ObsEvent::LayerEnd { .. } => EventMask::LAYER,
+            ObsEvent::LayerSpan { .. } => EventMask::LAYER,
             ObsEvent::SwitchPhase { .. } => EventMask::SWITCH,
             ObsEvent::AppSend { .. } | ObsEvent::AppDeliver { .. } => EventMask::APP,
             ObsEvent::NodeCrash { .. } | ObsEvent::NodeRecover { .. } => EventMask::LIFECYCLE,
@@ -325,7 +322,8 @@ mod tests {
     fn events_are_small_and_copy() {
         // The ring buffer stores events inline; keep them cache-friendly.
         assert!(std::mem::size_of::<TimedEvent>() <= 48);
-        let e = TimedEvent::new(1, 2, ObsEvent::LayerBegin { layer: "fifo", dir: LayerDir::Down });
+        let span = ObsEvent::LayerSpan { layer: "fifo", dir: LayerDir::Down, dur_us: 7 };
+        let e = TimedEvent::new(1, 2, span);
         let copy = e; // Copy, not move.
         assert_eq!(e, copy);
     }
@@ -362,8 +360,7 @@ mod tests {
             ObsEvent::CpuEnqueue { depth: 1 },
             ObsEvent::CpuDequeue { depth: 0 },
             ObsEvent::TimerFire { token: 1 },
-            ObsEvent::LayerBegin { layer: "fifo", dir: LayerDir::Down },
-            ObsEvent::LayerEnd { layer: "fifo", dir: LayerDir::Down },
+            ObsEvent::LayerSpan { layer: "fifo", dir: LayerDir::Down, dur_us: 0 },
             ObsEvent::SwitchPhase { phase: SpPhase::Flip, from: 0, to: 1 },
             ObsEvent::AppSend { sender: 0, seq: 1 },
             ObsEvent::AppDeliver { sender: 0, seq: 1 },

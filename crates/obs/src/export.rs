@@ -10,6 +10,10 @@
 //! CPU, layer spans, and switch phases. Load the file and every layer
 //! traversal of every frame is a span you can click.
 //!
+//! The JSON-lines schema is versioned by its meta line. Version 2 writes one `layer` line per handler call, with
+//! its duration; version 1 wrote a `layer_begin` / `layer_end` pair, which
+//! [`parse_jsonl`](crate::parse_jsonl) still reads.
+//!
 //! [Perfetto]: https://ui.perfetto.dev
 
 use crate::event::{ObsEvent, SpPhase, TimedEvent};
@@ -80,15 +84,10 @@ pub fn to_jsonl(events: &[TimedEvent]) -> String {
             ObsEvent::TimerFire { token } => {
                 let _ = write!(out, "\"kind\":\"timer_fire\",\"token\":{token}");
             }
-            ObsEvent::LayerBegin { layer, dir } => {
-                out.push_str("\"kind\":\"layer_begin\",\"layer\":");
+            ObsEvent::LayerSpan { layer, dir, dur_us } => {
+                out.push_str("\"kind\":\"layer\",\"layer\":");
                 json_str(&mut out, layer);
-                let _ = write!(out, ",\"dir\":\"{}\"", dir.as_str());
-            }
-            ObsEvent::LayerEnd { layer, dir } => {
-                out.push_str("\"kind\":\"layer_end\",\"layer\":");
-                json_str(&mut out, layer);
-                let _ = write!(out, ",\"dir\":\"{}\"", dir.as_str());
+                let _ = write!(out, ",\"dir\":\"{}\",\"dur_us\":{dur_us}", dir.as_str());
             }
             ObsEvent::SwitchPhase { phase, from, to } => {
                 let _ = write!(
@@ -115,16 +114,23 @@ pub fn to_jsonl(events: &[TimedEvent]) -> String {
     out
 }
 
+/// The JSON-lines schema version the meta lines declare.
+pub(crate) const JSONL_VERSION: u32 = 2;
+
 /// [`to_jsonl`] plus a leading recorder-metadata line.
 ///
-/// The first line is `{"meta":"recorder","overwritten":N}` where `N` is
+/// The first line is `{"meta":"recorder","version":2,"overwritten":N}`
+/// where `N` is
 /// the number of events the ring evicted before the snapshot was taken
 /// ([`Recorder::overwritten`](crate::Recorder::overwritten)); `N > 0`
 /// means the dump is a suffix of the run, not the whole run, and
 /// `trace_lint` warns about it.
 pub fn to_jsonl_with(events: &[TimedEvent], overwritten: u64) -> String {
     let mut out = String::with_capacity(events.len() * 64 + 48);
-    let _ = write!(out, "{{\"meta\":\"recorder\",\"overwritten\":{overwritten}}}\n");
+    let _ = writeln!(
+        out,
+        "{{\"meta\":\"recorder\",\"version\":{JSONL_VERSION},\"overwritten\":{overwritten}}}"
+    );
     out.push_str(&to_jsonl(events));
     out
 }
@@ -142,8 +148,9 @@ const TID_LAYER_BASE: u32 = 5;
 /// Each simulated node becomes a trace *process* (`pid` = node), with
 /// named tracks: `net` (frame instants), `cpu` (queueing + timers),
 /// `switch` (one span per switch, phase instants inside it), `app`
-/// (multicast sends and deliveries), and one track per layer name
-/// carrying `B`/`E` spans around every handler call. Open the file in
+/// (multicast sends and deliveries), `fault` (one span per crash), and
+/// one track per layer name carrying one complete (`X`) span per handler
+/// call, its `dur` the record's `dur_us`. Open the file in
 /// `about://tracing` or Perfetto.
 pub fn to_chrome(events: &[TimedEvent]) -> String {
     chrome_doc(events, None)
@@ -170,168 +177,94 @@ fn chrome_doc(events: &[TimedEvent], overwritten: Option<u64>) -> String {
 
     let mut body = String::with_capacity(events.len() * 96);
     let mut nodes_seen: Vec<u32> = Vec::new();
-    let emit =
-        |body: &mut String, ph: char, name: &str, pid: u32, tid: u32, ts: u64, args: &str| {
-            if !body.is_empty() {
-                body.push_str(",\n");
+    // One trace event; `dur` is written for complete (`X`) events only.
+    let emit = |body: &mut String,
+                ph: char,
+                name: &str,
+                (pid, tid, ts, dur): (u32, u32, u64, u32),
+                args: &str| {
+        if !body.is_empty() {
+            body.push_str(",\n");
+        }
+        let _ = write!(body, "{{\"ph\":\"{ph}\",\"name\":");
+        json_str(body, name);
+        let _ = write!(body, ",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}");
+        match ph {
+            'i' => body.push_str(",\"s\":\"t\""),
+            'X' => {
+                let _ = write!(body, ",\"dur\":{dur}");
             }
-            let _ = write!(body, "{{\"ph\":\"{ph}\",\"name\":");
-            json_str(body, name);
-            let _ = write!(body, ",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}");
-            if ph == 'i' {
-                body.push_str(",\"s\":\"t\"");
-            }
-            if !args.is_empty() {
-                let _ = write!(body, ",\"args\":{{{args}}}");
-            }
-            body.push('}');
-        };
+            _ => {}
+        }
+        if !args.is_empty() {
+            let _ = write!(body, ",\"args\":{{{args}}}");
+        }
+        body.push('}');
+    };
 
     for e in events {
         if !nodes_seen.contains(&e.node) {
             nodes_seen.push(e.node);
         }
-        match e.ev {
-            ObsEvent::FrameSend { bytes, copies } => emit(
-                &mut body,
-                'i',
-                "frame_send",
-                e.node,
-                TID_NET,
-                e.at_us,
-                &format!("\"bytes\":{bytes},\"copies\":{copies}"),
-            ),
-            ObsEvent::FrameDeliver { src, bytes } => emit(
-                &mut body,
-                'i',
-                "frame_deliver",
-                e.node,
-                TID_NET,
-                e.at_us,
-                &format!("\"src\":{src},\"bytes\":{bytes}"),
-            ),
-            ObsEvent::FrameDrop { copies } => emit(
-                &mut body,
-                'i',
-                "frame_drop",
-                e.node,
-                TID_NET,
-                e.at_us,
-                &format!("\"copies\":{copies}"),
-            ),
-            ObsEvent::CpuEnqueue { depth } => emit(
-                &mut body,
-                'i',
-                "cpu_enqueue",
-                e.node,
-                TID_CPU,
-                e.at_us,
-                &format!("\"depth\":{depth}"),
-            ),
-            ObsEvent::CpuDequeue { depth } => emit(
-                &mut body,
-                'i',
-                "cpu_dequeue",
-                e.node,
-                TID_CPU,
-                e.at_us,
-                &format!("\"depth\":{depth}"),
-            ),
-            ObsEvent::TimerFire { token } => emit(
-                &mut body,
-                'i',
-                "timer_fire",
-                e.node,
-                TID_CPU,
-                e.at_us,
-                &format!("\"token\":{token}"),
-            ),
-            ObsEvent::LayerBegin { layer, dir } => {
-                let tid = tid_of(layer, &mut layer_tids);
-                emit(
-                    &mut body,
-                    'B',
-                    &format!("{layer}:{}", dir.as_str()),
-                    e.node,
-                    tid,
-                    e.at_us,
-                    "",
-                );
+        let (ph, name, tid, args) = match e.ev {
+            ObsEvent::FrameSend { bytes, copies } => {
+                ('i', "frame_send", TID_NET, format!("\"bytes\":{bytes},\"copies\":{copies}"))
             }
-            ObsEvent::LayerEnd { layer, dir } => {
+            ObsEvent::FrameDeliver { src, bytes } => {
+                ('i', "frame_deliver", TID_NET, format!("\"src\":{src},\"bytes\":{bytes}"))
+            }
+            ObsEvent::FrameDrop { copies } => {
+                ('i', "frame_drop", TID_NET, format!("\"copies\":{copies}"))
+            }
+            ObsEvent::CpuEnqueue { depth } => {
+                ('i', "cpu_enqueue", TID_CPU, format!("\"depth\":{depth}"))
+            }
+            ObsEvent::CpuDequeue { depth } => {
+                ('i', "cpu_dequeue", TID_CPU, format!("\"depth\":{depth}"))
+            }
+            ObsEvent::TimerFire { token } => {
+                ('i', "timer_fire", TID_CPU, format!("\"token\":{token}"))
+            }
+            ObsEvent::LayerSpan { layer, dir, dur_us } => {
                 let tid = tid_of(layer, &mut layer_tids);
-                emit(
-                    &mut body,
-                    'E',
-                    &format!("{layer}:{}", dir.as_str()),
-                    e.node,
-                    tid,
-                    e.at_us,
-                    "",
-                );
+                let name = format!("{layer}:{}", dir.as_str());
+                emit(&mut body, 'X', &name, (e.node, tid, e.at_us, dur_us), "");
+                continue;
             }
             ObsEvent::SwitchPhase { phase, from, to } => {
                 let args = format!("\"from\":{from},\"to\":{to}");
                 // The switching-mode window renders as one span bracketed
                 // by prepare_seen (B) and flip (E); the inner phases are
-                // instants on the same track.
+                // instants on the same track. An abort closes the span
+                // (the flip never happened) and leaves a visible marker.
                 match phase {
-                    SpPhase::PrepareSeen => {
-                        emit(&mut body, 'B', "switching", e.node, TID_SWITCH, e.at_us, &args)
-                    }
-                    SpPhase::Flip => {
-                        emit(&mut body, 'E', "switching", e.node, TID_SWITCH, e.at_us, &args)
-                    }
+                    SpPhase::PrepareSeen => ('B', "switching", TID_SWITCH, args),
+                    SpPhase::Flip => ('E', "switching", TID_SWITCH, args),
                     SpPhase::DrainComplete | SpPhase::BufferRelease => {
-                        emit(&mut body, 'i', phase.as_str(), e.node, TID_SWITCH, e.at_us, &args)
+                        ('i', phase.as_str(), TID_SWITCH, args)
                     }
                     SpPhase::Aborted => {
-                        // An abort closes the switching-mode span (the flip
-                        // never happened) and leaves a visible marker.
-                        emit(&mut body, 'i', "aborted", e.node, TID_SWITCH, e.at_us, &args);
-                        emit(&mut body, 'E', "switching", e.node, TID_SWITCH, e.at_us, &args);
+                        emit(&mut body, 'i', "aborted", (e.node, TID_SWITCH, e.at_us, 0), &args);
+                        ('E', "switching", TID_SWITCH, args)
                     }
                 }
             }
-            ObsEvent::AppSend { sender, seq } => emit(
-                &mut body,
-                'i',
-                "app_send",
-                e.node,
-                TID_APP,
-                e.at_us,
-                &format!("\"sender\":{sender},\"seq\":{seq}"),
-            ),
-            ObsEvent::AppDeliver { sender, seq } => emit(
-                &mut body,
-                'i',
-                "app_deliver",
-                e.node,
-                TID_APP,
-                e.at_us,
-                &format!("\"sender\":{sender},\"seq\":{seq}"),
-            ),
+            ObsEvent::AppSend { sender, seq } => {
+                ('i', "app_send", TID_APP, format!("\"sender\":{sender},\"seq\":{seq}"))
+            }
+            ObsEvent::AppDeliver { sender, seq } => {
+                ('i', "app_deliver", TID_APP, format!("\"sender\":{sender},\"seq\":{seq}"))
+            }
             // A crash opens a "down" span on the fault track; recovery
             // closes it — the node's timeline visibly goes dark in between.
-            ObsEvent::NodeCrash { incarnation } => emit(
-                &mut body,
-                'B',
-                "down",
-                e.node,
-                TID_FAULT,
-                e.at_us,
-                &format!("\"incarnation\":{incarnation}"),
-            ),
-            ObsEvent::NodeRecover { incarnation } => emit(
-                &mut body,
-                'E',
-                "down",
-                e.node,
-                TID_FAULT,
-                e.at_us,
-                &format!("\"incarnation\":{incarnation}"),
-            ),
-        }
+            ObsEvent::NodeCrash { incarnation } => {
+                ('B', "down", TID_FAULT, format!("\"incarnation\":{incarnation}"))
+            }
+            ObsEvent::NodeRecover { incarnation } => {
+                ('E', "down", TID_FAULT, format!("\"incarnation\":{incarnation}"))
+            }
+        };
+        emit(&mut body, ph, name, (e.node, tid, e.at_us, 0), &args);
     }
 
     // Name every (process, track) pair so the UI shows "node 3 / seq"
@@ -339,7 +272,7 @@ fn chrome_doc(events: &[TimedEvent], overwritten: Option<u64>) -> String {
     // them anywhere in the array.
     for &node in &nodes_seen {
         let mut meta = |tid: u32, name: &str| {
-            emit(&mut body, 'M', "thread_name", node, tid, 0, &{
+            emit(&mut body, 'M', "thread_name", (node, tid, 0, 0), &{
                 let mut a = String::from("\"name\":");
                 json_str(&mut a, name);
                 a
@@ -355,7 +288,7 @@ fn chrome_doc(events: &[TimedEvent], overwritten: Option<u64>) -> String {
         }
         let mut pname = String::from("\"name\":");
         json_str(&mut pname, &format!("node {node}"));
-        emit(&mut body, 'M', "process_name", node, TID_NET, 0, &pname);
+        emit(&mut body, 'M', "process_name", (node, TID_NET, 0, 0), &pname);
     }
 
     let mut out = String::with_capacity(body.len() + 96);
@@ -378,9 +311,12 @@ mod tests {
     fn sample_events() -> Vec<TimedEvent> {
         vec![
             TimedEvent::new(10, 0, ObsEvent::FrameSend { bytes: 32, copies: 4 }),
-            TimedEvent::new(20, 1, ObsEvent::LayerBegin { layer: "seq", dir: LayerDir::Up }),
+            TimedEvent::new(
+                20,
+                1,
+                ObsEvent::LayerSpan { layer: "seq", dir: LayerDir::Up, dur_us: 5 },
+            ),
             TimedEvent::new(21, 1, ObsEvent::FrameDeliver { src: 0, bytes: 32 }),
-            TimedEvent::new(25, 1, ObsEvent::LayerEnd { layer: "seq", dir: LayerDir::Up }),
             TimedEvent::new(
                 30,
                 1,
@@ -408,13 +344,14 @@ mod tests {
         assert!(out.contains("\"kind\":\"switch_phase\",\"phase\":\"flip\""));
         assert!(out.contains("\"kind\":\"app_send\",\"sender\":0,\"seq\":1"));
         assert!(out.contains("\"kind\":\"app_deliver\",\"sender\":0,\"seq\":1"));
+        assert!(out.contains("\"kind\":\"layer\",\"layer\":\"seq\",\"dir\":\"up\",\"dur_us\":5"));
     }
 
     #[test]
     fn jsonl_with_prepends_the_meta_line() {
         let out = to_jsonl_with(&sample_events(), 7);
         let first = out.lines().next().expect("meta line");
-        assert_eq!(first, "{\"meta\":\"recorder\",\"overwritten\":7}");
+        assert_eq!(first, "{\"meta\":\"recorder\",\"version\":2,\"overwritten\":7}");
         assert_eq!(json::validate_lines(&out), Ok(sample_events().len() + 1));
         // The event lines themselves are unchanged.
         assert_eq!(out[first.len() + 1..], to_jsonl(&sample_events()));
@@ -438,9 +375,10 @@ mod tests {
     fn chrome_document_is_one_valid_json_value() {
         let out = to_chrome(&sample_events());
         assert!(json::validate(&out).is_ok(), "chrome export must be valid JSON");
-        // Spans pair up and tracks are named.
-        assert!(out.contains("\"ph\":\"B\",\"name\":\"seq:up\""));
-        assert!(out.contains("\"ph\":\"E\",\"name\":\"seq:up\""));
+        // A layer span is one complete event, and tracks are named.
+        assert!(out
+            .contains("\"ph\":\"X\",\"name\":\"seq:up\",\"pid\":1,\"tid\":5,\"ts\":20,\"dur\":5}"));
+        assert!(!out.contains("\"ph\":\"E\",\"name\":\"seq:up\""));
         assert!(out.contains("\"ph\":\"B\",\"name\":\"switching\""));
         assert!(out.contains("\"name\":\"layer seq\""));
         assert!(out.contains("\"name\":\"node 1\""));
@@ -484,8 +422,11 @@ mod tests {
 
     #[test]
     fn layer_names_are_escaped() {
-        let weird =
-            [TimedEvent::new(1, 0, ObsEvent::LayerBegin { layer: "a\"b\\c", dir: LayerDir::Down })];
+        let weird = [TimedEvent::new(
+            1,
+            0,
+            ObsEvent::LayerSpan { layer: "a\"b\\c", dir: LayerDir::Down, dur_us: 0 },
+        )];
         assert!(json::validate_lines(&to_jsonl(&weird)).is_ok());
         assert!(json::validate(&to_chrome(&weird)).is_ok());
     }

@@ -43,6 +43,7 @@
 pub mod causal;
 pub mod event;
 pub mod export;
+mod ids;
 pub mod json;
 pub mod metrics;
 pub mod monitor;
@@ -62,6 +63,6 @@ pub use monitor::{
     ViolationKind,
 };
 pub use postmortem::{PostmortemBundle, DEFAULT_K_HOPS};
-pub use recorder::{EventSink, Recorder, Writer};
+pub use recorder::{EventSink, OpenSpan, Recorder, Writer};
 pub use sample::{LoadSample, MetricsSampler, SeriesSummary};
 pub use timeline::{check_well_nested, switch_timeline, SwitchInterval};

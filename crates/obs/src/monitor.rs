@@ -23,6 +23,7 @@
 //! can show *which* deliveries disagreed, not just that they did.
 
 use crate::event::{EventMask, ObsEvent, SpPhase, TimedEvent};
+use crate::ids::IdTable;
 use crate::recorder::{EventSink, Recorder};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -84,41 +85,6 @@ fn lock<T>(m: &Arc<Mutex<T>>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Ids below this index a dense table; anything larger spills to a map.
-const DENSE_IDS: usize = 1024;
-
-/// Per-id state keyed by a node or sender id. Ids are small and dense in
-/// every run a stack produces (group positions), so the hot path is one
-/// bounds-checked index; an id a stream is not expected to carry (the
-/// monitors are fed whatever was recorded) costs a map entry, never a
-/// table sized by its value.
-struct IdTable<T> {
-    dense: Vec<Option<T>>,
-    spill: BTreeMap<u32, Option<T>>,
-}
-
-impl<T> Default for IdTable<T> {
-    fn default() -> Self {
-        Self { dense: Vec::new(), spill: BTreeMap::new() }
-    }
-}
-
-impl<T> IdTable<T> {
-    /// The slot of `id`, created empty on first use.
-    #[inline]
-    fn slot(&mut self, id: u32) -> &mut Option<T> {
-        let i = id as usize;
-        if i < DENSE_IDS {
-            if i >= self.dense.len() {
-                self.dense.resize_with(i + 1, || None);
-            }
-            &mut self.dense[i]
-        } else {
-            self.spill.entry(id).or_insert(None)
-        }
-    }
-}
-
 // ---- total order -----------------------------------------------------------
 
 #[derive(Default)]
@@ -129,7 +95,7 @@ struct TotalOrderState {
     /// The event that defined each canonical position (violation context).
     canonical_ev: Vec<TimedEvent>,
     /// Next delivery position per node.
-    cursor: IdTable<usize>,
+    cursor: IdTable<Option<usize>>,
     /// Nodes already reported (one violation per diverging node).
     diverged: Vec<u32>,
     violations: Vec<Violation>,
@@ -209,7 +175,7 @@ impl EventSink for TotalOrderMonitor {
 #[derive(Default)]
 struct FifoState {
     /// Highest delivered seq and its event, per node, per sender.
-    last: IdTable<IdTable<(u64, TimedEvent)>>,
+    last: IdTable<IdTable<Option<(u64, TimedEvent)>>>,
     violations: Vec<Violation>,
 }
 
@@ -233,7 +199,7 @@ impl FifoMonitor {
         let ObsEvent::AppDeliver { sender, seq } = ev.ev else { return };
         let mut s = lock(&self.inner);
         let s = &mut *s;
-        let last = s.last.slot(ev.node).get_or_insert_with(IdTable::default).slot(sender);
+        let last = s.last.slot(ev.node).slot(sender);
         match *last {
             Some((prev_seq, prev_ev)) if seq <= prev_seq => {
                 let what = if seq == prev_seq { "duplicate" } else { "reordered" };
@@ -324,7 +290,7 @@ struct DeliveryState {
     /// Bounded by what is in flight plus what was lost for good.
     open: BTreeMap<(u32, u64), Unsettled>,
     /// Settled ids, per sender.
-    settled: IdTable<Settled>,
+    settled: IdTable<Option<Settled>>,
     /// Distinct message ids sent so far, settled ones included.
     sent: usize,
     /// Node lists of settled messages, emptied, for the next message.

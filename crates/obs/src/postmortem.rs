@@ -119,8 +119,8 @@ impl PostmortemBundle {
 
     /// Renders the bundle as JSON-lines:
     ///
-    /// 1. one meta line declaring reason, hop bound, eviction count,
-    ///    witness ids, and truncated parents;
+    /// 1. one meta line declaring the schema version (2), reason, hop
+    ///    bound, eviction count, witness ids, and truncated parents;
     /// 2. one line per monitor verdict;
     /// 3. the causal slice in [`export::to_jsonl`] event format;
     /// 4. one line per kept load sample.
@@ -130,7 +130,11 @@ impl PostmortemBundle {
     /// the truncation is declared.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.slice.len() * 80 + 512);
-        out.push_str("{\"meta\":\"postmortem\",\"reason\":");
+        let _ = write!(
+            out,
+            "{{\"meta\":\"postmortem\",\"version\":{},\"reason\":",
+            export::JSONL_VERSION
+        );
         export::json_str(&mut out, &self.reason);
         let _ = write!(
             out,
@@ -271,7 +275,9 @@ mod tests {
         assert!(json::validate_lines(&text).is_ok());
         assert_eq!(text, b.to_jsonl());
         let first = text.lines().next().unwrap();
-        assert!(first.starts_with("{\"meta\":\"postmortem\",\"reason\":\"monitor_violation\""));
+        assert!(first.starts_with(
+            "{\"meta\":\"postmortem\",\"version\":2,\"reason\":\"monitor_violation\""
+        ));
         assert!(first.contains("\"k_hops\":4"));
         assert!(first.contains("\"overwritten\":2"));
         assert!(text.contains("{\"verdict\":\"total_order\",\"node\":1,\"at_us\":80"));

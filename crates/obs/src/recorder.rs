@@ -15,15 +15,18 @@
 //! - **One record path, held per burst.** [`Recorder::writer`] locks the
 //!   ring and returns a [`Writer`] session; every record goes through a
 //!   session, and `Recorder::record*` is a session of one. A host whose
-//!   unit of work records a burst (an engine event: head record, layer
-//!   spans, deliveries, frame sends) opens one session for it and lends
-//!   that down the stack — see [`Recorder::writer`] for what must not be
-//!   called meanwhile.
+//!   unit of work records a burst (a simulator run loop, a real node's
+//!   stack call) opens one session for it and lends that down the stack —
+//!   see [`Recorder::writer`] for what must not be called meanwhile.
+//! - **One record per layer span, closed in place** by the same session
+//!   ([`Writer::open_span`] / [`Writer::close_span`]); sinks see it once,
+//!   at open.
 //! - **Deterministic.** Event order is the host's call order; timestamps
 //!   are the host's virtual clock. Nothing here reads wall-clock time, so
 //!   same-seed runs snapshot byte-identical event sequences.
 
-use crate::event::{CauseId, EventMask, ObsEvent, TimedEvent};
+use crate::event::{CauseId, EventMask, LayerDir, ObsEvent, TimedEvent};
+use crate::ids::IdTable;
 use ps_prof::Profiler;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,28 +87,25 @@ struct Ring {
     /// Host-time profiler for `obs/record` / `obs/sinks/*` spans; only an
     /// *enabled* profiler is ever stored (see [`Recorder::set_prof`]).
     prof: Option<Profiler>,
-    /// Per-node causal sequence counters (`seqs[node]` = last seq issued).
-    /// Grows on a node's first event — the one amortized exception to the
-    /// no-allocation-when-enabled rule, and only up to the highest node id.
-    seqs: Vec<u32>,
+    /// Per-node causal sequence counters (last seq issued). Grows on a
+    /// node's first event — the one amortized exception to the
+    /// no-allocation-when-enabled rule — by a map entry above node 1 023.
+    seqs: IdTable<u32>,
 }
 
 impl Ring {
     /// Issues the next 1-based causal sequence number for `node`.
     fn next_seq(&mut self, node: u32) -> u32 {
-        let i = node as usize;
-        if i >= self.seqs.len() {
-            self.seqs.resize(i + 1, 0);
-        }
-        self.seqs[i] += 1;
-        self.seqs[i]
+        let seq = self.seqs.slot(node);
+        *seq += 1;
+        *seq
     }
 
-    /// Feeds sinks and places `e` in the ring (the record-order critical
-    /// section; callers hold the lock via `&mut self`). `prof` is the
-    /// caller's clone of `self.prof` (cloned outside the field borrow).
+    /// Feeds sinks and places `e` in the ring, returning its slot (the
+    /// record-order critical section; callers hold the lock via `&mut
+    /// self`). `prof` is the caller's clone of `self.prof`.
     #[inline]
-    fn push(&mut self, e: TimedEvent, prof: Option<&Profiler>) {
+    fn push(&mut self, e: TimedEvent, prof: Option<&Profiler>) -> usize {
         // Sinks first: they must see the event even if the ring write
         // below evicts older history (streaming beats the ring). The
         // cached union mask skips the loop when no subscriber cares.
@@ -119,11 +119,12 @@ impl Ring {
                 }
             }
         }
+        // Until the ring fills, `next` is also its length.
+        let slot = self.next;
         if self.buf.len() < self.cap {
             self.buf.push(e);
         } else {
-            let i = self.next;
-            self.buf[i] = e;
+            self.buf[slot] = e;
             self.overwritten += 1;
         }
         // `next < cap` always, so the wrap is a compare, not a division.
@@ -131,6 +132,7 @@ impl Ring {
         if self.next == self.cap {
             self.next = 0;
         }
+        slot
     }
 }
 
@@ -175,7 +177,7 @@ impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("Recorder");
         d.field("enabled", &self.is_enabled());
-        // Never block: `{:?}` may run inside a callback whose engine event
+        // Never block: `{:?}` may run inside a callback whose run loop
         // holds this ring through a [`Writer`] on the same thread.
         let mut ring = match self.shared.ring.try_lock() {
             Ok(ring) => ring,
@@ -209,7 +211,7 @@ impl Recorder {
                     sinks: Vec::new(),
                     sink_union: EventMask::NONE,
                     prof: None,
-                    seqs: Vec::new(),
+                    seqs: IdTable::default(),
                 })),
             }),
         }
@@ -249,7 +251,7 @@ impl Recorder {
 
     /// Opens a recording session: the ring stays locked until the
     /// returned [`Writer`] is dropped, so a burst of records (everything
-    /// one engine event produces) pays for one lock, not one per record.
+    /// a run loop produces) pays for one lock, not one per record.
     /// `None` when disabled — the one enabled check of the record path.
     ///
     /// While a session is alive, every other use of this ring —
@@ -377,10 +379,48 @@ impl Writer<'_> {
     }
 
     /// Records one event with a causal `parent` link and returns the
-    /// fresh event's own [`CauseId`]. This is the one live record path:
-    /// [`Recorder::record_caused`] opens a session and calls it.
+    /// fresh event's own [`CauseId`]. [`Recorder::record_caused`] opens a
+    /// session and calls it.
     #[inline]
     pub fn record_caused(&self, at_us: u64, node: u32, parent: CauseId, ev: ObsEvent) -> CauseId {
+        self.place(at_us, node, parent, ev).id
+    }
+
+    /// Records the [`ObsEvent::LayerSpan`] of a handler call being entered
+    /// (`dur_us` 0 until [`Writer::close_span`]). Its
+    /// [`OpenSpan::id`] is the causal context of everything the handler
+    /// emits; sinks are fed the record now.
+    #[inline]
+    pub fn open_span(
+        &self,
+        at_us: u64,
+        node: u32,
+        parent: CauseId,
+        layer: &'static str,
+        dir: LayerDir,
+    ) -> OpenSpan {
+        self.place(at_us, node, parent, ObsEvent::LayerSpan { layer, dir, dur_us: 0 })
+    }
+
+    /// Closes `span` in place at `at_us`: its record's `dur_us` becomes
+    /// `at_us` minus its start. Writes nothing if the ring has since
+    /// reused the slot (the record was evicted), so a close never touches
+    /// another event and `overwritten` counts records only. Not a record,
+    /// so no `obs/record` span: its few stores are the caller's.
+    #[inline]
+    pub fn close_span(&self, span: OpenSpan, at_us: u64) {
+        let mut ring = self.ring.borrow_mut();
+        if let Some(e) = ring.buf.get_mut(span.slot).filter(|e| e.id() == span.id) {
+            if let ObsEvent::LayerSpan { dur_us, .. } = &mut e.ev {
+                *dur_us = u32::try_from(at_us.saturating_sub(e.at_us)).unwrap_or(u32::MAX);
+            }
+        }
+    }
+
+    /// The one live record path: mints the seq, feeds sinks, places the
+    /// event, and says where it went.
+    #[inline]
+    fn place(&self, at_us: u64, node: u32, parent: CauseId, ev: ObsEvent) -> OpenSpan {
         let mut ring = self.ring.borrow_mut();
         // Clone the (Arc-backed) handle out of the field so the span
         // guard does not hold a borrow of the ring we mutate below.
@@ -388,9 +428,20 @@ impl Writer<'_> {
         let _sp = prof.as_ref().map(|p| p.span(&["obs", "record"]));
         let seq = ring.next_seq(node);
         let e = TimedEvent { at_us, node, seq, parent, ev };
-        ring.push(e, prof.as_ref());
-        e.id()
+        let slot = ring.push(e, prof.as_ref());
+        OpenSpan { id: e.id(), at_us, slot }
     }
+}
+
+/// A layer-span record written by [`Writer::open_span`], not yet closed:
+/// its identity and the ring slot [`Writer::close_span`] writes into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpenSpan {
+    /// The record's causal identity.
+    pub id: CauseId,
+    /// The record's `at_us`: a close at this time has nothing to store.
+    pub at_us: u64,
+    slot: usize,
 }
 
 #[cfg(test)]
@@ -595,6 +646,79 @@ mod tests {
             assert!(format!("{r:?}").contains("<held>"), "must not block on its own thread");
             drop(w);
             assert!(format!("{r:?}").contains("len: 1"));
+        }
+
+        fn durations(r: &Recorder) -> Vec<u32> {
+            let spans = r.snapshot().into_iter().filter_map(|e| match e.ev {
+                ObsEvent::LayerSpan { dur_us, .. } => Some(dur_us),
+                _ => None,
+            });
+            spans.collect()
+        }
+
+        #[test]
+        fn a_span_is_one_record_closed_in_place() {
+            let r = Recorder::with_capacity(8);
+            let w = r.writer().expect("enabled");
+            let span = w.open_span(10, 2, CauseId::NONE, "fifo", LayerDir::Down);
+            let inner = w.record_caused(10, 2, span.id, ev(1));
+            w.close_span(span, 13);
+            drop(w);
+            assert_eq!((span.id, inner), (CauseId::new(2, 1), CauseId::new(2, 2)));
+            assert_eq!(r.len(), 2, "the close adds no record");
+            assert_eq!(durations(&r), [3]);
+            assert_eq!(r.snapshot()[0].at_us, 10, "a span keeps its entry time");
+        }
+
+        #[test]
+        fn a_close_never_writes_into_a_reused_slot() {
+            // A handler records more than the ring holds inside its own
+            // span: four nested spans, each closed at once, reuse every
+            // slot, the outer span's among them.
+            let r = Recorder::with_capacity(4);
+            let w = r.writer().expect("enabled");
+            let first = w.open_span(0, 0, CauseId::NONE, "a", LayerDir::Up);
+            w.close_span(first, 0);
+            let outer = w.open_span(20, 0, first.id, "a", LayerDir::Up);
+            for _ in 0..4 {
+                let nested = w.open_span(21, 0, outer.id, "b", LayerDir::Up);
+                w.close_span(nested, 21);
+            }
+            w.close_span(outer, 30);
+            drop(w);
+            assert_eq!(r.overwritten(), 2, "six records, four slots: a close is not a record");
+            let kept: Vec<_> = r.snapshot().iter().map(|e| (e.seq, e.parent)).collect();
+            assert_eq!(kept, (3..7).map(|seq| (seq, outer.id)).collect::<Vec<_>>());
+            assert_eq!(durations(&r), [0; 4], "the outer close left the slot's new owner alone");
+        }
+
+        /// Sink keeping every event it is fed.
+        struct KeepSink(std::sync::Arc<std::sync::Mutex<Vec<TimedEvent>>>, EventMask);
+        impl EventSink for KeepSink {
+            fn on_event(&mut self, ev: &TimedEvent) {
+                self.0.lock().unwrap().push(*ev);
+            }
+            fn interest(&self) -> EventMask {
+                self.1
+            }
+        }
+
+        #[test]
+        fn a_sink_sees_each_span_once_at_open() {
+            let (layers, apps) = (Default::default(), Default::default());
+            let r = Recorder::with_capacity(8);
+            r.subscribe(Box::new(KeepSink(std::sync::Arc::clone(&layers), EventMask::LAYER)));
+            r.subscribe(Box::new(KeepSink(std::sync::Arc::clone(&apps), EventMask::APP)));
+            let w = r.writer().expect("enabled");
+            let span = w.open_span(5, 1, CauseId::NONE, "seq", LayerDir::Up);
+            w.record_caused(5, 1, span.id, ObsEvent::AppDeliver { sender: 0, seq: 1 });
+            w.close_span(span, 9);
+            drop(w);
+            let seen = layers.lock().unwrap().clone();
+            let open = ObsEvent::LayerSpan { layer: "seq", dir: LayerDir::Up, dur_us: 0 };
+            assert_eq!(seen.iter().map(|e| (e.id(), e.ev)).collect::<Vec<_>>(), [(span.id, open)]);
+            assert_eq!(apps.lock().unwrap().len(), 1, "the span went to the layer sink only");
+            assert_eq!(durations(&r), [4], "the ring holds the closed record");
         }
 
         #[test]

@@ -62,7 +62,7 @@ pub struct SimApi<'a> {
     num_nodes: usize,
     rng: &'a mut DetRng,
     pub(crate) actions: Vec<Action>,
-    /// The recording session of the engine event being processed, `None`
+    /// The recording session of the run loop stepping this event, `None`
     /// when observability is off (the simulator pre-folds the enabled
     /// check into this option).
     obs: Option<&'a Writer<'a>>,

@@ -286,10 +286,10 @@ impl<A: Agent> Sim<A> {
     }
 
     /// `Some(recorder clone)` when taps are live — the handle a run loop
-    /// lends to every engine event it steps through, and the guard every
-    /// tap site branches on. Recording sessions borrow this local handle,
-    /// not `self`, which an engine event goes on to mutate; one clone
-    /// serves the whole loop. With taps off nothing is cloned.
+    /// opens its one recording session on, and the guard every tap site
+    /// branches on. The session borrows this local handle, not `self`,
+    /// which an engine event goes on to mutate; one clone serves the whole
+    /// loop. With taps off nothing is cloned and no session is opened.
     #[inline]
     fn obs(&self) -> Option<Recorder> {
         if self.obs_on {
@@ -534,7 +534,7 @@ impl<A: Agent> Sim<A> {
     /// Runs one agent callback at `start` (the node's CPU is known free),
     /// applies its actions, and re-arms the node's wakeup if more deferred
     /// events are waiting.
-    fn dispatch(&mut self, node: NodeId, start: SimTime, ev: Ev, rec: Option<&Recorder>) {
+    fn dispatch(&mut self, node: NodeId, start: SimTime, ev: Ev, obs: Option<&Writer<'_>>) {
         let prof = self.prof();
         let _sp = prof.as_ref().map(|p| p.span(&["engine", "dispatch"]));
         let i = node.index();
@@ -545,13 +545,11 @@ impl<A: Agent> Sim<A> {
         self.cpu_busy_us[i] += self.config.node.service_time.as_micros();
 
         let scratch = std::mem::take(&mut self.action_scratch);
-        // One recording session for the engine event: the head record,
-        // everything the callback records and the frames its actions
-        // send all go through one hold of the ring.
-        let session = rec.and_then(Recorder::writer);
-        let obs = session.as_ref();
-        // The head event is recorded *before* the callback runs so its id
-        // becomes the causal context everything in the callback links to.
+        // The run loop's one recording session: the head record, everything
+        // the callback records and the frames its actions send all go
+        // through the hold of the ring the loop took. The head event is
+        // recorded *before* the callback runs so its id becomes the causal
+        // context everything in the callback links to.
         let head_id = match (&ev, obs) {
             (Ev::Packet { pkt, cause, .. }, Some(o)) => o.record_caused(
                 start.as_micros(),
@@ -660,7 +658,7 @@ impl<A: Agent> Sim<A> {
     }
 
     /// Applies a scheduled crash or recovery at time `at`.
-    fn apply_fault(&mut self, node: NodeId, up: bool, at: SimTime, rec: Option<&Recorder>) {
+    fn apply_fault(&mut self, node: NodeId, up: bool, at: SimTime, obs: Option<&Writer<'_>>) {
         let i = node.index();
         self.now = self.now.max(at);
         if up {
@@ -668,8 +666,6 @@ impl<A: Agent> Sim<A> {
                 return;
             }
             self.alive[i] = true;
-            let session = rec.and_then(Recorder::writer);
-            let obs = session.as_ref();
             let mut recover_id = CauseId::NONE;
             if let Some(o) = obs {
                 recover_id = o.record(
@@ -708,7 +704,7 @@ impl<A: Agent> Sim<A> {
             // a stale wakeup marker is harmless (it finds an empty FIFO).
             self.pending[i].clear();
             self.busy_until[i] = at;
-            if let Some(o) = rec {
+            if let Some(o) = obs {
                 o.record(
                     at.as_micros(),
                     node.0,
@@ -721,14 +717,15 @@ impl<A: Agent> Sim<A> {
     /// Processes the next event, if any. Returns `false` when the queue is
     /// exhausted.
     pub fn step(&mut self) -> bool {
+        self.ensure_started();
         let rec = self.obs();
-        self.step_with(rec.as_ref())
+        let session = rec.as_ref().and_then(Recorder::writer);
+        self.step_with(session.as_ref())
     }
 
-    /// [`Sim::step`] with the recorder handle of the loop that drives it
-    /// (`None`: taps off).
-    fn step_with(&mut self, rec: Option<&Recorder>) -> bool {
-        self.ensure_started();
+    /// [`Sim::step`] inside the recording session of the loop that drives
+    /// it (`None`: taps off).
+    fn step_with(&mut self, obs: Option<&Writer<'_>>) -> bool {
         let popped = {
             let prof = self.prof();
             let _sp = prof.as_ref().map(|p| p.span(&["engine", "wheel", "pop"]));
@@ -743,7 +740,7 @@ impl<A: Agent> Sim<A> {
             self.in_flight -= 1;
         }
         if let Ev::Fault { node, up } = ev {
-            self.apply_fault(node, up, at, rec);
+            self.apply_fault(node, up, at, obs);
             return true;
         }
         let node = match &ev {
@@ -758,7 +755,7 @@ impl<A: Agent> Sim<A> {
         match &ev {
             Ev::Packet { cause, .. } if !self.alive[i] => {
                 self.stats.copies_dropped += 1;
-                if let Some(o) = rec {
+                if let Some(o) = obs {
                     o.record_caused(
                         at.as_micros(),
                         node.0,
@@ -780,7 +777,7 @@ impl<A: Agent> Sim<A> {
             if self.busy_until[i] <= at {
                 // CPU is free: run the longest-waiting deferred event now.
                 if let Some(mut first) = self.pending[i].pop_front() {
-                    if let Some(o) = rec {
+                    if let Some(o) = obs {
                         let parked = match &first {
                             Ev::Packet { cause, .. } | Ev::Timer { cause, .. } => *cause,
                             _ => CauseId::NONE,
@@ -799,7 +796,7 @@ impl<A: Agent> Sim<A> {
                             _ => {}
                         }
                     }
-                    self.dispatch(node, at, first, rec);
+                    self.dispatch(node, at, first, obs);
                 }
             } else if !self.pending[i].is_empty() {
                 // The node picked up other work at this same instant before
@@ -813,7 +810,7 @@ impl<A: Agent> Sim<A> {
         // node's FIFO (stats untouched — it has not run yet) and make sure
         // one wakeup marker is queued for the instant the CPU frees up.
         if self.busy_until[i] > at {
-            if let Some(o) = rec {
+            if let Some(o) = obs {
                 let parked = match &ev {
                     Ev::Packet { cause, .. } | Ev::Timer { cause, .. } => *cause,
                     _ => CauseId::NONE,
@@ -836,7 +833,7 @@ impl<A: Agent> Sim<A> {
             }
             return true;
         }
-        self.dispatch(node, at, ev, rec);
+        self.dispatch(node, at, ev, obs);
         true
     }
 
@@ -845,11 +842,12 @@ impl<A: Agent> Sim<A> {
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
         let rec = self.obs();
+        let session = rec.as_ref().and_then(Recorder::writer);
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
                 break;
             }
-            self.step_with(rec.as_ref());
+            self.step_with(session.as_ref());
         }
         // Emit the idle tail of the series: windows between the last event
         // and the deadline still produce (quiet) samples.
@@ -867,7 +865,8 @@ impl<A: Agent> Sim<A> {
     pub fn run_to_quiescence(&mut self) {
         self.ensure_started();
         let rec = self.obs();
-        while self.step_with(rec.as_ref()) {}
+        let session = rec.as_ref().and_then(Recorder::writer);
+        while self.step_with(session.as_ref()) {}
     }
 }
 

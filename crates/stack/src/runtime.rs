@@ -471,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_balanced_layer_spans() {
+    fn recorder_captures_one_closed_span_per_handler_call() {
         use ps_obs::{LayerDir, ObsEvent};
 
         struct Noop;
@@ -492,23 +492,26 @@ mod tests {
         sim.run_until(SimTime::from_millis(20));
 
         let events = rec.snapshot();
-        let spans = |dir: LayerDir, begin: bool| {
+        let spans = |dir: LayerDir| {
             events
                 .iter()
                 .filter(|e| match e.ev {
-                    ObsEvent::LayerBegin { layer, dir: d } => begin && layer == "noop" && d == dir,
-                    ObsEvent::LayerEnd { layer, dir: d } => !begin && layer == "noop" && d == dir,
+                    // Simulated time stands still inside a handler.
+                    ObsEvent::LayerSpan { layer, dir: d, dur_us } => {
+                        assert_eq!((layer, dur_us), ("noop", 0), "{e:?}");
+                        d == dir
+                    }
                     _ => false,
                 })
                 .count()
         };
-        // One down traversal at the sender, one up per receiver; every
-        // begin has its end.
-        assert_eq!(spans(LayerDir::Down, true), 1);
-        assert_eq!(spans(LayerDir::Up, true), 3);
-        assert_eq!(spans(LayerDir::Down, true), spans(LayerDir::Down, false));
-        assert_eq!(spans(LayerDir::Up, true), spans(LayerDir::Up, false));
-        assert_eq!(spans(LayerDir::Launch, true), 3);
+        // One record per handler call: one down traversal at the sender,
+        // one up per receiver, one launch per process, and nothing else.
+        assert_eq!(spans(LayerDir::Down), 1);
+        assert_eq!(spans(LayerDir::Up), 3);
+        assert_eq!(spans(LayerDir::Launch), 3);
+        let layer_records = events.iter().filter(|e| e.ev.kind() == ps_obs::EventMask::LAYER);
+        assert_eq!(layer_records.count(), 7);
         assert!(events.iter().any(|e| matches!(e.ev, ObsEvent::FrameSend { .. })));
     }
 }

@@ -1,6 +1,6 @@
 use crate::layer::{Frame, Layer, LayerCtx, LayerId};
 use ps_bytes::Bytes;
-use ps_obs::{CauseId, LayerDir, ObsEvent, Writer};
+use ps_obs::{CauseId, LayerDir, OpenSpan, Writer};
 use ps_simnet::{DetRng, SimTime};
 use ps_trace::{Message, ProcessId};
 use ps_wire::Wire;
@@ -45,7 +45,7 @@ pub trait StackEnv {
     /// The live recording session, or `None` when observability is off.
     ///
     /// The default keeps test environments observability-free; the
-    /// simulator runtime forwards the session its engine event opened on
+    /// simulator runtime forwards the session its run loop opened on
     /// the recorder the sim was configured with (see
     /// [`ps_obs::Recorder::writer`] for what that excludes).
     fn obs(&self) -> Option<&Writer<'_>> {
@@ -99,33 +99,24 @@ fn prof_span(env: &dyn StackEnv, name: &'static str) -> Option<ps_prof::OwnedSpa
     env.prof().map(|p| p.owned_span(&["stack", name]))
 }
 
-/// Opens a layer span: records `LayerBegin` caused by the current env
-/// context and makes the span the causal context for everything the
-/// handler does. Returns the begin event's id for [`span_close`].
-fn span_open(env: &mut dyn StackEnv, layer: &'static str, dir: LayerDir) -> CauseId {
-    let begin = match env.obs() {
-        Some(o) => o.record_caused(
-            env.now().as_micros(),
-            u32::from(env.me().0),
-            env.cause(),
-            ObsEvent::LayerBegin { layer, dir },
-        ),
-        None => return CauseId::NONE,
-    };
-    env.set_cause(begin);
-    begin
+/// Opens a layer span: records the handler call's `LayerSpan`, caused by
+/// the current env context, and makes it the causal context for everything
+/// the handler does. Returns the open record for [`span_close`].
+fn span_open(env: &mut dyn StackEnv, layer: &'static str, dir: LayerDir) -> Option<OpenSpan> {
+    let span =
+        env.obs()?.open_span(env.now().as_micros(), u32::from(env.me().0), env.cause(), layer, dir);
+    env.set_cause(span.id);
+    Some(span)
 }
 
-/// Closes a layer span: records `LayerEnd` caused by the span's begin
-/// event, so the span's extent is recoverable from the causal graph.
-fn span_close(env: &mut dyn StackEnv, layer: &'static str, dir: LayerDir, begin: CauseId) {
-    if let Some(o) = env.obs() {
-        o.record_caused(
-            env.now().as_micros(),
-            u32::from(env.me().0),
-            begin,
-            ObsEvent::LayerEnd { layer, dir },
-        );
+/// Closes a layer span in place: the open record takes the time the
+/// handler ran as its duration. No record is added, and a clock that has
+/// not moved — the simulator's, inside a handler — leaves nothing to store.
+fn span_close(env: &dyn StackEnv, span: Option<OpenSpan>) {
+    let Some(span) = span else { return };
+    let now = env.now().as_micros();
+    if let Some(o) = env.obs().filter(|_| now != span.at_us) {
+        o.close_span(span, now);
     }
 }
 
@@ -319,13 +310,13 @@ impl Stack {
     ) {
         let slot = &mut self.slots[idx];
         let name = if on.obs || on.prof { slot.layer.name() } else { "" };
-        let span = if on.obs { span_open(env, name, dir) } else { CauseId::NONE };
+        let span = if on.obs { span_open(env, name, dir) } else { None };
         let psp = if on.prof { prof_span(env, name) } else { None };
         let mark = self.queue.len();
         handler(slot.layer.as_mut(), &mut LayerCtx::new(env, slot.id, idx, &mut self.queue));
         drop(psp);
         if on.obs {
-            span_close(env, name, dir, span);
+            span_close(env, span);
             stamp(&mut self.queue, mark, env.cause());
         }
     }
@@ -377,6 +368,7 @@ impl Stack {
 mod tests {
     use super::*;
     use crate::layer::Cast;
+    use ps_obs::ObsEvent;
 
     /// Minimal in-memory environment capturing boundary crossings.
     struct TestEnv<'r> {
@@ -390,6 +382,9 @@ mod tests {
         /// way the simulator runtime records them.
         obs: Option<Writer<'r>>,
         cause: CauseId,
+        /// A clock that moves a microsecond each time it is read, the way
+        /// a wall clock moves under a real medium; stands still when unset.
+        ticks: Option<std::cell::Cell<u64>>,
     }
 
     impl TestEnv<'_> {
@@ -403,6 +398,7 @@ mod tests {
                 timers: Vec::new(),
                 obs: None,
                 cause: CauseId::NONE,
+                ticks: None,
             }
         }
     }
@@ -415,7 +411,8 @@ mod tests {
             &self.group
         }
         fn now(&self) -> SimTime {
-            SimTime::ZERO
+            let t = self.ticks.as_ref().map_or(0, |c| c.replace(c.get() + 1));
+            SimTime::from_micros(t)
         }
         fn rng(&mut self) -> &mut DetRng {
             &mut self.rng
@@ -735,27 +732,45 @@ mod tests {
         assert_eq!(ps_obs::export::to_jsonl(&rec.snapshot()), GOLDEN_TRACE);
     }
 
-    /// Written by the stack as it was before it owned its queue (emissions
-    /// collected per handler call, converted, appended): the rewrite may
-    /// not move a span, a parent link or a frame's cause.
-    const GOLDEN_TRACE: &str = r#"{"at_us":0,"node":3,"seq":1,"parent":0,"kind":"layer_begin","layer":"dup","dir":"launch"}
-{"at_us":0,"node":3,"seq":2,"parent":12884901889,"kind":"layer_end","layer":"dup","dir":"launch"}
-{"at_us":0,"node":3,"seq":3,"parent":12884901889,"kind":"layer_begin","layer":"tagger","dir":"launch"}
-{"at_us":0,"node":3,"seq":4,"parent":12884901891,"kind":"layer_end","layer":"tagger","dir":"launch"}
-{"at_us":0,"node":3,"seq":5,"parent":0,"kind":"layer_begin","layer":"dup","dir":"down"}
-{"at_us":0,"node":3,"seq":6,"parent":12884901893,"kind":"layer_end","layer":"dup","dir":"down"}
-{"at_us":0,"node":3,"seq":7,"parent":12884901893,"kind":"layer_begin","layer":"tagger","dir":"down"}
-{"at_us":0,"node":3,"seq":8,"parent":12884901895,"kind":"layer_end","layer":"tagger","dir":"down"}
-{"at_us":0,"node":3,"seq":9,"parent":12884901893,"kind":"layer_begin","layer":"tagger","dir":"down"}
-{"at_us":0,"node":3,"seq":10,"parent":12884901897,"kind":"layer_end","layer":"tagger","dir":"down"}
-{"at_us":0,"node":3,"seq":11,"parent":12884901895,"kind":"frame_send","bytes":6,"copies":1}
-{"at_us":0,"node":3,"seq":12,"parent":12884901897,"kind":"frame_send","bytes":6,"copies":1}
-{"at_us":0,"node":3,"seq":13,"parent":0,"kind":"layer_begin","layer":"tagger","dir":"up"}
-{"at_us":0,"node":3,"seq":14,"parent":12884901901,"kind":"layer_end","layer":"tagger","dir":"up"}
-{"at_us":0,"node":3,"seq":15,"parent":12884901901,"kind":"layer_begin","layer":"dup","dir":"up"}
-{"at_us":0,"node":3,"seq":16,"parent":12884901903,"kind":"layer_end","layer":"dup","dir":"up"}
-{"at_us":0,"node":3,"seq":17,"parent":12884901903,"kind":"app_deliver","sender":3,"seq":1}
+    /// One record per handler call, re-pinned when a begin/end pair of
+    /// records became one span closed in place: every span, parent
+    /// link and frame cause is where the pair-era trace (written by the
+    /// stack before it owned its queue, and kept as ps-obs's version-1
+    /// fixture) had it; only the seqs the `layer_end` lines used are gone.
+    const GOLDEN_TRACE: &str = r#"{"at_us":0,"node":3,"seq":1,"parent":0,"kind":"layer","layer":"dup","dir":"launch","dur_us":0}
+{"at_us":0,"node":3,"seq":2,"parent":12884901889,"kind":"layer","layer":"tagger","dir":"launch","dur_us":0}
+{"at_us":0,"node":3,"seq":3,"parent":0,"kind":"layer","layer":"dup","dir":"down","dur_us":0}
+{"at_us":0,"node":3,"seq":4,"parent":12884901891,"kind":"layer","layer":"tagger","dir":"down","dur_us":0}
+{"at_us":0,"node":3,"seq":5,"parent":12884901891,"kind":"layer","layer":"tagger","dir":"down","dur_us":0}
+{"at_us":0,"node":3,"seq":6,"parent":12884901892,"kind":"frame_send","bytes":6,"copies":1}
+{"at_us":0,"node":3,"seq":7,"parent":12884901893,"kind":"frame_send","bytes":6,"copies":1}
+{"at_us":0,"node":3,"seq":8,"parent":0,"kind":"layer","layer":"tagger","dir":"up","dur_us":0}
+{"at_us":0,"node":3,"seq":9,"parent":12884901896,"kind":"layer","layer":"dup","dir":"up","dur_us":0}
+{"at_us":0,"node":3,"seq":10,"parent":12884901897,"kind":"app_deliver","sender":3,"seq":1}
 "#;
+
+    #[test]
+    fn a_span_on_a_moving_clock_is_closed_with_the_time_its_handler_took() {
+        let rec = ps_obs::Recorder::with_capacity(64);
+        let mut env = TestEnv::new(0, 2);
+        env.obs = rec.writer();
+        env.ticks = Some(std::cell::Cell::new(100));
+        let mut stack =
+            Stack::new(vec![Box::new(Duplicator), Box::new(Tagger { tag: 7, downs: 0, ups: 0 })]);
+        stack.send(&msg(0, 1), &mut env);
+        drop(env);
+        // Each span reads the clock at open and at close, and nothing in
+        // between does: one tick apart.
+        let spans: Vec<(u64, u32)> = rec
+            .snapshot()
+            .iter()
+            .filter_map(|e| match e.ev {
+                ObsEvent::LayerSpan { dur_us, .. } => Some((e.at_us, dur_us)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans, [(100, 1), (102, 1), (104, 1)]);
+    }
 
     #[test]
     fn layer_ids_are_unique_across_stacks_with_shared_gen() {

@@ -73,7 +73,12 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # second copy of its era book, its token codec or its sub-stack shapes
 # lands over its row. ps-obs has no metric registry until a counter has a
 # reader. Lower them when a crate shrinks; raising them needs a reason in
-# the same commit. The ps-core and total rows were reset when
+# the same commit. ps-obs's pub ceiling went from 229 to 233 (and the
+# total's with it) when a layer span became one record closed in place:
+# the session's `open_span` / `close_span` pair and the `OpenSpan` handle
+# with its `id` and `at_us` (a close whose clock has not moved is
+# skipped without asking for the session), less `EventMask::union`,
+# which only `|` called. The ps-core and total rows were reset when
 # scripts/size.sh stopped counting at switch.rs's first `#[cfg(test)]` —
 # a test-only field, 860 lines above its test module — and started
 # stopping at the one that gates a `mod`: ps-core then read 1 972 / 82
@@ -90,16 +95,20 @@ size_ceiling() {
 size_ceiling ps-core 1990 85
 size_ceiling ps-harness 4617 319
 size_ceiling ps-net 637 16
-size_ceiling ps-obs 3524 229
-size_ceiling ps-simnet 2208 136
-size_ceiling ps-stack 1488 106
+size_ceiling ps-obs 3524 233
+size_ceiling ps-simnet 2206 136
+size_ceiling ps-stack 1479 106
 size_ceiling ps-trace 2528 166
-size_ceiling total 22397 1324
+size_ceiling total 22385 1328
 
 echo "==> trace smoke: repro --trace emits valid, reproducible files (offline)"
 # The instrumented repro run must (a) produce traces that parse as JSON in
-# both formats, and (b) be byte-identical across same-seed invocations,
-# serial and parallel — the recorder may not perturb determinism.
+# both formats, (b) be byte-identical across same-seed invocations,
+# serial and parallel — the recorder may not perturb determinism — and
+# (c) speak JSON-lines schema version 2: a versioned meta line and one
+# `layer` line per handler call, never a `layer_end`; the Chrome file
+# carries each span as one complete (`X`) event. A version-1 file (the
+# committed fixture) still lints clean.
 rm -rf target/ci-trace && mkdir -p target/ci-trace
 cargo run --release -q --bin repro -- trace --quick \
     --trace target/ci-trace/a.jsonl > target/ci-trace/a.txt
@@ -116,6 +125,14 @@ cargo run --release -q --bin trace_lint -- --chrome \
 diff target/ci-trace/a.jsonl target/ci-trace/b.jsonl
 diff target/ci-trace/a.chrome.json target/ci-trace/b.chrome.json
 diff target/ci-trace/a.txt target/ci-trace/b.txt
+head -1 target/ci-trace/a.jsonl | grep -q '^{"meta":"recorder","version":2,'
+grep -q '"kind":"layer",' target/ci-trace/a.jsonl
+if grep -q '"kind":"layer_end"' target/ci-trace/a.jsonl; then
+    echo "a version-2 trace holds a layer_end line"
+    exit 1
+fi
+grep -q '"ph":"X",' target/ci-trace/a.chrome.json
+cargo run --release -q --bin trace_lint -- crates/obs/tests/fixtures/v1_stack_golden.jsonl
 
 echo "==> monitor smoke: repro monitor is clean, deterministic, and catches the seeded fault (offline)"
 # The live-monitoring run must (a) report zero violations on the clean
