@@ -509,7 +509,8 @@ impl SwitchLayer {
     /// Replaces the control-channel transport (default: none — control
     /// frames ride the raw network). The switching protocol requires its
     /// control traffic to be delivered exactly once; on a lossy network,
-    /// supply a stack containing `ps_protocols::ReliableLayer`.
+    /// supply a stack containing `ps_protocols::ReliableLayer`, or put one
+    /// below the switch, as [`crate::hybrid_layer`] does.
     pub fn with_control_stack(mut self, stack: Stack) -> Self {
         self.control = stack;
         self

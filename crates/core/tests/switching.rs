@@ -453,8 +453,8 @@ fn ft_cfg(variant: SwitchVariant, phase_timeout: SimTime) -> SwitchConfig {
 #[test]
 fn member_crash_during_switch_recovers_and_switch_completes() {
     // p3 fail-stops right after the switch begins and comes back 87 ms
-    // later. The reliable control stack keeps retransmitting the ring
-    // token to the dead member, so the switch stalls rather than wedges,
+    // later. The reliable transport keeps retransmitting the ring token
+    // to the dead member, so the switch stalls rather than wedges,
     // and completes shortly after recovery.
     let plan = vec![(SimTime::from_millis(60), 1)];
     let handles: Handles = Rc::new(RefCell::new(Vec::new()));
@@ -547,7 +547,7 @@ fn partition_spanning_switch_aborts_cleanly_and_self_heals() {
     // A partition splits the group before the switch attempt; the far
     // side never sees the PREPARE, so the near side's phase timeout
     // aborts the attempt and reverts to the old protocol. After the heal
-    // the reliable control stack's straggler PREPARE briefly lures the
+    // the reliable transport's straggler PREPARE briefly lures the
     // far side into the dead attempt — their own phase timeout returns
     // them to normal mode too: the abort path is self-stabilizing.
     let plan = vec![(SimTime::from_millis(200), 1)];

@@ -329,9 +329,9 @@ impl Scenario {
                         } else {
                             Box::new(NeverOracle)
                         };
-                        let (layer, handle) = hybrid_layer(ids, switch.clone(), *from, *to, oracle);
-                        captured.borrow_mut().push(handle);
-                        top.push(Box::new(layer));
+                        let built = hybrid_layer(ids, switch.clone(), *from, *to, oracle);
+                        captured.borrow_mut().push(built.1);
+                        top.extend(built.0);
                     }
                 }
                 Stack::with_ids(top, ids)

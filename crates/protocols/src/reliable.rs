@@ -3,7 +3,7 @@ use ps_simnet::SimTime;
 use ps_stack::{Cast, Frame, Layer, LayerCtx};
 use ps_trace::ProcessId;
 use ps_wire::{Decoder, Encoder, Wire, WireError};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Tuning for [`ReliableLayer`].
 #[derive(Debug, Clone)]
@@ -155,44 +155,106 @@ fn position(group: &[ProcessId], id: ProcessId) -> Option<usize> {
     group.iter().position(|&member| member == id)
 }
 
-/// Compact received-set: a low watermark plus a sparse tail.
+/// How far above a received-set's `low` an arrival may land: a window of
+/// at most 1024 words (8 KiB) per sender. A sender is this far ahead only
+/// while a member it addressed has not acknowledged for as many frames.
+const WINDOW: u64 = 1 << 16;
+
+/// Compact received-set: a low watermark plus a window of bits above it.
 #[derive(Debug, Default)]
 struct Seen {
-    /// All seqs `< low` have been delivered.
+    /// All seqs `< low` have been delivered, or were never addressed here.
     low: u64,
-    tail: BTreeSet<u64>,
+    /// What arrived from `low` on, a bit per seq: word `k` holds the 64 seqs
+    /// from `(low / 64 + k) * 64`, and the bits below `low` in the front word
+    /// mean nothing. Empty while nothing above `low` has arrived; words are
+    /// popped off the front, so the capacity, once reached, is kept.
+    window: VecDeque<u64>,
 }
 
 impl Seen {
-    fn insert(&mut self, seq: u64) -> bool {
-        if seq == self.low && self.tail.is_empty() {
-            // In-order arrival: the watermark moves, the tail is untouched.
+    /// Records `seq`: `Some(true)` if it is new, `Some(false)` for a
+    /// duplicate, `None` if it lies past the window and cannot be recorded.
+    fn insert(&mut self, seq: u64) -> Option<bool> {
+        if seq == u64::MAX {
+            // No sender gets there, and `low` could not move past it.
+            return None;
+        }
+        if seq == self.low && self.window.is_empty() {
+            // In-order arrival: the watermark moves, the window is untouched.
             self.low += 1;
-            return true;
+            return Some(true);
         }
-        if seq < self.low || !self.tail.insert(seq) {
-            return false;
+        if seq < self.low {
+            return Some(false);
         }
-        while self.tail.remove(&self.low) {
-            self.low += 1;
+        let at = seq - self.low / 64 * 64;
+        if at >= WINDOW {
+            return None;
         }
-        true
+        let (word, bit) = ((at / 64) as usize, 1 << (at % 64));
+        if word >= self.window.len() {
+            self.window.resize(word + 1, 0);
+        }
+        if self.window[word] & bit != 0 {
+            return Some(false);
+        }
+        self.window[word] |= bit;
+        self.settle();
+        Some(true)
+    }
+
+    /// Raises `low` to the sender's stability watermark `base`: every seq
+    /// below it that was addressed here was acknowledged from here, so it
+    /// has been delivered, and the rest never will be.
+    fn raise(&mut self, base: u64) {
+        if base <= self.low {
+            return;
+        }
+        let passed = usize::try_from(base / 64 - self.low / 64).unwrap_or(usize::MAX);
+        self.window.drain(..passed.min(self.window.len()));
+        self.low = base;
+        self.settle();
+    }
+
+    /// Moves `low` over the run of arrived seqs at it, popping each word it
+    /// leaves behind, and the last word too once nothing above `low` is in
+    /// it.
+    fn settle(&mut self) {
+        while let Some(&word) = self.window.front() {
+            let from = self.low % 64;
+            let rest = word >> from;
+            let run = u64::from(rest.trailing_ones());
+            self.low += run;
+            if from + run == 64 {
+                self.window.pop_front();
+            } else {
+                if self.window.len() == 1 && rest >> run == 0 {
+                    self.window.clear();
+                }
+                return;
+            }
+        }
     }
 }
 
+/// `Data` is `sender`'s frame `seq`; every frame of `sender`'s below `base`
+/// was acknowledged by every member it addressed. On the wire `base` is
+/// the distance `seq − base`.
 #[derive(Debug, PartialEq)]
 enum RelHeader {
-    Data { sender: ProcessId, seq: u64 },
+    Data { sender: ProcessId, seq: u64, base: u64 },
     Ack { seq: u64 },
 }
 
 impl Wire for RelHeader {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            RelHeader::Data { sender, seq } => {
+            RelHeader::Data { sender, seq, base } => {
                 enc.put_u8(0);
                 sender.encode(enc);
                 enc.put_varint(*seq);
+                enc.put_varint(seq - base);
             }
             RelHeader::Ack { seq } => {
                 enc.put_u8(1);
@@ -202,7 +264,14 @@ impl Wire for RelHeader {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         match dec.get_u8()? {
-            0 => Ok(RelHeader::Data { sender: ProcessId::decode(dec)?, seq: dec.get_varint()? }),
+            0 => {
+                let (sender, seq, back) =
+                    (ProcessId::decode(dec)?, dec.get_varint()?, dec.get_varint()?);
+                let available = usize::try_from(seq).unwrap_or(usize::MAX);
+                let base = seq.checked_sub(back);
+                let base = base.ok_or(WireError::LengthOverflow { declared: back, available })?;
+                Ok(RelHeader::Data { sender, seq, base })
+            }
             1 => Ok(RelHeader::Ack { seq: dec.get_varint()? }),
             tag => Err(WireError::InvalidTag { tag: tag.into(), ty: "RelHeader" }),
         }
@@ -283,10 +352,10 @@ impl Layer for ReliableLayer {
 
     fn on_down(&mut self, frame: Frame, ctx: &mut LayerCtx<'_>) {
         let me = ctx.me();
-        let seq = self.base + self.outbound.len() as u64;
+        let (base, seq) = (self.base, self.base + self.outbound.len() as u64);
         // Push before retaining: the frame is still uniquely owned here, so
         // the header goes into its reserve without a copy.
-        let wrapped = ps_wire::push_header(&RelHeader::Data { sender: me, seq }, frame.bytes);
+        let wrapped = ps_wire::push_header(&RelHeader::Data { sender: me, seq, base }, frame.bytes);
         let owing = Owing::addressed(frame.dest, me, ctx.group_slice());
         // Nobody to wait for (`Others` in a group of one, a `To` that names
         // no member): sent once, with nothing kept to send again.
@@ -302,11 +371,16 @@ impl Layer for ReliableLayer {
             return;
         };
         match hdr {
-            RelHeader::Data { sender, seq } => {
+            RelHeader::Data { sender, seq, base } => {
+                let seen = self.seen(sender, ctx.group_slice());
+                seen.raise(base);
+                // Past the window it is neither acknowledged nor delivered:
+                // the sender sends it again.
+                let Some(fresh) = seen.insert(seq) else { return };
                 // Always (re-)ack: the previous ack may have been lost.
                 let ack = ps_wire::push_header(&RelHeader::Ack { seq }, Bytes::new());
                 ctx.send_down(Frame::to(sender, ack));
-                if self.seen(sender, ctx.group_slice()).insert(seq) {
+                if fresh {
                     ctx.deliver_up(sender, payload);
                 }
             }
@@ -347,27 +421,105 @@ impl Layer for ReliableLayer {
 mod tests {
     use super::*;
     use crate::testutil::{p2p, run_group};
+    use ps_check::prelude::*;
     use ps_simnet::{Lossy, PointToPoint};
-    use ps_stack::{Driver, Stack};
+    use ps_stack::{Driver, LayerId, Stack};
     use ps_trace::props::{NoReplay, Property, Reliability};
+    use std::sync::{Arc, Mutex};
+
+    /// How many seqs above `low` have arrived.
+    fn tail_len(seen: &Seen) -> usize {
+        let front = seen.window.front().map_or(0, |&word| (word >> (seen.low % 64)).count_ones());
+        let rest: u32 = seen.window.iter().skip(1).map(|word| word.count_ones()).sum();
+        (front + rest) as usize
+    }
 
     #[test]
     fn header_roundtrip() {
-        for h in [RelHeader::Data { sender: ProcessId(2), seq: 7 }, RelHeader::Ack { seq: 7 }] {
+        for h in [
+            RelHeader::Data { sender: ProcessId(2), seq: 7, base: 3 },
+            RelHeader::Data { sender: ProcessId(2), seq: u64::MAX, base: 0 },
+            RelHeader::Ack { seq: 7 },
+        ] {
             assert_eq!(RelHeader::from_bytes(&h.to_bytes()).unwrap(), h);
         }
+        // A watermark above the frame's own seq is no header.
+        let mut enc = Encoder::new();
+        enc.put_u8(0);
+        ProcessId(2).encode(&mut enc);
+        enc.put_varint(3);
+        enc.put_varint(4);
+        assert!(RelHeader::from_bytes(&enc.finish()).is_err());
     }
 
     #[test]
     fn seen_set_compacts_contiguous_prefix() {
         let mut s = Seen::default();
-        assert!(s.insert(0));
-        assert!(s.insert(2));
-        assert!(s.insert(1));
+        assert_eq!(s.insert(0), Some(true));
+        assert_eq!(s.insert(2), Some(true));
+        assert_eq!(s.insert(1), Some(true));
         assert_eq!(s.low, 3);
-        assert!(s.tail.is_empty());
-        assert!(!s.insert(1), "duplicates below watermark rejected");
-        assert!(!s.insert(2));
+        assert!(s.window.is_empty());
+        assert_eq!(s.insert(1), Some(false), "duplicates below watermark rejected");
+        assert_eq!(s.insert(2), Some(false));
+    }
+
+    #[test]
+    fn seen_set_settles_across_words_and_keeps_its_capacity() {
+        let mut s = Seen::default();
+        // Every seq of three words but the first, in reverse.
+        for seq in (1..192).rev() {
+            assert_eq!(s.insert(seq), Some(true));
+            assert_eq!(s.insert(seq), Some(false));
+        }
+        assert_eq!((s.low, tail_len(&s), s.window.len()), (0, 191, 3));
+        let capacity = s.window.capacity();
+        assert_eq!(s.insert(0), Some(true));
+        assert_eq!((s.low, tail_len(&s)), (192, 0));
+        assert!(s.window.is_empty());
+        // A gap, then the run after it, then the gap filled.
+        for seq in [200, 201, 260, 199, 198, 197, 196, 195, 194, 193] {
+            assert_eq!(s.insert(seq), Some(true));
+        }
+        assert_eq!((s.low, tail_len(&s)), (192, 10));
+        assert_eq!(s.insert(192), Some(true));
+        assert_eq!((s.low, tail_len(&s)), (202, 1));
+        assert_eq!(s.window.capacity(), capacity, "the window is not re-allocated");
+    }
+
+    #[test]
+    fn seen_set_rises_to_the_senders_watermark() {
+        let mut s = Seen::default();
+        for seq in [3, 5, 70, 130, 131] {
+            s.insert(seq);
+        }
+        s.raise(2);
+        assert_eq!((s.low, tail_len(&s)), (2, 5), "below the tail: nothing to drop");
+        s.raise(70);
+        assert_eq!((s.low, tail_len(&s)), (71, 2), "3 and 5 dropped, 70 settled");
+        s.raise(1);
+        assert_eq!(s.low, 71, "a stale watermark lowers nothing");
+        assert_eq!(s.insert(64), Some(false), "below the watermark is delivered or not ours");
+        s.raise(1000);
+        assert_eq!((s.low, tail_len(&s)), (1000, 0));
+        assert!(s.window.is_empty());
+    }
+
+    #[test]
+    fn seen_set_refuses_what_lies_past_its_window() {
+        let mut s = Seen::default();
+        for seq in [WINDOW, 1 << 40, u64::MAX] {
+            assert_eq!(s.insert(seq), None);
+        }
+        assert_eq!(s.insert(WINDOW - 1), Some(true));
+        assert_eq!(s.window.len(), (WINDOW / 64) as usize);
+        s.raise(WINDOW - 64);
+        assert_eq!(s.insert(WINDOW), Some(true), "the window moved with the watermark");
+        // A watermark at the end of the sequence space moves `low` there,
+        // and the last number is still refused, not wrapped past.
+        s.raise(u64::MAX);
+        assert_eq!((s.low, s.insert(u64::MAX)), (u64::MAX, None));
+        assert_eq!(s.insert(u64::MAX - 1), Some(false));
     }
 
     #[test]
@@ -398,7 +550,7 @@ mod tests {
     /// wire, what it passed up, and the layer itself to read the books of.
     struct Rig {
         stack: Stack,
-        layer: std::sync::Arc<std::sync::Mutex<ReliableLayer>>,
+        layer: Arc<Mutex<ReliableLayer>>,
         env: Env,
     }
 
@@ -435,7 +587,7 @@ mod tests {
 
     /// The layer in a stack, with a second handle for the test to read its
     /// private state between calls.
-    struct Probe(std::sync::Arc<std::sync::Mutex<ReliableLayer>>);
+    struct Probe(Arc<Mutex<ReliableLayer>>);
 
     impl Layer for Probe {
         fn name(&self) -> &'static str {
@@ -461,7 +613,7 @@ mod tests {
         }
 
         fn in_group(group: &[u16], me: u16) -> Self {
-            let layer = std::sync::Arc::new(std::sync::Mutex::new(ReliableLayer::new()));
+            let layer = Arc::new(Mutex::new(ReliableLayer::new()));
             Rig {
                 stack: Stack::new(vec![Box::new(Probe(layer.clone()))]),
                 layer,
@@ -485,7 +637,7 @@ mod tests {
         }
 
         fn data(&mut self, sender: u16, seq: u64) {
-            let header = RelHeader::Data { sender: ProcessId(sender), seq };
+            let header = RelHeader::Data { sender: ProcessId(sender), seq, base: 0 };
             let frame = ps_wire::push_header(&header, Bytes::from_static(BODY));
             self.stack.receive(ProcessId(sender), frame, &mut self.env);
         }
@@ -706,5 +858,191 @@ mod tests {
         });
         // More frames had to be sent under loss than on the clean network.
         assert!(lossy.net_stats().frames_sent > clean.net_stats().frames_sent);
+    }
+
+    /// The largest received-set tail in a four-member group of
+    /// `[token-order, reliable]` stacks after `msgs` multicasts. Every
+    /// token hop is a unicast, so each member sees a gap in every other
+    /// member's sequence numbers per hop it was not part of.
+    fn largest_tail_on_a_token_ring(msgs: usize) -> usize {
+        let layers: Arc<Mutex<Vec<Arc<Mutex<ReliableLayer>>>>> = Arc::default();
+        let kept = layers.clone();
+        let sim = run_group(4, 3, p2p(100), msgs, move |_, _, _| {
+            let layer = Arc::new(Mutex::new(ReliableLayer::new()));
+            kept.lock().unwrap().push(layer.clone());
+            let order = crate::TokenOrderLayer::with_idle_hold(SimTime::from_millis(1));
+            Stack::new(vec![Box::new(order), Box::new(Probe(layer))])
+        });
+        assert!(Reliability::new(sim.group().to_vec()).holds(&sim.app_trace()), "{msgs}");
+        let layers = layers.lock().unwrap();
+        let tails = layers.iter().flat_map(|layer| {
+            let layer = layer.lock().unwrap();
+            layer.inbound.iter().map(tail_len).collect::<Vec<_>>()
+        });
+        tails.max().expect("four members")
+    }
+
+    #[test]
+    fn unicasts_leave_no_tail_behind_on_a_token_ring() {
+        // Without the watermark these read 50, 200 and 800: a quarter of
+        // the messages sent, one per token hop the member did not take.
+        let tails = [100, 400, 1600].map(largest_tail_on_a_token_ring);
+        assert!(tails.iter().all(|&tail| tail <= 4), "tails {tails:?}");
+    }
+
+    /// A group of bare reliable layers and the copies in flight between
+    /// them, for the property below.
+    struct Group {
+        members: Vec<(Stack, Env, Arc<Mutex<ReliableLayer>>)>,
+        /// `(to, from, bytes)`, oldest first.
+        in_flight: Vec<(usize, ProcessId, Bytes)>,
+    }
+
+    impl Group {
+        fn new(n: u16) -> Self {
+            let group: Vec<ProcessId> = (0..n).map(|i| ProcessId(3 * i + 1)).collect();
+            let members = group
+                .iter()
+                .map(|&me| {
+                    let layer = Arc::new(Mutex::new(ReliableLayer::new()));
+                    let env = Env {
+                        me,
+                        group: group.clone(),
+                        sent: Vec::new(),
+                        delivered: Vec::new(),
+                        rng: ps_simnet::DetRng::new(0),
+                    };
+                    (Stack::new(vec![Box::new(Probe(layer.clone()))]), env, layer)
+                })
+                .collect();
+            Group { members, in_flight: Vec::new() }
+        }
+
+        /// Runs `f` on member `at`, then puts what it sent in flight.
+        fn on<R>(&mut self, at: usize, f: impl FnOnce(&mut Stack, &mut Env) -> R) -> R {
+            let (stack, env, _) = &mut self.members[at];
+            let r = f(stack, env);
+            let from = env.me;
+            for frame in std::mem::take(&mut env.sent) {
+                for to in 0..self.members.len() {
+                    if addressed(frame.dest, from, self.members[to].1.me) {
+                        self.in_flight.push((to, from, frame.bytes.clone()));
+                    }
+                }
+            }
+            r
+        }
+
+        fn arrive(&mut self, (to, from, bytes): (usize, ProcessId, Bytes)) {
+            self.on(to, |stack, env| stack.receive(from, bytes, env));
+        }
+
+        /// No more loss: everything in flight arrives and every member
+        /// sweeps, until a sweep finds nothing to resend.
+        fn quiesce(&mut self) {
+            loop {
+                while !self.in_flight.is_empty() {
+                    let copy = self.in_flight.remove(0);
+                    self.arrive(copy);
+                }
+                for at in 0..self.members.len() {
+                    assert!(self.on(at, |stack, env| stack.timer(LayerId(0), SWEEP, env)));
+                }
+                if self.in_flight.is_empty() {
+                    return;
+                }
+            }
+        }
+    }
+
+    fn addressed(dest: Cast, from: ProcessId, to: ProcessId) -> bool {
+        match dest {
+            Cast::All => true,
+            Cast::Others => to != from,
+            Cast::To(p) => p == to,
+        }
+    }
+
+    props! {
+        #![config(cases = 64)]
+
+        fn every_addressed_message_is_delivered_once_and_no_tail_outlives_the_watermark(
+            n in 1u16..6,
+            steps in vec_of((0u8..8, arb::<usize>(), arb::<usize>(), 0u8..8), 0..120),
+        ) {
+            let mut group = Group::new(n);
+            let n = usize::from(n);
+            // Who each message is for: `(sender position, body, receivers)`.
+            let mut sent: Vec<(usize, Bytes, Vec<usize>)> = Vec::new();
+            for (kind, a, b, fate) in steps {
+                match kind {
+                    0..=2 => {
+                        let (who, to) = (a % n, b % n);
+                        let dest = match fate % 3 {
+                            0 => Cast::All,
+                            1 => Cast::Others,
+                            _ => Cast::To(group.members[to].1.me),
+                        };
+                        let body = Bytes::from(format!("{who}:{}", sent.len()).into_bytes());
+                        let me = group.members[who].1.me;
+                        let receivers =
+                            (0..n).filter(|&r| addressed(dest, me, group.members[r].1.me)).collect();
+                        sent.push((who, body.clone(), receivers));
+                        group.on(who, |stack, env| stack.send_bytes(dest, body, env));
+                    }
+                    3..=6 if !group.in_flight.is_empty() => {
+                        let at = a % group.in_flight.len();
+                        match fate % 4 {
+                            // Lost.
+                            0 => drop(group.in_flight.remove(at)),
+                            // Duplicated: arrives, and stays in flight.
+                            1 => group.arrive(group.in_flight[at].clone()),
+                            _ => {
+                                let copy = group.in_flight.remove(at);
+                                group.arrive(copy);
+                            }
+                        }
+                    }
+                    3..=6 => {}
+                    _ => assert!(group.on(a % n, |stack, env| stack.timer(LayerId(0), SWEEP, env))),
+                }
+            }
+            group.quiesce();
+            for (at, (_, env, _)) in group.members.iter().enumerate() {
+                let mut got: Vec<&Bytes> = env.delivered.iter().map(|(_, bytes)| bytes).collect();
+                let mut owed: Vec<&Bytes> = sent
+                    .iter()
+                    .filter(|(_, _, receivers)| receivers.contains(&at))
+                    .map(|(_, body, _)| body)
+                    .collect();
+                got.sort();
+                owed.sort();
+                assert_eq!(got, owed, "member {at}");
+            }
+            // One more multicast each, carrying a watermark with nothing
+            // owed below it: every received-set stands at the sender's next
+            // seq, with nothing above.
+            for who in 0..n {
+                group.on(who, |stack, env| stack.send_bytes(Cast::All, Bytes::new(), env));
+            }
+            group.quiesce();
+            let next: Vec<u64> = group
+                .members
+                .iter()
+                .map(|(_, _, layer)| {
+                    let layer = layer.lock().unwrap();
+                    assert!(layer.outbound.is_empty(), "{:?} still owed", layer.outbound);
+                    layer.base
+                })
+                .collect();
+            for (at, (_, _, layer)) in group.members.iter().enumerate() {
+                let layer = layer.lock().unwrap();
+                assert!(layer.strangers.is_empty());
+                for (from, seen) in layer.inbound.iter().enumerate() {
+                    assert_eq!((seen.low, tail_len(seen)), (next[from], 0), "{from} at {at}");
+                    assert!(seen.window.is_empty());
+                }
+            }
+        }
     }
 }

@@ -228,11 +228,13 @@ fn rel_ack(seq: u64) -> Bytes {
     enc.finish()
 }
 
-/// A reliable-layer data frame: `sender`'s frame `seq`, carrying `payload`.
+/// A reliable-layer data frame: `sender`'s frame `seq`, carrying `payload`,
+/// with a stability watermark of 0 (`sender` vouches for nothing).
 fn rel_data(sender: ProcessId, seq: u64, payload: Bytes) -> Bytes {
     let mut enc = ps_wire::Encoder::new();
     enc.put_u8(0);
     sender.encode(&mut enc);
+    enc.put_varint(seq);
     enc.put_varint(seq);
     payload.prepend(enc.as_slice())
 }
@@ -293,11 +295,13 @@ fn acknowledgements_that_match_nothing_change_nothing() {
     stack.receive(GROUP[0], rel_ack(1), &mut node);
     assert!(sweep(&mut stack, &mut node).is_empty());
 
-    // The same strays under every channel tag of the hybrids that host
-    // reliable layers: nothing comes back out, nothing goes up.
+    // The same strays to the hybrids that host a reliable layer — at their
+    // bottom, so bare — and under every channel tag: nothing comes back
+    // out, nothing goes up.
     for (name, build) in RIGS.iter().filter(|(name, _)| name.ends_with("-ft")) {
         let (mut stack, mut node) = receiver(*build);
         for (src, seq, what) in strays {
+            stack.receive(src, rel_ack(seq), &mut node);
             for tag in [ChannelId::CONTROL, ChannelId::PROTO_A, ChannelId::PROTO_B] {
                 stack.receive(src, channel::mux(tag, rel_ack(seq)), &mut node);
             }

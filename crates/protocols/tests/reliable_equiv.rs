@@ -20,6 +20,12 @@
 //! in the old layer's map, and kept its sweep timer armed, for ever; the
 //! new one sends it once and is done (pinned in the layer's unit tests, as
 //! the one intended difference).
+//!
+//! The reference carries the stability watermark the shipped layer
+//! carries — each data frame names the oldest frame of its sender's still
+//! owed an acknowledgement, and a receiver forgets what lies below it —
+//! so that the comparison stays byte for byte; it keeps its received-set
+//! as the map-era `BTreeSet`, the shipped layer as a window of bits.
 
 use ps_bytes::Bytes;
 use ps_check::prelude::*;
@@ -67,6 +73,17 @@ mod reference {
     }
 
     impl Seen {
+        /// Raises `low` to the sender's watermark, dropping the tail below.
+        fn raise(&mut self, base: u64) {
+            if base > self.low {
+                self.low = base;
+                self.tail = self.tail.split_off(&base);
+                while self.tail.remove(&self.low) {
+                    self.low += 1;
+                }
+            }
+        }
+
         fn insert(&mut self, seq: u64) -> bool {
             if seq == self.low && self.tail.is_empty() {
                 self.low += 1;
@@ -84,17 +101,18 @@ mod reference {
 
     #[derive(Debug, PartialEq)]
     enum RelHeader {
-        Data { sender: ProcessId, seq: u64 },
+        Data { sender: ProcessId, seq: u64, base: u64 },
         Ack { seq: u64 },
     }
 
     impl Wire for RelHeader {
         fn encode(&self, enc: &mut Encoder) {
             match self {
-                RelHeader::Data { sender, seq } => {
+                RelHeader::Data { sender, seq, base } => {
                     enc.put_u8(0);
                     sender.encode(enc);
                     enc.put_varint(*seq);
+                    enc.put_varint(seq - base);
                 }
                 RelHeader::Ack { seq } => {
                     enc.put_u8(1);
@@ -105,7 +123,9 @@ mod reference {
         fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
             match dec.get_u8()? {
                 0 => {
-                    Ok(RelHeader::Data { sender: ProcessId::decode(dec)?, seq: dec.get_varint()? })
+                    let (sender, seq) = (ProcessId::decode(dec)?, dec.get_varint()?);
+                    let base = seq - dec.get_varint()?;
+                    Ok(RelHeader::Data { sender, seq, base })
                 }
                 1 => Ok(RelHeader::Ack { seq: dec.get_varint()? }),
                 tag => Err(WireError::InvalidTag { tag: tag.into(), ty: "RelHeader" }),
@@ -162,7 +182,10 @@ mod reference {
             let me = ctx.me();
             let seq = self.next_seq;
             self.next_seq += 1;
-            let wrapped = ps_wire::push_header(&RelHeader::Data { sender: me, seq }, frame.bytes);
+            // Everything below the oldest frame still owed an ack is stable.
+            let base = self.outbound.keys().next().copied().unwrap_or(seq);
+            let wrapped =
+                ps_wire::push_header(&RelHeader::Data { sender: me, seq, base }, frame.bytes);
             let missing = Self::expected_receivers(frame.dest, me, ctx.group_slice());
             self.outbound.insert(seq, Outbound { wrapped: wrapped.clone(), missing });
             ctx.send_down(Frame::new(frame.dest, wrapped));
@@ -174,10 +197,11 @@ mod reference {
                 return;
             };
             match hdr {
-                RelHeader::Data { sender, seq } => {
+                RelHeader::Data { sender, seq, base } => {
                     let ack = ps_wire::push_header(&RelHeader::Ack { seq }, Bytes::new());
                     ctx.send_down(Frame::to(sender, ack));
                     let seen = self.inbound.entry(sender).or_default();
+                    seen.raise(base);
                     if seen.insert(seq) {
                         ctx.deliver_up(sender, payload);
                     }

@@ -14,7 +14,14 @@
 //! off: the frames that went are idle tokens (1101 → 294 and 2434 → 843
 //! frames in these runs), and a member that finds its ring asleep now
 //! sends a one-byte wake first. That is a protocol change, which is what
-//! this pin is there to make deliberate.
+//! this pin is there to make deliberate. The fault-tolerant pin moved once
+//! more, on purpose, when its reliable transport moved below the switch:
+//! one reliable layer now carries both protocols and the control channel,
+//! so a data frame is the channel tag inside the reliable header instead
+//! of the other way round, every data frame carries its sender's stability
+//! watermark, and one sweep timer takes the place of three; the run puts
+//! 838 frames on the wire where it put 843. `hybrid_total_order` runs no
+//! reliable layer and its pin did not move.
 
 use protocol_switching::prelude::*;
 use protocol_switching::switch::hybrid_seq_token_ft;
@@ -114,5 +121,5 @@ fn hybrid_seq_token_ft_wire_bytes_are_pinned() {
     let (fnv, frames) = run(|ids, cfg, oracle| {
         hybrid_seq_token_ft(ids, cfg, ProcessId(0), SimTime::from_millis(1), oracle)
     });
-    assert_eq!((fnv, frames), (0x9469_fe70_1bd4_ef51, 843), "got ({fnv:#018x}, {frames})");
+    assert_eq!((fnv, frames), (0x562f_abb6_3d0f_722c, 838), "got ({fnv:#018x}, {frames})");
 }
