@@ -5,7 +5,7 @@
 //!       [--quick] [--csv] [--counterexamples] [--serial]
 //!       [--trace PATH] [--trace-format jsonl|chrome]
 //!       [--fault] [--series PATH] [--manifests PATH]
-//!       [--postmortem PATH] [--topology segments:<n>]
+//!       [--postmortem PATH]
 //!       [--flame PATH] [--ledger PATH]
 //!       [--compare] [--trace-sim PATH] [--trace-real PATH]
 //! ```
@@ -52,10 +52,6 @@
 //! `PATH.chrome.json` (Chrome trace). Nothing is written when the run is
 //! clean.
 //!
-//! `--topology segments:<n>` (monitor, explain, campaign) spreads the
-//! group over `n` bridged shared-Ethernet segments instead of one bus;
-//! the same grid runs unchanged, monitors and all.
-//!
 //! `repro profile` runs the monitored crossover scenario under the
 //! in-engine host-time profiler and prints the per-component cost
 //! table (engine dispatch/queue/transmit/sampling, each protocol
@@ -101,7 +97,6 @@ struct Opts {
     series_path: Option<String>,
     manifests_path: Option<String>,
     postmortem_path: Option<String>,
-    segments: u32,
     flame_path: Option<String>,
     ledger_path: Option<String>,
     compare: bool,
@@ -124,7 +119,6 @@ impl Opts {
     fn monitor_cfg(&self) -> monitor_run::MonitorRunConfig {
         monitor_run::MonitorRunConfig {
             inject_fault: self.fault,
-            segments: self.segments,
             ..self.budget(monitor_run::MonitorRunConfig::quick, Default::default)
         }
     }
@@ -137,7 +131,7 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn parse() -> Opts {
-    let mut o = Opts { what: "all".to_owned(), segments: 1, ..Opts::default() };
+    let mut o = Opts { what: "all".to_owned(), ..Opts::default() };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -147,15 +141,6 @@ fn parse() -> Opts {
             "--serial" => o.runner = SweepRunner::serial(),
             "--fault" => o.fault = true,
             "--compare" => o.compare = true,
-            "--topology" => {
-                o.segments = args
-                    .next()
-                    .as_deref()
-                    .and_then(|v| v.strip_prefix("segments:"))
-                    .and_then(|n| n.parse::<u32>().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage_error("--topology needs segments:<n> with n >= 1"));
-            }
             "--trace-format" => {
                 o.trace_format = args
                     .next()
@@ -165,7 +150,7 @@ fn parse() -> Opts {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [table1|table2|fig2|overhead|oscillation|ablation|trace|monitor|explain|chaos|campaign|profile|real|all] [--quick] [--csv] [--counterexamples] [--serial] [--trace PATH] [--trace-format jsonl|chrome] [--fault] [--series PATH] [--manifests PATH] [--postmortem PATH] [--topology segments:<n>] [--flame PATH] [--ledger PATH] [--compare] [--trace-sim PATH] [--trace-real PATH]"
+                    "usage: repro [table1|table2|fig2|overhead|oscillation|ablation|trace|monitor|explain|chaos|campaign|profile|real|all] [--quick] [--csv] [--counterexamples] [--serial] [--trace PATH] [--trace-format jsonl|chrome] [--fault] [--series PATH] [--manifests PATH] [--postmortem PATH] [--flame PATH] [--ledger PATH] [--compare] [--trace-sim PATH] [--trace-real PATH]"
                 );
                 std::process::exit(0);
             }
@@ -357,7 +342,6 @@ fn main() {
         if opts.fault {
             cfg = cfg.with_seeded_fault();
         }
-        cfg.segments = opts.segments;
         let results = campaign::run_with(&cfg, &opts.runner);
         let failed = results.iter().filter(|r| !r.pass).count();
         let t = campaign::render(&results);

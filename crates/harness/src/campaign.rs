@@ -144,11 +144,6 @@ pub struct CampaignConfig {
     pub crash_at: SimTime,
     /// Recovery instant.
     pub crash_back: SimTime,
-    /// Number of shared-bus segments the group is spread over. `1` (the
-    /// default) is the paper's single shared Ethernet; above 1 every cell
-    /// runs on a bridged multi-segment [`ps_simnet::Topology`] instead
-    /// (`repro campaign --topology segments:<n>`).
-    pub segments: u32,
     /// The cells to run.
     pub cells: Vec<CampaignCell>,
 }
@@ -208,7 +203,6 @@ impl CampaignConfig {
             drain: SimTime::from_millis(5000),
             crash_at: SimTime::from_millis(1300),
             crash_back: SimTime::from_millis(1600),
-            segments: 1,
             cells: grid(6, 8.0, end, 0xCA44_1100),
         }
     }
@@ -297,7 +291,7 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &CampaignCell) -> CellResult {
         FaultKind::Loss { permille } => f64::from(permille) / 1000.0,
         _ => 0.0,
     };
-    let mut s = Scenario::new(cfg.group, cell.seed ^ 0x7a11).segments(cfg.segments).loss(loss);
+    let mut s = Scenario::new(cfg.group, cell.seed ^ 0x7a11).loss(loss);
     s = match cell.stack {
         StackKind::Seq => s.stack(Proto::SeqFt(0)),
         StackKind::Token => s.stack(Proto::TokenFt(TOKEN_IDLE_HOLD)),

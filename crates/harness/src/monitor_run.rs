@@ -73,10 +73,6 @@ pub struct MonitorRunConfig {
     pub seed: u64,
     /// Splice the broken ordering layer in at [`FAULT_NODE`].
     pub inject_fault: bool,
-    /// Shared-bus segments the group is spread over; above 1 the run
-    /// uses a bridged multi-segment [`ps_simnet::Topology`]
-    /// (`repro monitor --topology segments:<n>`).
-    pub segments: u32,
 }
 
 impl Default for MonitorRunConfig {
@@ -90,7 +86,6 @@ impl Default for MonitorRunConfig {
             end: SimTime::from_secs(3),
             seed: 0x40B5,
             inject_fault: false,
-            segments: 1,
         }
     }
 }
@@ -205,7 +200,6 @@ pub fn scenario(cfg: &MonitorRunConfig) -> Scenario {
         ..SwitchConfig::default()
     };
     Scenario::new(cfg.group, cfg.seed ^ 0x7a11)
-        .segments(cfg.segments)
         .hybrid(Proto::Seq(0), Proto::Token(TOKEN_IDLE_HOLD), switch, Policy::Load)
         .swap_fault(cfg.inject_fault)
         .traffic(traffic.generate())

@@ -52,22 +52,19 @@ use ps_obs::{
     MetricsSampler, MonitorSet, ObsEvent, PostmortemBundle, Recorder, TimedEvent, Violation,
     DEFAULT_K_HOPS,
 };
-use ps_simnet::{EthernetConfig, Lossy, Medium, SegmentedBus, SharedBus, SimTime, Topology};
+use ps_simnet::{EthernetConfig, Lossy, Medium, SharedBus, SimTime};
 use ps_stack::{Driver, GroupSim, GroupSimBuilder, GroupSpec, Layer, Stack};
 use ps_trace::ProcessId;
 use ps_workload::Schedule;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Events the recorder ring of a watched run keeps: every quick run,
 /// and every chaos run, fits whole.
 const RING_CAPACITY: usize = 1 << 18;
 /// Width of one load-sampling window.
 const SAMPLE_INTERVAL: SimTime = SimTime::from_millis(50);
-/// Extra one-way latency of a bridge between two segments.
-const BRIDGE_LATENCY: SimTime = SimTime::from_micros(100);
 /// [`Policy::Load`]'s watermarks, in permille of the busier of the bus
 /// and the sequencer's CPU: above `HIGH` go to the token, below `LOW`
 /// come back.
@@ -124,7 +121,6 @@ pub struct Scenario {
     group: u16,
     seed: u64,
     medium: Option<Box<dyn Medium>>,
-    segments: u32,
     loss: f64,
     service: Option<SimTime>,
     stacks: Option<Stacks>,
@@ -144,7 +140,6 @@ impl Scenario {
             group,
             seed,
             medium: None,
-            segments: 1,
             loss: 0.0,
             service: None,
             stacks: None,
@@ -160,13 +155,6 @@ impl Scenario {
     /// Runs over `medium` instead of the shared bus (simulator only).
     pub fn medium(mut self, medium: Box<dyn Medium>) -> Self {
         self.medium = Some(medium);
-        self
-    }
-
-    /// Spreads the group over `n` bridged bus segments; 1 is the single
-    /// bus (simulator only).
-    pub fn segments(mut self, n: u32) -> Self {
-        self.segments = n;
         self
     }
 
@@ -253,14 +241,10 @@ impl Scenario {
     pub fn run(mut self, until: SimTime) -> RunOutcome {
         let prof = self.prof.clone();
         let setup = prof.span(&["harness", "setup"]);
-        let topology = (self.segments > 1).then(|| {
-            Arc::new(Topology::uniform(u32::from(self.group), self.segments, BRIDGE_LATENCY))
-        });
-        let mut medium = match (self.medium.take(), &topology) {
-            (Some(m), _) => m,
-            (None, Some(t)) => Box::new(SegmentedBus::new(Arc::clone(t), self.seed)),
-            (None, None) => Box::new(SharedBus::new(EthernetConfig::default())),
-        };
+        let mut medium = self
+            .medium
+            .take()
+            .unwrap_or_else(|| Box::new(SharedBus::new(EthernetConfig::default())));
         if self.loss > 0.0 {
             medium = Box::new(Lossy::new(medium, self.loss));
         }
@@ -269,9 +253,6 @@ impl Scenario {
         let mut b = GroupSimBuilder::from_spec(spec).prof(prof.clone());
         if let Some(t) = service {
             b = b.service_time(t);
-        }
-        if let Some(t) = topology {
-            b = b.topology(t);
         }
         let mut sim = b.medium(medium).build();
         for (victim, at, back) in crashes {

@@ -60,18 +60,16 @@ mod rng;
 mod sim;
 mod stats;
 mod time;
-mod topology;
 
 pub use agent::{Agent, SimApi, TimerToken};
 pub use medium::{
-    EthernetConfig, Lossy, Medium, PartitionSchedule, PointToPoint, SegmentedBus, SharedBus, TxPlan,
+    EthernetConfig, Lossy, Medium, PartitionSchedule, PointToPoint, SharedBus, TxPlan,
 };
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use sim::{NodeConfig, Sim, SimConfig};
 pub use stats::NetStats;
 pub use time::SimTime;
-pub use topology::Topology;
 
 use ps_bytes::Bytes;
 use std::fmt;
@@ -79,8 +77,9 @@ use std::fmt;
 /// Identifier of a simulated node (a process in the paper's model).
 ///
 /// Nodes are numbered densely from zero; `NodeId` doubles as an index into
-/// per-node tables throughout the workspace. Ids are 32-bit so multi-segment
-/// topologies are not capped at 65k nodes.
+/// per-node tables throughout the workspace. Ids stay 32-bit: the trace
+/// schema and the benchmark carry a `u32`, and a `(NodeId, SimTime)`
+/// delivery is 16 bytes at either width, so narrowing would save nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
@@ -117,10 +116,6 @@ pub enum Dest {
     All,
     /// Every node except the sender.
     Others,
-    /// Every other node on the sender's Ethernet segment (see
-    /// [`Topology`]). Without a topology configured the whole simulation is
-    /// one segment, so this is equivalent to [`Dest::Others`].
-    Segment,
     /// A single node (which may be the sender itself).
     To(NodeId),
 }

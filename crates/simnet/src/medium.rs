@@ -1,5 +1,4 @@
-use crate::{DetRng, NodeId, SimTime, Topology};
-use std::sync::Arc;
+use crate::{DetRng, NodeId, SimTime};
 
 /// The planned fate of one transmitted frame: per-destination arrival times,
 /// plus a count of copies the medium dropped.
@@ -191,97 +190,6 @@ impl Medium for SharedBus {
 
     fn name(&self) -> &'static str {
         "shared-bus"
-    }
-}
-
-/// Many shared-Ethernet segments joined by store-and-forward bridges — the
-/// multi-segment medium behind a [`Topology`].
-///
-/// Each segment is an independent [`SharedBus`]: its own busy state, its own
-/// contention, and its own jitter RNG stream, forked from the bus seed by
-/// segment id rather than drawn from the simulator's global stream. A
-/// transmit touches only the *source* segment's wire and RNG. The
-/// per-segment streams stay because the `--topology segments:N` outputs
-/// are pinned byte for byte (by `parallel_determinism` and the ci smoke):
-/// drawing from one shared stream instead would move every arrival.
-///
-/// Delivery model per destination of one frame from `src`:
-///
-/// * **Same segment** — classic shared bus: queue behind the segment's
-///   `busy_until`, serialize, then `propagation + jitter`.
-/// * **Other segment** — the bridge forwards the frame after the same
-///   serialization, adding [`Topology::bridge_latency`]; the remote wire is
-///   *not* occupied (bridges have a dedicated uplink in this model), so no
-///   cross-segment arrival comes before `now + propagation + bridge_latency`.
-#[derive(Debug, Clone)]
-pub struct SegmentedBus {
-    topo: Arc<Topology>,
-    busy_until: Vec<SimTime>,
-    rngs: Vec<DetRng>,
-}
-
-impl SegmentedBus {
-    /// Creates the medium for `topo`, deriving one jitter stream per
-    /// segment from `seed`. The same `(topo, seed)` pair always produces
-    /// identical plans for identical call sequences, regardless of what any
-    /// other RNG in the simulation has drawn.
-    pub fn new(topo: Arc<Topology>, seed: u64) -> Self {
-        let root = DetRng::new(seed);
-        let n = topo.num_segments();
-        // "SEG" tag keeps these forks disjoint from the per-node streams.
-        let rngs = (0..n).map(|s| root.fork(0x5345_4700_0000 + u64::from(s))).collect();
-        Self { topo, busy_until: vec![SimTime::ZERO; n as usize], rngs }
-    }
-
-    /// The topology this bus routes over.
-    pub fn topology(&self) -> &Arc<Topology> {
-        &self.topo
-    }
-
-    /// Serialization time of a frame of `size_bytes` on any segment.
-    pub fn serialization_time(&self, size_bytes: usize) -> SimTime {
-        let cfg = self.topo.ethernet();
-        let on_wire = (size_bytes + cfg.frame_overhead).max(cfg.min_frame);
-        SimTime::from_micros((on_wire as u64) * 8 * 1_000_000 / cfg.bandwidth_bps)
-    }
-
-    /// The instant segment `seg` next becomes idle.
-    pub fn busy_until(&self, seg: u32) -> SimTime {
-        self.busy_until[seg as usize]
-    }
-}
-
-impl Medium for SegmentedBus {
-    fn transmit_into(
-        &mut self,
-        src: NodeId,
-        dests: &[NodeId],
-        size_bytes: usize,
-        now: SimTime,
-        // Deliberately unused: all draws come from the source segment's own
-        // stream so plans are independent of global event interleaving.
-        _rng: &mut DetRng,
-        plan: &mut TxPlan,
-    ) {
-        let seg = self.topo.segment_of(src);
-        let tx_start = now.max(self.busy_until[seg as usize]);
-        let ser = self.serialization_time(size_bytes);
-        let tx_end = tx_start + ser;
-        self.busy_until[seg as usize] = tx_end;
-        let local_base = tx_end + self.topo.ethernet().propagation;
-        let cross_base = local_base + self.topo.bridge_latency();
-        let jitter = self.topo.ethernet().jitter;
-        let rng = &mut self.rngs[seg as usize];
-        plan.clear();
-        plan.deliveries.extend(dests.iter().map(|&d| {
-            let base = if self.topo.segment_of(d) == seg { local_base } else { cross_base };
-            (d, base + rng.jitter(jitter))
-        }));
-        plan.busy_us = ser.as_micros();
-    }
-
-    fn name(&self) -> &'static str {
-        "segmented-bus"
     }
 }
 
@@ -478,14 +386,6 @@ mod tests {
         let mut plan = TxPlan::default();
         m.transmit_into(src, dests, size_bytes, now, rng, &mut plan);
         plan
-    }
-
-    fn two_segment_topo() -> Arc<Topology> {
-        // Nodes 0..3 on segment 0, 3..6 on segment 1; no jitter so arrival
-        // times are exact.
-        let mut eth = EthernetConfig::default();
-        eth.jitter = SimTime::ZERO;
-        Arc::new(Topology::with_segment_sizes(&[3, 3], eth, SimTime::from_micros(100)))
     }
 
     #[test]
@@ -751,57 +651,6 @@ mod tests {
             let got = tx(&mut m, NodeId(0), &dests(n), 10, SimTime::ZERO, &mut rng_a);
             assert_eq!(got, want, "case {case}: drop {drop} dup {dup} n {n}");
             assert_eq!(rng_a.next_u64(), rng_base.next_u64(), "case {case}: draw count");
-        }
-    }
-
-    #[test]
-    fn segmented_bus_contention_is_segment_local() {
-        let mut bus = SegmentedBus::new(two_segment_topo(), 9);
-        let mut rng = DetRng::new(1);
-        // Back-to-back local broadcasts on *different* segments at t=0: no
-        // queueing across segments, both serialize immediately.
-        let p0 = tx(&mut bus, NodeId(0), &[NodeId(1)], 1024, SimTime::ZERO, &mut rng);
-        let p1 = tx(&mut bus, NodeId(3), &[NodeId(4)], 1024, SimTime::ZERO, &mut rng);
-        assert_eq!(p0.deliveries[0].1, p1.deliveries[0].1);
-        // A second frame on segment 0 queues behind the first.
-        let p0b = tx(&mut bus, NodeId(1), &[NodeId(0)], 1024, SimTime::ZERO, &mut rng);
-        assert_eq!(p0b.deliveries[0].1, p0.deliveries[0].1 + SimTime::from_micros(852));
-        assert_eq!(bus.busy_until(0), SimTime::from_micros(1704));
-        assert_eq!(bus.busy_until(1), SimTime::from_micros(852));
-    }
-
-    #[test]
-    fn segmented_bus_cross_segment_pays_the_bridge() {
-        let mut bus = SegmentedBus::new(two_segment_topo(), 9);
-        let mut rng = DetRng::new(1);
-        let plan = tx(&mut bus, NodeId(0), &[NodeId(1), NodeId(4)], 1024, SimTime::ZERO, &mut rng);
-        let local = plan.deliveries[0].1;
-        let cross = plan.deliveries[1].1;
-        assert_eq!(cross, local + SimTime::from_micros(100), "bridge latency on top");
-        // The remote segment's wire was never occupied.
-        assert_eq!(bus.busy_until(1), SimTime::ZERO);
-        // No cross-segment arrival before now + bridge latency + propagation.
-        let topo = bus.topology();
-        assert!(cross >= topo.bridge_latency() + topo.ethernet().propagation);
-    }
-
-    #[test]
-    fn segmented_bus_ignores_the_caller_rng() {
-        // Identical call sequences with wildly different caller RNG states
-        // must produce identical plans — jitter comes from per-segment
-        // streams owned by the bus, never from the caller's stream.
-        let topo = Arc::new(Topology::uniform(6, 2, SimTime::from_micros(100)));
-        let mut a = SegmentedBus::new(Arc::clone(&topo), 42);
-        let mut b = SegmentedBus::new(topo, 42);
-        let mut rng_a = DetRng::new(1);
-        let mut rng_b = DetRng::new(999);
-        let _ = rng_b.next_u64();
-        for i in 0..20u64 {
-            let now = SimTime::from_micros(i * 37);
-            let src = NodeId((i % 6) as u32);
-            let pa = tx(&mut a, src, &dests(6), 100, now, &mut rng_a);
-            let pb = tx(&mut b, src, &dests(6), 100, now, &mut rng_b);
-            assert_eq!(pa, pb, "frame {i}");
         }
     }
 }

@@ -1,11 +1,10 @@
 use crate::agent::Action;
 use crate::{
     Agent, Dest, DetRng, EventQueue, Medium, NetStats, NodeId, Packet, SimApi, SimTime, TimerToken,
-    Topology, TxPlan,
+    TxPlan,
 };
 use ps_obs::{CauseId, LoadSample, MetricsSampler, ObsEvent, Recorder, Writer};
 use ps_prof::Profiler;
-use std::sync::Arc;
 
 /// Per-node execution parameters.
 #[derive(Debug, Clone)]
@@ -55,13 +54,6 @@ pub struct SimConfig {
     /// schedule depends only on virtual time, so the series is as
     /// deterministic as the run itself.
     pub sampler: Option<MetricsSampler>,
-    /// Multi-segment topology, used to resolve [`Dest::Segment`] (`None` =
-    /// the whole simulation is one segment).
-    ///
-    /// Setting this does *not* change the medium — pair it with a
-    /// [`crate::SegmentedBus`] built over the same topology so addressing
-    /// and delivery latencies agree.
-    pub topology: Option<Arc<Topology>>,
     /// Host-time profiler the engine opens spans on (disabled by default).
     ///
     /// Clones share the span tree, so keep a clone of the handle you pass
@@ -92,12 +84,6 @@ impl SimConfig {
     /// Attaches a periodic load sampler (see [`ps_obs::MetricsSampler`]).
     pub fn sampler(mut self, sampler: MetricsSampler) -> Self {
         self.sampler = Some(sampler);
-        self
-    }
-
-    /// Sets the multi-segment topology [`Dest::Segment`] resolves against.
-    pub fn topology(mut self, topo: Arc<Topology>) -> Self {
-        self.topology = Some(topo);
         self
     }
 
@@ -418,26 +404,11 @@ impl<A: Agent> Sim<A> {
     }
 
     /// Expands a [`Dest`] into explicit node ids.
-    ///
-    /// `Dest::Segment` resolves against `topo`; with no topology the whole
-    /// simulation is one segment, so it degenerates to `Dest::Others`.
-    fn fill_dests(
-        total: u32,
-        topo: Option<&Topology>,
-        src: NodeId,
-        dest: Dest,
-        out: &mut Vec<NodeId>,
-    ) {
+    fn fill_dests(total: u32, src: NodeId, dest: Dest, out: &mut Vec<NodeId>) {
         out.clear();
         match dest {
             Dest::All => out.extend((0..total).map(NodeId)),
             Dest::Others => out.extend((0..total).map(NodeId).filter(|&d| d != src)),
-            Dest::Segment => match topo {
-                Some(t) => {
-                    out.extend(t.segment_range(t.segment_of(src)).map(NodeId).filter(|&d| d != src))
-                }
-                None => out.extend((0..total).map(NodeId).filter(|&d| d != src)),
-            },
             Dest::To(d) => {
                 assert!(d.0 < total, "destination {d} out of range");
                 out.push(d);
@@ -460,13 +431,7 @@ impl<A: Agent> Sim<A> {
         for action in actions.drain(..) {
             match action {
                 Action::Send { dest, payload, cause } => {
-                    Self::fill_dests(
-                        self.agents.len() as u32,
-                        self.config.topology.as_deref(),
-                        node,
-                        dest,
-                        &mut dests,
-                    );
+                    Self::fill_dests(self.agents.len() as u32, node, dest, &mut dests);
                     self.stats.frames_sent += 1;
                     self.stats.bytes_sent += payload.len() as u64;
                     {

@@ -7,7 +7,6 @@ use ps_simnet::{
     TimerToken,
 };
 use ps_trace::{Event, Message, ProcessId};
-use std::sync::Arc;
 
 /// Builds one process's protocol stack.
 ///
@@ -117,8 +116,7 @@ impl Agent for ProcessAgent {
 }
 
 /// Builder for a [`GroupSim`]: a [`GroupSpec`] plus what names the
-/// simulated medium — the medium, the topology, the service time and the
-/// profiler.
+/// simulated medium — the medium, the service time and the profiler.
 ///
 /// # Examples
 ///
@@ -126,7 +124,6 @@ impl Agent for ProcessAgent {
 pub struct GroupSimBuilder {
     spec: GroupSpec,
     medium: Option<Box<dyn Medium>>,
-    topology: Option<Arc<ps_simnet::Topology>>,
     service_time: Option<SimTime>,
     prof: Option<ps_prof::Profiler>,
 }
@@ -152,21 +149,6 @@ impl GroupSimBuilder {
     /// Sets every node's per-event CPU service time.
     pub fn service_time(mut self, t: SimTime) -> Self {
         self.service_time = Some(t);
-        self
-    }
-
-    /// Runs the group over a multi-segment [`ps_simnet::Topology`] that
-    /// spans exactly its `n` processes: `Dest::Segment` resolves against
-    /// it, and the medium becomes a [`ps_simnet::SegmentedBus`] over it,
-    /// seeded from the group's seed, until a later [`Self::medium`] call.
-    pub fn topology(mut self, topo: Arc<ps_simnet::Topology>) -> Self {
-        assert_eq!(
-            topo.num_nodes(),
-            u32::from(self.spec.n),
-            "topology nodes must match group size"
-        );
-        self.topology = Some(topo);
-        self.medium = None;
         self
     }
 
@@ -221,7 +203,7 @@ impl GroupSimBuilder {
     /// — the simulated half of the [`Driver`] split; the real-transport
     /// half is `ps_net::UdpGroup::launch` on the same spec.
     pub fn from_spec(spec: GroupSpec) -> Self {
-        Self { spec, medium: None, topology: None, service_time: None, prof: None }
+        Self { spec, medium: None, service_time: None, prof: None }
     }
 
     /// Builds the simulation.
@@ -233,15 +215,12 @@ impl GroupSimBuilder {
     pub fn build(self) -> GroupSim {
         let spec = self.spec;
         let factory = spec.factory.expect("GroupSimBuilder requires a stack_factory");
-        let medium = self.medium.unwrap_or_else(|| match &self.topology {
-            Some(topo) => Box::new(ps_simnet::SegmentedBus::new(Arc::clone(topo), spec.seed)),
-            None => Box::new(PointToPoint::new(SimTime::from_micros(100))),
-        });
+        let medium =
+            self.medium.unwrap_or_else(|| Box::new(PointToPoint::new(SimTime::from_micros(100))));
         let mut config = SimConfig {
             seed: spec.seed,
             recorder: spec.recorder.unwrap_or_default(),
             sampler: spec.sampler,
-            topology: self.topology,
             prof: self.prof.unwrap_or_default(),
             ..SimConfig::default()
         };
