@@ -4,69 +4,34 @@
 //! ledger_check A.jsonl B.jsonl [--strict]
 //! ```
 //!
-//! Both files are `repro --ledger` output (see `ps_harness::ledger`).
-//! Rows are matched by `(cmd, seed)`; for every pair present in both
-//! files the config digest and each metric are compared. Deterministic
-//! subcommands must reproduce exactly — same config digest, same
-//! metrics, same `output_fnv` — so any drift is a real behavioural
-//! change (or a config change, which the digest calls out separately).
-//! `profile` rows carry host timings; their structural metrics still
-//! compare, the embedded nanosecond summary is ignored.
+//! Both files are `repro --ledger` output (see `ps_harness::ledger`), or
+//! the committed pin file `crates/harness/pins.jsonl`. Rows are matched
+//! by `(cmd, seed)`, and every difference is printed: a row or a metric
+//! present in one file only, a config digest that differs (not the same
+//! experiment), a metric that drifted. Same seed, same config: same
+//! counts and the same digest of every exact artefact, so any drift is a
+//! real behavioural change. `profile` rows embed the profiler's host
+//! timings; that summary is not compared.
 //!
-//! By default the diff is informational (always exits 0, prints which
-//! rows drifted). `--strict` exits 1 on any mismatch —
-//! CI uses that for the two-run reproduce-the-ledger smoke.
+//! By default the diff is informational (always exits 0). `--strict`
+//! exits 1 on any difference — CI checks a fresh ledger of every
+//! `--quick` run against the pin file with it.
 
-use std::collections::BTreeMap;
+use ps_harness::ledger::{diff, read};
 use std::process::ExitCode;
 
-/// Extracts the string value of `"key":"…"` from a flat JSON line.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_owned())
-}
-
-/// Extracts the integer value of `"key":123` from a flat JSON line.
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let digits: String = line[start..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// The `"metrics":{…}` object of a ledger row as ordered `key → value`.
-fn metrics(line: &str) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    let Some(start) = line.find("\"metrics\":{") else { return out };
-    let body = &line[start + "\"metrics\":{".len()..];
-    let Some(end) = body.find('}') else { return out };
-    for pair in body[..end].split(',').filter(|p| !p.is_empty()) {
-        if let Some((k, v)) = pair.split_once(':') {
-            if let Ok(v) = v.parse::<u64>() {
-                out.insert(k.trim_matches('"').to_owned(), v);
-            }
-        }
-    }
-    out
-}
-
-/// `(cmd, seed) → (config_fnv, metrics)` for every ledger row in a body.
-/// A repeated key keeps the *last* row (the most recent append wins).
-type Rows = BTreeMap<(String, u64), (u64, BTreeMap<String, u64>)>;
-
-fn rows(body: &str) -> Rows {
-    let mut out = Rows::new();
-    for line in body.lines().filter(|l| l.contains("\"kind\":\"ps-ledger\"")) {
-        let (Some(cmd), Some(seed), Some(cfg)) =
-            (str_field(line, "cmd"), u64_field(line, "seed"), u64_field(line, "config_fnv"))
-        else {
-            continue;
-        };
-        out.insert((cmd, seed), (cfg, metrics(line)));
-    }
-    out
+/// The report lines for two ledger bodies, and whether they agree.
+fn check(a_body: &str, b_body: &str, a_name: &str, b_name: &str) -> (Vec<String>, bool) {
+    let (a, b) = (read(a_body), read(b_body));
+    let mut lines: Vec<String> =
+        diff(&a, &b, a_name, b_name).into_iter().map(|d| format!("ledger_check: {d}")).collect();
+    let agree = lines.is_empty() && !a.is_empty();
+    lines.push(match (a.is_empty(), lines.len()) {
+        (true, _) => format!("ledger_check: no rows in {a_name}"),
+        (false, 0) => format!("ledger_check: {} row(s) reproduce exactly", a.len()),
+        (false, n) => format!("ledger_check: {n} difference(s)"),
+    });
+    (lines, agree)
 }
 
 fn main() -> ExitCode {
@@ -86,57 +51,21 @@ fn main() -> ExitCode {
         eprintln!("usage: ledger_check A.jsonl B.jsonl [--strict]");
         return ExitCode::from(2);
     };
-    let read = |p: &str| match std::fs::read_to_string(p) {
+    let read_file = |p: &str| match std::fs::read_to_string(p) {
         Ok(s) => Some(s),
         Err(e) => {
             eprintln!("cannot read {p}: {e}");
             None
         }
     };
-    let (Some(a_body), Some(b_body)) = (read(a_path), read(b_path)) else {
+    let (Some(a_body), Some(b_body)) = (read_file(a_path), read_file(b_path)) else {
         return ExitCode::from(2);
     };
-    let (a, b) = (rows(&a_body), rows(&b_body));
-
-    let mut compared = 0u32;
-    let mut drifted = 0u32;
-    for ((cmd, seed), (b_cfg, b_metrics)) in &b {
-        let Some((a_cfg, a_metrics)) = a.get(&(cmd.clone(), *seed)) else {
-            println!("ledger_check: {cmd} seed {seed}: only in {b_path}");
-            continue;
-        };
-        compared += 1;
-        if a_cfg != b_cfg {
-            drifted += 1;
-            println!("ledger_check: {cmd} seed {seed}: config digest differs ({a_cfg} vs {b_cfg}) — not the same experiment");
-            continue;
-        }
-        let mut row_ok = true;
-        for (k, bv) in b_metrics {
-            match a_metrics.get(k) {
-                Some(av) if av == bv => {}
-                Some(av) => {
-                    row_ok = false;
-                    println!("ledger_check: {cmd} seed {seed}: {k} {av} -> {bv}  <-- drifted");
-                }
-                None => {
-                    row_ok = false;
-                    println!("ledger_check: {cmd} seed {seed}: {k} only in {b_path}");
-                }
-            }
-        }
-        if !row_ok {
-            drifted += 1;
-        }
+    let (lines, agree) = check(&a_body, &b_body, a_path, b_path);
+    for l in lines {
+        println!("{l}");
     }
-    if compared == 0 {
-        println!("ledger_check: no common (cmd, seed) rows between {a_path} and {b_path}");
-    } else if drifted > 0 {
-        println!("ledger_check: {drifted}/{compared} row(s) drifted");
-    } else {
-        println!("ledger_check: {compared} row(s) reproduce exactly");
-    }
-    if strict && (drifted > 0 || compared == 0) {
+    if strict && !agree {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -146,23 +75,36 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const ROW: &str = r#"{"kind":"ps-ledger","v":1,"cmd":"monitor","seed":7,"config_fnv":42,"metrics":{"violations":0,"output_fnv":99}}"#;
+    const ROW: &str = r#"{"kind":"ps-ledger","v":2,"cmd":"monitor","seed":7,"config_fnv":42,"metrics":{"violations":0,"stdout_fnv":99}}"#;
 
     #[test]
     fn parses_a_ledger_row() {
-        let r = rows(ROW);
-        let (cfg, m) = &r[&("monitor".to_owned(), 7)];
-        assert_eq!(*cfg, 42);
-        assert_eq!(m["violations"], 0);
-        assert_eq!(m["output_fnv"], 99);
+        let r = read(ROW);
+        let e = &r[&("monitor".to_owned(), 7)];
+        assert_eq!(e.config_fnv, 42);
+        assert_eq!(e.metrics, [("violations".to_owned(), 0), ("stdout_fnv".to_owned(), 99)]);
     }
 
     #[test]
     fn later_appends_win_and_foreign_lines_are_skipped() {
         let body =
-            format!("not json\n{ROW}\n{}", ROW.replace("\"output_fnv\":99", "\"output_fnv\":100"));
-        let r = rows(&body);
+            format!("not json\n{ROW}\n{}", ROW.replace("\"stdout_fnv\":99", "\"stdout_fnv\":100"));
+        let r = read(&body);
         assert_eq!(r.len(), 1);
-        assert_eq!(r[&("monitor".to_owned(), 7)].1["output_fnv"], 100);
+        assert_eq!(r[&("monitor".to_owned(), 7)].metrics[1].1, 100);
+    }
+
+    #[test]
+    fn strict_fails_when_the_second_ledger_lacks_a_row_or_a_metric() {
+        // A has monitor and chaos; B has only monitor, without its digest.
+        let chaos = ROW.replace("monitor", "chaos");
+        let a = format!("{ROW}\n{chaos}\n");
+        let b = ROW.replace(",\"stdout_fnv\":99", "");
+        let (lines, agree) = check(&a, &b, "A", "B");
+        assert!(!agree, "{lines:?}");
+        assert!(lines.iter().any(|l| l.ends_with("chaos seed 7: only in A")), "{lines:?}");
+        assert!(lines.iter().any(|l| l.ends_with("monitor seed 7: stdout_fnv only in A")));
+        assert!(check(&a, &a, "A", "A").1);
+        assert!(!check("", "", "A", "B").1, "an empty ledger proves nothing");
     }
 }

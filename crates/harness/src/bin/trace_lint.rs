@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Exits non-zero (and names the offending line/offset) on the first
-//! invalid file — the CI smoke pipes `repro --trace` output through this.
+//! invalid file — the CI smoke runs it over every trace `repro --out DIR` writes.
 //!
 //! Files exported with a recorder meta header (`to_jsonl_with` /
 //! `to_chrome_with`) carry the ring's eviction count; a non-zero count

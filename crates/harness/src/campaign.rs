@@ -25,9 +25,11 @@
 //! byte-identical.
 //!
 //! Each cell's traffic carries a byte-deterministic [`Manifest`]
-//! (profile, seed, scale, derived totals); `repro campaign --manifests
-//! PATH` writes them as JSON-lines provenance for the whole grid.
+//! (profile, seed, scale, derived totals); `repro campaign --out DIR`
+//! writes them to `DIR/campaign.manifests.jsonl` as JSON-lines
+//! provenance for the whole grid.
 
+use crate::experiments::{Artefacts, Ask};
 use crate::measure::{LatencyStats, SteadyStateWindow};
 use crate::report::{self, ms, Table};
 use crate::scenario::{Policy, Scenario};
@@ -267,7 +269,7 @@ pub struct CellResult {
     /// `true` iff no violations and not wedged.
     pub pass: bool,
     /// Post-mortem flight-recorder bundle, captured iff the cell failed
-    /// (`repro campaign --postmortem PATH` writes the first one).
+    /// (`repro campaign --out DIR` writes the first one).
     pub postmortem: Option<ps_obs::PostmortemBundle>,
 }
 
@@ -340,12 +342,32 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &CampaignCell) -> CellResult {
 
 /// Runs the whole grid on `runner`; results are in cell order and
 /// byte-identical to a serial run regardless of worker count.
-pub fn run_with(cfg: &CampaignConfig, runner: &SweepRunner) -> Vec<CellResult> {
+pub(crate) fn run_with(cfg: &CampaignConfig, runner: &SweepRunner) -> Vec<CellResult> {
     runner.run(cfg.cells.clone(), |_, cell| run_cell(cfg, &cell))
 }
 
+/// `repro campaign`: the grid, the per-cell manifests and the first
+/// failed cell's post-mortem. `--fault` seeds the broken ordering layer
+/// into one cell. Fails when any cell does.
+pub(crate) fn artefacts(ask: &Ask) -> Artefacts {
+    let mut cfg = ask.budget(CampaignConfig::quick, Default::default);
+    if ask.fault {
+        cfg = cfg.with_seeded_fault();
+    }
+    let results = run_with(&cfg, &ask.runner);
+    let failed = results.iter().filter(|r| !r.pass).count();
+    Artefacts::new(ask.print(&render(&results)), 0, format!("{cfg:?}"))
+        .count("cells", results.len())
+        .count("failed", failed)
+        .file("manifests.jsonl", true, manifests_jsonl(&results))
+        .postmortem(results.iter().find_map(|r| r.postmortem.as_ref()))
+        .fail_if(failed > 0, || {
+            format!("campaign: {failed} cell(s) failed (wedged switch or property violation)")
+        })
+}
+
 /// Renders the grid report.
-pub fn render(results: &[CellResult]) -> Table {
+fn render(results: &[CellResult]) -> Table {
     let mut t = Table::new(
         "campaign — judged profile × stack × fault grid",
         vec![
@@ -388,7 +410,7 @@ pub fn render(results: &[CellResult]) -> Table {
 
 /// The per-cell traffic manifests as JSON-lines, in cell order — the
 /// grid's provenance record.
-pub fn manifests_jsonl(results: &[CellResult]) -> String {
+fn manifests_jsonl(results: &[CellResult]) -> String {
     let mut out = String::new();
     for r in results {
         out.push_str(&r.manifest.to_json());
@@ -461,15 +483,5 @@ mod tests {
         assert_eq!(r.violations[0].kind, ViolationKind::TotalOrder);
         assert_eq!(r.violations[0].node, u32::from(FAULT_NODE));
         assert!(!r.pass);
-    }
-
-    #[test]
-    fn cell_report_and_manifest_are_deterministic() {
-        let cfg = CampaignConfig::quick();
-        let cell = &representative(&cfg)[2]; // hybrid under crash
-        let (a, b) = (run_cell(&cfg, cell), run_cell(&cfg, cell));
-        assert_eq!(render(&[a.clone()]).to_string(), render(&[b.clone()]).to_string());
-        assert_eq!(a.manifest.to_json(), b.manifest.to_json());
-        assert_eq!(a.load, b.load);
     }
 }

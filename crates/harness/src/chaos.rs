@@ -27,6 +27,7 @@
 //! runner merges results in input order, so the rendered report is
 //! byte-identical across runs and worker counts.
 
+use crate::experiments::{Artefacts, Ask};
 use crate::report::{self, Table};
 use crate::scenario::{Policy, Scenario};
 use crate::sweep::SweepRunner;
@@ -300,7 +301,7 @@ pub struct ScenarioResult {
     /// Whether outcome matched the expectation with zero violations.
     pub pass: bool,
     /// Post-mortem flight-recorder bundle, captured iff the scenario
-    /// failed (`repro chaos --postmortem PATH` writes the first one).
+    /// failed (`repro chaos --out DIR` writes the first one).
     pub postmortem: Option<ps_obs::PostmortemBundle>,
 }
 
@@ -435,12 +436,27 @@ pub fn run_scenario(sc: &ChaosScenario) -> ScenarioResult {
 
 /// Runs the whole matrix on `runner`; results are in scenario order and
 /// byte-identical to a serial run regardless of worker count.
-pub fn run_with(cfg: &ChaosConfig, runner: &SweepRunner) -> Vec<ScenarioResult> {
+pub(crate) fn run_with(cfg: &ChaosConfig, runner: &SweepRunner) -> Vec<ScenarioResult> {
     runner.run(cfg.scenarios.clone(), |_, sc| run_scenario(&sc))
 }
 
+/// `repro chaos`: the scenario matrix and the first failed scenario's
+/// post-mortem. Fails when any scenario deviates from its expectation.
+pub(crate) fn artefacts(ask: &Ask) -> Artefacts {
+    let cfg = ask.budget(ChaosConfig::quick, Default::default);
+    let results = run_with(&cfg, &ask.runner);
+    let failed = results.iter().filter(|r| !r.pass).count();
+    Artefacts::new(ask.print(&render(&results)), 0, format!("{cfg:?}"))
+        .count("scenarios", results.len())
+        .count("failed", failed)
+        .postmortem(results.iter().find_map(|r| r.postmortem.as_ref()))
+        .fail_if(failed > 0, || {
+            format!("chaos: {failed} scenario(s) failed (wedged switch or property violation)")
+        })
+}
+
 /// Renders the scenario matrix report.
-pub fn render(results: &[ScenarioResult]) -> Table {
+fn render(results: &[ScenarioResult]) -> Table {
     let mut t = Table::new(
         "chaos — fault-injection scenario matrix",
         vec![
@@ -524,13 +540,5 @@ mod tests {
         assert_eq!(r.completed, vec![1, 1, 1, 1]);
         assert_eq!(r.aborted, vec![0, 0, 0, 0]);
         assert_eq!(r.phase_at_crash.as_deref(), Some("prepare_seen"));
-    }
-
-    #[test]
-    fn report_is_deterministic_across_worker_counts() {
-        let cfg = ChaosConfig::quick();
-        let serial = render(&run_with(&cfg, &SweepRunner::serial())).to_string();
-        let parallel = render(&run_with(&cfg, &SweepRunner::new(4))).to_string();
-        assert_eq!(serial, parallel);
     }
 }

@@ -24,7 +24,7 @@ const BODY_BYTES: usize = 1024;
 const SWITCH_AT: SimTime = SimTime::from_millis(600);
 const END: SimTime = SimTime::from_millis(1_500);
 /// The experiment's seed.
-pub const SEED: u64 = 0xAB1A;
+const SEED: u64 = 0xAB1A;
 
 /// Configuration of the variant ablation.
 #[derive(Debug, Clone)]
@@ -91,7 +91,7 @@ pub fn run(cfg: &AblationConfig) -> Vec<AblationPoint> {
 
 /// Runs the ablation on `runner`, one (group size × variant) cell per
 /// sweep job; cells come back in grid order, so output matches [`run`]'s.
-pub fn run_with(cfg: &AblationConfig, runner: &SweepRunner) -> Vec<AblationPoint> {
+pub(crate) fn run_with(cfg: &AblationConfig, runner: &SweepRunner) -> Vec<AblationPoint> {
     let grid: Vec<(u16, (&'static str, SwitchVariant))> = cfg
         .group_sizes
         .iter()
@@ -127,8 +127,14 @@ pub fn run_with(cfg: &AblationConfig, runner: &SweepRunner) -> Vec<AblationPoint
     points.into_iter().flatten().collect()
 }
 
+/// `repro ablation`.
+pub(crate) fn artefacts(ask: &super::Ask) -> super::Artefacts {
+    let cfg = ask.budget(AblationConfig::quick, Default::default);
+    super::one_table(ask, &render(&run_with(&cfg, &ask.runner)), SEED, format!("{cfg:?}"))
+}
+
 /// Renders the ablation table.
-pub fn render(points: &[AblationPoint]) -> Table {
+fn render(points: &[AblationPoint]) -> Table {
     let mut t = Table::new(
         "Ablation — switching-protocol variant (one switch, moderate load)",
         vec!["group", "variant", "initiator (ms)", "worst member (ms)", "Δ frames vs no-switch"],

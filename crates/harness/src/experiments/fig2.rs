@@ -225,7 +225,7 @@ pub fn run(cfg: &Fig2Config) -> Fig2Result {
 /// (protocol × sender count) points across its workers. Each point owns
 /// its simulation and seed, and results are merged in grid order, so the
 /// result is identical to [`run`]'s whatever the worker count.
-pub fn run_with(cfg: &Fig2Config, runner: &SweepRunner) -> Fig2Result {
+pub(crate) fn run_with(cfg: &Fig2Config, runner: &SweepRunner) -> Fig2Result {
     let grid: Vec<(u16, Series)> =
         cfg.senders.iter().flat_map(|&k| Series::ALL.into_iter().map(move |s| (k, s))).collect();
     let evals = runner.run(grid, |_, (k, series)| eval_series(cfg, series, k));
@@ -264,8 +264,14 @@ pub fn find_crossover(points: &[Fig2Point]) -> Option<(u16, u16)> {
     })
 }
 
+/// `repro fig2`.
+pub(crate) fn artefacts(ask: &super::Ask) -> super::Artefacts {
+    let cfg = ask.budget(Fig2Config::quick, Default::default);
+    super::one_table(ask, &render(&run_with(&cfg, &ask.runner)), cfg.seed, format!("{cfg:?}"))
+}
+
 /// Renders the figure as a text table (one row per sender count).
-pub fn render(result: &Fig2Result) -> Table {
+fn render(result: &Fig2Result) -> Table {
     let mut t = Table::new(
         "Figure 2 — message latency (ms) vs. active senders (n=10, 50 msg/s each)",
         vec![

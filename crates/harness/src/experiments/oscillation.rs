@@ -23,7 +23,7 @@ const THRESHOLD: usize = 5;
 const RATE: f64 = 50.0;
 const BODY_BYTES: usize = 1024;
 /// The experiment's seed.
-pub const SEED: u64 = 0x05C1;
+const SEED: u64 = 0x05C1;
 
 /// Configuration of the oscillation experiment.
 #[derive(Debug, Clone)]
@@ -105,8 +105,14 @@ pub fn run(cfg: &OscillationConfig) -> Vec<OscillationPoint> {
         .collect()
 }
 
+/// `repro oscillation`.
+pub(crate) fn artefacts(ask: &super::Ask) -> super::Artefacts {
+    let cfg = ask.budget(OscillationConfig::quick, Default::default);
+    super::one_table(ask, &render(&run(&cfg)), SEED, format!("{cfg:?}"))
+}
+
 /// Renders the sweep.
-pub fn render(points: &[OscillationPoint]) -> Table {
+fn render(points: &[OscillationPoint]) -> Table {
     let mut t = Table::new(
         "§7 — oscillation vs. hysteresis (load hovering at the cross-over)",
         vec!["hysteresis", "switches", "mean latency (ms)"],

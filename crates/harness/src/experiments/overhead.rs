@@ -30,7 +30,7 @@ const SWITCH_BACK_AT: SimTime = SimTime::from_secs(2);
 /// Workload end.
 const END: SimTime = SimTime::from_secs(3);
 /// The experiment's seed.
-pub const SEED: u64 = 0x0E4D;
+const SEED: u64 = 0x0E4D;
 
 /// Configuration of the overhead experiment.
 #[derive(Debug, Clone)]
@@ -144,8 +144,14 @@ pub fn run(cfg: &OverheadConfig) -> OverheadResult {
     OverheadResult { costs }
 }
 
+/// `repro overhead`.
+pub(crate) fn artefacts(ask: &super::Ask) -> super::Artefacts {
+    let cfg = ask.budget(OverheadConfig::quick, Default::default);
+    super::one_table(ask, &render(&run(&cfg)), SEED, format!("{cfg:?}"))
+}
+
 /// Renders the result table.
-pub fn render(result: &OverheadResult) -> Table {
+fn render(result: &OverheadResult) -> Table {
     let mut t = Table::new(
         "§7 — switching overhead vs. load (paper: ~31 ms near the cross-over)",
         vec![

@@ -208,6 +208,11 @@ pub fn run() -> Vec<Demo> {
     vec![reliability, total_order, integrity, confidentiality, no_replay, priority, amoeba, vsync]
 }
 
+/// `repro table1`.
+pub(crate) fn artefacts(ask: &super::Ask) -> super::Artefacts {
+    super::one_table(ask, &render(&run()), 0, "default".to_owned())
+}
+
 /// Renders the demonstrations as a table.
 pub fn render(demos: &[Demo]) -> Table {
     let mut t = Table::new(

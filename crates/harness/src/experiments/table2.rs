@@ -36,10 +36,25 @@ pub fn run(cfg: &Table2Config) -> Vec<Table2Row> {
 /// its property and generators from the same deterministic seeds, and the
 /// rows are reassembled in index order, so the output is identical to
 /// [`run`]'s whatever the worker count.
-pub fn run_with(cfg: &Table2Config, runner: &SweepRunner) -> Vec<Table2Row> {
+pub(crate) fn run_with(cfg: &Table2Config, runner: &SweepRunner) -> Vec<Table2Row> {
     let rows: Vec<usize> = (0..table2_len(PROCS)).collect();
     runner
         .run(rows, |_, row| table2_row(PROCS, row, &cfg.budget).expect("row index from table2_len"))
+}
+
+/// `repro table2`: the matrix, the agreement line and, with
+/// `--counterexamples`, every ✗ cell's witness.
+pub(crate) fn artefacts(ask: &super::Ask) -> super::Artefacts {
+    let cfg = ask.budget(Table2Config::quick, Default::default);
+    let rows = run_with(&cfg, &ask.runner);
+    let (agree, pinned) = agreement(&rows);
+    let mut out = ask.print(&render(&rows));
+    out += &format!("paper-pinned cells in agreement: {agree}/{pinned}\n\n");
+    if ask.counterexamples {
+        out += &render_counterexamples(&rows);
+        out.push('\n');
+    }
+    super::Artefacts::new(out, 0, format!("{cfg:?}")).count("agree", agree).count("pinned", pinned)
 }
 
 /// Renders the matrix in the paper's layout (✓/✗; `*` = pinned by the

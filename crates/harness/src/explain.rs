@@ -9,13 +9,14 @@
 //! any streaming monitor reported a violation, the run also captures a
 //! [`PostmortemBundle`] ([`RunOutcome::postmortem`]: the violation
 //! witnesses plus their k-hop causal past and the overlapping
-//! load-sampler window), which `--postmortem PATH` writes to disk as
+//! load-sampler window), which `--out DIR` writes to disk as
 //! JSON-lines plus a Chrome trace.
 //!
 //! Everything here is deterministic: the same seed renders byte-identical
 //! tables and writes byte-identical bundles, so `explain` output can be
 //! diffed across engines and invocations.
 
+use crate::experiments::{Artefacts, Ask};
 use crate::monitor_run::{self, MonitorRunConfig};
 use crate::scenario::RunOutcome;
 use ps_obs::{attribution_table, CausalGraph, CriticalPath, PostmortemBundle};
@@ -41,6 +42,14 @@ pub fn run(cfg: &MonitorRunConfig) -> ExplainResult {
     let paths = graph.switch_attempts();
     let bundle = (!r.violations.is_empty()).then(|| r.postmortem("monitor_violation"));
     ExplainResult { paths, lint, bundle, run: r }
+}
+
+/// `repro explain`: the attribution tables and, when a monitor fired,
+/// the post-mortem. Never fails: it explains runs, it does not judge them.
+pub(crate) fn artefacts(ask: &Ask) -> Artefacts {
+    let cfg = ask.monitor_cfg();
+    let res = run(&cfg);
+    Artefacts::new(render(&res), cfg.seed, format!("{cfg:?}")).postmortem(res.bundle.as_ref())
 }
 
 /// Renders the per-attempt attribution tables plus the trace verdicts.
@@ -115,20 +124,5 @@ mod tests {
         let parsed = ps_obs::parse_jsonl(&bundle.to_jsonl()).expect("bundle parses");
         let g = CausalGraph::new(&parsed.events);
         assert!(g.lint(parsed.overwritten, &parsed.truncated_parents).is_empty());
-    }
-
-    #[test]
-    fn explain_output_and_bundle_are_deterministic() {
-        let cfg = MonitorRunConfig { inject_fault: true, ..MonitorRunConfig::quick() };
-        let (a, b) = (run(&cfg), run(&cfg));
-        assert_eq!(render(&a), render(&b));
-        assert_eq!(
-            a.bundle.as_ref().map(PostmortemBundle::to_jsonl),
-            b.bundle.as_ref().map(PostmortemBundle::to_jsonl)
-        );
-        assert_eq!(
-            a.bundle.as_ref().map(PostmortemBundle::to_chrome),
-            b.bundle.as_ref().map(PostmortemBundle::to_chrome)
-        );
     }
 }

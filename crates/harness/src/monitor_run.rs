@@ -31,6 +31,7 @@
 //! exactly that one violation, with the two disagreeing deliveries as
 //! context.
 
+use crate::experiments::{Artefacts, Ask};
 use crate::report::{ms, Table};
 use crate::scenario::{Policy, RunOutcome, Scenario};
 use ps_bytes::Bytes;
@@ -212,8 +213,29 @@ pub fn run(cfg: &MonitorRunConfig) -> RunOutcome {
     scenario(cfg).run(cfg.horizon())
 }
 
+/// `repro monitor`: the series, switch and violation tables; the series
+/// as JSON-lines and as CSV; a post-mortem when a monitor fired, which
+/// fails the run.
+pub(crate) fn artefacts(ask: &Ask) -> Artefacts {
+    let cfg = ask.monitor_cfg();
+    let r = run(&cfg);
+    let switches = render_switches(&r);
+    let stdout =
+        ask.print(&render_series(&r)) + &ask.print(&switches) + &ask.print(&render_report(&r));
+    let violations = r.violations.len();
+    Artefacts::new(stdout, cfg.seed, format!("{cfg:?}"))
+        .count("violations", violations)
+        .count("sent", r.sent)
+        .count("samples", r.sampler.len())
+        .count("switches", switches.len())
+        .file("series.jsonl", true, r.sampler.to_jsonl())
+        .file("series.csv", true, r.sampler.to_csv())
+        .postmortem((violations > 0).then(|| r.postmortem("monitor_violation")).as_ref())
+        .fail_if(violations > 0, || format!("monitor: {violations} property violation(s) detected"))
+}
+
 /// Renders the sampled load time series.
-pub fn render_series(result: &RunOutcome) -> Table {
+fn render_series(result: &RunOutcome) -> Table {
     let mut t = Table::new(
         "monitor — sampled load time series (one row per window)",
         vec![
@@ -366,15 +388,5 @@ mod tests {
         assert_eq!(v.node, u32::from(FAULT_NODE));
         assert_eq!(v.context.len(), 2, "witness + disagreeing delivery");
         assert!(v.context.iter().all(|e| matches!(e.ev, ps_obs::ObsEvent::AppDeliver { .. })));
-    }
-
-    #[test]
-    fn series_and_report_are_deterministic() {
-        let cfg = MonitorRunConfig::quick();
-        let (a, b) = (run(&cfg), run(&cfg));
-        assert_eq!(a.sampler.to_jsonl(), b.sampler.to_jsonl());
-        assert_eq!(a.sampler.to_csv(), b.sampler.to_csv());
-        assert_eq!(render_report(&a).to_string(), render_report(&b).to_string());
-        assert_eq!(render_switches(&a).to_string(), render_switches(&b).to_string());
     }
 }

@@ -26,6 +26,7 @@
 //! *execution*, not oracle *timing* under different clocks. See
 //! `docs/transport.md` for the methodology and the known divergences.
 
+use crate::experiments::{Artefacts, Ask};
 use crate::measure::{LatencyStats, SteadyStateWindow};
 use crate::report::Table;
 use crate::scenario::{Policy, RunOutcome, Scenario};
@@ -43,7 +44,7 @@ const BODY_BYTES: usize = 64;
 /// OS scheduling jitter, not just simulated rounds.
 const LIVENESS_BOUND: SimTime = SimTime::from_secs(2);
 /// Seed for the workload schedule and both drivers.
-pub const SEED: u64 = 0x5EA1;
+const SEED: u64 = 0x5EA1;
 
 /// Configuration shared by both media.
 #[derive(Debug, Clone)]
@@ -113,7 +114,7 @@ pub struct MediumReport {
     /// Send→deliver latency statistics over the whole run. Simulated
     /// microseconds on simnet, wall-clock microseconds on loopback.
     pub latency: LatencyStats,
-    /// The recorder's event snapshot (for `--trace-*` exports).
+    /// The recorder's event snapshot (written by `--out DIR`).
     pub events: Vec<TimedEvent>,
     /// Ring evictions (monitors stream, so verdicts are unaffected).
     pub overwritten: u64,
@@ -175,7 +176,7 @@ fn read_out<D: Driver>(medium: &'static str, r: RunOutcome<D>, wall_ms: u64) -> 
 }
 
 /// Runs the scenario on the simulated medium.
-pub fn run_sim(cfg: &RealRunConfig) -> MediumReport {
+fn run_sim(cfg: &RealRunConfig) -> MediumReport {
     let started = std::time::Instant::now();
     let r = scenario(cfg).run(cfg.horizon());
     read_out("simnet", r, started.elapsed().as_millis() as u64)
@@ -183,15 +184,45 @@ pub fn run_sim(cfg: &RealRunConfig) -> MediumReport {
 
 /// Runs the *same* scenario over UDP loopback: real sockets, real OS
 /// threads, wall-clock time.
-pub fn run_real(cfg: &RealRunConfig) -> MediumReport {
+pub(crate) fn run_real(cfg: &RealRunConfig) -> MediumReport {
     let started = std::time::Instant::now();
     let r = scenario(cfg).run_udp(cfg.horizon());
     read_out("udp-loopback", r, started.elapsed().as_millis() as u64)
 }
 
+/// `repro real`: the loopback run or, with `--compare`, the sim-vs-real
+/// diff (host measurements, so not exact), and each medium's event
+/// trace, of which only simnet's is exact. Fails on any violation or any
+/// deterministic-field divergence.
+pub(crate) fn artefacts(ask: &Ask) -> Artefacts {
+    let cfg = ask.budget(RealRunConfig::quick, Default::default);
+    let (table, divergences, sim, real) = if ask.compare {
+        let r = run_compare(&cfg);
+        (render_compare(&r), r.divergences(), Some(r.sim), r.real)
+    } else {
+        let m = run_real(&cfg);
+        (render_medium(&m), Vec::new(), None, m)
+    };
+    let violations = real.violations.len() + sim.as_ref().map_or(0, |s| s.violations.len());
+    let diverged = !divergences.is_empty();
+    let trace = |m: &MediumReport| ps_obs::export::to_jsonl_with(&m.events, m.overwritten);
+    let mut a = Artefacts::new(ask.print(&table), SEED, format!("{cfg:?} compare={}", ask.compare))
+        .count("violations", violations)
+        .count("diverged", usize::from(diverged));
+    if let Some(sim) = &sim {
+        a = a.file("simnet.jsonl", true, trace(sim));
+    }
+    a.stdout.exact = false;
+    let why: String =
+        divergences.iter().map(|d| format!("real: media diverged on {d}\n")).collect();
+    a.file("udp.jsonl", false, trace(&real)).fail_if(violations > 0 || diverged, || {
+        why + &format!("real: {violations} violation(s), deterministic divergence: {diverged}")
+    })
+}
+
 /// Renders one medium's report. Rows whose values are host measurements
 /// carry the `(wall)` marker.
-pub fn render_medium(r: &MediumReport) -> Table {
+fn render_medium(r: &MediumReport) -> Table {
     let mut t = Table::new(&format!("real — {} run", r.medium), vec!["field", "value"]);
     t.row(vec!["messages sent".into(), r.sent.to_string()]);
     t.row(vec!["deliveries (msg × receiver)".into(), r.deliveries.to_string()]);
@@ -266,22 +297,17 @@ impl CompareResult {
             .map(|(field, sim, real)| format!("{field}: simnet={sim} udp-loopback={real}"))
             .collect()
     }
-
-    /// Whether the media agree on every deterministic field.
-    pub fn media_agree(&self) -> bool {
-        self.divergences().is_empty()
-    }
 }
 
 /// Runs the scenario on both media.
-pub fn run_compare(cfg: &RealRunConfig) -> CompareResult {
+pub(crate) fn run_compare(cfg: &RealRunConfig) -> CompareResult {
     CompareResult { sim: run_sim(cfg), real: run_real(cfg) }
 }
 
 /// Renders the sim-vs-real diff. Deterministic rows first (must be
 /// byte-identical across same-seed invocations); `(wall)` rows are host
 /// measurements and excluded from determinism expectations.
-pub fn render_compare(r: &CompareResult) -> Table {
+fn render_compare(r: &CompareResult) -> Table {
     let mut t = Table::new(
         "real — sim vs udp-loopback (same seeded scenario, same stacks)",
         vec!["field", "simnet", "udp-loopback", "verdict"],
@@ -331,27 +357,11 @@ mod tests {
         let cfg = RealRunConfig::quick();
         let r = run_compare(&cfg);
         assert!(r.sim.sent > 0, "workload generated no messages");
-        assert!(
-            r.media_agree(),
-            "media diverged on deterministic fields:\n{}",
-            r.divergences().join("\n")
-        );
+        let divergences = r.divergences();
+        assert!(divergences.is_empty(), "media diverged:\n{}", divergences.join("\n"));
         assert_eq!(r.sim.switches_min, 1, "sim must complete the scripted switch");
         assert_eq!(r.real.switches_min, 1, "loopback must complete the scripted switch");
         assert!(r.sim.violations.is_empty() && r.real.violations.is_empty());
-    }
-
-    #[test]
-    fn sim_side_is_deterministic() {
-        let cfg = RealRunConfig::quick();
-        let (a, b) = (run_sim(&cfg), run_sim(&cfg));
-        assert_eq!(a.deliveries, b.deliveries);
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(
-            ps_obs::export::to_jsonl(&a.events),
-            ps_obs::export::to_jsonl(&b.events),
-            "same-seed sim traces must be byte-identical"
-        );
     }
 
     #[test]

@@ -41,17 +41,6 @@ impl SweepRunner {
         Self::new(1)
     }
 
-    /// A runner sized from the environment: `PS_SWEEP_WORKERS` if set
-    /// (invalid values fall back to serial), otherwise one worker per
-    /// available CPU.
-    pub fn from_env() -> Self {
-        let workers = match std::env::var("PS_SWEEP_WORKERS") {
-            Ok(v) => v.trim().parse::<usize>().unwrap_or(1),
-            Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        };
-        Self::new(workers)
-    }
-
     /// Number of worker threads this runner will use.
     pub fn workers(&self) -> usize {
         self.workers
@@ -92,9 +81,16 @@ impl SweepRunner {
     }
 }
 
+/// A runner sized from the environment: `PS_SWEEP_WORKERS` if set
+/// (invalid values fall back to serial), otherwise one worker per
+/// available CPU.
 impl Default for SweepRunner {
     fn default() -> Self {
-        Self::from_env()
+        let workers = match std::env::var("PS_SWEEP_WORKERS") {
+            Ok(v) => v.trim().parse::<usize>().unwrap_or(1),
+            Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        };
+        Self::new(workers)
     }
 }
 

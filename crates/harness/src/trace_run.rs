@@ -3,8 +3,9 @@
 //! One group, one controlled switch in each direction, with a `ps-obs`
 //! recorder attached to the simulator. The run produces:
 //!
-//! * a structured event trace, exportable as JSON-lines or as a Chrome
-//!   `trace_event` file (`--trace out.json --trace-format chrome`);
+//! * a structured event trace, written both as JSON-lines and as a
+//!   Chrome `trace_event` file (`--out DIR` writes `DIR/trace.jsonl` and
+//!   `DIR/trace.chrome.json`);
 //! * the per-process switch-phase timeline table — the paper's §7
 //!   switching-overhead measurement, but read back out of the recorder
 //!   instead of the live [`ps_core::SwitchHandle`] counters (the two must agree;
@@ -13,6 +14,7 @@
 //! Everything is virtual-time deterministic: two runs with the same seed
 //! export byte-identical files, serial or under the parallel sweep runner.
 
+use crate::experiments::{Artefacts, Ask};
 use crate::report::{ms, Table};
 use crate::scenario::{Policy, RunOutcome, Scenario};
 use ps_core::{Proto, SwitchConfig, SwitchVariant};
@@ -22,27 +24,6 @@ use ps_workload::TrafficSpec;
 
 /// Message body size.
 const BODY_BYTES: usize = 512;
-
-/// Output format for the exported trace file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceFormat {
-    /// One JSON object per event, one event per line.
-    #[default]
-    Jsonl,
-    /// A Chrome `trace_event` document for `about://tracing` / Perfetto.
-    Chrome,
-}
-
-impl TraceFormat {
-    /// Parses a `--trace-format` argument.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "jsonl" => Some(Self::Jsonl),
-            "chrome" => Some(Self::Chrome),
-            _ => None,
-        }
-    }
-}
 
 /// Configuration of the traced switch run.
 #[derive(Debug, Clone)]
@@ -116,19 +97,22 @@ pub fn run(cfg: &TraceRunConfig) -> RunOutcome {
         .run(cfg.end + SimTime::from_secs(1))
 }
 
-/// Exports the recorded events in the requested format. Both formats
-/// carry the ring's eviction count, so downstream tooling (`trace_lint`)
-/// can tell a complete trace from a wrapped one.
-pub fn export(result: &RunOutcome, format: TraceFormat) -> String {
-    match format {
-        TraceFormat::Jsonl => export::to_jsonl_with(&result.events, result.overwritten),
-        TraceFormat::Chrome => export::to_chrome_with(&result.events, result.overwritten),
-    }
+/// `repro trace`: the timeline, and the recorded events as JSON-lines
+/// and as a Chrome trace. Both files carry the ring's eviction count, so
+/// downstream tooling (`trace_lint`) can tell a complete trace from a
+/// wrapped one.
+pub(crate) fn artefacts(ask: &Ask) -> Artefacts {
+    let cfg = ask.budget(TraceRunConfig::quick, Default::default);
+    let r = run(&cfg);
+    Artefacts::new(ask.print(&render_timeline(&r)), cfg.seed, format!("{cfg:?}"))
+        .count("events", r.events.len())
+        .file("jsonl", true, export::to_jsonl_with(&r.events, r.overwritten))
+        .file("chrome.json", true, export::to_chrome_with(&r.events, r.overwritten))
 }
 
 /// Renders the per-process switch-phase timeline — §7's overhead
 /// measurement as a view over the recorder.
-pub fn render_timeline(result: &RunOutcome) -> Table {
+fn render_timeline(result: &RunOutcome) -> Table {
     let mut t = Table::new(
         "trace — per-process switch-phase timeline (from the event recorder)",
         vec![
@@ -191,19 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn exports_are_deterministic_across_runs() {
-        let cfg = TraceRunConfig::quick();
-        let (a, b) = (run(&cfg), run(&cfg));
-        assert_eq!(export(&a, TraceFormat::Jsonl), export(&b, TraceFormat::Jsonl));
-        assert_eq!(export(&a, TraceFormat::Chrome), export(&b, TraceFormat::Chrome));
-        assert!(!export(&a, TraceFormat::Jsonl).is_empty());
-    }
-
-    #[test]
     fn exports_validate_as_json() {
         let r = run(&TraceRunConfig::quick());
-        ps_obs::json::validate_lines(&export(&r, TraceFormat::Jsonl)).expect("jsonl");
-        ps_obs::json::validate(&export(&r, TraceFormat::Chrome)).expect("chrome");
+        ps_obs::json::validate_lines(&export::to_jsonl_with(&r.events, r.overwritten))
+            .expect("jsonl");
+        ps_obs::json::validate(&export::to_chrome_with(&r.events, r.overwritten)).expect("chrome");
     }
 
     #[test]

@@ -1,40 +1,23 @@
-//! The parallel sweep runner must be invisible in the output: for the same
-//! config and seed, the rendered report tables are byte-identical to the
-//! serial path's, whatever the worker count.
+//! The parallel sweep runner must be invisible in the output, on seeds
+//! beyond the `--quick` ones too: for each config and seed, the rendered
+//! reports and exported files are byte-identical to the serial path's,
+//! whatever the worker count. (Every `--quick` run is pinned, serial and
+//! on four workers, by `experiment_table.rs` against `pins.jsonl`.)
 //!
-//! The serial renders are also pinned: their FNV-64 digests were recorded
-//! while every harness module still assembled its runs by hand, before
-//! they went through `ps_harness::scenario`. A byte that moves in any of
-//! them fails here. The two pins over recorded events were re-pinned once
-//! since, when a layer span became one record closed in place rather than
-//! a begin/end pair (JSON-lines schema version 2).
+//! The multi-seed outputs are pinned here too: their FNV-64 digests were
+//! recorded while every harness module still assembled its runs by hand,
+//! before they went through `ps_harness::scenario`. A byte that moves in
+//! any of them fails here. The two pins over recorded events were
+//! re-pinned once since, when a layer span became one record closed in
+//! place rather than a begin/end pair (JSON-lines schema version 2).
 
-use ps_harness::experiments::{ablation, fig2, table2};
 use ps_harness::ledger::fnv1a;
-use ps_harness::{campaign, chaos, explain, monitor_run, profile, trace_run, SweepRunner};
+use ps_harness::{explain, monitor_run, profile, trace_run, SweepRunner};
 
 #[track_caller]
 fn pinned(what: &str, text: &str, want: u64) {
     let got = fnv1a(text.as_bytes());
     assert_eq!(got, want, "{what} moved: digest {got:#018x}, pinned {want:#018x}");
-}
-
-#[test]
-fn fig2_parallel_table_is_byte_identical_to_serial() {
-    let cfg = fig2::Fig2Config::quick();
-    let serial = fig2::render(&fig2::run(&cfg)).to_string();
-    let parallel = fig2::render(&fig2::run_with(&cfg, &SweepRunner::new(4))).to_string();
-    assert_eq!(serial, parallel);
-    pinned("fig2", &serial, 0xe829137b95b27aa4);
-}
-
-#[test]
-fn table2_parallel_rows_are_byte_identical_to_serial() {
-    let cfg = table2::Table2Config::quick();
-    let serial = table2::render(&table2::run(&cfg)).to_string();
-    let parallel = table2::render(&table2::run_with(&cfg, &SweepRunner::new(3))).to_string();
-    assert_eq!(serial, parallel);
-    pinned("table2", &serial, 0xca21f44ae4e940bf);
 }
 
 #[test]
@@ -46,8 +29,8 @@ fn traced_runs_are_byte_identical_under_the_parallel_runner() {
         let cfg = trace_run::TraceRunConfig { seed, ..trace_run::TraceRunConfig::quick() };
         let r = trace_run::run(&cfg);
         (
-            trace_run::export(&r, trace_run::TraceFormat::Jsonl),
-            trace_run::export(&r, trace_run::TraceFormat::Chrome),
+            ps_obs::export::to_jsonl_with(&r.events, r.overwritten),
+            ps_obs::export::to_chrome_with(&r.events, r.overwritten),
         )
     };
     let serial = SweepRunner::serial().run(seeds.clone(), job);
@@ -83,35 +66,6 @@ fn monitor_series_is_byte_identical_under_the_parallel_runner() {
     assert_eq!(serial, parallel);
     assert!(serial.iter().all(|(jsonl, csv, ..)| !jsonl.is_empty() && !csv.is_empty()));
     pinned("monitor series, report and switches", &format!("{serial:?}"), 0x547a5ff0b03705d8);
-}
-
-#[test]
-fn chaos_report_is_byte_identical_under_the_parallel_runner() {
-    // Fault-injected runs — crashes, recoveries, a partition, lossy links,
-    // streaming monitors attached — fanned across workers: the rendered
-    // scenario matrix must match the serial run byte for byte.
-    let cfg = chaos::ChaosConfig::quick();
-    let serial = chaos::render(&chaos::run_with(&cfg, &SweepRunner::serial())).to_string();
-    let parallel = chaos::render(&chaos::run_with(&cfg, &SweepRunner::new(4))).to_string();
-    assert_eq!(serial, parallel);
-    assert!(chaos::run_with(&cfg, &SweepRunner::new(2)).iter().all(|r| r.pass));
-    pinned("chaos", &serial, 0xe8fc9721495d2722);
-}
-
-#[test]
-fn campaign_grid_is_byte_identical_under_the_parallel_runner() {
-    // The full quick grid — every profile × stack × fault, with samplers,
-    // monitors, oracles, loss and crash faults live — fanned across
-    // workers: the rendered grid and the manifest JSONL must match the
-    // serial run byte for byte.
-    let cfg = campaign::CampaignConfig::quick();
-    let serial = campaign::run_with(&cfg, &SweepRunner::serial());
-    let parallel = campaign::run_with(&cfg, &SweepRunner::new(4));
-    assert_eq!(campaign::render(&serial).to_string(), campaign::render(&parallel).to_string());
-    assert_eq!(campaign::manifests_jsonl(&serial), campaign::manifests_jsonl(&parallel));
-    assert!(serial.iter().all(|r| r.pass));
-    pinned("campaign grid", &campaign::render(&serial).to_string(), 0xe01d544d78296ffa);
-    pinned("campaign manifests", &campaign::manifests_jsonl(&serial), 0x0e0379ab26ca5f31);
 }
 
 #[test]
@@ -172,13 +126,4 @@ fn profile_structure_is_byte_identical_under_the_parallel_runner() {
     if ps_prof::Profiler::enabled().is_enabled() {
         assert!(serial.iter().all(|(s, _)| s.contains("engine/dispatch")), "{serial:?}");
     }
-}
-
-#[test]
-fn ablation_parallel_table_is_byte_identical_to_serial() {
-    let cfg = ablation::AblationConfig::quick();
-    let serial = ablation::render(&ablation::run(&cfg)).to_string();
-    let parallel = ablation::render(&ablation::run_with(&cfg, &SweepRunner::new(4))).to_string();
-    assert_eq!(serial, parallel);
-    pinned("ablation", &serial, 0x40268742b27bc9b3);
 }

@@ -18,7 +18,7 @@
 //! JSON, so the same seed produces a byte-identical bundle whether the
 //! run was swept serially or on worker threads. The bundle does no file IO —
 //! hosts write [`PostmortemBundle::to_jsonl`] and
-//! [`PostmortemBundle::to_chrome`] wherever `--postmortem PATH` pointed.
+//! [`PostmortemBundle::to_chrome`] where they choose (`repro --out DIR`).
 
 use crate::causal::CausalGraph;
 use crate::event::{CauseId, TimedEvent};

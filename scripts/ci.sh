@@ -52,8 +52,7 @@ echo "==> disabled instruments: an attached, switched-off recorder or profiler c
 cargo bench -q -p ps-simnet --bench instruments_off
 
 echo "==> size: non-test source lines and pub items per crate (informational)"
-# ROADMAP item 1 tracks line count and API surface as a metric; the table
-# is printed for the log and never fails the gate.
+# Printed for the log; the ceilings below are the gate.
 scripts/size.sh || true
 
 echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stack, ps-trace and the workspace stay as small as they got (offline)"
@@ -73,28 +72,16 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # second copy of its era book, its token codec or its sub-stack shapes
 # lands over its row. ps-obs has no metric registry until a counter has a
 # reader. Lower them when a crate shrinks; raising them needs a reason in
-# the same commit. ps-obs's pub ceiling went from 229 to 233 (and the
-# total's with it) when a layer span became one record closed in place:
-# the session's `open_span` / `close_span` pair and the `OpenSpan` handle
-# with its `id` and `at_us` (a close whose clock has not moved is
-# skipped without asking for the session), less `EventMask::union`,
-# which only `|` called. The ps-core and total rows were reset when
-# scripts/size.sh stopped counting at switch.rs's first `#[cfg(test)]` —
-# a test-only field, 860 lines above its test module — and started
-# stopping at the one that gates a `mod`: ps-core then read 1 972 / 82
-# rather than 1 115 / 80. ps-core's row went from 1 990 to 2 004 lines
-# when a fault-tolerant hybrid got one reliable layer below the switch:
-# `Proto` builds a side's ordering layers apart from its transport, and
-# `hybrid_layer` returns the layers to stack rather than the switch alone.
-# The total's went from 22 385 to 22 474 with it and with ps-protocols
-# (not gated on its own; 2 147 → 2 221): the reliable layer's received-set
-# became a window of bits, and its data header carries the sender's
-# stability watermark. ps-simnet's row went from 2 206 to 2 207 lines: the
-# tree it was set on already read 2 207, and this change does not touch
-# ps-simnet. The ps-simnet, ps-harness, ps-stack and total rows were
-# lowered (2 207 → 1 936, 4 617 → 4 570, 1 479 → 1 458, 22 474 → 22 135
-# lines) when the multi-segment network (`Topology`, `SegmentedBus`) was
-# deleted.
+# the same commit. Past moves, each explained in the commit that made it:
+# ps-obs pub 229 → 233 (a layer span became one record closed in place);
+# ps-core reset to 1 972 / 82 when size.sh began stopping at the
+# `#[cfg(test)]` that gates a `mod`, then 1 990 → 2 004 lines (one
+# reliable layer below a fault-tolerant hybrid's switch), and the total
+# 22 385 → 22 474 with it and ps-protocols' bit-window received-set;
+# ps-simnet 2 206 → 2 207 (the tree already read that). ps-simnet,
+# ps-harness, ps-stack and the total were lowered when the multi-segment
+# network was deleted, and ps-harness and the total again when every
+# `repro` command became one row of one experiment table.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -105,194 +92,53 @@ size_ceiling() {
         END { exit (found && !over) ? 0 : 1 }'
 }
 size_ceiling ps-core 2004 85
-size_ceiling ps-harness 4570 316
+size_ceiling ps-harness 4564 310
 size_ceiling ps-net 637 16
 size_ceiling ps-obs 3524 233
 size_ceiling ps-simnet 1936 118
 size_ceiling ps-stack 1458 105
 size_ceiling ps-trace 2528 166
-size_ceiling total 22135 1306
+size_ceiling total 22129 1300
 
-echo "==> trace smoke: repro --trace emits valid, reproducible files (offline)"
-# The instrumented repro run must (a) produce traces that parse as JSON in
-# both formats, (b) be byte-identical across same-seed invocations,
-# serial and parallel — the recorder may not perturb determinism — and
-# (c) speak JSON-lines schema version 2: a versioned meta line and one
-# `layer` line per handler call, never a `layer_end`; the Chrome file
-# carries each span as one complete (`X`) event. A version-1 file (the
-# committed fixture) still lints clean.
-rm -rf target/ci-trace && mkdir -p target/ci-trace
-cargo run --release -q --bin repro -- trace --quick \
-    --trace target/ci-trace/a.jsonl > target/ci-trace/a.txt
-cargo run --release -q --bin repro -- trace --quick --serial \
-    --trace target/ci-trace/b.jsonl > target/ci-trace/b.txt
-cargo run --release -q --bin repro -- trace --quick \
-    --trace target/ci-trace/a.chrome.json --trace-format chrome > /dev/null
-PS_SWEEP_WORKERS=4 cargo run --release -q --bin repro -- trace --quick \
-    --trace target/ci-trace/b.chrome.json --trace-format chrome > /dev/null
-cargo run --release -q --bin trace_lint -- \
-    target/ci-trace/a.jsonl target/ci-trace/b.jsonl
-cargo run --release -q --bin trace_lint -- --chrome \
-    target/ci-trace/a.chrome.json target/ci-trace/b.chrome.json
-diff target/ci-trace/a.jsonl target/ci-trace/b.jsonl
-diff target/ci-trace/a.chrome.json target/ci-trace/b.chrome.json
-diff target/ci-trace/a.txt target/ci-trace/b.txt
-head -1 target/ci-trace/a.jsonl | grep -q '^{"meta":"recorder","version":2,'
-grep -q '"kind":"layer",' target/ci-trace/a.jsonl
-if grep -q '"kind":"layer_end"' target/ci-trace/a.jsonl; then
-    echo "a version-2 trace holds a layer_end line"
-    exit 1
-fi
-grep -q '"ph":"X",' target/ci-trace/a.chrome.json
-cargo run --release -q --bin trace_lint -- crates/obs/tests/fixtures/v1_stack_golden.jsonl
-
-echo "==> monitor smoke: repro monitor is clean, deterministic, and catches the seeded fault (offline)"
-# The live-monitoring run must (a) report zero violations on the clean
-# scenario (repro exits non-zero otherwise), (b) emit a valid JSON-lines
-# load time series, byte-identical across invocations, and (c) detect the
-# deliberately broken ordering layer under --fault.
-rm -rf target/ci-monitor && mkdir -p target/ci-monitor
-cargo run --release -q --bin repro -- monitor --quick \
-    --series target/ci-monitor/a.jsonl > target/ci-monitor/a.txt
-cargo run --release -q --bin repro -- monitor --quick \
-    --series target/ci-monitor/b.jsonl > target/ci-monitor/b.txt
-cargo run --release -q --bin trace_lint -- target/ci-monitor/a.jsonl
-diff target/ci-monitor/a.jsonl target/ci-monitor/b.jsonl
-diff target/ci-monitor/a.txt target/ci-monitor/b.txt
-if cargo run --release -q --bin repro -- monitor --quick --fault \
-    --postmortem target/ci-monitor/fault-pm.jsonl > target/ci-monitor/fault.txt; then
-    echo "repro monitor --fault failed to detect the seeded total-order violation"
-    exit 1
-fi
-grep -q total_order target/ci-monitor/fault.txt
-cargo run --release -q --bin trace_lint -- target/ci-monitor/fault-pm.jsonl
-
-echo "==> explain smoke: causal attribution is deterministic; the flight recorder fires only on failure (offline)"
-# `repro explain` must (a) print a byte-identical per-phase critical-path
-# attribution table across invocations, (b) write no post-mortem bundle
-# on a clean run, and (c) under --fault write a bundle that contains the
-# seeded violation's witness, passes trace_lint's causal validation, and
-# is byte-identical across invocations.
-rm -rf target/ci-explain && mkdir -p target/ci-explain
-cargo run --release -q --bin repro -- explain --quick \
-    --postmortem target/ci-explain/clean.jsonl > target/ci-explain/a.txt
-cargo run --release -q --bin repro -- explain --quick \
-    --postmortem target/ci-explain/clean.jsonl > target/ci-explain/b.txt
-diff target/ci-explain/a.txt target/ci-explain/b.txt
-grep -q "critical-path" target/ci-explain/a.txt
-test ! -e target/ci-explain/clean.jsonl   # clean run: the recorder stays quiet
-cargo run --release -q --bin repro -- explain --quick --fault \
-    --postmortem target/ci-explain/pm-a.jsonl > /dev/null
-cargo run --release -q --bin repro -- explain --quick --fault \
-    --postmortem target/ci-explain/pm-b.jsonl > /dev/null
-diff target/ci-explain/pm-a.jsonl target/ci-explain/pm-b.jsonl
-diff target/ci-explain/pm-a.jsonl.chrome.json target/ci-explain/pm-b.jsonl.chrome.json
-cargo run --release -q --bin trace_lint -- target/ci-explain/pm-a.jsonl
-cargo run --release -q --bin trace_lint -- --chrome target/ci-explain/pm-a.jsonl.chrome.json
-grep -q '"reason":"monitor_violation"' target/ci-explain/pm-a.jsonl
-grep -q total_order target/ci-explain/pm-a.jsonl
-grep -q app_deliver target/ci-explain/pm-a.jsonl   # the swapped delivery made the slice
-
-echo "==> trace_lint negative check: corrupted causal links must fail the gate (offline)"
-# Break one parent link in a real trace; trace_lint must exit non-zero.
+echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
+# Clean --quick runs exit 0; --fault makes monitor, campaign and profile
+# exit 1 (explain explains: exit 0, with a post-mortem holding the witness;
+# a clean explain writes none). Every file under --out lints, causal links
+# too, as does the v1 fixture, and a corrupted parent must not; the trace
+# is schema v2; the profile names the engine and the layers. The ledger of
+# all these runs (`all` on three workers) must match pins.jsonl row for
+# row: the counts and the digest of every exact artefact, byte for byte.
+D=target/ci-repro
+rm -rf $D && mkdir -p $D
+repro() { cargo run --release -q --bin repro -- "$@" --quick --ledger $D/ledger.jsonl; }
+lint() { cargo run --release -q --bin trace_lint -- "$@"; }
+PS_SWEEP_WORKERS=3 repro all --out $D/out > /dev/null
+repro profile --out $D/out > /dev/null
+repro real --compare --out $D/out > /dev/null
+for cmd in monitor campaign profile; do
+    repro $cmd --fault --out $D/fault > $D/$cmd.txt && { echo "repro $cmd --fault missed the seeded violation"; exit 1; }
+done
+grep -q total_order $D/monitor.txt
+grep -q total_order $D/campaign.txt
+repro explain --fault --out $D/fault > /dev/null
+lint $D/out/*.jsonl $D/fault/*.jsonl crates/obs/tests/fixtures/v1_stack_golden.jsonl
+lint --chrome $D/out/*.chrome.json $D/fault/*.chrome.json
+head -1 $D/out/trace.jsonl | grep -q '^{"meta":"recorder","version":2,'
+grep -q '"kind":"layer",' $D/out/trace.jsonl
+grep -q '"kind":"layer_end"' $D/out/trace.jsonl && { echo "a version-2 trace holds a layer_end line"; exit 1; }
+grep -q '"ph":"X",' $D/out/trace.chrome.json
 sed '0,/"parent":0,"kind":"timer_fire"/s//"parent":987654321987,"kind":"timer_fire"/' \
-    target/ci-trace/a.jsonl > target/ci-explain/corrupt.jsonl
-if cargo run --release -q --bin trace_lint -- target/ci-explain/corrupt.jsonl \
-    > /dev/null 2>&1; then
-    echo "trace_lint accepted a dangling causal parent"
-    exit 1
-fi
-
-echo "==> chaos smoke: repro chaos --quick passes its scenario matrix deterministically (offline)"
-# The fault-injection matrix must pass clean (repro exits non-zero on any
-# wedged switch or monitor violation) and render byte-identically across
-# invocations and worker counts.
-rm -rf target/ci-chaos && mkdir -p target/ci-chaos
-cargo run --release -q --bin repro -- chaos --quick > target/ci-chaos/a.txt
-PS_SWEEP_WORKERS=3 cargo run --release -q --bin repro -- chaos --quick > target/ci-chaos/b.txt
-diff target/ci-chaos/a.txt target/ci-chaos/b.txt
-
-echo "==> campaign smoke: repro campaign --quick runs the full grid deterministically (offline)"
-# The judged campaign grid (profiles × stacks × faults) must pass clean
-# (repro exits non-zero on any violation or wedged switch), render and
-# emit manifests byte-identically across serial and parallel runs, write
-# valid JSON-lines manifests, and fail under the seeded --fault cell.
-rm -rf target/ci-campaign && mkdir -p target/ci-campaign
-cargo run --release -q --bin repro -- campaign --quick \
-    --manifests target/ci-campaign/a.manifests.jsonl > target/ci-campaign/a.txt
-PS_SWEEP_WORKERS=4 cargo run --release -q --bin repro -- campaign --quick --serial \
-    --manifests target/ci-campaign/b.manifests.jsonl > target/ci-campaign/b.txt
-cargo run --release -q --bin trace_lint -- target/ci-campaign/a.manifests.jsonl
-diff target/ci-campaign/a.txt target/ci-campaign/b.txt
-diff target/ci-campaign/a.manifests.jsonl target/ci-campaign/b.manifests.jsonl
-if cargo run --release -q --bin repro -- campaign --quick --fault > target/ci-campaign/fault.txt; then
-    echo "repro campaign --fault failed to detect the seeded total-order violation"
-    exit 1
-fi
-grep -q total_order target/ci-campaign/fault.txt
-
-echo "==> profile smoke: repro profile attributes host time with a deterministic span structure (offline)"
-# `repro profile` must (a) exit clean on the quick scenario, (b) keep the
-# *structural* CSV columns (component, enters) byte-identical across
-# invocations — the nanosecond columns and `#` note lines are host noise
-# and are stripped before diffing — and (c) write a collapsed-stack
-# flamegraph whose every line parses as `frame;frame;... self_ns`.
-rm -rf target/ci-profile && mkdir -p target/ci-profile
-cargo run --release -q --bin repro -- profile --quick --csv \
-    --flame target/ci-profile/a.flame > target/ci-profile/a.csv
-cargo run --release -q --bin repro -- profile --quick --csv \
-    --flame target/ci-profile/b.flame > target/ci-profile/b.csv
-grep -v '^#' target/ci-profile/a.csv | cut -d, -f1,2 > target/ci-profile/a.structure
-grep -v '^#' target/ci-profile/b.csv | cut -d, -f1,2 > target/ci-profile/b.structure
-diff target/ci-profile/a.structure target/ci-profile/b.structure
-grep -q '^engine/dispatch,' target/ci-profile/a.csv
-grep -q '^stack/' target/ci-profile/a.csv
-test -s target/ci-profile/a.flame
-awk 'NF < 2 || $NF !~ /^[0-9]+$/ { exit 1 }' target/ci-profile/a.flame
-
-echo "==> ledger smoke: repro runs append self-describing rows that ledger_check accepts (offline)"
-# Two same-config monitor runs append two rows to one ledger (append, not
-# truncate); rows carry the ps-ledger shape; and ledger_check --strict
-# finds no drift between two independently recorded ledgers. A profile
-# row rides along to prove the profile summary embeds.
-rm -rf target/ci-ledger && mkdir -p target/ci-ledger
-cargo run --release -q --bin repro -- monitor --quick \
-    --ledger target/ci-ledger/a.jsonl > /dev/null
-cargo run --release -q --bin repro -- monitor --quick \
-    --ledger target/ci-ledger/a.jsonl > /dev/null
-test "$(wc -l < target/ci-ledger/a.jsonl)" -eq 2
-grep -q '"kind":"ps-ledger"' target/ci-ledger/a.jsonl
-cargo run --release -q --bin repro -- monitor --quick \
-    --ledger target/ci-ledger/b.jsonl > /dev/null
-cargo run --release -q --bin ledger_check -- \
-    target/ci-ledger/a.jsonl target/ci-ledger/b.jsonl --strict
-cargo run --release -q --bin repro -- profile --quick \
-    --ledger target/ci-ledger/profile.jsonl > /dev/null
-grep -q '"profile":{"kind":"ps-prof"' target/ci-ledger/profile.jsonl
-
-echo "==> real-transport smoke: the same stacks over UDP loopback agree with simnet (offline)"
-# `repro real` runs unmodified stacks over real UDP sockets between OS
-# threads. The gate: (a) the quick loopback run exits 0 (repro exits
-# non-zero on any monitor violation), (b) the --compare report's
-# deterministic core — everything except rows marked "(wall)", which
-# carry wall-clock timings — is identical across two full sim-vs-real
-# runs, (c) both emitted traces pass trace_lint including causal-link
-# validation, and (d) the simnet-side trace is byte-identical across
-# runs (the recorder schema is shared; only the real side may jitter).
-rm -rf target/ci-real && mkdir -p target/ci-real
-cargo run --release -q --bin repro -- real --quick > /dev/null
-cargo run --release -q --bin repro -- real --quick --compare \
-    --trace-sim target/ci-real/sim-a.jsonl \
-    --trace-real target/ci-real/real-a.jsonl > target/ci-real/a.txt
-cargo run --release -q --bin repro -- real --quick --compare \
-    --trace-sim target/ci-real/sim-b.jsonl \
-    --trace-real target/ci-real/real-b.jsonl > target/ci-real/b.txt
-grep -v '(wall)' target/ci-real/a.txt > target/ci-real/a.det
-grep -v '(wall)' target/ci-real/b.txt > target/ci-real/b.det
-diff target/ci-real/a.det target/ci-real/b.det
-cargo run --release -q --bin trace_lint -- \
-    target/ci-real/sim-a.jsonl target/ci-real/real-a.jsonl
-diff target/ci-real/sim-a.jsonl target/ci-real/sim-b.jsonl
+    $D/out/trace.jsonl > $D/corrupt.jsonl
+lint $D/corrupt.jsonl > /dev/null 2>&1 && { echo "trace_lint accepted a dangling causal parent"; exit 1; }
+grep -q '^engine/dispatch,' $D/out/profile.enters.csv
+grep -q '^stack/' $D/out/profile.enters.csv
+awk 'NF < 2 || $NF !~ /^[0-9]+$/ { exit 1 } END { exit NR == 0 }' $D/out/profile.folded
+test ! -e $D/out/explain.postmortem.jsonl   # clean run: the flight recorder stays quiet
+for want in '"reason":"monitor_violation"' total_order app_deliver; do
+    grep -q "$want" $D/fault/explain.postmortem.jsonl
+done
+grep -q '"profile":{"kind":"ps-prof"' $D/ledger.jsonl
+cargo run --release -q --bin ledger_check -- crates/harness/pins.jsonl $D/ledger.jsonl --strict
 
 echo "==> real_time example: the hybrid stack switches live on four threads over loopback (offline)"
 # The one example on a real medium. It asserts total order and
