@@ -8,10 +8,12 @@
 //! the committed pin file `crates/harness/pins.jsonl`. Rows are matched
 //! by `(cmd, seed)`, and every difference is printed: a row or a metric
 //! present in one file only, a config digest that differs (not the same
-//! experiment), a metric that drifted. Same seed, same config: same
-//! counts and the same digest of every exact artefact, so any drift is a
-//! real behavioural change. `profile` rows embed the profiler's host
-//! timings; that summary is not compared.
+//! experiment), a metric that drifted. A row whose config digest differs
+//! still has every metric compared, so a re-pinned config shows whether
+//! any output moved with it. Same seed, same config: same counts and the
+//! same digest of every exact artefact, so any drift is a real
+//! behavioural change. `profile` rows embed the profiler's host timings;
+//! that summary is not compared.
 //!
 //! By default the diff is informational (always exits 0). `--strict`
 //! exits 1 on any difference — CI checks a fresh ledger of every

@@ -15,7 +15,7 @@ pub mod table2;
 use crate::ledger::{fnv1a, LedgerEntry};
 use crate::monitor_run::MonitorRunConfig;
 use crate::report::Table;
-use crate::{campaign, chaos, explain, monitor_run, profile, real, trace_run, SweepRunner};
+use crate::{explain, grid, monitor_run, profile, real, trace_run, SweepRunner};
 
 /// The flags of one `repro` invocation that change what runs or what is
 /// printed.
@@ -195,8 +195,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "trace", in_all: true, reads_fault: false, run: trace_run::artefacts },
     Experiment { name: "monitor", in_all: true, reads_fault: true, run: monitor_run::artefacts },
     Experiment { name: "explain", in_all: true, reads_fault: true, run: explain::artefacts },
-    Experiment { name: "campaign", in_all: true, reads_fault: true, run: campaign::artefacts },
-    Experiment { name: "chaos", in_all: true, reads_fault: false, run: chaos::artefacts },
+    Experiment { name: "campaign", in_all: true, reads_fault: true, run: grid::campaign },
+    Experiment { name: "chaos", in_all: true, reads_fault: false, run: grid::chaos },
     Experiment { name: "real", in_all: false, reads_fault: false, run: real::artefacts },
     Experiment { name: "profile", in_all: false, reads_fault: true, run: profile::artefacts },
 ];

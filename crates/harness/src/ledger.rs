@@ -114,7 +114,9 @@ pub fn read(body: &str) -> Rows {
 
 /// Every difference between two ledgers, one line each: a row or a
 /// metric present on one side only, a config digest or a metric that
-/// differs. Empty means `b` reproduces `a` exactly.
+/// differs. A row whose config digest differs still has its metrics
+/// compared, so a config edit cannot hide an output that moved with it.
+/// Empty means `b` reproduces `a` exactly.
 pub fn diff(a: &Rows, b: &Rows, a_name: &str, b_name: &str) -> Vec<String> {
     let mut out = Vec::new();
     for key @ (cmd, seed) in a.keys().chain(b.keys()).collect::<BTreeSet<_>>() {
@@ -129,7 +131,6 @@ pub fn diff(a: &Rows, b: &Rows, a_name: &str, b_name: &str) -> Vec<String> {
             out.push(format!(
                 "{row}: config digest differs ({x} vs {y}) — not the same experiment"
             ));
-            continue;
         }
         let (ma, mb): (BTreeMap<_, _>, BTreeMap<_, _>) =
             (ra.metrics.iter().cloned().collect(), rb.metrics.iter().cloned().collect());
@@ -193,6 +194,27 @@ mod tests {
         assert_eq!(diff(&a, &b, "A", "B"), ["chaos seed 7: only in A"]);
         assert_eq!(diff(&b, &a, "B", "A"), ["chaos seed 7: only in A"]);
         assert!(diff(&a, &a, "A", "A").is_empty());
+    }
+
+    #[test]
+    fn a_config_change_does_not_hide_a_drifted_metric() {
+        let a = read(&row("chaos", &[("failed", 0), ("stdout_fnv", 9)]).to_json());
+        let moved =
+            LedgerEntry { config_fnv: 43, ..row("chaos", &[("failed", 0), ("stdout_fnv", 8)]) };
+        let b = read(&moved.to_json());
+        assert_eq!(
+            diff(&a, &b, "A", "B"),
+            [
+                "chaos seed 7: config digest differs (42 vs 43) — not the same experiment",
+                "chaos seed 7: stdout_fnv 9 -> 8  <-- drifted",
+            ]
+        );
+        let same =
+            LedgerEntry { config_fnv: 43, ..row("chaos", &[("failed", 0), ("stdout_fnv", 9)]) };
+        assert_eq!(
+            diff(&a, &read(&same.to_json()), "A", "B"),
+            ["chaos seed 7: config digest differs (42 vs 43) — not the same experiment"]
+        );
     }
 
     #[test]

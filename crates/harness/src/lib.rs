@@ -9,9 +9,8 @@
 //! | [`experiments::oscillation`] | §7 — aggressive switching oscillates; hysteresis damps it | `repro oscillation` |
 //! | [`trace_run`] | §7 — instrumented switch run: event trace + phase timeline | `repro trace --out DIR` |
 //! | [`monitor_run`] | §7 — live monitors + load sampling + metrics-driven switch oracle | `repro monitor --out DIR` |
-//! | [`chaos`] | §2/§8 — crash/recovery + partition fault injection, monitored scenario matrix | `repro chaos` |
+//! | `grid` (crate-private) | §2/§7/§8 — the judged grids, two cell lists over one judge: crash/recovery + partition fault injection, and traffic profiles × stacks × faults, monitored | `repro chaos`, `repro campaign` |
 //! | [`explain`] | §7 — causal critical-path attribution per switch + post-mortem flight recorder | `repro explain` |
-//! | [`campaign`] | §7 — judged campaign grid: traffic profiles × stacks × faults, monitored | `repro campaign` |
 //! | [`profile`] | host-time attribution of the monitored run (engine/layer/obs components) | `repro profile --out DIR` |
 //! | [`real`] | sim-vs-real: the same seeded scenario on simnet and UDP loopback, diffed | `repro real --compare` |
 //! | [`scenario`] | the one run shape every group run above is stated in: group, seed, medium, stack, traffic, watchers, faults → one [`scenario::RunOutcome`] | (library) |
@@ -26,10 +25,9 @@
 //! (DESIGN.md §1), so the *shape* of each result is the claim, not the
 //! milliseconds.
 
-pub mod campaign;
-pub mod chaos;
 pub mod experiments;
 pub mod explain;
+mod grid;
 pub mod ledger;
 pub mod measure;
 pub mod monitor_run;
@@ -40,7 +38,7 @@ pub mod scenario;
 pub mod sweep;
 pub mod trace_run;
 
-pub use measure::{latency_histogram, LatencyStats, SteadyStateWindow};
+pub use measure::{LatencyStats, SteadyStateWindow};
 pub use report::Table;
 pub use sweep::SweepRunner;
 #[cfg(test)]

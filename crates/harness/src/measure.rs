@@ -67,7 +67,7 @@ impl LatencyStats {
 /// Expects `sim` to have finished running; a message counts as incomplete
 /// if fewer than `sim.group().len()` distinct processes delivered it (a
 /// duplicate delivery at one process does not stand in for another's).
-pub fn latency_stats(sim: &dyn Driver, window: SteadyStateWindow) -> LatencyStats {
+pub(crate) fn latency_stats(sim: &dyn Driver, window: SteadyStateWindow) -> LatencyStats {
     let sends = sim.send_times();
     let n = sim.group().len();
     let mut lat: Vec<u64> = Vec::new();
@@ -112,7 +112,7 @@ pub fn latency_stats(sim: &dyn Driver, window: SteadyStateWindow) -> LatencyStat
 /// Unlike [`latency_stats`] this gives bucketed quantiles (≤12.5 %
 /// relative error) from bounded memory — the shape the repro tables report
 /// alongside the exact means.
-pub fn latency_histogram(sim: &dyn Driver, window: SteadyStateWindow) -> ps_obs::Histogram {
+pub(crate) fn latency_histogram(sim: &dyn Driver, window: SteadyStateWindow) -> ps_obs::Histogram {
     let sends = sim.send_times();
     let h = ps_obs::Histogram::new();
     for d in sim.deliveries() {
@@ -126,7 +126,7 @@ pub fn latency_histogram(sim: &dyn Driver, window: SteadyStateWindow) -> ps_obs:
 
 /// The largest gap between consecutive deliveries at `process` within
 /// `[from, to]` — the application-perceived "hiccup" of §7.
-pub fn max_delivery_gap(
+pub(crate) fn max_delivery_gap(
     sim: &dyn Driver,
     process: ProcessId,
     from: SimTime,

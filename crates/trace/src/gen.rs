@@ -7,7 +7,7 @@
 //! rewrite are generated adjacent to each other often, so ✗ cells are found
 //! quickly.
 //!
-//! All generators draw from a tiny body alphabet ([`BODY_ALPHABET`]). Body
+//! All generators draw from a tiny body alphabet (`BODY_ALPHABET`). Body
 //! collisions across distinct messages are exactly what the No-Replay
 //! composability counterexample requires.
 
@@ -18,7 +18,7 @@ use crate::{Event, Message, ProcessId, Trace};
 pub use ps_rand::Xoshiro256pp as Rng;
 
 /// The small payload alphabet generators draw bodies from.
-pub const BODY_ALPHABET: [u8; 4] = [10, 20, 30, 40];
+pub(crate) const BODY_ALPHABET: [u8; 4] = [10, 20, 30, 40];
 
 /// A seeded source of traces satisfying some condition.
 pub trait TraceGen: std::fmt::Debug {
@@ -81,9 +81,9 @@ impl TraceGen for UniversalGen {
 /// Traces in which every sent message is delivered to the whole group
 /// (satisfies Reliability; delivery order is shuffled).
 #[derive(Debug, Clone)]
-pub struct ReliableGen {
+pub(crate) struct ReliableGen {
     /// The receiver group.
-    pub group: Vec<ProcessId>,
+    pub(crate) group: Vec<ProcessId>,
 }
 
 impl TraceGen for ReliableGen {
@@ -119,9 +119,9 @@ impl TraceGen for ReliableGen {
 /// Traces with a global total order on messages; each process delivers a
 /// random subsequence of that order (satisfies Total Order).
 #[derive(Debug, Clone)]
-pub struct TotalOrderGen {
+pub(crate) struct TotalOrderGen {
     /// Processes that may deliver.
-    pub group: Vec<ProcessId>,
+    pub(crate) group: Vec<ProcessId>,
 }
 
 impl TraceGen for TotalOrderGen {
@@ -166,13 +166,13 @@ impl TraceGen for TotalOrderGen {
 /// receivers are drawn from the trusted set, controlled by
 /// `confidential`).
 #[derive(Debug, Clone)]
-pub struct TrustedGen {
+pub(crate) struct TrustedGen {
     /// The trusted processes.
-    pub trusted: Vec<ProcessId>,
+    pub(crate) trusted: Vec<ProcessId>,
     /// All processes (receivers are drawn from here unless `confidential`).
-    pub everyone: Vec<ProcessId>,
+    pub(crate) everyone: Vec<ProcessId>,
     /// Restrict receivers of trusted traffic to the trusted set.
-    pub confidential: bool,
+    pub(crate) confidential: bool,
 }
 
 impl TraceGen for TrustedGen {
@@ -211,9 +211,9 @@ impl TraceGen for TrustedGen {
 /// Replay) — bodies still collide *across* generated traces, which the
 /// composability check needs.
 #[derive(Debug, Clone)]
-pub struct NoReplayGen {
+pub(crate) struct NoReplayGen {
     /// Number of processes.
-    pub procs: u16,
+    pub(crate) procs: u16,
 }
 
 impl TraceGen for NoReplayGen {
@@ -250,11 +250,11 @@ impl TraceGen for NoReplayGen {
 /// Delivery). Master and follower deliveries are frequently adjacent —
 /// exactly the window the asynchrony rewrite exploits.
 #[derive(Debug, Clone)]
-pub struct PriorityGen {
+pub(crate) struct PriorityGen {
     /// The master process.
-    pub master: ProcessId,
+    pub(crate) master: ProcessId,
     /// All processes.
-    pub group: Vec<ProcessId>,
+    pub(crate) group: Vec<ProcessId>,
 }
 
 impl TraceGen for PriorityGen {
@@ -284,9 +284,9 @@ impl TraceGen for PriorityGen {
 /// sometimes ends with an outstanding (undelivered) send — the pattern
 /// whose concatenation breaks composability.
 #[derive(Debug, Clone)]
-pub struct AmoebaGen {
+pub(crate) struct AmoebaGen {
     /// Number of processes.
-    pub procs: u16,
+    pub(crate) procs: u16,
 }
 
 impl TraceGen for AmoebaGen {
@@ -381,9 +381,9 @@ impl TraceGen for CausalGen {
 /// joins and leaves, every current member delivering every epoch message
 /// (satisfies Virtual Synchrony).
 #[derive(Debug, Clone)]
-pub struct VsyncGen {
+pub(crate) struct VsyncGen {
     /// View 0's membership (the group).
-    pub initial: Vec<ProcessId>,
+    pub(crate) initial: Vec<ProcessId>,
 }
 
 impl TraceGen for VsyncGen {

@@ -81,7 +81,9 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # ps-simnet 2 206 → 2 207 (the tree already read that). ps-simnet,
 # ps-harness, ps-stack and the total were lowered when the multi-segment
 # network was deleted, and ps-harness and the total again when every
-# `repro` command became one row of one experiment table.
+# `repro` command became one row of one experiment table, and again
+# (with ps-trace) when `repro chaos` and `repro campaign` became two cell
+# lists over one judge and unused `pub` items went crate-private.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -92,13 +94,13 @@ size_ceiling() {
         END { exit (found && !over) ? 0 : 1 }'
 }
 size_ceiling ps-core 2004 85
-size_ceiling ps-harness 4564 310
+size_ceiling ps-harness 4493 245
 size_ceiling ps-net 637 16
 size_ceiling ps-obs 3524 233
 size_ceiling ps-simnet 1936 118
 size_ceiling ps-stack 1458 105
-size_ceiling ps-trace 2528 166
-size_ceiling total 22129 1300
+size_ceiling ps-trace 2528 148
+size_ceiling total 22058 1217
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
