@@ -9,12 +9,11 @@
 //! the switch with a threshold oracle — which should track the lower
 //! envelope of the two curves.
 
-use crate::measure::{latency_histogram, LatencyStats, SteadyStateWindow};
+use crate::measure::{latency_samples, LatencyStats, SteadyStateWindow};
 use crate::report::Table;
 use crate::scenario::{Policy, RunOutcome, Scenario};
 use crate::sweep::SweepRunner;
 use ps_core::{Proto, SwitchConfig, SwitchVariant};
-use ps_obs::HistSummary;
 use ps_simnet::SimTime;
 use ps_workload::TrafficSpec;
 
@@ -117,9 +116,6 @@ pub struct Fig2Point {
     /// Hybrid latency measured only after its last switch settled —
     /// isolates steady state from the one-off switching transient.
     pub hybrid_settled: LatencyStats,
-    /// Bucketed (`ps-obs` log-linear) hybrid latency summary over the
-    /// whole measurement window, in microseconds.
-    pub hybrid_hist: HistSummary,
 }
 
 /// The full figure.
@@ -130,10 +126,10 @@ pub struct Fig2Result {
     /// Sender counts `(k, k')` between which sequencer and token mean
     /// latencies cross, if they do.
     pub crossover: Option<(u16, u16)>,
-    /// Hybrid latency pooled over the whole sweep: each point's bucketed
-    /// histogram (possibly computed on a different worker thread) merged
-    /// bucket-wise via [`ps_obs::Histogram::merge`].
-    pub hybrid_overall: HistSummary,
+    /// Hybrid latency pooled over the whole sweep: every point's samples
+    /// together (each point possibly measured on a different worker
+    /// thread).
+    pub hybrid_overall: LatencyStats,
 }
 
 /// Runs one configuration (protocol × sender count); for the hybrid the
@@ -182,38 +178,37 @@ pub fn run_point(cfg: &Fig2Config, series: Series, k: u16) -> RunOutcome {
 /// What one (protocol × sender count) run contributes to its sweep point
 /// — plain data, so points can be evaluated on worker threads and merged
 /// in input order: its latency and, for the hybrid, the switches, the
-/// protocol it settled on, its settled latency and its full latency
-/// histogram.
-type SeriesEval = (LatencyStats, Option<(usize, usize, LatencyStats, ps_obs::Histogram)>);
+/// protocol it settled on, its settled latency and its sorted latency
+/// samples (µs).
+type SeriesEval = (LatencyStats, Option<(usize, usize, LatencyStats, Vec<u64>)>);
 
 /// Builds, runs, and measures one (protocol × sender count) simulation.
 fn eval_series(cfg: &Fig2Config, series: Series, k: u16) -> SeriesEval {
     let window = cfg.window();
     let r = run_point(cfg, series, k);
-    let hybrid = (series == Series::Hybrid).then(|| {
-        // Report the state at workload end (afterwards the oracle
-        // correctly adapts back down to the idle-optimal protocol).
-        let records = r.handles[0].snapshot().records;
-        let during: Vec<_> = records.iter().filter(|rec| rec.completed_at <= window.to).collect();
-        let switches = during.len();
-        let settled_on = during.last().map_or(0, |rec| rec.to);
-        // Steady state after the last mid-workload switch (every
-        // member must have flipped, hence the global max).
-        let all_flipped = r
-            .handles
-            .iter()
-            .flat_map(|h| h.snapshot().records)
-            .filter(|rec| rec.completed_at <= window.to)
-            .map(|rec| rec.completed_at)
-            .max();
-        let settled_from = all_flipped
-            .map(|t| t + SimTime::from_millis(200))
-            .unwrap_or(window.from)
-            .max(window.from);
-        let settled = r.latency(SteadyStateWindow::between(settled_from, window.to));
-        (switches, settled_on, settled, latency_histogram(&r.driver, window))
-    });
-    (r.latency(window), hybrid)
+    if series != Series::Hybrid {
+        return (r.latency(window), None);
+    }
+    // Report the state at workload end (afterwards the oracle correctly
+    // adapts back down to the idle-optimal protocol).
+    let records = r.handles[0].snapshot().records;
+    let during: Vec<_> = records.iter().filter(|rec| rec.completed_at <= window.to).collect();
+    let switches = during.len();
+    let settled_on = during.last().map_or(0, |rec| rec.to);
+    // Steady state after the last mid-workload switch (every member must
+    // have flipped, hence the global max).
+    let all_flipped = r
+        .handles
+        .iter()
+        .flat_map(|h| h.snapshot().records)
+        .filter(|rec| rec.completed_at <= window.to)
+        .map(|rec| rec.completed_at)
+        .max();
+    let settled_from =
+        all_flipped.map(|t| t + SimTime::from_millis(200)).unwrap_or(window.from).max(window.from);
+    let settled = r.latency(SteadyStateWindow::between(settled_from, window.to));
+    let (samples, incomplete) = latency_samples(&r.driver, window);
+    (LatencyStats::of(&samples, incomplete), Some((switches, settled_on, settled, samples)))
 }
 
 /// Runs the whole sweep serially.
@@ -229,29 +224,30 @@ pub(crate) fn run_with(cfg: &Fig2Config, runner: &SweepRunner) -> Fig2Result {
     let grid: Vec<(u16, Series)> =
         cfg.senders.iter().flat_map(|&k| Series::ALL.into_iter().map(move |s| (k, s))).collect();
     let evals = runner.run(grid, |_, (k, series)| eval_series(cfg, series, k));
-    // Pool the per-point hybrid histograms (each filled on whichever
+    // Pool the per-point hybrid samples (each measured on whichever
     // worker ran its point) into one sweep-wide latency distribution.
-    let pooled = ps_obs::Histogram::new();
+    let (mut pooled, mut incomplete) = (Vec::new(), 0);
     let points = cfg
         .senders
         .iter()
         .zip(evals.chunks_exact(Series::ALL.len()))
         .map(|(&k, chunk)| {
-            let (switches, settled_on, settled, hist) =
+            let (switches, settled_on, settled, samples) =
                 chunk[2].1.as_ref().expect("the hybrid is the third series");
-            pooled.merge(hist);
+            pooled.extend_from_slice(samples);
+            incomplete += chunk[2].0.incomplete;
             Fig2Point {
                 senders: k,
                 latency: [chunk[0].0, chunk[1].0, chunk[2].0],
                 hybrid_switches: *switches,
                 hybrid_final: *settled_on,
                 hybrid_settled: *settled,
-                hybrid_hist: hist.summary(),
             }
         })
         .collect::<Vec<_>>();
     let crossover = find_crossover(&points);
-    Fig2Result { points, crossover, hybrid_overall: pooled.summary() }
+    pooled.sort_unstable();
+    Fig2Result { points, crossover, hybrid_overall: LatencyStats::of(&pooled, incomplete) }
 }
 
 /// Finds adjacent sender counts where the sequencer goes from faster to
@@ -293,19 +289,19 @@ fn render(result: &Fig2Result) -> Table {
             format!("{:.2}", p.latency[1].mean_ms()),
             format!("{:.2}", p.latency[2].mean_ms()),
             format!("{:.2}", p.hybrid_settled.mean_ms()),
-            format!("{:.2}", p.hybrid_hist.p50 as f64 / 1000.0),
-            format!("{:.2}", p.hybrid_hist.p99 as f64 / 1000.0),
+            format!("{:.2}", p.latency[2].p50.as_millis_f64()),
+            format!("{:.2}", p.latency[2].p99.as_millis_f64()),
             if p.hybrid_final == 0 { "sequencer".into() } else { "token".into() },
             p.hybrid_switches.to_string(),
         ]);
     }
     t.note("'hybrid settled' excludes the one-off switching transient; at high load the transient is dominated by draining the congested old protocol (the paper's §7 caveat)");
-    t.note("p50/p99 come from a ps-obs log-linear histogram (≤12.5% bucket error), in ms");
+    t.note("hybrid p50/p99 are exact: the sample at index round((n-1)·q) of the sorted latencies, in ms");
     t.note(format!(
-        "hybrid latency pooled over the sweep (bucket-wise histogram merge): p50={:.2} ms, p99={:.2} ms over {} samples",
-        result.hybrid_overall.p50 as f64 / 1000.0,
-        result.hybrid_overall.p99 as f64 / 1000.0,
-        result.hybrid_overall.count,
+        "hybrid latency pooled over the sweep (every point's samples): p50={:.2} ms, p99={:.2} ms over {} samples",
+        result.hybrid_overall.p50.as_millis_f64(),
+        result.hybrid_overall.p99.as_millis_f64(),
+        result.hybrid_overall.samples,
     ));
     match result.crossover {
         Some((a, b)) => t.note(format!(

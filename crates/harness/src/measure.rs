@@ -56,18 +56,44 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
+    /// The statistics of `sorted`, every latency sample in microseconds in
+    /// ascending order, with `incomplete` messages never fully delivered.
+    pub(crate) fn of(sorted: &[u64], incomplete: usize) -> Self {
+        let mean = sorted.iter().sum::<u64>().checked_div(sorted.len() as u64).unwrap_or(0);
+        let at = |q| SimTime::from_micros(quantile(sorted, q));
+        LatencyStats {
+            samples: sorted.len(),
+            mean: SimTime::from_micros(mean),
+            p50: at(0.5),
+            p99: at(0.99),
+            max: at(1.0),
+            incomplete,
+        }
+    }
+
     /// Mean latency in milliseconds (Figure 2's unit).
     pub fn mean_ms(&self) -> f64 {
         self.mean.as_millis_f64()
     }
 }
 
-/// Computes latency statistics for `sim` over `window`.
+/// The one quantile rule of every report: the sample at index
+/// `round((n − 1)·q)` of `sorted` (ascending), or 0 when it is empty.
+pub(crate) fn quantile(sorted: &[u64], q: f64) -> u64 {
+    match sorted.len() {
+        0 => 0,
+        n => sorted[((n - 1) as f64 * q).round() as usize],
+    }
+}
+
+/// Every send→deliver latency (µs) over all (message, receiver) pairs
+/// with the send inside `window`, sorted, and how many messages sent in
+/// the window some receiver never delivered.
 ///
 /// Expects `sim` to have finished running; a message counts as incomplete
 /// if fewer than `sim.group().len()` distinct processes delivered it (a
 /// duplicate delivery at one process does not stand in for another's).
-pub(crate) fn latency_stats(sim: &dyn Driver, window: SteadyStateWindow) -> LatencyStats {
+pub(crate) fn latency_samples(sim: &dyn Driver, window: SteadyStateWindow) -> (Vec<u64>, usize) {
     let sends = sim.send_times();
     let n = sim.group().len();
     let mut lat: Vec<u64> = Vec::new();
@@ -83,45 +109,7 @@ pub(crate) fn latency_stats(sim: &dyn Driver, window: SteadyStateWindow) -> Late
     let in_window = sends.values().filter(|&&t| window.contains(t)).count();
     let complete = receivers.values().filter(|r| r.len() >= n).count();
     lat.sort_unstable();
-    let pick = |q: f64| -> SimTime {
-        if lat.is_empty() {
-            SimTime::ZERO
-        } else {
-            let idx = ((lat.len() - 1) as f64 * q).round() as usize;
-            SimTime::from_micros(lat[idx])
-        }
-    };
-    let mean = if lat.is_empty() {
-        SimTime::ZERO
-    } else {
-        SimTime::from_micros(lat.iter().sum::<u64>() / lat.len() as u64)
-    };
-    LatencyStats {
-        samples: lat.len(),
-        mean,
-        p50: pick(0.5),
-        p99: pick(0.99),
-        max: lat.last().copied().map(SimTime::from_micros).unwrap_or(SimTime::ZERO),
-        incomplete: in_window.saturating_sub(complete),
-    }
-}
-
-/// Fills a `ps-obs` log-linear [`ps_obs::Histogram`] with every
-/// send→deliver latency (in microseconds) whose send falls in `window`.
-///
-/// Unlike [`latency_stats`] this gives bucketed quantiles (≤12.5 %
-/// relative error) from bounded memory — the shape the repro tables report
-/// alongside the exact means.
-pub(crate) fn latency_histogram(sim: &dyn Driver, window: SteadyStateWindow) -> ps_obs::Histogram {
-    let sends = sim.send_times();
-    let h = ps_obs::Histogram::new();
-    for d in sim.deliveries() {
-        let Some(&sent) = sends.get(&d.msg) else { continue };
-        if window.contains(sent) {
-            h.record(d.at.saturating_sub(sent).as_micros());
-        }
-    }
-    h
+    (lat, in_window.saturating_sub(complete))
 }
 
 /// The largest gap between consecutive deliveries at `process` within
@@ -149,6 +137,11 @@ mod tests {
     use ps_stack::{GroupSim, GroupSimBuilder, Stack};
     use ps_trace::{Event, Message};
 
+    fn stats(sim: &dyn Driver, window: SteadyStateWindow) -> LatencyStats {
+        let (lat, incomplete) = latency_samples(sim, window);
+        LatencyStats::of(&lat, incomplete)
+    }
+
     fn run() -> GroupSim {
         let mut b = GroupSimBuilder::new(3)
             .seed(1)
@@ -165,7 +158,7 @@ mod tests {
     #[test]
     fn stats_cover_all_samples() {
         let sim = run();
-        let s = latency_stats(&sim, SteadyStateWindow::all());
+        let s = stats(&sim, SteadyStateWindow::all());
         assert_eq!(s.samples, 30); // 10 msgs × 3 receivers
         assert_eq!(s.incomplete, 0);
         assert!(s.mean >= SimTime::from_micros(500));
@@ -176,7 +169,7 @@ mod tests {
     #[test]
     fn window_filters_sends() {
         let sim = run();
-        let s = latency_stats(
+        let s = stats(
             &sim,
             SteadyStateWindow::between(SimTime::from_millis(5), SimTime::from_millis(8)),
         );
@@ -235,7 +228,7 @@ mod tests {
             ],
             recorder: ps_obs::Recorder::disabled(),
         };
-        let s = latency_stats(&driver, SteadyStateWindow::all());
+        let s = stats(&driver, SteadyStateWindow::all());
         assert_eq!(s.samples, 4, "every delivery record is a latency sample");
         assert_eq!(s.incomplete, 1, "process 1 never delivered message 1");
     }
@@ -243,7 +236,7 @@ mod tests {
     #[test]
     fn empty_window_is_zeroes() {
         let sim = run();
-        let s = latency_stats(
+        let s = stats(
             &sim,
             SteadyStateWindow::between(SimTime::from_secs(100), SimTime::from_secs(200)),
         );

@@ -70,19 +70,29 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders as CSV (header + rows; notes become `#` comment lines).
+    /// Renders as CSV (header + rows; notes become `#` comment lines). A
+    /// cell holding `,`, `"` or a line break is quoted as RFC 4180 says:
+    /// wrapped in `"`, with each inner `"` doubled.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         for n in &self.notes {
             out.push_str(&format!("# {n}\n"));
         }
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.join(","));
+        for line in std::iter::once(&self.header).chain(&self.rows) {
+            let cells: Vec<_> = line.iter().map(|c| csv_field(c)).collect();
+            out.push_str(&cells.join(","));
             out.push('\n');
         }
         out
+    }
+}
+
+/// One CSV field: `cell` verbatim, or quoted if it would split the line.
+fn csv_field(cell: &str) -> std::borrow::Cow<'_, str> {
+    if cell.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", cell.replace('"', "\"\"")).into()
+    } else {
+        cell.into()
     }
 }
 
@@ -167,6 +177,20 @@ mod tests {
         assert_eq!(lines[0], "# a note");
         assert_eq!(lines[1], "a,long-header,c");
         assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn csv_quotes_a_cell_that_would_split_its_line() {
+        let mut t = Table::new("t", vec!["property", "detail"]);
+        t.row(vec!["total_order".into(), "delivery #7 is (1,1) but has (3,8)".into()]);
+        t.row(vec!["fifo".into(), "say \"hi\"\nthen go".into()]);
+        t.row(vec!["plain".into(), "no quoting".into()]);
+        let csv = t.to_csv();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines[1], "total_order,\"delivery #7 is (1,1) but has (3,8)\"");
+        assert_eq!(lines[2], "fifo,\"say \"\"hi\"\"");
+        assert_eq!(lines[3], "then go\"");
+        assert_eq!(lines[4], "plain,no quoting");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! assert!(!r.wedged() && r.violations.is_empty());
 //! ```
 
-use crate::measure::{latency_stats, LatencyStats, SteadyStateWindow};
+use crate::measure::{latency_samples, LatencyStats, SteadyStateWindow};
 use crate::monitor_run::{SwapFaultLayer, FAULT_NODE};
 use ps_bytes::Bytes;
 use ps_core::{
@@ -335,7 +335,7 @@ struct Watch {
 impl Watch {
     fn outcome<D: Driver>(self, driver: D) -> RunOutcome<D> {
         let violations = self.monitors.as_ref().map(MonitorSet::finish).unwrap_or_default();
-        let sent = self.monitors.as_ref().map_or(0, |m| m.delivery().sent_count());
+        let sent = self.monitors.as_ref().map_or(0, |m| m.sent_count());
         RunOutcome {
             handles: self.handles.borrow().clone(),
             violations,
@@ -371,7 +371,8 @@ pub struct RunOutcome<D = GroupSim> {
 impl<D: Driver> RunOutcome<D> {
     /// Send→deliver latency over the sends inside `window`.
     pub fn latency(&self, window: SteadyStateWindow) -> LatencyStats {
-        latency_stats(&self.driver, window)
+        let (lat, incomplete) = latency_samples(&self.driver, window);
+        LatencyStats::of(&lat, incomplete)
     }
 
     /// Whether any process ended mid-switch or disagreeing with process 0

@@ -119,39 +119,6 @@ props! {
             }
         }
     }
-
-    // Bucket-wise histogram merge (what the sweep runner uses to pool
-    // per-point latency histograms) must be indistinguishable from
-    // feeding the union of samples into one histogram: identical bucket
-    // layout makes the quantiles *exactly* equal, well inside the
-    // ≤12.5% bucket error either path already has against true values.
-    fn merged_histogram_quantiles_match_the_union(
-        seed_a in arb::<u64>(),
-        seed_b in arb::<u64>(),
-        n_a in arb::<u16>(),
-        n_b in arb::<u16>(),
-    ) {
-        let (n_a, n_b) = (usize::from(n_a % 512), usize::from(n_b % 512));
-        let (h_a, h_b, union) =
-            (ps_obs::Histogram::new(), ps_obs::Histogram::new(), ps_obs::Histogram::new());
-        let mut rng = ps_simnet::DetRng::new(seed_a);
-        for _ in 0..n_a {
-            let v = rng.below(1 << 40);
-            h_a.record(v);
-            union.record(v);
-        }
-        let mut rng = ps_simnet::DetRng::new(seed_b ^ 0x5eed);
-        for _ in 0..n_b {
-            let v = rng.below(1 << 40);
-            h_b.record(v);
-            union.record(v);
-        }
-        h_a.merge(&h_b);
-        assert_eq!(h_a.summary(), union.summary(), "merge must equal the union feed");
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h_a.quantile(q), union.quantile(q), "quantile {q}");
-        }
-    }
 }
 
 props! {

@@ -3,9 +3,8 @@
 //! Observability for the protocol-switching stack: a zero-alloc
 //! ring-buffer event [`Recorder`] with a streaming [`EventSink`] API,
 //! online property monitors ([`MonitorSet`]), a virtual-time load sampler
-//! ([`MetricsSampler`]), log-linear latency [`Histogram`]s, and exporters for JSON-lines
-//! dumps, Chrome `trace_event` files, and per-process switch-phase
-//! timelines.
+//! ([`MetricsSampler`]), and exporters for JSON-lines dumps, Chrome
+//! `trace_event` files, and per-process switch-phase timelines.
 //!
 //! This crate sits near the bottom of the workspace dependency graph —
 //! the simulator, stack, and switching layer all record into it — so it
@@ -45,7 +44,6 @@ pub mod event;
 pub mod export;
 mod ids;
 pub mod json;
-pub mod metrics;
 pub mod monitor;
 pub mod postmortem;
 pub mod recorder;
@@ -57,11 +55,7 @@ pub use causal::{
     PhaseAttribution,
 };
 pub use event::{CauseId, EventMask, LayerDir, ObsEvent, SpPhase, TimedEvent};
-pub use metrics::{HistSummary, Histogram};
-pub use monitor::{
-    DeliveryMonitor, FifoMonitor, MonitorSet, SwitchLivenessMonitor, TotalOrderMonitor, Violation,
-    ViolationKind,
-};
+pub use monitor::{MonitorSet, Violation, ViolationKind};
 pub use postmortem::{PostmortemBundle, DEFAULT_K_HOPS};
 pub use recorder::{EventSink, OpenSpan, Recorder, Writer};
 pub use sample::{LoadSample, MetricsSampler, SeriesSummary};

@@ -1,23 +1,23 @@
 //! Streaming property monitors: online checks over the live event stream.
 //!
-//! Monitors subscribe to a [`Recorder`] through the
-//! [`EventSink`] API, so they observe *every* event at record time — unlike
-//! post-hoc trace analysis, they are immune to ring wrap-around. Each
-//! monitor is a clonable handle sharing its state: subscribe one clone,
-//! keep another to read [`Violation`]s after the run.
+//! A [`MonitorSet`] subscribes to a [`Recorder`] as one [`EventSink`], so
+//! it observes *every* event at record time — unlike post-hoc trace
+//! analysis, it is immune to ring wrap-around. The set is a clonable
+//! handle sharing one state behind one lock: subscribe one clone, keep
+//! another to read [`Violation`]s after the run.
 //!
-//! The built-in monitors check the properties the paper's switching layer
+//! It runs the four checks of the properties the paper's switching layer
 //! must preserve (see DESIGN.md §"Monitors"):
 //!
-//! * [`TotalOrderMonitor`] — all nodes deliver the same application
-//!   message sequence (prefix agreement, checked as deliveries stream in).
-//! * [`FifoMonitor`] — per (node, sender), delivered sequence numbers are
+//! * total order — all nodes deliver the same application message
+//!   sequence (prefix agreement, checked as deliveries stream in);
+//! * per-sender FIFO — per (node, sender), delivered sequence numbers are
 //!   strictly increasing (no reorder, no duplicate; gaps are loss, which
-//!   is [`DeliveryMonitor`]'s business).
-//! * [`DeliveryMonitor`] — at the end of the run, every sent message was
-//!   delivered at every node.
-//! * [`SwitchLivenessMonitor`] — every switch a node starts completes
-//!   (prepare → drain → flip → release) within a configured bound.
+//!   is delivery accounting's business);
+//! * delivery accounting — at the end of the run, every sent message was
+//!   delivered at every node;
+//! * switch liveness — every switch a node starts flips or aborts, and
+//!   each of its phases comes within a configured bound.
 //!
 //! A [`Violation`] carries the offending events as context, so a report
 //! can show *which* deliveries disagreed, not just that they did.
@@ -81,14 +81,16 @@ impl std::fmt::Display for Violation {
     }
 }
 
-fn lock<T>(m: &Arc<Mutex<T>>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 // ---- total order -----------------------------------------------------------
 
+/// Checks total-order agreement across nodes as deliveries stream in.
+///
+/// The first node to reach delivery position `k` defines the canonical
+/// `k`-th message; any node later delivering a *different* message at its
+/// own position `k` has diverged. This detects both reorderings and
+/// holes, at the earliest instant the disagreement is observable.
 #[derive(Default)]
-struct TotalOrderState {
+struct TotalOrder {
     /// The agreed delivery sequence: position k is defined by the first
     /// node to deliver its k-th message.
     canonical: Vec<(u32, u64)>,
@@ -101,41 +103,21 @@ struct TotalOrderState {
     violations: Vec<Violation>,
 }
 
-/// Checks total-order agreement across nodes as deliveries stream in.
-///
-/// The first node to reach delivery position `k` defines the canonical
-/// `k`-th message; any node later delivering a *different* message at its
-/// own position `k` has diverged. This detects both reorderings and
-/// holes, at the earliest instant the disagreement is observable.
-#[derive(Clone, Default)]
-pub struct TotalOrderMonitor {
-    inner: Arc<Mutex<TotalOrderState>>,
-}
-
-impl TotalOrderMonitor {
-    /// A fresh monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one event (sinks call this; so can a host replaying a
-    /// recorded trace).
-    pub fn observe(&self, ev: &TimedEvent) {
+impl TotalOrder {
+    fn observe(&mut self, ev: &TimedEvent) {
         let ObsEvent::AppDeliver { sender, seq } = ev.ev else { return };
-        let mut s = lock(&self.inner);
-        if s.diverged.contains(&ev.node) {
+        if self.diverged.contains(&ev.node) {
             return;
         }
-        let s = &mut *s;
-        let cursor = s.cursor.slot(ev.node).get_or_insert(0);
+        let cursor = self.cursor.slot(ev.node).get_or_insert(0);
         let k = *cursor;
         *cursor += 1;
-        if k == s.canonical.len() {
-            s.canonical.push((sender, seq));
-            s.canonical_ev.push(*ev);
-        } else if s.canonical[k] != (sender, seq) {
-            let (want_sender, want_seq) = s.canonical[k];
-            let witness = s.canonical_ev[k];
+        if k == self.canonical.len() {
+            self.canonical.push((sender, seq));
+            self.canonical_ev.push(*ev);
+        } else if self.canonical[k] != (sender, seq) {
+            let (want_sender, want_seq) = self.canonical[k];
+            let witness = self.canonical_ev[k];
             let v = Violation {
                 kind: ViolationKind::TotalOrder,
                 node: ev.node,
@@ -147,59 +129,29 @@ impl TotalOrderMonitor {
                 ),
                 context: vec![witness, *ev],
             };
-            s.violations.push(v);
-            s.diverged.push(ev.node);
+            self.violations.push(v);
+            self.diverged.push(ev.node);
         }
-    }
-
-    /// Violations detected so far.
-    pub fn violations(&self) -> Vec<Violation> {
-        lock(&self.inner).violations.clone()
-    }
-}
-
-impl EventSink for TotalOrderMonitor {
-    fn on_event(&mut self, ev: &TimedEvent) {
-        self.observe(ev);
-    }
-    fn interest(&self) -> EventMask {
-        EventMask::APP
-    }
-    fn name(&self) -> &'static str {
-        "total_order"
     }
 }
 
 // ---- per-sender FIFO -------------------------------------------------------
 
+/// Checks per-sender FIFO at every node: a node must deliver each sender's
+/// messages with strictly increasing sequence numbers. Gaps are allowed
+/// (that is loss, [`Delivery`]'s domain); going backwards or repeating a
+/// seq is a violation.
 #[derive(Default)]
-struct FifoState {
+struct Fifo {
     /// Highest delivered seq and its event, per node, per sender.
     last: IdTable<IdTable<Option<(u64, TimedEvent)>>>,
     violations: Vec<Violation>,
 }
 
-/// Checks per-sender FIFO at every node: a node must deliver each sender's
-/// messages with strictly increasing sequence numbers. Gaps are allowed
-/// (that is loss, [`DeliveryMonitor`]'s domain); going backwards or
-/// repeating a seq is a violation.
-#[derive(Clone, Default)]
-pub struct FifoMonitor {
-    inner: Arc<Mutex<FifoState>>,
-}
-
-impl FifoMonitor {
-    /// A fresh monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one event.
-    pub fn observe(&self, ev: &TimedEvent) {
+impl Fifo {
+    fn observe(&mut self, ev: &TimedEvent) {
         let ObsEvent::AppDeliver { sender, seq } = ev.ev else { return };
-        let mut s = lock(&self.inner);
-        let s = &mut *s;
-        let last = s.last.slot(ev.node).slot(sender);
+        let last = self.last.slot(ev.node).slot(sender);
         match *last {
             Some((prev_seq, prev_ev)) if seq <= prev_seq => {
                 let what = if seq == prev_seq { "duplicate" } else { "reordered" };
@@ -212,27 +164,10 @@ impl FifoMonitor {
                     ),
                     context: vec![prev_ev, *ev],
                 };
-                s.violations.push(v);
+                self.violations.push(v);
             }
             _ => *last = Some((seq, *ev)),
         }
-    }
-
-    /// Violations detected so far.
-    pub fn violations(&self) -> Vec<Violation> {
-        lock(&self.inner).violations.clone()
-    }
-}
-
-impl EventSink for FifoMonitor {
-    fn on_event(&mut self, ev: &TimedEvent) {
-        self.observe(ev);
-    }
-    fn interest(&self) -> EventMask {
-        EventMask::APP
-    }
-    fn name(&self) -> &'static str {
-        "fifo"
     }
 }
 
@@ -276,16 +211,24 @@ impl Settled {
 /// What is known of a message that is not settled yet.
 struct Unsettled {
     /// Its first `AppSend`, once seen. A delivery can arrive first: the
-    /// monitor does not assume record order, since whoever calls
-    /// `observe` — a replay of a trace file, a merge of several hosts'
-    /// logs — need not hand a send over ahead of its deliveries.
+    /// check does not assume record order, since whatever feeds the set
+    /// — a replay of a trace file, a merge of several hosts' logs — need
+    /// not hand a send over ahead of its deliveries.
     send: Option<TimedEvent>,
     /// The distinct nodes that delivered it, in arrival order.
     nodes: Vec<u32>,
 }
 
-#[derive(Default)]
-struct DeliveryState {
+/// Accounts deliveries against sends: at [`Delivery::finish`], every
+/// sent message must have been delivered at all `nodes` group members
+/// (total-order stacks self-deliver, so the sender counts too).
+///
+/// State is held for what is unsettled, not for the run: a message that
+/// has been sent and delivered at `nodes` distinct nodes is forgotten,
+/// except that its id stays recognisable — a late duplicate send or
+/// delivery of it changes nothing, as it never did.
+struct Delivery {
+    nodes: u32,
     /// Messages sent or delivered that may still change verdict, by id.
     /// Bounded by what is in flight plus what was lost for good.
     open: BTreeMap<(u32, u64), Unsettled>,
@@ -297,7 +240,44 @@ struct DeliveryState {
     spare: Vec<Vec<u32>>,
 }
 
-impl DeliveryState {
+impl Delivery {
+    /// Expects each message at `nodes` distinct nodes.
+    fn new(nodes: u32) -> Self {
+        Self {
+            nodes,
+            open: BTreeMap::new(),
+            settled: IdTable::default(),
+            sent: 0,
+            spare: Vec::new(),
+        }
+    }
+
+    fn observe(&mut self, ev: &TimedEvent) {
+        let (sender, seq, is_send) = match ev.ev {
+            ObsEvent::AppSend { sender, seq } => (sender, seq, true),
+            ObsEvent::AppDeliver { sender, seq } => (sender, seq, false),
+            _ => return,
+        };
+        let nodes = self.nodes as usize;
+        let Some(m) = self.unsettled(sender, seq) else { return };
+        if is_send {
+            if m.send.is_some() {
+                return;
+            }
+            m.send = Some(*ev);
+        } else {
+            if m.nodes.contains(&ev.node) {
+                return;
+            }
+            m.nodes.push(ev.node);
+        }
+        let settled = m.send.is_some() && m.nodes.len() >= nodes;
+        self.sent += usize::from(is_send);
+        if settled {
+            self.retire(sender, seq);
+        }
+    }
+
     /// The open entry of `(sender, seq)`, or `None` if it is settled.
     fn unsettled(&mut self, sender: u32, seq: u64) -> Option<&mut Unsettled> {
         if self.settled.slot(sender).as_ref().is_some_and(|s| s.contains(seq)) {
@@ -320,71 +300,11 @@ impl DeliveryState {
         self.spare.push(nodes);
         self.settled.slot(sender).get_or_insert_with(Settled::default).insert(seq);
     }
-}
-
-/// Accounts deliveries against sends: at [`DeliveryMonitor::finish`],
-/// every sent message must have been delivered at all `nodes` group
-/// members (total-order stacks self-deliver, so the sender counts too).
-///
-/// State is held for what is unsettled, not for the run: a message that
-/// has been sent and delivered at `nodes` distinct nodes is forgotten,
-/// except that its id stays recognisable — a late duplicate send or
-/// delivery of it changes nothing, as it never did.
-#[derive(Clone)]
-pub struct DeliveryMonitor {
-    nodes: u32,
-    inner: Arc<Mutex<DeliveryState>>,
-}
-
-impl DeliveryMonitor {
-    /// A monitor expecting each message at `nodes` distinct nodes.
-    pub fn new(nodes: u32) -> Self {
-        Self { nodes, inner: Arc::new(Mutex::new(DeliveryState::default())) }
-    }
-
-    /// Feeds one event.
-    pub fn observe(&self, ev: &TimedEvent) {
-        let (sender, seq, is_send) = match ev.ev {
-            ObsEvent::AppSend { sender, seq } => (sender, seq, true),
-            ObsEvent::AppDeliver { sender, seq } => (sender, seq, false),
-            _ => return,
-        };
-        let mut s = lock(&self.inner);
-        let Some(m) = s.unsettled(sender, seq) else { return };
-        if is_send {
-            if m.send.is_some() {
-                return;
-            }
-            m.send = Some(*ev);
-        } else {
-            if m.nodes.contains(&ev.node) {
-                return;
-            }
-            m.nodes.push(ev.node);
-        }
-        let settled = m.send.is_some() && m.nodes.len() >= self.nodes as usize;
-        s.sent += usize::from(is_send);
-        if settled {
-            s.retire(sender, seq);
-        }
-    }
-
-    /// Messages sent so far.
-    pub fn sent_count(&self) -> usize {
-        lock(&self.inner).sent
-    }
-
-    /// Messages sent or delivered whose verdict is still open — what the
-    /// monitor holds state for.
-    pub fn unsettled_count(&self) -> usize {
-        lock(&self.inner).open.len()
-    }
 
     /// End-of-run check: one violation per message missing a delivery.
-    pub fn finish(&self) -> Vec<Violation> {
-        let s = lock(&self.inner);
+    fn finish(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        for (&(sender, seq), m) in &s.open {
+        for (&(sender, seq), m) in &self.open {
             let Some(send_ev) = &m.send else { continue };
             let have = m.nodes.len();
             if have < self.nodes as usize {
@@ -404,18 +324,6 @@ impl DeliveryMonitor {
     }
 }
 
-impl EventSink for DeliveryMonitor {
-    fn on_event(&mut self, ev: &TimedEvent) {
-        self.observe(ev);
-    }
-    fn interest(&self) -> EventMask {
-        EventMask::APP
-    }
-    fn name(&self) -> &'static str {
-        "delivery"
-    }
-}
-
 // ---- switch liveness -------------------------------------------------------
 
 struct OpenSwitch {
@@ -423,54 +331,51 @@ struct OpenSwitch {
     flipped: bool,
 }
 
-#[derive(Default)]
-struct LivenessState {
+/// Checks switch liveness. Once a node records `prepare_seen`, each of its
+/// `drain_complete`, `flip` and `buffer_release` must follow within
+/// `bound_us`: a later one is a violation when it is recorded. At
+/// [`Liveness::finish`], a switch that entered `prepare_seen` and neither
+/// flipped nor aborted is a violation. A switch that flipped but never
+/// released its buffer is not reported, because it cannot happen: the
+/// switching layer records `flip` and `buffer_release` in one handler
+/// call (`try_flip` in ps-core's `switch.rs`), so no crash or run end
+/// falls between them.
+struct Liveness {
+    bound_us: u64,
     open: BTreeMap<u32, OpenSwitch>,
     violations: Vec<Violation>,
 }
 
-/// Checks switch liveness: once a node records `prepare_seen`, its `flip`
-/// and `buffer_release` must follow within `bound_us`; a switch still open
-/// at [`SwitchLivenessMonitor::finish`] is a violation too.
-#[derive(Clone)]
-pub struct SwitchLivenessMonitor {
-    bound_us: u64,
-    inner: Arc<Mutex<LivenessState>>,
-}
-
-impl SwitchLivenessMonitor {
-    /// A monitor with the given completion bound in microseconds.
-    pub fn new(bound_us: u64) -> Self {
-        Self { bound_us, inner: Arc::new(Mutex::new(LivenessState::default())) }
+impl Liveness {
+    /// Bounds each phase at `bound_us` microseconds after `prepare_seen`.
+    fn new(bound_us: u64) -> Self {
+        Self { bound_us, open: BTreeMap::new(), violations: Vec::new() }
     }
 
-    /// Feeds one event.
-    pub fn observe(&self, ev: &TimedEvent) {
+    fn observe(&mut self, ev: &TimedEvent) {
         let ObsEvent::SwitchPhase { phase, .. } = ev.ev else { return };
-        let mut s = lock(&self.inner);
         match phase {
             SpPhase::PrepareSeen => {
-                s.open.insert(ev.node, OpenSwitch { prepare: *ev, flipped: false });
+                self.open.insert(ev.node, OpenSwitch { prepare: *ev, flipped: false });
             }
             SpPhase::Aborted => {
                 // A clean abort closes the switch without a flip: reverting
                 // to the old protocol is a legitimate liveness outcome.
-                s.open.remove(&ev.node);
+                self.open.remove(&ev.node);
             }
             SpPhase::DrainComplete | SpPhase::Flip | SpPhase::BufferRelease => {
-                let Some(open) = s.open.get_mut(&ev.node) else { return };
+                let Some(open) = self.open.get_mut(&ev.node) else { return };
                 let elapsed = ev.at_us.saturating_sub(open.prepare.at_us);
                 let prepare = open.prepare;
                 if phase == SpPhase::Flip {
                     open.flipped = true;
                 }
-                let closes = phase == SpPhase::BufferRelease;
-                if closes {
-                    s.open.remove(&ev.node);
+                if phase == SpPhase::BufferRelease {
+                    self.open.remove(&ev.node);
                 }
                 if elapsed > self.bound_us {
                     let bound = self.bound_us;
-                    s.violations.push(Violation {
+                    self.violations.push(Violation {
                         kind: ViolationKind::SwitchLiveness,
                         node: ev.node,
                         at_us: ev.at_us,
@@ -485,16 +390,11 @@ impl SwitchLivenessMonitor {
         }
     }
 
-    /// Violations from phases that overran the bound, so far.
-    pub fn violations(&self) -> Vec<Violation> {
-        lock(&self.inner).violations.clone()
-    }
-
-    /// End-of-run check: switches that never flipped.
-    pub fn finish(&self) -> Vec<Violation> {
-        let s = lock(&self.inner);
-        let mut out = s.violations.clone();
-        for (&node, open) in &s.open {
+    /// End-of-run check: the phases that overran the bound, then the
+    /// switches that never flipped.
+    fn finish(&self) -> Vec<Violation> {
+        let mut out = self.violations.clone();
+        for (&node, open) in &self.open {
             if !open.flipped {
                 out.push(Violation {
                     kind: ViolationKind::SwitchLiveness,
@@ -509,22 +409,20 @@ impl SwitchLivenessMonitor {
     }
 }
 
-impl EventSink for SwitchLivenessMonitor {
-    fn on_event(&mut self, ev: &TimedEvent) {
-        self.observe(ev);
-    }
-    fn interest(&self) -> EventMask {
-        EventMask::SWITCH
-    }
-    fn name(&self) -> &'static str {
-        "switch_liveness"
-    }
+// ---- the set ---------------------------------------------------------------
+
+/// The four checks' state, behind the set's one lock.
+struct Checks {
+    total_order: TotalOrder,
+    fifo: Fifo,
+    delivery: Delivery,
+    liveness: Liveness,
 }
 
-// ---- the standard bundle ---------------------------------------------------
-
-/// The standard monitor bundle: total order, FIFO, delivery accounting,
-/// and switch liveness, attached and read as one unit.
+/// The standard monitors: total order, FIFO, delivery accounting, and
+/// switch liveness, attached and read as one unit. Clones share one
+/// state; the set is the one [`EventSink`] it subscribes, so a recorded
+/// event costs one interest test, one dynamic call and one lock.
 ///
 /// # Examples
 ///
@@ -542,85 +440,64 @@ impl EventSink for SwitchLivenessMonitor {
 /// ```
 #[derive(Clone)]
 pub struct MonitorSet {
-    total_order: TotalOrderMonitor,
-    fifo: FifoMonitor,
-    delivery: DeliveryMonitor,
-    liveness: SwitchLivenessMonitor,
+    checks: Arc<Mutex<Checks>>,
 }
 
 impl MonitorSet {
-    /// The standard bundle for a group of `nodes`, with a switch-liveness
+    /// The standard monitors for a group of `nodes`, with a switch-liveness
     /// bound of `liveness_bound_us` microseconds.
     pub fn standard(nodes: u32, liveness_bound_us: u64) -> Self {
-        Self {
-            total_order: TotalOrderMonitor::new(),
-            fifo: FifoMonitor::new(),
-            delivery: DeliveryMonitor::new(nodes),
-            liveness: SwitchLivenessMonitor::new(liveness_bound_us),
-        }
+        let checks = Checks {
+            total_order: TotalOrder::default(),
+            fifo: Fifo::default(),
+            delivery: Delivery::new(nodes),
+            liveness: Liveness::new(liveness_bound_us),
+        };
+        Self { checks: Arc::new(Mutex::new(checks)) }
     }
 
-    /// Subscribes the bundle to `rec` as **one** combined sink (clones
-    /// share state with `self`): the recorder tests one interest mask and
-    /// makes one dynamic call per relevant event, and the fan routes it to
-    /// the monitors whose interest matches. Events outside `APP | SWITCH`
-    /// never reach the bundle at all.
+    fn lock(&self) -> MutexGuard<'_, Checks> {
+        self.checks.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Subscribes a clone of the set to `rec` (it shares state with
+    /// `self`). Events outside `APP | SWITCH` never reach it.
     pub fn attach(&self, rec: &Recorder) {
-        rec.subscribe(Box::new(MonitorFan { set: self.clone() }));
+        rec.subscribe(Box::new(self.clone()));
     }
 
-    /// The total-order monitor.
-    pub fn total_order(&self) -> &TotalOrderMonitor {
-        &self.total_order
+    /// Distinct messages sent so far.
+    pub fn sent_count(&self) -> usize {
+        self.lock().delivery.sent
     }
 
-    /// The FIFO monitor.
-    pub fn fifo(&self) -> &FifoMonitor {
-        &self.fifo
-    }
-
-    /// The delivery-accounting monitor.
-    pub fn delivery(&self) -> &DeliveryMonitor {
-        &self.delivery
-    }
-
-    /// The switch-liveness monitor.
-    pub fn liveness(&self) -> &SwitchLivenessMonitor {
-        &self.liveness
+    /// Messages sent or delivered whose delivery verdict is still open —
+    /// what delivery accounting holds state for.
+    pub fn unsettled_count(&self) -> usize {
+        self.lock().delivery.open.len()
     }
 
     /// Runs the end-of-run checks and returns all violations, sorted by
     /// detection time (then node, then kind) — deterministic for a
     /// deterministic event stream.
     pub fn finish(&self) -> Vec<Violation> {
-        let mut out = self.total_order.violations();
-        out.extend(self.fifo.violations());
-        out.extend(self.delivery.finish());
-        out.extend(self.liveness.finish());
-        out.sort_by(|a, b| (a.at_us, a.node, a.kind).cmp(&(b.at_us, b.node, b.kind)));
+        let c = self.lock();
+        let mut out = c.total_order.violations.clone();
+        out.extend(c.fifo.violations.iter().cloned());
+        out.extend(c.delivery.finish());
+        out.extend(c.liveness.finish());
+        out.sort_by_key(|v| (v.at_us, v.node, v.kind));
         out
     }
 }
 
-/// The one sink a [`MonitorSet`] subscribes: fans each event out to the
-/// monitors whose interest covers it. One entry in the recorder's sink
-/// table instead of four, so the per-event dispatch loop does one mask
-/// test and one virtual call for the whole bundle.
-struct MonitorFan {
-    set: MonitorSet,
-}
-
-impl EventSink for MonitorFan {
+impl EventSink for MonitorSet {
     fn on_event(&mut self, ev: &TimedEvent) {
-        let kind = ev.ev.kind();
-        if kind.intersects(EventMask::APP) {
-            self.set.total_order.observe(ev);
-            self.set.fifo.observe(ev);
-            self.set.delivery.observe(ev);
-        }
-        if kind.intersects(EventMask::SWITCH) {
-            self.set.liveness.observe(ev);
-        }
+        let mut c = self.lock();
+        c.total_order.observe(ev);
+        c.fifo.observe(ev);
+        c.delivery.observe(ev);
+        c.liveness.observe(ev);
     }
     fn interest(&self) -> EventMask {
         EventMask::APP | EventMask::SWITCH
@@ -648,22 +525,22 @@ mod tests {
 
     #[test]
     fn total_order_accepts_agreement() {
-        let m = TotalOrderMonitor::new();
+        let mut m = TotalOrder::default();
         for n in 0..3u32 {
             m.observe(&deliver(10 + u64::from(n), n, 0, 1));
             m.observe(&deliver(20 + u64::from(n), n, 1, 1));
         }
-        assert!(m.violations().is_empty());
+        assert!(m.violations.is_empty());
     }
 
     #[test]
     fn total_order_flags_divergence_with_context() {
-        let m = TotalOrderMonitor::new();
+        let mut m = TotalOrder::default();
         m.observe(&deliver(10, 0, 0, 1));
         m.observe(&deliver(11, 0, 1, 1));
         m.observe(&deliver(12, 1, 0, 1));
         m.observe(&deliver(13, 1, 2, 5)); // node 1 disagrees at position 1
-        let vs = m.violations();
+        let vs = &m.violations;
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].kind, ViolationKind::TotalOrder);
         assert_eq!(vs[0].node, 1);
@@ -671,30 +548,30 @@ mod tests {
         assert_eq!(vs[0].context, vec![deliver(11, 0, 1, 1), deliver(13, 1, 2, 5)]);
         // One violation per diverging node, not one per subsequent delivery.
         m.observe(&deliver(14, 1, 9, 9));
-        assert_eq!(m.violations().len(), 1);
+        assert_eq!(m.violations.len(), 1);
     }
 
     #[test]
     fn fifo_allows_gaps_but_not_reorder_or_dup() {
-        let m = FifoMonitor::new();
+        let mut m = Fifo::default();
         m.observe(&deliver(1, 0, 3, 1));
         m.observe(&deliver(2, 0, 3, 4)); // gap: fine
-        assert!(m.violations().is_empty());
+        assert!(m.violations.is_empty());
         m.observe(&deliver(3, 0, 3, 2)); // reorder
         m.observe(&deliver(4, 0, 3, 4)); // duplicate of the latest
-        let vs = m.violations();
+        let vs = &m.violations;
         assert_eq!(vs.len(), 2);
         assert!(vs[0].detail.contains("reordered"));
         assert!(vs[1].detail.contains("duplicate"));
         // Other senders and nodes are independent.
         m.observe(&deliver(5, 1, 3, 1));
         m.observe(&deliver(6, 0, 4, 1));
-        assert_eq!(m.violations().len(), 2);
+        assert_eq!(m.violations.len(), 2);
     }
 
     #[test]
     fn delivery_monitor_accounts_per_node() {
-        let m = DeliveryMonitor::new(3);
+        let mut m = Delivery::new(3);
         m.observe(&send(1, 0, 1));
         m.observe(&send(2, 1, 1));
         for n in 0..3u32 {
@@ -710,27 +587,27 @@ mod tests {
     }
 
     /// Sends (1, 1) and delivers it at nodes `0..nodes`: settled.
-    fn settle(m: &DeliveryMonitor, at_us: u64, nodes: u32) {
+    fn settle(m: &mut Delivery, at_us: u64, nodes: u32) {
         m.observe(&send(at_us, 1, 1));
         for n in 0..nodes {
             m.observe(&deliver(at_us + 1, n, 1, 1));
         }
-        assert_eq!(m.unsettled_count(), 0, "sent and delivered everywhere: forgotten");
+        assert_eq!(m.open.len(), 0, "sent and delivered everywhere: forgotten");
     }
 
     #[test]
     fn delivery_recorded_before_its_send_still_counts() {
         // Robustness to record order: a replayed or merged trace can hand
         // a receiver's delivery over ahead of the sender's send.
-        let m = DeliveryMonitor::new(2);
+        let mut m = Delivery::new(2);
         m.observe(&deliver(5, 0, 1, 1));
         m.observe(&deliver(6, 1, 1, 1));
         assert!(m.finish().is_empty(), "never sent: nothing to account for");
-        assert_eq!(m.sent_count(), 0);
+        assert_eq!(m.sent, 0);
         m.observe(&send(7, 1, 1));
-        assert_eq!(m.sent_count(), 1);
+        assert_eq!(m.sent, 1);
         assert!(m.finish().is_empty(), "both deliveries were kept for the send");
-        assert_eq!(m.unsettled_count(), 0);
+        assert_eq!(m.open.len(), 0);
         // One delivery short, the send last: still a loss, with the count.
         m.observe(&deliver(8, 0, 1, 2));
         m.observe(&send(9, 1, 2));
@@ -741,35 +618,35 @@ mod tests {
 
     #[test]
     fn duplicate_send_of_a_settled_message_is_not_a_new_message() {
-        let m = DeliveryMonitor::new(3);
-        settle(&m, 10, 3);
+        let mut m = Delivery::new(3);
+        settle(&mut m, 10, 3);
         m.observe(&send(99, 1, 1));
         assert!(m.finish().is_empty(), "a forgotten id re-sent must not read as 0/3");
-        assert_eq!(m.sent_count(), 1);
-        assert_eq!(m.unsettled_count(), 0);
+        assert_eq!(m.sent, 1);
+        assert_eq!(m.open.len(), 0);
     }
 
     #[test]
     fn duplicate_delivery_after_settling_opens_nothing() {
-        let m = DeliveryMonitor::new(3);
-        settle(&m, 10, 3);
+        let mut m = Delivery::new(3);
+        settle(&mut m, 10, 3);
         m.observe(&deliver(50, 2, 1, 1));
         m.observe(&deliver(51, 7, 1, 1));
-        assert_eq!(m.unsettled_count(), 0, "late copies of a settled id hold no state");
+        assert_eq!(m.open.len(), 0, "late copies of a settled id hold no state");
         assert!(m.finish().is_empty());
-        assert_eq!(m.sent_count(), 1);
+        assert_eq!(m.sent, 1);
     }
 
     #[test]
     fn a_node_outside_the_group_counts_as_a_distinct_node() {
         // `nodes` is how many distinct nodes must deliver, not an id bound.
-        let m = DeliveryMonitor::new(3);
+        let mut m = Delivery::new(3);
         m.observe(&send(1, 1, 1));
         m.observe(&deliver(2, 0, 1, 1));
         m.observe(&deliver(3, 9, 1, 1));
         m.observe(&deliver(4, u32::MAX, 1, 1));
         assert!(m.finish().is_empty());
-        assert_eq!(m.unsettled_count(), 0);
+        assert_eq!(m.open.len(), 0);
         // A sender outside the group (and the dense table) is a sender.
         m.observe(&send(5, u32::MAX, u64::MAX));
         assert_eq!(m.finish().len(), 1);
@@ -778,12 +655,12 @@ mod tests {
         }
         m.observe(&send(7, u32::MAX, u64::MAX));
         assert!(m.finish().is_empty());
-        assert_eq!(m.sent_count(), 2);
+        assert_eq!(m.sent, 2);
     }
 
     #[test]
     fn sent_count_is_distinct_sends_settled_or_not() {
-        let m = DeliveryMonitor::new(2);
+        let mut m = Delivery::new(2);
         for seq in 1..=5u64 {
             m.observe(&send(seq, 0, seq));
             m.observe(&send(seq, 0, seq)); // duplicate while open
@@ -793,8 +670,8 @@ mod tests {
             m.observe(&deliver(10, 1, 0, seq));
             m.observe(&send(11, 0, seq)); // duplicate once settled
         }
-        assert_eq!(m.sent_count(), 5);
-        assert_eq!(m.unsettled_count(), 2);
+        assert_eq!(m.sent, 5);
+        assert_eq!(m.open.len(), 2);
         let lost: Vec<_> = m.finish().iter().map(|v| v.detail.clone()).collect();
         assert_eq!(
             lost,
@@ -817,7 +694,7 @@ mod tests {
 
     #[test]
     fn liveness_bounds_the_switch_window() {
-        let m = SwitchLivenessMonitor::new(100);
+        let mut m = Liveness::new(100);
         m.observe(&phase(1000, 0, SpPhase::PrepareSeen));
         m.observe(&phase(1050, 0, SpPhase::Flip));
         m.observe(&phase(1060, 0, SpPhase::BufferRelease));
@@ -832,7 +709,7 @@ mod tests {
 
     #[test]
     fn liveness_flags_switch_that_never_flips() {
-        let m = SwitchLivenessMonitor::new(1_000_000);
+        let mut m = Liveness::new(1_000_000);
         m.observe(&phase(500, 2, SpPhase::PrepareSeen));
         let vs = m.finish();
         assert_eq!(vs.len(), 1);
@@ -842,7 +719,7 @@ mod tests {
 
     #[test]
     fn liveness_accepts_a_clean_abort() {
-        let m = SwitchLivenessMonitor::new(1_000_000);
+        let mut m = Liveness::new(1_000_000);
         m.observe(&phase(500, 2, SpPhase::PrepareSeen));
         m.observe(&phase(900, 2, SpPhase::Aborted));
         assert!(m.finish().is_empty(), "an aborted switch is not wedged");
@@ -879,13 +756,10 @@ mod tests {
 
     #[test]
     fn clean_stream_finishes_empty() {
-        let set = MonitorSet::standard(2, 1_000_000);
-        set.delivery().observe(&send(1, 0, 1));
+        let mut set = MonitorSet::standard(2, 1_000_000);
+        set.on_event(&send(1, 0, 1));
         for node in 0..2u32 {
-            let d = deliver(5, node, 0, 1);
-            set.total_order().observe(&d);
-            set.fifo().observe(&d);
-            set.delivery().observe(&d);
+            set.on_event(&deliver(5, node, 0, 1));
         }
         assert!(set.finish().is_empty());
     }

@@ -2,7 +2,8 @@
 //!
 //! [`reference`] is the monitor code as it stood while it kept an entry
 //! per message (and a `BTreeMap` probe per cursor) for the whole run —
-//! kept here, verbatim in behaviour, as the oracle. The properties feed
+//! kept here, verbatim in behaviour, as the oracle — and the switch
+//! liveness check as it stood when each check was its own public type. The properties feed
 //! one recorded stream to both and require [`MonitorSet::finish`] to be
 //! *equal*: same violations, same order, same `detail` text, same
 //! `context` events. The last test counts what the bounded monitors hold
@@ -12,10 +13,7 @@
 //! side.
 
 use ps_check::prelude::*;
-use ps_obs::{
-    EventSink, MonitorSet, ObsEvent, Recorder, SpPhase, SwitchLivenessMonitor, TimedEvent,
-    Violation,
-};
+use ps_obs::{EventSink, MonitorSet, ObsEvent, Recorder, SpPhase, TimedEvent, Violation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
@@ -58,7 +56,7 @@ static ALLOC: Counting = Counting;
 
 /// The monitors as they were: state for every message of the run.
 mod reference {
-    use ps_obs::{ObsEvent, TimedEvent, Violation, ViolationKind};
+    use ps_obs::{ObsEvent, SpPhase, TimedEvent, Violation, ViolationKind};
     use std::collections::BTreeMap;
 
     #[derive(Default)]
@@ -179,16 +177,86 @@ mod reference {
             out
         }
     }
+
+    struct OpenSwitch {
+        prepare: TimedEvent,
+        flipped: bool,
+    }
+
+    pub struct Liveness {
+        bound_us: u64,
+        open: BTreeMap<u32, OpenSwitch>,
+        violations: Vec<Violation>,
+    }
+
+    impl Liveness {
+        pub fn new(bound_us: u64) -> Self {
+            Self { bound_us, open: BTreeMap::new(), violations: Vec::new() }
+        }
+
+        pub fn observe(&mut self, ev: &TimedEvent) {
+            let ObsEvent::SwitchPhase { phase, .. } = ev.ev else { return };
+            match phase {
+                SpPhase::PrepareSeen => {
+                    self.open.insert(ev.node, OpenSwitch { prepare: *ev, flipped: false });
+                }
+                SpPhase::Aborted => {
+                    // A clean abort closes the switch without a flip: reverting
+                    // to the old protocol is a legitimate liveness outcome.
+                    self.open.remove(&ev.node);
+                }
+                SpPhase::DrainComplete | SpPhase::Flip | SpPhase::BufferRelease => {
+                    let Some(open) = self.open.get_mut(&ev.node) else { return };
+                    let elapsed = ev.at_us.saturating_sub(open.prepare.at_us);
+                    let prepare = open.prepare;
+                    if phase == SpPhase::Flip {
+                        open.flipped = true;
+                    }
+                    let closes = phase == SpPhase::BufferRelease;
+                    if closes {
+                        self.open.remove(&ev.node);
+                    }
+                    if elapsed > self.bound_us {
+                        let bound = self.bound_us;
+                        self.violations.push(Violation {
+                            kind: ViolationKind::SwitchLiveness,
+                            node: ev.node,
+                            at_us: ev.at_us,
+                            detail: format!(
+                                "{} came {elapsed}us after prepare_seen (bound {bound}us)",
+                                phase.as_str()
+                            ),
+                            context: vec![prepare, *ev],
+                        });
+                    }
+                }
+            }
+        }
+
+        pub fn finish(&self) -> Vec<Violation> {
+            let mut out = self.violations.clone();
+            for (&node, open) in &self.open {
+                if !open.flipped {
+                    out.push(Violation {
+                        kind: ViolationKind::SwitchLiveness,
+                        node,
+                        at_us: open.prepare.at_us,
+                        detail: "switch entered prepare_seen but never flipped".to_owned(),
+                        context: vec![open.prepare],
+                    });
+                }
+            }
+            out
+        }
+    }
 }
 
-/// The reference bundle, assembled and sorted as `MonitorSet` does. The
-/// switch-liveness monitor holds per-node state only and was not
-/// replaced; the bundle shares the real one.
+/// The reference bundle, assembled and sorted as `MonitorSet` does.
 struct ReferenceSet {
     total_order: reference::TotalOrder,
     fifo: reference::Fifo,
     delivery: reference::Delivery,
-    liveness: SwitchLivenessMonitor,
+    liveness: reference::Liveness,
 }
 
 impl ReferenceSet {
@@ -197,7 +265,7 @@ impl ReferenceSet {
             total_order: Default::default(),
             fifo: Default::default(),
             delivery: reference::Delivery::new(nodes),
-            liveness: SwitchLivenessMonitor::new(liveness_bound_us),
+            liveness: reference::Liveness::new(liveness_bound_us),
         }
     }
 
@@ -246,7 +314,7 @@ impl Pair {
     fn check(&self) {
         let r = self.reference.lock().unwrap();
         assert_eq!(self.bounded.finish(), r.finish());
-        assert_eq!(self.bounded.delivery().sent_count(), r.delivery.sent_count());
+        assert_eq!(self.bounded.sent_count(), r.delivery.sent_count());
     }
 }
 
@@ -391,19 +459,19 @@ fn a_long_clean_run_holds_state_for_what_is_in_flight_only() {
         if m >= IN_FLIGHT {
             deliver_everywhere(m - IN_FLIGHT);
         }
-        let open = set.delivery().unsettled_count() as u64;
+        let open = set.unsettled_count() as u64;
         assert!(open <= IN_FLIGHT.min(m + 1), "{open} unsettled with {IN_FLIGHT} in flight");
     }
     let calls = CALLS.with(Cell::get) - calls_after_warm_up;
-    // What still grows is `TotalOrderMonitor`'s agreed sequence: two
+    // What still grows is the total-order check's agreed sequence: two
     // vectors, doubling — seven times each from 1 000 to 100 000 entries.
     assert!(calls <= 16, "{calls} allocator calls for {} multicasts", TOTAL - WARM_UP);
 
-    assert_eq!(set.delivery().unsettled_count() as u64, IN_FLIGHT);
+    assert_eq!(set.unsettled_count() as u64, IN_FLIGHT);
     for m in TOTAL - IN_FLIGHT..TOTAL {
         deliver_everywhere(m);
     }
-    assert_eq!(set.delivery().unsettled_count(), 0);
-    assert_eq!(set.delivery().sent_count() as u64, TOTAL);
+    assert_eq!(set.unsettled_count(), 0);
+    assert_eq!(set.sent_count() as u64, TOTAL);
     assert!(set.finish().is_empty());
 }

@@ -432,7 +432,7 @@ mod tests {
         }
         let mut sim = b.build();
         sim.run_until(SimTime::from_millis(100));
-        assert_eq!(monitors.delivery().sent_count(), 8);
+        assert_eq!(monitors.sent_count(), 8);
         let violations = monitors.finish();
         assert!(violations.is_empty(), "clean run must monitor clean: {violations:?}");
     }

@@ -251,7 +251,7 @@ fn watched_hybrid_still_allocates_only_the_frame() {
     assert_eq!(calls() - before, 1000 + doublings, "one frame per send, plus the agreed sequence");
     assert!(in_receive <= doublings, "the way up allocates nothing else");
     assert!(rec.overwritten() > 0, "the ring wrapped: nothing above leaned on its size");
-    assert_eq!(monitors.delivery().sent_count() as u64, warm_up + 1000);
-    assert_eq!(monitors.delivery().unsettled_count(), 0);
+    assert_eq!(monitors.sent_count() as u64, warm_up + 1000);
+    assert_eq!(monitors.unsettled_count(), 0);
     assert!(monitors.finish().is_empty());
 }

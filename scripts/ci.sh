@@ -83,7 +83,10 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # network was deleted, and ps-harness and the total again when every
 # `repro` command became one row of one experiment table, and again
 # (with ps-trace) when `repro chaos` and `repro campaign` became two cell
-# lists over one judge and unused `pub` items went crate-private.
+# lists over one judge and unused `pub` items went crate-private, and
+# ps-obs, ps-harness and the total when the four monitors became one
+# state behind one lock and the log-linear histogram gave way to exact
+# quantiles.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -94,13 +97,13 @@ size_ceiling() {
         END { exit (found && !over) ? 0 : 1 }'
 }
 size_ceiling ps-core 2004 85
-size_ceiling ps-harness 4493 245
+size_ceiling ps-harness 4492 244
 size_ceiling ps-net 637 16
-size_ceiling ps-obs 3524 233
+size_ceiling ps-obs 3188 195
 size_ceiling ps-simnet 1936 118
 size_ceiling ps-stack 1458 105
 size_ceiling ps-trace 2528 148
-size_ceiling total 22058 1217
+size_ceiling total 21722 1178
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile

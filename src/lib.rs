@@ -18,7 +18,7 @@
 //! | [`simnet`] | `ps-simnet` | deterministic discrete-event network simulator (shared-Ethernet model, fault injection) |
 //! | [`wire`] | `ps-wire` | binary codec and header framing |
 //! | [`net`] | `ps-net` | real transport: the same stacks on OS threads over UDP loopback sockets, recorded for sim-vs-real diffing |
-//! | [`obs`] | `ps-obs` | structured tracing: ring-buffer recorder, latency histograms, JSON-lines / Chrome-trace exporters |
+//! | [`obs`] | `ps-obs` | structured tracing: ring-buffer recorder, streaming property monitors, JSON-lines / Chrome-trace exporters |
 //! | [`prof`] | `ps-prof` | in-engine host-time profiler: RAII span stacks, cost tables, collapsed-stack flamegraphs |
 //! | [`workload`] | `ps-workload` | seeded traffic-profile generator: typed profiles, deterministic schedules, byte-stable manifests |
 //! | [`harness`] | `ps-harness` | the experiments regenerating every table and figure |

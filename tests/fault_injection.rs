@@ -99,7 +99,7 @@ fn streaming_monitors_agree_with_the_trace_checker_under_loss() {
     // validates post-hoc: delivery accounting must close (exactly-once
     // survives 40% loss) and the switch must complete within its bound —
     // detected live, from the event stream, not from the trace.
-    use protocol_switching::obs::{MonitorSet, Recorder};
+    use protocol_switching::obs::{MonitorSet, Recorder, ViolationKind};
 
     let medium = Box::new(Lossy::new(Box::new(PointToPoint::new(SimTime::from_micros(300))), 0.40));
     let (b, handles) = reliable_hybrid(medium, SimTime::from_millis(60));
@@ -113,10 +113,12 @@ fn streaming_monitors_agree_with_the_trace_checker_under_loss() {
     let group: Vec<ProcessId> = (0..4).map(ProcessId).collect();
     assert!(Reliability::new(group).holds(&sim.app_trace()));
     if rec.is_enabled() {
-        assert_eq!(monitors.delivery().sent_count(), 24, "monitors saw every send");
-        let lost = monitors.delivery().finish();
+        assert_eq!(monitors.sent_count(), 24, "monitors saw every send");
+        let violations = monitors.finish();
+        let of = |kind| violations.iter().filter(|v| v.kind == kind).collect::<Vec<_>>();
+        let lost = of(ViolationKind::DeliveryLoss);
         assert!(lost.is_empty(), "streaming delivery accounting must close: {lost:?}");
-        let stuck = monitors.liveness().finish();
+        let stuck = of(ViolationKind::SwitchLiveness);
         assert!(stuck.is_empty(), "every started switch must complete: {stuck:?}");
     }
 }
