@@ -188,10 +188,6 @@ impl Gen for Strings {
     }
 }
 
-/// One-element tuple wrapper produced by `props!` for single-argument
-/// properties.
-pub type Tuple1<G> = (G,);
-
 macro_rules! impl_gen_tuple {
     ($($g:ident : $idx:tt),+) => {
         impl<$($g: Gen),+> Gen for ($($g,)+) {

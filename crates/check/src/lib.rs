@@ -65,7 +65,7 @@ use std::sync::Once;
 pub use ps_rand::{mix, SplitMix64, Xoshiro256pp as Rng};
 
 mod gen;
-pub use gen::{arb, strings, vec_of, Arb, ArbGen, Gen, GenExt, Map, Strings, Tuple1, VecOf};
+pub use gen::{arb, strings, vec_of, Gen};
 
 /// Per-test configuration; see the crate docs for the env overrides.
 #[derive(Debug, Clone)]

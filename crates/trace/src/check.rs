@@ -1,16 +1,18 @@
 //! The preservation checker — regenerates the paper's Table 2.
 //!
-//! For a property `P` and meta-property relation `R`, the checker searches
-//! for a violation of Equation 1: a pair `tr_below` (satisfying `P`) and
-//! `tr_above` (related by `R`) with `¬P(tr_above)`. Search combines
-//! exhaustive single-step rewriting with seeded random walks over traces
-//! drawn from the property-specific generators in [`crate::gen`].
+//! For a property `P` and meta-property relation `R`, a cell is ✗ when some
+//! `tr_below` satisfying `P` is related by `R` to a `tr_above` with
+//! `¬P(tr_above)` (Equation 1). One crate-private judge walks candidate
+//! pairs in order and keeps the first violating `tr_above` as the witness.
+//! [`check_cell`] feeds it single-step rewrites and seeded random walks of
+//! traces drawn from [`crate::gen`]; [`crate::exhaustive`] feeds it every
+//! rewrite of every trace over a small event universe.
 //!
 //! A found counterexample is definitive (the cell is ✗, with a concrete
 //! witness you can print). Absence of a counterexample is evidence for ✓ —
 //! the testing analogue of the paper's Nuprl proofs, as recorded in
-//! DESIGN.md. Cells whose value the paper's prose pins are labelled
-//! [`Provenance::Paper`]; the checker's verdict is required (by this
+//! DESIGN.md. A cell whose value the paper's prose pins carries it in
+//! [`Cell::paper_value`]; the checker's verdict is required (by this
 //! crate's tests) to agree with every pinned cell.
 
 use crate::gen::{
@@ -114,6 +116,36 @@ pub struct CellVerdict {
     pub counterexample: Option<Counterexample>,
 }
 
+/// The one judgement behind both checkers: walks the `(below, second_below,
+/// above)` candidates in order, each `below` satisfying `prop`, and returns
+/// the first whose `above` violates it as the witness, or ✓ once they run
+/// out. Every candidate judged counts as a sample.
+pub(crate) fn judge<'a>(
+    prop: &dyn Property,
+    meta: MetaKind,
+    candidates: impl IntoIterator<Item = (&'a Trace, Option<&'a Trace>, Trace)>,
+) -> CellVerdict {
+    let mut samples = 0;
+    for (below, second, above) in candidates {
+        samples += 1;
+        if !prop.holds(&above) {
+            let cx = Counterexample { below: below.clone(), second_below: second.cloned(), above };
+            return CellVerdict { meta, preserved: false, samples, counterexample: Some(cx) };
+        }
+    }
+    CellVerdict { meta, preserved: true, samples, counterexample: None }
+}
+
+/// The candidates that rewrite each trace of `pool` on its own: every trace
+/// `rewrite(below)` returns, below by below, in order.
+pub(crate) fn rewrites<'a>(
+    pool: &'a [Trace],
+    mut rewrite: impl FnMut(&Trace) -> Vec<Trace> + 'a,
+) -> impl Iterator<Item = (&'a Trace, Option<&'a Trace>, Trace)> + 'a {
+    pool.iter()
+        .flat_map(move |below| rewrite(below).into_iter().map(move |above| (below, None, above)))
+}
+
 /// Checks one cell: is `prop` preserved by `meta`'s relation?
 ///
 /// `gens` supplies candidate below-traces; traces not satisfying `prop` are
@@ -125,7 +157,6 @@ pub fn check_cell(
     cfg: &CheckConfig,
 ) -> CellVerdict {
     let mut rng = seeded(cfg.seed ^ (meta as u64).wrapping_mul(0x9e37_79b9));
-    let mut samples = 0usize;
 
     // Collect satisfying below-traces.
     let mut pool: Vec<Trace> = Vec::new();
@@ -140,34 +171,8 @@ pub fn check_cell(
         }
     }
 
-    let check_above = |below: &Trace,
-                       second: Option<&Trace>,
-                       above: Trace,
-                       samples: &mut usize|
-     -> Option<Counterexample> {
-        *samples += 1;
-        if prop.holds(&above) {
-            None
-        } else {
-            Some(Counterexample { below: below.clone(), second_below: second.cloned(), above })
-        }
-    };
-
     match meta {
-        MetaKind::Safety => {
-            for below in &pool {
-                for above in prefixes(below) {
-                    if let Some(cx) = check_above(below, None, above, &mut samples) {
-                        return CellVerdict {
-                            meta,
-                            preserved: false,
-                            samples,
-                            counterexample: Some(cx),
-                        };
-                    }
-                }
-            }
-        }
+        MetaKind::Safety => judge(prop, meta, rewrites(&pool, prefixes)),
         MetaKind::Asynchrony | MetaKind::Delayable => {
             let (steps, sites): (fn(&Trace) -> Vec<Trace>, fn(&Trace) -> Vec<usize>) =
                 if meta == MetaKind::Asynchrony {
@@ -175,114 +180,50 @@ pub fn check_cell(
                 } else {
                     (delayable_steps, delayable_swap_sites)
                 };
-            for below in &pool {
-                for above in steps(below) {
-                    if let Some(cx) = check_above(below, None, above, &mut samples) {
-                        return CellVerdict {
-                            meta,
-                            preserved: false,
-                            samples,
-                            counterexample: Some(cx),
-                        };
-                    }
-                }
+            let walks = |below: &Trace| {
+                let mut out = steps(below);
                 for _ in 0..cfg.walks_per_trace {
-                    for above in swap_walk(below, sites, cfg.walk_depth, &mut rng) {
-                        if let Some(cx) = check_above(below, None, above, &mut samples) {
-                            return CellVerdict {
-                                meta,
-                                preserved: false,
-                                samples,
-                                counterexample: Some(cx),
-                            };
-                        }
-                    }
+                    out.extend(swap_walk(below, sites, cfg.walk_depth, &mut rng));
                 }
-            }
+                out
+            };
+            judge(prop, meta, rewrites(&pool, walks))
         }
         MetaKind::SendEnabled => {
-            for below in &pool {
-                for draw in 0..cfg.extension_draws {
-                    let above = send_extension(below, 1 + draw % 3, &mut rng);
-                    if let Some(cx) = check_above(below, None, above, &mut samples) {
-                        return CellVerdict {
-                            meta,
-                            preserved: false,
-                            samples,
-                            counterexample: Some(cx),
-                        };
-                    }
-                }
-            }
+            let extend = |below: &Trace| {
+                let draws = 0..cfg.extension_draws;
+                draws.map(|draw| send_extension(below, 1 + draw % 3, &mut rng)).collect()
+            };
+            judge(prop, meta, rewrites(&pool, extend))
         }
         MetaKind::Memoryless => {
-            for below in &pool {
-                for above in single_erasures(below) {
-                    if let Some(cx) = check_above(below, None, above, &mut samples) {
-                        return CellVerdict {
-                            meta,
-                            preserved: false,
-                            samples,
-                            counterexample: Some(cx),
-                        };
-                    }
-                }
-                for _ in 0..cfg.erasure_draws {
-                    let above = erase_random_subset(below, &mut rng);
-                    if let Some(cx) = check_above(below, None, above, &mut samples) {
-                        return CellVerdict {
-                            meta,
-                            preserved: false,
-                            samples,
-                            counterexample: Some(cx),
-                        };
-                    }
-                }
-            }
+            let erase = |below: &Trace| {
+                let mut out = single_erasures(below);
+                out.extend((0..cfg.erasure_draws).map(|_| erase_random_subset(below, &mut rng)));
+                out
+            };
+            judge(prop, meta, rewrites(&pool, erase))
         }
         MetaKind::Composable => {
-            if pool.len() >= 2 {
-                for _ in 0..cfg.compose_pairs {
-                    let i = rng.random_range(0..pool.len());
-                    let j = rng.random_range(0..pool.len());
-                    let above = compose_disjoint(&pool[i], &pool[j]);
-                    // The relation requires both components to satisfy P —
-                    // the pool guarantees it.
-                    let (b1, b2) = (pool[i].clone(), pool[j].clone());
-                    if let Some(cx) = check_above(&b1, Some(&b2), above, &mut samples) {
-                        return CellVerdict {
-                            meta,
-                            preserved: false,
-                            samples,
-                            counterexample: Some(cx),
-                        };
-                    }
-                }
-            }
+            // The relation requires both components to satisfy P — the pool
+            // guarantees it.
+            let pairs = if pool.len() >= 2 { cfg.compose_pairs } else { 0 };
+            let compose = (0..pairs).map(|_| {
+                let (i, j) = (rng.random_range(0..pool.len()), rng.random_range(0..pool.len()));
+                (&pool[i], Some(&pool[j]), compose_disjoint(&pool[i], &pool[j]))
+            });
+            judge(prop, meta, compose)
         }
     }
-
-    CellVerdict { meta, preserved: true, samples, counterexample: None }
 }
 
-/// Where a Table-2 cell's expected value comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
-    /// The paper's prose states this cell explicitly (§5–§6).
-    Paper,
-    /// Derived by this checker; the published table's marks were lost in
-    /// the source text re-flow.
-    Derived,
-}
-
-/// One checked cell with its provenance.
+/// One checked cell.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// The checker's verdict.
     pub verdict: CellVerdict,
-    /// Whether the paper's prose pins this cell.
-    pub provenance: Provenance,
-    /// The prose-pinned value, when `provenance` is `Paper`.
+    /// The value the paper's prose states (§5–§6), or `None` for a cell the
+    /// checker derives: the published table's marks were lost in re-flow.
     pub paper_value: Option<bool>,
 }
 
@@ -343,8 +284,12 @@ fn pinned(property: &str, meta: MetaKind) -> Option<bool> {
     PAPER_PINNED.iter().find(|(p, m, _)| *p == property && *m == meta).map(|&(_, _, v)| v)
 }
 
-/// The standard (property, generators) pairing used to regenerate Table 2
-/// over a group of `n` processes.
+/// Table 1's eight properties over `n` processes, each with the generators
+/// of its Table-2 row ([`crate::props::standard_suite`] drops them).
+///
+/// Conventions used throughout the workspace's experiments: the *trusted*
+/// set is the even-numbered half of the group, and the *master* (for
+/// Prioritized Delivery) is process 0.
 pub fn property_gens(n: u16) -> Vec<(Box<dyn Property>, Vec<Box<dyn TraceGen>>)> {
     let group: Vec<ProcessId> = (0..n).map(ProcessId).collect();
     let trusted: Vec<ProcessId> = (0..n).filter(|i| i % 2 == 0).map(ProcessId).collect();
@@ -423,16 +368,7 @@ fn build_row(
         .iter()
         .map(|&meta| {
             let verdict = check_cell(prop.as_ref(), meta, &gen_refs, cfg);
-            let paper_value = pinned(prop.name(), meta);
-            Cell {
-                verdict,
-                provenance: if paper_value.is_some() {
-                    Provenance::Paper
-                } else {
-                    Provenance::Derived
-                },
-                paper_value,
-            }
+            Cell { verdict, paper_value: pinned(prop.name(), meta) }
         })
         .collect();
     Table2Row { property: prop.name().to_owned(), cells }

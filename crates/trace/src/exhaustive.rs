@@ -1,18 +1,18 @@
 //! Exhaustive (bounded) checking of the meta-property matrix.
 //!
-//! The randomized checker in [`crate::check`] samples generator output; this
-//! module instead enumerates **every** well-formed trace over a small event
-//! universe, and explores the **full closure** of each rewrite relation.
-//! Within the bound this is bounded model checking: a ✗ is a definitive
-//! counterexample, and a ✓ means *no* counterexample exists among all
-//! traces of the universe — the strongest evidence short of the paper's
-//! Nuprl proofs.
+//! The second candidate source for [`crate::check`]'s one judgement. Where
+//! [`crate::check::check_cell`] samples generator output, this module
+//! enumerates **every** well-formed trace over a small event universe and
+//! yields the **full closure** of each rewrite relation. Within the bound
+//! this is bounded model checking: a ✗ is a definitive counterexample, and
+//! a ✓ means *no* counterexample exists among all traces of the universe —
+//! the strongest evidence short of the paper's Nuprl proofs.
 //!
 //! A universe is a set of candidate events: one `Send` per message plus one
 //! `Deliver` per (process, message) pair. Traces are all ordered
 //! arrangements of distinct subsets up to a length bound.
 
-use crate::check::{CellVerdict, Counterexample};
+use crate::check::{judge, rewrites, CellVerdict};
 use crate::meta::{async_swap_sites, compose_disjoint, delayable_swap_sites, prefixes, MetaKind};
 use crate::props::Property;
 use crate::{Event, Message, ProcessId, Trace};
@@ -62,15 +62,15 @@ pub fn enumerate_traces(universe: &[Event], max_len: usize) -> Vec<Trace> {
 /// explored breadth-first (capped for safety; a trace of length L has at
 /// most L! permutations).
 pub fn swap_closure(tr: &Trace, sites: fn(&Trace) -> Vec<usize>, cap: usize) -> Vec<Trace> {
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut seen: HashSet<Trace> = HashSet::new();
     let mut queue: VecDeque<Trace> = VecDeque::new();
     let mut out = Vec::new();
-    seen.insert(tr.to_string());
+    seen.insert(tr.clone());
     queue.push_back(tr.clone());
     while let Some(cur) = queue.pop_front() {
         for i in sites(&cur) {
             let next = cur.swap_adjacent(i);
-            if seen.insert(next.to_string()) {
+            if seen.insert(next.clone()) {
                 out.push(next.clone());
                 if out.len() >= cap {
                     return out;
@@ -145,7 +145,9 @@ impl Default for ExhaustiveConfig {
     }
 }
 
-/// Exhaustively checks one cell over all traces of `universe`.
+/// Exhaustively checks one cell over all traces of `universe`: judges every
+/// satisfying trace's prefixes, swap closure, extensions or erasures, or
+/// the first `max_pairs` ordered pairs of them for Composable.
 pub fn check_cell_exhaustive(
     prop: &dyn Property,
     meta: MetaKind,
@@ -154,87 +156,24 @@ pub fn check_cell_exhaustive(
 ) -> CellVerdict {
     let pool: Vec<Trace> =
         enumerate_traces(universe, cfg.max_len).into_iter().filter(|tr| prop.holds(tr)).collect();
-    let mut samples = 0usize;
-
-    fn fail(
-        meta: MetaKind,
-        samples: usize,
-        below: &Trace,
-        second: Option<&Trace>,
-        above: Trace,
-    ) -> CellVerdict {
-        CellVerdict {
-            meta,
-            preserved: false,
-            samples,
-            counterexample: Some(Counterexample {
-                below: below.clone(),
-                second_below: second.cloned(),
-                above,
-            }),
-        }
-    }
-
     match meta {
-        MetaKind::Safety => {
-            for below in &pool {
-                for above in prefixes(below) {
-                    samples += 1;
-                    if !prop.holds(&above) {
-                        return fail(meta, samples, below, None, above);
-                    }
-                }
-            }
-        }
+        MetaKind::Safety => judge(prop, meta, rewrites(&pool, prefixes)),
         MetaKind::Asynchrony | MetaKind::Delayable => {
             let sites =
                 if meta == MetaKind::Asynchrony { async_swap_sites } else { delayable_swap_sites };
-            for below in &pool {
-                for above in swap_closure(below, sites, cfg.closure_cap) {
-                    samples += 1;
-                    if !prop.holds(&above) {
-                        return fail(meta, samples, below, None, above);
-                    }
-                }
-            }
+            judge(prop, meta, rewrites(&pool, |below| swap_closure(below, sites, cfg.closure_cap)))
         }
         MetaKind::SendEnabled => {
-            for below in &pool {
-                for above in all_extensions(below, &cfg.extension_msgs) {
-                    samples += 1;
-                    if !prop.holds(&above) {
-                        return fail(meta, samples, below, None, above);
-                    }
-                }
-            }
+            judge(prop, meta, rewrites(&pool, |below| all_extensions(below, &cfg.extension_msgs)))
         }
-        MetaKind::Memoryless => {
-            for below in &pool {
-                for above in all_erasures(below) {
-                    samples += 1;
-                    if !prop.holds(&above) {
-                        return fail(meta, samples, below, None, above);
-                    }
-                }
-            }
-        }
+        MetaKind::Memoryless => judge(prop, meta, rewrites(&pool, all_erasures)),
         MetaKind::Composable => {
-            'outer: for (i, a) in pool.iter().enumerate() {
-                for b in &pool {
-                    if samples >= cfg.max_pairs {
-                        break 'outer;
-                    }
-                    samples += 1;
-                    let above = compose_disjoint(a, b);
-                    if !prop.holds(&above) {
-                        return fail(meta, samples, a, Some(b), above);
-                    }
-                }
-                let _ = i;
-            }
+            let pairs = pool
+                .iter()
+                .flat_map(|a| pool.iter().map(move |b| (a, Some(b), compose_disjoint(a, b))));
+            judge(prop, meta, pairs.take(cfg.max_pairs))
         }
     }
-    CellVerdict { meta, preserved: true, samples, counterexample: None }
 }
 
 #[cfg(test)]

@@ -19,11 +19,6 @@ impl Confidentiality {
     pub fn new(trusted: impl IntoIterator<Item = ProcessId>) -> Self {
         Self { trusted: trusted.into_iter().collect() }
     }
-
-    /// Whether `p` is trusted.
-    pub fn is_trusted(&self, p: ProcessId) -> bool {
-        self.trusted.contains(&p)
-    }
 }
 
 impl Property for Confidentiality {

@@ -32,7 +32,7 @@ pub use reliability::Reliability;
 pub use total_order::TotalOrder;
 pub use vsync::VirtualSynchrony;
 
-use crate::{ProcessId, Trace};
+use crate::Trace;
 use std::fmt;
 
 /// A predicate on traces — the paper's notion of a communication property
@@ -50,24 +50,11 @@ pub trait Property: fmt::Debug {
 }
 
 /// Builds the paper's full Table-1 property suite over a group of `n`
-/// processes.
-///
-/// Conventions used throughout the workspace's experiments: the *trusted*
-/// set is the even-numbered half of the group, and the *master* (for
-/// Prioritized Delivery) is process 0.
+/// processes: the properties of [`crate::check::property_gens`], which
+/// states the conventions (trusted set, master) once, so Table 2's rows and
+/// every other use of the suite read the same list.
 pub fn standard_suite(n: u16) -> Vec<Box<dyn Property>> {
-    let group: Vec<ProcessId> = (0..n).map(ProcessId).collect();
-    let trusted: Vec<ProcessId> = (0..n).filter(|i| i % 2 == 0).map(ProcessId).collect();
-    vec![
-        Box::new(Reliability::new(group.clone())),
-        Box::new(TotalOrder),
-        Box::new(Integrity::new(trusted.clone())),
-        Box::new(Confidentiality::new(trusted)),
-        Box::new(NoReplay),
-        Box::new(PrioritizedDelivery::new(ProcessId(0))),
-        Box::new(Amoeba),
-        Box::new(VirtualSynchrony::new(group)),
-    ]
+    crate::check::property_gens(n).into_iter().map(|(prop, _)| prop).collect()
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use std::fmt;
 /// assert_eq!(tr.len(), 2);
 /// assert_eq!(tr.deliveries_of(m.id).count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Trace {
     events: Vec<Event>,
 }

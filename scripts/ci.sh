@@ -97,13 +97,13 @@ size_ceiling() {
         END { exit (found && !over) ? 0 : 1 }'
 }
 size_ceiling ps-core 2004 85
-size_ceiling ps-harness 4492 244
+size_ceiling ps-harness 4489 244
 size_ceiling ps-net 637 16
 size_ceiling ps-obs 3188 195
 size_ceiling ps-simnet 1936 118
 size_ceiling ps-stack 1458 105
-size_ceiling ps-trace 2528 148
-size_ceiling total 21722 1178
+size_ceiling ps-trace 2380 144
+size_ceiling total 21567 1173
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
