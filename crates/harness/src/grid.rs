@@ -845,8 +845,10 @@ pub(crate) fn campaign(ask: &Ask) -> Artefacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor_run::FAULT_NODE;
-    use ps_obs::ViolationKind;
+    use crate::monitor_run::{self, MonitorRunConfig, FAULT_NODE};
+    use ps_obs::{Recorder, ViolationKind};
+    use ps_stack::Driver;
+    use ps_trace::props::{self, Property};
 
     fn find<S>(cells: Vec<Cell<S>>, name: &str) -> Cell<S> {
         cells.into_iter().find(|c| c.name == name).expect("the list has the cell")
@@ -963,5 +965,45 @@ mod tests {
         assert_eq!(r.violations[0].node, u32::from(FAULT_NODE));
         let pm = r.postmortem.as_ref().expect("a failed cell carries its post-mortem");
         assert_eq!(pm.reason, "monitor_violation: steady/seq/none");
+    }
+
+    /// Whether a run breaks total order and whether it loses a delivery,
+    /// as the monitors judged it and as ps-trace's definitions judge its
+    /// application trace.
+    fn verdicts(r: &RunOutcome) -> [(bool, bool); 2] {
+        let seen = |kind| r.violations.iter().any(|v| v.kind == kind);
+        let tr = r.driver.app_trace();
+        let reliability = props::Reliability::new(r.driver.group().iter().copied());
+        [
+            (seen(ViolationKind::TotalOrder), seen(ViolationKind::DeliveryLoss)),
+            (!props::TotalOrder.holds(&tr), !reliability.holds(&tr)),
+        ]
+    }
+
+    /// The monitors against the properties they stand for, on every quick
+    /// chaos cell, every quick campaign cell with the seeded fault armed,
+    /// and the quick monitor run with and without its fault. A
+    /// disagreement is a finding about one side or the other.
+    #[test]
+    fn the_monitors_agree_with_the_trace_properties() {
+        if !Recorder::with_capacity(1).is_enabled() {
+            return; // tap feature off: the monitors are never fed
+        }
+        let runner = SweepRunner::new(2);
+        let mut campaign = campaign_quick();
+        seed_fault(&mut campaign);
+        let mut runs = runner.run(chaos_quick(), |_, c| (c.name, verdicts(&play_chaos(&c.spec).0)));
+        runs.extend(runner.run(campaign, |_, c| (c.name, verdicts(&play_campaign(&c.spec).0))));
+        for inject_fault in [false, true] {
+            let cfg = MonitorRunConfig { inject_fault, ..MonitorRunConfig::quick() };
+            runs.push((format!("monitor/fault={inject_fault}"), verdicts(&monitor_run::run(&cfg))));
+        }
+        assert_eq!(runs.len(), 4 + 72 + 2);
+        for (name, [monitors, trace]) in &runs {
+            assert_eq!(monitors, trace, "{name}: (total order, delivery loss) monitors vs trace");
+        }
+        let violating: Vec<&str> =
+            runs.iter().filter(|(_, [m, _])| m.0 || m.1).map(|(name, _)| name.as_str()).collect();
+        assert_eq!(violating, ["steady/seq/none", "monitor/fault=true"]);
     }
 }

@@ -4,7 +4,7 @@
 //! Runs the same scenario as `repro monitor` with an enabled
 //! [`ps_prof::Profiler`] attached: the engine (dispatch, event queue,
 //! medium transmit, load sampling), every protocol layer, and the
-//! observability dispatch (recording, per-sink fan-out) attribute their
+//! observability work (recording, feeding the monitors) attribute their
 //! wall-clock cost into fixed-path spans. The per-component table and
 //! collapsed-stack flamegraph come straight from the profiler.
 //!

@@ -271,6 +271,7 @@ impl NodeThread {
                 .map(|at| Duration::from_micros(at.saturating_sub(since(self.epoch)).as_micros()))
                 .unwrap_or(MAX_WAIT)
                 .clamp(Duration::from_micros(200), MAX_WAIT);
+            // Fails only on a zero duration, and `wait` is at least 200 µs.
             self.socket.set_read_timeout(Some(wait)).expect("set_read_timeout");
             match self.socket.recv_from(&mut buf) {
                 Ok((n, _addr)) => match dgram::decode(&buf[..n]) {
@@ -288,14 +289,21 @@ impl NodeThread {
                     }
                     Err(_) => self.malformed += 1,
                 },
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                Err(e) if wait_ended(e.kind()) => {}
                 Err(e) => panic!("recv_from failed on {}: {e}", self.me),
             }
         }
         self.malformed
     }
+}
+
+/// Whether a failed receive only says the wait ended with nothing read:
+/// the read timeout ran out (`WouldBlock` on Unix, `TimedOut` on
+/// Windows), or a signal handler ran — `recvfrom` on a socket with a
+/// receive timeout is never restarted after one (signal(7)).
+fn wait_ended(kind: std::io::ErrorKind) -> bool {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(kind, WouldBlock | TimedOut | Interrupted)
 }
 
 /// A group of processes over UDP loopback, one OS thread and one socket
@@ -336,7 +344,7 @@ impl UdpGroup {
     /// # Panics
     ///
     /// Panics if the spec has no stack factory, a scheduled sender is out
-    /// of range, or a socket cannot bind.
+    /// of range, a socket cannot bind, or the OS refuses a thread.
     pub fn launch(spec: GroupSpec, cfg: NetConfig) -> Self {
         let factory = spec.factory.as_ref().expect("GroupSpec requires a stack_factory");
         let group = spec.group();
@@ -441,8 +449,8 @@ impl UdpGroup {
     }
 
     /// Stops every node thread (and the sampler), joins them, and returns
-    /// the per-process tallies. Call after [`Driver::run_until`] — the
-    /// results surface any node-thread panic.
+    /// the per-process tallies. Call after [`Driver::run_until`]. A node
+    /// or sampler thread's panic is re-raised here.
     pub fn shutdown(mut self) -> NetReport {
         self.stop.store(true, Ordering::Relaxed);
         let malformed_per_process =
@@ -513,6 +521,17 @@ impl Driver for UdpGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_interrupted_receive_is_an_ended_wait() {
+        use std::io::ErrorKind::*;
+        for kind in [WouldBlock, TimedOut, Interrupted] {
+            assert!(wait_ended(kind), "{kind:?}");
+        }
+        for kind in [ConnectionRefused, PermissionDenied, InvalidInput, Other] {
+            assert!(!wait_ended(kind), "{kind:?}");
+        }
+    }
 
     fn spec(n: u16) -> GroupSpec {
         GroupSpec::new(n).seed(9).stack_factory(|_, _, _| Stack::new(vec![]))

@@ -70,70 +70,6 @@ impl SpPhase {
     }
 }
 
-/// Coarse event-kind bitmask, the vocabulary of sink interest filtering.
-///
-/// Each [`ObsEvent`] variant belongs to exactly one kind (see
-/// [`ObsEvent::kind`]). A sink declares the kinds it consumes via
-/// [`EventSink::interest`](crate::EventSink::interest); the recorder skips
-/// dispatch entirely for events no subscriber wants — a monitor that only
-/// reads app-level events never sees frame-level traffic.
-///
-/// # Examples
-///
-/// ```
-/// use ps_obs::{EventMask, ObsEvent};
-///
-/// let m = EventMask::APP | EventMask::SWITCH;
-/// assert!(m.intersects(ObsEvent::AppSend { sender: 0, seq: 1 }.kind()));
-/// assert!(!m.intersects(ObsEvent::FrameDrop { copies: 1 }.kind()));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventMask(u16);
-
-impl EventMask {
-    /// No kinds — the empty interest (never dispatched to).
-    pub const NONE: EventMask = EventMask(0);
-    /// Frame-level traffic: `FrameSend`, `FrameDeliver`, `FrameDrop`.
-    pub const FRAME: EventMask = EventMask(1 << 0);
-    /// CPU queueing: `CpuEnqueue`, `CpuDequeue`.
-    pub const CPU: EventMask = EventMask(1 << 1);
-    /// Timer firings: `TimerFire`.
-    pub const TIMER: EventMask = EventMask(1 << 2);
-    /// Layer handler spans: `LayerSpan`.
-    pub const LAYER: EventMask = EventMask(1 << 3);
-    /// Switching-protocol phases: `SwitchPhase`.
-    pub const SWITCH: EventMask = EventMask(1 << 4);
-    /// Application-level send/deliver: `AppSend`, `AppDeliver`.
-    pub const APP: EventMask = EventMask(1 << 5);
-    /// Node lifecycle: `NodeCrash`, `NodeRecover`.
-    pub const LIFECYCLE: EventMask = EventMask(1 << 6);
-    /// Every kind — the default sink interest.
-    pub const ALL: EventMask = EventMask(0x7f);
-
-    /// Whether the two masks share any kind.
-    pub const fn intersects(self, other: EventMask) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Whether every kind in `other` is in `self`.
-    pub const fn contains(self, other: EventMask) -> bool {
-        self.0 & other.0 == other.0
-    }
-}
-
-impl std::ops::BitOr for EventMask {
-    type Output = EventMask;
-    fn bitor(self, rhs: EventMask) -> EventMask {
-        EventMask(self.0 | rhs.0)
-    }
-}
-
-impl std::ops::BitOrAssign for EventMask {
-    fn bitor_assign(&mut self, rhs: EventMask) {
-        self.0 |= rhs.0;
-    }
-}
-
 /// One recorded occurrence. All variants are fixed-size and `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
@@ -177,8 +113,7 @@ pub enum ObsEvent {
     /// Written when the handler is entered — its id is the causal context
     /// of everything the handler emits — and closed in place when it
     /// returns (see [`Writer::open_span`](crate::Writer::open_span)): the
-    /// close stores the duration into the record. Sinks see the record at
-    /// open, with `dur_us` 0.
+    /// close stores the duration into the record.
     LayerSpan {
         /// `Layer::name()` of the handler's layer.
         layer: &'static str,
@@ -227,23 +162,6 @@ pub enum ObsEvent {
         /// Incarnation number the node is entering.
         incarnation: u32,
     },
-}
-
-impl ObsEvent {
-    /// The [`EventMask`] kind this event belongs to (exactly one bit set).
-    pub const fn kind(&self) -> EventMask {
-        match self {
-            ObsEvent::FrameSend { .. }
-            | ObsEvent::FrameDeliver { .. }
-            | ObsEvent::FrameDrop { .. } => EventMask::FRAME,
-            ObsEvent::CpuEnqueue { .. } | ObsEvent::CpuDequeue { .. } => EventMask::CPU,
-            ObsEvent::TimerFire { .. } => EventMask::TIMER,
-            ObsEvent::LayerSpan { .. } => EventMask::LAYER,
-            ObsEvent::SwitchPhase { .. } => EventMask::SWITCH,
-            ObsEvent::AppSend { .. } | ObsEvent::AppDeliver { .. } => EventMask::APP,
-            ObsEvent::NodeCrash { .. } | ObsEvent::NodeRecover { .. } => EventMask::LIFECYCLE,
-        }
-    }
 }
 
 /// Identity of a recorded event, usable as a causal parent link.
@@ -349,33 +267,6 @@ mod tests {
         assert!(SpPhase::DrainComplete < SpPhase::Flip);
         assert!(SpPhase::Flip < SpPhase::BufferRelease);
         assert!(SpPhase::BufferRelease < SpPhase::Aborted, "abort sorts after the happy path");
-    }
-
-    #[test]
-    fn every_event_has_exactly_one_kind_bit_inside_all() {
-        let events = [
-            ObsEvent::FrameSend { bytes: 1, copies: 1 },
-            ObsEvent::FrameDeliver { src: 0, bytes: 1 },
-            ObsEvent::FrameDrop { copies: 1 },
-            ObsEvent::CpuEnqueue { depth: 1 },
-            ObsEvent::CpuDequeue { depth: 0 },
-            ObsEvent::TimerFire { token: 1 },
-            ObsEvent::LayerSpan { layer: "fifo", dir: LayerDir::Down, dur_us: 0 },
-            ObsEvent::SwitchPhase { phase: SpPhase::Flip, from: 0, to: 1 },
-            ObsEvent::AppSend { sender: 0, seq: 1 },
-            ObsEvent::AppDeliver { sender: 0, seq: 1 },
-            ObsEvent::NodeCrash { incarnation: 0 },
-            ObsEvent::NodeRecover { incarnation: 1 },
-        ];
-        for e in events {
-            let k = e.kind();
-            assert!(EventMask::ALL.contains(k), "{e:?} outside ALL");
-            assert!(k.0.count_ones() == 1, "{e:?} must map to one kind");
-            assert!(k.intersects(k));
-        }
-        assert!(!EventMask::NONE.intersects(EventMask::ALL));
-        assert!((EventMask::APP | EventMask::SWITCH).contains(EventMask::APP));
-        assert!(!(EventMask::APP | EventMask::SWITCH).contains(EventMask::FRAME));
     }
 
     #[test]

@@ -35,10 +35,4 @@ impl<T: Default> IdTable<T> {
             self.spill.entry(id).or_default()
         }
     }
-
-    /// Forgets every slot.
-    pub(crate) fn clear(&mut self) {
-        self.dense.clear();
-        self.spill.clear();
-    }
 }

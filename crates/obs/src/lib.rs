@@ -1,15 +1,15 @@
 //! # ps-obs
 //!
 //! Observability for the protocol-switching stack: a zero-alloc
-//! ring-buffer event [`Recorder`] with a streaming [`EventSink`] API,
-//! online property monitors ([`MonitorSet`]), a virtual-time load sampler
+//! ring-buffer event [`Recorder`] that feeds the attached online property
+//! monitors ([`MonitorSet`]) as it records, a virtual-time load sampler
 //! ([`MetricsSampler`]), and exporters for JSON-lines dumps, Chrome
 //! `trace_event` files, and per-process switch-phase timelines.
 //!
 //! This crate sits near the bottom of the workspace dependency graph —
 //! the simulator, stack, and switching layer all record into it — so it
-//! depends only on `ps-prof` (the host-time profiler it opens dispatch
-//! spans on) and speaks in raw microseconds (`u64`) and node ids (`u32`)
+//! depends only on `ps-prof` (the host-time profiler it opens record and
+//! monitor spans on) and speaks in raw microseconds (`u64`) and node ids (`u32`)
 //! rather than simulator types.
 //!
 //! ## The contract
@@ -54,9 +54,9 @@ pub use causal::{
     attribution_table, parse_jsonl, CausalGraph, CausalSlice, CriticalPath, ParsedTrace,
     PhaseAttribution,
 };
-pub use event::{CauseId, EventMask, LayerDir, ObsEvent, SpPhase, TimedEvent};
+pub use event::{CauseId, LayerDir, ObsEvent, SpPhase, TimedEvent};
 pub use monitor::{MonitorSet, Violation, ViolationKind};
 pub use postmortem::{PostmortemBundle, DEFAULT_K_HOPS};
-pub use recorder::{EventSink, OpenSpan, Recorder, Writer};
+pub use recorder::{OpenSpan, Recorder, Writer};
 pub use sample::{LoadSample, MetricsSampler, SeriesSummary};
 pub use timeline::{check_well_nested, switch_timeline, SwitchInterval};

@@ -1,10 +1,10 @@
 //! Streaming property monitors: online checks over the live event stream.
 //!
-//! A [`MonitorSet`] subscribes to a [`Recorder`] as one [`EventSink`], so
-//! it observes *every* event at record time — unlike post-hoc trace
-//! analysis, it is immune to ring wrap-around. The set is a clonable
-//! handle sharing one state behind one lock: subscribe one clone, keep
-//! another to read [`Violation`]s after the run.
+//! A [`Recorder`] feeds the attached [`MonitorSet`] *every* app and switch
+//! event at record time — unlike post-hoc trace analysis, the set is
+//! immune to ring wrap-around. The set is a clonable handle sharing one
+//! state behind one lock: attach one clone, keep another to read
+//! [`Violation`]s after the run.
 //!
 //! It runs the four checks of the properties the paper's switching layer
 //! must preserve (see DESIGN.md §"Monitors"):
@@ -22,9 +22,9 @@
 //! A [`Violation`] carries the offending events as context, so a report
 //! can show *which* deliveries disagreed, not just that they did.
 
-use crate::event::{EventMask, ObsEvent, SpPhase, TimedEvent};
+use crate::event::{ObsEvent, SpPhase, TimedEvent};
 use crate::ids::IdTable;
-use crate::recorder::{EventSink, Recorder};
+use crate::recorder::Recorder;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -421,8 +421,9 @@ struct Checks {
 
 /// The standard monitors: total order, FIFO, delivery accounting, and
 /// switch liveness, attached and read as one unit. Clones share one
-/// state; the set is the one [`EventSink`] it subscribes, so a recorded
-/// event costs one interest test, one dynamic call and one lock.
+/// state; the recorder feeds the attached set directly, so a recorded
+/// app or switch event costs one match and one lock, any other event one
+/// match.
 ///
 /// # Examples
 ///
@@ -460,10 +461,25 @@ impl MonitorSet {
         self.checks.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Subscribes a clone of the set to `rec` (it shares state with
-    /// `self`). Events outside `APP | SWITCH` never reach it.
+    /// Has `rec` feed a clone of the set (it shares state with `self`)
+    /// every `AppSend`, `AppDeliver` and `SwitchPhase` it records. A
+    /// disabled recorder feeds it nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `rec` already feeds a set: one of the two would stop being fed
+    /// and report a clean run.
     pub fn attach(&self, rec: &Recorder) {
-        rec.subscribe(Box::new(self.clone()));
+        rec.feed(self.clone());
+    }
+
+    /// Runs the four checks on one event.
+    pub(crate) fn observe(&self, ev: &TimedEvent) {
+        let mut c = self.lock();
+        c.total_order.observe(ev);
+        c.fifo.observe(ev);
+        c.delivery.observe(ev);
+        c.liveness.observe(ev);
     }
 
     /// Distinct messages sent so far.
@@ -488,22 +504,6 @@ impl MonitorSet {
         out.extend(c.liveness.finish());
         out.sort_by_key(|v| (v.at_us, v.node, v.kind));
         out
-    }
-}
-
-impl EventSink for MonitorSet {
-    fn on_event(&mut self, ev: &TimedEvent) {
-        let mut c = self.lock();
-        c.total_order.observe(ev);
-        c.fifo.observe(ev);
-        c.delivery.observe(ev);
-        c.liveness.observe(ev);
-    }
-    fn interest(&self) -> EventMask {
-        EventMask::APP | EventMask::SWITCH
-    }
-    fn name(&self) -> &'static str {
-        "monitors"
     }
 }
 
@@ -756,11 +756,19 @@ mod tests {
 
     #[test]
     fn clean_stream_finishes_empty() {
-        let mut set = MonitorSet::standard(2, 1_000_000);
-        set.on_event(&send(1, 0, 1));
+        let set = MonitorSet::standard(2, 1_000_000);
+        set.observe(&send(1, 0, 1));
         for node in 0..2u32 {
-            set.on_event(&deliver(5, node, 0, 1));
+            set.observe(&deliver(5, node, 0, 1));
         }
         assert!(set.finish().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "already feeds a MonitorSet")]
+    fn a_recorder_feeds_one_set() {
+        let rec = Recorder::with_capacity(8);
+        MonitorSet::standard(2, 1_000).attach(&rec);
+        MonitorSet::standard(2, 1_000).attach(&rec);
     }
 }

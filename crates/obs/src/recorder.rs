@@ -19,55 +19,21 @@
 //!   stack call) opens one session for it and lends that down the stack —
 //!   see [`Recorder::writer`] for what must not be called meanwhile.
 //! - **One record per layer span, closed in place** by the same session
-//!   ([`Writer::open_span`] / [`Writer::close_span`]); sinks see it once,
-//!   at open.
+//!   ([`Writer::open_span`] / [`Writer::close_span`]).
+//! - **The recorder feeds the attached [`MonitorSet`]** every app and
+//!   switch event at record time, before ring placement, so the monitors
+//!   see the whole stream however small the ring.
 //! - **Deterministic.** Event order is the host's call order; timestamps
 //!   are the host's virtual clock. Nothing here reads wall-clock time, so
 //!   same-seed runs snapshot byte-identical event sequences.
 
-use crate::event::{CauseId, EventMask, LayerDir, ObsEvent, TimedEvent};
+use crate::event::{CauseId, LayerDir, ObsEvent, TimedEvent};
 use crate::ids::IdTable;
+use crate::monitor::MonitorSet;
 use ps_prof::Profiler;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
-
-/// A streaming consumer of recorded events.
-///
-/// Sinks subscribed via [`Recorder::subscribe`] see every event at record
-/// time, *before* ring placement — so a sink observes the complete event
-/// stream even when the ring wraps and evicts history. Online property
-/// monitors (see [`crate::monitor`]) are the intended implementors.
-///
-/// A disabled recorder forwards nothing: the zero-overhead contract is
-/// unchanged, sinks included.
-pub trait EventSink: Send {
-    /// Called once per recorded event, in record order.
-    fn on_event(&mut self, ev: &TimedEvent);
-
-    /// The event kinds this sink consumes (default: everything).
-    ///
-    /// Sampled once at [`Recorder::subscribe`]: the recorder caches the
-    /// mask and never dispatches events outside it, and events no
-    /// subscriber wants skip the dispatch loop entirely — a monitor that
-    /// only reads app/switch events costs nothing on frame traffic.
-    fn interest(&self) -> EventMask {
-        EventMask::ALL
-    }
-
-    /// Short static name, used as the sink's profiler span label
-    /// (`obs/sinks/<name>`). Sampled once at subscribe time.
-    fn name(&self) -> &'static str {
-        "sink"
-    }
-}
-
-/// A subscribed sink plus its subscribe-time-cached interest and name.
-struct SinkEntry {
-    sink: Box<dyn EventSink>,
-    mask: EventMask,
-    name: &'static str,
-}
 
 struct Ring {
     /// Event storage; grows (by pushes) only until it reaches `cap`.
@@ -78,13 +44,10 @@ struct Ring {
     next: usize,
     /// Events overwritten after the ring filled (oldest-first).
     overwritten: u64,
-    /// Streaming subscribers; fed under the same lock as the ring so sinks
-    /// observe exactly the record order.
-    sinks: Vec<SinkEntry>,
-    /// Union of all subscribed interests — the one-test early-out that
-    /// skips the dispatch loop for events nobody wants.
-    sink_union: EventMask,
-    /// Host-time profiler for `obs/record` / `obs/sinks/*` spans; only an
+    /// The attached monitors ([`MonitorSet::attach`]); fed under the same
+    /// lock as the ring so they observe exactly the record order.
+    monitors: Option<MonitorSet>,
+    /// Host-time profiler for `obs/record` / `obs/sinks/monitors` spans; only an
     /// *enabled* profiler is ever stored (see [`Recorder::set_prof`]).
     prof: Option<Profiler>,
     /// Per-node causal sequence counters (last seq issued). Grows on a
@@ -101,22 +64,19 @@ impl Ring {
         *seq
     }
 
-    /// Feeds sinks and places `e` in the ring, returning its slot (the
-    /// record-order critical section; callers hold the lock via `&mut
+    /// Feeds the monitors and places `e` in the ring, returning its slot
+    /// (the record-order critical section; callers hold the lock via `&mut
     /// self`). `prof` is the caller's clone of `self.prof`.
     #[inline]
     fn push(&mut self, e: TimedEvent, prof: Option<&Profiler>) -> usize {
-        // Sinks first: they must see the event even if the ring write
-        // below evicts older history (streaming beats the ring). The
-        // cached union mask skips the loop when no subscriber cares.
-        let kind = e.ev.kind();
-        if self.sink_union.intersects(kind) {
-            for entry in self.sinks.iter_mut() {
-                if entry.mask.intersects(kind) {
-                    let path = ["obs", "sinks", entry.name];
-                    let _sp = prof.map(|p| p.span(&path));
-                    entry.sink.on_event(&e);
-                }
+        // The monitors first: they must see the event even if the ring
+        // write below evicts older history (streaming beats the ring).
+        // They read app and switch events only.
+        if let Some(monitors) = &self.monitors {
+            use ObsEvent::{AppDeliver, AppSend, SwitchPhase};
+            if matches!(e.ev, AppSend { .. } | AppDeliver { .. } | SwitchPhase { .. }) {
+                let _sp = prof.map(|p| p.span(&["obs", "sinks", "monitors"]));
+                monitors.observe(&e);
             }
         }
         // Until the ring fills, `next` is also its length.
@@ -208,8 +168,7 @@ impl Recorder {
                     cap: capacity,
                     next: 0,
                     overwritten: 0,
-                    sinks: Vec::new(),
-                    sink_union: EventMask::NONE,
+                    monitors: None,
                     prof: None,
                     seqs: IdTable::default(),
                 })),
@@ -256,13 +215,13 @@ impl Recorder {
     ///
     /// While a session is alive, every other use of this ring —
     /// [`Recorder::record`] and friends, `snapshot`, `len`, `is_empty`,
-    /// `overwritten`, `clear`, `subscribe`, `set_prof`, `set_enabled`,
+    /// `overwritten`, `set_prof`, `set_enabled`, [`MonitorSet::attach`],
     /// another `writer()` — blocks until it is dropped;
     /// on the *same* thread that is a self-deadlock. Hosts therefore
     /// hand the session itself (not the recorder) to the code they call,
     /// and read the ring only between sessions (after `run_until`).
-    /// Sinks are fed under the lock, as they always were, and must not
-    /// call back into their recorder. (`{:?}` never blocks.)
+    /// The recorder feeds the attached [`MonitorSet`] under the same
+    /// lock. (`{:?}` never blocks.)
     #[inline]
     pub fn writer(&self) -> Option<Writer<'_>> {
         self.is_enabled().then(|| Writer { ring: self.lock() })
@@ -309,44 +268,28 @@ impl Recorder {
         self.with_ring(|r| r.buf.len())
     }
 
-    /// Whether nothing has been recorded (or everything cleared).
+    /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.with_ring(|r| r.buf.is_empty())
     }
 
-    /// Events lost to ring wrap-around since construction or last clear.
+    /// Events lost to ring wrap-around since construction.
     pub fn overwritten(&self) -> u64 {
         self.with_ring(|r| r.overwritten)
     }
 
-    /// Empties the ring and resets the per-node causal seq counters
-    /// (capacity, enabled flag, and subscribers are kept).
-    pub fn clear(&self) {
+    /// Starts feeding `monitors`; panics if a set is already fed (see
+    /// [`MonitorSet::attach`]).
+    pub(crate) fn feed(&self, monitors: MonitorSet) {
         self.with_ring(|ring| {
-            ring.buf.clear();
-            ring.next = 0;
-            ring.overwritten = 0;
-            ring.seqs.clear();
-        });
-    }
-
-    /// Attaches a streaming [`EventSink`]: from now on it sees every
-    /// recorded event at record time, immune to ring wrap-around.
-    ///
-    /// Monitors are typically clonable handles — subscribe one clone and
-    /// keep the other to read results after the run. Subscribing to a
-    /// disabled recorder is allowed but the sink will never fire.
-    pub fn subscribe(&self, sink: Box<dyn EventSink>) {
-        let mask = sink.interest();
-        let name = sink.name();
-        self.with_ring(|ring| {
-            ring.sink_union |= mask;
-            ring.sinks.push(SinkEntry { sink, mask, name });
+            assert!(ring.monitors.is_none(), "this recorder already feeds a MonitorSet");
+            ring.monitors = Some(monitors);
         });
     }
 
     /// Attaches a host-time profiler: every `record*` call opens an
-    /// `obs/record` span and each sink dispatch opens `obs/sinks/<name>`.
+    /// `obs/record` span and each event fed to the attached
+    /// [`MonitorSet`] opens `obs/sinks/monitors`.
     /// A disabled profiler is ignored — the recording hot path only ever
     /// pays for a profiler that is actually collecting.
     pub fn set_prof(&self, prof: &Profiler) {
@@ -389,7 +332,7 @@ impl Writer<'_> {
     /// Records the [`ObsEvent::LayerSpan`] of a handler call being entered
     /// (`dur_us` 0 until [`Writer::close_span`]). Its
     /// [`OpenSpan::id`] is the causal context of everything the handler
-    /// emits; sinks are fed the record now.
+    /// emits.
     #[inline]
     pub fn open_span(
         &self,
@@ -417,8 +360,8 @@ impl Writer<'_> {
         }
     }
 
-    /// The one live record path: mints the seq, feeds sinks, places the
-    /// event, and says where it went.
+    /// The one live record path: mints the seq, feeds the monitors,
+    /// places the event, and says where it went.
     #[inline]
     fn place(&self, at_us: u64, node: u32, parent: CauseId, ev: ObsEvent) -> OpenSpan {
         let mut ring = self.ring.borrow_mut();
@@ -518,56 +461,8 @@ mod tests {
             let r2 = r.clone();
             r.record(1, 0, ev(1));
             assert_eq!(r2.len(), 1);
-            r2.clear();
-            assert!(r.is_empty());
-        }
-
-        /// Counting sink sharing its tally through an `Arc`.
-        struct CountSink(std::sync::Arc<std::sync::Mutex<Vec<u64>>>);
-        impl EventSink for CountSink {
-            fn on_event(&mut self, ev: &TimedEvent) {
-                self.0.lock().unwrap().push(ev.at_us);
-            }
-        }
-
-        #[test]
-        fn sink_on_a_tiny_ring_still_sees_every_event() {
-            // The ring holds 4 events; the sink must observe all 100.
-            let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let r = Recorder::with_capacity(4);
-            r.subscribe(Box::new(CountSink(seen.clone())));
-            for i in 0..100u64 {
-                r.record(i, 0, ev(i));
-            }
-            assert_eq!(r.len(), 4);
-            assert_eq!(r.overwritten(), 96);
-            let seen = seen.lock().unwrap();
-            assert_eq!(seen.len(), 100, "sink missed events the ring evicted");
-            assert_eq!(seen.iter().copied().collect::<Vec<_>>(), (0..100).collect::<Vec<_>>());
-        }
-
-        #[test]
-        fn disabled_recorder_never_feeds_sinks() {
-            let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let r = Recorder::with_capacity(8);
-            r.subscribe(Box::new(CountSink(seen.clone())));
-            r.set_enabled(false);
-            r.record(1, 0, ev(1));
-            assert!(seen.lock().unwrap().is_empty());
-            r.set_enabled(true);
-            r.record(2, 0, ev(2));
-            assert_eq!(seen.lock().unwrap().len(), 1);
-        }
-
-        #[test]
-        fn sinks_survive_clear() {
-            let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let r = Recorder::with_capacity(8);
-            r.subscribe(Box::new(CountSink(seen.clone())));
-            r.record(1, 0, ev(1));
-            r.clear();
-            r.record(2, 0, ev(2));
-            assert_eq!(seen.lock().unwrap().len(), 2);
+            r2.record(2, 0, ev(2));
+            assert_eq!(r.len(), 2);
         }
 
         #[test]
@@ -586,31 +481,12 @@ mod tests {
         }
 
         #[test]
-        fn clear_resets_causal_counters() {
-            let r = Recorder::with_capacity(8);
-            r.record(1, 0, ev(1));
-            r.record(2, 0, ev(2));
-            r.clear();
-            assert_eq!(r.record(3, 0, ev(3)), CauseId::new(0, 1));
-        }
-
-        /// Sink logging `(node, seq, at_us)` of what it is fed, in order.
-        struct OrderSink(std::sync::Arc<std::sync::Mutex<Vec<(u32, u32, u64)>>>);
-        impl EventSink for OrderSink {
-            fn on_event(&mut self, ev: &TimedEvent) {
-                self.0.lock().unwrap().push((ev.node, ev.seq, ev.at_us));
-            }
-        }
-
-        #[test]
         fn a_session_records_exactly_what_single_records_would() {
             // The same 40 calls twice: all through `record*`, and in
             // bursts through `writer()` with single records in between.
             // A ring of 16 wraps, so `overwritten` is compared too.
             let run = |bursts: bool| {
-                let fed = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
                 let r = Recorder::with_capacity(16);
-                r.subscribe(Box::new(OrderSink(fed.clone())));
                 let mut ids = Vec::new();
                 let mut parent = CauseId::NONE;
                 for burst in 0..8u64 {
@@ -627,12 +503,11 @@ mod tests {
                     }
                 }
                 ids.push(r.record(100, 1, ev(0)));
-                let fed = fed.lock().unwrap().clone();
-                (r.snapshot(), ids, fed, r.overwritten())
+                (r.snapshot(), ids, r.overwritten())
             };
             let (single, session) = (run(false), run(true));
             assert_eq!(single.0.len(), 16);
-            assert_eq!(single.3, 25);
+            assert_eq!(single.2, 25);
             assert_eq!(*single.1.last().unwrap(), CauseId::new(1, 17));
             assert_eq!(single, session);
         }
@@ -692,35 +567,6 @@ mod tests {
             assert_eq!(durations(&r), [0; 4], "the outer close left the slot's new owner alone");
         }
 
-        /// Sink keeping every event it is fed.
-        struct KeepSink(std::sync::Arc<std::sync::Mutex<Vec<TimedEvent>>>, EventMask);
-        impl EventSink for KeepSink {
-            fn on_event(&mut self, ev: &TimedEvent) {
-                self.0.lock().unwrap().push(*ev);
-            }
-            fn interest(&self) -> EventMask {
-                self.1
-            }
-        }
-
-        #[test]
-        fn a_sink_sees_each_span_once_at_open() {
-            let (layers, apps) = (Default::default(), Default::default());
-            let r = Recorder::with_capacity(8);
-            r.subscribe(Box::new(KeepSink(std::sync::Arc::clone(&layers), EventMask::LAYER)));
-            r.subscribe(Box::new(KeepSink(std::sync::Arc::clone(&apps), EventMask::APP)));
-            let w = r.writer().expect("enabled");
-            let span = w.open_span(5, 1, CauseId::NONE, "seq", LayerDir::Up);
-            w.record_caused(5, 1, span.id, ObsEvent::AppDeliver { sender: 0, seq: 1 });
-            w.close_span(span, 9);
-            drop(w);
-            let seen = layers.lock().unwrap().clone();
-            let open = ObsEvent::LayerSpan { layer: "seq", dir: LayerDir::Up, dur_us: 0 };
-            assert_eq!(seen.iter().map(|e| (e.id(), e.ev)).collect::<Vec<_>>(), [(span.id, open)]);
-            assert_eq!(apps.lock().unwrap().len(), 1, "the span went to the layer sink only");
-            assert_eq!(durations(&r), [4], "the ring holds the closed record");
-        }
-
         #[test]
         fn a_disabled_recorder_opens_no_session() {
             assert!(Recorder::disabled().writer().is_none());
@@ -729,16 +575,42 @@ mod tests {
             assert!(r.writer().is_none());
         }
 
+        fn send(r: &Recorder, seq: u64) {
+            r.record(seq, 0, ObsEvent::AppSend { sender: 0, seq });
+        }
+
         #[test]
-        fn clear_resets_wrap_state() {
-            let r = Recorder::with_capacity(2);
-            for i in 0..5u64 {
-                r.record(i, 0, ev(i));
+        fn sink_on_a_tiny_ring_still_sees_every_event() {
+            // The ring holds 4 events; the monitors must count all 100.
+            let r = Recorder::with_capacity(4);
+            let monitors = MonitorSet::standard(2, 1_000);
+            monitors.attach(&r);
+            for seq in 1..=100 {
+                send(&r, seq);
             }
-            r.clear();
-            assert_eq!(r.overwritten(), 0);
-            r.record(9, 0, ev(9));
-            assert_eq!(r.snapshot()[0].at_us, 9);
+            assert_eq!((r.len(), r.overwritten()), (4, 96));
+            assert_eq!(monitors.sent_count(), 100, "the monitors missed what the ring evicted");
+        }
+
+        #[test]
+        fn disabled_recorder_never_feeds_sinks() {
+            let r = Recorder::with_capacity(8);
+            let monitors = MonitorSet::standard(2, 1_000);
+            monitors.attach(&r);
+            r.set_enabled(false);
+            send(&r, 1);
+            assert_eq!(monitors.sent_count(), 0);
+            r.set_enabled(true);
+            send(&r, 2);
+            assert_eq!(monitors.sent_count(), 1);
+
+            let d = Recorder::disabled();
+            let monitors = MonitorSet::standard(2, 1_000);
+            monitors.attach(&d);
+            send(&d, 1);
+            d.set_enabled(true);
+            send(&d, 2);
+            assert_eq!(monitors.sent_count(), 0);
         }
     }
 

@@ -13,10 +13,9 @@
 //! side.
 
 use ps_check::prelude::*;
-use ps_obs::{EventSink, MonitorSet, ObsEvent, Recorder, SpPhase, TimedEvent, Violation};
+use ps_obs::{CauseId, MonitorSet, ObsEvent, Recorder, SpPhase, TimedEvent, Violation};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
 
 thread_local! {
     /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
@@ -251,7 +250,7 @@ mod reference {
     }
 }
 
-/// The reference bundle, assembled and sorted as `MonitorSet` does.
+/// The reference bundle, fed and assembled and sorted as `MonitorSet` is.
 struct ReferenceSet {
     total_order: reference::TotalOrder,
     fifo: reference::Fifo,
@@ -269,6 +268,13 @@ impl ReferenceSet {
         }
     }
 
+    fn observe(&mut self, ev: &TimedEvent) {
+        self.total_order.observe(ev);
+        self.fifo.observe(ev);
+        self.delivery.observe(ev);
+        self.liveness.observe(ev);
+    }
+
     fn finish(&self) -> Vec<Violation> {
         let mut out = self.total_order.violations.clone();
         out.extend(self.fifo.violations.iter().cloned());
@@ -279,26 +285,12 @@ impl ReferenceSet {
     }
 }
 
-/// Subscribes the reference to the same recorder, so both sides see the
-/// same stamped events (`seq`, `parent`) in the same order.
-struct ReferenceSink(Arc<Mutex<ReferenceSet>>);
-
-impl EventSink for ReferenceSink {
-    fn on_event(&mut self, ev: &TimedEvent) {
-        let mut r = self.0.lock().unwrap();
-        r.total_order.observe(ev);
-        r.fifo.observe(ev);
-        r.delivery.observe(ev);
-        r.liveness.observe(ev);
-    }
-}
-
-/// A recorder on a ring far smaller than any stream, with the bounded
-/// bundle and the reference both attached.
+/// A recorder on a ring far smaller than any stream with the bounded
+/// bundle attached, and the reference beside it.
 struct Pair {
     rec: Recorder,
     bounded: MonitorSet,
-    reference: Arc<Mutex<ReferenceSet>>,
+    reference: RefCell<ReferenceSet>,
 }
 
 impl Pair {
@@ -306,13 +298,23 @@ impl Pair {
         let rec = Recorder::with_capacity(8);
         let bounded = MonitorSet::standard(nodes, 500);
         bounded.attach(&rec);
-        let reference = Arc::new(Mutex::new(ReferenceSet::standard(nodes, 500)));
-        rec.subscribe(Box::new(ReferenceSink(reference.clone())));
+        let reference = RefCell::new(ReferenceSet::standard(nodes, 500));
         Self { rec, bounded, reference }
     }
 
+    /// Records `ev` (which feeds the bounded bundle), then feeds the
+    /// reference the event as the recorder stamped it, so both sides see
+    /// the same `seq` in the same order. A disabled recorder feeds neither.
+    fn record(&self, at_us: u64, node: u32, ev: ObsEvent) {
+        let id = self.rec.record(at_us, node, ev);
+        if !id.is_none() {
+            let stamped = TimedEvent { at_us, node, seq: id.seq(), parent: CauseId::NONE, ev };
+            self.reference.borrow_mut().observe(&stamped);
+        }
+    }
+
     fn check(&self) {
-        let r = self.reference.lock().unwrap();
+        let r = self.reference.borrow();
         assert_eq!(self.bounded.finish(), r.finish());
         assert_eq!(self.bounded.sent_count(), r.delivery.sent_count());
     }
@@ -373,7 +375,7 @@ props! {
         for (i, draw) in draws.into_iter().enumerate() {
             at += draw.0 >> 56; // up to 255 us apart: some phases overrun the bound
             let (node, ev) = shape_event(draw);
-            p.rec.record(at, node, ev);
+            p.record(at, node, ev);
             if i % 16 == 0 {
                 p.check();
             }
@@ -421,7 +423,7 @@ props! {
         }
         let p = Pair::new(nodes);
         for (i, (node, ev)) in stream.into_iter().enumerate() {
-            p.rec.record(10 * i as u64, node, ev);
+            p.record(10 * i as u64, node, ev);
         }
         p.check();
     }

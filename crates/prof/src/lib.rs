@@ -3,7 +3,7 @@
 //! An in-engine host-time profiler for the protocol-switching workspace:
 //! a sampling-free span-stack [`Profiler`] that attributes host
 //! wall-clock time to named engine components (event-queue ops, medium
-//! transmit, per-layer handler execution, recorder and sink dispatch)
+//! transmit, per-layer handler execution, recording and monitor feeding)
 //! via RAII [`Span`] guards.
 //!
 //! The design splits every measurement into two halves:

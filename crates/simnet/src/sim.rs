@@ -216,7 +216,7 @@ impl<A: Agent> Sim<A> {
         let n = agents.len();
         assert!(u32::try_from(n).is_ok(), "too many nodes");
         // A profiled sim attributes recorder work too: `obs/record` per
-        // live record, `obs/sinks/<name>` per dispatch.
+        // live record, `obs/sinks/monitors` per event fed to the monitors.
         config.recorder.set_prof(&config.prof);
         let rng = DetRng::new(config.seed);
         // One independent stream per node, forked up front: the fork cost is

@@ -489,7 +489,7 @@ mod tests {
         assert_eq!(spans(LayerDir::Down), 1);
         assert_eq!(spans(LayerDir::Up), 3);
         assert_eq!(spans(LayerDir::Launch), 3);
-        let layer_records = events.iter().filter(|e| e.ev.kind() == ps_obs::EventMask::LAYER);
+        let layer_records = events.iter().filter(|e| matches!(e.ev, ObsEvent::LayerSpan { .. }));
         assert_eq!(layer_records.count(), 7);
         assert!(events.iter().any(|e| matches!(e.ev, ObsEvent::FrameSend { .. })));
     }

@@ -86,7 +86,9 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # lists over one judge and unused `pub` items went crate-private, and
 # ps-obs, ps-harness and the total when the four monitors became one
 # state behind one lock and the log-linear histogram gave way to exact
-# quantiles.
+# quantiles, and again when the recorder began feeding `MonitorSet`
+# directly and the sink API went; ps-net 637 → 645 then too (its node loop
+# reads an interrupted receive as an ended wait, one small function).
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -98,12 +100,12 @@ size_ceiling() {
 }
 size_ceiling ps-core 2004 85
 size_ceiling ps-harness 4489 244
-size_ceiling ps-net 637 16
-size_ceiling ps-obs 3188 195
+size_ceiling ps-net 645 16
+size_ceiling ps-obs 3043 179
 size_ceiling ps-simnet 1936 118
 size_ceiling ps-stack 1458 105
 size_ceiling ps-trace 2380 144
-size_ceiling total 21567 1173
+size_ceiling total 21430 1157
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
