@@ -266,6 +266,16 @@ pub(crate) fn artefacts(ask: &super::Ask) -> super::Artefacts {
     super::one_table(ask, &render(&run_with(&cfg, &ask.runner)), cfg.seed, format!("{cfg:?}"))
 }
 
+/// One of `stats`' latencies in ms, or `-` when its window held no
+/// sample: an empty window's zeroes are not a latency.
+fn ms(stats: &LatencyStats, latency: SimTime) -> String {
+    if stats.samples == 0 {
+        "-".into()
+    } else {
+        format!("{:.2}", latency.as_millis_f64())
+    }
+}
+
 /// Renders the figure as a text table (one row per sender count).
 fn render(result: &Fig2Result) -> Table {
     let mut t = Table::new(
@@ -285,17 +295,17 @@ fn render(result: &Fig2Result) -> Table {
     for p in &result.points {
         t.row(vec![
             p.senders.to_string(),
-            format!("{:.2}", p.latency[0].mean_ms()),
-            format!("{:.2}", p.latency[1].mean_ms()),
-            format!("{:.2}", p.latency[2].mean_ms()),
-            format!("{:.2}", p.hybrid_settled.mean_ms()),
-            format!("{:.2}", p.latency[2].p50.as_millis_f64()),
-            format!("{:.2}", p.latency[2].p99.as_millis_f64()),
+            ms(&p.latency[0], p.latency[0].mean),
+            ms(&p.latency[1], p.latency[1].mean),
+            ms(&p.latency[2], p.latency[2].mean),
+            ms(&p.hybrid_settled, p.hybrid_settled.mean),
+            ms(&p.latency[2], p.latency[2].p50),
+            ms(&p.latency[2], p.latency[2].p99),
             if p.hybrid_final == 0 { "sequencer".into() } else { "token".into() },
             p.hybrid_switches.to_string(),
         ]);
     }
-    t.note("'hybrid settled' excludes the one-off switching transient; at high load the transient is dominated by draining the congested old protocol (the paper's §7 caveat)");
+    t.note("'hybrid settled' excludes the one-off switching transient: it counts messages sent from 200 ms after the last switch on, '-' when the workload ended before that; at high load the transient is dominated by draining the congested old protocol (the paper's §7 caveat)");
     t.note("hybrid p50/p99 are exact: the sample at index round((n-1)·q) of the sorted latencies, in ms");
     t.note(format!(
         "hybrid latency pooled over the sweep (every point's samples): p50={:.2} ms, p99={:.2} ms over {} samples",
@@ -310,4 +320,36 @@ fn render(result: &Fig2Result) -> Table {
         None => t.note("no cross-over found in the sweep"),
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_settled_window_renders_as_a_dash() {
+        let measured = LatencyStats::of(&[3_000, 4_000, 5_000], 0);
+        let empty = LatencyStats::of(&[], 0);
+        let point = |hybrid_settled| Fig2Point {
+            senders: 10,
+            latency: [measured; 3],
+            hybrid_switches: 1,
+            hybrid_final: 1,
+            hybrid_settled,
+        };
+        let result = Fig2Result {
+            points: vec![point(measured), point(empty)],
+            crossover: None,
+            hybrid_overall: measured,
+        };
+        let csv = render(&result).to_csv();
+        let rows: Vec<Vec<&str>> = csv
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .skip(1)
+            .map(|l| l.split(',').collect())
+            .collect();
+        assert_eq!(rows[0][1..7], ["4.00", "4.00", "4.00", "4.00", "4.00", "5.00"]);
+        assert_eq!(rows[1][1..7], ["4.00", "4.00", "4.00", "-", "4.00", "5.00"]);
+    }
 }

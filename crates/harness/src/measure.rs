@@ -70,11 +70,6 @@ impl LatencyStats {
             incomplete,
         }
     }
-
-    /// Mean latency in milliseconds (Figure 2's unit).
-    pub fn mean_ms(&self) -> f64 {
-        self.mean.as_millis_f64()
-    }
 }
 
 /// The one quantile rule of every report: the sample at index

@@ -19,6 +19,15 @@
 //! format break. Process ids are varints, so the whole header is 4 bytes
 //! for groups under 128 processes — small groups pay five bytes of
 //! overhead, not a fixed worst case.
+//!
+//! A node sends from a buffer it owns: [`encode_into`] writes the
+//! envelope and then the frame's bytes into it, so a datagram costs a
+//! copy into memory that already exists and no allocation — also when a
+//! layer keeps the frame for retransmission, where prepending to the
+//! shared frame would copy it into a fresh buffer. On the way in,
+//! [`decode`] copies the payload out of the receive buffer once, at its
+//! exact size (nothing at all for a payload a [`Bytes`] handle holds
+//! inline).
 
 use ps_bytes::Bytes;
 use ps_trace::ProcessId;
@@ -30,17 +39,34 @@ pub const MAGIC: u8 = 0xA7;
 /// Wire-format version; bump on any incompatible change.
 pub const VERSION: u8 = 1;
 
-/// Wraps one frame payload from `src` into a datagram: the envelope is
-/// prepended to the frame like any layer's header
-/// ([`Bytes::prepend`]). The caller keeps its handle on `payload`, so
-/// this is the one copy a frame makes on its way to the socket.
-pub fn encode(src: ProcessId, payload: &Bytes) -> Bytes {
+/// The envelope in front of a `len`-byte payload from `src`: the one
+/// writer of the header both encoders put on the wire. It fits an
+/// [`Encoder`]'s on-stack buffer, so writing it allocates nothing.
+fn envelope(src: ProcessId, len: usize) -> Encoder {
     let mut e = Encoder::new();
     e.put_u8(MAGIC);
     e.put_u8(VERSION);
     e.put_varint(u64::from(src.0));
-    e.put_varint(payload.len() as u64);
-    payload.clone().prepend(e.as_slice())
+    e.put_varint(len as u64);
+    e
+}
+
+/// Wraps one frame payload from `src` into a datagram: the envelope is
+/// prepended to the frame like any layer's header
+/// ([`Bytes::prepend`]). The caller keeps its handle on `payload`, so
+/// this copies the frame; the node loop sends through [`encode_into`]
+/// instead, which copies it into a buffer the node already owns.
+pub fn encode(src: ProcessId, payload: &Bytes) -> Bytes {
+    payload.clone().prepend(envelope(src, payload.len()).as_slice())
+}
+
+/// Writes the datagram [`encode`] builds into `out`, replacing what it
+/// held: the envelope, then `payload`'s bytes. Once `out` has room for
+/// the datagram this allocates nothing, whoever else holds the frame.
+pub fn encode_into(src: ProcessId, payload: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(envelope(src, payload.len()).as_slice());
+    out.extend_from_slice(payload);
 }
 
 /// Unwraps a received datagram into `(src, payload)`.
@@ -78,6 +104,16 @@ mod tests {
         let (src, got) = decode(&wire).unwrap();
         assert_eq!(src, ProcessId(7));
         assert_eq!(got.as_ref(), payload.as_ref());
+    }
+
+    #[test]
+    fn encode_into_writes_what_encode_builds() {
+        let mut out = vec![0xEE; 3];
+        for (src, len) in [(0, 0), (3, 22), (300, 1400), (u16::MAX, 60)] {
+            let payload = Bytes::copy_from_slice(&vec![0x5A; len]);
+            encode_into(ProcessId(src), &payload, &mut out);
+            assert_eq!(out, encode(ProcessId(src), &payload).as_ref(), "src {src}, {len} bytes");
+        }
     }
 
     #[test]

@@ -170,6 +170,13 @@ struct NodeThread {
     /// keep their capacity from one call to the next.
     outbox: Vec<Frame>,
     new_timers: Vec<(SimTime, LayerId, u32)>,
+    /// The datagram being sent: envelope, then the frame's bytes. It grows
+    /// to the largest datagram this node sends and no further.
+    send_buf: Vec<u8>,
+    /// `max_datagram` bytes, allocated with the node before its thread
+    /// starts, so that a run's memory does not depend on when the OS
+    /// gets round to starting it.
+    recv_buf: Vec<u8>,
 }
 
 impl NodeThread {
@@ -180,11 +187,12 @@ impl NodeThread {
             self.queue.push(now + delay, Pending::Timer(id, token));
         }
         for frame in self.outbox.drain(..) {
-            let wire = dgram::encode(self.me, &frame.bytes);
+            dgram::encode_into(self.me, &frame.bytes, &mut self.send_buf);
             assert!(
-                wire.len() <= self.cfg.max_datagram,
-                "frame of {} bytes exceeds max_datagram {}",
-                wire.len(),
+                self.send_buf.len() <= self.cfg.max_datagram,
+                "{}: frame of {} bytes exceeds max_datagram {}",
+                self.me,
+                self.send_buf.len(),
                 self.cfg.max_datagram
             );
             self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
@@ -196,7 +204,7 @@ impl NodeThread {
                 };
                 if hears {
                     // A peer that already shut its socket is fine to ignore.
-                    let _ = self.socket.send_to(&wire, self.peers[d.index()]);
+                    let _ = self.socket.send_to(&self.send_buf, self.peers[d.index()]);
                 }
             }
         }
@@ -262,7 +270,6 @@ impl NodeThread {
     fn run(mut self) -> usize {
         // The scheduled sends were queued before spawn; launch the stack.
         self.with_env(None, |stack, env| stack.launch(env));
-        let mut buf = vec![0u8; self.cfg.max_datagram];
         while !self.stop.load(Ordering::Relaxed) {
             self.fire_due();
             let wait = self
@@ -273,8 +280,8 @@ impl NodeThread {
                 .clamp(Duration::from_micros(200), MAX_WAIT);
             // Fails only on a zero duration, and `wait` is at least 200 µs.
             self.socket.set_read_timeout(Some(wait)).expect("set_read_timeout");
-            match self.socket.recv_from(&mut buf) {
-                Ok((n, _addr)) => match dgram::decode(&buf[..n]) {
+            match self.socket.recv_from(&mut self.recv_buf) {
+                Ok((n, _addr)) => match dgram::decode(&self.recv_buf[..n]) {
                     Ok((src, payload)) => {
                         self.counters.copies_delivered.fetch_add(1, Ordering::Relaxed);
                         // Causal root: the sender's FrameSend lives on
@@ -318,8 +325,12 @@ pub struct UdpGroup {
     epoch: Instant,
     apps: Vec<SharedApp>,
     /// Every process's log as of the first read since the last
-    /// [`Driver::run_until`]; the node threads keep appending to theirs.
+    /// [`Driver::run_until`]: what earlier read-outs took, then what this
+    /// one took from the node. The node threads keep appending to theirs.
     logs: OnceLock<Vec<Vec<(SimTime, Event)>>>,
+    /// What the read-outs before the last `run_until` took, by process;
+    /// the next read-out moves it into `logs`.
+    earlier: Mutex<Vec<Vec<(SimTime, Event)>>>,
     rec: ps_obs::Recorder,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<usize>>,
@@ -391,12 +402,15 @@ impl UdpGroup {
                 queue,
                 outbox: Vec::new(),
                 new_timers: Vec::new(),
+                send_buf: Vec::new(),
+                recv_buf: vec![0; cfg.max_datagram],
             };
+            // Unnamed, as is the sampler's: std copies a thread's name on
+            // the new thread as it starts (for its stack-overflow report),
+            // an allocation that would land in the run whenever the OS
+            // starts the thread late.
             threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ps-net-p{}", me.0))
-                    .spawn(move || node.run())
-                    .expect("spawn node thread"),
+                std::thread::Builder::new().spawn(move || node.run()).expect("spawn node thread"),
             );
         }
 
@@ -405,7 +419,6 @@ impl UdpGroup {
             let counters = Arc::clone(&counters);
             let interval = Duration::from_micros(sampler.interval_us());
             std::thread::Builder::new()
-                .name("ps-net-sampler".into())
                 .spawn(move || {
                     let mut window_end = epoch + interval;
                     while !stop.load(Ordering::Relaxed) {
@@ -430,6 +443,7 @@ impl UdpGroup {
         });
 
         Self {
+            earlier: Mutex::new(vec![Vec::new(); group.len()]),
             group,
             addrs: peers,
             epoch,
@@ -448,6 +462,10 @@ impl UdpGroup {
         &self.addrs
     }
 
+    fn earlier_mut(&mut self) -> &mut Vec<Vec<(SimTime, Event)>> {
+        self.earlier.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Stops every node thread (and the sampler), joins them, and returns
     /// the per-process tallies. Call after [`Driver::run_until`]. A node
     /// or sampler thread's panic is re-raised here.
@@ -458,10 +476,14 @@ impl UdpGroup {
         if let Some(t) = self.sampler_thread.take() {
             t.join().expect("sampler thread panicked");
         }
+        let taken = self.logs.take().unwrap_or_else(|| std::mem::take(self.earlier_mut()));
         let delivered_per_process = self
             .apps
             .iter()
-            .map(|app| lock(app).log().iter().filter(|(_, ev)| ev.is_deliver()).count())
+            .zip(&taken)
+            .map(|(app, taken)| {
+                taken.iter().chain(lock(app).log()).filter(|(_, ev)| ev.is_deliver()).count()
+            })
             .collect();
         NetReport { delivered_per_process, malformed_per_process }
     }
@@ -485,7 +507,9 @@ impl Driver for UdpGroup {
     /// passed. Node threads keep processing in the background; a deadline
     /// already in the past returns immediately.
     fn run_until(&mut self, deadline: SimTime) {
-        self.logs = OnceLock::new();
+        if let Some(logs) = self.logs.take() {
+            *self.earlier_mut() = logs;
+        }
         let target = self.epoch + Duration::from_micros(deadline.as_micros());
         loop {
             let now = Instant::now();
@@ -510,10 +534,26 @@ impl Driver for UdpGroup {
 
     /// Process `p`'s log as of the first log read since the last
     /// [`Driver::run_until`]: the node threads keep running, so every
-    /// accessor of one read-out sees the same instant.
+    /// accessor of one read-out sees the same instant. That read moves
+    /// each node's entries out ([`AppProcess::take_log`]) and appends
+    /// them to what earlier read-outs took; nothing is copied.
     fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)] {
-        let logs =
-            self.logs.get_or_init(|| self.apps.iter().map(|a| lock(a).log().to_vec()).collect());
+        let logs = self.logs.get_or_init(|| {
+            let mut earlier = self.earlier.lock().unwrap_or_else(PoisonError::into_inner);
+            earlier
+                .iter_mut()
+                .zip(&self.apps)
+                .map(|(before, app)| {
+                    let taken = lock(app).take_log();
+                    let mut log = std::mem::take(before);
+                    if log.is_empty() {
+                        return taken;
+                    }
+                    log.extend(taken);
+                    log
+                })
+                .collect()
+        });
         &logs[p.index()]
     }
 }
@@ -551,6 +591,29 @@ mod tests {
         let report = g.shutdown();
         assert_eq!(report.delivered_per_process.iter().sum::<usize>(), 6);
         assert_eq!(report.malformed_per_process.iter().sum::<usize>(), 0);
+    }
+
+    #[test]
+    fn a_second_read_out_extends_the_first() {
+        let s = spec(3)
+            .send_at(SimTime::from_millis(5), ProcessId(0), b"a")
+            .send_at(SimTime::from_millis(10), ProcessId(1), b"b")
+            .send_at(SimTime::from_millis(150), ProcessId(2), b"c")
+            .send_at(SimTime::from_millis(155), ProcessId(0), b"d");
+        let mut g = UdpGroup::launch(s, NetConfig::default());
+        g.run_until(SimTime::from_millis(100));
+        let first: Vec<_> = g.group().iter().map(|&p| g.process_log(p).to_vec()).collect();
+        assert_eq!(g.deliveries().len(), 6, "two messages, three receivers");
+        g.run_until(SimTime::from_millis(250));
+        for (&p, before) in g.group().iter().zip(&first) {
+            let log = g.process_log(p);
+            assert_eq!(&log[..before.len()], &before[..], "{p} keeps the first read's entries");
+            assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "{p}'s log is in time order");
+        }
+        assert_eq!(g.app_trace().sent_ids().len(), 4);
+        assert_eq!(g.deliveries().len(), 12, "four messages, three receivers");
+        let report = g.shutdown();
+        assert_eq!(report.delivered_per_process, vec![4; 3], "taken entries count too");
     }
 
     #[test]

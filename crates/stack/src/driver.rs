@@ -215,6 +215,15 @@ impl AppProcess {
         &self.log
     }
 
+    /// Hands over the log so far and starts an empty one: a read-out
+    /// that moves the entries instead of copying them. The room the
+    /// scheduled workload asks of the log shrinks by what was handed
+    /// over, so the next append reserves only the remainder.
+    pub fn take_log(&mut self) -> Vec<(SimTime, Event)> {
+        self.log_room = self.log_room.saturating_sub(self.log.len());
+        std::mem::take(&mut self.log)
+    }
+
     /// The first append sizes the log for the scheduled workload — inside
     /// the run, so that building a group touches no memory the run may
     /// never use, and once, instead of doubling through re-copied entries.
@@ -407,6 +416,34 @@ mod tests {
         assert_eq!(send.parent, parent);
         assert_eq!(send.id(), cause);
         assert_eq!(app.log().len(), 2, "both sends are logged");
+    }
+
+    #[test]
+    fn take_log_hands_over_the_entries_and_shrinks_the_room() {
+        let sends = (0..3).map(|i| (SimTime::from_micros(i), ProcessId(0), body(b"s"))).collect();
+        let mut app = AppProcess::split(2, sends).remove(0).0;
+        // Three sends of the group delivered here, plus its own three.
+        assert_eq!(app.log_room, 6);
+        let (a, _) = app.send(0, SimTime::from_micros(1), None, CauseId::NONE);
+        app.deliver(SimTime::from_micros(2), a, None, CauseId::NONE);
+        let first = app.take_log();
+        assert_eq!(first.len(), 2);
+        assert_eq!(first.capacity(), 6, "moved out as sized, not copied");
+        assert!(app.log().is_empty());
+        assert_eq!(app.log_room, 4);
+        // The next append reserves only what the workload has left.
+        let (b, _) = app.send(1, SimTime::from_micros(3), None, CauseId::NONE);
+        assert_eq!(app.log.capacity(), 4);
+        app.deliver(SimTime::from_micros(4), b, None, CauseId::NONE);
+        assert_eq!(app.take_log().len(), 2);
+        assert_eq!(app.log_room, 2);
+        // More entries than the schedule foresaw leave no room, not less.
+        for at in 5..10 {
+            let m = Message::new(ProcessId(1), at, body(b"x"));
+            app.deliver(SimTime::from_micros(at), m, None, CauseId::NONE);
+        }
+        assert_eq!(app.take_log().len(), 5);
+        assert_eq!(app.log_room, 0);
     }
 
     #[test]

@@ -89,6 +89,15 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # quantiles, and again when the recorder began feeding `MonitorSet`
 # directly and the sink API went; ps-net 637 → 645 then too (its node loop
 # reads an interrupted receive as an ended wait, one small function).
+# ps-net 645 / 16 → 711 / 17 and ps-stack 1 458 / 105 → 1 467 / 106 when
+# a datagram stopped costing an allocation (`dgram::encode_into` beside
+# the one envelope writer, a node's send and receive buffers built before
+# its thread starts, a read-out that moves the logs through
+# `AppProcess::take_log`); ps-obs 3 043 / 179 → 3 038 / 178 with
+# `MetricsSampler::clear` deleted; ps-harness 4 489 / 244 → 4 495 / 243
+# (fig2 prints `-` for an empty latency window instead of its zeroes, and
+# `LatencyStats::mean_ms` lost its one caller); the total 21 430 / 1 157
+# → 21 506 / 1 157 with them.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -99,13 +108,13 @@ size_ceiling() {
         END { exit (found && !over) ? 0 : 1 }'
 }
 size_ceiling ps-core 2004 85
-size_ceiling ps-harness 4489 244
-size_ceiling ps-net 645 16
-size_ceiling ps-obs 3043 179
+size_ceiling ps-harness 4495 243
+size_ceiling ps-net 711 17
+size_ceiling ps-obs 3038 178
 size_ceiling ps-simnet 1936 118
-size_ceiling ps-stack 1458 105
+size_ceiling ps-stack 1467 106
 size_ceiling ps-trace 2380 144
-size_ceiling total 21430 1157
+size_ceiling total 21506 1157
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
@@ -211,6 +220,19 @@ alloc_ceiling lossy_ft 3.5
 # monitors' tables reaching their size. It read 3.73 while the delivery
 # monitor kept a map entry and a node list per message for the whole run.
 alloc_ceiling observed 1.5
+# The loopback run is a real medium, so its counts are not exact, but
+# host load no longer moves them: a datagram goes out from a buffer its
+# node owns, the node's receive buffer exists before its thread starts,
+# and the read-out moves the logs. Quick runs read 3.86-3.89 calls and
+# 0.773-0.777 kB a multicast: the frames, a received payload longer than
+# a handle holds (one exact-size copy), the logs and the sampler's
+# series. They read 5.17-5.20 and 1.09-1.42 kB while every datagram
+# copied its frame under the envelope and each node thread allocated its
+# 60 000-byte receive buffer as it started. A thread that starts after
+# the timed run has begun adds 0.21 kB a multicast here, and the envelope
+# copy more; either lands above 0.9.
+alloc_ceiling udp_steady 4.5
+alloc_kb_ceiling udp_steady 0.9
 # Bytes requested per multicast, the same exact kind of count. What is
 # left in steady_small's 1.00 kB is the per-node application log, 0.65 kB
 # (nine 72-byte entries per multicast), requested once at its first push,
