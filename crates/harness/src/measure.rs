@@ -128,9 +128,9 @@ pub(crate) fn max_delivery_gap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps_obs::CauseId;
     use ps_simnet::PointToPoint;
-    use ps_stack::{GroupSim, GroupSimBuilder, Stack};
-    use ps_trace::{Event, Message};
+    use ps_stack::{AppLog, AppProcess, GroupSim, GroupSimBuilder, Stack};
 
     fn stats(sim: &dyn Driver, window: SteadyStateWindow) -> LatencyStats {
         let (lat, incomplete) = latency_samples(sim, window);
@@ -184,7 +184,7 @@ mod tests {
     /// both.
     struct DuplicateDelivery {
         group: Vec<ProcessId>,
-        logs: Vec<Vec<(SimTime, Event)>>,
+        logs: Vec<AppLog>,
         recorder: ps_obs::Recorder,
     }
 
@@ -199,28 +199,25 @@ mod tests {
         fn recorder(&self) -> &ps_obs::Recorder {
             &self.recorder
         }
-        fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)] {
+        fn process_log(&self, p: ProcessId) -> &AppLog {
             &self.logs[p.index()]
         }
     }
 
     #[test]
     fn a_duplicate_delivery_does_not_complete_a_message() {
-        let msg = |seq| Message::new(ProcessId(0), seq, ps_bytes::Bytes::new());
         let at = SimTime::from_millis;
-        let deliver = |p, seq, ms| (at(ms), Event::deliver(ProcessId(p), msg(seq)));
+        let sends = (1..=2).map(|ms| (at(ms), ProcessId(0), ps_bytes::Bytes::new())).collect();
+        let mut apps: Vec<AppProcess> =
+            AppProcess::split(2, sends).into_iter().map(|(app, _)| app).collect();
+        let (m1, _) = apps[0].send(0, at(1), None, CauseId::NONE);
+        let (m2, _) = apps[0].send(1, at(2), None, CauseId::NONE);
+        for (p, m, ms) in [(0, &m1, 2), (0, &m1, 3), (0, &m2, 3), (1, &m2, 4)] {
+            apps[p].deliver(at(ms), m.clone(), None, CauseId::NONE);
+        }
         let driver = DuplicateDelivery {
             group: vec![ProcessId(0), ProcessId(1)],
-            logs: vec![
-                vec![
-                    (at(1), Event::send(msg(1))),
-                    (at(2), Event::send(msg(2))),
-                    deliver(0, 1, 2),
-                    deliver(0, 1, 3),
-                    deliver(0, 2, 3),
-                ],
-                vec![deliver(1, 2, 4)],
-            ],
+            logs: apps.iter_mut().map(AppProcess::take_log).collect(),
             recorder: ps_obs::Recorder::disabled(),
         };
         let s = stats(&driver, SteadyStateWindow::all());

@@ -14,8 +14,8 @@
 
 use crate::dgram;
 use ps_simnet::{DetRng, EventQueue, SimTime};
-use ps_stack::{AppProcess, Cast, Driver, Frame, GroupSpec, LayerId, Stack, StackEnv};
-use ps_trace::{Event, Message, ProcessId};
+use ps_stack::{AppLog, AppProcess, Cast, Driver, Frame, GroupSpec, LayerId, Stack, StackEnv};
+use ps_trace::{Message, ProcessId};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -327,10 +327,10 @@ pub struct UdpGroup {
     /// Every process's log as of the first read since the last
     /// [`Driver::run_until`]: what earlier read-outs took, then what this
     /// one took from the node. The node threads keep appending to theirs.
-    logs: OnceLock<Vec<Vec<(SimTime, Event)>>>,
+    logs: OnceLock<Vec<AppLog>>,
     /// What the read-outs before the last `run_until` took, by process;
     /// the next read-out moves it into `logs`.
-    earlier: Mutex<Vec<Vec<(SimTime, Event)>>>,
+    earlier: Mutex<Vec<AppLog>>,
     rec: ps_obs::Recorder,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<usize>>,
@@ -443,7 +443,7 @@ impl UdpGroup {
         });
 
         Self {
-            earlier: Mutex::new(vec![Vec::new(); group.len()]),
+            earlier: Mutex::new(vec![AppLog::default(); group.len()]),
             group,
             addrs: peers,
             epoch,
@@ -462,7 +462,7 @@ impl UdpGroup {
         &self.addrs
     }
 
-    fn earlier_mut(&mut self) -> &mut Vec<Vec<(SimTime, Event)>> {
+    fn earlier_mut(&mut self) -> &mut Vec<AppLog> {
         self.earlier.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -481,9 +481,7 @@ impl UdpGroup {
             .apps
             .iter()
             .zip(&taken)
-            .map(|(app, taken)| {
-                taken.iter().chain(lock(app).log()).filter(|(_, ev)| ev.is_deliver()).count()
-            })
+            .map(|(app, taken)| taken.delivered() + lock(app).log().delivered())
             .collect();
         NetReport { delivered_per_process, malformed_per_process }
     }
@@ -537,19 +535,15 @@ impl Driver for UdpGroup {
     /// accessor of one read-out sees the same instant. That read moves
     /// each node's entries out ([`AppProcess::take_log`]) and appends
     /// them to what earlier read-outs took; nothing is copied.
-    fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)] {
+    fn process_log(&self, p: ProcessId) -> &AppLog {
         let logs = self.logs.get_or_init(|| {
             let mut earlier = self.earlier.lock().unwrap_or_else(PoisonError::into_inner);
             earlier
                 .iter_mut()
                 .zip(&self.apps)
                 .map(|(before, app)| {
-                    let taken = lock(app).take_log();
                     let mut log = std::mem::take(before);
-                    if log.is_empty() {
-                        return taken;
-                    }
-                    log.extend(taken);
+                    log.append(lock(app).take_log());
                     log
                 })
                 .collect()
@@ -602,11 +596,12 @@ mod tests {
             .send_at(SimTime::from_millis(155), ProcessId(0), b"d");
         let mut g = UdpGroup::launch(s, NetConfig::default());
         g.run_until(SimTime::from_millis(100));
-        let first: Vec<_> = g.group().iter().map(|&p| g.process_log(p).to_vec()).collect();
+        let events = |g: &UdpGroup, p| g.process_log(p).events().collect::<Vec<_>>();
+        let first: Vec<_> = g.group().iter().map(|&p| events(&g, p)).collect();
         assert_eq!(g.deliveries().len(), 6, "two messages, three receivers");
         g.run_until(SimTime::from_millis(250));
         for (&p, before) in g.group().iter().zip(&first) {
-            let log = g.process_log(p);
+            let log = events(&g, p);
             assert_eq!(&log[..before.len()], &before[..], "{p} keeps the first read's entries");
             assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "{p}'s log is in time order");
         }

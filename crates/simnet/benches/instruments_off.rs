@@ -8,10 +8,13 @@
 //! timer-heavy (self-re-arming timers spread from 10 µs to 50 ms), at 10
 //! and 100 nodes — each run plain, with the recorder (`_obs`) and with the
 //! profiler (`_prof`). Per load the three variants take turns: 3 untimed
-//! rounds, then 20 timed ones, keeping each variant's fastest run (the
-//! estimator least moved by scheduler noise). The gate is the median of
-//! the eight `variant / plain` ratios, below 1.03; it takes no arguments,
-//! reads no environment and always asserts.
+//! rounds, then 20 timed ones. Each timed round prices a variant against
+//! the plain run timed beside it, and the median of those 20 per-round
+//! ratios is that variant's ratio: a slow spell of the host lands on both
+//! sides of one round, where each side's fastest run of its own could
+//! fall in different spells. The gate is the median of the eight
+//! `variant / plain` ratios, below 1.03; it takes no arguments, reads no
+//! environment and always asserts.
 //!
 //! "Plain" still carries `SimConfig`'s defaults, a zero-capacity disabled
 //! recorder and a disabled profiler, so the ratio prices what *attaching*
@@ -137,24 +140,33 @@ fn timer_run(v: Variant, nodes: u16, rounds: u32) -> u64 {
     v.run(11, 1, (0..nodes).map(|_| TimerChurn { rounds_left: rounds }).collect())
 }
 
-/// The fastest of `ITERS` timed runs of each variant, in nanoseconds, the
-/// variants taking turns so that host drift lands on all three alike.
-fn min_ns(load: impl Fn(Variant) -> u64) -> [u64; 3] {
+/// The median over `ITERS` rounds of each instrumented variant's time
+/// divided by the plain run's in the same round. Each round starts with
+/// the next variant in turn, so that none always runs first.
+fn round_ratios(load: impl Fn(Variant) -> u64) -> [f64; 2] {
     let plain_events = load(Variant::Plain);
     for _ in 0..WARMUP {
         for v in VARIANTS {
             assert_eq!(black_box(load(v)), plain_events, "a disabled instrument changed the run");
         }
     }
-    let mut best = [u64::MAX; 3];
-    for _ in 0..ITERS {
-        for (i, v) in VARIANTS.into_iter().enumerate() {
+    let mut ratios: [Vec<f64>; 2] = Default::default();
+    for round in 0..ITERS as usize {
+        let mut ns = [0.0; 3];
+        for k in 0..VARIANTS.len() {
+            let i = (round + k) % VARIANTS.len();
             let start = Instant::now();
-            black_box(load(v));
-            best[i] = best[i].min(start.elapsed().as_nanos() as u64);
+            black_box(load(VARIANTS[i]));
+            ns[i] = start.elapsed().as_nanos() as f64;
+        }
+        for (r, variant_ns) in ratios.iter_mut().zip(&ns[1..]) {
+            r.push(variant_ns / ns[0]);
         }
     }
-    best
+    ratios.map(|mut r| {
+        r.sort_by(f64::total_cmp);
+        r[r.len() / 2]
+    })
 }
 
 fn main() {
@@ -168,9 +180,8 @@ fn main() {
     ];
     let mut ratios = Vec::new();
     for (name, load) in loads {
-        let best = min_ns(load);
-        for (v, &ns) in VARIANTS.iter().zip(&best).skip(1) {
-            ratios.push((format!("{name}{}", v.suffix()), ns as f64 / best[0] as f64));
+        for (v, ratio) in VARIANTS[1..].iter().zip(round_ratios(load)) {
+            ratios.push((format!("{name}{}", v.suffix()), ratio));
         }
     }
     ratios.sort_by(|a, b| a.1.total_cmp(&b.1));

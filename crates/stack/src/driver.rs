@@ -31,6 +31,7 @@ use ps_obs::{CauseId, ObsEvent, Writer};
 use ps_simnet::SimTime;
 use ps_trace::{Event, Message, MsgId, ProcessId, Trace};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The transport-independent description of a group run.
 ///
@@ -133,25 +134,132 @@ pub struct DeliveryRecord {
     pub at: SimTime,
 }
 
+/// The bodies of a run's scheduled sends, shared by every process of the
+/// group: `[sender][seq - 1]`, where seq `k` is the sender's `k`-th due send.
+type Schedule = Arc<[Vec<Bytes>]>;
+
+/// One entry of an [`AppLog`]: the instant, and either the id of a
+/// scheduled message — whose body is the schedule's — or the position of
+/// the whole message in the log's side table.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    at: SimTime,
+    /// The seq of a scheduled message; the side-table index otherwise.
+    key: u64,
+    sender: u16,
+    send: bool,
+    side: bool,
+}
+
+// An entry is a third of the `(SimTime, Event)` it replaces, and holds no
+// handle on a frame.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 24);
+
+/// One process's application log: its sends and deliveries with their
+/// instants, in the order it made them.
+///
+/// A send of the schedule, and a delivery whose body equals the scheduled
+/// body for its id, are kept as the id alone against the group's one
+/// shared table of scheduled bodies; any other message — a view change, a control envelope, an
+/// id outside the schedule, an altered body — is kept whole beside them.
+/// [`AppLog::events`] therefore reads back exactly the messages the
+/// process sent and delivered, and the log pins no received frame.
+#[derive(Debug, Clone, Default)]
+pub struct AppLog {
+    me: ProcessId,
+    schedule: Schedule,
+    entries: Vec<Entry>,
+    side: Vec<Message>,
+}
+
+impl AppLog {
+    /// Number of deliveries logged.
+    pub fn delivered(&self) -> usize {
+        self.entries.iter().filter(|e| !e.send).count()
+    }
+
+    /// Every entry as the event it logs, with its instant. A body is a
+    /// handle cloned from the schedule or the side table, not a copy.
+    pub fn events(&self) -> impl Iterator<Item = (SimTime, Event)> + '_ {
+        self.entries.iter().map(|e| (e.at, self.event(e)))
+    }
+
+    /// Appends `later`'s entries to this log's: what one process logged
+    /// after what it logged before. An empty log takes `later` as it is.
+    pub fn append(&mut self, mut later: AppLog) {
+        if self.entries.is_empty() {
+            *self = later;
+            return;
+        }
+        let base = self.side.len() as u64;
+        let rebase = |e: &Entry| if e.side { Entry { key: e.key + base, ..*e } } else { *e };
+        self.entries.extend(later.entries.iter().map(rebase));
+        self.side.append(&mut later.side);
+    }
+
+    /// The scheduled body of `(sender, seq)`, if the schedule has one.
+    fn scheduled(&self, sender: ProcessId, seq: u64) -> Option<&Bytes> {
+        let idx = usize::try_from(seq.checked_sub(1)?).ok()?;
+        self.schedule.get(sender.index())?.get(idx)
+    }
+
+    /// Logs `msg`, by id when `compact` and whole otherwise.
+    fn push(&mut self, at: SimTime, msg: Message, send: bool, compact: bool) {
+        let (key, sender) = if compact {
+            (msg.id.seq, msg.id.sender.0)
+        } else {
+            self.side.push(msg);
+            (self.side.len() as u64 - 1, 0)
+        };
+        self.entries.push(Entry { at, key, sender, send, side: !compact });
+    }
+
+    /// The id an entry logs, read off the entry.
+    fn id(&self, e: &Entry) -> MsgId {
+        if e.side {
+            self.side[e.key as usize].id
+        } else {
+            MsgId::new(ProcessId(e.sender), e.key)
+        }
+    }
+
+    fn event(&self, e: &Entry) -> Event {
+        let msg = if e.side {
+            self.side[e.key as usize].clone()
+        } else {
+            let sender = ProcessId(e.sender);
+            let body = self.scheduled(sender, e.key).expect("a compact entry is scheduled");
+            Message::new(sender, e.key, body.clone())
+        };
+        if e.send {
+            Event::send(msg)
+        } else {
+            Event::deliver(self.me, msg)
+        }
+    }
+}
+
 /// The transport-independent half of one process, which every driver
 /// runs beside the process's stack: its share of the scheduled sends, the
 /// numbering of its messages, and its application log.
 #[derive(Debug)]
 pub struct AppProcess {
-    pub(crate) me: ProcessId,
     next_seq: u64,
-    /// Bodies of this process's scheduled sends, in due order.
-    schedule: Vec<Bytes>,
-    log: Vec<(SimTime, Event)>,
+    log: AppLog,
     /// Entries a run of the scheduled workload appends to `log`: one per
     /// send of the group (its delivery here) plus one per own send.
     log_room: usize,
 }
 
 impl AppProcess {
+    pub(crate) fn me(&self) -> ProcessId {
+        self.log.me
+    }
+
     /// One process half per member of a group of `n`, each with the due
     /// instants of its scheduled sends: [`AppProcess::send`] of `i` is due
-    /// at the `i`-th. Same-instant sends keep their schedule order.
+    /// at the `i`-th. Same-instant sends keep their schedule order. The
+    /// bodies go into one table the halves share.
     ///
     /// # Panics
     ///
@@ -163,18 +271,30 @@ impl AppProcess {
             assert!(p.index() < per_node.len(), "scheduled sender {p} out of range");
             per_node[p.index()].push((at, body));
         }
-        (0..n)
-            .zip(per_node)
-            .map(|(me, mut own)| {
+        let mut dues = Vec::with_capacity(per_node.len());
+        let schedule: Schedule = per_node
+            .into_iter()
+            .map(|mut own| {
                 own.sort_by_key(|(at, _)| *at);
+                let (due, bodies) = own.into_iter().unzip();
+                dues.push(due);
+                bodies
+            })
+            .collect();
+        (0..n)
+            .zip(dues)
+            .map(|(me, due): (u16, Vec<SimTime>)| {
                 let app = AppProcess {
-                    me: ProcessId(me),
                     next_seq: 1,
-                    schedule: own.iter().map(|(_, body)| body.clone()).collect(),
-                    log: Vec::new(),
-                    log_room: group_sends + own.len(),
+                    log: AppLog {
+                        me: ProcessId(me),
+                        schedule: Arc::clone(&schedule),
+                        entries: Vec::new(),
+                        side: Vec::new(),
+                    },
+                    log_room: group_sends + due.len(),
                 };
-                (app, own.iter().map(|(at, _)| *at).collect())
+                (app, due)
             })
             .collect()
     }
@@ -189,12 +309,14 @@ impl AppProcess {
         obs: Option<&Writer<'_>>,
         parent: CauseId,
     ) -> (Message, CauseId) {
-        let msg = Message::new(self.me, self.next_seq, self.schedule[idx].clone());
+        let body = self.log.schedule[self.me().index()][idx].clone();
+        let msg = Message::new(self.me(), self.next_seq, body);
         self.next_seq += 1;
-        let node = u32::from(self.me.0);
+        let node = u32::from(self.me().0);
         let ev = ObsEvent::AppSend { sender: node, seq: msg.id.seq };
         let cause = obs.map_or(parent, |o| o.record_caused(at.as_micros(), node, parent, ev));
-        self.append(at, Event::send(msg.clone()));
+        let compact = msg.id.seq == idx as u64 + 1;
+        self.append(at, msg.clone(), true, compact);
         (msg, cause)
     }
 
@@ -204,14 +326,15 @@ impl AppProcess {
     pub fn deliver(&mut self, at: SimTime, msg: Message, obs: Option<&Writer<'_>>, cause: CauseId) {
         if let Some(o) = obs.filter(|_| !msg.id.is_control()) {
             let ev = ObsEvent::AppDeliver { sender: u32::from(msg.id.sender.0), seq: msg.id.seq };
-            o.record_caused(at.as_micros(), u32::from(self.me.0), cause, ev);
+            o.record_caused(at.as_micros(), u32::from(self.me().0), cause, ev);
         }
-        self.append(at, Event::deliver(self.me, msg));
+        let compact = self.log.scheduled(msg.id.sender, msg.id.seq) == Some(&msg.body);
+        self.append(at, msg, false, compact);
     }
 
     /// This process's sends and deliveries with their times, in the order
     /// it made them.
-    pub fn log(&self) -> &[(SimTime, Event)] {
+    pub fn log(&self) -> &AppLog {
         &self.log
     }
 
@@ -219,19 +342,24 @@ impl AppProcess {
     /// that moves the entries instead of copying them. The room the
     /// scheduled workload asks of the log shrinks by what was handed
     /// over, so the next append reserves only the remainder.
-    pub fn take_log(&mut self) -> Vec<(SimTime, Event)> {
-        self.log_room = self.log_room.saturating_sub(self.log.len());
-        std::mem::take(&mut self.log)
+    pub fn take_log(&mut self) -> AppLog {
+        self.log_room = self.log_room.saturating_sub(self.log.entries.len());
+        AppLog {
+            me: self.me(),
+            schedule: Arc::clone(&self.log.schedule),
+            entries: std::mem::take(&mut self.log.entries),
+            side: std::mem::take(&mut self.log.side),
+        }
     }
 
     /// The first append sizes the log for the scheduled workload — inside
     /// the run, so that building a group touches no memory the run may
     /// never use, and once, instead of doubling through re-copied entries.
-    fn append(&mut self, at: SimTime, ev: Event) {
-        if self.log.capacity() == 0 {
-            self.log.reserve_exact(self.log_room);
+    fn append(&mut self, at: SimTime, msg: Message, send: bool, compact: bool) {
+        if self.log.entries.capacity() == 0 {
+            self.log.entries.reserve_exact(self.log_room);
         }
-        self.log.push((at, ev));
+        self.log.push(at, msg, send, compact);
     }
 }
 
@@ -258,43 +386,45 @@ pub trait Driver {
     fn recorder(&self) -> &ps_obs::Recorder;
 
     /// Process `p`'s application log ([`AppProcess::log`]).
-    fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)];
+    fn process_log(&self, p: ProcessId) -> &AppLog;
 
     /// The application-level trace of the whole run: every process's
     /// `Send` and `Deliver` events merged in time order (ties by process,
     /// then by log order) — ready for the `ps-trace` property checkers.
+    /// Entries are ordered by instant alone; only then is each one's
+    /// message rebuilt.
     fn app_trace(&self) -> Trace {
-        let mut events: Vec<(SimTime, u16, usize, &Event)> = Vec::new();
-        for &p in self.group() {
-            for (idx, (at, ev)) in self.process_log(p).iter().enumerate() {
-                events.push((*at, p.0, idx, ev));
-            }
+        let logs: Vec<&AppLog> = self.group().iter().map(|&p| self.process_log(p)).collect();
+        let mut order: Vec<(SimTime, u16, usize, &AppLog, &Entry)> = Vec::new();
+        for log in &logs {
+            order.extend(
+                log.entries.iter().enumerate().map(|(idx, e)| (e.at, log.me.0, idx, *log, e)),
+            );
         }
-        events.sort_by_key(|&(at, node, idx, _)| (at, node, idx));
-        events.into_iter().map(|(_, _, _, ev)| ev.clone()).collect()
+        order.sort_unstable_by_key(|&(at, node, idx, ..)| (at, node, idx));
+        order.into_iter().map(|(.., log, e)| log.event(e)).collect()
     }
 
-    /// Send time of every message, by id.
+    /// Send time of every message, by id. Reads ids and instants only.
     fn send_times(&self) -> BTreeMap<MsgId, SimTime> {
         let mut out = BTreeMap::new();
         for &p in self.group() {
-            for (at, ev) in self.process_log(p) {
-                if let Event::Send(m) = ev {
-                    out.insert(m.id, *at);
-                }
+            let log = self.process_log(p);
+            for e in log.entries.iter().filter(|e| e.send) {
+                out.insert(log.id(e), e.at);
             }
         }
         out
     }
 
-    /// Every delivery observed, process by process in log order.
+    /// Every delivery observed, process by process in log order. Reads
+    /// ids and instants only.
     fn deliveries(&self) -> Vec<DeliveryRecord> {
         let mut out = Vec::new();
         for &p in self.group() {
-            for (at, ev) in self.process_log(p) {
-                if let Event::Deliver(p, m) = ev {
-                    out.push(DeliveryRecord { msg: m.id, process: *p, at: *at });
-                }
+            let log = self.process_log(p);
+            for e in log.entries.iter().filter(|e| !e.send) {
+                out.push(DeliveryRecord { msg: log.id(e), process: log.me, at: e.at });
             }
         }
         out
@@ -389,7 +519,7 @@ mod tests {
         sim.run_until(at(30));
         let order: Vec<Bytes> = sim
             .process_log(ProcessId(0))
-            .iter()
+            .events()
             .filter(|(_, e)| e.is_send())
             .map(|(_, e)| e.message().body.clone())
             .collect();
@@ -415,7 +545,7 @@ mod tests {
         assert_eq!(send.ev, ObsEvent::AppSend { sender: 0, seq: msg.id.seq });
         assert_eq!(send.parent, parent);
         assert_eq!(send.id(), cause);
-        assert_eq!(app.log().len(), 2, "both sends are logged");
+        assert_eq!(app.log().entries.len(), 2, "both sends are logged");
     }
 
     #[test]
@@ -427,22 +557,22 @@ mod tests {
         let (a, _) = app.send(0, SimTime::from_micros(1), None, CauseId::NONE);
         app.deliver(SimTime::from_micros(2), a, None, CauseId::NONE);
         let first = app.take_log();
-        assert_eq!(first.len(), 2);
-        assert_eq!(first.capacity(), 6, "moved out as sized, not copied");
-        assert!(app.log().is_empty());
+        assert_eq!(first.entries.len(), 2);
+        assert_eq!(first.entries.capacity(), 6, "moved out as sized, not copied");
+        assert!(app.log().entries.is_empty());
         assert_eq!(app.log_room, 4);
         // The next append reserves only what the workload has left.
         let (b, _) = app.send(1, SimTime::from_micros(3), None, CauseId::NONE);
-        assert_eq!(app.log.capacity(), 4);
+        assert_eq!(app.log.entries.capacity(), 4);
         app.deliver(SimTime::from_micros(4), b, None, CauseId::NONE);
-        assert_eq!(app.take_log().len(), 2);
+        assert_eq!(app.take_log().entries.len(), 2);
         assert_eq!(app.log_room, 2);
         // More entries than the schedule foresaw leave no room, not less.
         for at in 5..10 {
             let m = Message::new(ProcessId(1), at, body(b"x"));
             app.deliver(SimTime::from_micros(at), m, None, CauseId::NONE);
         }
-        assert_eq!(app.take_log().len(), 5);
+        assert_eq!(app.take_log().entries.len(), 5);
         assert_eq!(app.log_room, 0);
     }
 
@@ -460,8 +590,8 @@ mod tests {
             CauseId::NONE,
         );
         drop(w);
-        assert_eq!(app.log().len(), 2);
-        assert!(app.log()[0].1.message().is_view_change());
+        assert_eq!(app.log().entries.len(), 2);
+        assert!(app.log().events().next().unwrap().1.message().is_view_change());
         let recorded: Vec<ObsEvent> = rec.snapshot().iter().map(|e| e.ev).collect();
         assert_eq!(recorded, vec![ObsEvent::AppDeliver { sender: 0, seq: 1 }]);
     }

@@ -53,7 +53,7 @@ mod stack;
 mod tap;
 
 pub use channel::ChannelId;
-pub use driver::{AppProcess, DeliveryRecord, Driver, GroupSpec};
+pub use driver::{AppLog, AppProcess, DeliveryRecord, Driver, GroupSpec};
 pub use layer::{Cast, Frame, IdGen, Layer, LayerCtx, LayerId};
 pub use runtime::{GroupSim, GroupSimBuilder, StackFactory};
 pub use stack::{Stack, StackEnv};

@@ -1,4 +1,4 @@
-use crate::driver::{AppProcess, Driver, GroupSpec};
+use crate::driver::{AppLog, AppProcess, Driver, GroupSpec};
 use crate::layer::{Cast, Frame, IdGen, LayerId};
 use crate::stack::{Stack, StackEnv};
 use ps_bytes::Bytes;
@@ -6,7 +6,7 @@ use ps_simnet::{
     Agent, Dest, Medium, NetStats, NodeId, Packet, PointToPoint, Sim, SimApi, SimConfig, SimTime,
     TimerToken,
 };
-use ps_trace::{Event, Message, ProcessId};
+use ps_trace::{Message, ProcessId};
 
 /// Builds one process's protocol stack.
 ///
@@ -43,7 +43,7 @@ struct EnvAdapter<'a, 'b> {
 
 impl StackEnv for EnvAdapter<'_, '_> {
     fn me(&self) -> ProcessId {
-        self.app.me
+        self.app.me()
     }
     fn group(&self) -> &[ProcessId] {
         self.group
@@ -237,7 +237,7 @@ impl GroupSimBuilder {
             .into_iter()
             .map(|app| {
                 let mut ids = IdGen::new();
-                let stack = factory(app.me, &group, &mut ids);
+                let stack = factory(app.me(), &group, &mut ids);
                 ProcessAgent { stack, group: group.clone(), app }
             })
             .collect();
@@ -301,7 +301,7 @@ impl Driver for GroupSim {
     fn recorder(&self) -> &ps_obs::Recorder {
         self.sim.recorder()
     }
-    fn process_log(&self, p: ProcessId) -> &[(SimTime, Event)] {
+    fn process_log(&self, p: ProcessId) -> &AppLog {
         self.sim.agent(NodeId::from(p.0)).app.log()
     }
 }

@@ -46,9 +46,10 @@ cargo test -q
 
 echo "==> disabled instruments: an attached, switched-off recorder or profiler costs the engine < 3% (offline)"
 # Same-process A/B on the bare Sim loop: four loads, each plain, with a
-# disabled Recorder and with a disabled Profiler, fastest of 20 runs per
-# variant. The bench asserts the median of the eight ratios is below 1.03
-# and takes no argument or variable that could skip it.
+# disabled Recorder and with a disabled Profiler, 20 timed rounds per load;
+# a variant's ratio is the median of its time over the plain run's in the
+# same round. The bench asserts the median of the eight ratios is below
+# 1.03 and takes no argument or variable that could skip it.
 cargo bench -q -p ps-simnet --bench instruments_off
 
 echo "==> size: non-test source lines and pub items per crate (informational)"
@@ -97,7 +98,11 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # `MetricsSampler::clear` deleted; ps-harness 4 489 / 244 → 4 495 / 243
 # (fig2 prints `-` for an empty latency window instead of its zeroes, and
 # `LatencyStats::mean_ms` lost its one caller); the total 21 430 / 1 157
-# → 21 506 / 1 157 with them.
+# → 21 506 / 1 157 with them. ps-stack 1 467 / 106 → 1 597 / 110 when
+# the application log became `AppLog` (24-byte entries against one shared
+# table of scheduled bodies, a side table for what it cannot rebuild, and
+# `events`, `append` and `delivered` to read it), ps-net 711 → 705 with
+# it, and the total → 21 630 / 1 161.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -109,12 +114,12 @@ size_ceiling() {
 }
 size_ceiling ps-core 2004 85
 size_ceiling ps-harness 4495 243
-size_ceiling ps-net 711 17
+size_ceiling ps-net 705 17
 size_ceiling ps-obs 3038 178
 size_ceiling ps-simnet 1936 118
-size_ceiling ps-stack 1467 106
+size_ceiling ps-stack 1597 110
 size_ceiling ps-trace 2380 144
-size_ceiling total 21506 1157
+size_ceiling total 21630 1161
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
@@ -224,33 +229,46 @@ alloc_ceiling observed 1.5
 # host load no longer moves them: a datagram goes out from a buffer its
 # node owns, the node's receive buffer exists before its thread starts,
 # and the read-out moves the logs. Quick runs read 3.86-3.89 calls and
-# 0.773-0.777 kB a multicast: the frames, a received payload longer than
-# a handle holds (one exact-size copy), the logs and the sampler's
-# series. They read 5.17-5.20 and 1.09-1.42 kB while every datagram
+# 0.629-0.631 kB a multicast: the frames, a received payload longer than
+# a handle holds (one exact-size copy), the logs (24 bytes an entry) and
+# the sampler's series. They read 0.773-0.777 kB while a log entry was 72
+# bytes, and 5.17-5.20 calls and 1.09-1.42 kB while every datagram
 # copied its frame under the envelope and each node thread allocated its
 # 60 000-byte receive buffer as it started. A thread that starts after
 # the timed run has begun adds 0.21 kB a multicast here, and the envelope
-# copy more; either lands above 0.9.
+# copy more; either lands above 0.75.
 alloc_ceiling udp_steady 4.5
-alloc_kb_ceiling udp_steady 0.9
-# Bytes requested per multicast, the same exact kind of count. What is
-# left in steady_small's 1.00 kB is the per-node application log, 0.65 kB
-# (nine 72-byte entries per multicast), requested once at its first push,
-# and the frames; `observed` adds the total-order monitor's agreed
-# sequence for 1.23. A log (or any per-message list) that grows by
-# doubling again requests each entry about three times over and lands
-# where these read before: 2.32 and 2.80.
-alloc_kb_ceiling steady_small 1.3
-alloc_kb_ceiling observed 1.6
+alloc_kb_ceiling udp_steady 0.75
+# Bytes requested per multicast, the same exact kind of count.
+# steady_small reads 0.55 kB: the per-node application log, 0.22 kB (nine
+# 24-byte entries per multicast, an id against the run's one table of
+# scheduled bodies), requested once at its first push, and the frames;
+# `observed` adds the total-order monitor's agreed sequence for 0.78. They
+# read 0.98 and 1.21 while an entry was a 72-byte `(SimTime, Event)`
+# holding a slice of its frame, and 2.32 and 2.80 while the log grew by
+# doubling and requested each entry about three times over; either lands
+# above these.
+alloc_kb_ceiling steady_small 0.7
+alloc_kb_ceiling observed 0.95
 # On the fault-tolerant stack the bytes are the frames: steady_large
-# reads 3.85 kB — the 1400-byte body twice (built once, with every header
+# reads 3.42 kB — the 1400-byte body twice (built once, with every header
 # in its reserve; relayed once, by the sequencer) plus the delivery log —
-# and lossy_ft 1.25. They read 5.62 and 1.71 while the body was copied a
-# third time, at the channel tag, under a frame a reliable layer inside
-# the side had already kept, and 6.49 and 2.69 while each of a
-# multicast's nine acknowledgements was a buffer of its own.
-alloc_kb_ceiling steady_large 5
-alloc_kb_ceiling lossy_ft 1.6
+# and lossy_ft 0.82. They read 3.85 and 1.25 with 72-byte log entries,
+# 5.62 and 1.71 while the body was copied a third time, at the channel
+# tag, under a frame a reliable layer inside the side had already kept,
+# and 6.49 and 2.69 while each of a multicast's nine acknowledgements was
+# a buffer of its own.
+alloc_kb_ceiling steady_large 3.7
+alloc_kb_ceiling lossy_ft 1.05
+# The heap a run holds at its worst, exact for a seed on simnet like the
+# counts above: the logs, the frames still in flight or kept for
+# retransmission, and the read-out's trace. steady_large reads 3.66 MB
+# and steady_small 2.01. They read 5.96 and 2.67 while every log entry
+# was 72 bytes and held a slice of its frame, so that each delivered
+# frame stayed live until the run ended; a log that keeps frames or grows
+# its entries again lands above these.
+metric_ceiling steady_large peak_heap_mb 4.5
+metric_ceiling steady_small peak_heap_mb 2.3
 
 echo "==> model outputs: simulated delivery latency is what it was (offline)"
 # What the simulated group *does* is a function of the seed alone, and the
