@@ -8,9 +8,10 @@
 //!   [`Bytes`].
 //!
 //! Both are implemented here on top of `Arc<[u8]>` (plus a zero-alloc
-//! `&'static [u8]` representation and one that keeps a [small
-//! frame](crate#small-frames) in the handle itself) so the workspace builds
-//! with **zero external dependencies**. The API is the subset of the
+//! `&'static [u8]` representation, one that keeps a [small
+//! frame](crate#small-frames) in the handle itself, and one that keeps a
+//! frame's headers [beside its body](crate#split-frames)) so the workspace
+//! builds with **zero external dependencies**. The API is the subset of the
 //! `bytes` crate the repo actually uses; it is not a drop-in replacement
 //! for the full crate.
 //!
@@ -29,8 +30,11 @@
 //!   with `Arc::get_mut`, no `unsafe`). A clone or slice taken earlier
 //!   therefore never sees its content change.
 //! * A prepend onto a shared, static or reserve-exhausted handle makes
-//!   exactly one copy into a fresh buffer with a fresh reserve (or into
-//!   the handle, see [Small frames](crate#small-frames)).
+//!   exactly one copy: of the headers only, beside the untouched body,
+//!   when that allocation is the smaller one (see [Split
+//!   frames](crate#split-frames)); else of header and content, into a
+//!   fresh buffer with a fresh reserve (or into the handle, see [Small
+//!   frames](crate#small-frames)).
 //! * A slice keeps its whole buffer alive — reserve, popped headers and
 //!   all. Holders of many long-lived small slices of large frames should
 //!   [`Bytes::copy_from_slice`] instead.
@@ -61,6 +65,33 @@
 //! * Which representation a handle has is invisible: length, equality,
 //!   ordering, hashing, `Debug` and iteration see only the content.
 //!
+//! # Split frames
+//!
+//! A body the application keeps — a schedule of sends, a reliable layer's
+//! retransmission buffer — is shared, so the first header pushed onto it
+//! cannot go in its reserve. Copying a 1 400-byte body to add a 6-byte
+//! header is the waste; instead the push builds a *split*: a small
+//! allocation holding the headers, right-aligned with the usual
+//! [`HEADROOM`] of reserve in front of them, beside a handle on the
+//! untouched body. `start..end` index the concatenation. The rule:
+//!
+//! * A push that cannot go in place splits when the split's allocation is
+//!   smaller than the copy it replaces — a rule on sizes alone: here,
+//!   when the result is longer than 80 bytes. Shorter frames (a 32- or
+//!   64-byte body under a message header) copy as before.
+//! * Later pushes write into the split's reserve in place while the split
+//!   has one owner; onto a shared split (a relay of a kept frame) they
+//!   copy its headers, never its body.
+//! * [`Bytes::advance`] and [`Bytes::slice`] past the headers leave the
+//!   body's own handle, so a delivered body is the buffer it was sent
+//!   from, and compares equal to it without a byte read.
+//! * Consumers read a frame as its two [`Bytes::parts`]: equality,
+//!   ordering, hashing and `Debug` do, and so do `ps_wire::take_header`,
+//!   the message codec and the datagram writer. Only a contiguous read
+//!   ([`Deref`], [`Bytes::as_slice`]) of a view that spans both parts
+//!   joins them — once per split, kept beside it, and counted by
+//!   [`joins`].
+//!
 //! # Examples
 //!
 //! ```
@@ -74,11 +105,12 @@
 //! assert_eq!(b, c);
 //! ```
 
-use std::borrow::Borrow;
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Spare bytes in front of every buffer this crate builds, for headers
 /// prepended on the way down a protocol stack.
@@ -117,27 +149,138 @@ pub struct Bytes {
 /// the benchmark's allocation counts read the same with 22 as with 23.
 const INLINE_CAP: usize = 22;
 
+/// Room for headers in a [split frame](crate#split-frames): the usual
+/// [`HEADROOM`] of reserve in front of up to 16 bytes of headers a push
+/// onto a shared split carries over (a relay's own header, the channel tag
+/// and a message's id and length come to 11 on the shipped stacks).
+const SPLIT_HEAD: usize = HEADROOM + 16;
+
 /// The bytes of a small frame, at an even offset in the handle.
 #[derive(Clone, Copy)]
 #[repr(align(2))]
 struct Small([u8; INLINE_CAP]);
 
+/// The two variants that own a reference count are adjacent, so that
+/// dropping a handle compiles to two compares rather than a jump table.
 #[derive(Clone)]
 enum Repr {
     /// Borrowed from static memory; never allocates or counts references.
     Static(&'static [u8]),
     /// Shared heap allocation.
     Shared(Arc<[u8]>),
+    /// Headers beside a body; `start..end` index `head ++ body`, and
+    /// `start < SPLIT_HEAD` (a view past the headers is the body's own).
+    Split(Arc<Split>),
     /// The bytes themselves; `start..end` index into them as into a buffer.
     Inline(Small),
 }
 
-impl Repr {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Repr::Static(s) => s,
-            Repr::Shared(a) => a,
-            Repr::Inline(small) => &small.0,
+/// A [split frame](crate#split-frames): headers, right-aligned in `head`
+/// with reserve in front of them, beside an untouched body.
+struct Split {
+    head: [u8; SPLIT_HEAD],
+    /// The body is `body[at..end]`: a buffer or static memory, never a
+    /// split or a value held in a handle (a push onto either copies), so
+    /// no `Bytes`, and dropping a handle is not recursive.
+    body: Flat,
+    at: usize,
+    end: usize,
+    /// `head ++ body` in one piece, built by the first contiguous read of
+    /// a view that spans both.
+    joined: OnceLock<Box<[u8]>>,
+}
+
+/// What a split's body lives in.
+#[derive(Clone)]
+enum Flat {
+    Static(&'static [u8]),
+    Shared(Arc<[u8]>),
+}
+
+thread_local! {
+    static JOINS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many [split frames](crate#split-frames) this thread has joined into
+/// one piece for a contiguous read (a `Deref` of a view that spans headers
+/// and body). Every read the protocol stacks make goes through
+/// [`Bytes::parts`] instead, so on them this stays put.
+pub fn joins() -> u64 {
+    JOINS.with(Cell::get)
+}
+
+impl Split {
+    fn body(&self) -> &[u8] {
+        let buf: &[u8] = match &self.body {
+            Flat::Static(s) => s,
+            Flat::Shared(a) => a,
+        };
+        &buf[self.at..self.end]
+    }
+
+    /// `head ++ body`'s `start..end`. Out of line, like the two below:
+    /// every handle matches on a split, few are one.
+    #[inline(never)]
+    fn view(&self, start: usize, end: usize) -> &[u8] {
+        if end <= SPLIT_HEAD {
+            return &self.head[start..end];
+        }
+        let joined = self.joined.get_or_init(|| {
+            JOINS.with(|j| j.set(j.get() + 1));
+            [&self.head[..], self.body()].concat().into()
+        });
+        &joined[start..end]
+    }
+
+    /// `head ++ body`'s `start..end` as headers and body.
+    #[inline(never)]
+    fn parts(&self, start: usize, end: usize) -> [&[u8]; 2] {
+        match end.checked_sub(SPLIT_HEAD) {
+            Some(in_body) => [&self.head[start..], &self.body()[..in_body]],
+            None => [&self.head[start..end], &[]],
+        }
+    }
+
+    /// The body's own handle on `head ++ body`'s `start..end`, a range
+    /// past the headers.
+    #[inline(never)]
+    fn body_range(&self, start: usize, end: usize) -> Bytes {
+        let repr = match &self.body {
+            Flat::Static(s) => Repr::Static(s),
+            Flat::Shared(a) => Repr::Shared(Arc::clone(a)),
+        };
+        Bytes { repr, start: self.at + (start - SPLIT_HEAD), end: self.at + (end - SPLIT_HEAD) }
+    }
+}
+
+/// Copies `parts` one after another into the front of `buf`.
+fn write_parts(buf: &mut [u8], parts: &[&[u8]]) {
+    let mut at = 0;
+    for part in parts {
+        buf[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+}
+
+/// Lexicographic order of two byte strings, each given in two parts.
+#[inline(never)]
+fn cmp_parts(a: [&[u8]; 2], b: [&[u8]; 2]) -> Ordering {
+    fn front<'a>(p: &mut [&'a [u8]; 2]) -> &'a [u8] {
+        if p[0].is_empty() {
+            p.swap(0, 1);
+        }
+        p[0]
+    }
+    let (mut a, mut b) = (a, b);
+    loop {
+        let (x, y) = (front(&mut a), front(&mut b));
+        if x.is_empty() || y.is_empty() {
+            return x.len().cmp(&y.len());
+        }
+        let n = x.len().min(y.len());
+        match x[..n].cmp(&y[..n]) {
+            Ordering::Equal => (a[0], b[0]) = (&x[n..], &y[n..]),
+            unequal => return unequal,
         }
     }
 }
@@ -157,19 +300,18 @@ impl Bytes {
     /// itself, when it is [small enough](crate#small-frames).
     pub fn copy_from_slice(data: &[u8]) -> Self {
         if data.len() <= INLINE_CAP {
-            return Bytes::inline(&[], data);
+            return Bytes::inline(&[data]);
         }
         Bytes::from_arc(Arc::from(data))
     }
 
-    /// `head ++ tail` held in the handle, right-aligned so that what is in
-    /// front of it is reserve. The caller has checked that it fits.
-    fn inline(head: &[u8], tail: &[u8]) -> Self {
-        let mid = INLINE_CAP - tail.len();
-        let start = mid - head.len();
+    /// The concatenation of `parts` held in the handle, right-aligned so
+    /// that what is in front of it is reserve. The caller has checked that
+    /// it fits.
+    fn inline(parts: &[&[u8]]) -> Self {
+        let start = INLINE_CAP - parts.iter().map(|p| p.len()).sum::<usize>();
         let mut buf = [0u8; INLINE_CAP];
-        buf[start..mid].copy_from_slice(head);
-        buf[mid..].copy_from_slice(tail);
+        write_parts(&mut buf[start..], parts);
         Bytes { repr: Repr::Inline(Small(buf)), start, end: INLINE_CAP }
     }
 
@@ -181,33 +323,69 @@ impl Bytes {
     /// Returns `header ++ self` (see the [crate docs](crate#headroom)).
     ///
     /// Writes `header` into the reserve in front of the content when this
-    /// handle is the buffer's only owner (a [small
-    /// frame](crate#small-frames) always is) and the reserve is large
-    /// enough: no allocation, no payload copy. Otherwise copies header and
-    /// content once — into the handle when they fit there, else into a
-    /// fresh buffer with [`HEADROOM`] bytes of new reserve.
+    /// handle is its buffer's (or its split's) only owner — a [small
+    /// frame](crate#small-frames) always is — and the reserve is large
+    /// enough: no allocation, no payload copy. Otherwise copies once: into
+    /// the handle when the result fits there; into a [split
+    /// frame](crate#split-frames) — the headers only, beside this handle's
+    /// body — when that allocation is the smaller one; else header and
+    /// content into a fresh buffer with [`HEADROOM`] bytes of new reserve.
     pub fn prepend(mut self, header: &[u8]) -> Self {
         let reserve: Option<&mut [u8]> = match &mut self.repr {
             Repr::Static(_) => None,
             Repr::Shared(arc) => Arc::get_mut(arc),
             Repr::Inline(small) => Some(&mut small.0),
+            Repr::Split(split) => Arc::get_mut(split).map(|split| {
+                // A join cached before the push would show stale reserve.
+                split.joined.take();
+                &mut split.head[..]
+            }),
         };
         if let (Some(start), Some(buf)) = (self.start.checked_sub(header.len()), reserve) {
             buf[start..self.start].copy_from_slice(header);
             self.start = start;
             return self;
         }
-        if header.len() + self.len() <= INLINE_CAP {
-            return Bytes::inline(header, self.as_slice());
+        self.prepend_copied(header)
+    }
+
+    /// [`Bytes::prepend`] where the header cannot go in place: one copy,
+    /// into the handle, a split or a fresh buffer. Kept out of line, so
+    /// that the push in place stays small where it is inlined.
+    #[inline(never)]
+    fn prepend_copied(self, header: &[u8]) -> Self {
+        let len = header.len() + self.len();
+        let [front, back] = self.parts();
+        if len <= INLINE_CAP {
+            return Bytes::inline(&[header, front, back]);
         }
-        let start = HEADROOM;
-        let mid = start + header.len();
-        let end = mid + self.len();
-        let mut arc = zeroed(end);
+        // A split keeps this handle's body and carries its headers, if it
+        // has any, over; the copy it replaces would take `len` bytes plus
+        // the reserve.
+        let beside: &[u8] = if matches!(self.repr, Repr::Split(_)) { front } else { &[] };
+        let carried = header.len() + beside.len();
+        if carried < len && carried <= SPLIT_HEAD && size_of::<Split>() < HEADROOM + len {
+            let body = match &self.repr {
+                Repr::Static(s) => Some((Flat::Static(s), self.start, self.end)),
+                Repr::Shared(a) => Some((Flat::Shared(Arc::clone(a)), self.start, self.end)),
+                Repr::Split(split) => {
+                    Some((split.body.clone(), split.at, split.at + (self.end - SPLIT_HEAD)))
+                }
+                // A value held in the handle is copied.
+                Repr::Inline(_) => None,
+            };
+            if let Some((body, at, end)) = body {
+                let mut head = [0u8; SPLIT_HEAD];
+                let start = SPLIT_HEAD - carried;
+                write_parts(&mut head[start..], &[header, beside]);
+                let split = Split { head, body, at, end, joined: OnceLock::new() };
+                return Bytes { repr: Repr::Split(Arc::new(split)), start, end: start + len };
+            }
+        }
+        let mut arc = zeroed(HEADROOM + len);
         let buf = Arc::get_mut(&mut arc).expect("freshly built buffer is unique");
-        buf[start..mid].copy_from_slice(header);
-        buf[mid..].copy_from_slice(self.as_slice());
-        Bytes { repr: Repr::Shared(arc), start, end }
+        write_parts(&mut buf[HEADROOM..], &[header, front, back]);
+        Bytes { repr: Repr::Shared(arc), start: HEADROOM, end: HEADROOM + len }
     }
 
     /// Number of bytes in the view.
@@ -220,9 +398,30 @@ impl Bytes {
         self.start == self.end
     }
 
-    /// Borrows the viewed bytes.
+    /// Borrows the viewed bytes. On a [split frame](crate#split-frames)
+    /// whose view spans headers and body, the first such read joins the
+    /// two into one piece; [`Bytes::parts`] never does.
     pub fn as_slice(&self) -> &[u8] {
-        &self.repr.as_slice()[self.start..self.end]
+        let buf: &[u8] = match &self.repr {
+            Repr::Static(s) => s,
+            Repr::Shared(a) => a,
+            Repr::Inline(small) => &small.0,
+            Repr::Split(split) => return split.view(self.start, self.end),
+        };
+        &buf[self.start..self.end]
+    }
+
+    /// The viewed bytes as two pieces whose concatenation they are: a
+    /// [split frame](crate#split-frames)'s headers and its body, or all of
+    /// them and nothing. Never copies.
+    pub fn parts(&self) -> [&[u8]; 2] {
+        let buf: &[u8] = match &self.repr {
+            Repr::Static(s) => s,
+            Repr::Shared(a) => a,
+            Repr::Inline(small) => &small.0,
+            Repr::Split(split) => return split.parts(self.start, self.end),
+        };
+        [&buf[self.start..self.end], &[]]
     }
 
     /// Returns a sub-view sharing storage with `self` (O(1), no copy).
@@ -248,13 +447,19 @@ impl Bytes {
         };
         assert!(lo <= hi, "slice range inverted: {lo} > {hi}");
         assert!(hi <= len, "slice range {hi} out of bounds for length {len}");
-        Bytes { repr: self.repr.clone(), start: self.start + lo, end: self.start + hi }
+        let (start, end) = (self.start + lo, self.start + hi);
+        match &self.repr {
+            Repr::Split(split) if start >= SPLIT_HEAD => split.body_range(start, end),
+            repr => Bytes { repr: repr.clone(), start, end },
+        }
     }
 
     /// Drops the first `n` bytes from this view, in place: `b.advance(n)`
     /// leaves what `b.slice(n..)` would return, without creating a second
     /// handle — so a unique handle stays unique and the bytes passed over
-    /// become reserve a later [`Bytes::prepend`] can write into.
+    /// become reserve a later [`Bytes::prepend`] can write into. Advancing
+    /// past a [split frame](crate#split-frames)'s headers leaves the
+    /// body's own handle.
     ///
     /// # Panics
     ///
@@ -263,6 +468,23 @@ impl Bytes {
         let len = self.len();
         assert!(n <= len, "advance by {n} out of bounds for length {len}");
         self.start += n;
+        if matches!(self.repr, Repr::Split(_)) && self.start >= SPLIT_HEAD {
+            self.leave_the_headers();
+        }
+    }
+
+    /// Turns a split's view past its headers into the body's own handle.
+    #[inline(never)]
+    fn leave_the_headers(&mut self) {
+        if let Repr::Split(split) = &self.repr {
+            *self = split.body_range(self.start, self.end);
+        }
+    }
+
+    /// Content equality with a plain slice, read part by part.
+    fn eq_slice(&self, other: &[u8]) -> bool {
+        let [front, back] = self.parts();
+        self.len() == other.len() && other.starts_with(front) && other[front.len()..] == *back
     }
 }
 
@@ -285,12 +507,6 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes::from_arc(Arc::from(v))
@@ -303,33 +519,14 @@ impl From<String> for Bytes {
     }
 }
 
-impl From<&'static [u8]> for Bytes {
-    fn from(s: &'static [u8]) -> Self {
-        Bytes::from_static(s)
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::from_static(s.as_bytes())
-    }
-}
-
-impl<const N: usize> From<&'static [u8; N]> for Bytes {
-    fn from(s: &'static [u8; N]) -> Self {
-        Bytes::from_static(s)
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
-    }
-}
-
 impl PartialEq for Bytes {
+    /// By content — but two views of the same bytes in memory are equal
+    /// without reading them.
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        match (self.parts(), other.parts()) {
+            ([a, []], [b, []]) => a.len() == b.len() && (a.as_ptr() == b.as_ptr() || a == b),
+            (a, b) => self.len() == other.len() && cmp_parts(a, b).is_eq(),
+        }
     }
 }
 
@@ -337,69 +534,54 @@ impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
+        self.eq_slice(other)
     }
 }
 
 impl<const N: usize> PartialEq<[u8; N]> for Bytes {
     fn eq(&self, other: &[u8; N]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
-    fn eq(&self, other: &&[u8; N]) -> bool {
-        self.as_slice() == *other
+        self.eq_slice(other)
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialEq<Bytes> for [u8] {
-    fn eq(&self, other: &Bytes) -> bool {
-        self == other.as_slice()
-    }
-}
-
-impl PartialEq<Bytes> for Vec<u8> {
-    fn eq(&self, other: &Bytes) -> bool {
-        self.as_slice() == other.as_slice()
+        self.eq_slice(other)
     }
 }
 
 impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_parts(self.parts(), other.parts())
     }
 }
 
 impl Hash for Bytes {
+    /// Content hash, the one a `[u8]` of the same bytes has: its length,
+    /// then its bytes — here written part by part, which every hasher
+    /// whose `write` streams (std's do) cannot tell from one write.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Content hash, consistent with `Borrow<[u8]>`.
-        self.as_slice().hash(state);
+        match self.parts() {
+            [whole, []] => whole.hash(state),
+            [front, back] => {
+                state.write_usize(self.len());
+                state.write(front);
+                state.write(back);
+            }
+        }
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.as_slice() {
+        for &b in self.parts().into_iter().flatten() {
             // ASCII-escape, like the `bytes` crate: printable chars pass
             // through, the rest render as \xNN.
             match b {
@@ -416,35 +598,11 @@ impl fmt::Debug for Bytes {
     }
 }
 
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = IntoIter;
-    fn into_iter(self) -> IntoIter {
-        IntoIter { bytes: self, pos: 0 }
-    }
-}
-
 impl<'a> IntoIterator for &'a Bytes {
     type Item = &'a u8;
     type IntoIter = std::slice::Iter<'a, u8>;
     fn into_iter(self) -> Self::IntoIter {
         self.as_slice().iter()
-    }
-}
-
-/// Owning byte iterator returned by [`Bytes::into_iter`].
-#[derive(Debug)]
-pub struct IntoIter {
-    bytes: Bytes,
-    pos: usize,
-}
-
-impl Iterator for IntoIter {
-    type Item = u8;
-    fn next(&mut self) -> Option<u8> {
-        let b = self.bytes.as_slice().get(self.pos).copied();
-        self.pos += 1;
-        b
     }
 }
 
@@ -535,22 +693,10 @@ impl BytesMut {
     }
 }
 
-impl Default for BytesMut {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.buf[HEADROOM..self.end]
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        self
     }
 }
 
@@ -782,6 +928,97 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn advance_past_the_end_panics() {
         Bytes::from_static(b"ab").slice(..1).advance(2);
+    }
+
+    fn is_split(b: &Bytes) -> bool {
+        matches!(b.repr, Repr::Split(_))
+    }
+
+    #[test]
+    fn a_push_onto_a_shared_body_splits_only_when_that_allocates_less() {
+        let body = Bytes::from(vec![7u8; 1400]);
+        let framed = body.clone().prepend(b"hdr");
+        assert!(is_split(&framed));
+        assert!(size_of::<Split>() < HEADROOM + framed.len());
+        assert_eq!(framed.parts(), [&b"hdr"[..], &body[..]]);
+        assert!(std::ptr::eq(framed.parts()[1].as_ptr(), body.as_ptr()), "the body never moved");
+        // A 64-byte body under a message header still costs one copy: the
+        // split would not be smaller.
+        let small = Bytes::from(vec![7u8; 64]);
+        assert!(!is_split(&small.clone().prepend(&[1; 6])));
+        assert!(!is_split(&Bytes::from_static(&[7; 64]).prepend(&[1; 6])));
+        assert!(is_split(&Bytes::from_static(&[7; 1400]).prepend(&[1; 6])));
+    }
+
+    #[test]
+    fn a_split_takes_headers_in_place_and_copies_only_them_when_shared() {
+        let body = Bytes::from(vec![7u8; 1400]);
+        let mut framed = body.clone().prepend(b"a");
+        let split_at = |b: &Bytes| match &b.repr {
+            Repr::Split(split) => Arc::as_ptr(split),
+            _ => panic!("not a split"),
+        };
+        let first = split_at(&framed);
+        for _ in 0..HEADROOM / 8 {
+            framed = framed.prepend(&[9; 8]);
+        }
+        assert_eq!(split_at(&framed), first, "a unique split takes headers in place");
+        let kept = framed.clone();
+        let relayed = framed.prepend(b"R");
+        assert_ne!(split_at(&relayed), first, "a shared one copies its headers");
+        assert!(std::ptr::eq(relayed.parts()[1].as_ptr(), body.as_ptr()), "but not the body");
+        assert_eq!(relayed.slice(1..), kept);
+        assert_eq!((relayed[0], relayed.len()), (b'R', kept.len() + 1));
+    }
+
+    #[test]
+    fn advancing_past_the_headers_leaves_the_bodys_own_handle() {
+        let body = Bytes::from(vec![7u8; 1400]);
+        let mut framed = body.clone().prepend(b"hdr");
+        framed.advance(2);
+        assert!(is_split(&framed));
+        framed.advance(1);
+        let shares = |a: &Bytes, b: &Bytes| match (&a.repr, &b.repr) {
+            (Repr::Shared(a_buf), Repr::Shared(b_buf)) => {
+                Arc::ptr_eq(a_buf, b_buf) && (a.start, a.end) == (b.start, b.end)
+            }
+            _ => false,
+        };
+        assert!(!is_split(&framed) && shares(&framed, &body));
+        let framed = body.clone().prepend(b"hdr");
+        assert!(shares(&framed.slice(3..), &body));
+        assert!(shares(&framed.slice(5..9), &body.slice(2..6)));
+    }
+
+    #[test]
+    fn only_a_contiguous_read_across_the_edge_joins_and_a_push_in_place_forgets_it() {
+        let body = Bytes::from((0..=255u8).cycle().take(1400).collect::<Vec<u8>>());
+        let framed = body.clone().prepend(b"hdr");
+        let before = joins();
+        assert_eq!((&framed.slice(..2)[..], &framed.slice(3..10)[..]), (&b"hd"[..], &body[..7]));
+        assert_eq!(framed, framed.clone());
+        assert_eq!(framed.cmp(&body), b'h'.cmp(&body[0]));
+        assert_eq!(joins(), before, "views inside one part, Eq and Ord join nothing");
+        assert_eq!(&framed[1..5], b"dr\x00\x01");
+        assert_eq!(joins(), before + 1);
+        assert_eq!(&framed[..], &[&b"hdr"[..], &body[..]].concat()[..]);
+        assert_eq!(joins(), before + 1, "a split is joined once");
+        let framed = framed.prepend(b"new ");
+        assert_eq!(&framed[..8], b"new hdr\x00");
+        assert_eq!(joins(), before + 2, "and again after a push in place");
+    }
+
+    #[test]
+    fn views_of_the_same_bytes_are_equal_and_others_compare_by_content() {
+        let a = Bytes::from(vec![3u8; 1400]);
+        assert_eq!(a, a.clone());
+        assert_eq!(a.slice(5..9), a.slice(5..9));
+        assert_eq!(a, Bytes::from(vec![3u8; 1400]));
+        assert_ne!(a, a.slice(1..));
+        assert_ne!(a.slice(..4), Bytes::from_static(b"\x03\x03\x03\x04"));
+        let s = Bytes::from_static(b"static bytes");
+        assert_eq!(s, s.clone());
+        assert_ne!(s.slice(..6), s.slice(6..));
     }
 
     #[test]

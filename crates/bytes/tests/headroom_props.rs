@@ -4,7 +4,8 @@
 //! or slice sees, the reserve is invisible to `Eq` / `Ord` / `Hash`, and
 //! what a unique handle advanced past is reserve again. And of small
 //! frames: whether a value lives in its handle or in a buffer shows in no
-//! operation's result.
+//! operation's result. And of split frames — headers beside a body: cut
+//! anywhere, held any way, a split is its flat frame to every operation.
 
 use ps_bytes::{Bytes, BytesMut, HEADROOM};
 use ps_check::prelude::*;
@@ -88,10 +89,67 @@ fn every_way_to_hold(content: &[u8], pad: usize) -> Vec<(Bytes, Option<Bytes>)> 
 }
 
 /// Everything a caller can learn from a handle without changing it.
-fn observed(b: &Bytes) -> (Vec<u8>, usize, bool, String, u64, Vec<u8>, Vec<u8>) {
+fn observed(b: &Bytes) -> (Vec<u8>, usize, bool, String, u64, Vec<u8>) {
     let by_ref: Vec<u8> = b.into_iter().copied().collect();
-    let owned: Vec<u8> = b.clone().into_iter().collect();
-    (b.to_vec(), b.len(), b.is_empty(), format!("{b:?}"), hash_of(b), by_ref, owned)
+    (b.to_vec(), b.len(), b.is_empty(), format!("{b:?}"), hash_of(b), by_ref)
+}
+
+/// A handle on `body` that is not its buffer's only one: shared with a
+/// clone, in static memory, or a slice of a larger live buffer. The second
+/// value keeps it shared while it lives.
+fn shared_body(kind: u8, body: &[u8]) -> (Bytes, Option<Bytes>) {
+    match kind % 3 {
+        0 => {
+            let b = Bytes::from(body.to_vec());
+            (b.clone(), Some(b))
+        }
+        // Leaked on purpose: a few hundred bytes per case, test-only.
+        1 => (Bytes::from_static(Box::leak(body.to_vec().into_boxed_slice())), None),
+        _ => {
+            let mut v = vec![0xEE; 5];
+            v.extend_from_slice(body);
+            v.extend_from_slice(b"tail");
+            let parent = Bytes::from(v);
+            (parent.slice(5..5 + body.len()), Some(parent))
+        }
+    }
+}
+
+/// `head ++ body` as a split frame: `head`, pushed in `steps` pieces, beside
+/// a shared handle on `body` (`body_kind`); the split itself unique, shared
+/// with a clone, already read whole once (which joins it), or a slice of
+/// a larger split that is still alive, as `state` selects. The vector
+/// keeps whatever must stay alive.
+fn split_of(
+    head: &[u8],
+    body: &[u8],
+    steps: usize,
+    body_kind: u8,
+    state: u8,
+) -> (Bytes, Vec<Bytes>) {
+    let (mut b, keep) = shared_body(body_kind, body);
+    let mut keep: Vec<Bytes> = keep.into_iter().collect();
+    let piece = head.len().div_ceil(steps.max(1)).max(1);
+    let mut at = head.len();
+    loop {
+        let from = at.saturating_sub(piece);
+        b = b.prepend(&head[from..at]);
+        if from == 0 {
+            break;
+        }
+        at = from;
+    }
+    match state % 4 {
+        0 => {}
+        1 => keep.push(b.clone()),
+        2 => assert_eq!(b.to_vec().len(), head.len() + body.len()),
+        _ => {
+            let parent = b.prepend(b"<");
+            b = parent.slice(1..);
+            keep.push(parent);
+        }
+    }
+    (b, keep)
 }
 
 fn hash_of(b: &Bytes) -> u64 {
@@ -239,7 +297,7 @@ props! {
             let first = observed(&held[0].0);
             assert_eq!(first.0, model);
             assert_eq!((first.1, first.2), (model.len(), model.is_empty()));
-            assert_eq!((&first.5, &first.6), (&model, &model));
+            assert_eq!(first.5, model);
             for (value, _) in &held {
                 assert_eq!(observed(value), first);
                 assert_eq!(*value, held[0].0);
@@ -274,5 +332,56 @@ props! {
         assert_eq!(hash_of(&pushed), hash_of(&b));
         let o = Bytes::from(other.clone());
         assert_eq!(pushed.cmp(&o), payload.as_slice().cmp(other.as_slice()));
+    }
+
+    fn a_split_frame_is_its_flat_frame_to_every_operation(
+        head in vec_of(arb::<u8>(), 1..HEADROOM + 16),
+        body in vec_of(arb::<u8>(), HEADROOM + 17..300),
+        ways in (1usize..4, arb::<u8>(), arb::<u8>()),
+        ops in vec_of((0u8..4, vec_of(arb::<u8>(), 0..40), arb::<usize>(), arb::<usize>()), 0..8),
+        probe in vec_of(arb::<u8>(), 0..300),
+    ) {
+        // Longer than the headers a split holds, so every push onto the
+        // shared body splits; the ops then pop and push across the edge
+        // between headers and body in both directions.
+        let (steps, body_kind, state) = ways;
+        let mut model: Vec<u8> = head.iter().chain(&body).copied().collect();
+        let (mut split, _keep) = split_of(&head, &body, steps, body_kind, state);
+        assert!(!split.parts()[1].is_empty(), "headers beside the body");
+        let mut flat = Bytes::from(model.clone());
+        let probe = Bytes::from(probe);
+        for (op, header, a, b) in ops {
+            let (lo, hi) = (a % (model.len() + 1), b % (model.len() + 1));
+            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            let earlier = [(split.clone(), observed(&split)), (flat.clone(), observed(&flat))];
+            (split, flat) = match op {
+                0 | 1 => {
+                    model.splice(0..0, header.iter().copied()).for_each(drop);
+                    (split.prepend(&header), flat.prepend(&header))
+                }
+                2 => {
+                    model.drain(..lo);
+                    split.advance(lo);
+                    flat.advance(lo);
+                    (split, flat)
+                }
+                _ => {
+                    model = model[lo..hi].to_vec();
+                    (split.slice(lo..hi), flat.slice(lo..hi))
+                }
+            };
+            for (value, seen) in &earlier {
+                assert_eq!(observed(value), *seen, "a handle taken before changed");
+            }
+            assert_eq!(split.parts().concat(), model);
+            assert_eq!(observed(&split), observed(&flat));
+            assert_eq!(split.to_vec(), model);
+            assert_eq!((&split == &flat, &flat == &split), (true, true));
+            assert!(split == model[..] && split == model);
+            assert_eq!(split.cmp(&flat), std::cmp::Ordering::Equal);
+            assert_eq!(split.cmp(&probe), model.as_slice().cmp(&probe[..]));
+            assert_eq!(probe.cmp(&split), probe[..].cmp(model.as_slice()));
+            assert_eq!(split == probe, model == probe[..]);
+        }
     }
 }

@@ -1,15 +1,17 @@
 //! A fault-tolerant multicast, counted: once warm, an eight-member
-//! `hybrid_seq_token_ft` builds each multicast's body once and copies it
-//! once more only where the sequencer relays it, and a retransmission
-//! allocates nothing.
+//! `hybrid_seq_token_ft` makes one allocation for each multicast's
+//! headers and one more only where the sequencer relays it, never copies
+//! a body, and a retransmission allocates nothing. So what a multicast
+//! requests does not grow with its body, and no frame is ever joined into
+//! one piece.
 //!
 //! The stack's one reliable layer sits below the switch, so the channel
-//! tag and every header go into the reserve of the body's buffer before
-//! the layer keeps its handle, and a sweep resends the kept bytes as they
+//! tag and every header go into the reserve beside the body before the
+//! layer keeps its handle, and a sweep resends the kept bytes as they
 //! are. With a reliable layer inside a side, the tag would be pushed onto
-//! a frame already kept — a copy per send and per retransmission.
+//! a frame already kept — an allocation per send and per retransmission.
 //!
-//! The counter is per thread, and the whole group runs on the test's.
+//! The counters are per thread, and the whole group runs on the test's.
 
 use ps_bytes::Bytes;
 use ps_core::{hybrid_seq_token_ft, NeverOracle, SwitchConfig};
@@ -20,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-/// The body every message carries.
+/// The body every message carries (a prefix of it, for a smaller one).
 const BODY_LEN: usize = 1400;
 static BODY: [u8; BODY_LEN] = [5; BODY_LEN];
 
@@ -29,12 +31,15 @@ thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     /// Those of them for a body's worth of bytes or more.
     static BODIES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(size: usize) {
     // `try_with`: the allocator still runs while a thread's locals are
     // being torn down.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
     if size >= BODY_LEN {
         let _ = BODIES.try_with(|c| c.set(c.get() + 1));
     }
@@ -141,6 +146,8 @@ impl StackEnv for Env<'_> {
 
 struct Group {
     members: Vec<ProcessId>,
+    /// What every multicast carries.
+    body: Bytes,
     stacks: Vec<Stack>,
     rngs: Vec<DetRng>,
     net: Net,
@@ -152,7 +159,7 @@ struct Group {
 }
 
 impl Group {
-    fn launch() -> Self {
+    fn launch(body_len: usize) -> Self {
         let members: Vec<ProcessId> = (0..MEMBERS).map(ProcessId).collect();
         let hold = SimTime::from_millis(1);
         let stacks = members
@@ -176,6 +183,7 @@ impl Group {
         let rngs = (0..MEMBERS).map(|p| DetRng::new(u64::from(p) + 1)).collect();
         let mut group = Group {
             members,
+            body: Bytes::from_static(&BODY[..body_len]),
             stacks,
             rngs,
             net,
@@ -198,7 +206,7 @@ impl Group {
     /// Member `at` multicasts the body.
     fn send(&mut self, at: usize) {
         self.sent += 1;
-        let msg = Message::new(self.members[at], self.sent, Bytes::from_static(&BODY));
+        let msg = Message::new(self.members[at], self.sent, self.body.clone());
         self.on(at, |stack, env| stack.send(&msg, env));
     }
 
@@ -261,9 +269,41 @@ impl Group {
     }
 }
 
+/// Bytes requested per multicast, one from each member in turn, each
+/// settled before the next, on a warm group whose bodies are `body_len`
+/// long; and how many frames this thread joined over the whole run.
+fn bytes_per_multicast(body_len: usize) -> (f64, u64) {
+    let joins = ps_bytes::joins();
+    let mut group = Group::launch(body_len);
+    group.run_until(WARM, true);
+    group.run_until(WARM + SETTLE, false);
+    let before = BYTES.with(Cell::get);
+    for at in 0..group.members.len() {
+        group.send(at);
+        group.run_until(group.net.now + SETTLE, false);
+    }
+    assert_eq!(group.net.delivered, u64::from(MEMBERS) * group.sent, "all delivered");
+    let per = (BYTES.with(Cell::get) - before) as f64 / f64::from(MEMBERS);
+    (per, ps_bytes::joins() - joins)
+}
+
+#[test]
+fn a_multicasts_bytes_are_flat_in_its_body() {
+    let (small, small_joins) = bytes_per_multicast(32);
+    let (large, large_joins) = bytes_per_multicast(BODY_LEN);
+    // A push onto a shared body allocates a split frame — headers beside
+    // the body — where a 32-byte body is still copied: a little more for
+    // the large body, nothing like its 1 368 extra bytes.
+    assert!(
+        large - small < 100.0,
+        "{large} B per multicast with {BODY_LEN}-byte bodies, {small} with 32"
+    );
+    assert_eq!((small_joins, large_joins), (0, 0), "no frame was joined into one piece");
+}
+
 #[test]
 fn a_warm_multicast_builds_its_body_once_and_a_retransmission_nothing() {
-    let mut group = Group::launch();
+    let mut group = Group::launch(BODY_LEN);
     group.run_until(WARM, true);
     group.run_until(WARM + SETTLE, false);
     assert_eq!(group.net.delivered, u64::from(MEMBERS) * group.sent, "all delivered");
@@ -276,11 +316,12 @@ fn a_warm_multicast_builds_its_body_once_and_a_retransmission_nothing() {
         group.run_until(group.net.now + SETTLE, false);
         let (all, bodies) = since(before);
         assert_eq!(group.net.delivered - delivered, u64::from(MEMBERS), "member {at}'s multicast");
-        // The body; and, from anyone but the sequencer, the relay: the
-        // forwarded frame arrives sharing the sender's kept buffer, so the
-        // sequencer's header cannot go into its reserve.
+        // The headers beside the body; and, from anyone but the
+        // sequencer, the relay's: the forwarded frame arrives sharing the
+        // sender's kept split, so the sequencer's header cannot go into
+        // its reserve. Neither copies the body.
         let want = if at == SEQUENCER { 1 } else { 2 };
-        assert_eq!((all, bodies), (want, want), "member {at}'s multicast (calls, body-sized)");
+        assert_eq!((all, bodies), (want, 0), "member {at}'s multicast (calls, body-sized)");
     }
 
     // A copy lost on its way out of the sequencer: the next sweep resends

@@ -60,13 +60,13 @@ pub fn encode(src: ProcessId, payload: &Bytes) -> Bytes {
     payload.clone().prepend(envelope(src, payload.len()).as_slice())
 }
 
-/// Writes the datagram [`encode`] builds into `out`, replacing what it
-/// held: the envelope, then `payload`'s bytes. Once `out` has room for
-/// the datagram this allocates nothing, whoever else holds the frame.
-pub fn encode_into(src: ProcessId, payload: &[u8], out: &mut Vec<u8>) {
+/// Writes the datagram [`encode`] builds into `out`, replacing what it held:
+/// the envelope, then `payload`'s [parts](Bytes::parts). Once `out` has room
+/// for the datagram this allocates nothing, whoever else holds the frame.
+pub fn encode_into(src: ProcessId, payload: &Bytes, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(envelope(src, payload.len()).as_slice());
-    out.extend_from_slice(payload);
+    payload.parts().iter().for_each(|part| out.extend_from_slice(part));
 }
 
 /// Unwraps a received datagram into `(src, payload)`.

@@ -364,32 +364,90 @@ fn a_wake_moves_a_held_token_once_and_is_never_delivered() {
     }
 }
 
+/// Feeds `data` — under each channel tag, for a switch — to every rig at
+/// process 1 as the frame `frame_of` makes of the bytes: nothing may panic,
+/// come back out, or reach the application but a message the bytes end
+/// with.
+fn garbage_never_escapes(data: &[u8], src: u16, frame_of: impl Fn(&[u8]) -> Bytes) {
+    for (name, build) in RIGS {
+        // A switch drops what does not start with a channel tag; tag
+        // the garbage too, so it reaches every hosted stack.
+        let tags: &[Option<u8>] =
+            if name.starts_with("hybrid") { &[None, Some(0), Some(1), Some(2)] } else { &[None] };
+        for tag in tags {
+            let input: Vec<u8> = tag.iter().copied().chain(data.iter().copied()).collect();
+            let (mut stack, mut node) = receiver(build);
+            stack.receive(ProcessId(src), frame_of(&input), &mut node);
+            // Arbitrary bytes are, now and then, a header followed by a
+            // well-formed message; delivering that is not fabricating.
+            for m in std::mem::take(&mut node.delivered) {
+                let own_tail =
+                    (0..input.len()).any(|at| Message::from_bytes(&input[at..]).as_ref() == Ok(&m));
+                assert!(
+                    name != "confidentiality" && own_tail,
+                    "{name}: delivered {m}, which is no tail of the input"
+                );
+            }
+            assert_nothing_out(name, &node, "garbage");
+        }
+    }
+}
+
+/// A body too long to copy under a header: every push onto it at the
+/// sender makes a split frame, headers beside the body.
+const LONG_BODY: [u8; 1400] = [0x3C; 1400];
+
+#[test]
+fn a_split_frame_cut_short_is_never_delivered_and_never_relayed() {
+    for (name, build) in RIGS {
+        let (mut stack, mut node) = (build(), Node::new(GROUP[0]));
+        stack.launch(&mut node);
+        stack.send(&Message::new(GROUP[0], 1, Bytes::from_static(&LONG_BODY)), &mut node);
+        for (id, token) in std::mem::take(&mut node.timers) {
+            stack.timer(id, token, &mut node);
+        }
+        let frames: Vec<Bytes> = node.sent.into_iter().map(|f| f.bytes).collect();
+        // The confidentiality layer encrypts, into a buffer of its own.
+        let split = frames.iter().filter(|f| !f.parts()[1].is_empty()).count();
+        assert!(name == "confidentiality" || split > 0, "{name}: no split frame on the wire");
+        let (mut whole, mut whole_node) = receiver(build);
+        for frame in &frames {
+            // Cuts through every header and into the body, then a few more.
+            let (mut stack, mut node) = receiver(build);
+            for cut in (0..frame.len()).filter(|cut| *cut < 120 || cut % 101 == 0) {
+                stack.receive(GROUP[0], frame.slice(..cut), &mut node);
+            }
+            assert_nothing_out(name, &node, "a truncated split frame");
+            whole.receive(GROUP[0], frame.clone(), &mut whole_node);
+        }
+        // And whole, they are the real thing.
+        let bodies: Vec<&[u8]> = whole_node.delivered.iter().map(|m| &m.body[..]).collect();
+        let want: &[&[u8]] = if name == "priority" { &[] } else { &[&LONG_BODY[..]] };
+        assert_eq!(bodies, want, "{name}");
+    }
+}
+
 props! {
     fn arbitrary_bytes_never_panic_deliver_only_themselves_and_are_never_relayed(
         data in vec_of(arb::<u8>(), 0..256),
         src in 0u16..4,
     ) {
-        for (name, build) in RIGS {
-            // A switch drops what does not start with a channel tag; tag
-            // the garbage too, so it reaches every hosted stack.
-            let tags: &[Option<u8>] =
-                if name.starts_with("hybrid") { &[None, Some(0), Some(1), Some(2)] } else { &[None] };
-            for tag in tags {
-                let input: Vec<u8> = tag.iter().copied().chain(data.iter().copied()).collect();
-                let (mut stack, mut node) = receiver(build);
-                stack.receive(ProcessId(src), Bytes::from(input.clone()), &mut node);
-                // Arbitrary bytes are, now and then, a header followed by a
-                // well-formed message; delivering that is not fabricating.
-                for m in std::mem::take(&mut node.delivered) {
-                    let own_tail = (0..input.len())
-                        .any(|at| Message::from_bytes(&input[at..]).as_ref() == Ok(&m));
-                    assert!(
-                        name != "confidentiality" && own_tail,
-                        "{name}: delivered {m}, which is no tail of the input"
-                    );
-                }
-                assert_nothing_out(name, &node, "garbage");
-            }
-        }
+        garbage_never_escapes(&data, src, |input| Bytes::from(input.to_vec()));
+    }
+
+    fn a_malformed_header_running_past_a_splits_headers_is_an_error_never_a_panic(
+        data in vec_of(arb::<u8>(), 81..256),
+        cut in 0usize..81,
+        src in 0u16..4,
+    ) {
+        // The same garbage as headers beside a shared body, cut anywhere:
+        // a header that runs past the headers' part reads on into the body
+        // or fails, as it would on the flat frame.
+        garbage_never_escapes(&data, src, |input| {
+            let body = Bytes::from(input[cut..].to_vec());
+            let frame = body.clone().prepend(&input[..cut]);
+            assert!(!frame.parts()[1].is_empty(), "headers beside the body");
+            frame
+        });
     }
 }

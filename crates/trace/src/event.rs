@@ -187,18 +187,31 @@ impl Message {
     /// # Errors
     ///
     /// As [`Message::from_owned`].
-    pub fn peek_id(frame: &[u8]) -> Result<MsgId, WireError> {
+    pub fn peek_id(frame: &Bytes) -> Result<MsgId, WireError> {
         Self::split(frame).map(|(id, _)| id)
     }
 
     /// Decodes the id and the body's length prefix, requires the body to
-    /// run to the end of `frame`, and returns the id and the body's offset.
-    fn split(frame: &[u8]) -> Result<(MsgId, usize), WireError> {
-        let mut dec = Decoder::new(frame);
-        let id = MsgId::decode(&mut dec)?;
-        let body_len = dec.get_bytes()?.len();
-        dec.finish()?;
-        Ok((id, frame.len() - body_len))
+    /// run to the end of `frame`, and returns the id and the body's offset:
+    /// from a split frame's headers' part, or from its two parts joined
+    /// when the id or length runs past that.
+    fn split(frame: &Bytes) -> Result<(MsgId, usize), WireError> {
+        let prefix = |bytes: &[u8]| -> Result<(MsgId, usize), WireError> {
+            let mut dec = Decoder::new(bytes);
+            let (id, declared) = (MsgId::decode(&mut dec)?, dec.get_varint()?);
+            let (at, available) = (dec.position(), frame.len() - dec.position());
+            if declared > available as u64 {
+                return Err(WireError::LengthOverflow { declared, available });
+            }
+            match available - declared as usize {
+                0 => Ok((id, at)),
+                remaining => Err(WireError::TrailingBytes { remaining }),
+            }
+        };
+        match prefix(frame.parts()[0]) {
+            Err(_) if !frame.parts()[1].is_empty() => prefix(frame),
+            read => read,
+        }
     }
 }
 
@@ -373,6 +386,23 @@ mod tests {
             assert_eq!(Message::from_owned(frame.clone()), expect);
             assert_eq!(Message::peek_id(&frame), expect.map(|m| m.id));
         }
+    }
+
+    #[test]
+    fn a_message_on_a_kept_body_is_read_beside_it_and_delivers_that_body() {
+        // The body stays in the schedule, so the header goes beside it.
+        let body = Bytes::from(vec![7; 1400]);
+        let sent = Message::new(ProcessId(2), 9, body.clone());
+        let joins = ps_bytes::joins();
+        let frame = sent.clone().into_bytes();
+        assert_eq!(frame.parts()[1], &body[..], "headers beside the body");
+        assert_eq!(Message::peek_id(&frame), Ok(sent.id));
+        let got = Message::from_owned(frame.clone()).unwrap();
+        assert!(std::ptr::eq(got.body.as_ptr(), body.as_ptr()), "the body's own handle");
+        assert_eq!(got, sent);
+        assert_eq!(ps_bytes::joins(), joins, "never joined");
+        // The borrowing decode reads the frame in one piece.
+        assert_eq!(Message::from_frame(&frame), Ok(sent));
     }
 
     #[test]

@@ -49,6 +49,12 @@ impl<'a> Decoder<'a> {
         Self { buf: frame, pos: 0, frame: Some(frame) }
     }
 
+    /// [`Decoder::over`] the frame's first [part](Bytes::parts) only: a
+    /// split frame's headers, without joining them to its body.
+    pub(crate) fn over_head(frame: &'a Bytes) -> Self {
+        Self { buf: frame.parts()[0], pos: 0, frame: Some(frame) }
+    }
+
     /// `buf[from..self.pos]` as an owned [`Bytes`].
     fn owned(&self, from: usize) -> Bytes {
         match self.frame {

@@ -25,9 +25,11 @@ use ps_bytes::Bytes;
 ///
 /// The header is encoded on the stack and written into the reserve in
 /// front of `payload` ([`Bytes::prepend`]): no allocation and no payload
-/// copy when `payload` is uniquely owned, one copy otherwise — and no
-/// allocation either way while the frame is small enough to live in its
-/// handle (an acknowledgement, a token: a header on nothing).
+/// copy when `payload` is uniquely owned; otherwise one allocation — for
+/// the headers alone, beside the shared payload, once the frame is longer
+/// than that costs, else for a copy — and none either way while the frame
+/// is small enough to live in its handle (an acknowledgement, a token: a
+/// header on nothing).
 pub fn push_header<H: Wire>(header: &H, payload: Bytes) -> Bytes {
     let mut enc = Encoder::new();
     header.encode(&mut enc);
@@ -46,10 +48,21 @@ pub fn push_header<H: Wire>(header: &H, payload: Bytes) -> Bytes {
 /// # Errors
 ///
 /// Returns any [`WireError`] produced while decoding the header; the payload
-/// itself is never inspected.
+/// itself is never inspected. On a frame whose headers sit beside its body
+/// ([`Bytes::parts`]) the header is decoded over the headers' part, so a
+/// header must decode from its own bytes (none reads to the end of its
+/// input); one that runs past that part is read, as the flat frame's would
+/// be, over the two parts joined.
 pub fn take_header<H: Wire>(mut frame: Bytes) -> Result<(H, Bytes), WireError> {
-    let mut dec = Decoder::over(&frame);
-    let header = H::decode(&mut dec)?;
+    let mut dec = Decoder::over_head(&frame);
+    let header = match H::decode(&mut dec) {
+        Ok(header) => header,
+        Err(_) if !frame.parts()[1].is_empty() => {
+            dec = Decoder::over(&frame);
+            H::decode(&mut dec)?
+        }
+        Err(e) => return Err(e),
+    };
     let at = dec.position();
     frame.advance(at);
     Ok((header, frame))

@@ -1,6 +1,7 @@
 //! The point of headroom, counted: pushing headers onto a uniquely owned
 //! frame and popping them again allocates nothing the size of the
-//! payload; pushing onto a shared frame allocates exactly one copy; and a
+//! payload; pushing onto a shared frame allocates exactly once, for the
+//! headers beside the untouched payload (a split frame); and a
 //! relay — take four headers off a unique frame, push four back — never
 //! calls the allocator at all. And of small frames: a header on nothing
 //! (an acknowledgement) lives in its handle from the push to the last pop
@@ -89,23 +90,31 @@ fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared
     };
 
     let frame = fresh();
-    let before = PAYLOAD_SIZED.load(Relaxed);
-    let framed = push4(frame);
-    let popped = pop4(&framed);
-    assert_eq!(PAYLOAD_SIZED.load(Relaxed) - before, 0, "unique frame: headers go in the reserve");
-    assert_eq!(popped, body);
-
-    let frame = fresh();
-    let retained = frame.clone();
-    let before = PAYLOAD_SIZED.load(Relaxed);
+    let before = (PAYLOAD_SIZED.load(Relaxed), CALLS.load(Relaxed));
     let framed = push4(frame);
     let popped = pop4(&framed);
     assert_eq!(
-        PAYLOAD_SIZED.load(Relaxed) - before,
-        1,
-        "shared frame: the first push copies once, the rest land in the copy's reserve"
+        PAYLOAD_SIZED.load(Relaxed) - before.0,
+        0,
+        "unique frame: headers go in the reserve"
     );
     assert_eq!(popped, body);
+    // The string header's own allocations, encoding and decoding it.
+    let unique_calls = CALLS.load(Relaxed) - before.1;
+
+    let frame = fresh();
+    let retained = frame.clone();
+    let before = (PAYLOAD_SIZED.load(Relaxed), CALLS.load(Relaxed));
+    let framed = push4(frame);
+    let popped = pop4(&framed);
+    let after = (PAYLOAD_SIZED.load(Relaxed), CALLS.load(Relaxed));
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, unique_calls + 1),
+        "shared frame: the first push splits, the rest land in the split's reserve"
+    );
+    assert_eq!(popped, body);
+    assert!(std::ptr::eq(popped.as_ptr(), retained.as_ptr()), "the payload never moved");
     assert_eq!(retained, body);
 
     let frame = push_header(&0xAAu8, fresh());

@@ -23,10 +23,29 @@ fn handle(kind: u8, reserve: usize, payload: &[u8]) -> (Bytes, Option<Bytes>) {
     }
 }
 
-/// `inner` lies inside `outer`'s memory.
-fn within(inner: &[u8], outer: &[u8]) -> bool {
-    let (o, i) = (outer.as_ptr_range(), inner.as_ptr_range());
-    inner.is_empty() || (o.start <= i.start && i.end <= o.end)
+/// `bytes` cut at `cut` into headers beside a body: `bytes[..cut]` pushed
+/// onto a handle on the rest in the ownership state `kind` selects — a
+/// split frame when that handle is shared and the result is long enough,
+/// the flat frame when it is unique — and the result shared with a clone
+/// when `shared`. The vector keeps what must stay alive.
+fn split_at(bytes: &[u8], cut: usize, kind: u8, shared: bool) -> (Bytes, Vec<Bytes>) {
+    let (body, keep) = handle(kind, 8, &bytes[cut..]);
+    let frame = body.prepend(&bytes[..cut]);
+    let keep = keep.into_iter().chain(shared.then(|| frame.clone())).collect();
+    (frame, keep)
+}
+
+/// Each part of `inner` lies inside the memory of one of `outer`'s parts:
+/// a slice of a frame, never a copy (a split frame's body is its own).
+fn within(inner: &Bytes, outer: &Bytes) -> bool {
+    inner.parts().iter().all(|part| {
+        let i = part.as_ptr_range();
+        part.is_empty()
+            || outer.parts().iter().any(|o| {
+                let o = o.as_ptr_range();
+                o.start <= i.start && i.end <= o.end
+            })
+    })
 }
 
 props! {
@@ -182,6 +201,71 @@ props! {
         agree::<(u8, String)>(kind, reserve, &data);
         agree::<Vec<Bytes>>(kind, reserve, &data);
         agree::<Option<(u16, bool)>>(kind, reserve, &data);
+    }
+
+    fn popping_a_split_frame_is_popping_its_flat_frame(
+        headers in ((arb::<u64>(), strings(0..24), arb::<bool>()), arb::<u64>()),
+        payload in vec_of(arb::<u8>(), 0..300),
+        garbage in vec_of(arb::<u8>(), 81..300),
+        cuts in (arb::<usize>(), arb::<usize>()),
+        ways in (arb::<u8>(), arb::<bool>()),
+    ) {
+        /// Takes `H` off `frame` and off the flat frame over the same
+        /// bytes: the same header and payload bytes, or the same error.
+        fn agree<H: Wire + PartialEq + std::fmt::Debug>(frame: Bytes, flat: &Bytes) -> Option<Bytes> {
+            let popped: Result<(H, Bytes), WireError> = pop_header(flat);
+            match (take_header::<H>(frame), popped) {
+                (Ok((h, rest)), Ok((fh, frest))) => {
+                    assert_eq!(h, fh);
+                    assert_eq!(rest, frest);
+                    assert_eq!(rest.parts().concat(), frest.to_vec());
+                    Some(rest)
+                }
+                (Err(e), Err(fe)) => {
+                    assert_eq!(e, fe);
+                    None
+                }
+                (took, popped) => panic!("split {took:?} but flat {popped:?}"),
+            }
+        }
+        let ((h1, h2), (kind, shared)) = (headers, ways);
+        // Two real headers on a payload, cut anywhere in the first 81
+        // bytes: inside a header (which then runs past the headers'
+        // part) or inside the payload (which then starts among them).
+        let mut bytes = h1.to_bytes().to_vec();
+        bytes.extend_from_slice(&h2.to_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.resize(bytes.len().max(81), 0x5A);
+        let cut = cuts.0 % 81;
+        let flat = Bytes::from(bytes.clone());
+        let (frame, _keep) = split_at(&bytes, cut, kind, shared);
+        assert!(kind % 4 == 0 || !frame.parts()[1].is_empty(), "a push onto a shared body splits");
+        assert_eq!(frame, flat);
+        let rest = agree::<(u64, String, bool)>(frame, &flat).expect("a real header");
+        let flat_rest = flat.slice(bytes.len() - rest.len()..);
+        let rest = agree::<u64>(rest, &flat_rest).expect("a real header");
+        assert_eq!(rest.parts().concat(), bytes[bytes.len() - rest.len()..]);
+        // Arbitrary bytes, cut anywhere a split can be: every pop agrees,
+        // errors included.
+        let cut = cuts.1 % 81;
+        let flat = Bytes::from(garbage.clone());
+        let split = || split_at(&garbage, cut, kind, shared);
+        agree::<u64>(split().0, &flat);
+        agree::<(u8, String)>(split().0, &flat);
+        agree::<Vec<Bytes>>(split().0, &flat);
+        agree::<Option<(u16, bool)>>(split().0, &flat);
+        assert_eq!(Vec::<Bytes>::from_frame(&split().0), Vec::<Bytes>::from_frame(&flat));
+        let mut dec = Decoder::over(&flat);
+        let (frame, _keep) = split();
+        let mut split_dec = Decoder::over(&frame);
+        loop {
+            let taken = dec.take_bytes();
+            assert_eq!(split_dec.take_bytes(), taken);
+            if taken.is_err() {
+                break;
+            }
+        }
+        assert_eq!(split_dec.rest(), dec.rest());
     }
 
     fn decoder_never_panics_on_garbage(data in vec_of(arb::<u8>(), 0..256)) {

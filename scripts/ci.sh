@@ -102,7 +102,13 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # the application log became `AppLog` (24-byte entries against one shared
 # table of scheduled bodies, a side table for what it cannot rebuild, and
 # `events`, `append` and `delivered` to read it), ps-net 711 → 705 with
-# it, and the total → 21 630 / 1 161.
+# it, and the total → 21 630 / 1 161. The total 21 630 / 1 161 → 21 808 /
+# 1 162 when a push onto a shared frame began copying its headers, not its
+# body: ps-bytes 556 → 702 (the split frame, `Bytes::parts`, `joins`, and
+# Eq / Ord / Hash / Debug that read two parts, less ten trait impls and the
+# owned iterator nothing used), ps-wire 815 → 834 and ps-trace 2 380 →
+# 2 393 (`take_header` and `Message::split` read a split frame's headers'
+# part, and its two parts joined only for a header that runs past it).
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -118,8 +124,8 @@ size_ceiling ps-net 705 17
 size_ceiling ps-obs 3038 178
 size_ceiling ps-simnet 1936 118
 size_ceiling ps-stack 1597 110
-size_ceiling ps-trace 2380 144
-size_ceiling total 21630 1161
+size_ceiling ps-trace 2393 144
+size_ceiling total 21808 1162
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
@@ -251,23 +257,26 @@ alloc_kb_ceiling udp_steady 0.75
 alloc_kb_ceiling steady_small 0.7
 alloc_kb_ceiling observed 0.95
 # On the fault-tolerant stack the bytes are the frames: steady_large
-# reads 3.42 kB — the 1400-byte body twice (built once, with every header
-# in its reserve; relayed once, by the sequencer) plus the delivery log —
-# and lossy_ft 0.82. They read 3.85 and 1.25 with 72-byte log entries,
-# 5.62 and 1.71 while the body was copied a third time, at the channel
-# tag, under a frame a reliable layer inside the side had already kept,
-# and 6.49 and 2.69 while each of a multicast's nine acknowledgements was
-# a buffer of its own.
-alloc_kb_ceiling steady_large 3.7
+# reads 0.76 kB — two 160-byte split frames, the headers beside the
+# schedule's 1400-byte body (the send's, and the sequencer's relay) —
+# plus the delivery log, and lossy_ft 0.82 (32-byte bodies, copied
+# whole: a split would not be smaller). steady_large read 3.42 while
+# both pushes copied the body, 3.85 with 72-byte log entries, 5.62 while
+# the body was copied a third time, at the channel tag, under a frame a
+# reliable layer inside the side had already kept, and 6.49 (lossy_ft
+# 2.69) while each of a multicast's nine acknowledgements was a buffer
+# of its own.
+alloc_kb_ceiling steady_large 0.85
 alloc_kb_ceiling lossy_ft 1.05
 # The heap a run holds at its worst, exact for a seed on simnet like the
 # counts above: the logs, the frames still in flight or kept for
 # retransmission, and the read-out's trace. steady_large reads 3.66 MB
-# and steady_small 2.01. They read 5.96 and 2.67 while every log entry
-# was 72 bytes and held a slice of its frame, so that each delivered
-# frame stayed live until the run ended; a log that keeps frames or grows
-# its entries again lands above these.
-metric_ceiling steady_large peak_heap_mb 4.5
+# (mostly the schedule's bodies and the logs; its kept frames are 160-byte
+# splits) and steady_small 2.01. They read 5.96 and 2.67 while every log
+# entry was 72 bytes and held a slice of its frame, so that each
+# delivered frame stayed live until the run ended; a log that keeps
+# frames or grows its entries again lands above these.
+metric_ceiling steady_large peak_heap_mb 3.9
 metric_ceiling steady_small peak_heap_mb 2.3
 
 echo "==> model outputs: simulated delivery latency is what it was (offline)"

@@ -61,7 +61,9 @@ impl Layer for DigestLayer {
         self.0.fold(&ctx.me().0.to_le_bytes());
         self.0.fold(&dest);
         self.0.fold(&(frame.bytes.len() as u64).to_le_bytes());
-        self.0.fold(&frame.bytes);
+        for part in frame.bytes.parts() {
+            self.0.fold(part);
+        }
         self.0 .0.lock().unwrap().1 += 1;
         ctx.send_down(frame);
     }
