@@ -138,8 +138,8 @@ pub struct SwitchLayer {
     /// place: its capacity outlives the switch.
     buffer: Vec<Delivered>,
     /// Where the deliveries of a hosted stack that is *not* the current
-    /// protocol land while it runs: lent to the stack's environment,
-    /// drained, and taken back with its capacity. Empty between calls.
+    /// protocol land while it runs, to be drained after it: empty between
+    /// calls, its capacity kept.
     sink: Vec<Delivered>,
     /// The SWITCH vector, once known (`vector_known`). Cleared, never
     /// dropped: the next switch's vector is copied into its capacity.
@@ -331,53 +331,48 @@ impl EraBook {
         group.iter().filter(|&&member| sent(member)).count()
     }
 
-    /// Delivers a current-protocol message to the application: counted
-    /// towards the era's drain, then observed and passed up.
-    fn deliver_current(&mut self, delivered: Delivered, ctx: &mut LayerCtx<'_>) {
-        let sender = delivered.1;
+    /// Counts a delivery from `sender` before it passes up: as load, and
+    /// towards the era's drain if the current protocol made it (`era`).
+    /// One from the other protocol after an abort counts as load alone: the
+    /// sender, too, zeroed its `sent_next` when its attempt aborted.
+    fn count(&mut self, sender: ProcessId, era: bool, ctx: &LayerCtx<'_>) {
         #[cfg(test)]
-        {
+        if era {
             *self.delivered_from.entry(sender).or_insert(0) += 1;
         }
         match self.tally(sender, ctx.group_slice()) {
             Some(tally) => {
-                tally.era += 1;
+                tally.era += u64::from(era);
                 tally.window += 1;
             }
-            None => *self.strangers.entry(sender).or_insert(0) += 1,
+            None if era => *self.strangers.entry(sender).or_insert(0) += 1,
+            None => {}
         }
-        self.pass_up(delivered, ctx);
-    }
-
-    /// Delivers a message that arrived on the *non-current* protocol after
-    /// an abort. It counts for load observation but not for the era: the
-    /// era's drain accounting covers only current-protocol traffic, and
-    /// the sender likewise zeroed its `sent_next` when its own attempt
-    /// aborted.
-    fn deliver_foreign(&mut self, delivered: Delivered, ctx: &mut LayerCtx<'_>) {
-        if let Some(tally) = self.tally(delivered.1, ctx.group_slice()) {
-            tally.window += 1;
-        }
-        self.pass_up(delivered, ctx);
-    }
-
-    fn pass_up(&mut self, (src, sender, bytes): Delivered, ctx: &mut LayerCtx<'_>) {
         self.recent.push_back((ctx.now(), sender));
+    }
+
+    /// [`EraBook::count`]s an encoded delivery and passes it up.
+    fn pass_up(&mut self, (src, sender, bytes): Delivered, era: bool, ctx: &mut LayerCtx<'_>) {
+        self.count(sender, era, ctx);
         ctx.deliver_up(src, bytes);
     }
+}
+
+/// Where a sub-stack's deliveries go: the current protocol's up, others' to a sink.
+enum Out<'a> {
+    Book(&'a mut EraBook),
+    Sink(&'a mut Vec<Delivered>),
 }
 
 /// Environment handed to a sub-stack: transmissions come out channel-
 /// tagged through the outer context, timers pass straight through (layer
 /// ids are globally unique per process), and deliveries go straight up
-/// when the sub-stack is the current protocol — otherwise into `sink`,
+/// when the sub-stack is the current protocol — otherwise into the sink,
 /// for the switch logic to buffer, absorb or (control traffic) decode.
 struct SubEnv<'a, 'b> {
     ctx: &'a mut LayerCtx<'b>,
     channel: ChannelId,
-    /// The era book, when this sub-stack is the current protocol.
-    direct: Option<&'a mut EraBook>,
-    sink: &'a mut Vec<Delivered>,
+    out: Out<'a>,
 }
 
 impl StackEnv for SubEnv<'_, '_> {
@@ -397,16 +392,23 @@ impl StackEnv for SubEnv<'_, '_> {
         self.ctx.send_down(Frame::new(frame.dest, channel::mux(self.channel, frame.bytes)));
     }
     fn deliver(&mut self, src: ProcessId, msg: Message) {
-        self.deliver_bytes(src, msg.into_bytes());
+        match &mut self.out {
+            Out::Book(book) => {
+                book.count(msg.id.sender, true, self.ctx);
+                self.ctx.deliver_msg(src, msg);
+            }
+            Out::Sink(sink) => sink.push((src, msg.id.sender, msg.into_bytes())),
+        }
     }
     fn deliver_bytes(&mut self, src: ProcessId, bytes: Bytes) {
-        // Whatever is not exactly one message stops here, as it would at
-        // any application boundary; of a message only the sender is read.
-        let Ok(id) = Message::peek_id(&bytes) else { return };
-        let delivered = (src, id.sender, bytes);
-        match &mut self.direct {
-            Some(book) => book.deliver_current(delivered, self.ctx),
-            None => self.sink.push(delivered),
+        // Whatever is not exactly one message stops here, as at any
+        // application boundary; what goes up is decoded once, here.
+        if let Out::Sink(sink) = &mut self.out {
+            if let Ok(id) = Message::peek_id(&bytes) {
+                sink.push((src, id.sender, bytes));
+            }
+        } else if let Ok(msg) = Message::from_owned(bytes) {
+            self.deliver(src, msg);
         }
     }
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
@@ -526,39 +528,34 @@ impl SwitchLayer {
         self.run_control(ctx, |stack, env| stack.send_bytes(dest, envelope.into_bytes(), env));
     }
 
-    /// Index of the protocol new sends go to right now.
-    fn send_target(&self) -> usize {
-        match self.mode {
-            Mode::Normal => self.current,
-            Mode::Switching => 1 - self.current,
-        }
-    }
-
     /// Runs `f` on protocol `idx`, then applies the switch logic to what
     /// it delivered. The current protocol's deliveries have gone up as they
     /// were made; another protocol's are in the sink, to be buffered until
     /// the flip — or, after an abort, absorbed. `current` cannot change
     /// while the protocol runs: nothing of this layer does.
+    /// Between switches the current protocol fills no sink and cannot
+    /// complete a switch: `f` runs, and that is all.
     fn run_sub<R>(
         &mut self,
         idx: usize,
         ctx: &mut LayerCtx<'_>,
         f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
     ) -> R {
-        let mut sink = std::mem::take(&mut self.sink);
-        let direct = (idx == self.current).then_some(&mut self.book);
-        let mut env = SubEnv { ctx, channel: chan(idx), direct, sink: &mut sink };
-        let r = f(&mut self.protos[idx], &mut env);
-        for d in sink.drain(..) {
+        let current = idx == self.current;
+        let out = if current { Out::Book(&mut self.book) } else { Out::Sink(&mut self.sink) };
+        let r = f(&mut self.protos[idx], &mut SubEnv { ctx, channel: chan(idx), out });
+        if current && self.mode == Mode::Normal {
+            return r;
+        }
+        for d in self.sink.drain(..) {
             if self.absorb_other {
-                self.book.deliver_foreign(d, ctx);
+                self.book.pass_up(d, false, ctx);
             } else {
                 self.buffer.push(d);
                 let depth = self.buffer.len();
                 self.handle.update(|s| s.buffered_peak = s.buffered_peak.max(depth));
             }
         }
-        self.sink = sink;
         self.try_flip(ctx);
         r
     }
@@ -572,8 +569,8 @@ impl SwitchLayer {
         f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
     ) -> R {
         let mut sink = std::mem::take(&mut self.sink);
-        let mut env = SubEnv { ctx, channel: ChannelId::CONTROL, direct: None, sink: &mut sink };
-        let r = f(&mut self.control, &mut env);
+        let out = Out::Sink(&mut sink);
+        let r = f(&mut self.control, &mut SubEnv { ctx, channel: ChannelId::CONTROL, out });
         for (_, _, bytes) in sink.drain(..) {
             let envelope = Message::from_owned(bytes).expect("validated when it was delivered");
             self.dispatch_control(envelope, ctx);
@@ -617,14 +614,14 @@ impl SwitchLayer {
         }
         self.done_round = self.done_round.max(self.joined_round);
         // Whatever we sent over the next protocol is now outside the era
-        // accounting; receivers absorb it the same way (deliver_foreign).
+        // accounting; receivers absorb it the same way (`EraBook::count`).
         self.sent_next = 0;
         // Invalidate any token from the dead attempt that is still
         // circulating; regeneration will mint a successor generation.
         self.token_gen += 1;
         self.absorb_other = true;
         for d in self.buffer.drain(..) {
-            self.book.deliver_foreign(d, ctx);
+            self.book.pass_up(d, false, ctx);
         }
         self.handle.update(|s| {
             s.switching = false;
@@ -746,7 +743,7 @@ impl SwitchLayer {
         }
         // Release the buffer — these are new-era deliveries.
         for d in self.buffer.drain(..) {
-            self.book.deliver_current(d, ctx);
+            self.book.pass_up(d, true, ctx);
         }
         record_phase(ctx, SpPhase::BufferRelease, from, self.current);
         // Token variant: a FLUSH held for our drain can move on now.
@@ -998,7 +995,7 @@ impl SwitchLayer {
                         if self.held_token.is_some() {
                             // Sitting on the idle token: use it now.
                             self.release_held(ctx);
-                        } else if first && self.idle.may_sleep(now, ctx.group_len()) {
+                        } else if first && self.idle.may_sleep(now, ctx.group_slice().len()) {
                             let wake = RingToken::wake().to_bytes();
                             self.send_control(ps_stack::Cast::Others, wake, ctx);
                         }
@@ -1018,7 +1015,7 @@ impl Layer for SwitchLayer {
     fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.me());
         // Before anything can be delivered: one tally per member.
-        self.book.tallies = vec![Tally::default(); ctx.group_len()];
+        self.book.tallies = vec![Tally::default(); ctx.group_slice().len()];
         // Private jitter stream, seeded from identity only: deterministic
         // per process, independent of the node's main RNG stream.
         self.rng = DetRng::new(0x5317_C81A_F00D_u64 ^ u64::from(ctx.me().0));
@@ -1034,7 +1031,7 @@ impl Layer for SwitchLayer {
             if self.cfg.token_regen > SimTime::ZERO {
                 // A sleeping rotation must not look like a lost token.
                 let limit = SimTime::from_micros(self.cfg.token_regen.as_micros() / 2);
-                self.idle.cap_rotation(ctx.group_len(), limit);
+                self.idle.cap_rotation(ctx.group_slice().len(), limit);
             }
             if ctx.me() == ctx.group_slice()[0] {
                 self.handle_token(RingToken::normal(0), ctx);
@@ -1083,12 +1080,11 @@ impl Layer for SwitchLayer {
     }
 
     fn on_down(&mut self, frame: Frame, ctx: &mut LayerCtx<'_>) {
-        let target = self.send_target();
-        if target == self.current {
-            self.sent_current += 1;
-        } else {
-            self.sent_next += 1;
-        }
+        let (target, sent) = match self.mode {
+            Mode::Normal => (self.current, &mut self.sent_current),
+            Mode::Switching => (1 - self.current, &mut self.sent_next),
+        };
+        *sent += 1;
         self.run_sub(target, ctx, |stack, env| stack.send_bytes(frame.dest, frame.bytes, env));
     }
 
@@ -1211,6 +1207,9 @@ mod tests {
         }
         fn on_timer(&mut self, token: u32, ctx: &mut LayerCtx<'_>) {
             self.0.lock().unwrap().on_timer(token, ctx)
+        }
+        fn on_down(&mut self, frame: Frame, ctx: &mut LayerCtx<'_>) {
+            self.0.lock().unwrap().on_down(frame, ctx)
         }
     }
 
@@ -1457,7 +1456,7 @@ mod tests {
         /// slides and empties, in which members and outsiders send, and in
         /// which the switch does everything that touches the book: a flip
         /// starts a new era and releases the buffer, an abort releases it
-        /// through `deliver_foreign` and absorbs from then on, a restart
+        /// uncounted for the era and absorbs from then on, a restart
         /// keeps the book as it is.
         fn the_counted_active_senders_are_the_scanned_ones_on_any_schedule(
             steps in vec_of((0u8..10, 0usize..4, 0u64..200), 0..120),
@@ -1512,5 +1511,117 @@ mod tests {
                 assert_eq!(layer.last_switch, recorded);
             }
         }
+    }
+
+    /// What the application, the era book and the wire should show after
+    /// each step of a schedule, kept beside the rig that runs it.
+    #[derive(Default)]
+    struct Model {
+        current: usize,
+        /// An abort left the switch passing the other protocol straight up.
+        absorbing: bool,
+        /// Other-protocol messages held for the next flip, in arrival order.
+        buffered: Vec<(ProcessId, u64)>,
+        /// Every message the application has seen, in order.
+        seen: Vec<u64>,
+        /// Each sender's messages counted towards the era.
+        era: BTreeMap<ProcessId, u64>,
+        /// Deliveries observed as load (no tick comes, so none expire).
+        window: usize,
+        /// The channel each application send went out on.
+        sent_on: Vec<u8>,
+    }
+
+    impl Model {
+        fn up(&mut self, (sender, seq): (ProcessId, u64), era: bool) {
+            self.seen.push(seq);
+            self.window += 1;
+            if era {
+                *self.era.entry(sender).or_insert(0) += 1;
+            }
+        }
+    }
+
+    props! {
+        /// Between switches a frame on the current protocol's channel and
+        /// an application send go straight to that protocol, past the
+        /// switch logic. Along any schedule of current- and other-channel
+        /// data, garbage on either channel, application sends, full
+        /// switches and aborts, the switch still counts every current-
+        /// protocol delivery once, towards the era and as load, before it
+        /// passes up; passes each up exactly once, in order; counts no
+        /// garbage; holds the other protocol's traffic for the flip, or
+        /// after an abort passes it straight up uncounted; and sends on
+        /// the current protocol's channel.
+        fn between_switches_the_fast_path_keeps_the_books_the_switch_reads(
+            steps in vec_of((0u8..8, 0usize..3), 0..80),
+            variant in 0usize..2,
+        ) {
+            let mut rig = Rig::new(VARIANTS[variant]);
+            let mut model = Model::default();
+            let good = Message::with_tag(P0, 1, 0).to_bytes();
+            let garbage =
+                [good.slice(..good.len() - 1), [&good[..], &[0]].concat().into(), Bytes::new()];
+            for (seq, (kind, who)) in (1u64..).zip(steps) {
+                let (sender, current) = (SENDERS[who], model.current);
+                match kind {
+                    0 | 1 => {
+                        rig.data_from(current, sender, seq);
+                        model.up((sender, seq), true);
+                    }
+                    2 => {
+                        rig.data_from(1 - current, sender, seq);
+                        if model.absorbing {
+                            model.up((sender, seq), false);
+                        } else {
+                            model.buffered.push((sender, seq));
+                        }
+                    }
+                    3 => rig.receive(chan(who % 2), garbage[who].clone()),
+                    4 => {
+                        rig.stack.send(&Message::with_tag(P1, seq, 0), &mut rig.node);
+                        model.sent_on.push(chan(current).0);
+                    }
+                    5 | 6 => {
+                        rig.prepare();
+                        rig.switch(rig.counted_from_p0());
+                        model.current = 1 - current;
+                        model.absorbing = false;
+                        model.era.clear();
+                        for held in std::mem::take(&mut model.buffered) {
+                            model.up(held, true);
+                        }
+                    }
+                    _ => {
+                        rig.prepare();
+                        rig.abort_deadline();
+                        model.absorbing = true;
+                        for held in std::mem::take(&mut model.buffered) {
+                            model.up(held, false);
+                        }
+                    }
+                }
+                assert_eq!(rig.seen(), model.seen, "each message up once, in order");
+                let tags = rig.node.sent.iter().map(|f| f.bytes[0]);
+                let sent_on: Vec<u8> = tags.filter(|&tag| tag != ChannelId::CONTROL.0).collect();
+                assert_eq!(sent_on, model.sent_on, "sends go to the current protocol");
+                assert_eq!((rig.handle.current(), rig.handle.switching()), (model.current, false));
+                let layer = rig.layer.lock().unwrap();
+                for sender in SENDERS {
+                    let counted = model.era.get(&sender).copied().unwrap_or(0);
+                    assert_eq!(layer.book.era_count(sender, &GROUP), counted, "{sender:?}");
+                    let mapped = layer.book.delivered_from.get(&sender).copied().unwrap_or(0);
+                    assert_eq!(mapped, counted, "{sender:?}");
+                }
+                assert_eq!(layer.book.recent.len(), model.window, "observed as load");
+                let held: Vec<u64> = layer.buffer.iter().map(|(_, _, b)| seq_of(b)).collect();
+                assert_eq!(held, model.buffered.iter().map(|&(_, s)| s).collect::<Vec<_>>());
+                assert_eq!(layer.absorb_other, model.absorbing);
+            }
+        }
+    }
+
+    fn seq_of(bytes: &Bytes) -> u64 {
+        Message::peek_id(bytes).expect("buffered messages are whole").seq
     }
 }

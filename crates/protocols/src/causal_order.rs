@@ -98,7 +98,7 @@ impl Layer for CausalOrderLayer {
     }
 
     fn on_down(&mut self, frame: Frame, ctx: &mut LayerCtx<'_>) {
-        let n = ctx.group_len();
+        let n = ctx.group_slice().len();
         self.ensure_size(n);
         let me = ctx.me();
         // The clock carries: everything we have delivered from others,
@@ -118,7 +118,7 @@ impl Layer for CausalOrderLayer {
         if hdr.sender.index() >= hdr.vc.len() {
             return; // a sender outside its own clock: no process builds that
         }
-        self.ensure_size(hdr.vc.len().max(ctx.group_len()));
+        self.ensure_size(hdr.vc.len().max(ctx.group_slice().len()));
         self.held.push((hdr, payload));
         self.drain(ctx);
     }

@@ -163,7 +163,8 @@ impl Layer for TokenOrderLayer {
             // We were sitting on an idle token: use it right away.
             let gseq = self.flush_pending(gseq, ctx);
             self.forward_token(gseq, ctx);
-        } else if self.pending.len() == 1 && self.idle.may_sleep(ctx.now(), ctx.group_len()) {
+        } else if self.pending.len() == 1 && self.idle.may_sleep(ctx.now(), ctx.group_slice().len())
+        {
             // One wake per wait, from its first message: when the network
             // is what keeps the token away, more wakes are more load.
             let wake = ps_wire::push_header(&TokHeader::Wake, Bytes::new());

@@ -6,7 +6,7 @@
 //! one physical transport carries several logical protocol channels.
 
 use ps_bytes::Bytes;
-use ps_wire::{Decoder, Encoder, Wire, WireError};
+use ps_wire::WireError;
 
 /// Logical channel number multiplexed over one transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -21,18 +21,10 @@ impl ChannelId {
     pub const PROTO_B: ChannelId = ChannelId(2);
 }
 
-impl Wire for ChannelId {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(self.0);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ChannelId(dec.get_u8()?))
-    }
-}
-
-/// Tags `payload` with a channel id.
+/// Tags `payload` with a channel id: one byte in front, in the payload's
+/// reserve where it has room.
 pub fn mux(channel: ChannelId, payload: Bytes) -> Bytes {
-    ps_wire::push_header(&channel, payload)
+    payload.prepend(&[channel.0])
 }
 
 /// Splits a tagged frame back into channel id and payload (the frame's
@@ -41,8 +33,13 @@ pub fn mux(channel: ChannelId, payload: Bytes) -> Bytes {
 /// # Errors
 ///
 /// Returns [`WireError::UnexpectedEof`] on an empty frame.
-pub fn demux(frame: Bytes) -> Result<(ChannelId, Bytes), WireError> {
-    ps_wire::take_header(frame)
+pub fn demux(mut frame: Bytes) -> Result<(ChannelId, Bytes), WireError> {
+    let [head, body] = frame.parts();
+    let Some(&tag) = head.first().or(body.first()) else {
+        return Err(WireError::UnexpectedEof { needed: 1, remaining: 0 });
+    };
+    frame.advance(1);
+    Ok((ChannelId(tag), frame))
 }
 
 #[cfg(test)]

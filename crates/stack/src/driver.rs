@@ -391,18 +391,21 @@ pub trait Driver {
     /// The application-level trace of the whole run: every process's
     /// `Send` and `Deliver` events merged in time order (ties by process,
     /// then by log order) — ready for the `ps-trace` property checkers.
-    /// Entries are ordered by instant alone; only then is each one's
-    /// message rebuilt.
+    /// Entries are ordered by a 16-byte key, reserved exactly; only then
+    /// is each one's message rebuilt.
     fn app_trace(&self) -> Trace {
-        let logs: Vec<&AppLog> = self.group().iter().map(|&p| self.process_log(p)).collect();
-        let mut order: Vec<(SimTime, u16, usize, &AppLog, &Entry)> = Vec::new();
-        for log in &logs {
-            order.extend(
-                log.entries.iter().enumerate().map(|(idx, e)| (e.at, log.me.0, idx, *log, e)),
-            );
+        let mut logs: Vec<&AppLog> = self.group().iter().map(|&p| self.process_log(p)).collect();
+        logs.sort_by_key(|log| log.me);
+        let mut order = Vec::with_capacity(logs.iter().map(|log| log.entries.len()).sum());
+        for (node, log) in (0u16..).zip(&logs) {
+            order.extend(log.entries.iter().zip(0u32..).map(|(e, idx)| (e.at, node, idx)));
         }
-        order.sort_unstable_by_key(|&(at, node, idx, ..)| (at, node, idx));
-        order.into_iter().map(|(.., log, e)| log.event(e)).collect()
+        order.sort_unstable();
+        let entry = |(_, node, idx): (SimTime, u16, u32)| {
+            let log = logs[usize::from(node)];
+            log.event(&log.entries[idx as usize])
+        };
+        order.into_iter().map(entry).collect()
     }
 
     /// Send time of every message, by id. Reads ids and instants only.
@@ -420,9 +423,9 @@ pub trait Driver {
     /// Every delivery observed, process by process in log order. Reads
     /// ids and instants only.
     fn deliveries(&self) -> Vec<DeliveryRecord> {
-        let mut out = Vec::new();
-        for &p in self.group() {
-            let log = self.process_log(p);
+        let logs = self.group().iter().map(|&p| self.process_log(p));
+        let mut out = Vec::with_capacity(logs.clone().map(AppLog::delivered).sum());
+        for log in logs {
             for e in log.entries.iter().filter(|e| !e.send) {
                 out.push(DeliveryRecord { msg: log.id(e), process: log.me, at: e.at });
             }

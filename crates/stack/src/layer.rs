@@ -1,8 +1,8 @@
-use crate::stack::{StackEnv, Step, Work};
+use crate::stack::{Instruments, StackEnv, Step, Work};
 use ps_bytes::Bytes;
 use ps_obs::CauseId;
 use ps_simnet::{DetRng, SimTime};
-use ps_trace::ProcessId;
+use ps_trace::{Message, ProcessId};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -149,12 +149,15 @@ impl fmt::Debug for dyn Layer + '_ {
 /// The layer's handle to its surroundings during a callback.
 ///
 /// Emissions go onto the work queue of the stack the layer sits in and are
-/// processed after the callback returns, so layer code never re-enters.
+/// processed after the callback returns, so layer code never re-enters
+/// (but see [`LayerCtx::deliver_up`]).
 pub struct LayerCtx<'a> {
     env: &'a mut dyn StackEnv,
     self_id: LayerId,
     /// The layer's position in its stack: emissions go to `idx ± 1`.
     idx: usize,
+    /// A recorder is attached: its records keep the queue's order.
+    obs: bool,
     queue: &'a mut VecDeque<Work>,
 }
 
@@ -172,9 +175,10 @@ impl<'a> LayerCtx<'a> {
         env: &'a mut dyn StackEnv,
         self_id: LayerId,
         idx: usize,
+        on: Instruments,
         queue: &'a mut VecDeque<Work>,
     ) -> Self {
-        Self { env, self_id, idx, queue }
+        Self { env, self_id, idx, obs: on.obs, queue }
     }
 
     /// This process's id.
@@ -185,11 +189,6 @@ impl<'a> LayerCtx<'a> {
     /// The group membership (static for the lifetime of the run), borrowed.
     pub fn group_slice(&self) -> &[ProcessId] {
         self.env.group()
-    }
-
-    /// Number of group members.
-    pub fn group_len(&self) -> usize {
-        self.env.group().len()
     }
 
     /// The member after this process on the logical ring the group forms
@@ -250,8 +249,31 @@ impl<'a> LayerCtx<'a> {
     }
 
     /// Emits bytes to the layer above (or the application, at the top).
+    /// With nothing queued ahead and no recorder attached, the application
+    /// gets them at once: the queue would hand them on next, and a delivery
+    /// sends and arms nothing the rest of the handler could overtake.
     pub fn deliver_up(&mut self, src: ProcessId, bytes: Bytes) {
-        self.push(Step::Up { next: self.idx.checked_sub(1), src, bytes });
+        match self.idx.checked_sub(1) {
+            None if self.at_once() => self.env.deliver_bytes(src, bytes),
+            next => self.push(Step::Up { next, src, bytes }),
+        }
+    }
+
+    /// [`LayerCtx::deliver_up`] of a message this layer has decoded: at the
+    /// top the application gets it as it is, and nothing decodes it again.
+    pub fn deliver_msg(&mut self, src: ProcessId, msg: Message) {
+        match self.idx.checked_sub(1) {
+            None if self.at_once() => self.env.deliver(src, msg),
+            None => {
+                let (sender, seq, body) = (msg.id.sender, msg.id.seq, msg.body);
+                self.push(Step::Deliver { src, sender, seq, body });
+            }
+            next => self.push(Step::Up { next, src, bytes: msg.into_bytes() }),
+        }
+    }
+
+    fn at_once(&self) -> bool {
+        !self.obs && self.queue.is_empty()
     }
 
     /// Queues an emission; the stack fills in its cause once the handler

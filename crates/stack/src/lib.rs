@@ -50,11 +50,9 @@ pub mod driver;
 mod layer;
 mod runtime;
 mod stack;
-mod tap;
 
 pub use channel::ChannelId;
 pub use driver::{AppLog, AppProcess, DeliveryRecord, Driver, GroupSpec};
 pub use layer::{Cast, Frame, IdGen, Layer, LayerCtx, LayerId};
 pub use runtime::{GroupSim, GroupSimBuilder, StackFactory};
 pub use stack::{Stack, StackEnv};
-pub use tap::{TapLayer, TapLog};

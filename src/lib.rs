@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use ps_stack::{
         Cast, ChannelId, Driver, Frame, GroupSim, GroupSimBuilder, GroupSpec, IdGen, Layer,
-        LayerCtx, Stack, StackEnv, TapLayer, TapLog,
+        LayerCtx, Stack, StackEnv,
     };
     pub use ps_trace::props::{
         standard_suite, Amoeba, CausalOrder, Confidentiality, Integrity, NoReplay,
