@@ -68,6 +68,7 @@
 mod control;
 mod hybrid;
 mod oracle;
+mod sp;
 mod stats;
 mod switch;
 

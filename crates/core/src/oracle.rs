@@ -26,6 +26,14 @@ pub struct SwitchObs {
     pub last_switch: Option<SimTime>,
 }
 
+impl SwitchObs {
+    /// A switch is under way, or the last one completed less than
+    /// `cooldown` ago: a load oracle asks for none now.
+    fn holds_off(&self, cooldown: SimTime) -> bool {
+        self.switching || self.last_switch.is_some_and(|at| self.now.saturating_sub(at) < cooldown)
+    }
+}
+
 /// Decides when (and to which protocol) to switch.
 pub trait Oracle: Send {
     /// Inspect the observation; return `Some(target)` to request a switch.
@@ -135,13 +143,8 @@ impl ThresholdOracle {
 
 impl Oracle for ThresholdOracle {
     fn decide(&mut self, obs: &SwitchObs) -> Option<usize> {
-        if obs.switching {
+        if obs.holds_off(self.cooldown) {
             return None;
-        }
-        if let Some(last) = obs.last_switch {
-            if obs.now.saturating_sub(last) < self.cooldown {
-                return None;
-            }
         }
         let n = obs.active_senders;
         if n > self.threshold + self.hysteresis && obs.current != self.high_proto {
@@ -250,25 +253,13 @@ impl Oracle for LoadOracle {
             if sample.at_us > self.seen_up_to_us {
                 self.seen_up_to_us = sample.at_us;
                 let load = Self::load_of(&sample);
-                if load >= self.high_permille {
-                    self.high_streak += 1;
-                } else {
-                    self.high_streak = 0;
-                }
-                if load <= self.low_permille {
-                    self.low_streak += 1;
-                } else {
-                    self.low_streak = 0;
-                }
+                self.high_streak =
+                    if load >= self.high_permille { self.high_streak + 1 } else { 0 };
+                self.low_streak = if load <= self.low_permille { self.low_streak + 1 } else { 0 };
             }
         }
-        if obs.switching {
+        if obs.holds_off(self.cooldown) {
             return None;
-        }
-        if let Some(last) = obs.last_switch {
-            if obs.now.saturating_sub(last) < self.cooldown {
-                return None;
-            }
         }
         if self.high_streak >= self.min_samples && obs.current != self.high_proto {
             Some(self.high_proto)

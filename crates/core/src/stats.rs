@@ -83,13 +83,8 @@ pub struct SwitchHandle {
 impl fmt::Debug for SwitchHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self.lock();
-        write!(
-            f,
-            "SwitchHandle(current={}, switches={}, switching={})",
-            s.current,
-            s.records.len(),
-            s.switching
-        )
+        let (current, switches, switching) = (s.current, s.records.len(), s.switching);
+        write!(f, "SwitchHandle(current={current}, switches={switches}, switching={switching})")
     }
 }
 

@@ -1,14 +1,11 @@
-use crate::control::{Control, CountVector, RingToken, TokenMode};
-use crate::oracle::{Oracle, SwitchObs};
-use crate::stats::{SwitchHandle, SwitchRecord};
+use crate::oracle::Oracle;
+use crate::sp::{Delivered, EraBook, Mode, SpCore, SpHost, Tally};
+use crate::stats::SwitchHandle;
 use ps_bytes::Bytes;
 use ps_obs::{ObsEvent, SpPhase};
-use ps_protocols::IdleBackoff;
 use ps_simnet::{DetRng, SimTime};
-use ps_stack::{channel, ChannelId, Frame, Layer, LayerCtx, LayerId, Stack, StackEnv};
+use ps_stack::{channel, Cast, ChannelId, Frame, Layer, LayerCtx, LayerId, Stack, StackEnv};
 use ps_trace::{Message, MsgId, ProcessId};
-use ps_wire::Wire;
-use std::collections::{BTreeMap, VecDeque};
 
 /// Which switching protocol variant to run (§2 describes both).
 #[derive(Debug, Clone, Copy)]
@@ -21,8 +18,8 @@ pub enum SwitchVariant {
     /// trying to switch protocols concurrently". An idle NORMAL token is
     /// held `idle_hold` at each member before being passed on, and for
     /// longer once the ring has seen no switch for a while
-    /// ([`IdleBackoff`]); a member whose oracle then wants a switch wakes
-    /// the ring.
+    /// ([`IdleBackoff`](ps_protocols::IdleBackoff)); a member whose oracle
+    /// then wants a switch wakes the ring.
     TokenRing {
         /// Base idle-token hold time (zero = circulate continuously).
         idle_hold: SimTime,
@@ -86,12 +83,6 @@ impl Default for SwitchConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Normal,
-    Switching,
-}
-
 /// The switching protocol (SP) — the paper's contribution, as a composite
 /// layer embedding two complete protocol stacks.
 ///
@@ -112,251 +103,34 @@ enum Mode {
 /// liveness. Control traffic must be loss-free (run the whole stack over a
 /// reliable transport otherwise).
 pub struct SwitchLayer {
-    cfg: SwitchConfig,
-    protos: [Stack; 2],
-    /// Transport for the switch's own control traffic (Figure 1's private
-    /// channel). Empty by default; give it a reliable layer to run the
-    /// switch over lossy networks.
-    control: Stack,
+    /// The two protocols, then the transport of the switch's own control
+    /// traffic (Figure 1's private channel), each on its `CHANNELS` entry.
+    stacks: [Stack; 3],
+    /// Sequence number of the last control envelope sent.
     ctl_seq: u64,
-    oracle: Box<dyn Oracle>,
-    me: Option<ProcessId>,
-
-    current: usize,
-    era: u64,
-    mode: Mode,
-    /// Messages I sent over the current protocol this era.
-    sent_current: u64,
-    /// Messages I sent over the next protocol while switching.
-    sent_next: u64,
-    /// What has been delivered this era; the current protocol's
-    /// environment writes it as the protocol delivers.
-    book: EraBook,
-    /// This process's switch state as [`SwitchHandle`]s show it.
-    handle: SwitchHandle,
-    /// Deliveries from the non-current protocol, held back. Drained in
-    /// place: its capacity outlives the switch.
-    buffer: Vec<Delivered>,
-    /// Where the deliveries of a hosted stack that is *not* the current
-    /// protocol land while it runs, to be drained after it: empty between
-    /// calls, its capacity kept.
+    /// What a hosted stack other than the current protocol delivers while
+    /// it runs, drained after it: empty between calls, its capacity kept.
     sink: Vec<Delivered>,
-    /// The SWITCH vector, once known (`vector_known`). Cleared, never
-    /// dropped: the next switch's vector is copied into its capacity.
-    expected: CountVector,
-    vector_known: bool,
-    switch_started: SimTime,
-    /// When the last switch completed here: the newest record's
-    /// `completed_at`, kept beside the handle so that an oracle tick reads
-    /// it without taking the handle's lock.
-    last_switch: Option<SimTime>,
-
-    // Broadcast-variant manager state.
-    am_manager: bool,
-    manager_oks: BTreeMap<ProcessId, u64>,
-
-    // Token-variant state.
-    /// Pending switch wish: the protocol index the oracle asked for. A
-    /// wish is dropped, not executed, if the switch it asked for has
-    /// already happened by the time a NORMAL token arrives (otherwise a
-    /// second initiator's stale wish would flip the group right back).
-    want_target: Option<usize>,
-    holding_flush: Option<RingToken>,
-    held_token: Option<RingToken>,
-    /// What the next token off the wire is read into. A token that is
-    /// passed on or dropped gives its count vector back, so a hop reads
-    /// and builds its vector without the allocator.
-    token_counts: CountVector,
-    hold_gen: u32,
-    /// How long an idle NORMAL token is held here. Switch activity (a
-    /// wish, a token in any other mode, a wake) is this ring's traffic;
-    /// application messages are not.
-    idle: IdleBackoff,
-    /// Highest token generation seen; older tokens are stale and dropped.
-    token_gen: u64,
-    /// When this process last accepted a token (regeneration watchdog).
-    last_token_at: SimTime,
-
-    // Fault tolerance (abort / retransmission), both variants.
-    /// Attempt round this process is participating in (valid while
-    /// switching; broadcast variant).
-    joined_round: u64,
-    /// Highest round finished here — flipped or aborted. Prepares for
-    /// rounds at or below this are stragglers from a dead attempt.
-    done_round: u64,
-    /// Manager's latest control broadcast, kept for retransmission.
-    last_ctl: Option<Bytes>,
-    /// Guards against re-broadcasting SWITCH on duplicate OKs.
-    switch_sent: bool,
-    /// Generation counters distinguishing live from stale one-shot timers
-    /// (timers cannot be cancelled).
-    abort_gen: u32,
-    retrans_gen: u32,
-    /// Current retransmission backoff delay.
-    retrans_delay: SimTime,
-    /// After an abort, deliveries from the non-current protocol pass
-    /// straight to the application instead of buffering: with the attempt
-    /// abandoned there may never be a flip to release them. Cleared when
-    /// the next attempt starts.
-    absorb_other: bool,
-    /// Private deterministic stream for retransmission jitter — separate
-    /// from the node's stream so backoff randomness never perturbs
-    /// application or protocol behaviour.
-    rng: DetRng,
+    /// Every SP decision and all SP state: this layer only hosts the
+    /// stacks and routes between them and the core.
+    core: SpCore,
 }
 
 impl std::fmt::Debug for SwitchLayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwitchLayer")
-            .field("current", &self.current)
-            .field("era", &self.era)
-            .field("mode", &self.mode)
-            .field("buffered", &self.buffer.len())
+            .field("current", &self.core.current)
+            .field("era", &self.core.era)
+            .field("mode", &self.core.mode)
+            .field("buffered", &self.core.buffer.len())
             .finish()
     }
 }
 
-const OBSERVE: u32 = 1;
-/// Timer tokens carry a kind in the top byte and a generation in the low
-/// 24 bits (one-shot timers cannot be cancelled; a stale firing's
-/// generation no longer matches and is ignored).
-const FLAG_MASK: u32 = 0xFF00_0000;
-const GEN_MASK: u32 = 0x00FF_FFFF;
-/// Idle-token hold expiry (token variant).
-const HOLD_FLAG: u32 = 0x8000_0000;
-/// Switch-attempt abort deadline.
-const ABORT_FLAG: u32 = 0x4000_0000;
-/// Manager control-broadcast retransmission (broadcast variant).
-const RETRANS_FLAG: u32 = 0x2000_0000;
-/// Lost-token regeneration watchdog at the ring head (token variant).
-const REGEN_FLAG: u32 = 0x1000_0000;
-
-fn chan(idx: usize) -> ChannelId {
-    match idx {
-        0 => ChannelId::PROTO_A,
-        _ => ChannelId::PROTO_B,
-    }
-}
-
-/// A sub-stack delivery that was not passed straight up: the source the
-/// sub-stack attributes it to, the message's sender, and the encoded
-/// message — which is what travels on, so the switch never decodes a body.
-type Delivered = (ProcessId, ProcessId, Bytes);
-
-/// One member's line in the era book.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    /// Messages from the member delivered via the current protocol this
-    /// era (what the SWITCH vector is compared against).
-    era: u64,
-    /// Entries of `recent` the member sent: it is an active sender while
-    /// this is above zero.
-    window: u32,
-}
-
-/// `id`'s position in `group`. Every runtime lists a group in id order, so
-/// the id is tried as the position first and the group searched only when
-/// that misses. An id read off the wire — a message's sender, an entry of
-/// a count vector — is looked up this way, never used as an index.
-fn position(group: &[ProcessId], id: ProcessId) -> Option<usize> {
-    if group.get(id.index()) == Some(&id) {
-        return Some(id.index());
-    }
-    group.iter().position(|&member| member == id)
-}
-
-/// The delivery side of the era bookkeeping, apart from the rest of the
-/// layer so that the current protocol's [`SubEnv`] can hold it while the
-/// protocol itself is borrowed to run.
-struct EraBook {
-    /// One tally per member, at the member's position in the group. Sized
-    /// at launch; a delivery finds its sender's line once.
-    tallies: Vec<Tally>,
-    /// Era counts of senders that are no member. A message names any
-    /// sender it likes, and a count vector off the wire may too, so such a
-    /// sender is counted, and read back, here.
-    strangers: BTreeMap<ProcessId, u64>,
-    /// Recent deliveries, for the oracle's load observation.
-    recent: VecDeque<(SimTime, ProcessId)>,
-    /// What the tallies replaced and must agree with: every sender's era
-    /// count in one map, cleared at a flip.
-    #[cfg(test)]
-    delivered_from: BTreeMap<ProcessId, u64>,
-}
-
-impl EraBook {
-    fn tally(&mut self, sender: ProcessId, group: &[ProcessId]) -> Option<&mut Tally> {
-        position(group, sender).and_then(|slot| self.tallies.get_mut(slot))
-    }
-
-    /// Messages from `sender` the current protocol delivered this era.
-    fn era_count(&self, sender: ProcessId, group: &[ProcessId]) -> u64 {
-        match position(group, sender).and_then(|slot| self.tallies.get(slot)) {
-            Some(tally) => tally.era,
-            None => self.strangers.get(&sender).copied().unwrap_or(0),
-        }
-    }
-
-    /// A flip: the new era starts with nothing delivered.
-    fn next_era(&mut self) {
-        self.tallies.iter_mut().for_each(|tally| tally.era = 0);
-        self.strangers.clear();
-        #[cfg(test)]
-        self.delivered_from.clear();
-    }
-
-    /// Drops the deliveries older than `cutoff` from the window.
-    fn prune(&mut self, cutoff: SimTime, group: &[ProcessId]) {
-        while let Some(&(at, sender)) = self.recent.front() {
-            if at >= cutoff {
-                break;
-            }
-            self.recent.pop_front();
-            if let Some(tally) = self.tally(sender, group) {
-                tally.window -= 1;
-            }
-        }
-    }
-
-    /// Distinct group members among the senders in the window.
-    fn active_senders(&self) -> usize {
-        self.tallies.iter().filter(|tally| tally.window > 0).count()
-    }
-
-    /// What the window counts replaced and must agree with: every member
-    /// looked for in the whole window.
-    #[cfg(test)]
-    fn active_senders_by_scan(&self, group: &[ProcessId]) -> usize {
-        let sent = |member| self.recent.iter().any(|&(_, sender)| sender == member);
-        group.iter().filter(|&&member| sent(member)).count()
-    }
-
-    /// Counts a delivery from `sender` before it passes up: as load, and
-    /// towards the era's drain if the current protocol made it (`era`).
-    /// One from the other protocol after an abort counts as load alone: the
-    /// sender, too, zeroed its `sent_next` when its attempt aborted.
-    fn count(&mut self, sender: ProcessId, era: bool, ctx: &LayerCtx<'_>) {
-        #[cfg(test)]
-        if era {
-            *self.delivered_from.entry(sender).or_insert(0) += 1;
-        }
-        match self.tally(sender, ctx.group_slice()) {
-            Some(tally) => {
-                tally.era += u64::from(era);
-                tally.window += 1;
-            }
-            None if era => *self.strangers.entry(sender).or_insert(0) += 1,
-            None => {}
-        }
-        self.recent.push_back((ctx.now(), sender));
-    }
-
-    /// [`EraBook::count`]s an encoded delivery and passes it up.
-    fn pass_up(&mut self, (src, sender, bytes): Delivered, era: bool, ctx: &mut LayerCtx<'_>) {
-        self.count(sender, era, ctx);
-        ctx.deliver_up(src, bytes);
-    }
-}
+/// The channel each hosted stack's frames carry.
+const CHANNELS: [ChannelId; 3] = [ChannelId::PROTO_A, ChannelId::PROTO_B, ChannelId::CONTROL];
+/// The control transport's place among the hosted stacks.
+const CONTROL: usize = 2;
 
 /// Where a sub-stack's deliveries go: the current protocol's up, others' to a sink.
 enum Out<'a> {
@@ -364,11 +138,8 @@ enum Out<'a> {
     Sink(&'a mut Vec<Delivered>),
 }
 
-/// Environment handed to a sub-stack: transmissions come out channel-
-/// tagged through the outer context, timers pass straight through (layer
-/// ids are globally unique per process), and deliveries go straight up
-/// when the sub-stack is the current protocol — otherwise into the sink,
-/// for the switch logic to buffer, absorb or (control traffic) decode.
+/// A hosted stack's environment: frames go out channel-tagged, timers pass
+/// straight through (layer ids are unique per process), deliveries to `out`.
 struct SubEnv<'a, 'b> {
     ctx: &'a mut LayerCtx<'b>,
     channel: ChannelId,
@@ -394,7 +165,7 @@ impl StackEnv for SubEnv<'_, '_> {
     fn deliver(&mut self, src: ProcessId, msg: Message) {
         match &mut self.out {
             Out::Book(book) => {
-                book.count(msg.id.sender, true, self.ctx);
+                book.count(msg.id.sender, true, self.ctx.now(), self.ctx.group_slice());
                 self.ctx.deliver_msg(src, msg);
             }
             Out::Sink(sink) => sink.push((src, msg.id.sender, msg.into_bytes())),
@@ -428,17 +199,55 @@ impl StackEnv for SubEnv<'_, '_> {
     }
 }
 
-/// Records one switch-phase event if observability is on, parented to the
-/// event being processed (the control frame or timer that triggered the
-/// phase transition).
-fn record_phase(ctx: &LayerCtx<'_>, phase: SpPhase, from: usize, to: usize) {
-    if let Some(o) = ctx.obs() {
-        o.record_caused(
-            ctx.now().as_micros(),
-            u32::from(ctx.me().0),
-            ctx.cause(),
-            ObsEvent::SwitchPhase { phase, from: from as u8, to: to as u8 },
-        );
+/// The SP core's effects, applied to the outer context as it makes them.
+struct Host<'a, 'b> {
+    ctx: &'a mut LayerCtx<'b>,
+    control: &'a mut Stack,
+    seq: &'a mut u64,
+}
+
+impl SpHost for Host<'_, '_> {
+    fn me(&self) -> ProcessId {
+        self.ctx.me()
+    }
+    fn group(&self) -> &[ProcessId] {
+        self.ctx.group_slice()
+    }
+    fn now(&self) -> SimTime {
+        self.ctx.now()
+    }
+    fn pass_up(&mut self, src: ProcessId, bytes: Bytes) {
+        self.ctx.deliver_up(src, bytes);
+    }
+    /// Sends `bytes` through the control stack in a message envelope, so
+    /// that ordinary layers can carry them. The envelope goes into the
+    /// reserve in front of `bytes` when they are their buffer's only
+    /// handle, as a freshly encoded token is.
+    fn send_control(&mut self, dest: Cast, bytes: Bytes) {
+        *self.seq += 1;
+        let envelope = Message::new(self.ctx.me(), MsgId::CONTROL_SEQ_BASE + *self.seq, bytes);
+        // No control stack delivers locally while it sends (a reliable
+        // layer's `on_down` does not), so the core is never re-entered.
+        let mut sink = Vec::new();
+        let out = Out::Sink(&mut sink);
+        let env = &mut SubEnv { ctx: self.ctx, channel: ChannelId::CONTROL, out };
+        self.control.send_bytes(dest, envelope.into_bytes(), env);
+        debug_assert!(sink.is_empty(), "a control send delivered locally");
+    }
+    fn set_timer(&mut self, delay: SimTime, token: u32) {
+        self.ctx.set_timer(delay, token);
+    }
+    /// Records a switch phase if observability is on, parented to the
+    /// control frame or timer being handled.
+    fn phase(&mut self, phase: SpPhase, from: usize, to: usize) {
+        if let Some(o) = self.ctx.obs() {
+            o.record_caused(
+                self.ctx.now().as_micros(),
+                u32::from(self.ctx.me().0),
+                self.ctx.cause(),
+                ObsEvent::SwitchPhase { phase, from: from as u8, to: to as u8 },
+            );
+        }
     }
 }
 
@@ -455,55 +264,11 @@ impl SwitchLayer {
         oracle: Box<dyn Oracle>,
     ) -> (Self, SwitchHandle) {
         let handle = SwitchHandle::new();
-        let idle_hold = match cfg.variant {
-            SwitchVariant::TokenRing { idle_hold } => idle_hold,
-            SwitchVariant::Broadcast => SimTime::ZERO,
-        };
         let layer = Self {
-            cfg,
-            protos: [proto_a, proto_b],
-            control: Stack::new(vec![]),
+            stacks: [proto_a, proto_b, Stack::new(vec![])],
             ctl_seq: 0,
-            oracle,
-            me: None,
-            current: 0,
-            era: 0,
-            mode: Mode::Normal,
-            sent_current: 0,
-            sent_next: 0,
-            book: EraBook {
-                tallies: Vec::new(),
-                strangers: BTreeMap::new(),
-                recent: VecDeque::new(),
-                #[cfg(test)]
-                delivered_from: BTreeMap::new(),
-            },
-            handle: handle.clone(),
-            buffer: Vec::new(),
             sink: Vec::new(),
-            expected: Vec::new(),
-            vector_known: false,
-            switch_started: SimTime::ZERO,
-            last_switch: None,
-            am_manager: false,
-            manager_oks: BTreeMap::new(),
-            want_target: None,
-            holding_flush: None,
-            held_token: None,
-            token_counts: Vec::new(),
-            hold_gen: 0,
-            idle: IdleBackoff::new(idle_hold),
-            token_gen: 0,
-            last_token_at: SimTime::ZERO,
-            joined_round: 0,
-            done_round: 0,
-            last_ctl: None,
-            switch_sent: false,
-            abort_gen: 0,
-            retrans_gen: 0,
-            retrans_delay: SimTime::ZERO,
-            absorb_other: false,
-            rng: DetRng::new(0),
+            core: SpCore::new(cfg, oracle, handle.clone()),
         };
         (layer, handle)
     }
@@ -514,496 +279,55 @@ impl SwitchLayer {
     /// supply a stack containing `ps_protocols::ReliableLayer`, or put one
     /// below the switch, as [`crate::hybrid_layer`] does.
     pub fn with_control_stack(mut self, stack: Stack) -> Self {
-        self.control = stack;
+        self.stacks[CONTROL] = stack;
         self
     }
 
-    /// Sends switch-control `bytes` to `dest` through the control stack,
-    /// wrapped in a message envelope so ordinary layers can transport it.
-    /// The envelope goes into the reserve in front of `bytes` when they are
-    /// their buffer's only handle, as a freshly encoded token is.
-    fn send_control(&mut self, dest: ps_stack::Cast, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        self.ctl_seq += 1;
-        let envelope = Message::new(ctx.me(), MsgId::CONTROL_SEQ_BASE + self.ctl_seq, bytes);
-        self.run_control(ctx, |stack, env| stack.send_bytes(dest, envelope.into_bytes(), env));
-    }
-
-    /// Runs `f` on protocol `idx`, then applies the switch logic to what
-    /// it delivered. The current protocol's deliveries have gone up as they
-    /// were made; another protocol's are in the sink, to be buffered until
-    /// the flip — or, after an abort, absorbed. `current` cannot change
-    /// while the protocol runs: nothing of this layer does.
-    /// Between switches the current protocol fills no sink and cannot
-    /// complete a switch: `f` runs, and that is all.
-    fn run_sub<R>(
+    /// Runs `f` on hosted stack `idx`, then hands the core what it put in
+    /// the sink: messages to hold back, or control envelopes. The current
+    /// protocol's deliveries went up as they were made, counted into the
+    /// core's era book; between switches they cannot complete one, so the
+    /// core is not called at all.
+    fn run<R>(
         &mut self,
         idx: usize,
         ctx: &mut LayerCtx<'_>,
         f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
     ) -> R {
-        let current = idx == self.current;
-        let out = if current { Out::Book(&mut self.book) } else { Out::Sink(&mut self.sink) };
-        let r = f(&mut self.protos[idx], &mut SubEnv { ctx, channel: chan(idx), out });
-        if current && self.mode == Mode::Normal {
+        let current = idx == self.core.current;
+        let out = if current { Out::Book(&mut self.core.book) } else { Out::Sink(&mut self.sink) };
+        let r = f(&mut self.stacks[idx], &mut SubEnv { ctx, channel: CHANNELS[idx], out });
+        if current && self.core.mode == Mode::Normal {
             return r;
         }
-        for d in self.sink.drain(..) {
-            if self.absorb_other {
-                self.book.pass_up(d, false, ctx);
-            } else {
-                self.buffer.push(d);
-                let depth = self.buffer.len();
-                self.handle.update(|s| s.buffered_peak = s.buffered_peak.max(depth));
-            }
+        let host = &mut Host { ctx, control: &mut self.stacks[CONTROL], seq: &mut self.ctl_seq };
+        if idx != CONTROL {
+            self.core.on_delivered(self.sink.drain(..), host);
+            return r;
         }
-        self.try_flip(ctx);
-        r
-    }
-
-    /// Runs `f` on the control transport, then handles every envelope it
-    /// delivered. A handler that sends control traffic comes back in here
-    /// while the sink is out; it then works on a fresh, empty one.
-    fn run_control<R>(
-        &mut self,
-        ctx: &mut LayerCtx<'_>,
-        f: impl FnOnce(&mut Stack, &mut SubEnv<'_, '_>) -> R,
-    ) -> R {
-        let mut sink = std::mem::take(&mut self.sink);
-        let out = Out::Sink(&mut sink);
-        let r = f(&mut self.control, &mut SubEnv { ctx, channel: ChannelId::CONTROL, out });
-        for (_, _, bytes) in sink.drain(..) {
+        for (_, _, bytes) in self.sink.drain(..) {
             let envelope = Message::from_owned(bytes).expect("validated when it was delivered");
-            self.dispatch_control(envelope, ctx);
+            self.core.on_control(envelope.id.sender, envelope.body, host);
         }
-        self.sink = sink;
         r
     }
 
-    fn enter_switching(&mut self, ctx: &mut LayerCtx<'_>) {
-        if self.mode == Mode::Normal {
-            self.mode = Mode::Switching;
-            self.switch_started = ctx.now();
-            self.vector_known = false;
-            self.absorb_other = false;
-            self.handle.update(|s| s.switching = true);
-            record_phase(ctx, SpPhase::PrepareSeen, self.current, 1 - self.current);
-            if self.cfg.phase_timeout > SimTime::ZERO {
-                self.abort_gen = self.abort_gen.wrapping_add(1) & GEN_MASK;
-                ctx.set_timer(self.cfg.phase_timeout, ABORT_FLAG | self.abort_gen);
-            }
+    /// Launches the hosted stacks (the inactive protocol keeps running, as
+    /// in Horus), or restarts them so they re-arm their own timers; then
+    /// the core.
+    fn start(&mut self, launch: bool, ctx: &mut LayerCtx<'_>) {
+        if launch {
+            // Before anything can be delivered: one tally per member.
+            self.core.book.tallies = vec![Tally::default(); ctx.group_slice().len()];
         }
-    }
-
-    /// Gives up on the in-flight switch attempt: revert to the old
-    /// protocol, release anything buffered, and drop all attempt state so
-    /// a later attempt starts clean. The era does **not** advance — eras
-    /// count completed switches, and keeping it stable means members that
-    /// never saw this attempt (the far side of a partition) remain in
-    /// agreement with members that aborted it.
-    fn abort(&mut self, ctx: &mut LayerCtx<'_>) {
-        record_phase(ctx, SpPhase::Aborted, self.current, 1 - self.current);
-        self.mode = Mode::Normal;
-        self.vector_known = false;
-        self.am_manager = false;
-        self.manager_oks.clear();
-        self.last_ctl = None;
-        self.switch_sent = false;
-        self.want_target = None;
-        if let Some(token) = self.holding_flush.take() {
-            self.recycle(token);
+        for idx in 0..3 {
+            self.run(idx, ctx, |stack, env| match launch {
+                true => stack.launch(env),
+                false => stack.restart(env),
+            });
         }
-        self.done_round = self.done_round.max(self.joined_round);
-        // Whatever we sent over the next protocol is now outside the era
-        // accounting; receivers absorb it the same way (`EraBook::count`).
-        self.sent_next = 0;
-        // Invalidate any token from the dead attempt that is still
-        // circulating; regeneration will mint a successor generation.
-        self.token_gen += 1;
-        self.absorb_other = true;
-        for d in self.buffer.drain(..) {
-            self.book.pass_up(d, false, ctx);
-        }
-        self.handle.update(|s| {
-            s.switching = false;
-            s.aborted += 1;
-        });
-    }
-
-    /// (Re)sends the manager's latest control broadcast and arms the next
-    /// retransmission with exponential backoff plus jitter.
-    fn send_ctl_broadcast(&mut self, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        self.last_ctl = Some(bytes.clone());
-        self.send_control(ps_stack::Cast::All, bytes, ctx);
-        self.retrans_delay = self.cfg.retransmit_base;
-        self.arm_retransmit(ctx);
-    }
-
-    fn arm_retransmit(&mut self, ctx: &mut LayerCtx<'_>) {
-        if self.retrans_delay == SimTime::ZERO {
-            return;
-        }
-        let jitter = self.rng.jitter(SimTime::from_micros(self.retrans_delay.as_micros() / 4));
-        self.retrans_gen = self.retrans_gen.wrapping_add(1) & GEN_MASK;
-        ctx.set_timer(self.retrans_delay + jitter, RETRANS_FLAG | self.retrans_gen);
-    }
-
-    fn on_retransmit_timer(&mut self, ctx: &mut LayerCtx<'_>) {
-        if self.mode != Mode::Switching {
-            return;
-        }
-        let Some(bytes) = self.last_ctl.clone() else { return };
-        self.send_control(ps_stack::Cast::All, bytes, ctx);
-        let doubled = SimTime::from_micros(self.retrans_delay.as_micros().saturating_mul(2));
-        self.retrans_delay = doubled.min(self.cfg.retransmit_max);
-        self.arm_retransmit(ctx);
-    }
-
-    /// Ring-head watchdog: if no token has been seen for a full regen
-    /// interval while idle, the token died with a crashed node — mint a
-    /// replacement with a higher generation.
-    fn on_regen_timer(&mut self, ctx: &mut LayerCtx<'_>) {
-        if self.cfg.token_regen == SimTime::ZERO {
-            return;
-        }
-        ctx.set_timer(self.cfg.token_regen, REGEN_FLAG);
-        let quiet = ctx.now().saturating_sub(self.last_token_at);
-        if self.mode == Mode::Normal
-            && self.held_token.is_none()
-            && self.holding_flush.is_none()
-            && quiet >= self.cfg.token_regen
-        {
-            self.token_gen += 1;
-            let mut token = RingToken::normal(self.era);
-            token.gen = self.token_gen;
-            self.handle_token(token, ctx);
-        }
-    }
-
-    /// Takes `vector` as the attempt's SWITCH vector, copied into the
-    /// capacity the last one left.
-    fn expect(&mut self, vector: &[(ProcessId, u64)]) {
-        self.expected.clear();
-        self.expected.extend_from_slice(vector);
-        self.vector_known = true;
-    }
-
-    /// Flips to the new protocol if the SWITCH vector is satisfied.
-    fn try_flip(&mut self, ctx: &mut LayerCtx<'_>) {
-        if self.mode != Mode::Switching || !self.vector_known {
-            return;
-        }
-        let group = ctx.group_slice();
-        let drained = self.expected.iter().all(|&(q, c)| self.book.era_count(q, group) >= c);
-        if !drained {
-            return;
-        }
-        record_phase(ctx, SpPhase::DrainComplete, self.current, 1 - self.current);
-        // Flip.
-        let from = self.current;
-        self.current = 1 - self.current;
-        self.era += 1;
-        self.mode = Mode::Normal;
-        self.sent_current = self.sent_next;
-        self.sent_next = 0;
-        self.book.next_era();
-        self.vector_known = false;
-        self.am_manager = false;
-        self.manager_oks.clear();
-        self.last_ctl = None;
-        self.switch_sent = false;
-        self.absorb_other = false;
-        self.done_round = self.done_round.max(self.joined_round);
-        let record = SwitchRecord {
-            from,
-            to: self.current,
-            started_at: self.switch_started,
-            completed_at: ctx.now(),
-        };
-        self.last_switch = Some(record.completed_at);
-        self.handle.update(|s| {
-            s.records.push(record);
-            s.switching = false;
-            s.current = 1 - from;
-        });
-        record_phase(ctx, SpPhase::Flip, from, self.current);
-        if self.cfg.announce_views {
-            // §8: the switch *is* a view change. Every member delivers the
-            // same message set per era (the count vector), so announcing
-            // the era boundary as a view yields a virtually synchronous
-            // application trace. The announcement is fabricated
-            // identically at every member (same id, same body).
-            let group = ctx.group_slice();
-            let vm = Message::view_change(
-                group[0],
-                MsgId::CONTROL_SEQ_BASE + self.era,
-                self.era,
-                group.to_vec(),
-            );
-            ctx.deliver_up(vm.id.sender, vm.into_bytes());
-        }
-        // Release the buffer — these are new-era deliveries.
-        for d in self.buffer.drain(..) {
-            self.book.pass_up(d, true, ctx);
-        }
-        record_phase(ctx, SpPhase::BufferRelease, from, self.current);
-        // Token variant: a FLUSH held for our drain can move on now.
-        if let Some(token) = self.holding_flush.take() {
-            self.forward_token(token, ctx);
-        }
-    }
-
-    // ---- broadcast variant -------------------------------------------------
-
-    fn initiate_broadcast(&mut self, ctx: &mut LayerCtx<'_>) {
-        self.joined_round = self.done_round + 1;
-        self.enter_switching(ctx);
-        self.am_manager = true;
-        self.handle.update(|s| s.initiated += 1);
-        let msg = Control::Prepare { era: self.era + 1, round: self.joined_round };
-        self.send_ctl_broadcast(msg.to_bytes(), ctx);
-    }
-
-    /// Handles a control envelope delivered by the control stack.
-    fn dispatch_control(&mut self, envelope: Message, ctx: &mut LayerCtx<'_>) {
-        let origin = envelope.id.sender;
-        match self.cfg.variant {
-            SwitchVariant::Broadcast => self.on_control(origin, envelope.body, ctx),
-            SwitchVariant::TokenRing { .. } => {
-                let counts = std::mem::take(&mut self.token_counts);
-                let mut token = RingToken { counts, ..RingToken::normal(0) };
-                match token.read_from(&envelope.body) {
-                    Ok(()) => self.handle_token(token, ctx),
-                    Err(_) => self.recycle(token),
-                }
-            }
-        }
-    }
-
-    fn on_control(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let Ok(msg) = Control::from_bytes(&bytes) else { return };
-        match msg {
-            Control::Prepare { era, round } => {
-                // Rounds at or below done_round are stragglers from an
-                // attempt this process already finished (flipped or
-                // aborted); joining them would corrupt era accounting.
-                if era != self.era + 1 || round <= self.done_round {
-                    return;
-                }
-                if self.mode == Mode::Switching && round != self.joined_round {
-                    return; // already committed to a different attempt
-                }
-                self.joined_round = round;
-                self.enter_switching(ctx);
-                // A duplicate PREPARE (manager retransmission) falls
-                // through to here and idempotently re-sends the OK — the
-                // original may have been lost.
-                let ok = Control::Ok { era, round, member: ctx.me(), count: self.sent_current };
-                self.send_control(ps_stack::Cast::To(src), ok.to_bytes(), ctx);
-            }
-            Control::Ok { era, round, member, count } => {
-                if !self.am_manager || era != self.era + 1 || round != self.joined_round {
-                    return;
-                }
-                self.manager_oks.insert(member, count);
-                let all_ok = ctx.group_slice().iter().all(|m| self.manager_oks.contains_key(m));
-                if !self.switch_sent && all_ok {
-                    let vector: CountVector =
-                        self.manager_oks.iter().map(|(&p, &c)| (p, c)).collect();
-                    let sw = Control::Switch { era, round, vector };
-                    self.switch_sent = true;
-                    self.send_ctl_broadcast(sw.to_bytes(), ctx);
-                }
-            }
-            Control::Switch { era, round, vector } => {
-                if era != self.era + 1 || self.mode != Mode::Switching || round != self.joined_round
-                {
-                    return;
-                }
-                self.expect(&vector);
-                self.try_flip(ctx);
-            }
-        }
-    }
-
-    // ---- token variant -----------------------------------------------------
-
-    fn forward_token(&mut self, token: RingToken, ctx: &mut LayerCtx<'_>) {
-        let next = ctx.ring_next();
-        self.send_control(ps_stack::Cast::To(next), token.to_bytes(), ctx);
-        self.recycle(token);
-    }
-
-    /// Takes back the count vector of a token that was passed on or is
-    /// dropped, for the next token off the wire to be read into — or keeps
-    /// the one it has, if that has more room.
-    fn recycle(&mut self, token: RingToken) {
-        if token.counts.capacity() > self.token_counts.capacity() {
-            self.token_counts = token.counts;
-        }
-    }
-
-    /// Is this in-rotation token (initiated by me) still the attempt I am
-    /// executing? False once I aborted: the era did not advance, so the
-    /// token's `era + 1` stamp alone cannot tell a live attempt from a
-    /// dead one.
-    fn my_live_attempt(&self, token: &RingToken) -> bool {
-        self.mode == Mode::Switching && token.era == self.era + 1
-    }
-
-    /// Lets go of a held idle token: seized if a wish is pending, passed
-    /// on otherwise.
-    fn release_held(&mut self, ctx: &mut LayerCtx<'_>) {
-        if let Some(token) = self.held_token.take() {
-            if self.want_target.is_some() {
-                self.handle_token(token, ctx);
-            } else {
-                self.forward_token(token, ctx);
-            }
-        }
-    }
-
-    fn handle_token(&mut self, mut token: RingToken, ctx: &mut LayerCtx<'_>) {
-        if token.mode == TokenMode::Wake {
-            // Not a token: some member has a wish and the ring may be
-            // asleep. Whoever sits on the NORMAL token passes it on now.
-            self.idle.traffic(ctx.now());
-            self.release_held(ctx);
-            return self.recycle(token);
-        }
-        // Generation fencing: a regenerated token obsoletes any older one
-        // still circulating (or any token from an attempt we aborted).
-        if token.gen < self.token_gen {
-            return self.recycle(token);
-        }
-        self.token_gen = token.gen;
-        self.last_token_at = ctx.now();
-        if token.mode != TokenMode::Normal {
-            self.idle.traffic(ctx.now());
-        }
-        let me = ctx.me();
-        match token.mode {
-            TokenMode::Wake => {} // handled above, ahead of the fence
-            TokenMode::Normal => {
-                let wanted = self.want_target.take().filter(|&t| t != self.current);
-                if wanted.is_some() && self.mode == Mode::Normal {
-                    self.enter_switching(ctx);
-                    self.handle.update(|s| s.initiated += 1);
-                    token.mode = TokenMode::Prepare;
-                    token.era = self.era + 1;
-                    token.initiator = me;
-                    token.counts.clear();
-                    token.counts.push((me, self.sent_current));
-                    self.forward_token(token, ctx);
-                    return;
-                }
-                let hold = self.idle.idle_visit();
-                if hold > SimTime::ZERO {
-                    self.held_token = Some(token);
-                    self.hold_gen = self.hold_gen.wrapping_add(1) & GEN_MASK;
-                    ctx.set_timer(hold, HOLD_FLAG | self.hold_gen);
-                } else {
-                    self.forward_token(token, ctx);
-                }
-            }
-            TokenMode::Prepare => {
-                if token.initiator == me {
-                    if !self.my_live_attempt(&token) {
-                        return self.recycle(token); // attempt aborted; let the token die
-                    }
-                    // Counts complete: disseminate the vector.
-                    self.expect(&token.counts);
-                    token.mode = TokenMode::Switch;
-                    self.forward_token(token, ctx);
-                    self.try_flip(ctx);
-                } else {
-                    if token.era != self.era + 1 {
-                        return self.recycle(token); // stale
-                    }
-                    self.enter_switching(ctx);
-                    if !token.counts.iter().any(|&(p, _)| p == me) {
-                        token.counts.push((me, self.sent_current));
-                    }
-                    self.forward_token(token, ctx);
-                }
-            }
-            TokenMode::Switch => {
-                if token.initiator == me {
-                    // Legitimate either mid-switch or just after our own
-                    // flip advanced the era; dead if we aborted.
-                    if !self.my_live_attempt(&token) && token.era != self.era {
-                        return self.recycle(token);
-                    }
-                    // Vector has gone all the way around: flush rotation.
-                    token.mode = TokenMode::Flush;
-                    if self.mode == Mode::Normal {
-                        self.forward_token(token, ctx);
-                    } else {
-                        self.holding_flush = Some(token);
-                    }
-                } else {
-                    if token.era != self.era + 1 || self.mode != Mode::Switching {
-                        // Stale, or of an aborted attempt: don't resurrect it.
-                        return self.recycle(token);
-                    }
-                    self.expect(&token.counts);
-                    self.forward_token(token, ctx);
-                    self.try_flip(ctx);
-                }
-            }
-            TokenMode::Flush => {
-                if token.initiator == me {
-                    if token.era != self.era && !self.my_live_attempt(&token) {
-                        return self.recycle(token); // flush of an attempt we aborted
-                    }
-                    // Third rotation complete: the switch has finished at
-                    // every member. Back to an idle token, which carries
-                    // the vector's room on for the next PREPARE.
-                    let mut counts = token.counts;
-                    counts.clear();
-                    let idle = RingToken { gen: token.gen, counts, ..RingToken::normal(self.era) };
-                    self.handle_token(idle, ctx);
-                } else if self.mode == Mode::Normal {
-                    self.forward_token(token, ctx);
-                } else {
-                    self.holding_flush = Some(token);
-                }
-            }
-        }
-    }
-
-    // ---- oracle ------------------------------------------------------------
-
-    fn observe(&mut self, ctx: &mut LayerCtx<'_>) {
-        let now = ctx.now();
-        self.book.prune(now.saturating_sub(self.cfg.observe_window), ctx.group_slice());
-        let obs = SwitchObs {
-            now,
-            current: self.current,
-            active_senders: self.book.active_senders(),
-            recent_deliveries: self.book.recent.len() as u64,
-            switching: self.mode == Mode::Switching,
-            last_switch: self.last_switch,
-        };
-        if let Some(target) = self.oracle.decide(&obs) {
-            if target != self.current && self.mode == Mode::Normal {
-                match self.cfg.variant {
-                    SwitchVariant::Broadcast => self.initiate_broadcast(ctx),
-                    SwitchVariant::TokenRing { .. } => {
-                        // An oracle may repeat its wish at every tick;
-                        // only the first asks the ring to wake.
-                        let first = self.want_target.replace(target).is_none();
-                        if self.held_token.is_some() {
-                            // Sitting on the idle token: use it now.
-                            self.release_held(ctx);
-                        } else if first && self.idle.may_sleep(now, ctx.group_slice().len()) {
-                            let wake = RingToken::wake().to_bytes();
-                            self.send_control(ps_stack::Cast::Others, wake, ctx);
-                        }
-                        self.idle.traffic(now);
-                    }
-                }
-            }
-        }
+        let host = &mut Host { ctx, control: &mut self.stacks[CONTROL], seq: &mut self.ctl_seq };
+        self.core.on_start(launch, host);
     }
 }
 
@@ -1013,132 +337,49 @@ impl Layer for SwitchLayer {
     }
 
     fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
-        self.me = Some(ctx.me());
-        // Before anything can be delivered: one tally per member.
-        self.book.tallies = vec![Tally::default(); ctx.group_slice().len()];
-        // Private jitter stream, seeded from identity only: deterministic
-        // per process, independent of the node's main RNG stream.
-        self.rng = DetRng::new(0x5317_C81A_F00D_u64 ^ u64::from(ctx.me().0));
-        // Launch both sub-protocols (the inactive one keeps running — its
-        // tokens rotate, its timers fire — exactly as in Horus) and the
-        // control transport.
-        for idx in 0..2 {
-            self.run_sub(idx, ctx, |stack, env| stack.launch(env));
-        }
-        self.run_control(ctx, |stack, env| stack.launch(env));
-        ctx.set_timer(self.cfg.observe_interval, OBSERVE);
-        if let SwitchVariant::TokenRing { .. } = self.cfg.variant {
-            if self.cfg.token_regen > SimTime::ZERO {
-                // A sleeping rotation must not look like a lost token.
-                let limit = SimTime::from_micros(self.cfg.token_regen.as_micros() / 2);
-                self.idle.cap_rotation(ctx.group_slice().len(), limit);
-            }
-            if ctx.me() == ctx.group_slice()[0] {
-                self.handle_token(RingToken::normal(0), ctx);
-                if self.cfg.token_regen > SimTime::ZERO {
-                    ctx.set_timer(self.cfg.token_regen, REGEN_FLAG);
-                }
-            }
-        }
+        self.start(true, ctx);
     }
 
     fn on_restart(&mut self, ctx: &mut LayerCtx<'_>) {
-        // Forward the restart to both sub-protocols and the control
-        // transport so they re-arm their own timers (retransmission
-        // sweeps, ordering-token holds, …).
-        for idx in 0..2 {
-            self.run_sub(idx, ctx, |stack, env| stack.restart(env));
-        }
-        self.run_control(ctx, |stack, env| stack.restart(env));
-        // Every timer below died with the crashed incarnation.
-        ctx.set_timer(self.cfg.observe_interval, OBSERVE);
-        if self.mode == Mode::Switching {
-            if self.cfg.phase_timeout > SimTime::ZERO {
-                // The attempt gets a fresh full deadline from recovery.
-                self.abort_gen = self.abort_gen.wrapping_add(1) & GEN_MASK;
-                ctx.set_timer(self.cfg.phase_timeout, ABORT_FLAG | self.abort_gen);
-            }
-            if self.am_manager {
-                if let Some(bytes) = self.last_ctl.clone() {
-                    // Replies may have burned while we were down; resend
-                    // immediately and restart the backoff schedule.
-                    self.send_ctl_broadcast(bytes, ctx);
-                }
-            }
-        }
-        if self.held_token.is_some() {
-            // We crashed while sitting on the idle token; without this the
-            // ring would stall until regeneration. A token is only ever
-            // held for a non-zero hold: re-arm the one that was in force.
-            ctx.set_timer(self.idle.hold(), HOLD_FLAG | self.hold_gen);
-        }
-        if let SwitchVariant::TokenRing { .. } = self.cfg.variant {
-            if ctx.me() == ctx.group_slice()[0] && self.cfg.token_regen > SimTime::ZERO {
-                ctx.set_timer(self.cfg.token_regen, REGEN_FLAG);
-            }
-        }
+        self.start(false, ctx);
     }
 
     fn on_down(&mut self, frame: Frame, ctx: &mut LayerCtx<'_>) {
-        let (target, sent) = match self.mode {
-            Mode::Normal => (self.current, &mut self.sent_current),
-            Mode::Switching => (1 - self.current, &mut self.sent_next),
-        };
-        *sent += 1;
-        self.run_sub(target, ctx, |stack, env| stack.send_bytes(frame.dest, frame.bytes, env));
+        let target = self.core.on_send();
+        self.run(target, ctx, |stack, env| stack.send_bytes(frame.dest, frame.bytes, env));
     }
 
     fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
         let Ok((ch, payload)) = channel::demux(bytes) else { return };
-        match ch {
-            ChannelId::CONTROL => {
-                self.run_control(ctx, |stack, env| stack.receive(src, payload, env));
-            }
-            ChannelId::PROTO_A | ChannelId::PROTO_B => {
-                let idx = usize::from(ch.0 - 1);
-                self.run_sub(idx, ctx, |stack, env| stack.receive(src, payload, env));
-            }
-            _ => {}
+        if let Some(idx) = CHANNELS.iter().position(|&c| c == ch) {
+            self.run(idx, ctx, |stack, env| stack.receive(src, payload, env));
         }
     }
 
     fn on_timer(&mut self, token: u32, ctx: &mut LayerCtx<'_>) {
-        if token == OBSERVE {
-            self.observe(ctx);
-            ctx.set_timer(self.cfg.observe_interval, OBSERVE);
-            return;
-        }
-        match token & FLAG_MASK {
-            HOLD_FLAG if token & GEN_MASK == self.hold_gen => self.release_held(ctx),
-            ABORT_FLAG if token & GEN_MASK == self.abort_gen => {
-                if self.mode == Mode::Switching {
-                    self.abort(ctx);
-                }
-            }
-            RETRANS_FLAG if token & GEN_MASK == self.retrans_gen => {
-                self.on_retransmit_timer(ctx);
-            }
-            REGEN_FLAG => self.on_regen_timer(ctx),
-            _ => {}
-        }
+        let host = &mut Host { ctx, control: &mut self.stacks[CONTROL], seq: &mut self.ctl_seq };
+        self.core.on_timer(token, host);
     }
 
     fn route_timer(&mut self, id: LayerId, token: u32, ctx: &mut LayerCtx<'_>) -> bool {
-        for idx in 0..2 {
-            if self.run_sub(idx, ctx, |stack, env| stack.timer(id, token, env)) {
-                return true;
-            }
-        }
-        // Control-transport timers (e.g. a reliable layer's retransmits).
-        self.run_control(ctx, |stack, env| stack.timer(id, token, env))
+        (0..3).any(|idx| self.run(idx, ctx, |stack, env| stack.timer(id, token, env)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{Control, RingToken, TokenMode};
+    use crate::oracle::SwitchObs;
+    use crate::sp::{ABORT_FLAG, FLAG_MASK, OBSERVE};
     use ps_check::prelude::*;
+    use ps_wire::Wire;
+    use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
+
+    fn chan(idx: usize) -> ChannelId {
+        CHANNELS[idx]
+    }
 
     const P0: ProcessId = ProcessId(0);
     const P1: ProcessId = ProcessId(1);
@@ -1253,6 +494,12 @@ mod tests {
 
         fn receive(&mut self, channel: ChannelId, bytes: Bytes) {
             self.stack.receive(P0, channel::mux(channel, bytes), &mut self.node);
+            self.check();
+        }
+
+        /// The SP's invariants, after each input the rig makes.
+        fn check(&self) {
+            self.layer.lock().unwrap().core.check_invariants();
         }
 
         /// Application message `seq` of process 0 arrives on protocol `idx`.
@@ -1274,7 +521,7 @@ mod tests {
         /// token generation this process accepts.
         fn next_attempt(&self) -> (u64, u64, u64) {
             let layer = self.layer.lock().unwrap();
-            (layer.era + 1, layer.done_round + 1, layer.token_gen)
+            (layer.core.era + 1, layer.core.done_round + 1, layer.core.token_gen)
         }
 
         /// PREPARE for the next era arrives from process 0.
@@ -1316,6 +563,7 @@ mod tests {
             let &(id, token) =
                 self.node.timers.iter().rfind(|(_, token)| kind(*token)).expect("armed");
             assert!(self.stack.timer(id, token, &mut self.node));
+            self.check();
         }
 
         /// The attempt's deadline passes.
@@ -1335,7 +583,7 @@ mod tests {
         }
 
         fn counted_from_p0(&self) -> u64 {
-            self.layer.lock().unwrap().book.era_count(P0, &GROUP)
+            self.layer.lock().unwrap().core.book.era_count(P0, &GROUP)
         }
     }
 
@@ -1350,10 +598,10 @@ mod tests {
         rig.receive(chan(0), Bytes::new());
         assert!(rig.node.delivered.is_empty());
         assert_eq!(rig.counted_from_p0(), 0);
-        assert!(rig.layer.lock().unwrap().book.recent.is_empty());
+        assert!(rig.layer.lock().unwrap().core.book.recent.is_empty());
         // The same on the other protocol's channel: nothing is buffered.
         rig.receive(chan(1), good.slice(..good.len() - 1));
-        assert!(rig.layer.lock().unwrap().buffer.is_empty());
+        assert!(rig.layer.lock().unwrap().core.buffer.is_empty());
         // And the real thing still counts.
         rig.receive(chan(0), good);
         assert_eq!((rig.seen(), rig.counted_from_p0()), (vec![1], 1));
@@ -1393,7 +641,7 @@ mod tests {
             // Protocol 1 is current now: straight through.
             rig.data(1, 13);
             assert_eq!(rig.seen(), [1, 2, 3, 11, 12, 13], "{variant:?}");
-            assert!(rig.layer.lock().unwrap().buffer.is_empty(), "{variant:?}");
+            assert!(rig.layer.lock().unwrap().core.buffer.is_empty(), "{variant:?}");
         }
     }
 
@@ -1411,11 +659,11 @@ mod tests {
 
             rig.data(1, 12);
             assert_eq!(rig.seen(), [11, 12], "{variant:?}: absorbed at once");
-            assert!(rig.layer.lock().unwrap().buffer.is_empty(), "{variant:?}");
+            assert!(rig.layer.lock().unwrap().core.buffer.is_empty(), "{variant:?}");
             assert_eq!(rig.handle.snapshot().buffered_peak, 1, "{variant:?}");
             // Delivered, observed as load, but outside the era's accounting.
             assert_eq!(rig.counted_from_p0(), 0, "{variant:?}");
-            assert_eq!(rig.layer.lock().unwrap().book.recent.len(), 2, "{variant:?}");
+            assert_eq!(rig.layer.lock().unwrap().core.book.recent.len(), 2, "{variant:?}");
             assert_eq!(rig.handle.current(), 0, "{variant:?}");
 
             rig.data(0, 1);
@@ -1441,9 +689,9 @@ mod tests {
         let obs = rig.tick();
         assert_eq!((obs.active_senders, obs.recent_deliveries), (0, 0));
         let layer = rig.layer.lock().unwrap();
-        assert!(layer.book.tallies.iter().all(|tally| tally.window == 0));
+        assert!(layer.core.book.tallies.iter().all(|tally| tally.window == 0));
         // The era remembers all three, the outsiders off the table.
-        let counted = SENDERS.map(|sender| layer.book.era_count(sender, &GROUP));
+        let counted = SENDERS.map(|sender| layer.core.book.era_count(sender, &GROUP));
         assert_eq!(counted, [0, 1, 1, 1]);
     }
 
@@ -1474,9 +722,12 @@ mod tests {
                     5 | 6 => {
                         let obs = rig.tick();
                         let layer = rig.layer.lock().unwrap();
-                        assert_eq!(obs.active_senders, layer.book.active_senders_by_scan(&GROUP));
-                        assert_eq!(obs.recent_deliveries, layer.book.recent.len() as u64);
-                        assert_eq!(obs.last_switch, layer.last_switch);
+                        assert_eq!(
+                            obs.active_senders,
+                            layer.core.book.active_senders_by_scan(&GROUP)
+                        );
+                        assert_eq!(obs.recent_deliveries, layer.core.book.recent.len() as u64);
+                        assert_eq!(obs.last_switch, layer.core.last_switch);
                     }
                     7 => {
                         rig.prepare();
@@ -1489,26 +740,30 @@ mod tests {
                         rig.abort_deadline();
                         assert_eq!(rig.handle.current(), current, "aborted");
                     }
-                    _ => rig.stack.restart(&mut rig.node),
+                    _ => {
+                        rig.stack.restart(&mut rig.node);
+                        rig.check();
+                    }
                 }
                 // At every step, not only at a tick: each count is the
                 // member's entries in the window.
                 let layer = rig.layer.lock().unwrap();
-                for (member, tally) in GROUP.iter().zip(&layer.book.tallies) {
-                    let entries = layer.book.recent.iter().filter(|(_, s)| s == member).count();
+                for (member, tally) in GROUP.iter().zip(&layer.core.book.tallies) {
+                    let recent = layer.core.book.recent.iter();
+                    let entries = recent.filter(|(_, s)| s == member).count();
                     assert_eq!(tally.window as usize, entries, "{member:?}");
                 }
                 // Each sender's era count, member or not, is what the map
                 // the table replaced holds.
                 for sender in SENDERS {
-                    let mapped = layer.book.delivered_from.get(&sender).copied().unwrap_or(0);
-                    assert_eq!(layer.book.era_count(sender, &GROUP), mapped, "{sender:?}");
+                    let mapped = layer.core.book.delivered_from.get(&sender).copied().unwrap_or(0);
+                    assert_eq!(layer.core.book.era_count(sender, &GROUP), mapped, "{sender:?}");
                 }
                 // And what a tick would show as the last switch is what the
                 // handle recorded: flips move both, aborts and restarts
                 // neither.
                 let recorded = rig.handle.snapshot().records.last().map(|r| r.completed_at);
-                assert_eq!(layer.last_switch, recorded);
+                assert_eq!(layer.core.last_switch, recorded);
             }
         }
     }
@@ -1580,6 +835,7 @@ mod tests {
                     3 => rig.receive(chan(who % 2), garbage[who].clone()),
                     4 => {
                         rig.stack.send(&Message::with_tag(P1, seq, 0), &mut rig.node);
+                        rig.check();
                         model.sent_on.push(chan(current).0);
                     }
                     5 | 6 => {
@@ -1609,14 +865,14 @@ mod tests {
                 let layer = rig.layer.lock().unwrap();
                 for sender in SENDERS {
                     let counted = model.era.get(&sender).copied().unwrap_or(0);
-                    assert_eq!(layer.book.era_count(sender, &GROUP), counted, "{sender:?}");
-                    let mapped = layer.book.delivered_from.get(&sender).copied().unwrap_or(0);
+                    assert_eq!(layer.core.book.era_count(sender, &GROUP), counted, "{sender:?}");
+                    let mapped = layer.core.book.delivered_from.get(&sender).copied().unwrap_or(0);
                     assert_eq!(mapped, counted, "{sender:?}");
                 }
-                assert_eq!(layer.book.recent.len(), model.window, "observed as load");
-                let held: Vec<u64> = layer.buffer.iter().map(|(_, _, b)| seq_of(b)).collect();
+                assert_eq!(layer.core.book.recent.len(), model.window, "observed as load");
+                let held: Vec<u64> = layer.core.buffer.iter().map(|(_, _, b)| seq_of(b)).collect();
                 assert_eq!(held, model.buffered.iter().map(|&(_, s)| s).collect::<Vec<_>>());
-                assert_eq!(layer.absorb_other, model.absorbing);
+                assert_eq!(layer.core.absorb_other, model.absorbing);
             }
         }
     }

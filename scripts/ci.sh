@@ -116,6 +116,12 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # the channel byte stopped going through the header codec, `group_len`
 # gave way to `group_slice().len()`), and the boundary tap (`TapLayer`,
 # `TapLog`), whose one user recorded nothing with it, was deleted.
+# ps-core 2 000 → 1 992 and the total → 21 740 when the switching
+# protocol's decisions moved out of `SwitchLayer` into `SpCore` (sp.rs):
+# the folds (attempt teardown, deadline and watchdog arming, launch with
+# restart, one `run` for the control transport and both protocols), the
+# oracles' shared hold-off, the token mode's tag as its discriminant and
+# tighter comments paid for the effects trait and its adapter.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -125,14 +131,14 @@ size_ceiling() {
         }
         END { exit (found && !over) ? 0 : 1 }'
 }
-size_ceiling ps-core 2000 85
+size_ceiling ps-core 1992 85
 size_ceiling ps-harness 4495 243
 size_ceiling ps-net 705 17
 size_ceiling ps-obs 3038 178
 size_ceiling ps-simnet 1936 118
 size_ceiling ps-stack 1540 102
 size_ceiling ps-trace 2393 144
-size_ceiling total 21748 1154
+size_ceiling total 21740 1154
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
