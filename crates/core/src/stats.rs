@@ -105,22 +105,22 @@ impl SwitchHandle {
 
     /// Number of completed switches at this process.
     pub fn switches_completed(&self) -> usize {
-        self.snapshot().records.len()
+        self.lock().records.len()
     }
 
     /// The currently active protocol index.
     pub fn current(&self) -> usize {
-        self.snapshot().current
+        self.lock().current
     }
 
     /// Switch attempts this process abandoned on timeout.
     pub fn aborted(&self) -> u64 {
-        self.snapshot().aborted
+        self.lock().aborted
     }
 
     /// Whether the process is mid-switch right now.
     pub fn switching(&self) -> bool {
-        self.snapshot().switching
+        self.lock().switching
     }
 
     pub(crate) fn update<R>(&self, f: impl FnOnce(&mut SwitchStats) -> R) -> R {

@@ -6,7 +6,10 @@
 //! from — same stack factory, same seeded workload — and runs each
 //! process on its own OS thread with its own `UdpSocket`, loopback
 //! datagrams standing in for the simulated medium. No [`Layer`] code
-//! changes; only the [`Driver`](ps_stack::Driver) behind the stacks does.
+//! changes, nor the code around it: each thread hosts the simulator's own
+//! [`ProcessAgent`](ps_stack::ProcessAgent) through a
+//! [`SimApi`](ps_simnet::SimApi) per callback, so only the socket, the
+//! wall clock and the timer queue are this crate's.
 //!
 //! Two things make the runs comparable rather than merely analogous:
 //!

@@ -1,21 +1,24 @@
 //! The UDP-loopback group runtime: one OS thread + one socket per process.
 //!
-//! Each node thread runs its stack beside the process's
-//! [`AppProcess`] — the transport-independent half the simulated driver
-//! runs too — stages the stack's effects and applies them after the call,
-//! keeps timers and scheduled workload in a [`ps_simnet::EventQueue`]
-//! keyed by microseconds from a shared epoch, and maps wall-clock time
-//! onto [`SimTime`] the same way. Frames leave the process as real
-//! datagrams (`dgram` module) and arrive through `recv_from`, and the run
-//! records into `ps-obs` exactly like a simulated run:
+//! Each node thread hosts the process's [`ProcessAgent`] — the same
+//! stack-plus-application agent the simulator runs — handing it a
+//! [`SimApi`] per callback and applying the [`Action`]s it stages: a send
+//! becomes datagrams (`dgram` module), a timer an entry in an
+//! [`EventQueue`] keyed by microseconds from a shared epoch, wall-clock
+//! time mapped onto [`SimTime`] the same way. Datagrams arrive through
+//! `recv_from`, and the run records into `ps-obs` like a simulated run:
 //! `AppSend`/`AppDeliver`/`FrameSend`/`FrameDeliver`/`TimerFire` events
 //! with wall-clock `at_us`, monitors and the `MetricsSampler` fed
 //! identically.
 
 use crate::dgram;
-use ps_simnet::{DetRng, EventQueue, SimTime};
-use ps_stack::{AppLog, AppProcess, Cast, Driver, Frame, GroupSpec, LayerId, Stack, StackEnv};
-use ps_trace::{Message, ProcessId};
+use ps_bytes::Bytes;
+use ps_obs::{CauseId, ObsEvent};
+use ps_simnet::{
+    Action, Agent, Dest, DetRng, EventQueue, NodeId, Packet, SimApi, SimTime, TimerToken,
+};
+use ps_stack::{AppLog, Driver, GroupSpec, ProcessAgent};
+use ps_trace::ProcessId;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -62,87 +65,12 @@ struct NetCounters {
     copies_delivered: AtomicU64,
 }
 
-/// One process's application half, shared between its node thread and
-/// the [`UdpGroup`] that reads its log.
-type SharedApp = Arc<Mutex<AppProcess>>;
+/// One process, shared between its node thread and the [`UdpGroup`] that
+/// reads its log.
+type SharedAgent = Arc<Mutex<ProcessAgent>>;
 
-fn lock(app: &SharedApp) -> MutexGuard<'_, AppProcess> {
-    app.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What a node's event queue fires.
-enum Pending {
-    /// A layer timer: `(layer, token)`.
-    Timer(LayerId, u32),
-    /// The node's scheduled application send at this index.
-    App(usize),
-}
-
-/// The stack's environment inside a node thread. Emissions are staged and
-/// applied after each stack call, as in the simulated runtime.
-struct NetEnv<'a> {
-    me: ProcessId,
-    group: &'a [ProcessId],
-    epoch: Instant,
-    rng: &'a mut DetRng,
-    outbox: &'a mut Vec<Frame>,
-    new_timers: &'a mut Vec<(SimTime, LayerId, u32)>,
-    app: &'a mut AppProcess,
-    /// The recording session of the node-loop event being processed,
-    /// `None` when the recorder is off.
-    obs: Option<&'a ps_obs::Writer<'a>>,
-    cause: ps_obs::CauseId,
-}
-
-impl StackEnv for NetEnv<'_> {
-    fn me(&self) -> ProcessId {
-        self.me
-    }
-    fn group(&self) -> &[ProcessId] {
-        self.group
-    }
-    fn now(&self) -> SimTime {
-        since(self.epoch)
-    }
-    fn rng(&mut self) -> &mut DetRng {
-        self.rng
-    }
-    fn transmit(&mut self, frame: Frame) {
-        // Record the send intent here (where the causal context lives);
-        // the socket write happens when effects are applied.
-        if let Some(o) = self.obs {
-            let copies = match frame.dest {
-                Cast::All => self.group.len(),
-                Cast::Others => self.group.len() - 1,
-                Cast::To(_) => 1,
-            };
-            o.record_caused(
-                self.now().as_micros(),
-                u32::from(self.me.0),
-                self.cause,
-                ps_obs::ObsEvent::FrameSend {
-                    bytes: frame.bytes.len() as u32,
-                    copies: copies as u32,
-                },
-            );
-        }
-        self.outbox.push(frame);
-    }
-    fn deliver(&mut self, _src: ProcessId, msg: Message) {
-        self.app.deliver(self.now(), msg, self.obs, self.cause);
-    }
-    fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32) {
-        self.new_timers.push((delay, id, token));
-    }
-    fn obs(&self) -> Option<&ps_obs::Writer<'_>> {
-        self.obs
-    }
-    fn cause(&self) -> ps_obs::CauseId {
-        self.cause
-    }
-    fn set_cause(&mut self, cause: ps_obs::CauseId) -> ps_obs::CauseId {
-        std::mem::replace(&mut self.cause, cause)
-    }
+fn lock(agent: &SharedAgent) -> MutexGuard<'_, ProcessAgent> {
+    agent.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Wall-clock time since `epoch`, on the simulator's microsecond scale.
@@ -150,11 +78,21 @@ fn since(epoch: Instant) -> SimTime {
     SimTime::from_micros(epoch.elapsed().as_micros() as u64)
 }
 
+/// How long a node waits on its socket at `now` when its next timer is
+/// due at `next`: until then, but at least 200 µs and at most
+/// [`MAX_WAIT`].
+fn wait(next: Option<SimTime>, now: SimTime) -> Duration {
+    next.map_or(MAX_WAIT, |at| Duration::from_micros(at.saturating_sub(now).as_micros()))
+        .clamp(Duration::from_micros(200), MAX_WAIT)
+}
+
+/// One node thread: the process's [`ProcessAgent`] — the very agent a
+/// simulated run hosts — driven off a socket and a timer queue. Only
+/// [`NodeThread::run`] reads the clock; every other method is handed the
+/// instant.
 struct NodeThread {
     me: ProcessId,
-    group: Vec<ProcessId>,
-    stack: Stack,
-    app: SharedApp,
+    agent: SharedAgent,
     socket: UdpSocket,
     peers: Vec<SocketAddr>,
     epoch: Instant,
@@ -165,11 +103,10 @@ struct NodeThread {
     counters: Arc<NetCounters>,
     stop: Arc<AtomicBool>,
     malformed: usize,
-    queue: EventQueue<Pending>,
-    /// Frames and timers a stack call staged; `apply` drains both, so they
-    /// keep their capacity from one call to the next.
-    outbox: Vec<Frame>,
-    new_timers: Vec<(SimTime, LayerId, u32)>,
+    queue: EventQueue<TimerToken>,
+    /// What the last callback staged; drained after it, so it keeps its
+    /// capacity from one callback to the next.
+    actions: Vec<Action>,
     /// The datagram being sent: envelope, then the frame's bytes. It grows
     /// to the largest datagram this node sends and no further.
     send_buf: Vec<u8>,
@@ -180,122 +117,118 @@ struct NodeThread {
 }
 
 impl NodeThread {
-    /// Applies staged effects: arm timers, put frames on the wire.
-    fn apply(&mut self) {
-        let now = since(self.epoch);
-        for (delay, id, token) in self.new_timers.drain(..) {
-            self.queue.push(now + delay, Pending::Timer(id, token));
-        }
-        for frame in self.outbox.drain(..) {
-            dgram::encode_into(self.me, &frame.bytes, &mut self.send_buf);
-            assert!(
-                self.send_buf.len() <= self.cfg.max_datagram,
-                "{}: frame of {} bytes exceeds max_datagram {}",
-                self.me,
-                self.send_buf.len(),
-                self.cfg.max_datagram
-            );
-            self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-            for &d in &self.group {
-                let hears = match frame.dest {
-                    Cast::All => true,
-                    Cast::Others => d != self.me,
-                    Cast::To(p) => d == p,
-                };
-                if hears {
-                    // A peer that already shut its socket is fine to ignore.
-                    let _ = self.socket.send_to(&self.send_buf, self.peers[d.index()]);
-                }
-            }
-        }
-    }
-
-    /// Runs one stack call, then applies what it staged. With the
-    /// recorder on, `head` (what triggered the call; a causal root) and
-    /// everything the stack records go through one hold of the shared
-    /// ring, released before any socket write.
-    fn with_env<R>(
+    /// Runs one agent callback at `now`, then applies what it staged:
+    /// timers into the queue, frames onto the wire. With the recorder on,
+    /// `head` (what triggered the call; a causal root), everything the
+    /// agent records and a `FrameSend` per staged frame go through one
+    /// hold of the shared ring, released before any socket write.
+    fn dispatch(
         &mut self,
-        head: Option<ps_obs::ObsEvent>,
-        f: impl FnOnce(&mut Stack, &mut NetEnv<'_>) -> R,
-    ) -> R {
+        now: SimTime,
+        head: Option<ObsEvent>,
+        f: impl FnOnce(&mut ProcessAgent, &mut SimApi<'_>),
+    ) {
         let session = if self.rec_on { self.rec.writer() } else { None };
-        let cause = match (&session, head) {
-            (Some(w), Some(ev)) => {
-                w.record(since(self.epoch).as_micros(), u32::from(self.me.0), ev)
-            }
-            _ => ps_obs::CauseId::NONE,
+        let (obs, node) = (session.as_ref(), u32::from(self.me.0));
+        let cause = match (obs, head) {
+            (Some(w), Some(ev)) => w.record(now.as_micros(), node, ev),
+            _ => CauseId::NONE,
         };
-        let mut app = lock(&self.app);
-        let mut env = NetEnv {
-            me: self.me,
-            group: &self.group,
-            epoch: self.epoch,
-            rng: &mut self.rng,
-            outbox: &mut self.outbox,
-            new_timers: &mut self.new_timers,
-            app: &mut app,
-            obs: session.as_ref(),
-            cause,
-        };
-        let r = f(&mut self.stack, &mut env);
-        drop(app);
-        drop(session);
-        self.apply();
-        r
-    }
-
-    fn fire_due(&mut self) {
-        while self.queue.peek_time().is_some_and(|at| at <= since(self.epoch)) {
-            let (_, pending) = self.queue.pop().expect("peeked");
-            match pending {
-                Pending::App(idx) => self.with_env(None, |stack, env| {
-                    // The send is a causal root here: the simulator
-                    // parents it on the engine's timer event, but a real
-                    // schedule has no recorded trigger.
-                    let (msg, cause) = env.app.send(idx, env.now(), env.obs, ps_obs::CauseId::NONE);
-                    env.cause = cause;
-                    stack.send(&msg, env);
-                }),
-                Pending::Timer(id, token) => {
-                    let head = self.rec_on.then_some(ps_obs::ObsEvent::TimerFire {
-                        token: (u64::from(id.0) << 32) | u64::from(token),
-                    });
-                    self.with_env(head, |stack, env| stack.timer(id, token, env));
-                }
+        let actions = std::mem::take(&mut self.actions);
+        let n = self.peers.len();
+        let mut api =
+            SimApi::new(NodeId::from(self.me.0), now, n, &mut self.rng, actions, obs, None, cause);
+        f(&mut lock(&self.agent), &mut api);
+        let mut actions = api.into_actions();
+        if let Some(o) = obs {
+            for action in &actions {
+                let Action::Send { dest, payload, cause } = action else { continue };
+                let copies = match dest {
+                    Dest::All => n,
+                    Dest::Others => n - 1,
+                    Dest::To(_) => 1,
+                };
+                let ev = ObsEvent::FrameSend { bytes: payload.len() as u32, copies: copies as u32 };
+                o.record_caused(now.as_micros(), node, *cause, ev);
             }
         }
+        drop(session);
+        for action in actions.drain(..) {
+            match action {
+                Action::Send { dest, payload, .. } => self.transmit(dest, &payload),
+                Action::Timer { delay, token, .. } => self.queue.push(now + delay, token),
+            }
+        }
+        self.actions = actions;
+    }
+
+    /// Puts one frame on the wire, a datagram per process `dest` names.
+    fn transmit(&mut self, dest: Dest, payload: &Bytes) {
+        dgram::encode_into(self.me, payload, &mut self.send_buf);
+        assert!(
+            self.send_buf.len() <= self.cfg.max_datagram,
+            "{}: frame of {} bytes exceeds max_datagram {}",
+            self.me,
+            self.send_buf.len(),
+            self.cfg.max_datagram
+        );
+        self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+        for (d, peer) in self.peers.iter().enumerate() {
+            let hears = match dest {
+                Dest::All => true,
+                Dest::Others => d != self.me.index(),
+                Dest::To(p) => d == p.index(),
+            };
+            if hears {
+                // A peer that already shut its socket is fine to ignore.
+                let _ = self.socket.send_to(&self.send_buf, peer);
+            }
+        }
+    }
+
+    /// Fires the earliest timer if it is due at `now`; whether it did. A
+    /// scheduled send is a timer like any other.
+    fn fire_due(&mut self, now: SimTime) -> bool {
+        if self.queue.peek_time().is_none_or(|at| at > now) {
+            return false;
+        }
+        let (_, token) = self.queue.pop().expect("peeked");
+        let head = self.rec_on.then_some(ObsEvent::TimerFire { token: token.0 });
+        self.dispatch(now, head, |agent, api| agent.on_timer(token, api));
+        true
+    }
+
+    /// Handles the datagram `recv_buf[..len]`, received at `now`: a
+    /// malformed one is counted, a well-formed one delivered.
+    fn receive(&mut self, now: SimTime, len: usize) {
+        let Ok((src, payload)) = dgram::decode(&self.recv_buf[..len]) else {
+            self.malformed += 1;
+            return;
+        };
+        self.counters.copies_delivered.fetch_add(1, Ordering::Relaxed);
+        // Causal root: the sender's FrameSend lives on another host's
+        // timeline and its CauseId is not ferried across the wire (a
+        // documented sim-vs-real divergence; docs/transport.md).
+        let head = self.rec_on.then_some(ObsEvent::FrameDeliver {
+            src: u32::from(src.0),
+            bytes: payload.len() as u32,
+        });
+        let pkt = Packet { src: NodeId::from(src.0), payload };
+        self.dispatch(now, head, |agent, api| agent.on_packet(pkt, api));
     }
 
     fn run(mut self) -> usize {
         // The scheduled sends were queued before spawn; launch the stack.
-        self.with_env(None, |stack, env| stack.launch(env));
+        self.dispatch(since(self.epoch), None, |agent, api| agent.on_start(api));
         while !self.stop.load(Ordering::Relaxed) {
-            self.fire_due();
-            let wait = self
-                .queue
-                .peek_time()
-                .map(|at| Duration::from_micros(at.saturating_sub(since(self.epoch)).as_micros()))
-                .unwrap_or(MAX_WAIT)
-                .clamp(Duration::from_micros(200), MAX_WAIT);
-            // Fails only on a zero duration, and `wait` is at least 200 µs.
-            self.socket.set_read_timeout(Some(wait)).expect("set_read_timeout");
+            // The clock is read again for each firing, so what falls due
+            // while others fire does not wait out a receive.
+            while self.fire_due(since(self.epoch)) {}
+            let timeout = wait(self.queue.peek_time(), since(self.epoch));
+            // Fails only on a zero duration, and `timeout` is at least 200 µs.
+            self.socket.set_read_timeout(Some(timeout)).expect("set_read_timeout");
             match self.socket.recv_from(&mut self.recv_buf) {
-                Ok((n, _addr)) => match dgram::decode(&self.recv_buf[..n]) {
-                    Ok((src, payload)) => {
-                        self.counters.copies_delivered.fetch_add(1, Ordering::Relaxed);
-                        // Causal root: the sender's FrameSend lives on
-                        // another host's timeline and its CauseId is
-                        // not ferried across the wire (a documented
-                        // sim-vs-real divergence; docs/transport.md).
-                        let head = self.rec_on.then_some(ps_obs::ObsEvent::FrameDeliver {
-                            src: u32::from(src.0),
-                            bytes: payload.len() as u32,
-                        });
-                        self.with_env(head, |stack, env| stack.receive(src, payload, env));
-                    }
-                    Err(_) => self.malformed += 1,
-                },
+                Ok((len, _addr)) => self.receive(since(self.epoch), len),
                 Err(e) if wait_ended(e.kind()) => {}
                 Err(e) => panic!("recv_from failed on {}: {e}", self.me),
             }
@@ -323,7 +256,7 @@ pub struct UdpGroup {
     group: Vec<ProcessId>,
     addrs: Vec<SocketAddr>,
     epoch: Instant,
-    apps: Vec<SharedApp>,
+    agents: Vec<SharedAgent>,
     /// Every process's log as of the first read since the last
     /// [`Driver::run_until`]: what earlier read-outs took, then what this
     /// one took from the node. The node threads keep appending to theirs.
@@ -359,7 +292,7 @@ impl UdpGroup {
     pub fn launch(spec: GroupSpec, cfg: NetConfig) -> Self {
         let factory = spec.factory.as_ref().expect("GroupSpec requires a stack_factory");
         let group = spec.group();
-        let halves = AppProcess::split(spec.n, spec.sends);
+        let agents = ProcessAgent::for_group(spec.n, spec.sends, factory);
 
         let sockets: Vec<UdpSocket> = (0..group.len())
             .map(|_| UdpSocket::bind(cfg.bind_addr).expect("bind loopback socket"))
@@ -373,22 +306,18 @@ impl UdpGroup {
         let counters = Arc::new(NetCounters::default());
         let epoch = Instant::now();
 
-        let mut apps = Vec::new();
+        let mut shared = Vec::new();
         let mut threads = Vec::new();
-        for ((me, socket), (app, due)) in group.iter().copied().zip(sockets).zip(halves) {
-            let mut ids = ps_stack::IdGen::new();
-            let stack = factory(me, &group, &mut ids);
-            let app = Arc::new(Mutex::new(app));
-            apps.push(Arc::clone(&app));
+        for ((me, socket), (agent, due)) in group.iter().copied().zip(sockets).zip(agents) {
+            let agent = Arc::new(Mutex::new(agent));
+            shared.push(Arc::clone(&agent));
             let mut queue = EventQueue::new();
-            for (idx, at) in due.into_iter().enumerate() {
-                queue.push(at, Pending::App(idx));
+            for (at, token) in due {
+                queue.push(at, token);
             }
             let node = NodeThread {
                 me,
-                group: group.clone(),
-                stack,
-                app,
+                agent,
                 socket,
                 peers: peers.clone(),
                 epoch,
@@ -400,8 +329,7 @@ impl UdpGroup {
                 stop: Arc::clone(&stop),
                 malformed: 0,
                 queue,
-                outbox: Vec::new(),
-                new_timers: Vec::new(),
+                actions: Vec::new(),
                 send_buf: Vec::new(),
                 recv_buf: vec![0; cfg.max_datagram],
             };
@@ -447,7 +375,7 @@ impl UdpGroup {
             group,
             addrs: peers,
             epoch,
-            apps,
+            agents: shared,
             logs: OnceLock::new(),
             rec,
             stop,
@@ -478,10 +406,10 @@ impl UdpGroup {
         }
         let taken = self.logs.take().unwrap_or_else(|| std::mem::take(self.earlier_mut()));
         let delivered_per_process = self
-            .apps
+            .agents
             .iter()
             .zip(&taken)
-            .map(|(app, taken)| taken.delivered() + lock(app).log().delivered())
+            .map(|(agent, taken)| taken.delivered() + lock(agent).app_mut().log().delivered())
             .collect();
         NetReport { delivered_per_process, malformed_per_process }
     }
@@ -533,17 +461,17 @@ impl Driver for UdpGroup {
     /// Process `p`'s log as of the first log read since the last
     /// [`Driver::run_until`]: the node threads keep running, so every
     /// accessor of one read-out sees the same instant. That read moves
-    /// each node's entries out ([`AppProcess::take_log`]) and appends
+    /// each node's entries out ([`ps_stack::AppProcess::take_log`]) and appends
     /// them to what earlier read-outs took; nothing is copied.
     fn process_log(&self, p: ProcessId) -> &AppLog {
         let logs = self.logs.get_or_init(|| {
             let mut earlier = self.earlier.lock().unwrap_or_else(PoisonError::into_inner);
             earlier
                 .iter_mut()
-                .zip(&self.apps)
-                .map(|(before, app)| {
+                .zip(&self.agents)
+                .map(|(before, agent)| {
                     let mut log = std::mem::take(before);
-                    log.append(lock(app).take_log());
+                    log.append(lock(agent).app_mut().take_log());
                     log
                 })
                 .collect()
@@ -555,6 +483,9 @@ impl Driver for UdpGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps_stack::Stack;
+    use ps_trace::Message;
+    use ps_wire::Wire;
 
     #[test]
     fn an_interrupted_receive_is_an_ended_wait() {
@@ -565,6 +496,87 @@ mod tests {
         for kind in [ConnectionRefused, PermissionDenied, InvalidInput, Other] {
             assert!(!wait_ended(kind), "{kind:?}");
         }
+    }
+
+    /// Process 0 of `spec`'s group as a node no thread runs, launched at
+    /// instant zero, with the sockets bound for its peers' addresses.
+    fn node(spec: GroupSpec) -> (NodeThread, Vec<UdpSocket>) {
+        let factory = spec.factory.as_ref().expect("factory");
+        let (agent, due) = ProcessAgent::for_group(spec.n, spec.sends, factory).swap_remove(0);
+        let mut sockets: Vec<UdpSocket> =
+            (0..spec.n).map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind")).collect();
+        let mut queue = EventQueue::new();
+        due.into_iter().for_each(|(at, token)| queue.push(at, token));
+        let mut node = NodeThread {
+            me: ProcessId(0),
+            agent: Arc::new(Mutex::new(agent)),
+            peers: sockets.iter().map(|s| s.local_addr().expect("local_addr")).collect(),
+            socket: sockets.remove(0),
+            epoch: Instant::now(),
+            rng: DetRng::new(1),
+            cfg: NetConfig::default(),
+            rec: ps_obs::Recorder::disabled(),
+            rec_on: false,
+            counters: Arc::default(),
+            stop: Arc::default(),
+            malformed: 0,
+            queue,
+            actions: Vec::new(),
+            send_buf: Vec::new(),
+            recv_buf: vec![0; NetConfig::default().max_datagram],
+        };
+        node.dispatch(SimTime::ZERO, None, |agent, api| agent.on_start(api));
+        (node, sockets)
+    }
+
+    fn log(node: &NodeThread) -> Vec<(SimTime, ps_trace::Event)> {
+        lock(&node.agent).app_mut().log().events().collect()
+    }
+
+    #[test]
+    fn a_scheduled_send_fires_at_the_first_wake_at_or_after_its_instant() {
+        let t = SimTime::from_millis(10);
+        let (mut node, _peers) = node(spec(2).send_at(t, ProcessId(0), b"x"));
+        assert!(!node.fire_due(SimTime::from_micros(t.as_micros() - 1)), "not due 1 µs early");
+        assert!(log(&node).is_empty());
+        assert!(node.fire_due(t), "due at its instant");
+        assert!(!node.fire_due(t), "fired once");
+        let log = log(&node);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].0, t);
+        assert!(log[0].1.is_send());
+    }
+
+    #[test]
+    fn a_malformed_datagram_is_counted_and_the_next_one_delivered() {
+        let (mut node, _peers) = node(spec(2));
+        let now = SimTime::from_millis(3);
+        node.recv_buf[..3].copy_from_slice(&[0xFF, 1, 2]);
+        node.receive(now, 3);
+        assert_eq!(node.malformed, 1);
+        assert!(log(&node).is_empty());
+
+        let msg = Message::new(ProcessId(1), 1, Bytes::copy_from_slice(b"y"));
+        let datagram = dgram::encode(ProcessId(1), &msg.to_bytes());
+        node.recv_buf[..datagram.len()].copy_from_slice(&datagram);
+        node.receive(now, datagram.len());
+        assert_eq!(node.malformed, 1);
+        let log = log(&node);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].0, now);
+        assert!(log[0].1.is_deliver());
+        assert_eq!(log[0].1.message().id, msg.id);
+    }
+
+    #[test]
+    fn the_wait_runs_to_the_next_timer_within_its_bounds() {
+        let now = SimTime::from_secs(2);
+        assert_eq!(wait(None, now), MAX_WAIT, "nothing due");
+        assert_eq!(wait(Some(SimTime::from_secs(1)), now), Duration::from_micros(200), "overdue");
+        let ms_away = now + SimTime::from_millis(1);
+        assert_eq!(wait(Some(ms_away), now), Duration::from_millis(1));
+        assert_eq!(wait(Some(now + SimTime::from_secs(1)), now), MAX_WAIT, "1 s away");
+        assert_eq!(MAX_WAIT, Duration::from_millis(5));
     }
 
     fn spec(n: u16) -> GroupSpec {
@@ -627,14 +639,13 @@ mod tests {
             return; // tap feature off: nothing recorded by design.
         }
         let events = rec.snapshot();
-        let sends =
-            events.iter().filter(|e| matches!(e.ev, ps_obs::ObsEvent::AppSend { .. })).count();
+        let sends = events.iter().filter(|e| matches!(e.ev, ObsEvent::AppSend { .. })).count();
         let delivers =
-            events.iter().filter(|e| matches!(e.ev, ps_obs::ObsEvent::AppDeliver { .. })).count();
+            events.iter().filter(|e| matches!(e.ev, ObsEvent::AppDeliver { .. })).count();
         assert_eq!(sends, 1);
         assert_eq!(delivers, 2, "both processes deliver (incl. self)");
-        assert!(events.iter().any(|e| matches!(e.ev, ps_obs::ObsEvent::FrameSend { .. })));
-        assert!(events.iter().any(|e| matches!(e.ev, ps_obs::ObsEvent::FrameDeliver { .. })));
+        assert!(events.iter().any(|e| matches!(e.ev, ObsEvent::FrameSend { .. })));
+        assert!(events.iter().any(|e| matches!(e.ev, ObsEvent::FrameDeliver { .. })));
         assert!(!sampler.is_empty(), "sampler saw at least one window");
         let total_frames: u64 = sampler.samples().iter().map(|s| s.frames_sent).sum();
         assert!(total_frames >= 1);

@@ -3,14 +3,17 @@
 //! so the same spec — a hybrid that announces its one scripted switch as a
 //! view change — must read back the same way on both: every process logs
 //! the view-change delivery, the recorder holds no `AppDeliver` for it,
-//! and `NetReport.delivered_per_process` counts what the log holds.
+//! and `NetReport.delivered_per_process` counts what the log holds. Both
+//! also run the process through the same `ps_stack::ProcessAgent`, so a
+//! scheduled send reads as a timer firing that parents its `AppSend`.
 
 use ps_core::{hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig};
 use ps_net::{NetConfig, UdpGroup};
-use ps_obs::{ObsEvent, Recorder};
+use ps_obs::{CauseId, ObsEvent, Recorder, TimedEvent};
 use ps_simnet::SimTime;
 use ps_stack::{Driver, GroupSimBuilder, GroupSpec};
 use ps_trace::{Event, MsgId, ProcessId};
+use std::collections::HashMap;
 
 const N: u16 = 3;
 const SENDS: u64 = 9;
@@ -63,6 +66,20 @@ fn check(driver: &dyn Driver, medium: &str) -> Vec<usize> {
             "{medium}: a control envelope was recorded as an application delivery"
         );
         assert_eq!(app_delivers.len(), SENDS as usize * usize::from(N), "{medium}");
+        // A scheduled send is a timer firing on both media, and its
+        // `AppSend` is parented on that firing.
+        let events = rec.snapshot();
+        let by_id: HashMap<CauseId, &TimedEvent> = events.iter().map(|e| (e.id(), e)).collect();
+        let sends: Vec<_> =
+            events.iter().filter(|e| matches!(e.ev, ObsEvent::AppSend { .. })).collect();
+        assert_eq!(sends.len(), SENDS as usize, "{medium}");
+        for send in sends {
+            let parent = by_id.get(&send.parent).map(|p| p.ev);
+            assert!(
+                matches!(parent, Some(ObsEvent::TimerFire { .. })),
+                "{medium}: {send:?} is parented on {parent:?}, not a timer firing"
+            );
+        }
     }
     delivered
 }

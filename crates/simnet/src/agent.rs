@@ -39,14 +39,17 @@ pub trait Agent {
     }
 }
 
-/// What an agent asked the simulator to do during one callback.
+/// What an agent asked its driver to do during one callback: the
+/// simulator applies these, and so does any other host of an [`Agent`].
 ///
 /// Each action carries the causal id of the event being processed when the
 /// agent requested it ([`SimApi::cause`]), so the resulting frame or timer
 /// firing links back to what triggered it.
 #[derive(Debug)]
-pub(crate) enum Action {
+pub enum Action {
+    /// [`SimApi::send`]: transmit `payload` to `dest`.
     Send { dest: Dest, payload: Bytes, cause: CauseId },
+    /// [`SimApi::set_timer`]: fire `token` `delay` after the event.
     Timer { delay: SimTime, token: TimerToken, cause: CauseId },
 }
 
@@ -77,10 +80,11 @@ pub struct SimApi<'a> {
 }
 
 impl<'a> SimApi<'a> {
-    /// `actions` is the simulator's scratch buffer (cleared, capacity
-    /// retained across events so the hot path never allocates); it is
-    /// handed back via [`SimApi::into_actions`].
-    pub(crate) fn new(
+    /// The handle for one callback of node `me` at `now`. `actions` is the
+    /// driver's scratch buffer (cleared, capacity retained across events
+    /// so the hot path never allocates); it is handed back via
+    /// [`SimApi::into_actions`].
+    pub fn new(
         me: NodeId,
         now: SimTime,
         num_nodes: usize,
@@ -96,7 +100,7 @@ impl<'a> SimApi<'a> {
 
     /// Consumes the API, returning the recorded actions (and the scratch
     /// buffer's capacity with them).
-    pub(crate) fn into_actions(self) -> Vec<Action> {
+    pub fn into_actions(self) -> Vec<Action> {
         self.actions
     }
 

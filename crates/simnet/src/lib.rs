@@ -61,7 +61,7 @@ mod sim;
 mod stats;
 mod time;
 
-pub use agent::{Agent, SimApi, TimerToken};
+pub use agent::{Action, Agent, SimApi, TimerToken};
 pub use medium::{
     EthernetConfig, Lossy, Medium, PartitionSchedule, PointToPoint, SharedBus, TxPlan,
 };

@@ -14,10 +14,12 @@
 //!   frames with a [`ChannelId`] so several protocols share one transport;
 //!   the switching protocol runs each underlying protocol (and its own
 //!   control traffic) on a private channel.
-//! * [`GroupSim`] — the runtime: binds one identical stack per process to
-//!   a `ps-simnet` simulation, schedules application workload, and records
-//!   the application-level [`ps_trace::Trace`] — so any run's output can be
-//!   fed straight into the property checkers.
+//! * [`GroupSim`] — the runtime: runs one [`ProcessAgent`] (an identical
+//!   stack plus its [`AppProcess`]) per process on a `ps-simnet`
+//!   simulation, schedules application workload, and records the
+//!   application-level [`ps_trace::Trace`] — so any run's output can be
+//!   fed straight into the property checkers. `ps-net` hosts the same
+//!   agents on real sockets.
 //! * [`driver`] — the transport split: a [`GroupSpec`] describes a run
 //!   without naming a medium, and the [`Driver`] trait is what any
 //!   transport (simnet here, UDP loopback in `ps-net`) exposes back, so
@@ -54,5 +56,5 @@ mod stack;
 pub use channel::ChannelId;
 pub use driver::{AppLog, AppProcess, DeliveryRecord, Driver, GroupSpec};
 pub use layer::{Cast, Frame, IdGen, Layer, LayerCtx, LayerId};
-pub use runtime::{GroupSim, GroupSimBuilder, StackFactory};
+pub use runtime::{GroupSim, GroupSimBuilder, ProcessAgent, StackFactory};
 pub use stack::{Stack, StackEnv};

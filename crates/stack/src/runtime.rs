@@ -27,12 +27,46 @@ fn unpack(t: TimerToken) -> (u32, u32) {
     ((t.0 >> 32) as u32, (t.0 & 0xffff_ffff) as u32)
 }
 
-/// One process of a simulated group: its stack, and the
-/// transport-independent half beside it.
-struct ProcessAgent {
+/// One process of a group — its stack, and the transport-independent
+/// half beside it — as an [`Agent`]: the simulator runs it, and a real
+/// driver runs the same agent by handing it a [`SimApi`] per callback and
+/// applying the [`Action`](ps_simnet::Action)s it stages.
+pub struct ProcessAgent {
     stack: Stack,
     group: Vec<ProcessId>,
     app: AppProcess,
+}
+
+impl ProcessAgent {
+    /// One agent per member of a group of `n`: its stack from `factory`
+    /// (with a fresh [`IdGen`]), its [`AppProcess`], and its scheduled
+    /// sends as timer tokens with their due instants, for the driver to
+    /// fire through [`Agent::on_timer`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scheduled sender is out of range.
+    pub fn for_group(
+        n: u16,
+        sends: Vec<(SimTime, ProcessId, Bytes)>,
+        factory: &StackFactory,
+    ) -> Vec<(Self, Vec<(SimTime, TimerToken)>)> {
+        let group: Vec<ProcessId> = (0..n).map(ProcessId).collect();
+        let agents = AppProcess::split(n, sends).into_iter().map(|(app, due)| {
+            let stack = factory(app.me(), &group, &mut IdGen::new());
+            // A scheduled send fires as an app-marker timer whose token
+            // is its index into the process's schedule.
+            let app_send = |(idx, at)| (at, pack(LayerId(APP_MARKER), idx as u32));
+            let tokens = due.into_iter().enumerate().map(app_send).collect();
+            (ProcessAgent { stack, group: group.clone(), app }, tokens)
+        });
+        agents.collect()
+    }
+
+    /// The process's application half, whose log a driver reads out.
+    pub fn app_mut(&mut self) -> &mut AppProcess {
+        &mut self.app
+    }
 }
 
 struct EnvAdapter<'a, 'b> {
@@ -227,27 +261,15 @@ impl GroupSimBuilder {
         if let Some(t) = self.service_time {
             config = config.service_time(t);
         }
-        let group: Vec<ProcessId> = (0..spec.n).map(ProcessId).collect();
-
-        // A scheduled send fires as an app-marker timer whose token is its
-        // index into the process's schedule.
-        let (apps, dues): (Vec<AppProcess>, Vec<Vec<SimTime>>) =
-            AppProcess::split(spec.n, spec.sends).into_iter().unzip();
-        let agents: Vec<ProcessAgent> = apps
-            .into_iter()
-            .map(|app| {
-                let mut ids = IdGen::new();
-                let stack = factory(app.me(), &group, &mut ids);
-                ProcessAgent { stack, group: group.clone(), app }
-            })
-            .collect();
-
+        let (agents, dues): (Vec<ProcessAgent>, Vec<_>) =
+            ProcessAgent::for_group(spec.n, spec.sends, &factory).into_iter().unzip();
         let mut sim = Sim::new(config, medium, agents);
-        for (p, due) in dues.iter().enumerate() {
-            for (idx, at) in due.iter().enumerate() {
-                sim.schedule(*at, NodeId(p as u32), pack(LayerId(APP_MARKER), idx as u32));
+        for (p, due) in dues.into_iter().enumerate() {
+            for (at, token) in due {
+                sim.schedule(at, NodeId(p as u32), token);
             }
         }
+        let group = (0..spec.n).map(ProcessId).collect();
         GroupSim { sim, group }
     }
 }

@@ -122,6 +122,15 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # restart, one `run` for the control transport and both protocols), the
 # oracles' shared hold-off, the token mode's tag as its discriminant and
 # tighter comments paid for the effects trait and its adapter.
+# ps-net 705 → 636 and the total 21 740 / 1 154 → 21 699 / 1 160 when
+# ps-net's node threads began hosting the simulator's own
+# `ProcessAgent` through `SimApi` (its `NetEnv`, `Pending` and per-process
+# build loop deleted). The public items that made room for it: ps-simnet
+# 1 936 / 118 → 1 940 / 121 (`Action`, `SimApi::new` and
+# `SimApi::into_actions` public, with docs on `Action`'s variants), and
+# ps-stack 1 540 / 102 → 1 564 / 105 (`ProcessAgent`, its one
+# constructor `for_group`, which `GroupSimBuilder::build` uses too, and
+# `app_mut`).
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -133,12 +142,12 @@ size_ceiling() {
 }
 size_ceiling ps-core 1992 85
 size_ceiling ps-harness 4495 243
-size_ceiling ps-net 705 17
+size_ceiling ps-net 636 17
 size_ceiling ps-obs 3038 178
-size_ceiling ps-simnet 1936 118
-size_ceiling ps-stack 1540 102
+size_ceiling ps-simnet 1940 121
+size_ceiling ps-stack 1564 105
 size_ceiling ps-trace 2393 144
-size_ceiling total 21740 1154
+size_ceiling total 21699 1160
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
