@@ -3,10 +3,11 @@
 //! Each node thread hosts the process's [`ProcessAgent`] — the same
 //! stack-plus-application agent the simulator runs — handing it a
 //! [`SimApi`] per callback and applying the [`Action`]s it stages: a send
-//! becomes datagrams (`dgram` module), a timer an entry in an
-//! [`EventQueue`] keyed by microseconds from a shared epoch, wall-clock
-//! time mapped onto [`SimTime`] the same way. Datagrams arrive through
-//! `recv_from`, and the run records into `ps-obs` like a simulated run:
+//! becomes datagrams to its peers (`dgram` module) and its own copy a
+//! handle on an in-memory queue, a timer an entry in an [`EventQueue`]
+//! keyed by microseconds from a shared epoch, wall-clock time mapped onto
+//! [`SimTime`] the same way. Datagrams arrive through `recv_from`, and
+//! the run records into `ps-obs` like a simulated run:
 //! `AppSend`/`AppDeliver`/`FrameSend`/`FrameDeliver`/`TimerFire` events
 //! with wall-clock `at_us`, monitors and the `MetricsSampler` fed
 //! identically.
@@ -19,6 +20,7 @@ use ps_simnet::{
 };
 use ps_stack::{AppLog, Driver, GroupSpec, ProcessAgent};
 use ps_trace::ProcessId;
+use std::collections::VecDeque;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -114,6 +116,9 @@ struct NodeThread {
     /// starts, so that a run's memory does not depend on when the OS
     /// gets round to starting it.
     recv_buf: Vec<u8>,
+    /// The copies this node addressed to itself, oldest first, for a later
+    /// turn to hand over; built with room for a few, like `recv_buf`.
+    local: VecDeque<Bytes>,
 }
 
 impl NodeThread {
@@ -155,34 +160,42 @@ impl NodeThread {
         drop(session);
         for action in actions.drain(..) {
             match action {
-                Action::Send { dest, payload, .. } => self.transmit(dest, &payload),
+                Action::Send { dest, payload, .. } => self.transmit(dest, payload),
                 Action::Timer { delay, token, .. } => self.queue.push(now + delay, token),
             }
         }
         self.actions = actions;
     }
 
-    /// Puts one frame on the wire, a datagram per process `dest` names.
-    fn transmit(&mut self, dest: Dest, payload: &Bytes) {
-        dgram::encode_into(self.me, payload, &mut self.send_buf);
-        assert!(
-            self.send_buf.len() <= self.cfg.max_datagram,
-            "{}: frame of {} bytes exceeds max_datagram {}",
-            self.me,
-            self.send_buf.len(),
-            self.cfg.max_datagram
-        );
+    /// Sends one frame to every process `dest` names: a datagram to each
+    /// peer, and this node's own copy — the same handle — onto `local`.
+    fn transmit(&mut self, dest: Dest, payload: Bytes) {
         self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-        for (d, peer) in self.peers.iter().enumerate() {
-            let hears = match dest {
-                Dest::All => true,
-                Dest::Others => d != self.me.index(),
-                Dest::To(p) => d == p.index(),
-            };
-            if hears {
-                // A peer that already shut its socket is fine to ignore.
-                let _ = self.socket.send_to(&self.send_buf, peer);
+        let me = self.me.index();
+        let hears = |d: usize| match dest {
+            Dest::All => true,
+            Dest::Others => d != me,
+            Dest::To(p) => d == p.index(),
+        };
+        // A frame only this node hears is not encoded at all.
+        if (0..self.peers.len()).any(|d| d != me && hears(d)) {
+            dgram::encode_into(self.me, &payload, &mut self.send_buf);
+            assert!(
+                self.send_buf.len() <= self.cfg.max_datagram,
+                "{}: frame of {} bytes exceeds max_datagram {}",
+                self.me,
+                self.send_buf.len(),
+                self.cfg.max_datagram
+            );
+            for (d, peer) in self.peers.iter().enumerate() {
+                if d != me && hears(d) {
+                    // A peer that already shut its socket is fine to ignore.
+                    let _ = self.socket.send_to(&self.send_buf, peer);
+                }
             }
+        }
+        if hears(me) {
+            self.local.push_back(payload);
         }
     }
 
@@ -198,17 +211,30 @@ impl NodeThread {
         true
     }
 
+    /// Hands the agent the oldest copy this node addressed to itself, at
+    /// `now`; whether there was one.
+    fn deliver_own(&mut self, now: SimTime) -> bool {
+        let Some(payload) = self.local.pop_front() else { return false };
+        self.deliver(now, self.me, payload);
+        true
+    }
+
     /// Handles the datagram `recv_buf[..len]`, received at `now`: a
     /// malformed one is counted, a well-formed one delivered.
     fn receive(&mut self, now: SimTime, len: usize) {
-        let Ok((src, payload)) = dgram::decode(&self.recv_buf[..len]) else {
-            self.malformed += 1;
-            return;
-        };
+        match dgram::decode(&self.recv_buf[..len]) {
+            Ok((src, payload)) => self.deliver(now, src, payload),
+            Err(_) => self.malformed += 1,
+        }
+    }
+
+    /// Hands the agent one copy of a frame from `src`, at `now`.
+    fn deliver(&mut self, now: SimTime, src: ProcessId, payload: Bytes) {
         self.counters.copies_delivered.fetch_add(1, Ordering::Relaxed);
-        // Causal root: the sender's FrameSend lives on another host's
+        // Causal root: a peer's FrameSend lives on another host's
         // timeline and its CauseId is not ferried across the wire (a
-        // documented sim-vs-real divergence; docs/transport.md).
+        // documented sim-vs-real divergence; docs/transport.md), and a
+        // copy of this node's own is a root like any other.
         let head = self.rec_on.then_some(ObsEvent::FrameDeliver {
             src: u32::from(src.0),
             bytes: payload.len() as u32,
@@ -224,6 +250,10 @@ impl NodeThread {
             // The clock is read again for each firing, so what falls due
             // while others fire does not wait out a receive.
             while self.fire_due(since(self.epoch)) {}
+            // One own copy a turn, and no wait on the socket while any is left.
+            if self.deliver_own(since(self.epoch)) {
+                continue;
+            }
             let timeout = wait(self.queue.peek_time(), since(self.epoch));
             // Fails only on a zero duration, and `timeout` is at least 200 µs.
             self.socket.set_read_timeout(Some(timeout)).expect("set_read_timeout");
@@ -332,6 +362,7 @@ impl UdpGroup {
                 actions: Vec::new(),
                 send_buf: Vec::new(),
                 recv_buf: vec![0; cfg.max_datagram],
+                local: VecDeque::with_capacity(8),
             };
             // Unnamed, as is the sampler's: std copies a thread's name on
             // the new thread as it starts (for its stack-overflow report),
@@ -352,7 +383,7 @@ impl UdpGroup {
                     while !stop.load(Ordering::Relaxed) {
                         let now = Instant::now();
                         if now < window_end {
-                            std::thread::sleep((window_end - now).min(Duration::from_millis(5)));
+                            std::thread::park_timeout(window_end - now);
                             continue;
                         }
                         // Utilization and queue-depth fields stay 0: the
@@ -398,7 +429,7 @@ impl UdpGroup {
     /// the per-process tallies. Call after [`Driver::run_until`]. A node
     /// or sampler thread's panic is re-raised here.
     pub fn shutdown(mut self) -> NetReport {
-        self.stop.store(true, Ordering::Relaxed);
+        self.raise_stop();
         let malformed_per_process =
             self.threads.drain(..).map(|t| t.join().expect("node thread panicked")).collect();
         if let Some(t) = self.sampler_thread.take() {
@@ -413,12 +444,18 @@ impl UdpGroup {
             .collect();
         NetReport { delivered_per_process, malformed_per_process }
     }
+
+    /// Tells every thread to stop, and unparks the sampler from its window.
+    fn raise_stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.sampler_thread.iter().for_each(|t| t.thread().unpark());
+    }
 }
 
 impl Drop for UdpGroup {
     fn drop(&mut self) {
         // Never leak node threads if the caller skipped `shutdown`.
-        self.stop.store(true, Ordering::Relaxed);
+        self.raise_stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -437,13 +474,7 @@ impl Driver for UdpGroup {
             *self.earlier_mut() = logs;
         }
         let target = self.epoch + Duration::from_micros(deadline.as_micros());
-        loop {
-            let now = Instant::now();
-            if now >= target {
-                break;
-            }
-            std::thread::sleep((target - now).min(Duration::from_millis(20)));
-        }
+        std::thread::sleep(target.saturating_duration_since(Instant::now()));
     }
 
     fn now(&self) -> SimTime {
@@ -524,6 +555,7 @@ mod tests {
             actions: Vec::new(),
             send_buf: Vec::new(),
             recv_buf: vec![0; NetConfig::default().max_datagram],
+            local: VecDeque::new(),
         };
         node.dispatch(SimTime::ZERO, None, |agent, api| agent.on_start(api));
         (node, sockets)
@@ -566,6 +598,89 @@ mod tests {
         assert_eq!(log[0].0, now);
         assert!(log[0].1.is_deliver());
         assert_eq!(log[0].1.message().id, msg.id);
+    }
+
+    /// Whether `socket` holds no datagram (it is left non-blocking).
+    fn holds_none(socket: &UdpSocket) -> bool {
+        socket.set_nonblocking(true).expect("set_nonblocking");
+        let err = socket.recv_from(&mut [0; 64]).expect_err("no datagram");
+        err.kind() == std::io::ErrorKind::WouldBlock
+    }
+
+    #[test]
+    fn a_multicast_reaches_the_peer_by_socket_and_the_sender_by_hand() {
+        let t = SimTime::from_millis(4);
+        let (mut node, peers) = node(spec(2).send_at(t, ProcessId(0), b"x"));
+        assert!(node.fire_due(t));
+        // The peer's datagram is in its socket when `send_to` returns on
+        // loopback; the bound only keeps a broken build from hanging.
+        peers[0].set_read_timeout(Some(Duration::from_secs(5))).expect("set_read_timeout");
+        let (len, _) = peers[0].recv_from(&mut node.recv_buf).expect("the peer's datagram");
+        let (src, _) = dgram::decode(&node.recv_buf[..len]).expect("well-formed");
+        assert_eq!(src, ProcessId(0));
+        assert!(holds_none(&peers[0]), "one datagram for the peer");
+        assert!(holds_none(&node.socket), "none for the sender");
+        assert_eq!(node.counters.frames_sent.load(Ordering::Relaxed), 1);
+
+        let now = SimTime::from_millis(5);
+        assert!(node.deliver_own(now), "the next turn hands the sender its copy");
+        assert!(!node.deliver_own(now), "once");
+        let log = log(&node);
+        assert_eq!(log.len(), 2);
+        assert!(log[0].1.is_send());
+        assert_eq!(log[1].0, now);
+        assert!(log[1].1.is_deliver());
+        assert_eq!(log[1].1.message().id, log[0].1.message().id);
+        assert_eq!(node.counters.copies_delivered.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_frame_to_itself_is_a_frame_sent_and_no_datagram() {
+        let (mut node, peers) = node(spec(2));
+        let msg = Message::new(ProcessId(0), 1, Bytes::copy_from_slice(b"z"));
+        node.transmit(Dest::To(NodeId::from(0u16)), msg.to_bytes());
+        assert_eq!(node.counters.frames_sent.load(Ordering::Relaxed), 1);
+        assert!(node.send_buf.is_empty(), "not encoded");
+        assert!(holds_none(&peers[0]));
+        assert!(holds_none(&node.socket));
+        assert!(node.deliver_own(SimTime::from_millis(1)));
+        let log = log(&node);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].1.message().id, msg.id);
+    }
+
+    #[test]
+    fn a_group_of_one_delivers_every_send_to_itself_without_a_datagram() {
+        let due = [SimTime::from_millis(1), SimTime::from_millis(2), SimTime::from_millis(3)];
+        let s = due.iter().fold(spec(1), |s, &at| s.send_at(at, ProcessId(0), [7; 40]));
+        let (mut node, peers) = node(s);
+        assert!(peers.is_empty());
+        for at in due {
+            assert!(node.fire_due(at));
+            assert!(node.deliver_own(at));
+            assert!(!node.deliver_own(at));
+        }
+        let log = log(&node);
+        assert_eq!(log.iter().filter(|(_, e)| e.is_send()).count(), 3);
+        assert_eq!(log.iter().filter(|(_, e)| e.is_deliver()).count(), 3);
+        assert_eq!(node.malformed, 0);
+        assert!(node.send_buf.is_empty(), "nothing encoded");
+        assert!(holds_none(&node.socket));
+        let counters = &node.counters;
+        assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.copies_delivered.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn shutdown_wakes_a_sampler_waiting_out_its_window() {
+        let ten_s = ps_obs::MetricsSampler::new(10_000_000);
+        let mut g = UdpGroup::launch(spec(2).sampler(ten_s.clone()), NetConfig::default());
+        // Long enough for the sampler to start and wait on its window.
+        g.run_until(SimTime::from_millis(20));
+        let started = Instant::now();
+        g.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+        assert!(ten_s.is_empty(), "no window ended");
     }
 
     #[test]

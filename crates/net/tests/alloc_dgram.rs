@@ -2,16 +2,20 @@
 //! the datagram, writing a frame under its envelope and putting it on a
 //! socket costs the allocator nothing — whoever else still holds the
 //! frame — and a received datagram costs at most its payload's one copy.
+//! A frame a node sends itself takes no datagram and costs nothing.
 //!
 //! The counter is per thread, so the tests here can run side by side.
 
 use ps_bytes::Bytes;
-use ps_net::dgram;
+use ps_net::{dgram, NetConfig, UdpGroup};
+use ps_simnet::SimTime;
+use ps_stack::{Driver, Frame, GroupSpec, Layer, LayerCtx, Stack};
 use ps_trace::ProcessId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::UdpSocket;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 thread_local! {
     /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
@@ -108,4 +112,66 @@ fn a_receive_allocates_only_a_payload_too_long_to_hold_inline() {
             assert_eq!((src, payload), (ProcessId(1), frame.clone()));
         }
     }
+}
+
+/// How many times [`SelfPing`] sends its frame round.
+const ROUNDS: usize = 40;
+
+/// A one-layer stack's layer that sends its node's group — the node
+/// alone — one frame, and the frame again each time it comes back up,
+/// [`ROUNDS`] times. For each round it notes the allocator calls its
+/// thread made from handing the frame down to getting it back.
+struct SelfPing {
+    frame: Bytes,
+    sent_at: u64,
+    seen: Arc<Mutex<Vec<u64>>>,
+}
+
+impl SelfPing {
+    fn send(&mut self, ctx: &mut LayerCtx<'_>) {
+        let frame = Frame::all(self.frame.clone());
+        self.sent_at = calls();
+        ctx.send_down(frame);
+    }
+}
+
+impl Layer for SelfPing {
+    fn name(&self) -> &'static str {
+        "self-ping"
+    }
+    fn on_launch(&mut self, ctx: &mut LayerCtx<'_>) {
+        self.send(ctx);
+    }
+    fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
+        let made = calls() - self.sent_at;
+        assert_eq!((src, &bytes), (ProcessId(0), &self.frame));
+        let mut seen = self.seen.lock().expect("seen");
+        seen.push(made);
+        if seen.len() < ROUNDS {
+            drop(seen);
+            self.send(ctx);
+        }
+    }
+}
+
+#[test]
+fn a_frame_a_node_sends_itself_reaches_its_agent_with_no_allocation() {
+    // Room for every round, so that noting one allocates nothing.
+    let seen = Arc::new(Mutex::new(Vec::with_capacity(ROUNDS)));
+    let probe = Arc::clone(&seen);
+    let spec = GroupSpec::new(1).stack_factory(move |_, _, _| {
+        let ping = SelfPing { frame: frame(64), sent_at: 0, seen: Arc::clone(&probe) };
+        Stack::new(vec![Box::new(ping)])
+    });
+    let mut group = UdpGroup::launch(spec, NetConfig::default());
+    let started = Instant::now();
+    while seen.lock().expect("seen").len() < ROUNDS && started.elapsed() < Duration::from_secs(5) {
+        group.run_until(group.now() + SimTime::from_millis(10));
+    }
+    let report = group.shutdown();
+    let seen = seen.lock().expect("seen");
+    assert_eq!(seen.len(), ROUNDS, "every round came back");
+    // The first round grows the node's and the stack's queues.
+    assert_eq!(&seen[1..], &[0; ROUNDS - 1][..], "calls per 64-byte round trip: {seen:?}");
+    assert_eq!(report.malformed_per_process, vec![0]);
 }

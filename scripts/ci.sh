@@ -130,7 +130,11 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # `SimApi::into_actions` public, with docs on `Action`'s variants), and
 # ps-stack 1 540 / 102 → 1 564 / 105 (`ProcessAgent`, its one
 # constructor `for_group`, which `GroupSimBuilder::build` uses too, and
-# `app_mut`).
+# `app_mut`). ps-net 636 → 667 and the total 21 699 → 21 730 when a
+# node began handing the copies it addresses to itself to its own agent
+# (its in-memory queue, `deliver_own`, a `transmit` that encodes only for
+# peers): the local path's 31 lines. The sampler's park and
+# `run_until`'s single sleep paid for `raise_stop`.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -142,12 +146,12 @@ size_ceiling() {
 }
 size_ceiling ps-core 1992 85
 size_ceiling ps-harness 4495 243
-size_ceiling ps-net 636 17
+size_ceiling ps-net 667 17
 size_ceiling ps-obs 3038 178
 size_ceiling ps-simnet 1940 121
 size_ceiling ps-stack 1564 105
 size_ceiling ps-trace 2393 144
-size_ceiling total 21699 1160
+size_ceiling total 21730 1160
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
@@ -256,17 +260,21 @@ alloc_ceiling observed 1.5
 # The loopback run is a real medium, so its counts are not exact, but
 # host load no longer moves them: a datagram goes out from a buffer its
 # node owns, the node's receive buffer exists before its thread starts,
-# and the read-out moves the logs. Quick runs read 3.86-3.89 calls and
-# 0.629-0.631 kB a multicast: the frames, a received payload longer than
-# a handle holds (one exact-size copy), the logs (24 bytes an entry) and
-# the sampler's series. They read 0.773-0.777 kB while a log entry was 72
-# bytes, and 5.17-5.20 calls and 1.09-1.42 kB while every datagram
-# copied its frame under the envelope and each node thread allocated its
-# 60 000-byte receive buffer as it started. A thread that starts after
-# the timed run has begun adds 0.21 kB a multicast here, and the envelope
-# copy more; either lands above 0.75.
-alloc_ceiling udp_steady 4.5
-alloc_kb_ceiling udp_steady 0.75
+# and the read-out moves the logs. A node hands the copy it addresses to
+# itself to its own agent, the handle it sent, so only a peer's datagram
+# costs a received payload. Quick runs read 2.865-2.878 calls and
+# 0.518-0.520 kB a multicast: the frames, a peer's payload longer than a
+# handle holds (one exact-size copy), the logs (24 bytes an entry) and
+# the sampler's series. They read 3.86-3.87 calls and 0.614-0.615 kB while
+# the sender's own copy went back through the socket, and a scratch copy
+# that routes it there again reads that (3.872 and 0.615): it lands above
+# 3.6 and 0.6. They read 0.773-0.777 kB while a log entry was 72 bytes,
+# and 5.17-5.20 calls and 1.09-1.42 kB while every datagram copied its
+# frame under the envelope and each node thread allocated its 60 000-byte
+# receive buffer as it started. A thread that starts after the timed run
+# has begun adds 0.21 kB a multicast here, and the envelope copy more.
+alloc_ceiling udp_steady 3.6
+alloc_kb_ceiling udp_steady 0.6
 # Bytes requested per multicast, the same exact kind of count.
 # steady_small reads 0.55 kB: the per-node application log, 0.22 kB (nine
 # 24-byte entries per multicast, an id against the run's one table of
