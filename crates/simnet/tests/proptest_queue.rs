@@ -2,8 +2,9 @@
 //! `Vec` of `(time, push index)` in push order, stable-sorted by time on
 //! every pop. Identical operation sequences must produce identical pops
 //! (time *and* payload, so same-instant FIFO ties are checked exactly),
-//! identical peeks, and identical lengths — whichever of the queue's two
-//! containers (the pre-scheduled lane, the in-flight heap) an entry is in.
+//! identical peeks, and identical lengths — whichever of the queue's three
+//! parts (the pre-scheduled lane, the near heap, the far heap) an entry is
+//! in.
 
 use ps_check::prelude::*;
 use ps_simnet::{EventQueue, SimTime};
@@ -61,12 +62,17 @@ impl Pair {
     }
 
     /// Maps a raw 64-bit draw onto a timestamp: heavy same-instant ties
-    /// (which straddle lane and heap once a pop has happened), every
-    /// magnitude, the top of the range, and instants at or before the last
-    /// popped time.
+    /// (which straddle lane and near heap once a pop has happened), every
+    /// magnitude, the top of the range, instants at or before the last
+    /// popped time, either side of the far boundary, and a few far instants
+    /// so tied that one of them straddles the lane, the near heap and the
+    /// far heap.
     fn shape_time(&self, raw: u64) -> SimTime {
+        // The queue's private `FAR`: a push this far past the last popped
+        // instant goes to the far heap.
+        const FAR_US: u64 = 1_000_000;
         let last = self.last_popped.as_micros();
-        SimTime::from_micros(match raw >> 61 {
+        SimTime::from_micros(match raw >> 60 {
             0 => raw & 0x7,
             1 => raw & 0xFFF,
             2 => raw & 0xFF_FFFF,
@@ -74,6 +80,10 @@ impl Pair {
             4 => u64::MAX - (raw & 0x3),
             5 => last.saturating_sub(raw & 0xFF),
             6 => last,
+            7 => last.saturating_add(FAR_US - 1),
+            8 => last.saturating_add(FAR_US),
+            9 => last.saturating_add(FAR_US + (raw & 0x3F)),
+            10 | 11 => FAR_US * (1 + (raw & 0x3)),
             _ => last.saturating_add(raw & 0x3F),
         })
     }
@@ -102,7 +112,7 @@ props! {
         let mut p = Pair::default();
         for (i, raw) in raws.into_iter().enumerate() {
             if i == 30 {
-                p.pop(); // the rest of the ties go to the heap
+                p.pop(); // the rest of the ties go to the near heap
             }
             p.push(SimTime::from_micros(raw & 1));
         }
@@ -110,8 +120,9 @@ props! {
     }
 
     /// A pre-scheduled batch, then pushes and pops interleaved at random:
-    /// entries from both containers are pending together, pushed in the
-    /// past, at the last popped instant and at `SimTime::MAX`.
+    /// entries from all three parts are pending together, pushed in the
+    /// past, at the last popped instant, either side of the far boundary
+    /// and at `SimTime::MAX`.
     fn prefill_then_interleave(
         prefill in vec_of(arb::<u64>(), 0..100),
         ops in vec_of(arb::<u64>(), 0..300),

@@ -15,10 +15,13 @@
 # into target/benchmark, as benchmark/run.sh builds it. Each pair runs
 # both binaries on one seed (pair i uses seed i), the side that goes
 # first alternating from pair to pair so that drift in the host's load
-# falls on both. For each pair the script prints both host_us_per_msg
-# readings and their ratio (this checkout over BASE); for each workload,
-# the median ratio and how many pairs read lower here. A ratio below 1
-# means this checkout is faster.
+# falls on both. Each run's last line is its JSON result; for each pair
+# the script prints every end-to-end metric in it (host_us_per_msg
+# first), both readings and their ratio (this checkout over BASE); for
+# each workload and metric, the median ratio, how many pairs read lower
+# and equal here, and each side's median with BASE's interquartile range.
+# A ratio below 1 means this checkout reads lower; every end-to-end
+# metric is better lower.
 #
 # Host time on a shared host moves by several percent between runs; a
 # difference is worth reporting when most pairs agree on its sign and the
@@ -52,32 +55,61 @@ build benchmark target/benchmark
 bin_a="$tree/target/release/ps-benchmark"
 bin_b=target/benchmark/release/ps-benchmark
 
-# host_us_per_msg of one run: the median over its reps, from the table.
-host_us() {
-    "$1" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 --out "$4" |
-        awk '$1 == "host_us_per_msg" { print $2; exit }'
+# Every end-to-end metric of one run, one "name value" line each, in the
+# order of its JSON result line.
+metrics() {
+    "$1" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 --out "$4" | tail -n 1 |
+        grep -o '"[a-z0-9_]*": {"value": [^,}]*' | sed 's/"\([^"]*\)": {"value": /\1 /'
 }
 
 echo "A = $base, B = this checkout; $pairs pairs of $seconds s"
+rows="$(mktemp)"
+trap 'rm -f "$rows"' EXIT
 for workload in "${workloads[@]}"; do
     echo "== $workload"
-    ratios=()
+    : >"$rows"
     for ((i = 1; i <= pairs; i++)); do
         if ((i % 2)); then
-            a="$(host_us "$bin_a" "$workload" "$i" "$tree/out")"
-            b="$(host_us "$bin_b" "$workload" "$i" target/benchmark/ab-out)"
+            a="$(metrics "$bin_a" "$workload" "$i" "$tree/out")"
+            b="$(metrics "$bin_b" "$workload" "$i" target/benchmark/ab-out)"
         else
-            b="$(host_us "$bin_b" "$workload" "$i" target/benchmark/ab-out)"
-            a="$(host_us "$bin_a" "$workload" "$i" "$tree/out")"
+            b="$(metrics "$bin_b" "$workload" "$i" target/benchmark/ab-out)"
+            a="$(metrics "$bin_a" "$workload" "$i" "$tree/out")"
         fi
-        ratio="$(awk -v a="$a" -v b="$b" 'BEGIN { printf "%.4f", b / a }')"
-        ratios+=("$ratio")
-        printf '   pair %2d  seed %2d  A %s  B %s  B/A %s\n' "$i" "$i" "$a" "$b" "$ratio"
+        # "pair name A B", metrics in the runs' order.
+        paste -d ' ' <(echo "$a") <(echo "$b") |
+            awk -v i="$i" '{ if ($1 != $3) exit 1; print i, $1, $2, $4 }' >>"$rows" ||
+            { echo "pair $i: A and B report different metrics" >&2; exit 1; }
     done
-    printf '%s\n' "${ratios[@]}" | sort -g | awk '
-        { r[NR] = $1; if ($1 < 1) lower++ }
+    awk '
+        function median(v, n) { return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2 }
+        # Sorted copy of v[1..n] into s (insertion sort; n is a few pairs).
+        function sorted(v, n, s,    j, k, x) {
+            for (j = 1; j <= n; j++) {
+                x = v[j]
+                for (k = j - 1; k >= 1 && s[k] > x; k--) s[k + 1] = s[k]
+                s[k + 1] = x
+            }
+        }
+        {
+            if (!($2 in n)) order[++names] = $2
+            k = ++n[$2]
+            A[$2, k] = $3 + 0; B[$2, k] = $4 + 0
+            R[$2, k] = $3 == 0 ? ($4 == 0 ? 1 : 1e300) : $4 / $3
+            printf "   %-17s  %-17s A %s  B %s  B/A %.4f\n",
+                $2 == order[1] ? sprintf("pair %2d  seed %2d", $1, $1) : "", $2, $3, $4, R[$2, k]
+        }
         END {
-            median = NR % 2 ? r[(NR + 1) / 2] : (r[NR / 2] + r[NR / 2 + 1]) / 2
-            printf "   median B/A %.4f, B lower in %d of %d pairs\n", median, lower, NR
-        }'
+            for (m = 1; m <= names; m++) {
+                name = order[m]; cnt = n[name]; lower = 0; equal = 0
+                for (k = 1; k <= cnt; k++) {
+                    lower += B[name, k] < A[name, k]; equal += B[name, k] == A[name, k]
+                    r[k] = R[name, k]; a[k] = A[name, k]; b[k] = B[name, k]
+                }
+                sorted(r, cnt, rs); sorted(a, cnt, as); sorted(b, cnt, bs)
+                q = int((cnt + 3) / 4)
+                printf "   %-17s median B/A %.4f, B lower in %d of %d pairs (equal in %d); median A %.6g (IQR %.4g), B %.6g\n",
+                    name, median(rs, cnt), lower, cnt, equal, median(as, cnt), as[cnt + 1 - q] - as[q], median(bs, cnt)
+            }
+        }' "$rows"
 done
