@@ -15,70 +15,18 @@
 
 use ps_bytes::Bytes;
 use ps_core::{hybrid_seq_token_ft, NeverOracle, SwitchConfig};
+use ps_prof::alloc::{self, Counting};
 use ps_simnet::{DetRng, SimTime};
 use ps_stack::{Cast, Frame, IdGen, LayerId, Stack, StackEnv};
 use ps_trace::{Message, ProcessId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// The body every message carries (a prefix of it, for a smaller one).
 const BODY_LEN: usize = 1400;
 static BODY: [u8; BODY_LEN] = [5; BODY_LEN];
 
-thread_local! {
-    /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-    /// Those of them for a body's worth of bytes or more.
-    static BODIES: Cell<u64> = const { Cell::new(0) };
-    /// Bytes those calls asked for.
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(size: usize) {
-    // `try_with`: the allocator still runs while a thread's locals are
-    // being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
-    if size >= BODY_LEN {
-        let _ = BODIES.try_with(|c| c.set(c.get() + 1));
-    }
-}
-
-/// `(all calls, body-sized calls)` so far.
-fn calls() -> (u64, u64) {
-    (CALLS.with(Cell::get), BODIES.with(Cell::get))
-}
-
-fn since((calls0, bodies0): (u64, u64)) -> (u64, u64) {
-    let (calls1, bodies1) = calls();
-    (calls1 - calls0, bodies1 - bodies0)
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; the counting touches two
-// const-initialised thread-local cells and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: Counting<BODY_LEN> = Counting;
 
 const MEMBERS: u16 = 8;
 /// Member 0 sequences protocol 0, the one in use throughout.
@@ -227,12 +175,12 @@ impl Group {
             } else if timer == Some(now) {
                 let due = self.net.timers.iter().position(|&(at, ..)| at == now).expect("due");
                 let (_, at, id, token) = self.net.timers.remove(due);
-                let (before, resent) = (calls(), self.net.unicast_bodies);
+                let (before, resent) = (alloc::thread(), self.net.unicast_bodies);
                 assert!(self.on(at, |stack, env| stack.timer(id, token, env)), "unknown layer");
                 if self.net.unicast_bodies > resent {
-                    let (all, bodies) = since(before);
-                    self.resend_allocs.0 += all;
-                    self.resend_allocs.1 += bodies;
+                    let now = alloc::thread();
+                    self.resend_allocs.0 += now.calls - before.calls;
+                    self.resend_allocs.1 += now.large - before.large;
                     self.resending_timers += 1;
                 }
             } else {
@@ -277,13 +225,13 @@ fn bytes_per_multicast(body_len: usize) -> (f64, u64) {
     let mut group = Group::launch(body_len);
     group.run_until(WARM, true);
     group.run_until(WARM + SETTLE, false);
-    let before = BYTES.with(Cell::get);
+    let before = alloc::thread().bytes;
     for at in 0..group.members.len() {
         group.send(at);
         group.run_until(group.net.now + SETTLE, false);
     }
     assert_eq!(group.net.delivered, u64::from(MEMBERS) * group.sent, "all delivered");
-    let per = (BYTES.with(Cell::get) - before) as f64 / f64::from(MEMBERS);
+    let per = (alloc::thread().bytes - before) as f64 / f64::from(MEMBERS);
     (per, ps_bytes::joins() - joins)
 }
 
@@ -311,10 +259,11 @@ fn a_warm_multicast_builds_its_body_once_and_a_retransmission_nothing() {
     // One multicast from each member in turn, each settled before the next.
     for at in 0..group.members.len() {
         let delivered = group.net.delivered;
-        let before = calls();
+        let before = alloc::thread();
         group.send(at);
         group.run_until(group.net.now + SETTLE, false);
-        let (all, bodies) = since(before);
+        let now = alloc::thread();
+        let (all, bodies) = (now.calls - before.calls, now.large - before.large);
         assert_eq!(group.net.delivered - delivered, u64::from(MEMBERS), "member {at}'s multicast");
         // The headers beside the body; and, from anyone but the
         // sequencer, the relay's: the forwarded frame arrives sharing the

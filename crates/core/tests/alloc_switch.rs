@@ -9,49 +9,11 @@
 
 use ps_bytes::Bytes;
 use ps_core::{hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle};
+use ps_prof::alloc::{self, Counting};
 use ps_simnet::{DetRng, SimTime};
 use ps_stack::{Cast, ChannelId, Frame, IdGen, LayerId, Stack, StackEnv};
 use ps_trace::{Message, ProcessId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::VecDeque;
-
-thread_local! {
-    /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator still runs while a thread's locals are
-    // being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; the counting touches one
-// const-initialised thread-local cell and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -249,11 +211,11 @@ fn a_warm_switch_allocates_only_the_buffers_of_its_frames() {
     group.run_until(start);
     assert_eq!(group.switches(), vec![WARM as usize; MEMBERS.into()]);
 
-    let before = calls();
+    let before = alloc::thread().calls;
     let (sent, delivered, control_buffers) =
         (group.sent, group.net.delivered, group.net.control_buffers);
     group.run_until(end);
-    let allocs = calls() - before;
+    let allocs = alloc::thread().calls - before;
     let sent = group.sent - sent;
     let delivered = group.net.delivered - delivered;
     let control_buffers = group.net.control_buffers - control_buffers;

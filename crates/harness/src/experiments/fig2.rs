@@ -252,7 +252,7 @@ pub(crate) fn run_with(cfg: &Fig2Config, runner: &SweepRunner) -> Fig2Result {
 
 /// Finds adjacent sender counts where the sequencer goes from faster to
 /// slower than the token protocol.
-pub fn find_crossover(points: &[Fig2Point]) -> Option<(u16, u16)> {
+fn find_crossover(points: &[Fig2Point]) -> Option<(u16, u16)> {
     points.windows(2).find_map(|w| {
         let below = w[0].latency[0].mean <= w[0].latency[1].mean;
         let above = w[1].latency[0].mean > w[1].latency[1].mean;

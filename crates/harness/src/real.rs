@@ -124,7 +124,7 @@ pub struct MediumReport {
 
 impl MediumReport {
     /// Violation count for one monitor kind.
-    pub fn violations_of(&self, kind: ViolationKind) -> usize {
+    fn violations_of(&self, kind: ViolationKind) -> usize {
         self.violations.iter().filter(|v| v.kind == kind).count()
     }
 }

@@ -8,51 +8,13 @@
 
 use ps_bytes::Bytes;
 use ps_net::{dgram, NetConfig, UdpGroup};
+use ps_prof::alloc::{self, Counting};
 use ps_simnet::SimTime;
 use ps_stack::{Driver, Frame, GroupSpec, Layer, LayerCtx, Stack};
 use ps_trace::ProcessId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::UdpSocket;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-thread_local! {
-    /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator still runs while a thread's locals are
-    // being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; the counting touches one
-// const-initialised thread-local cell and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -83,10 +45,10 @@ fn a_send_from_the_nodes_buffer_allocates_nothing() {
         // A reliable layer keeps its handle on the frame for retransmission.
         let kept = frame.clone();
         for round in 0..50 {
-            let before = calls();
+            let before = alloc::thread().calls;
             dgram::encode_into(ProcessId(3), &frame, &mut out);
             tx.send_to(&out, to).expect("send_to");
-            assert_eq!(calls() - before, 0, "{len}-byte frame, round {round}");
+            assert_eq!(alloc::thread().calls - before, 0, "{len}-byte frame, round {round}");
             let (n, _) = rx.recv_from(&mut buf).expect("recv_from");
             assert_eq!(&buf[..n], dgram::encode(ProcessId(3), &frame).as_ref());
         }
@@ -105,10 +67,10 @@ fn a_receive_allocates_only_a_payload_too_long_to_hold_inline() {
         for _ in 0..20 {
             dgram::encode_into(ProcessId(1), &frame, &mut out);
             tx.send_to(&out, to).expect("send_to");
-            let before = calls();
+            let before = alloc::thread().calls;
             let (n, _) = rx.recv_from(&mut buf).expect("recv_from");
             let (src, payload) = dgram::decode(&buf[..n]).expect("a well-formed datagram");
-            assert_eq!(calls() - before, allocs, "{len}-byte payload");
+            assert_eq!(alloc::thread().calls - before, allocs, "{len}-byte payload");
             assert_eq!((src, payload), (ProcessId(1), frame.clone()));
         }
     }
@@ -130,7 +92,7 @@ struct SelfPing {
 impl SelfPing {
     fn send(&mut self, ctx: &mut LayerCtx<'_>) {
         let frame = Frame::all(self.frame.clone());
-        self.sent_at = calls();
+        self.sent_at = alloc::thread().calls;
         ctx.send_down(frame);
     }
 }
@@ -143,7 +105,7 @@ impl Layer for SelfPing {
         self.send(ctx);
     }
     fn on_up(&mut self, src: ProcessId, bytes: Bytes, ctx: &mut LayerCtx<'_>) {
-        let made = calls() - self.sent_at;
+        let made = alloc::thread().calls - self.sent_at;
         assert_eq!((src, &bytes), (ProcessId(0), &self.frame));
         let mut seen = self.seen.lock().expect("seen");
         seen.push(made);

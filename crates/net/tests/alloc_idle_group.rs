@@ -8,35 +8,9 @@
 //! this binary holds this one test.
 
 use ps_net::{NetConfig, UdpGroup};
+use ps_prof::alloc::{self, Counting};
 use ps_simnet::SimTime;
 use ps_stack::{Driver, GroupSpec, Stack};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-/// `alloc` + `alloc_zeroed` + `realloc` calls made by any thread.
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; the counting touches one atomic
-// and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -45,9 +19,9 @@ static ALLOC: Counting = Counting;
 fn an_idle_launched_group_allocates_nothing() {
     let spec = GroupSpec::new(4).seed(5).stack_factory(|_, _, _| Stack::new(vec![]));
     let mut group = UdpGroup::launch(spec, NetConfig::default());
-    let before = CALLS.load(Relaxed);
+    let before = alloc::process_calls();
     group.run_until(SimTime::from_millis(50));
-    let during = CALLS.load(Relaxed) - before;
+    let during = alloc::process_calls() - before;
     let report = group.shutdown();
     assert_eq!(during, 0, "allocator calls while four idle node threads started and waited");
     assert_eq!(report.delivered_per_process, vec![0; 4]);

@@ -14,41 +14,8 @@
 
 use ps_check::prelude::*;
 use ps_obs::{CauseId, MonitorSet, ObsEvent, Recorder, SpPhase, TimedEvent, Violation};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
-
-thread_local! {
-    /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator still runs while a thread's locals are
-    // being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; the counting touches one
-// const-initialised thread-local cell and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use ps_prof::alloc::{self, Counting};
+use std::cell::RefCell;
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -454,7 +421,7 @@ fn a_long_clean_run_holds_state_for_what_is_in_flight_only() {
     let mut calls_after_warm_up = 0;
     for m in 0..TOTAL {
         if m == WARM_UP {
-            calls_after_warm_up = CALLS.with(Cell::get);
+            calls_after_warm_up = alloc::thread().calls;
         }
         let (sender, seq) = id(m);
         rec.record(m, sender, ObsEvent::AppSend { sender, seq });
@@ -464,7 +431,7 @@ fn a_long_clean_run_holds_state_for_what_is_in_flight_only() {
         let open = set.unsettled_count() as u64;
         assert!(open <= IN_FLIGHT.min(m + 1), "{open} unsettled with {IN_FLIGHT} in flight");
     }
-    let calls = CALLS.with(Cell::get) - calls_after_warm_up;
+    let calls = alloc::thread().calls - calls_after_warm_up;
     // What still grows is the total-order check's agreed sequence: two
     // vectors, doubling — seven times each from 1 000 to 100 000 entries.
     assert!(calls <= 16, "{calls} allocator calls for {} multicasts", TOTAL - WARM_UP);

@@ -45,8 +45,14 @@
 //! assert_eq!(prof.rows().iter().filter(|r| r.path == "engine/dispatch").count(), 1);
 //! assert!(prof.structure().contains("engine/dispatch 1"));
 //! ```
+//!
+//! [`alloc::Counting`] is the allocation tests' one counting global
+//! allocator: per thread calls, bytes and live bytes, and every thread's
+//! calls. It is compiled whatever the `prof` feature.
 
 #![deny(missing_docs)]
+
+pub mod alloc;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

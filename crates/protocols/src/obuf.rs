@@ -36,18 +36,6 @@ impl OrderedBuf {
         }
         // Below `next`: a stale duplicate, ignored.
     }
-
-    /// Number of messages waiting for a gap to fill.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn pending(&self) -> usize {
-        self.held.len()
-    }
-
-    /// The next global sequence number expected.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn next_expected(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -70,19 +58,19 @@ mod tests {
         let mut buf = OrderedBuf::default();
         for g in 0..3 {
             assert_eq!(offer(&mut buf, g, 2, "m"), [(ProcessId(2), b("m"))]);
-            assert_eq!(buf.pending(), 0);
+            assert_eq!(buf.held.len(), 0);
         }
-        assert_eq!(buf.next_expected(), 3);
+        assert_eq!(buf.next, 3);
     }
 
     #[test]
     fn releases_in_gseq_order() {
         let mut buf = OrderedBuf::default();
         assert!(offer(&mut buf, 1, 0, "one").is_empty());
-        assert_eq!(buf.pending(), 1);
+        assert_eq!(buf.held.len(), 1);
         let out = offer(&mut buf, 0, 1, "zero");
         assert_eq!(out, [(ProcessId(1), b("zero")), (ProcessId(0), b("one"))]);
-        assert_eq!(buf.next_expected(), 2);
+        assert_eq!(buf.next, 2);
     }
 
     #[test]
@@ -90,14 +78,14 @@ mod tests {
         let mut buf = OrderedBuf::default();
         assert_eq!(offer(&mut buf, 0, 0, "x").len(), 1);
         assert!(offer(&mut buf, 0, 0, "x").is_empty());
-        assert_eq!(buf.pending(), 0);
+        assert_eq!(buf.held.len(), 0);
         // A duplicate of a held message replaces it, it is not released twice.
         assert!(offer(&mut buf, 2, 0, "z").is_empty());
         assert!(offer(&mut buf, 2, 0, "z").is_empty());
-        assert_eq!(buf.pending(), 1);
+        assert_eq!(buf.held.len(), 1);
         assert_eq!(offer(&mut buf, 1, 0, "y").len(), 2);
         assert!(offer(&mut buf, 2, 0, "z").is_empty());
-        assert_eq!(buf.next_expected(), 3);
+        assert_eq!(buf.next, 3);
     }
 
     #[test]
@@ -107,6 +95,6 @@ mod tests {
             assert!(offer(&mut buf, g, 0, "m").is_empty());
         }
         assert_eq!(offer(&mut buf, 0, 0, "m").len(), 6);
-        assert_eq!(buf.pending(), 0);
+        assert_eq!(buf.held.len(), 0);
     }
 }

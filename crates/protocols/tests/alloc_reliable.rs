@@ -9,49 +9,11 @@
 //! One `#[test]` only; the counter is per thread all the same.
 
 use ps_bytes::Bytes;
+use ps_prof::alloc::{self, Counting};
 use ps_protocols::{FifoLayer, ReliableLayer};
 use ps_simnet::{DetRng, SimTime};
 use ps_stack::{Cast, Frame, LayerId, Stack, StackEnv};
 use ps_trace::{Message, ProcessId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator still runs while a thread's locals are
-    // being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; the counting touches one
-// const-initialised thread-local cell and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -125,13 +87,13 @@ fn round_trip(members: &mut [Member; 2], seq: u64) -> Cost {
     let msg = Message::new(GROUP[0], seq, Bytes::from_static(&[0x5A; 32]));
     let mut cost = Cost::default();
 
-    let before = calls();
+    let before = alloc::thread().calls;
     members[0].stack.send(&msg, &mut members[0].env);
-    cost.send = calls() - before;
+    cost.send = alloc::thread().calls - before;
     let data = members[0].sent();
     assert_eq!(data.dest, Cast::All);
 
-    let before = calls();
+    let before = alloc::thread().calls;
     let mut acks: [Option<Bytes>; 2] = [None, None];
     for (member, ack) in members.iter_mut().zip(&mut acks) {
         member.stack.receive(GROUP[0], data.bytes.clone(), &mut member.env);
@@ -139,14 +101,14 @@ fn round_trip(members: &mut [Member; 2], seq: u64) -> Cost {
         assert_eq!(frame.dest, Cast::To(GROUP[0]));
         *ack = Some(frame.bytes);
     }
-    cost.receive = calls() - before;
+    cost.receive = alloc::thread().calls - before;
     drop(data);
 
-    let before = calls();
+    let before = alloc::thread().calls;
     for (from, ack) in GROUP.into_iter().zip(acks) {
         members[0].stack.receive(from, ack.expect("an ack per member"), &mut members[0].env);
     }
-    cost.acked = calls() - before;
+    cost.acked = alloc::thread().calls - before;
     assert!(members[0].env.out.is_empty(), "an acknowledgement is not answered");
     cost
 }
@@ -159,12 +121,12 @@ fn an_acknowledged_round_trip_allocates_the_data_frames_buffer_and_nothing_else(
         round_trip(&mut members, seq);
     }
 
-    let before = calls();
+    let before = alloc::thread().calls;
     for seq in 9..=1008 {
         let cost = round_trip(&mut members, seq);
         assert_eq!(cost, Cost { send: 1, receive: 0, acked: 0 }, "round trip {seq}");
     }
-    assert_eq!(calls() - before, 1000, "steady state: no table grows");
+    assert_eq!(alloc::thread().calls - before, 1000, "steady state: no table grows");
     assert_eq!((members[0].env.delivered, members[1].env.delivered), (1008, 1008));
 
     // Nothing is owed: a sweep has nothing to send again.

@@ -156,7 +156,7 @@ impl SharedBus {
 
     /// Serialization time of a frame of `size_bytes` (payload + overhead,
     /// padded to the minimum frame).
-    pub fn serialization_time(&self, size_bytes: usize) -> SimTime {
+    fn serialization_time(&self, size_bytes: usize) -> SimTime {
         let on_wire = (size_bytes + self.config.frame_overhead).max(self.config.min_frame);
         let bits = (on_wire as u64) * 8;
         SimTime::from_micros(bits * 1_000_000 / self.config.bandwidth_bps)

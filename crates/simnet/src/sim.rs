@@ -364,15 +364,6 @@ impl<A: Agent> Sim<A> {
         self.queue.push(at.max(self.now), Ev::Fault { node, up: true });
     }
 
-    /// Whether `node` is currently up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node.index()]
-    }
-
     fn ensure_started(&mut self) {
         if self.started {
             return;
@@ -1192,7 +1183,7 @@ mod tests {
             .iter()
             .any(|&t| t > SimTime::from_millis(5) && t < SimTime::from_millis(20)));
         assert!(a.fired.iter().any(|&t| t > SimTime::from_millis(20)));
-        assert!(s.is_alive(NodeId(0)));
+        assert!(s.alive[0]);
     }
 
     #[test]
@@ -1217,7 +1208,7 @@ mod tests {
         // Crash node 1 before the frame (sent at 100us, arriving 600us).
         s.schedule_crash(SimTime::from_micros(200), NodeId(1));
         s.run_until(SimTime::from_millis(2));
-        assert!(!s.is_alive(NodeId(1)));
+        assert!(!s.alive[1]);
         assert_eq!(s.stats().copies_dropped, 1);
     }
 
@@ -1285,7 +1276,7 @@ mod tests {
         s.schedule_recover(SimTime::from_millis(4), NodeId(0));
         s.run_until(SimTime::from_millis(6));
         assert_eq!(s.agent(NodeId(0)).restarts, 1, "second recover is a no-op");
-        assert!(s.is_alive(NodeId(0)));
+        assert!(s.alive[0]);
     }
 
     #[test]

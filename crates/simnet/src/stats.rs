@@ -25,7 +25,7 @@ pub struct NetStats {
 
 impl NetStats {
     /// Fraction of copies lost, or zero if nothing was transmitted.
-    pub fn loss_rate(&self) -> f64 {
+    fn loss_rate(&self) -> f64 {
         let total = self.copies_delivered + self.copies_dropped;
         if total == 0 {
             0.0

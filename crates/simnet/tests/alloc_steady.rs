@@ -5,49 +5,11 @@
 //! The counter is per thread, so tests here can run side by side.
 
 use ps_bytes::Bytes;
+use ps_prof::alloc::{self, Counting};
 use ps_simnet::{
     Agent, Dest, EthernetConfig, NodeId, Packet, SharedBus, Sim, SimApi, SimConfig, SimTime,
     TimerToken,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator still runs while a thread's locals are
-    // being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; the counting touches one
-// const-initialised thread-local cell and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -92,9 +54,9 @@ fn the_event_loop_is_allocation_free_in_steady_state() {
     }
     sim.run_until(SimTime::from_millis(100));
 
-    let (events, before) = (sim.stats().events_processed, calls());
+    let (events, before) = (sim.stats().events_processed, alloc::thread().calls);
     sim.run_until(SimTime::from_millis(400));
-    let (events, made) = (sim.stats().events_processed - events, calls() - before);
+    let (events, made) = (sim.stats().events_processed - events, alloc::thread().calls - before);
     assert!(events >= 10_000, "only {events} events measured");
     assert_eq!(made, 0, "{made} allocator calls over {events} steady-state events");
     assert!(sim.agents().all(|a| a.received > 0));

@@ -9,48 +9,10 @@
 use ps_bytes::Bytes;
 use ps_core::{hybrid_total_order, NeverOracle, SwitchConfig};
 use ps_obs::{CauseId, MonitorSet, ObsEvent, Recorder, Writer};
+use ps_prof::alloc::{self, Counting};
 use ps_simnet::{DetRng, SimTime};
 use ps_stack::{Cast, Frame, IdGen, Layer, LayerId, Stack, StackEnv};
 use ps_trace::{Message, ProcessId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator still runs while a thread's locals are
-    // being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; the counting touches one
-// const-initialised thread-local cell and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -136,9 +98,9 @@ fn round_trip(stack: &mut Stack, env: &mut Env<'_>, msg: &Message) -> u64 {
     }
     stack.send(msg, env);
     let wire = env.broadcast.take().expect("the send broadcast a frame");
-    let before = calls();
+    let before = alloc::thread().calls;
     stack.receive(ProcessId(0), wire, env);
-    calls() - before
+    alloc::thread().calls - before
 }
 
 /// Process 0's message `seq`, with a body longer than a handle holds: its
@@ -168,12 +130,12 @@ fn pass_through_stack_allocates_only_the_frame() {
     let msg = message(1);
     round_trip(&mut stack, &mut env, &msg); // the work queue gets its capacity
 
-    let before = calls();
+    let before = alloc::thread().calls;
     let mut in_receive = 0;
     for _ in 0..1000 {
         in_receive += round_trip(&mut stack, &mut env, &msg);
     }
-    assert_eq!(calls() - before, 1000, "one frame per send and nothing else");
+    assert_eq!(alloc::thread().calls - before, 1000, "one frame per send and nothing else");
     assert_eq!(in_receive, 0, "the way up allocates nothing");
     assert_eq!(env.delivered, 1001);
 }
@@ -195,13 +157,13 @@ fn hybrid_in_normal_mode_allocates_only_the_frame() {
         round_trip(&mut stack, &mut env, &msg);
     }
 
-    let before = calls();
+    let before = alloc::thread().calls;
     let mut in_receive = 0;
     for _ in 0..1000 {
         in_receive += round_trip(&mut stack, &mut env, &msg);
     }
     // A simulated second went by: ten observe ticks fired in there too.
-    assert_eq!(calls() - before, 1000, "one frame per send and nothing else");
+    assert_eq!(alloc::thread().calls - before, 1000, "one frame per send and nothing else");
     assert_eq!(in_receive, 0, "the way up allocates nothing");
     assert_eq!(env.delivered, warm_up + 1000);
     assert_eq!(handle.current(), 0);
@@ -242,13 +204,17 @@ fn watched_hybrid_still_allocates_only_the_frame() {
         watched_round_trip(m);
     }
 
-    let before = calls();
+    let before = alloc::thread().calls;
     let in_receive: u64 = counted.iter().map(&mut watched_round_trip).sum();
     // What a watched run adds: the total-order monitor's agreed sequence,
     // two vectors that double (a capacity is the next power of two).
     let log2_cap = |len: u64| u64::from(len.next_power_of_two().trailing_zeros());
     let doublings = 2 * (log2_cap(warm_up + 1000) - log2_cap(warm_up));
-    assert_eq!(calls() - before, 1000 + doublings, "one frame per send, plus the agreed sequence");
+    assert_eq!(
+        alloc::thread().calls - before,
+        1000 + doublings,
+        "one frame per send, plus the agreed sequence"
+    );
     assert!(in_receive <= doublings, "the way up allocates nothing else");
     assert!(rec.overwritten() > 0, "the ring wrapped: nothing above leaned on its size");
     assert_eq!(monitors.sent_count() as u64, warm_up + 1000);

@@ -37,7 +37,7 @@ pub fn event_universe(procs: u16, msgs: &[Message]) -> Vec<Event> {
 ///
 /// Size grows as `sum_k P(n, k)`; keep `max_len` small (≤ 5 for a 12-event
 /// universe ⇒ ~100k traces).
-pub fn enumerate_traces(universe: &[Event], max_len: usize) -> Vec<Trace> {
+fn enumerate_traces(universe: &[Event], max_len: usize) -> Vec<Trace> {
     let n = universe.len();
     let mut out = vec![Trace::new()];
     let mut frontier: Vec<Vec<usize>> = vec![vec![]];
@@ -61,7 +61,7 @@ pub fn enumerate_traces(universe: &[Event], max_len: usize) -> Vec<Trace> {
 /// The full reflexive-transitive closure of an adjacent-swap relation,
 /// explored breadth-first (capped for safety; a trace of length L has at
 /// most L! permutations).
-pub fn swap_closure(tr: &Trace, sites: fn(&Trace) -> Vec<usize>, cap: usize) -> Vec<Trace> {
+fn swap_closure(tr: &Trace, sites: fn(&Trace) -> Vec<usize>, cap: usize) -> Vec<Trace> {
     let mut seen: HashSet<Trace> = HashSet::new();
     let mut queue: VecDeque<Trace> = VecDeque::new();
     let mut out = Vec::new();

@@ -8,46 +8,16 @@
 //! without a call, and a frame that outgrows the handle costs exactly the
 //! one buffer it would have cost anyway.
 //!
-//! One `#[test]` only — the counter is process-wide, and a second test
-//! running on another thread would be counted too.
+//! The counters are per thread, so only the test's own calls are counted.
 
 use ps_bytes::{Bytes, HEADROOM};
+use ps_prof::alloc::{self, Counting};
 use ps_wire::{pop_header, push_header, take_header, Encoder};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 const PAYLOAD: usize = 1400;
 
-/// Allocator calls asking for at least half a payload.
-static PAYLOAD_SIZED: AtomicUsize = AtomicUsize::new(0);
-/// Allocator calls of any size.
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: defers to `System` unchanged; only counts.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        if layout.size() >= PAYLOAD / 2 {
-            PAYLOAD_SIZED.fetch_add(1, Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        if new_size >= PAYLOAD / 2 {
-            PAYLOAD_SIZED.fetch_add(1, Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: Counting<{ PAYLOAD / 2 }> = Counting;
 
 fn push4(frame: Bytes) -> Bytes {
     let frame = push_header(&0xAAu8, frame);
@@ -90,24 +60,20 @@ fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared
     };
 
     let frame = fresh();
-    let before = (PAYLOAD_SIZED.load(Relaxed), CALLS.load(Relaxed));
+    let before = (alloc::thread().large, alloc::thread().calls);
     let framed = push4(frame);
     let popped = pop4(&framed);
-    assert_eq!(
-        PAYLOAD_SIZED.load(Relaxed) - before.0,
-        0,
-        "unique frame: headers go in the reserve"
-    );
+    assert_eq!(alloc::thread().large - before.0, 0, "unique frame: headers go in the reserve");
     assert_eq!(popped, body);
     // The string header's own allocations, encoding and decoding it.
-    let unique_calls = CALLS.load(Relaxed) - before.1;
+    let unique_calls = alloc::thread().calls - before.1;
 
     let frame = fresh();
     let retained = frame.clone();
-    let before = (PAYLOAD_SIZED.load(Relaxed), CALLS.load(Relaxed));
+    let before = (alloc::thread().large, alloc::thread().calls);
     let framed = push4(frame);
     let popped = pop4(&framed);
-    let after = (PAYLOAD_SIZED.load(Relaxed), CALLS.load(Relaxed));
+    let after = (alloc::thread().large, alloc::thread().calls);
     assert_eq!(
         (after.0 - before.0, after.1 - before.1),
         (0, unique_calls + 1),
@@ -122,16 +88,16 @@ fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared
     let frame = push_header(&(7u16, 1u64 << 40), frame);
     let frame = push_header(&u64::MAX, frame);
     let at = frame[frame.len() - PAYLOAD..].as_ptr();
-    let before = CALLS.load(Relaxed);
+    let before = alloc::thread().calls;
     let relayed = relay4(frame);
-    assert_eq!(CALLS.load(Relaxed) - before, 0, "a relay of a unique frame never allocates");
+    assert_eq!(alloc::thread().calls - before, 0, "a relay of a unique frame never allocates");
     assert!(std::ptr::eq(relayed[relayed.len() - PAYLOAD..].as_ptr(), at), "nor moves the payload");
     assert_eq!(relayed[relayed.len() - PAYLOAD..], body[..]);
 
     // An acknowledgement's life: a tag and a sequence number pushed on
     // nothing, a channel tag pushed on that, one copy per group member,
     // and at each of them the two headers taken off again.
-    let before = CALLS.load(Relaxed);
+    let before = alloc::thread().calls;
     let ack = push_header(&(1u8, 1u64 << 20), Bytes::new());
     let tagged = push_header(&2u8, ack);
     let copies: [Bytes; 8] = std::array::from_fn(|_| tagged.clone());
@@ -144,13 +110,13 @@ fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared
     enc.put_varint(300);
     let encoded = enc.finish();
     assert_eq!(encoded, [0xAC, 0x02]);
-    assert_eq!(CALLS.load(Relaxed) - before, 0, "a small frame never touches the allocator");
+    assert_eq!(alloc::thread().calls - before, 0, "a small frame never touches the allocator");
 
     // Headers until the frame no longer fits in its handle: one call, for
     // a buffer with a full reserve, into which every later header goes.
     let mut frame = tagged.clone();
-    let before = CALLS.load(Relaxed);
-    while CALLS.load(Relaxed) == before {
+    let before = alloc::thread().calls;
+    while alloc::thread().calls == before {
         frame = push_header(&u64::MAX, frame);
     }
     let len = frame.len();
@@ -159,21 +125,21 @@ fn four_headers_cost_no_payload_sized_allocation_when_unique_and_one_when_shared
     }
     assert_eq!(frame.len(), len + HEADROOM);
     assert_eq!(
-        CALLS.load(Relaxed) - before,
+        alloc::thread().calls - before,
         1,
         "outgrowing the handle: one buffer, HEADROOM in front"
     );
     frame = push_header(&0u8, frame);
-    assert_eq!(CALLS.load(Relaxed) - before, 2, "and that reserve was exactly HEADROOM");
+    assert_eq!(alloc::thread().calls - before, 2, "and that reserve was exactly HEADROOM");
     assert_eq!((frame[0], frame[1], &frame[frame.len() - tagged.len()..]), (0, 0xFF, &tagged[..]));
 
     // An encoding that outgrows the encoder's stack buffer (a ring token
     // carrying a vector of send counts): the buffer it spills into is the
     // one `finish` hands over, reserve and all.
-    let before = CALLS.load(Relaxed);
+    let before = alloc::thread().calls;
     let mut enc = Encoder::new();
     (0..100u64).for_each(|v| enc.put_varint(v));
     let spilled = push_header(&u64::MAX, enc.finish());
     assert_eq!(spilled.len(), 108);
-    assert_eq!(CALLS.load(Relaxed) - before, 1, "a spilled encoding is one buffer");
+    assert_eq!(alloc::thread().calls - before, 1, "a spilled encoding is one buffer");
 }

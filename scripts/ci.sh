@@ -139,7 +139,17 @@ echo "==> size ceilings: ps-core, ps-harness, ps-net, ps-obs, ps-simnet, ps-stac
 # in flight from far-off deadlines (queue.rs: the far heap, the near
 # heap's `(time, seq, slot)` keys over a slab with an intrusive free
 # list, the three-way pop, and the docs of the three parts): 75 lines,
-# no pub item.
+# no pub item. The total 21 805 / 1 160 → 21 874 / 1 160 when the eleven
+# allocation tests' own counting allocators became one,
+# `ps_prof::alloc::Counting` (ps-prof 428 / 23 → 518 / 32: the type, its
+# `Counts` and two readers, and the module), paid for in pub items by
+# ps-harness 243 → 241 (`MediumReport::violations_of`,
+# `fig2::find_crossover` private), ps-simnet 2 015 / 121 → 2 006 / 118
+# (`Sim::is_alive` deleted, `SharedBus::serialization_time` and
+# `NetStats::loss_rate` private), ps-trace 144 → 142
+# (`exhaustive::{enumerate_traces, swap_closure}` private) and ps-protocols
+# 2 222 / 76 → 2 210 / 74 (`OrderedBuf::{pending, next_expected}` deleted):
+# none had a caller outside its own file.
 size_ceiling() {
     scripts/size.sh | awk -v crate="$1" -v lines="$2" -v pubs="$3" '
         $1 == crate {
@@ -150,13 +160,26 @@ size_ceiling() {
         END { exit (found && !over) ? 0 : 1 }'
 }
 size_ceiling ps-core 1992 85
-size_ceiling ps-harness 4495 243
+size_ceiling ps-harness 4495 241
 size_ceiling ps-net 667 17
 size_ceiling ps-obs 3038 178
-size_ceiling ps-simnet 2015 121
+size_ceiling ps-simnet 2006 118
 size_ceiling ps-stack 1564 105
-size_ceiling ps-trace 2393 144
-size_ceiling total 21805 1160
+size_ceiling ps-trace 2393 142
+size_ceiling total 21874 1160
+
+echo "==> one counting allocator: the only \`unsafe impl\` of GlobalAlloc outside benchmark/ is ps_prof::alloc::Counting"
+# Every allocation test declares `ps_prof::alloc::Counting` its global
+# allocator in one line instead of carrying its own `unsafe` copy.
+# benchmark/ is left out: its counter (benchmark/src/alloc.rs, with the
+# process-wide live bytes and peak the benchmark reports) moves onto this
+# type in the benchmark's own change (ROADMAP 5(c)).
+impls="$(grep -rnE 'unsafe impl\b.*\bGlobalAlloc\b' crates src tests examples || true)"
+printf '   %s\n' "$impls"
+if [ "$(printf '%s\n' "$impls" | grep -c .)" -ne 1 ] || [[ "$impls" != crates/prof/src/alloc.rs:* ]]; then
+    echo "expected exactly one unsafe impl of GlobalAlloc, in crates/prof/src/alloc.rs"
+    exit 1
+fi
 
 echo "==> repro smoke: every command runs, its files lint, a fresh ledger matches the pins (offline)"
 # Clean --quick runs exit 0; --fault makes monitor, campaign and profile
